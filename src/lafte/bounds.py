@@ -38,6 +38,7 @@ from .estimands import (
     CRITICAL_VALUE,
     EstimateWithSE,
     TreatmentDef,
+    _table_pieces,
     first_stage,
     iv_estimand,
     reduced_form,
@@ -45,6 +46,7 @@ from .estimands import (
 from .exceptions import BoundsError, RelevanceError
 from .regression import (
     RELEVANCE_TOLERANCE,
+    _instrument_design,
     first_stage_coefficient,
     fit_stacked,
     linear_combination,
@@ -99,19 +101,10 @@ def _check_relevance(d, z, controls, cluster, label: str) -> float:
 
 
 def _iv_equation(response, d, z, controls):
-    cols_x = [np.ones_like(d), np.asarray(d, dtype=float)]
-    cols_w = [np.ones_like(d), np.asarray(z, dtype=float)]
-    if controls is not None and controls.shape[1]:
-        cols_x.append(controls)
-        cols_w.append(controls)
-    return (np.asarray(response, dtype=float),
-            np.column_stack(cols_x), np.column_stack(cols_w))
-
-
-def _table_pieces(table: ObservationTable, use_controls: bool, use_cluster: bool):
-    controls = table.controls if (use_controls and table.controls.shape[1]) else None
-    cluster = table.cluster if use_cluster else None
-    return table.z.astype(float), controls, cluster
+    w, _ = _instrument_design(z, controls)
+    x = w.copy()
+    x[:, 1] = d
+    return np.asarray(response, dtype=float), x, w
 
 
 def lafte_bounds(table: ObservationTable, *, use_controls: bool = True,

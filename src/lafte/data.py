@@ -19,13 +19,20 @@ composite columns derived row-locally from these five ingredients:
 ``kernel_y``    ``(1 - d1 - d2 + 2*d1*d2) * y``
 ==============  =============================
 
+``cluster_codes`` holds each row's cluster label as an ``int64`` index into
+the sorted distinct labels (the inverse of ``np.unique(cluster)``), computed
+once by :func:`from_arrays`; ``cluster_count`` is their number. The fits
+receive the codes, which give the same per-cluster sums as the labels.
+
 Tables are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress, count, islice
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -36,6 +43,11 @@ DEFAULT_MAPPING = {"z": "z", "d1": "d1", "d2": "d2", "y": "y"}
 
 # Tokens treated as a missing value when reading delimited text.
 _MISSING_TOKENS = {"", ".", "na", "nan"}
+
+_BINARY = {"0", "1"}
+
+# Rows read and transposed into columns at a time by load_table.
+_CHUNK_ROWS = 1 << 16
 
 _DERIVED_NAMES = (
     "d_and", "d_or", "d_sum", "g_or", "g_and",
@@ -63,7 +75,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """Validated rectangular dataset of (z, d1, d2, y, controls, cluster)."""
+    """Validated dataset of (z, d1, d2, y, controls, cluster); build it with from_arrays."""
 
     z: np.ndarray
     d1: np.ndarray
@@ -74,34 +86,12 @@ class ObservationTable:
     cluster: np.ndarray | None = None
     column_names: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
+    cluster_codes: np.ndarray | None = None
+    cluster_count: int | None = None
 
     @property
     def n(self) -> int:
         return int(self.z.shape[0])
-
-    @property
-    def cluster_count(self) -> int | None:
-        if self.cluster is None:
-            return None
-        return int(np.unique(self.cluster).size)
-
-    def without_controls(self) -> "ObservationTable":
-        """Copy of the table with the control columns removed."""
-        return ObservationTable(
-            z=self.z, d1=self.d1, d2=self.d2, y=self.y,
-            controls=_freeze(np.empty((self.n, 0))), control_names=(),
-            cluster=self.cluster, column_names=self.column_names,
-            warnings=self.warnings,
-        )
-
-    def without_cluster(self) -> "ObservationTable":
-        """Copy of the table with the cluster labels removed."""
-        return ObservationTable(
-            z=self.z, d1=self.d1, d2=self.d2, y=self.y,
-            controls=self.controls, control_names=self.control_names,
-            cluster=None, column_names=self.column_names,
-            warnings=self.warnings,
-        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +115,8 @@ class DerivedColumns:
         return getattr(self, name)
 
 
-def _validate_arrays(z, d1, d2, y, controls, cluster) -> list[str]:
+def _validate_arrays(z, d1, d2, y, controls, cluster, labels) -> list[str]:
+    # ``labels`` are the distinct cluster labels, None when some label is None.
     errors: list[str] = []
     n = z.shape[0]
     for name, col in (("d1", d1), ("d2", d2), ("y", y)):
@@ -155,7 +146,7 @@ def _validate_arrays(z, d1, d2, y, controls, cluster) -> list[str]:
     if cluster is not None:
         if cluster.shape[0] != n:
             errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
-        elif any(lab is None or str(lab).strip() == "" for lab in cluster):
+        elif labels is None or any(str(lab).strip() == "" for lab in labels):
             errors.append("missing cluster label")
     return errors
 
@@ -163,10 +154,10 @@ def _validate_arrays(z, d1, d2, y, controls, cluster) -> list[str]:
 def _collect_warnings(table: ObservationTable) -> list[str]:
     warnings: list[str] = []
     for arm in (0, 1):
-        count = int(np.sum(table.z == arm))
-        if count < 2:
-            warnings.append(f"tiny instrument arm: only {count} row(s) with z={arm}")
-    if table.cluster is not None and table.cluster_count == table.n:
+        size = int(np.sum(table.z == arm))
+        if size < 2:
+            warnings.append(f"tiny instrument arm: only {size} row(s) with z={arm}")
+    if table.cluster_count == table.n:
         warnings.append("every cluster is a singleton; clustering is equivalent to HC1")
     derived = derive(table)
     for name in ("d_and", "d_or", "d_sum", "g_or", "g_and"):
@@ -193,10 +184,13 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     controls = np.asarray(controls, dtype=float)
     if controls.ndim == 1:
         controls = controls[:, None]
+    labels = codes = None
     if cluster is not None:
         cluster = np.asarray(cluster, dtype=object)
+        if cluster.shape[0] == z.shape[0] and not np.equal(cluster, None).any():
+            labels, codes = np.unique(cluster, return_inverse=True)
 
-    errors = _validate_arrays(z, d1, d2, y, controls, cluster)
+    errors = _validate_arrays(z, d1, d2, y, controls, cluster, labels)
     if errors:
         raise DataError("; ".join(errors),
                         report=ValidationReport(tuple(errors), tuple(warnings)))
@@ -211,16 +205,10 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         cluster=None if cluster is None else _freeze(cluster),
         column_names=tuple(column_names),
         warnings=tuple(warnings),
+        cluster_codes=None if codes is None else _freeze(codes.astype(np.int64)),
+        cluster_count=None if labels is None else int(labels.size),
     )
-    extra = _collect_warnings(table)
-    if extra:
-        table = ObservationTable(
-            z=table.z, d1=table.d1, d2=table.d2, y=table.y,
-            controls=table.controls, control_names=table.control_names,
-            cluster=table.cluster, column_names=table.column_names,
-            warnings=tuple(warnings) + tuple(extra),
-        )
-    return table
+    return replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
 
 
 def validation_report(table: ObservationTable) -> ValidationReport:
@@ -251,22 +239,92 @@ def derive(table: ObservationTable) -> DerivedColumns:
     )
 
 
-def _parse_binary(token: str, name: str, kind: str) -> int:
-    # Accept only 0/1; "true"/"false" are rejected to avoid silent coercion.
-    tok = token.strip()
-    if tok == "0":
-        return 0
-    if tok == "1":
-        return 1
-    raise DataError(f"non-binary {kind} column '{name}': value {token!r}")
-
-
-def _parse_float(token: str, name: str) -> float:
+def _floats(tokens) -> np.ndarray | None:
+    """Tokens parsed by Python's ``float`` grammar; None if any does not parse."""
     try:
-        value = float(token)
+        return np.array(tokens, dtype=float)
     except ValueError:
-        raise DataError(f"could not parse numeric column '{name}': value {token!r}") from None
-    return value
+        return None
+
+
+def _binary(tokens) -> np.ndarray | None:
+    """``0``/``1`` tokens, surrounding whitespace allowed, as int64; None if any other."""
+    if not set(tokens) <= _BINARY:
+        tokens = [tok.strip() for tok in tokens]
+        if not set(tokens) <= _BINARY:
+            return None
+    return np.frombuffer("".join(tokens).encode(), np.uint8).astype(np.int64) - 48
+
+
+def _missing(tokens, values: np.ndarray | None) -> np.ndarray:
+    """Mask of one column's missing tokens; given its floats, only NaNs are checked."""
+    if values is not None:
+        mask = np.isnan(values)
+        mask[mask] = [tokens[i].strip().lower() in _MISSING_TOKENS for i in np.flatnonzero(mask)]
+        return mask
+    blank = {tok for tok in set(tokens) if tok.strip().lower() in _MISSING_TOKENS}
+    return (np.fromiter(map(blank.__contains__, tokens), bool, len(tokens)) if blank
+            else np.zeros(len(tokens), dtype=bool))
+
+
+def _parse_rows(rows, positions, kinds):
+    """Parse one chunk of records column by column.
+
+    Returns the values of each mapped column over the kept rows (None when a
+    kept token does not parse) and the mask of rows dropped for a missing
+    value. Rows whose every field is blank are neither kept nor dropped.
+    """
+    width = max(positions) + 1
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    tokens = {p: list(map(itemgetter(p), rows)) for p in positions}
+    floats = {p: _floats(tokens[p]) for p, kind in zip(positions, kinds) if kind == "float"}
+    missing = np.logical_or.reduce([_missing(tokens[p], floats.get(p)) for p in tokens])
+    if missing.any():
+        keep = ~missing
+        blank = [i for i in np.flatnonzero(missing) if not any(t.strip() for t in rows[i])]
+        missing[blank] = False
+        tokens = {p: list(compress(col, keep)) for p, col in tokens.items()}
+        floats = {p: None if v is None else v[keep] for p, v in floats.items()}
+    values = []
+    for p, kind in zip(positions, kinds):
+        if kind == "float":
+            column = _floats(tokens[p]) if floats[p] is None else floats[p]
+        elif kind == "cluster":
+            column = np.array([tok.strip() for tok in tokens[p]], dtype=object)
+        else:
+            column = _binary(tokens[p])
+        if column is None:
+            return None, missing
+        values.append(column)
+    return values, missing
+
+
+def _token_error(fields, cols, kinds) -> DataError | None:
+    """The error for the first token of a kept row that does not parse, if any."""
+    for tok, name, kind in zip(fields, cols, kinds):
+        if kind == "float" and _floats([tok]) is None:
+            return DataError(f"could not parse numeric column '{name}': value {tok!r}")
+        if kind in ("instrument", "treatment") and tok.strip() not in _BINARY:
+            # Only 0/1: "true"/"false" are rejected to avoid silent coercion.
+            return DataError(f"non-binary {kind} column '{name}': value {tok!r}")
+    return None
+
+
+def _raise_first_error(reader, positions, cols, kinds, on_missing: str, path) -> None:
+    """Rescan row by row and raise the error a columnar pass ran into: a missing
+    value anywhere under ``on_missing="fail"``, else the first bad token of a kept row."""
+    error = None
+    for rownum, row in enumerate(reader, start=2):
+        fields = [row[i] if i < len(row) else "" for i in positions]
+        if any(tok.strip().lower() in _MISSING_TOKENS for tok in fields):
+            if on_missing == "fail" and any(tok.strip() for tok in row):
+                raise DataError(f"missing value at line {rownum} of {path}")
+        elif error is None:
+            error = _token_error(fields, cols, kinds)
+        elif on_missing == "drop":
+            break
+    raise error
 
 
 def load_table(path, mapping: Mapping[str, object] | None = None, *,
@@ -276,7 +334,8 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     Parameters
     ----------
     path : str or Path
-        UTF-8 delimited text file with a header row.
+        UTF-8 delimited text file with a header row; a leading byte-order
+        mark is ignored and header names are stripped.
     mapping : mapping, optional
         Column-name mapping with required keys ``z``, ``d1``, ``d2``, ``y``
         and optional keys ``controls`` (list of names) and ``cluster``.
@@ -286,6 +345,14 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     on_missing : {"drop", "fail"}
         Rows with a missing value in any mapped column are dropped (with a
         warning recording the count) or cause an error.
+
+    Token grammar: a mapped token is missing when, stripped of whitespace and
+    lower-cased, it is empty, ``.``, ``na`` or ``nan`` (so ``-nan`` is a NaN,
+    not missing). Rows whose every field is blank are skipped silently; short
+    rows are padded with empty fields. Binary columns accept exactly ``0`` or
+    ``1`` with optional surrounding whitespace. Real columns follow Python's
+    ``float`` grammar (``1_0``, ``inf`` and ``1e500`` parse). Cluster labels
+    are stripped. Errors name the first offending line or token.
     """
     if on_missing not in ("drop", "fail"):
         raise ConfigError(f"unknown missing-data policy {on_missing!r}")
@@ -301,100 +368,70 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     cluster_name = mapping.get("cluster")
 
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle, delimiter=delimiter)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"file {path} is empty")
+            header = [h.strip() for h in header]
+            cols = [str(mapping[key]) for key in ("z", "d1", "d2", "y")] + control_names
+            cols += [str(cluster_name)] if cluster_name else []
+            absent = [col for col in cols if col not in header]
+            if absent:
+                raise ColumnMissingError(
+                    f"column(s) {absent} not found in {path}; header is {header}")
+            positions = [header.index(col) for col in cols]
+            kinds = ["instrument", "treatment", "treatment"] + ["float"] * (1 + len(control_names))
+            kinds += ["cluster"] if cluster_name else []
+
+            parts: list[list] = []
+            dropped = 0
+            for start in count(2, _CHUNK_ROWS):
+                rows = list(islice(reader, _CHUNK_ROWS))
+                if not rows:
+                    break
+                chunk, missing = _parse_rows(rows, positions, kinds)
+                if on_missing == "fail" and missing.any():
+                    line = start + int(np.argmax(missing))
+                    raise DataError(f"missing value at line {line} of {path}")
+                dropped += int(missing.sum())
+                if chunk is None:
+                    handle.seek(0)
+                    reader = csv.reader(handle, delimiter=delimiter)
+                    next(reader)
+                    _raise_first_error(reader, positions, cols, kinds, on_missing, path)
+                parts.append(chunk)
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
 
-    with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"file {path} is empty") from None
-        header = [h.strip() for h in header]
-        index: dict[str, int] = {}
-        wanted = [("z", mapping["z"]), ("d1", mapping["d1"]),
-                  ("d2", mapping["d2"]), ("y", mapping["y"])]
-        wanted += [(c, c) for c in control_names]
-        if cluster_name:
-            wanted.append(("cluster", cluster_name))
-        absent = [str(col) for _, col in wanted if str(col) not in header]
-        if absent:
-            raise ColumnMissingError(
-                f"column(s) {absent} not found in {path}; header is {header}")
-        for role, col in wanted:
-            index[str(col)] = header.index(str(col))
-
-        cols = [str(mapping["z"]), str(mapping["d1"]), str(mapping["d2"]), str(mapping["y"])]
-        cols += control_names
-        if cluster_name:
-            cols.append(str(cluster_name))
-
-        kept: list[list[str]] = []
-        dropped = 0
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(tok.strip() == "" for tok in row):
-                continue
-            fields = []
-            missing = False
-            for col in cols:
-                i = index[col]
-                tok = row[i] if i < len(row) else ""
-                if tok.strip().lower() in _MISSING_TOKENS:
-                    missing = True
-                fields.append(tok)
-            if missing:
-                if on_missing == "fail":
-                    raise DataError(f"missing value at line {rownum} of {path}")
-                dropped += 1
-                continue
-            kept.append(fields)
-
-    if not kept:
+    if not sum(len(chunk[0]) for chunk in parts):
         raise DataError(f"no complete rows in {path}")
-
-    n = len(kept)
-    z = np.empty(n, dtype=np.int64)
-    d1 = np.empty(n, dtype=np.int64)
-    d2 = np.empty(n, dtype=np.int64)
-    y = np.empty(n, dtype=float)
-    controls = np.empty((n, len(control_names)))
-    cluster = np.empty(n, dtype=object) if cluster_name else None
-    for i, fields in enumerate(kept):
-        z[i] = _parse_binary(fields[0], str(mapping["z"]), "instrument")
-        d1[i] = _parse_binary(fields[1], str(mapping["d1"]), "treatment")
-        d2[i] = _parse_binary(fields[2], str(mapping["d2"]), "treatment")
-        y[i] = _parse_float(fields[3], str(mapping["y"]))
-        for j, cname in enumerate(control_names):
-            controls[i, j] = _parse_float(fields[4 + j], cname)
-        if cluster is not None:
-            cluster[i] = fields[-1].strip()
-
-    warnings = []
-    if dropped:
-        warnings.append(f"dropped {dropped} row(s) with missing values")
+    z, d1, d2, y, *rest = (np.concatenate(column) for column in zip(*parts))
+    cluster = rest.pop() if cluster_name else None
     return from_arrays(
-        z, d1, d2, y, controls=controls, control_names=tuple(control_names),
-        cluster=cluster, column_names=tuple(header), warnings=warnings,
+        z, d1, d2, y, controls=np.column_stack(rest) if rest else None,
+        control_names=tuple(control_names), cluster=cluster, column_names=tuple(header),
+        warnings=[f"dropped {dropped} row(s) with missing values"] if dropped else [],
     )
 
 
 def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     """Write a table in the delimited format :func:`load_table` reads.
 
-    Binary columns round-trip bit-identically; reals are written with
-    ``repr`` so reloading reproduces them exactly.
+    Binary columns are written as ``0``/``1`` and reals with ``repr`` (the
+    ``csv`` module's float format), so reloading reproduces every value
+    bit-identically. Cluster labels are written with ``str`` and quoted
+    when they contain the delimiter, a quote or a line break; lines end in
+    CRLF. Control columns without names are headed ``x0``, ``x1``, ...
     """
     names = ["z", "d1", "d2", "y"]
     names += list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
+    columns = [table.z.tolist(), table.d1.tolist(), table.d2.tolist(), table.y.tolist(),
+               *table.controls.T.tolist()]
     if table.cluster is not None:
         names.append("cluster")
+        columns.append(map(str, table.cluster))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(names)
-        for i in range(table.n):
-            row = [int(table.z[i]), int(table.d1[i]), int(table.d2[i]), repr(float(table.y[i]))]
-            row += [repr(float(v)) for v in table.controls[i]]
-            if table.cluster is not None:
-                row.append(str(table.cluster[i]))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

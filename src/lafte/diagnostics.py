@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import ObservationTable, derive
-from .estimands import EstimateWithSE, estimate_from_fit
+from .estimands import EstimateWithSE, _regressors, estimate_from_fit
 from .regression import (
     TestResult,
     fit_stacked,
@@ -98,15 +96,6 @@ def mover_conclusion(p1: float | None, p2: float | None, level: float) -> str:
     return NO_MOVERS
 
 
-def _design(table: ObservationTable, use_controls: bool, use_cluster: bool):
-    cols = [np.ones(table.n), table.z.astype(float)]
-    names = ["const", "z"]
-    if use_controls and table.controls.shape[1]:
-        cols.append(table.controls)
-        names += list(table.control_names) or [f"c{j}" for j in range(table.controls.shape[1])]
-    return np.column_stack(cols), tuple(names), (table.cluster if use_cluster else None)
-
-
 def _contrast_pair(table, responses, labels, x, names, cluster):
     """Fit both contrast regressions and their joint test on the stacked system.
 
@@ -141,7 +130,7 @@ def mover_test(table: ObservationTable, *, level: float = 0.05,
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")
-    x, names, cluster = _design(table, use_controls, use_cluster)
+    x, names, cluster = _regressors(table, use_controls, use_cluster)
     derived = derive(table)
 
     step1, degenerate1 = _contrast_pair(
@@ -178,7 +167,7 @@ def double_exclusion_check(table: ObservationTable, *, level: float = 0.05,
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")
-    x, names, cluster = _design(table, use_controls, use_cluster)
+    x, names, cluster = _regressors(table, use_controls, use_cluster)
     derived = derive(table)
     estimates = []
     p_values: list[float | None] = []

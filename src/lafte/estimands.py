@@ -123,14 +123,14 @@ def _regressors(table: ObservationTable, use_controls: bool, use_cluster: bool):
         cols.append(table.controls)
         names += list(table.control_names) or [f"c{j}" for j in range(table.controls.shape[1])]
     x = np.column_stack(cols)
-    cluster = table.cluster if use_cluster else None
+    cluster = table.cluster_codes if use_cluster else None
     return x, tuple(names), cluster
 
 
-def _controls_or_none(table: ObservationTable, use_controls: bool):
-    if use_controls and table.controls.shape[1]:
-        return table.controls
-    return None
+def _table_pieces(table: ObservationTable, use_controls: bool, use_cluster: bool):
+    controls = table.controls if (use_controls and table.controls.shape[1]) else None
+    cluster = table.cluster_codes if use_cluster else None
+    return table.z.astype(float), controls, cluster
 
 
 def first_stage(table: ObservationTable, definition: TreatmentDef, *,
@@ -163,11 +163,9 @@ def iv_estimand(table: ObservationTable, definition: TreatmentDef, *,
         When the definition's first stage is numerically zero; the error
         names the definition and carries the first-stage estimate.
     """
-    controls = _controls_or_none(table, use_controls)
-    cluster = table.cluster if use_cluster else None
+    z, controls, cluster = _table_pieces(table, use_controls, use_cluster)
     try:
-        fit = tsls(table.y, definition.column(table), table.z.astype(float),
-                   controls, cluster)
+        fit = tsls(table.y, definition.column(table), z, controls, cluster)
     except RelevanceError as exc:
         raise RelevanceError(
             f"relevance failure for {definition.label}: "

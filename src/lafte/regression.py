@@ -23,7 +23,7 @@ the same cluster, when clustering) as one dependence unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,11 +82,9 @@ class StackedSystem:
     response: np.ndarray
     design: np.ndarray
     instruments: np.ndarray
-    duplication_map: np.ndarray
     cluster_labels: np.ndarray
     equation_offsets: tuple[int, ...]
     names: tuple[str, ...]
-    n_original: int
     cluster_given: bool
 
     def coef_index(self, equation: int, j: int) -> int:
@@ -162,11 +160,9 @@ def _linear_iv(y, x, w=None, cluster=None, names=None, covariance=None) -> FitRe
         # Exact algebra gives a zero slope on every non-constant column;
         # clean float dust so the reported estimate is exactly 0.
         b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(y[0]))), 0.0, b)
-        vcov = np.zeros((k, k))
-        if labels is not None:
-            cluster_count = int(np.unique(labels).size)
+        count = None if labels is None else int(np.unique(labels).size)
         kind = "cluster" if cluster is not None else (covariance or "hc1")
-        return FitResult(b, vcov, n, k, n - k, kind, cluster_count, names, True)
+        return FitResult(b, np.zeros((k, k)), n, k, n - k, kind, count, names, True)
 
     resid = y - x @ b
     scores = w * resid[:, None]
@@ -243,19 +239,10 @@ def tsls(y, d, z, controls=None, cluster=None, *, names=None) -> FitResult:
             f"relevance failure: first-stage coefficient {fs_coef:.3e}",
             first_stage=fs_coef,
         )
-    z = np.asarray(z, dtype=float).reshape(-1)
-    cols_x = [np.ones_like(d), d]
-    cols_w = [np.ones_like(d), z]
-    default_names = ["const", "d"]
-    if controls is not None:
-        c = _as_matrix(controls)
-        if c.shape[1]:
-            cols_x.append(c)
-            cols_w.append(c)
-            default_names += [f"c{j}" for j in range(c.shape[1])]
-    x = np.column_stack(cols_x)
-    w = np.column_stack(cols_w)
-    return _linear_iv(y, x, w, cluster=cluster, names=names or tuple(default_names))
+    w, w_names = _instrument_design(z, controls)
+    x = w.copy()
+    x[:, 1] = d
+    return _linear_iv(y, x, w, cluster=cluster, names=names or ("const", "d") + w_names[2:])
 
 
 def stack(equations: Sequence, cluster=None) -> StackedSystem:
@@ -270,11 +257,7 @@ def stack(equations: Sequence, cluster=None) -> StackedSystem:
         raise EstimationError("stack requires at least one equation")
     parsed = []
     for eq in equations:
-        if len(eq) == 2:
-            resp, design = eq
-            inst = None
-        else:
-            resp, design, inst = eq
+        resp, design, inst = eq if len(eq) == 3 else (*eq, None)
         parsed.append((np.asarray(resp, dtype=float).reshape(-1), _as_matrix(design),
                        None if inst is None else _as_matrix(inst)))
     n = parsed[0][0].shape[0]
@@ -299,30 +282,29 @@ def stack(equations: Sequence, cluster=None) -> StackedSystem:
         names += [f"eq{e}.b{j}" for j in range(x.shape[1])]
         col += x.shape[1]
 
-    duplication = np.tile(np.arange(n), m)
-    if cluster is not None:
-        base = np.asarray(cluster)
-        if base.shape[0] != n:
-            raise EstimationError("cluster labels have mismatched row count")
-        labels = np.tile(base, m)
-        given = True
-    else:
-        labels = duplication
-        given = False
+    base = np.arange(n) if cluster is None else np.asarray(cluster)
+    if base.shape[0] != n:
+        raise EstimationError("cluster labels have mismatched row count")
     return StackedSystem(
         response=response, design=design, instruments=instruments,
-        duplication_map=duplication, cluster_labels=labels,
-        equation_offsets=tuple(offsets), names=tuple(names),
-        n_original=n, cluster_given=given,
+        cluster_labels=np.tile(base, m), equation_offsets=tuple(offsets), names=tuple(names),
+        cluster_given=cluster is not None,
     )
 
 
 def fit_stacked(system: StackedSystem) -> FitResult:
-    """Fit a stacked system; coefficients equal the separate fits exactly."""
-    return _linear_iv(
+    """Fit a stacked system; coefficients equal the separate fits exactly.
+
+    Without cluster labels the dependence units are the original rows, and
+    the fit reports ``covariance_kind="hc1"`` with no cluster count.
+    """
+    fit = _linear_iv(
         system.response, system.design, system.instruments,
         cluster=system.cluster_labels, names=system.names,
     )
+    if system.cluster_given:
+        return fit
+    return replace(fit, covariance_kind="hc1", cluster_count=None)
 
 
 def linear_combination(fit: FitResult, weights) -> tuple[float, float | None]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from lafte import (
     BoundsError,
     TreatmentDef,
     complier_shares,
+    double_exclusion_check,
     first_stage,
     from_arrays,
     iv_estimand,
     lafte_bounds,
     lafte_bounds_bounded_response,
+    mover_test,
     sample,
     tau_bounds,
 )
@@ -159,3 +163,50 @@ def test_bounds_with_cluster_and_controls():
     assert np.isfinite(result.upper.se)
     tau = tau_bounds(t)
     assert np.isfinite(tau.lower.se)
+
+
+def test_unclustered_stacked_endpoints_report_no_clusters(fix8):
+    theorem1 = lafte_bounds(fix8)
+    bounded = lafte_bounds_bounded_response(fix8)
+    for est in (theorem1.lower, theorem1.upper, bounded.lower, bounded.upper):
+        assert est.cluster_count is None, est.definition
+
+
+def _leaves(obj):
+    """Every number and string in a result, floats by repr and arrays by bytes."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield f.name
+            yield from _leaves(getattr(obj, f.name))
+    elif isinstance(obj, np.ndarray):
+        yield obj.dtype.str, obj.shape, obj.tobytes()
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield repr(obj)
+
+
+def _every_clustered_result(t):
+    results = [first_stage(t, d) for d in TreatmentDef]
+    results += [iv_estimand(t, d) for d in TreatmentDef]
+    results += [complier_shares(t, joint=True), mover_test(t, force_step2=True),
+                double_exclusion_check(t), lafte_bounds(t),
+                lafte_bounds(t, upper_se_method="delta"),
+                lafte_bounds_bounded_response(t), tau_bounds(t)]
+    return list(_leaves(results))
+
+
+def test_cluster_codes_and_labels_give_identical_results():
+    rng = np.random.default_rng(41)
+    base = random_table(rng, n=300)
+    # unsorted, non-numeric-order labels of households of 1-5 rows
+    sizes = rng.integers(1, 6, size=300)
+    households = np.repeat(np.arange(sizes.size), sizes)[:300]
+    names = np.array([f"hh{k}" for k in rng.permutation(households.max() + 1)], dtype=object)
+    t = from_arrays(base.z, base.d1, base.d2, base.y,
+                    controls=rng.standard_normal((300, 2)), cluster=names[households])
+    labelled = dataclasses.replace(t, cluster_codes=t.cluster)
+    coded = _every_clustered_result(t)
+    assert coded == _every_clustered_result(labelled)
+    assert lafte_bounds(t).upper.cluster_count == households.max() + 1

@@ -1,8 +1,15 @@
+import csv
+import io
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lafte import data
 from lafte import (
     ColumnMissingError,
     ConfigError,
@@ -201,3 +208,293 @@ def test_validation_report_attached_on_failure():
     from lafte import validation_report
     t = fix8_table()
     assert validation_report(t).ok
+
+
+# --- Row-wise reference implementations of the loader and the writer ------
+#
+# These are the loop versions load_table/save_table replaced. The columnar
+# versions must agree with them bit for bit: same arrays and warnings, or
+# the same exception type and message.
+
+def _rowwise_parse_binary(token, name, kind):
+    tok = token.strip()
+    if tok == "0":
+        return 0
+    if tok == "1":
+        return 1
+    raise DataError(f"non-binary {kind} column '{name}': value {token!r}")
+
+
+def _rowwise_parse_float(token, name):
+    try:
+        return float(token)
+    except ValueError:
+        raise DataError(f"could not parse numeric column '{name}': value {token!r}") from None
+
+
+def _rowwise_load(path, mapping=None, *, delimiter=",", on_missing="drop"):
+    if on_missing not in ("drop", "fail"):
+        raise ConfigError(f"unknown missing-data policy {on_missing!r}")
+    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y"} if mapping is None else dict(mapping)
+    control_names = [str(c) for c in mapping.get("controls", []) or []]
+    cluster_name = mapping.get("cluster")
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"unreadable file {path}: {exc}") from None
+    with handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"file {path} is empty") from None
+        header = [h.strip() for h in header]
+        cols = [str(mapping["z"]), str(mapping["d1"]), str(mapping["d2"]), str(mapping["y"])]
+        cols += control_names
+        if cluster_name:
+            cols.append(str(cluster_name))
+        absent = [col for col in cols if col not in header]
+        if absent:
+            raise ColumnMissingError(
+                f"column(s) {absent} not found in {path}; header is {header}")
+        index = {col: header.index(col) for col in cols}
+        kept, dropped = [], 0
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(tok.strip() == "" for tok in row):
+                continue
+            fields, missing = [], False
+            for col in cols:
+                i = index[col]
+                tok = row[i] if i < len(row) else ""
+                if tok.strip().lower() in {"", ".", "na", "nan"}:
+                    missing = True
+                fields.append(tok)
+            if missing:
+                if on_missing == "fail":
+                    raise DataError(f"missing value at line {rownum} of {path}")
+                dropped += 1
+                continue
+            kept.append(fields)
+    if not kept:
+        raise DataError(f"no complete rows in {path}")
+    n = len(kept)
+    z = np.empty(n, dtype=np.int64)
+    d1 = np.empty(n, dtype=np.int64)
+    d2 = np.empty(n, dtype=np.int64)
+    y = np.empty(n, dtype=float)
+    controls = np.empty((n, len(control_names)))
+    cluster = np.empty(n, dtype=object) if cluster_name else None
+    for i, fields in enumerate(kept):
+        z[i] = _rowwise_parse_binary(fields[0], str(mapping["z"]), "instrument")
+        d1[i] = _rowwise_parse_binary(fields[1], str(mapping["d1"]), "treatment")
+        d2[i] = _rowwise_parse_binary(fields[2], str(mapping["d2"]), "treatment")
+        y[i] = _rowwise_parse_float(fields[3], str(mapping["y"]))
+        for j, cname in enumerate(control_names):
+            controls[i, j] = _rowwise_parse_float(fields[4 + j], cname)
+        if cluster is not None:
+            cluster[i] = fields[-1].strip()
+    warnings = [f"dropped {dropped} row(s) with missing values"] if dropped else []
+    return from_arrays(z, d1, d2, y, controls=controls, control_names=tuple(control_names),
+                       cluster=cluster, column_names=tuple(header), warnings=warnings)
+
+
+def _rowwise_save(table, path, *, delimiter=","):
+    names = ["z", "d1", "d2", "y"]
+    names += list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
+    if table.cluster is not None:
+        names.append("cluster")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, delimiter=delimiter)
+        writer.writerow(names)
+        for i in range(table.n):
+            row = [int(table.z[i]), int(table.d1[i]), int(table.d2[i]), repr(float(table.y[i]))]
+            row += [repr(float(v)) for v in table.controls[i]]
+            if table.cluster is not None:
+                row.append(str(table.cluster[i]))
+            writer.writerow(row)
+
+
+def _load_outcome(load, path, **kwargs):
+    try:
+        return load(path, **kwargs)
+    except Exception as exc:  # the outcome under comparison, whatever it is
+        return exc
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_table(new, ref):
+    for name in ("z", "d1", "d2", "y", "controls"):
+        assert _same_bits(getattr(new, name), getattr(ref, name)), name
+    assert (new.cluster is None) == (ref.cluster is None)
+    if ref.cluster is not None:
+        assert list(new.cluster) == list(ref.cluster)
+        assert _same_bits(new.cluster_codes, ref.cluster_codes)
+    assert new.cluster_count == ref.cluster_count
+    assert new.warnings == ref.warnings
+    assert new.column_names == ref.column_names
+    assert new.control_names == ref.control_names
+
+
+# Per column kind: tokens that parse, then odd tokens (missing, unparseable
+# or non-finite). Each file draws, per kind, how often a cell takes an odd
+# token, so that bad reals are reached without a bad binary token before them.
+_TOKENS = {
+    "binary": (["0", "1", " 1", "0 ", "\t1"],
+               ["2", "true", "", " ", "na", "NA", " NaN ", ".", "-1", "01", "nan"]),
+    "float": (["0", "1.5", "-2", " 3 ", "1_0", "1e-3", "-0.0", "2.5e3", "1."],
+              ["inf", "-Infinity", "-nan", "+nan", "1e500", "", " ", ".", "na", " Na ",
+               "nan", "NaN", "abc", "1,5", '2"x', "4\n5", "1__0"]),
+    "label": (["a", "b", " a ", "c", "x,y", 'q"t', "l\nm", "\tb", "7"],
+              ["", " ", "na", "NAN", " . "]),
+}
+_COLUMN_KINDS = {"z": "binary", "d1": "binary", "d2": "binary",
+                 "y": "float", "x": "float", "w": "float", "hh": "label"}
+
+
+@st.composite
+def _delimited_files(draw):
+    header = list(_COLUMN_KINDS)
+    if draw(st.booleans()):
+        header = draw(st.permutations(header))
+    odd_one_in = {kind: draw(st.sampled_from([0, 4, 16])) for kind in _TOKENS}
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        shape = draw(st.sampled_from(["full"] * 12 + ["short", "long", "blank", "spaces"]))
+        if shape == "blank":
+            rows.append([])
+            continue
+        if shape == "spaces":
+            rows.append([" "] * draw(st.integers(1, len(header) + 1)))
+            continue
+        row = []
+        for col in header:
+            kind = _COLUMN_KINDS[col]
+            usual, odd = _TOKENS[kind]
+            is_odd = odd_one_in[kind] and draw(st.integers(1, odd_one_in[kind])) == 1
+            row.append(draw(st.sampled_from(odd if is_odd else usual)))
+        if shape == "short":
+            row = row[:draw(st.integers(1, len(header) - 1))]
+        elif shape == "long":
+            row.append(draw(st.sampled_from(["extra", "", "1"])))
+        rows.append(row)
+    return header, rows
+
+
+@given(
+    file=_delimited_files(),
+    delimiter=st.sampled_from([",", "\t"]),
+    bom=st.booleans(),
+    padded_header=st.booleans(),
+    on_missing=st.sampled_from(["drop", "fail"]),
+    controls=st.sampled_from([None, ["x"], ["x", "w"], ["y"]]),
+    cluster=st.sampled_from([None, "hh", "z"]),
+    chunk_rows=st.sampled_from([1, 2, 3, 1 << 16]),
+)
+@settings(max_examples=400, deadline=None)
+def test_columnar_loader_matches_rowwise_reference(file, delimiter, bom, padded_header,
+                                                   on_missing, controls, cluster, chunk_rows):
+    header, rows = file
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter)
+    writer.writerow([f" {h} " if padded_header else h for h in header])
+    writer.writerows(rows)
+    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y"}
+    if controls:
+        mapping["controls"] = controls
+    if cluster:
+        mapping["cluster"] = cluster
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(("\ufeff" if bom else "") + buffer.getvalue())
+        kwargs = dict(mapping=mapping, delimiter=delimiter, on_missing=on_missing)
+        ref = _load_outcome(_rowwise_load, path, **kwargs)
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+            new = _load_outcome(load_table, path, **kwargs)
+    if isinstance(new, Exception):
+        assert isinstance(new, (ConfigError, DataError)), repr(new)
+    if isinstance(ref, (ConfigError, DataError)):
+        assert type(new) is type(ref) and str(new) == str(ref)
+    elif isinstance(ref, Exception):
+        assert isinstance(new, DataError)
+    else:
+        assert not isinstance(new, Exception), repr(new)
+        _assert_same_table(new, ref)
+
+
+def test_loader_error_precedence_across_chunks(tmp_path):
+    # a bad token early and a missing value later: under "fail" the missing
+    # value wins, under "drop" the bad token is named
+    lines = ["z,d1,d2,y"] + ["1,1,0,1.0", "0,0,0,2.0"] * 4
+    lines[2] = "0,0,0,oops"
+    lines[7] = "1,,0,3.0"
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(data, "_CHUNK_ROWS", 2):
+        with pytest.raises(DataError, match="missing value at line 8 of"):
+            load_table(path, on_missing="fail")
+        with pytest.raises(DataError, match="could not parse numeric column 'y': value 'oops'"):
+            load_table(path)
+
+
+def test_undecodable_file_is_a_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("z,d1,d2,y,hh\n1,1,0,1.0,café\n0,0,0,2.0,b\n".encode("latin-1"))
+    with pytest.raises(DataError, match="unreadable file"):
+        load_table(path, {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "cluster": "hh"})
+
+
+def _awkward_table(rng, n=60, k=2):
+    z = rng.integers(0, 2, n)
+    z[:2] = (0, 1)
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    labels = np.array([["plain", "with,comma", 'with "quote"', "two\nlines", "tab\there",
+                        "ünï", "cr\rx"][i % 7] + str(i % 5) for i in range(n)], dtype=object)
+    return from_arrays(z, rng.integers(0, 2, n), rng.integers(0, 2, n), y,
+                       controls=rng.standard_normal((n, k)), cluster=labels)
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter):
+    rng = np.random.default_rng(11)
+    for table in (_awkward_table(rng), _awkward_table(rng, k=0),
+                  from_arrays([0, 1, 1], [1, 0, 1], [0, 0, 1], [0.1, -0.0, 1e-310])):
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        save_table(table, new, delimiter=delimiter)
+        _rowwise_save(table, ref, delimiter=delimiter)
+        assert new.read_bytes() == ref.read_bytes()
+        names = list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
+        mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": names}
+        if table.cluster is not None:
+            mapping["cluster"] = "cluster"
+        back = load_table(new, mapping, delimiter=delimiter)
+        for name in ("z", "d1", "d2", "y", "controls"):
+            assert _same_bits(getattr(back, name), getattr(table, name)), name
+        if table.cluster is not None:
+            assert list(back.cluster) == list(table.cluster)
+            assert _same_bits(back.cluster_codes, table.cluster_codes)
+
+
+@pytest.mark.parametrize("labels", [
+    ["b", "a", "c", "a", "b", "b"],
+    [10, 2, 2, -1, 10, 30],
+])
+def test_cluster_codes_follow_sorted_labels(labels):
+    t = from_arrays([0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1], [0, 0, 1, 1, 0, 1],
+                    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], cluster=labels)
+    expected = np.unique(np.asarray(labels, dtype=object), return_inverse=True)[1]
+    assert t.cluster_codes.dtype == np.int64
+    assert np.array_equal(t.cluster_codes, expected)
+    assert t.cluster_count == len(set(labels))
+    with pytest.raises(ValueError):
+        t.cluster_codes[0] = 1
+
+
+@pytest.mark.parametrize("labels", [["a", None, "b", "a"], ["a", " ", "b", "a"]])
+def test_missing_cluster_label_rejected(labels):
+    with pytest.raises(DataError, match="missing cluster label"):
+        from_arrays([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],
+                    cluster=labels)

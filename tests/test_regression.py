@@ -323,6 +323,22 @@ def test_stacked_cluster_duplication():
     assert fit.cluster_count == 10
 
 
+def test_unclustered_stack_reports_hc1_with_row_units():
+    # without labels the original rows are the dependence units: the
+    # covariance is the row-clustered one to the bit, but it is reported as
+    # "hc1" without a cluster count
+    rng = np.random.default_rng(13)
+    t = random_table(rng, n=40)
+    x = np.column_stack([np.ones(t.n), t.z])
+    eqs = [(t.y, x), (t.d1.astype(float), x)]
+    fit = fit_stacked(stack(eqs))
+    by_row = fit_stacked(stack(eqs, cluster=np.arange(t.n)))
+    assert fit.covariance_kind == "hc1" and fit.cluster_count is None
+    assert by_row.covariance_kind == "cluster" and by_row.cluster_count == t.n
+    assert fit.vcov.tobytes() == by_row.vcov.tobytes()
+    assert fit.coefficients.tobytes() == by_row.coefficients.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # wald tests
 
