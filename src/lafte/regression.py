@@ -1,34 +1,33 @@
 """Least-squares and instrumental-variable fitting with sandwich covariances.
 
-Everything here is a pure function of its inputs. The single workhorse is a
-just-identified linear IV solve ``b = (W'X)^{-1} W'y`` (ordinary least
-squares is the special case ``W = X``), wrapped with three covariance
-estimators:
+Everything here is a pure function of its inputs and needs numpy only. The
+single workhorse fits ``m`` just-identified linear IV equations on one row
+index, ``b_e = (W_e'X_e)^{-1} W_e'y_e`` (ordinary least squares is the
+special case ``W = X``), with the joint sandwich covariance
+``B (c S'S) B'``:
 
-``classical``
-    ``s^2 (W'X)^{-1} W'W (X'W)^{-1}`` with ``s^2 = e'e / (n - k)``.
-``hc1``
-    Heteroskedasticity-robust sandwich with small-sample factor
-    ``n / (n - k)``. This is the default when no clusters are supplied.
-``cluster``
-    One-way cluster sandwich over within-cluster score sums, with
-    small-sample factor ``c = (G/(G-1)) * ((n-1)/(n-k))``. With every row
-    its own cluster this reduces exactly to ``hc1``.
+``B``
+    Block-diagonal of the per-equation breads ``(W_e'X_e)^{-1}``.
+``S``
+    The score sums ``W_e' e_e`` of every equation side by side, one row per
+    cluster; without clusters every row is its own unit.
+``c``
+    ``(G/(G-1)) * ((N-1)/(N-K))`` with ``G`` units, ``N = m*n`` stacked rows
+    and ``K`` coefficients in all. For one equation without clusters this is
+    the HC1 factor ``n / (n - k)``.
 
-Stacked multi-equation systems duplicate the data block-diagonally; the
-joint coefficient vector equals the separately-fit values, while the
-covariance treats stacked rows originating from the same observation (or
-the same cluster, when clustering) as one dependence unit.
+For ``m > 1`` this equals stacking the equations block-diagonally on
+duplicated data, with the copies of one observation (or of one cluster) as
+one dependence unit, but the ``(m*n) x K`` stacked matrices are never built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy import stats
 
 from .exceptions import (
     DegenerateTestError,
@@ -77,19 +76,47 @@ class TestResult:
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Block-diagonal multi-equation system on duplicated rows."""
+    """Equations ``(response, design, instruments)`` on one row index, fit jointly.
 
-    response: np.ndarray
-    design: np.ndarray
-    instruments: np.ndarray
-    cluster_labels: np.ndarray
+    ``cluster`` holds one label per original row, or None when the rows
+    themselves are the dependence units.
+    """
+
+    equations: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    cluster: np.ndarray | None
     equation_offsets: tuple[int, ...]
     names: tuple[str, ...]
-    cluster_given: bool
 
     def coef_index(self, equation: int, j: int) -> int:
         """Index of coefficient ``j`` of ``equation`` in the joint vector."""
         return self.equation_offsets[equation] + j
+
+    # The stacked arrays on duplicated rows, assembled on demand; the fit
+    # never reads them.
+    @property
+    def response(self) -> np.ndarray:
+        return np.concatenate([y for y, _, _ in self.equations])
+
+    @property
+    def design(self) -> np.ndarray:
+        return self._block_diagonal(1)
+
+    @property
+    def instruments(self) -> np.ndarray:
+        return self._block_diagonal(2)
+
+    @property
+    def cluster_labels(self) -> np.ndarray:
+        n = self.equations[0][0].shape[0]
+        return np.tile(np.arange(n) if self.cluster is None else self.cluster,
+                       len(self.equations))
+
+    def _block_diagonal(self, part: int) -> np.ndarray:
+        n = self.equations[0][0].shape[0]
+        out = np.zeros((len(self.equations) * n, len(self.names)))
+        for e, (eq, col) in enumerate(zip(self.equations, self.equation_offsets)):
+            out[e * n:(e + 1) * n, col:col + eq[part].shape[1]] = eq[part]
+        return out
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -99,104 +126,136 @@ def _as_matrix(x) -> np.ndarray:
     return x
 
 
-def _check_rank(m: np.ndarray, names: Sequence[str] | None, what: str) -> None:
-    if m.shape[0] < m.shape[1]:
-        raise RankDeficientError(
-            f"{what} matrix has more columns ({m.shape[1]}) than rows ({m.shape[0]})")
-    r, piv = scipy.linalg.qr(m, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0:
-        return
-    bad = None
-    if diag[0] == 0.0:
-        bad = piv[0]
-    else:
-        below = np.nonzero(diag < RANK_TOLERANCE * diag[0])[0]
-        if below.size:
-            bad = piv[below[0]]
-    if bad is not None:
-        name = names[bad] if names and bad < len(names) else f"column {bad}"
-        raise RankDeficientError(f"{what} matrix is rank deficient: collinear column '{name}'")
-
-
-def _cluster_meat(scores: np.ndarray, labels: np.ndarray, n: int, k: int):
-    _, inverse = np.unique(labels, return_inverse=True)
-    g = int(inverse.max()) + 1
-    sums = np.column_stack([np.bincount(inverse, weights=scores[:, j], minlength=g)
-                            for j in range(k)])
-    if g < 2:
-        raise EstimationError("cluster covariance requires at least 2 clusters")
-    factor = (g / (g - 1.0)) * ((n - 1.0) / (n - k))
-    return factor * (sums.T @ sums), g
-
-
-def _linear_iv(y, x, w=None, cluster=None, names=None, covariance=None) -> FitResult:
-    """Solve a just-identified linear moment system and its sandwich covariance."""
+def _equation(y, x, w=None):
     y = np.asarray(y, dtype=float).reshape(-1)
     x = _as_matrix(x)
     w = x if w is None else _as_matrix(w)
-    n, k = x.shape
-    if y.shape[0] != n or w.shape != x.shape:
+    if y.shape[0] != x.shape[0] or w.shape != x.shape:
         raise EstimationError("response, design, and instrument row counts differ")
-    if n <= k:
-        raise EstimationError(f"{n} rows cannot identify {k} parameters")
-    names = tuple(names) if names else tuple(f"x{j}" for j in range(k))
-    _check_rank(x, names, "design")
-    if w is not x:
-        _check_rank(w, names, "instrument")
+    return y, x, w
 
-    wx = w.T @ x
-    try:
-        bread = np.linalg.inv(wx)
-    except np.linalg.LinAlgError:
-        raise RankDeficientError("instrument/design cross-moment matrix is singular") from None
-    b = bread @ (w.T @ y)
 
-    labels = None if cluster is None else np.asarray(cluster)
-    cluster_count = None
+def _pivoted_qr_diag(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|diag R|`` and the column order of the Householder QR of ``r`` with
+    column pivoting (largest remaining norm first, the first on ties).
 
-    response_constant = bool(np.ptp(y) == 0.0)
-    if response_constant:
+    Pivots and ``|diag R|`` depend only on ``r'r``, so ``r`` may be the ``R``
+    of an unpivoted QR of the matrix in question.
+    """
+    a = r.copy()
+    k = a.shape[1]
+    piv = np.arange(k)
+    diag = np.zeros(k)
+    for j in range(k):
+        rest = a[j:, j:]
+        p = j + int(np.argmax(np.einsum("ij,ij->j", rest, rest)))
+        a[:, [j, p]] = a[:, [p, j]]
+        piv[[j, p]] = piv[[p, j]]
+        v = a[j:, j].copy()
+        diag[j] = np.linalg.norm(v)
+        if diag[j] == 0.0:
+            break
+        v[0] += math.copysign(diag[j], v[0])
+        v /= np.linalg.norm(v)
+        a[j:, j:] -= 2.0 * np.outer(v, v @ a[j:, j:])
+    return diag, piv
+
+
+def _check_rank(blocks: Sequence[np.ndarray], names: Sequence[str], what: str) -> None:
+    """Rank check of the block-diagonal matrix whose blocks have R factors ``blocks``.
+
+    A column is collinear when its pivot falls below ``RANK_TOLERANCE`` times
+    the largest pivot over all blocks; the one named has the largest such
+    pivot, as a pivoted QR of the whole matrix would find it first.
+    """
+    pivots = [_pivoted_qr_diag(r) for r in blocks]
+    top = max(diag[0] for diag, _ in pivots)
+    bad = None
+    offset = 0
+    for r, (diag, piv) in zip(blocks, pivots):
+        below = np.nonzero((diag < RANK_TOLERANCE * top) | (top == 0.0))[0]
+        if below.size and (bad is None or diag[below[0]] > bad[0]):
+            bad = (diag[below[0]], offset + int(piv[below[0]]))
+        offset += r.shape[1]
+    if bad is not None:
+        col = bad[1]
+        name = names[col] if col < len(names) else f"column {col}"
+        raise RankDeficientError(f"{what} matrix is rank deficient: collinear column '{name}'")
+
+
+def _cluster_codes(labels) -> tuple[np.ndarray, int]:
+    """Codes 0..G-1 in sorted-label order, and G; dense integer codes pass through."""
+    labels = np.asarray(labels)
+    if (labels.dtype.kind == "i" and labels.size and labels.min() >= 0
+            and labels.max() < labels.size and np.bincount(labels).all()):
+        return labels, int(labels.max()) + 1
+    _, codes = np.unique(labels, return_inverse=True)
+    return codes, int(codes.max()) + 1
+
+
+def _fit(equations, cluster, names, *, check_instruments: bool = True) -> FitResult:
+    """Joint fit of parsed equations ``(y, X, W)`` and their cross-equation sandwich."""
+    n = equations[0][0].shape[0]
+    widths = [x.shape[1] for _, x, _ in equations]
+    big_n, big_k = len(equations) * n, sum(widths)
+    if big_n <= big_k:
+        raise EstimationError(f"{big_n} rows cannot identify {big_k} parameters")
+    names = tuple(names) if names else tuple(f"x{j}" for j in range(big_k))
+    matrices = {id(m): m for eq in equations for m in eq[1:3 if check_instruments else 2]}
+    factors = {key: np.linalg.qr(m, mode="r") for key, m in matrices.items()}
+    _check_rank([factors[id(x)] for _, x, _ in equations], names, "design")
+    if check_instruments:
+        _check_rank([factors[id(w)] for _, _, w in equations], names, "instrument")
+
+    offsets = np.cumsum([0] + widths[:-1])
+    bread = np.zeros((big_k, big_k))
+    b = np.empty(big_k)
+    for (y, x, w), col, k in zip(equations, offsets, widths):
+        try:
+            inv = np.linalg.inv(w.T @ x)
+        except np.linalg.LinAlgError:
+            raise RankDeficientError(
+                "instrument/design cross-moment matrix is singular") from None
+        bread[col:col + k, col:col + k] = inv
+        b[col:col + k] = inv @ (w.T @ y)
+
+    codes, g = (None, n) if cluster is None else _cluster_codes(cluster)
+    kind, count = ("hc1", None) if cluster is None else ("cluster", g)
+    ys = [y for y, _, _ in equations]
+    if max(y.max() for y in ys) == min(y.min() for y in ys):
         # Exact algebra gives a zero slope on every non-constant column;
         # clean float dust so the reported estimate is exactly 0.
-        b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(y[0]))), 0.0, b)
-        count = None if labels is None else int(np.unique(labels).size)
-        kind = "cluster" if cluster is not None else (covariance or "hc1")
-        return FitResult(b, np.zeros((k, k)), n, k, n - k, kind, count, names, True)
+        b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(ys[0][0]))), 0.0, b)
+        return FitResult(b, np.zeros((big_k, big_k)), big_n, big_k, big_n - big_k,
+                         kind, count, names, True)
 
-    resid = y - x @ b
-    scores = w * resid[:, None]
-    if labels is not None:
-        meat, g = _cluster_meat(scores, labels, n, k)
-        kind = "cluster"
-        cluster_count = g
-    elif covariance == "classical":
-        sigma2 = float(resid @ resid) / (n - k)
-        meat = sigma2 * (w.T @ w)
-        kind = "classical"
-    else:
-        meat = (n / (n - k)) * (scores.T @ scores)
-        kind = "hc1"
+    if g < 2:
+        raise EstimationError("cluster covariance requires at least 2 clusters")
+    sums = np.empty((g, big_k))
+    for (y, x, w), col, k in zip(equations, offsets, widths):
+        # Column-major, so that bincount reads each column in place.
+        scores = np.multiply(w, (y - x @ b[col:col + k])[:, None], order="F")
+        sums[:, col:col + k] = scores if codes is None else np.column_stack(
+            [np.bincount(codes, weights=scores[:, j], minlength=g) for j in range(k)])
+    meat = ((g / (g - 1.0)) * ((big_n - 1.0) / (big_n - big_k))) * (sums.T @ sums)
     vcov = bread @ meat @ bread.T
     vcov = 0.5 * (vcov + vcov.T)
     diag = np.diag(vcov).copy()
     tiny = (diag < 0) & (diag > -1e-14 * max(diag.max(initial=0.0), 1.0))
     if tiny.any():
-        vcov = vcov.copy()
-        vcov[np.diag_indices(k)] = np.where(tiny, 0.0, diag)
-    return FitResult(b, vcov, n, k, n - k, kind, cluster_count, names, False)
+        vcov[np.diag_indices(big_k)] = np.where(tiny, 0.0, diag)
+    return FitResult(b, vcov, big_n, big_k, big_n - big_k, kind, count, names, False)
 
 
-def ols(y, x, cluster=None, *, names=None, covariance=None) -> FitResult:
+def ols(y, x, cluster=None, *, names=None) -> FitResult:
     """Ordinary least squares of ``y`` on a design matrix ``x``.
 
     The covariance is HC1 when ``cluster`` is absent and the one-way cluster
-    sandwich when present; pass ``covariance="classical"`` for the
-    homoskedastic estimator. A constant regressand is permitted: the fit is
+    sandwich when present. A constant regressand is permitted: the fit is
     returned with ``response_constant=True`` and an all-zero covariance, and
     :meth:`FitResult.se` reports the standard errors as undefined.
     """
-    return _linear_iv(y, x, None, cluster=cluster, names=names, covariance=covariance)
+    return _fit([_equation(y, x)], cluster, names)
 
 
 def first_stage_coefficient(d, z, controls=None, cluster=None) -> FitResult:
@@ -232,64 +291,43 @@ def tsls(y, d, z, controls=None, cluster=None, *, names=None) -> FitResult:
         carries the offending first-stage estimate.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
-    fs = first_stage_coefficient(d, z, controls, cluster)
-    fs_coef = float(fs.coefficients[1])
+    w, w_names = _instrument_design(z, controls)
+    # The first stage is the rank check of the instruments.
+    fs_coef = float(ols(d, w, cluster, names=w_names).coefficients[1])
     if abs(fs_coef) <= RELEVANCE_TOLERANCE:
         raise RelevanceError(
             f"relevance failure: first-stage coefficient {fs_coef:.3e}",
             first_stage=fs_coef,
         )
-    w, w_names = _instrument_design(z, controls)
     x = w.copy()
     x[:, 1] = d
-    return _linear_iv(y, x, w, cluster=cluster, names=names or ("const", "d") + w_names[2:])
+    return _fit([_equation(y, x, w)], cluster, names or ("const", "d") + w_names[2:],
+                check_instruments=False)
 
 
 def stack(equations: Sequence, cluster=None) -> StackedSystem:
-    """Stack equations on duplicated data into one block-diagonal system.
+    """Collect equations on one row index into a system for :func:`fit_stacked`.
 
     Each equation is ``(response, design)`` or ``(response, design,
-    instruments)``; all must share the same row index. Rows duplicated from
-    the same original observation (and the same cluster, when ``cluster`` is
-    given) form one dependence unit in the stacked covariance.
+    instruments)``; all must share the same row index. The joint fit equals
+    stacking the equations block-diagonally on duplicated rows, where the
+    copies of one original observation (and of one cluster, when ``cluster``
+    is given) form one dependence unit in the covariance.
     """
     if len(equations) < 1:
         raise EstimationError("stack requires at least one equation")
-    parsed = []
-    for eq in equations:
-        resp, design, inst = eq if len(eq) == 3 else (*eq, None)
-        parsed.append((np.asarray(resp, dtype=float).reshape(-1), _as_matrix(design),
-                       None if inst is None else _as_matrix(inst)))
+    parsed = tuple(_equation(*eq) for eq in equations)
     n = parsed[0][0].shape[0]
-    for resp, design, inst in parsed:
-        if resp.shape[0] != n or design.shape[0] != n or (inst is not None and inst.shape[0] != n):
-            raise EstimationError("stacked equations have mismatched row counts")
-
-    m = len(parsed)
-    widths = [design.shape[1] for _, design, _ in parsed]
-    total = sum(widths)
-    response = np.concatenate([resp for resp, _, _ in parsed])
-    design = np.zeros((m * n, total))
-    instruments = np.zeros((m * n, total))
-    offsets = []
-    col = 0
-    names: list[str] = []
-    for e, (resp, x, w) in enumerate(parsed):
-        rows = slice(e * n, (e + 1) * n)
-        design[rows, col:col + x.shape[1]] = x
-        instruments[rows, col:col + x.shape[1]] = x if w is None else w
-        offsets.append(col)
-        names += [f"eq{e}.b{j}" for j in range(x.shape[1])]
-        col += x.shape[1]
-
-    base = np.arange(n) if cluster is None else np.asarray(cluster)
-    if base.shape[0] != n:
-        raise EstimationError("cluster labels have mismatched row count")
-    return StackedSystem(
-        response=response, design=design, instruments=instruments,
-        cluster_labels=np.tile(base, m), equation_offsets=tuple(offsets), names=tuple(names),
-        cluster_given=cluster is not None,
-    )
+    if any(y.shape[0] != n for y, _, _ in parsed):
+        raise EstimationError("stacked equations have mismatched row counts")
+    if cluster is not None:
+        cluster = np.asarray(cluster)
+        if cluster.shape[0] != n:
+            raise EstimationError("cluster labels have mismatched row count")
+    offsets = tuple(int(o) for o in np.cumsum([0] + [x.shape[1] for _, x, _ in parsed[:-1]]))
+    names = tuple(f"eq{e}.b{j}" for e, (_, x, _) in enumerate(parsed)
+                  for j in range(x.shape[1]))
+    return StackedSystem(parsed, cluster, offsets, names)
 
 
 def fit_stacked(system: StackedSystem) -> FitResult:
@@ -298,13 +336,7 @@ def fit_stacked(system: StackedSystem) -> FitResult:
     Without cluster labels the dependence units are the original rows, and
     the fit reports ``covariance_kind="hc1"`` with no cluster count.
     """
-    fit = _linear_iv(
-        system.response, system.design, system.instruments,
-        cluster=system.cluster_labels, names=system.names,
-    )
-    if system.cluster_given:
-        return fit
-    return replace(fit, covariance_kind="hc1", cluster_count=None)
+    return _fit(system.equations, system.cluster, system.names)
 
 
 def linear_combination(fit: FitResult, weights) -> tuple[float, float | None]:
@@ -316,6 +348,34 @@ def linear_combination(fit: FitResult, weights) -> tuple[float, float | None]:
     if fit.response_constant:
         return value, None
     return value, float(np.sqrt(max(w @ fit.vcov @ w, 0.0)))
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail ``P[chi2(dof) > x]`` for a positive integer ``dof``.
+
+    Closed forms: with ``h = x/2``, the tail grows from ``erfc(sqrt(h))``
+    (dof 1) or 0 (dof 0) by ``h^(v/2-1) e^-h / Gamma(v/2)`` for each
+    ``v = dof, dof-2, ...`` above it.
+    """
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    h = 0.5 * x
+    if dof % 2:
+        total, term, a = math.erfc(math.sqrt(h)), 2.0 * math.sqrt(h / math.pi) * math.exp(-h), 1.5
+    else:
+        total, term, a = 0.0, math.exp(-h), 1.0
+    for _ in range(dof // 2):
+        total += term
+        term *= h / a
+        a += 1.0
+    return total
+
+
+def _normal_cdf(t: float) -> float:
+    """Standard normal distribution function."""
+    return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
 def wald_joint(fit: FitResult, indices: Sequence[int], null=None) -> TestResult:
@@ -344,7 +404,7 @@ def wald_joint(fit: FitResult, indices: Sequence[int], null=None) -> TestResult:
     statistic = float(b @ np.linalg.solve(v, b))
     statistic = max(statistic, 0.0)
     dof = len(idx)
-    return TestResult(statistic, dof, float(stats.chi2.sf(statistic, dof)), "wald-two-sided")
+    return TestResult(statistic, dof, _chi2_sf(statistic, dof), "wald-two-sided")
 
 
 def one_sided_negativity(estimate: float, se: float | None) -> TestResult | None:
@@ -360,4 +420,4 @@ def one_sided_negativity(estimate: float, se: float | None) -> TestResult | None
         p = 1.0 if estimate >= 0 else 0.0
         return TestResult(float("-inf") if estimate < 0 else 0.0, 1, p, "one-sided-negativity")
     t = estimate / se
-    return TestResult(float(t), 1, float(stats.norm.cdf(t)), "one-sided-negativity")
+    return TestResult(float(t), 1, _normal_cdf(t), "one-sided-negativity")

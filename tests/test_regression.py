@@ -169,18 +169,6 @@ def test_vcov_psd_and_symmetric():
         assert np.all(np.diag(fit.vcov) >= 0)
 
 
-def test_classical_covariance_option():
-    rng = np.random.default_rng(6)
-    y = rng.standard_normal(40)
-    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
-    fit = ols(y, x, covariance="classical")
-    assert fit.covariance_kind == "classical"
-    resid = y - x @ fit.coefficients
-    sigma2 = resid @ resid / (40 - 2)
-    expected = sigma2 * np.linalg.inv(x.T @ x)
-    np.testing.assert_allclose(fit.vcov, expected, rtol=1e-10)
-
-
 def test_too_few_rows():
     with pytest.raises(EstimationError):
         ols(np.array([1.0, 2.0]), np.column_stack([np.ones(2), [0.0, 1.0]]))
@@ -318,7 +306,7 @@ def test_stacked_cluster_duplication():
     t = random_table(rng, n=40, cluster_size=4)
     x = np.column_stack([np.ones(t.n), t.z])
     system = stack([(t.y, x), (t.d1.astype(float), x)], cluster=t.cluster)
-    assert system.cluster_given
+    assert system.cluster is not None
     fit = fit_stacked(system)
     assert fit.cluster_count == 10
 
