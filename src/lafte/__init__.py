@@ -22,7 +22,6 @@ from .data import (
     from_arrays,
     load_table,
     save_table,
-    validation_report,
 )
 from .diagnostics import (
     MoverTestReport,

@@ -32,26 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ObservationTable, derive
+from .data import ObservationTable
 from .estimands import (
     BINARY_DEFS,
-    CRITICAL_VALUE,
     EstimateWithSE,
     TreatmentDef,
-    _table_pieces,
+    design,
     first_stage,
     iv_estimand,
     reduced_form,
+    require_relevance,
 )
-from .exceptions import BoundsError, RelevanceError
-from .regression import (
-    RELEVANCE_TOLERANCE,
-    _instrument_design,
-    first_stage_coefficient,
-    fit_stacked,
-    linear_combination,
-    stack,
-)
+from .exceptions import BoundsError
+from .regression import fit_stacked, iv_design, linear_combination, stack
 
 THEOREM1_ASSUMPTIONS = (
     "double-exclusion",
@@ -82,33 +75,7 @@ class BoundsResult:
     warnings: tuple[str, ...] = ()
 
 
-def _estimate(value: float, se: float | None, n: int, g: int | None, label: str) -> EstimateWithSE:
-    if se is None:
-        return EstimateWithSE(value, None, None, None, n, g, label)
-    return EstimateWithSE(value, se,
-                          value - CRITICAL_VALUE * se, value + CRITICAL_VALUE * se,
-                          n, g, label)
-
-
-def _check_relevance(d, z, controls, cluster, label: str) -> float:
-    fit = first_stage_coefficient(d, z, controls, cluster)
-    coef = float(fit.coefficients[1])
-    if abs(coef) <= RELEVANCE_TOLERANCE:
-        raise RelevanceError(
-            f"relevance failure for {label}: first stage {coef:.3e}",
-            first_stage=coef, definition=label)
-    return coef
-
-
-def _iv_equation(response, d, z, controls):
-    w, _ = _instrument_design(z, controls)
-    x = w.copy()
-    x[:, 1] = d
-    return np.asarray(response, dtype=float), x, w
-
-
-def lafte_bounds(table: ObservationTable, *, use_controls: bool = True,
-                 use_cluster: bool = True, upper_se_method: str = "stacking") -> BoundsResult:
+def lafte_bounds(table: ObservationTable, *, upper_se_method: str = "stacking") -> BoundsResult:
     """Sharp LAFTE bounds under double exclusion, MTR, MTS, and positive response.
 
     ``upper_se_method`` selects "stacking" (default) or "delta" for the
@@ -116,19 +83,14 @@ def lafte_bounds(table: ObservationTable, *, use_controls: bool = True,
     """
     if upper_se_method not in ("stacking", "delta"):
         raise ValueError(f"unknown upper_se_method {upper_se_method!r}")
-    z, controls, cluster = _table_pieces(table, use_controls, use_cluster)
-    derived = derive(table)
-    d1 = table.d1.astype(float)
+    require_relevance(table, TreatmentDef.FIRST)
+    require_relevance(table, TreatmentDef.BOTH)
+    lower = iv_estimand(table, TreatmentDef.FIRST)
 
-    _check_relevance(d1, z, controls, cluster, "D1")
-    _check_relevance(derived.d_and, z, controls, cluster, "D∧")
-
-    lower = iv_estimand(table, TreatmentDef.FIRST,
-                        use_controls=use_controls, use_cluster=use_cluster)
-
-    eq_both = _iv_equation(derived.dand_y, derived.d_and, z, controls)
-    eq_first = _iv_equation(derived.untreated_y, d1, z, controls)
-    system = stack([eq_both, eq_first], cluster)
+    w, _ = design(table)
+    system = stack([(table.column("dand_y"), iv_design(w, table.column("d_and")), w),
+                    (table.column("untreated_y"), iv_design(w, table.column("d1")), w)],
+                   table.cluster_codes)
     fit = fit_stacked(system)
     weights = np.zeros(fit.k)
     weights[system.coef_index(0, 1)] = 1.0
@@ -136,9 +98,9 @@ def lafte_bounds(table: ObservationTable, *, use_controls: bool = True,
     value, se = linear_combination(fit, weights)
 
     if upper_se_method == "delta":
-        se = _delta_upper_se(table, use_controls, use_cluster)
+        se = _delta_upper_se(table)
 
-    upper = _estimate(value, se, table.n, fit.cluster_count, "theorem1-upper")
+    upper = EstimateWithSE.from_se(value, se, table.n, fit.cluster_count, "theorem1-upper")
     warnings = []
     if lower.value > upper.value:
         warnings.append(
@@ -148,20 +110,15 @@ def lafte_bounds(table: ObservationTable, *, use_controls: bool = True,
                         assumptions=THEOREM1_ASSUMPTIONS, warnings=tuple(warnings))
 
 
-def _delta_upper_se(table: ObservationTable, use_controls: bool, use_cluster: bool) -> float | None:
+def _delta_upper_se(table: ObservationTable) -> float | None:
     """Delta-method SE for the theorem1 upper bound, for cross-checking.
 
     Stacks the four instrument regressions behind the two component ratios
     and propagates the gradient of f(a, b, c, d) = a/b + c/d.
     """
-    z, controls, cluster = _table_pieces(table, use_controls, use_cluster)
-    derived = derive(table)
-    cols = [np.ones(table.n), z]
-    if controls is not None:
-        cols.append(controls)
-    x = np.column_stack(cols)
-    responses = (derived.dand_y, derived.d_and, derived.untreated_y, table.d1.astype(float))
-    system = stack([(resp, x) for resp in responses], cluster)
+    w, _ = design(table)
+    system = stack([(table.column(column), w)
+                    for column in ("dand_y", "d_and", "untreated_y", "d1")], table.cluster_codes)
     fit = fit_stacked(system)
     if fit.response_constant:
         return None
@@ -173,8 +130,7 @@ def _delta_upper_se(table: ObservationTable, use_controls: bool, use_cluster: bo
 
 
 def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = None,
-                                  ymax: float | None = None, *, use_controls: bool = True,
-                                  use_cluster: bool = True) -> BoundsResult:
+                                  ymax: float | None = None) -> BoundsResult:
     """LAFTE bounds assuming only double exclusion and a bounded outcome.
 
     ``ymin``/``ymax`` default to the observed sample range of the outcome;
@@ -193,17 +149,11 @@ def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = 
             f"response bound violated by data: observed range [{y_lo:.6g}, {y_hi:.6g}], "
             f"stated bounds [{ymin:.6g}, {ymax:.6g}]")
 
-    z, controls, cluster = _table_pieces(table, use_controls, use_cluster)
-    derived = derive(table)
-    d1 = table.d1.astype(float)
-    _check_relevance(d1, z, controls, cluster, "D1")
-
-    equations = [
-        _iv_equation(derived.kernel_y, d1, z, controls),
-        _iv_equation(derived.g_or, d1, z, controls),
-        _iv_equation(derived.g_and, d1, z, controls),
-    ]
-    system = stack(equations, cluster)
+    require_relevance(table, TreatmentDef.FIRST)
+    w, _ = design(table)
+    x = iv_design(w, table.column("d1"))
+    system = stack([(table.column(column), x, w) for column in ("kernel_y", "g_or", "g_and")],
+                   table.cluster_codes)
     fit = fit_stacked(system)
     idx = [system.coef_index(e, 1) for e in range(3)]
 
@@ -229,15 +179,16 @@ def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = 
             "endpoints swapped: the sample first stages contradict double exclusion "
             "(instrument contrast of D2 exceeds that of D1)")
 
-    lower = _estimate(lo_value, lo_se, table.n, fit.cluster_count, "bounded-response-lower")
-    upper = _estimate(hi_value, hi_se, table.n, fit.cluster_count, "bounded-response-upper")
+    lower = EstimateWithSE.from_se(lo_value, lo_se, table.n, fit.cluster_count,
+                                   "bounded-response-lower")
+    upper = EstimateWithSE.from_se(hi_value, hi_se, table.n, fit.cluster_count,
+                                   "bounded-response-upper")
     return BoundsResult(kind="bounded-response", lower=lower, upper=upper,
                         assumptions=("double-exclusion", "bounded-response"),
                         ymin=ymin, ymax=ymax, flipped=flipped, warnings=tuple(warnings))
 
 
-def tau_bounds(table: ObservationTable, *, use_controls: bool = True,
-               use_cluster: bool = True) -> BoundsResult:
+def tau_bounds(table: ObservationTable) -> BoundsResult:
     """Bounds on the convex-weighted average of complier-group effects.
 
     The lower candidate is the IV estimand with the multivalued treatment
@@ -247,18 +198,14 @@ def tau_bounds(table: ObservationTable, *, use_controls: bool = True,
     the roles of the two expressions flip; the smaller is then reported as
     the lower endpoint and the flip is recorded.
     """
-    stages = [first_stage(table, d, use_controls=use_controls, use_cluster=use_cluster)
-              for d in BINARY_DEFS]
+    stages = [first_stage(table, d) for d in BINARY_DEFS]
     values = np.array([s.value for s in stages])
     best = int(np.argmax(values))
     maximizer = BINARY_DEFS[best]
 
-    sum_candidate = iv_estimand(table, TreatmentDef.SUM,
-                                use_controls=use_controls, use_cluster=use_cluster)
-    max_candidate = iv_estimand(table, maximizer,
-                                use_controls=use_controls, use_cluster=use_cluster)
-
-    rf = reduced_form(table, use_controls=use_controls, use_cluster=use_cluster)
+    sum_candidate = iv_estimand(table, TreatmentDef.SUM)
+    max_candidate = iv_estimand(table, maximizer)
+    rf = reduced_form(table)
     warnings = []
     flipped = False
     lower, upper = sum_candidate, max_candidate

@@ -32,6 +32,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import yaml
@@ -205,6 +206,15 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     return config
 
 
+@contextmanager
+def _writing(path):
+    """Report a failure to write ``path`` as a usage error (exit 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _load(config: RunConfig):
     return load_table(config.input, config.table_mapping(),
                       delimiter=config.delimiter, on_missing=config.missing)
@@ -294,7 +304,8 @@ def run_simulate(config: RunConfig) -> ReportBundle:
     audit = validate_spec(spec)
     table = sample(spec, config.n, config.seed)
     out = config.out or "simulated.csv"
-    save_table(table, out, delimiter=config.delimiter)
+    with _writing(out):
+        save_table(table, out, delimiter=config.delimiter)
 
     params = true_parameters(spec)
     moments = analytic_moments(spec)
@@ -318,7 +329,7 @@ def run_simulate(config: RunConfig) -> ReportBundle:
         },
     }
     truth_path = out + ".truth.json"
-    with open(truth_path, "w", encoding="utf-8") as handle:
+    with _writing(truth_path), open(truth_path, "w", encoding="utf-8") as handle:
         json.dump(truth, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -395,6 +406,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = build_config(args.command, args)
         bundle = _RUNNERS[args.command](config)
+        if config.out and args.command != "simulate":
+            with _writing(config.out), open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(bundle.to_json())
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -413,9 +427,6 @@ def main(argv=None) -> int:
             print()
             for warning in bundle.warnings:
                 print(f"warning: {warning}")
-    if config.out and args.command != "simulate":
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(bundle.to_json())
 
     if args.command == "verify":
         return 0 if bundle.verification["clean"] else 2

@@ -24,7 +24,13 @@ the sorted distinct labels (the inverse of ``np.unique(cluster)``), computed
 once by :func:`from_arrays`; ``cluster_count`` is their number. The fits
 receive the codes, which give the same per-cluster sums as the labels.
 
-Tables are immutable after construction and safe to share across threads.
+Tables are immutable after construction. Each instance also keeps a cache,
+outside its dataclass fields, of values that are pure functions of its
+columns: the derived columns (computed once, by :func:`from_arrays`) and
+the estimates the analysis functions memoize by key, so that each fit runs
+once per table. A table made by ``dataclasses.replace`` starts with an
+empty cache. Tables are safe to share across threads: two threads may
+compute the same cache entry at once, and both see equal values.
 """
 
 from __future__ import annotations
@@ -93,6 +99,24 @@ class ObservationTable:
     def n(self) -> int:
         return int(self.z.shape[0])
 
+    def cached(self, key, compute):
+        """``compute()``, evaluated once per table instance and ``key``."""
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+    @property
+    def derived(self) -> DerivedColumns:
+        """The derived columns of this table, computed once."""
+        return self.cached("derived", lambda: derive(self))
+
+    def column(self, name: str) -> np.ndarray:
+        """``d1`` or ``d2`` as floats, ``y``, or a derived column, by name."""
+        if name in ("d1", "d2"):
+            return getattr(self, name).astype(float)
+        return self.y if name == "y" else self.derived.column(name)
+
 
 @dataclass(frozen=True)
 class DerivedColumns:
@@ -159,9 +183,8 @@ def _collect_warnings(table: ObservationTable) -> list[str]:
             warnings.append(f"tiny instrument arm: only {size} row(s) with z={arm}")
     if table.cluster_count == table.n:
         warnings.append("every cluster is a singleton; clustering is equivalent to HC1")
-    derived = derive(table)
     for name in ("d_and", "d_or", "d_sum", "g_or", "g_and"):
-        if np.ptp(derived.column(name)) == 0:
+        if np.ptp(table.derived.column(name)) == 0:
             warnings.append(f"derived column '{name}' is constant")
     return warnings
 
@@ -208,12 +231,10 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         cluster_codes=None if codes is None else _freeze(codes.astype(np.int64)),
         cluster_count=None if labels is None else int(labels.size),
     )
-    return replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
-
-
-def validation_report(table: ObservationTable) -> ValidationReport:
-    """The (necessarily clean) report of a constructed table."""
-    return ValidationReport(errors=(), warnings=table.warnings)
+    result = replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
+    # Same columns, fresh cache: hand over the derived columns computed above.
+    result.cached("derived", lambda: table.derived)
+    return result
 
 
 def derive(table: ObservationTable) -> DerivedColumns:

@@ -20,16 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import ObservationTable, derive
-from .estimands import EstimateWithSE, _regressors, estimate_from_fit
-from .regression import (
-    TestResult,
-    fit_stacked,
-    ols,
-    one_sided_negativity,
-    stack,
-    wald_joint,
-)
+from .data import ObservationTable
+from .estimands import EstimateWithSE, contrast, design
+from .regression import TestResult, fit_stacked, one_sided_negativity, stack, wald_joint
 
 JOINT_TEST_METHOD = "wald chi-square on the stacked cluster-robust covariance"
 
@@ -96,27 +89,25 @@ def mover_conclusion(p1: float | None, p2: float | None, level: float) -> str:
     return NO_MOVERS
 
 
-def _contrast_pair(table, responses, labels, x, names, cluster):
-    """Fit both contrast regressions and their joint test on the stacked system.
+def _contrast_pair(table: ObservationTable, columns: tuple[str, str]):
+    """Both contrast estimates and their joint test on the stacked system.
 
     Constant regressands are excluded from the joint test, reducing its
     degrees of freedom; with both regressands constant no test is possible.
     """
-    fits = [ols(resp, x, cluster, names=names) for resp in responses]
-    estimates = [estimate_from_fit(fit, 1, lab) for fit, lab in zip(fits, labels)]
-    degenerate = [lab for fit, lab in zip(fits, labels) if fit.response_constant]
-
-    testable = [resp for resp, fit in zip(responses, fits) if not fit.response_constant]
+    estimates = [contrast(table, column) for column in columns]
+    degenerate = [est.definition for est in estimates if est.degenerate]
+    testable = [column for column, est in zip(columns, estimates) if not est.degenerate]
     joint = None
     if testable:
-        system = stack([(resp, x) for resp in testable], cluster)
+        w, _ = design(table)
+        system = stack([(table.column(column), w) for column in testable], table.cluster_codes)
         joint = wald_joint(fit_stacked(system),
                            [system.coef_index(e, 1) for e in range(len(testable))])
     return ContrastPair(estimates[0], estimates[1], joint), degenerate
 
 
 def mover_test(table: ObservationTable, *, level: float = 0.05,
-               use_controls: bool = True, use_cluster: bool = True,
                force_step2: bool = False) -> MoverTestReport:
     """Two-step test for the presence of movers.
 
@@ -130,20 +121,13 @@ def mover_test(table: ObservationTable, *, level: float = 0.05,
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")
-    x, names, cluster = _regressors(table, use_controls, use_cluster)
-    derived = derive(table)
-
-    step1, degenerate1 = _contrast_pair(
-        table, (derived.g_or, derived.g_and),
-        ("D∨−D2", "D∧−D2"), x, names, cluster)
+    step1, degenerate1 = _contrast_pair(table, ("g_or", "g_and"))
 
     step1_rejects = step1.p_value is not None and step1.p_value < level
     step2 = None
     degenerate2: list[str] = []
     if not step1_rejects or force_step2:
-        step2, degenerate2 = _contrast_pair(
-            table, (derived.gy_or, derived.gy_and),
-            ("(D∨−D2)Y", "(D∧−D2)Y"), x, names, cluster)
+        step2, degenerate2 = _contrast_pair(table, ("gy_or", "gy_and"))
 
     conclusion = mover_conclusion(step1.p_value,
                                   None if step2 is None else step2.p_value, level)
@@ -154,9 +138,7 @@ def mover_test(table: ObservationTable, *, level: float = 0.05,
     )
 
 
-def double_exclusion_check(table: ObservationTable, *, level: float = 0.05,
-                           use_controls: bool = True,
-                           use_cluster: bool = True) -> SignCheckReport:
+def double_exclusion_check(table: ObservationTable, *, level: float = 0.05) -> SignCheckReport:
     """One-sided tests that both plain contrasts are nonnegative.
 
     The verdict is "rejected" when either contrast is significantly negative
@@ -167,15 +149,10 @@ def double_exclusion_check(table: ObservationTable, *, level: float = 0.05,
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")
-    x, names, cluster = _regressors(table, use_controls, use_cluster)
-    derived = derive(table)
-    estimates = []
+    estimates = [contrast(table, "g_or"), contrast(table, "g_and")]
     p_values: list[float | None] = []
-    for resp, lab in ((derived.g_or, "D∨−D2"), (derived.g_and, "D∧−D2")):
-        fit = ols(resp, x, cluster, names=names)
-        est = estimate_from_fit(fit, 1, lab)
+    for est in estimates:
         test = one_sided_negativity(est.value, est.se)
-        estimates.append(est)
         p_values.append(None if test is None else test.p_value)
     rejected = any(p is not None and p < level for p in p_values)
     return SignCheckReport(

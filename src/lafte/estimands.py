@@ -25,9 +25,16 @@ from enum import Enum
 
 import numpy as np
 
-from .data import DerivedColumns, ObservationTable, derive
+from .data import ObservationTable
 from .exceptions import RelevanceError
-from .regression import FitResult, ols, stack, fit_stacked, tsls
+from .regression import (
+    RELEVANCE_TOLERANCE,
+    fit_stacked,
+    instrument_design,
+    ols,
+    stack,
+    tsls,
+)
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
@@ -44,23 +51,13 @@ class TreatmentDef(Enum):
 
     @property
     def label(self) -> str:
-        return _LABELS[self]
-
-    def column(self, table: ObservationTable, derived: DerivedColumns | None = None) -> np.ndarray:
-        if self is TreatmentDef.FIRST:
-            return table.d1.astype(float)
-        if self is TreatmentDef.SECOND:
-            return table.d2.astype(float)
-        derived = derived if derived is not None else derive(table)
-        return derived.column(self.value)
+        return _LABELS[self.value]
 
 
+# Reported label of every column regressed on the instruments.
 _LABELS = {
-    TreatmentDef.FIRST: "D1",
-    TreatmentDef.SECOND: "D2",
-    TreatmentDef.BOTH: "D∧",
-    TreatmentDef.EITHER: "D∨",
-    TreatmentDef.SUM: "D1+D2",
+    "d1": "D1", "d2": "D2", "d_and": "D∧", "d_or": "D∨", "d_sum": "D1+D2", "y": "Y",
+    "g_or": "D∨−D2", "g_and": "D∧−D2", "gy_or": "(D∨−D2)Y", "gy_and": "(D∧−D2)Y",
 }
 
 # Fixed tie-breaking order for the binary definitions.
@@ -87,6 +84,15 @@ class EstimateWithSE:
     cluster_count: int | None
     definition: str
 
+    @classmethod
+    def from_se(cls, value: float, se: float | None, n: int, cluster_count: int | None,
+                definition: str) -> EstimateWithSE:
+        """An estimate with the 95% interval its standard error implies."""
+        if se is None:
+            return cls(value, None, None, None, n, cluster_count, definition)
+        return cls(value, se, value - CRITICAL_VALUE * se, value + CRITICAL_VALUE * se,
+                   n, cluster_count, definition)
+
     @property
     def degenerate(self) -> bool:
         return self.se is None
@@ -103,59 +109,53 @@ class ComplierShares:
     joint_vcov: np.ndarray | None = None
 
 
-def estimate_from_fit(fit: FitResult, index: int, definition: str) -> EstimateWithSE:
-    """Package one coefficient of a fit as an :class:`EstimateWithSE`."""
-    value = float(fit.coefficients[index])
-    se = fit.se(index)
-    if se is None:
-        low = high = None
-    else:
-        low = value - CRITICAL_VALUE * se
-        high = value + CRITICAL_VALUE * se
-    return EstimateWithSE(value, se, low, high, fit.n, fit.cluster_count, definition)
+def design(table: ObservationTable) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The instrument matrix ``W = [1, z, controls]`` of a table, and its names.
+
+    Built afresh on each call; the table's controls are always included.
+    """
+    return instrument_design(table.z, table.controls, table.control_names)
 
 
-def _regressors(table: ObservationTable, use_controls: bool, use_cluster: bool):
-    z = table.z.astype(float)
-    cols = [np.ones(table.n), z]
-    names = ["const", "z"]
-    if use_controls and table.controls.shape[1]:
-        cols.append(table.controls)
-        names += list(table.control_names) or [f"c{j}" for j in range(table.controls.shape[1])]
-    x = np.column_stack(cols)
-    cluster = table.cluster_codes if use_cluster else None
-    return x, tuple(names), cluster
+def _slope(fit, column: str) -> EstimateWithSE:
+    return EstimateWithSE.from_se(float(fit.coefficients[1]), fit.se(1), fit.n,
+                                  fit.cluster_count, _LABELS[column])
 
 
-def _table_pieces(table: ObservationTable, use_controls: bool, use_cluster: bool):
-    controls = table.controls if (use_controls and table.controls.shape[1]) else None
-    cluster = table.cluster_codes if use_cluster else None
-    return table.z.astype(float), controls, cluster
+def contrast(table: ObservationTable, column: str) -> EstimateWithSE:
+    """Instrument coefficient of the OLS of a column on ``W``, fit once per table."""
+    def fit():
+        w, names = design(table)
+        return _slope(ols(table.column(column), w, table.cluster_codes, names=names), column)
+    return table.cached(("ols", column), fit)
 
 
-def first_stage(table: ObservationTable, definition: TreatmentDef, *,
-                use_controls: bool = True, use_cluster: bool = True) -> EstimateWithSE:
+def require_relevance(table: ObservationTable, definition: TreatmentDef) -> None:
+    """Raise :class:`RelevanceError` when the first stage of ``definition`` is
+    numerically zero; the error names the definition."""
+    value = contrast(table, definition.value).value
+    if abs(value) <= RELEVANCE_TOLERANCE:
+        raise RelevanceError(
+            f"relevance failure for {definition.label}: first stage {value:.3e}",
+            first_stage=value, definition=definition.label)
+
+
+def first_stage(table: ObservationTable, definition: TreatmentDef) -> EstimateWithSE:
     """Instrument coefficient for one treatment definition.
 
     Any sign is reported as-is; estimands that divide by the first stage
     enforce relevance themselves.
     """
-    x, names, cluster = _regressors(table, use_controls, use_cluster)
-    fit = ols(definition.column(table), x, cluster, names=names)
-    return estimate_from_fit(fit, 1, definition.label)
+    return contrast(table, definition.value)
 
 
-def reduced_form(table: ObservationTable, *, use_controls: bool = True,
-                 use_cluster: bool = True) -> EstimateWithSE:
+def reduced_form(table: ObservationTable) -> EstimateWithSE:
     """Instrument coefficient for the outcome."""
-    x, names, cluster = _regressors(table, use_controls, use_cluster)
-    fit = ols(table.y, x, cluster, names=names)
-    return estimate_from_fit(fit, 1, "Y")
+    return contrast(table, "y")
 
 
-def iv_estimand(table: ObservationTable, definition: TreatmentDef, *,
-                use_controls: bool = True, use_cluster: bool = True) -> EstimateWithSE:
-    """2SLS coefficient of the outcome on one treatment definition.
+def iv_estimand(table: ObservationTable, definition: TreatmentDef) -> EstimateWithSE:
+    """2SLS coefficient of the outcome on one treatment definition, fit once per table.
 
     Raises
     ------
@@ -163,20 +163,16 @@ def iv_estimand(table: ObservationTable, definition: TreatmentDef, *,
         When the definition's first stage is numerically zero; the error
         names the definition and carries the first-stage estimate.
     """
-    z, controls, cluster = _table_pieces(table, use_controls, use_cluster)
-    try:
-        fit = tsls(table.y, definition.column(table), z, controls, cluster)
-    except RelevanceError as exc:
-        raise RelevanceError(
-            f"relevance failure for {definition.label}: "
-            f"first stage {exc.first_stage:.3e}",
-            first_stage=exc.first_stage, definition=definition.label,
-        ) from None
-    return estimate_from_fit(fit, 1, definition.label)
+    def fit():
+        require_relevance(table, definition)
+        controls = table.controls if table.controls.shape[1] else None
+        names = ("const", definition.value, *table.control_names)
+        return _slope(tsls(table.y, table.column(definition.value), table.z, controls,
+                           table.cluster_codes, names=names), definition.value)
+    return table.cached(("iv", definition.value), fit)
 
 
-def complier_shares(table: ObservationTable, *, use_controls: bool = True,
-                    use_cluster: bool = True, joint: bool = False) -> ComplierShares:
+def complier_shares(table: ObservationTable, *, joint: bool = False) -> ComplierShares:
     """Shares of full compliers, dropouts, and late-adopters.
 
     These are the instrument contrasts of ``d2``, ``d_or - d2``, and
@@ -187,27 +183,18 @@ def complier_shares(table: ObservationTable, *, use_controls: bool = True,
     ``joint=True`` the 3x3 covariance of the share estimates is attached,
     computed from the stacked system.
     """
-    x, names, cluster = _regressors(table, use_controls, use_cluster)
-    derived = derive(table)
-    responses = (
-        ("P[C1,C2]", "D2", table.d2.astype(float)),
-        ("P[C1,N2]", "D∨−D2", derived.g_or),
-        ("P[C1,A2]", "D∧−D2", derived.g_and),
-    )
-    estimates = []
-    warnings = []
-    for share, definition, resp in responses:
-        fit = ols(resp, x, cluster, names=names)
-        est = estimate_from_fit(fit, 1, definition)
-        if est.value < 0:
-            warnings.append(
-                f"negative share estimate {share} = {est.value:.6g}; the maintained "
-                "assumptions are falsified rather than the estimate clipped")
-        estimates.append(est)
+    columns = ("d2", "g_or", "g_and")
+    estimates = [contrast(table, column) for column in columns]
+    warnings = [
+        f"negative share estimate {share} = {est.value:.6g}; the maintained "
+        "assumptions are falsified rather than the estimate clipped"
+        for share, est in zip(("P[C1,C2]", "P[C1,N2]", "P[C1,A2]"), estimates)
+        if est.value < 0]
 
     joint_vcov = None
     if joint:
-        system = stack([(resp, x) for _, _, resp in responses], cluster)
+        w, _ = design(table)
+        system = stack([(table.column(column), w) for column in columns], table.cluster_codes)
         fit = fit_stacked(system)
         idx = [system.coef_index(e, 1) for e in range(3)]
         joint_vcov = fit.vcov[np.ix_(idx, idx)].copy()

@@ -258,13 +258,14 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     return _fit([_equation(y, x)], cluster, names)
 
 
-def first_stage_coefficient(d, z, controls=None, cluster=None) -> FitResult:
-    """OLS of a treatment column on the instrument plus controls."""
-    x, names = _instrument_design(z, controls)
-    return ols(d, x, cluster, names=names)
+def instrument_design(z, controls=None, control_names=()) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The instrument matrix ``W = [1, z, controls]`` and its column names.
 
-
-def _instrument_design(z, controls):
+    Controls are named by ``control_names``, or ``c0, c1, ...`` without
+    them. Every fit on a table uses this ``W``: as the design of an OLS
+    fit, and as the instruments of an IV fit, whose design is
+    :func:`iv_design`.
+    """
     z = np.asarray(z, dtype=float).reshape(-1)
     cols = [np.ones_like(z), z]
     names = ["const", "z"]
@@ -272,8 +273,15 @@ def _instrument_design(z, controls):
         c = _as_matrix(controls)
         if c.shape[1]:
             cols.append(c)
-            names += [f"c{j}" for j in range(c.shape[1])]
+            names += list(control_names) or [f"c{j}" for j in range(c.shape[1])]
     return np.column_stack(cols), tuple(names)
+
+
+def iv_design(w: np.ndarray, d) -> np.ndarray:
+    """The design of an IV equation: ``W`` with column 1 replaced by the treatment ``d``."""
+    x = w.copy()
+    x[:, 1] = d
+    return x
 
 
 def tsls(y, d, z, controls=None, cluster=None, *, names=None) -> FitResult:
@@ -282,6 +290,8 @@ def tsls(y, d, z, controls=None, cluster=None, *, names=None) -> FitResult:
     The fitted equation is ``y ~ const + d (+ controls)`` with ``d``
     instrumented by ``z``; the coefficient on ``d`` sits at index 1. With no
     controls it equals the Wald ratio of reduced form to first stage.
+    ``names`` names the coefficients; its entries after the first two also
+    name the controls in ``W``, which default to ``c0, c1, ...``.
 
     Raises
     ------
@@ -290,18 +300,20 @@ def tsls(y, d, z, controls=None, cluster=None, *, names=None) -> FitResult:
         controls) is zero to within ``RELEVANCE_TOLERANCE``; the error
         carries the offending first-stage estimate.
     """
-    d = np.asarray(d, dtype=float).reshape(-1)
-    w, w_names = _instrument_design(z, controls)
-    # The first stage is the rank check of the instruments.
-    fs_coef = float(ols(d, w, cluster, names=w_names).coefficients[1])
+    head = tuple(names[:2]) if names else ("const", "d")
+    w, w_names = instrument_design(z, controls, tuple(names[2:]) if names else ())
+    d, w, _ = _equation(d, w)
+    if d.shape[0] <= w.shape[1]:
+        raise EstimationError(f"{d.shape[0]} rows cannot identify {w.shape[1]} parameters")
+    _check_rank([np.linalg.qr(w, mode="r")], w_names, "instrument")
+    # The first stage by the same normal equations an OLS fit of d on W solves.
+    fs_coef = float((np.linalg.inv(w.T @ w) @ (w.T @ d))[1])
     if abs(fs_coef) <= RELEVANCE_TOLERANCE:
         raise RelevanceError(
             f"relevance failure: first-stage coefficient {fs_coef:.3e}",
             first_stage=fs_coef,
         )
-    x = w.copy()
-    x[:, 1] = d
-    return _fit([_equation(y, x, w)], cluster, names or ("const", "d") + w_names[2:],
+    return _fit([_equation(y, iv_design(w, d), w)], cluster, head + w_names[2:],
                 check_instruments=False)
 
 

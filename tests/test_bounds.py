@@ -210,3 +210,18 @@ def test_cluster_codes_and_labels_give_identical_results():
     coded = _every_clustered_result(t)
     assert coded == _every_clustered_result(labelled)
     assert lafte_bounds(t).upper.cluster_count == households.max() + 1
+
+
+def test_tau_bounds_identical_after_reused_fits():
+    def table():
+        rng = np.random.default_rng(43)
+        base = random_table(rng, n=300, cluster_size=5)
+        return from_arrays(base.z, base.d1, base.d2, base.y,
+                           controls=rng.standard_normal((300, 2)), cluster=base.cluster)
+
+    fresh = list(_leaves(tau_bounds(table())))
+    t = table()
+    for d in TreatmentDef:
+        first_stage(t, d)
+    lafte_bounds(t)
+    assert list(_leaves(tau_bounds(t))) == fresh

@@ -211,3 +211,33 @@ def test_verify_invalid_spec_exit_2(tmp_path, capsys):
     code, _, err = run(["verify", "--data", str(spec_path)], capsys)
     assert code == 2
     assert "monotonicity" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "bounds"])
+def test_unwritable_report_exit_1(tmp_path, fix8_path, command, capsys):
+    out_path = tmp_path / "missing-dir" / "r.json"
+    code, out, err = run([command, "--data", str(fix8_path), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert "Traceback" not in err and out == ""
+
+
+def test_unwritable_simulated_dataset_exit_1(tmp_path, capsys):
+    spec_path = tmp_path / "s2.yaml"
+    save_spec(s2_spec(), spec_path)
+    data_path = tmp_path / "missing-dir" / "d.csv"
+    code, _, err = run(["simulate", "--data", str(spec_path), "--n", "50",
+                        "--out", str(data_path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {data_path}: ")
+
+
+def test_unwritable_truth_sidecar_exit_1(tmp_path, capsys):
+    spec_path = tmp_path / "s2.yaml"
+    save_spec(s2_spec(), spec_path)
+    data_path = tmp_path / "d.csv"
+    (tmp_path / "d.csv.truth.json").mkdir()
+    code, _, err = run(["simulate", "--data", str(spec_path), "--n", "50",
+                        "--out", str(data_path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {data_path}.truth.json: ")

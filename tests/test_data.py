@@ -204,10 +204,6 @@ def test_validation_report_attached_on_failure():
     report = info.value.report
     assert report is not None and not report.ok
     assert any("non-binary treatment" in e for e in report.errors)
-    # a constructed table's report is clean by definition
-    from lafte import validation_report
-    t = fix8_table()
-    assert validation_report(t).ok
 
 
 # --- Row-wise reference implementations of the loader and the writer ------
