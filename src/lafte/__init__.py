@@ -39,6 +39,7 @@ from .estimands import (
     first_stage,
     iv_estimand,
     reduced_form,
+    slopes,
 )
 from .exceptions import (
     BoundsError,

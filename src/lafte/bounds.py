@@ -20,10 +20,11 @@ Three bound pairs are computed, each with per-endpoint standard errors and
     reduced form over the largest binary first stage from above.
 
 Standard errors for multi-coefficient endpoints come from the stacking
-procedure: the component equations are estimated jointly on duplicated data
-with duplicated cluster labels, and the endpoint is a linear combination of
-the joint coefficient vector. A delta-method alternative is available for
-cross-checking the theorem1 upper bound.
+procedure: the component equations are fit jointly by
+:func:`~lafte.estimands.slopes`, whose covariance equals that of the
+equations stacked on duplicated data with duplicated cluster labels, and
+the endpoint is a linear combination of their slopes. A delta-method
+alternative is available for cross-checking the theorem1 upper bound.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from .estimands import (
     BINARY_DEFS,
     EstimateWithSE,
     TreatmentDef,
-    design,
     first_stage,
     iv_estimand,
     reduced_form,
     require_relevance,
+    slopes,
 )
 from .exceptions import BoundsError
-from .regression import fit_stacked, iv_design, linear_combination, stack
+from .regression import linear_combination
 
 THEOREM1_ASSUMPTIONS = (
     "double-exclusion",
@@ -87,15 +88,8 @@ def lafte_bounds(table: ObservationTable, *, upper_se_method: str = "stacking") 
     require_relevance(table, TreatmentDef.BOTH)
     lower = iv_estimand(table, TreatmentDef.FIRST)
 
-    w, _ = design(table)
-    system = stack([(table.column("dand_y"), iv_design(w, table.column("d_and")), w),
-                    (table.column("untreated_y"), iv_design(w, table.column("d1")), w)],
-                   table.cluster_codes)
-    fit = fit_stacked(system)
-    weights = np.zeros(fit.k)
-    weights[system.coef_index(0, 1)] = 1.0
-    weights[system.coef_index(1, 1)] = 1.0
-    value, se = linear_combination(fit, weights)
+    fit = slopes(table, [("dand_y", "d_and"), ("untreated_y", "d1")])
+    value, se = linear_combination(fit, [1.0, 1.0])
 
     if upper_se_method == "delta":
         se = _delta_upper_se(table)
@@ -116,17 +110,12 @@ def _delta_upper_se(table: ObservationTable) -> float | None:
     Stacks the four instrument regressions behind the two component ratios
     and propagates the gradient of f(a, b, c, d) = a/b + c/d.
     """
-    w, _ = design(table)
-    system = stack([(table.column(column), w)
-                    for column in ("dand_y", "d_and", "untreated_y", "d1")], table.cluster_codes)
-    fit = fit_stacked(system)
+    fit = slopes(table, [(column, None) for column in ("dand_y", "d_and", "untreated_y", "d1")])
     if fit.response_constant:
         return None
-    idx = [system.coef_index(e, 1) for e in range(4)]
-    a, b, c, d = (float(fit.coefficients[i]) for i in idx)
-    v = fit.vcov[np.ix_(idx, idx)]
+    a, b, c, d = (float(v) for v in fit.coefficients)
     grad = np.array([1.0 / b, -a / b ** 2, 1.0 / d, -c / d ** 2])
-    return float(np.sqrt(max(grad @ v @ grad, 0.0)))
+    return float(np.sqrt(max(grad @ fit.vcov @ grad, 0.0)))
 
 
 def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = None,
@@ -150,22 +139,9 @@ def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = 
             f"stated bounds [{ymin:.6g}, {ymax:.6g}]")
 
     require_relevance(table, TreatmentDef.FIRST)
-    w, _ = design(table)
-    x = iv_design(w, table.column("d1"))
-    system = stack([(table.column(column), x, w) for column in ("kernel_y", "g_or", "g_and")],
-                   table.cluster_codes)
-    fit = fit_stacked(system)
-    idx = [system.coef_index(e, 1) for e in range(3)]
-
-    def combo(m_or: float, m_and: float):
-        weights = np.zeros(fit.k)
-        weights[idx[0]] = 1.0
-        weights[idx[1]] = m_or
-        weights[idx[2]] = m_and
-        return linear_combination(fit, weights)
-
-    lo_value, lo_se = combo(ymin, -ymax)
-    hi_value, hi_se = combo(ymax, -ymin)
+    fit = slopes(table, [(column, "d1") for column in ("kernel_y", "g_or", "g_and")])
+    lo_value, lo_se = linear_combination(fit, [1.0, ymin, -ymax])
+    hi_value, hi_se = linear_combination(fit, [1.0, ymax, -ymin])
 
     warnings = []
     flipped = False

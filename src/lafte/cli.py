@@ -33,7 +33,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -72,12 +72,6 @@ from .strata import (
 )
 from .verify import verify_identities
 
-_CONFIG_KEYS = {
-    "input", "mapping", "controls", "cluster", "delimiter", "level",
-    "ymin", "ymax", "out", "format", "seed", "n", "missing",
-    "upper_se_method",
-}
-
 _MAPPING_KEYS = {"z", "d1", "d2", "y"}
 
 
@@ -102,14 +96,8 @@ class RunConfig:
     upper_se_method: str = "stacking"
 
     def resolved(self) -> dict:
-        return {
-            "command": self.command, "input": self.input,
-            "mapping": self.mapping, "controls": self.controls,
-            "cluster": self.cluster, "delimiter": self.delimiter,
-            "level": self.level, "ymin": self.ymin, "ymax": self.ymax,
-            "format": self.format, "seed": self.seed, "n": self.n,
-            "missing": self.missing, "upper_se_method": self.upper_se_method,
-        }
+        """Every setting but ``out``: where a report is written does not change it."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True).encode("utf-8")
@@ -126,6 +114,10 @@ class RunConfig:
         if self.cluster:
             mapping["cluster"] = self.cluster
         return mapping
+
+
+# Keys of a config file: every setting but the subcommand.
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 
 
 def _load_config_file(path) -> dict:
@@ -166,6 +158,9 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         controls = payload["controls"]
         if isinstance(controls, str):
             controls = [c.strip() for c in controls.split(",") if c.strip()]
+        elif not isinstance(controls, list):
+            raise ConfigError("config key 'controls' must be a list of column names "
+                              "or a comma-separated string")
         config.controls = [str(c) for c in controls]
     for key, caster in (("level", float), ("ymin", float), ("ymax", float),
                         ("seed", int), ("n", int)):
@@ -191,6 +186,9 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "format", None):
         config.format = args.format
 
+    if len(config.delimiter) != 1:
+        raise ConfigError(
+            f"config key 'delimiter' must be one character, got {config.delimiter!r}")
     if config.format not in ("text", "structured"):
         raise ConfigError(f"unknown format {config.format!r}; use text or structured")
     if config.missing not in ("drop", "fail"):

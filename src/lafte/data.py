@@ -27,8 +27,8 @@ receive the codes, which give the same per-cluster sums as the labels.
 Tables are immutable after construction. Each instance also keeps a cache,
 outside its dataclass fields, of values that are pure functions of its
 columns: the derived columns (computed once, by :func:`from_arrays`) and
-the estimates the analysis functions memoize by key, so that each fit runs
-once per table. A table made by ``dataclasses.replace`` starts with an
+the fits ``estimands.slopes`` memoizes by their equations, so that each fit
+runs once per table. A table made by ``dataclasses.replace`` starts with an
 empty cache. Tables are safe to share across threads: two threads may
 compute the same cache entry at once, and both see equal values.
 """
@@ -189,6 +189,15 @@ def _collect_warnings(table: ObservationTable) -> list[str]:
     return warnings
 
 
+def _factorise(cluster: np.ndarray) -> tuple[list, np.ndarray]:
+    """The sorted distinct labels and each row's index into them, as
+    ``np.unique(cluster, return_inverse=True)`` gives them, sorting only the
+    distinct labels."""
+    labels = sorted(dict.fromkeys(cluster))
+    index = {label: i for i, label in enumerate(labels)}
+    return labels, np.fromiter(map(index.__getitem__, cluster), np.int64, cluster.shape[0])
+
+
 def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
                 column_names=(), warnings=()) -> ObservationTable:
     """Build a validated table from in-memory arrays.
@@ -211,7 +220,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     if cluster is not None:
         cluster = np.asarray(cluster, dtype=object)
         if cluster.shape[0] == z.shape[0] and not np.equal(cluster, None).any():
-            labels, codes = np.unique(cluster, return_inverse=True)
+            labels, codes = _factorise(cluster)
 
     errors = _validate_arrays(z, d1, d2, y, controls, cluster, labels)
     if errors:
@@ -228,8 +237,8 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         cluster=None if cluster is None else _freeze(cluster),
         column_names=tuple(column_names),
         warnings=tuple(warnings),
-        cluster_codes=None if codes is None else _freeze(codes.astype(np.int64)),
-        cluster_count=None if labels is None else int(labels.size),
+        cluster_codes=None if codes is None else _freeze(codes),
+        cluster_count=None if labels is None else len(labels),
     )
     result = replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
     # Same columns, fresh cache: hand over the derived columns computed above.
@@ -258,6 +267,11 @@ def derive(table: ObservationTable) -> DerivedColumns:
         untreated_y=_freeze((1 - d1) * (1 - d2) * y),
         kernel_y=_freeze((1 - d1 - d2 + 2 * d_and) * y),
     )
+
+
+def _check_delimiter(delimiter) -> None:
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
 
 
 def _floats(tokens) -> np.ndarray | None:
@@ -362,7 +376,7 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
         and optional keys ``controls`` (list of names) and ``cluster``.
         Defaults to the identity mapping ``{"z": "z", ...}``.
     delimiter : str
-        Field delimiter; comma by default, tab selectable.
+        Field delimiter, one character; comma by default, tab selectable.
     on_missing : {"drop", "fail"}
         Rows with a missing value in any mapped column are dropped (with a
         warning recording the count) or cause an error.
@@ -377,6 +391,7 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     """
     if on_missing not in ("drop", "fail"):
         raise ConfigError(f"unknown missing-data policy {on_missing!r}")
+    _check_delimiter(delimiter)
     mapping = dict(DEFAULT_MAPPING) if mapping is None else dict(mapping)
     allowed = {"z", "d1", "d2", "y", "controls", "cluster"}
     unknown = set(mapping) - allowed
@@ -445,6 +460,7 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     when they contain the delimiter, a quote or a line break; lines end in
     CRLF. Control columns without names are headed ``x0``, ``x1``, ...
     """
+    _check_delimiter(delimiter)
     names = ["z", "d1", "d2", "y"]
     names += list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
     columns = [table.z.tolist(), table.d1.tolist(), table.d2.tolist(), table.y.tolist(),

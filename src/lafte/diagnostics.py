@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import ObservationTable
-from .estimands import EstimateWithSE, contrast, design
-from .regression import TestResult, fit_stacked, one_sided_negativity, stack, wald_joint
+from .estimands import EstimateWithSE, contrast, slopes
+from .regression import TestResult, one_sided_negativity, wald_joint
 
 JOINT_TEST_METHOD = "wald chi-square on the stacked cluster-robust covariance"
 
@@ -100,10 +100,8 @@ def _contrast_pair(table: ObservationTable, columns: tuple[str, str]):
     testable = [column for column, est in zip(columns, estimates) if not est.degenerate]
     joint = None
     if testable:
-        w, _ = design(table)
-        system = stack([(table.column(column), w) for column in testable], table.cluster_codes)
-        joint = wald_joint(fit_stacked(system),
-                           [system.coef_index(e, 1) for e in range(len(testable))])
+        joint = wald_joint(slopes(table, [(column, None) for column in testable]),
+                           range(len(testable)))
     return ContrastPair(estimates[0], estimates[1], joint), degenerate
 
 

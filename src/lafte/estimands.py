@@ -16,12 +16,17 @@ the same with the outcome as regressand; the IV estimand is their 2SLS
 ratio. Under the double exclusion restriction the three complier-group
 shares are identified by the instrument contrasts of ``d2``, ``d_or - d2``,
 and ``d_and - d2``.
+
+Every number is the slope of one or more just-identified equations on the
+table's instrument matrix ``W = [1, z, controls]``, and :func:`slopes` is
+the one path from a table to those fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -29,11 +34,12 @@ from .data import ObservationTable
 from .exceptions import RelevanceError
 from .regression import (
     RELEVANCE_TOLERANCE,
+    FitResult,
     fit_stacked,
     instrument_design,
+    iv_design,
     ols,
     stack,
-    tsls,
 )
 
 # Normal-approximation 95% intervals, matching the reporting convention.
@@ -106,28 +112,44 @@ class ComplierShares:
     p_dropout: EstimateWithSE
     p_late_adopter: EstimateWithSE
     warnings: tuple[str, ...] = ()
-    joint_vcov: np.ndarray | None = None
 
 
-def design(table: ObservationTable) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The instrument matrix ``W = [1, z, controls]`` of a table, and its names.
+def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]]) -> FitResult:
+    """Joint fit of ``(response, treatment)`` equations on the table's ``W``, once per table.
 
-    Built afresh on each call; the table's controls are always included.
+    A treatment of None regresses the response column on ``W``; a treatment
+    column fits the IV equation whose design is ``W`` with the instrument
+    replaced by the treatment. The result keeps only the slopes (coefficient
+    1 of each equation, in order) and their joint covariance, so ``k`` is
+    the number of equations; ``n`` and ``dof`` are those of the joint fit.
     """
-    return instrument_design(table.z, table.controls, table.control_names)
+    key = tuple((response, treatment) for response, treatment in equations)
+
+    def fit():
+        w, names = instrument_design(table.z, table.controls, table.control_names)
+        if len(key) == 1 and key[0][1] is None:
+            full = ols(table.column(key[0][0]), w, table.cluster_codes, names=names)
+        else:
+            designs = {t: w if t is None else iv_design(w, table.column(t))
+                       for t in dict.fromkeys(t for _, t in key)}
+            full = fit_stacked(stack([(table.column(r), designs[t], w) for r, t in key],
+                                     table.cluster_codes))
+        idx = [e * w.shape[1] + 1 for e in range(len(key))]
+        return replace(full, coefficients=full.coefficients[idx],
+                       vcov=full.vcov[np.ix_(idx, idx)], k=len(idx),
+                       names=tuple(r if t is None else f"{r}~{t}" for r, t in key))
+    return table.cached(key, fit)
 
 
-def _slope(fit, column: str) -> EstimateWithSE:
-    return EstimateWithSE.from_se(float(fit.coefficients[1]), fit.se(1), fit.n,
-                                  fit.cluster_count, _LABELS[column])
+def _slope(table: ObservationTable, equation: tuple[str, str | None]) -> EstimateWithSE:
+    fit = slopes(table, [equation])
+    return EstimateWithSE.from_se(float(fit.coefficients[0]), fit.se(0), table.n,
+                                  fit.cluster_count, _LABELS[equation[1] or equation[0]])
 
 
 def contrast(table: ObservationTable, column: str) -> EstimateWithSE:
-    """Instrument coefficient of the OLS of a column on ``W``, fit once per table."""
-    def fit():
-        w, names = design(table)
-        return _slope(ols(table.column(column), w, table.cluster_codes, names=names), column)
-    return table.cached(("ols", column), fit)
+    """Instrument coefficient of the OLS of a column on ``W``."""
+    return _slope(table, (column, None))
 
 
 def require_relevance(table: ObservationTable, definition: TreatmentDef) -> None:
@@ -155,7 +177,7 @@ def reduced_form(table: ObservationTable) -> EstimateWithSE:
 
 
 def iv_estimand(table: ObservationTable, definition: TreatmentDef) -> EstimateWithSE:
-    """2SLS coefficient of the outcome on one treatment definition, fit once per table.
+    """2SLS coefficient of the outcome on one treatment definition.
 
     Raises
     ------
@@ -163,43 +185,26 @@ def iv_estimand(table: ObservationTable, definition: TreatmentDef) -> EstimateWi
         When the definition's first stage is numerically zero; the error
         names the definition and carries the first-stage estimate.
     """
-    def fit():
-        require_relevance(table, definition)
-        controls = table.controls if table.controls.shape[1] else None
-        names = ("const", definition.value, *table.control_names)
-        return _slope(tsls(table.y, table.column(definition.value), table.z, controls,
-                           table.cluster_codes, names=names), definition.value)
-    return table.cached(("iv", definition.value), fit)
+    require_relevance(table, definition)
+    return _slope(table, ("y", definition.value))
 
 
-def complier_shares(table: ObservationTable, *, joint: bool = False) -> ComplierShares:
+def complier_shares(table: ObservationTable) -> ComplierShares:
     """Shares of full compliers, dropouts, and late-adopters.
 
     These are the instrument contrasts of ``d2``, ``d_or - d2``, and
     ``d_and - d2``; they identify P[C1,C2], P[C1,N2], and P[C1,A2] only
     under the double exclusion restriction, which callers should test with
     the diagnostics module first. Negative point estimates falsify the
-    maintained assumptions and are returned as-is with a warning. With
-    ``joint=True`` the 3x3 covariance of the share estimates is attached,
-    computed from the stacked system.
+    maintained assumptions and are returned as-is with a warning. Their
+    3x3 joint covariance is ``slopes(table, [(c, None) for c in ("d2",
+    "g_or", "g_and")]).vcov``.
     """
-    columns = ("d2", "g_or", "g_and")
-    estimates = [contrast(table, column) for column in columns]
+    estimates = [contrast(table, column) for column in ("d2", "g_or", "g_and")]
     warnings = [
         f"negative share estimate {share} = {est.value:.6g}; the maintained "
         "assumptions are falsified rather than the estimate clipped"
         for share, est in zip(("P[C1,C2]", "P[C1,N2]", "P[C1,A2]"), estimates)
         if est.value < 0]
-
-    joint_vcov = None
-    if joint:
-        w, _ = design(table)
-        system = stack([(table.column(column), w) for column in columns], table.cluster_codes)
-        fit = fit_stacked(system)
-        idx = [system.coef_index(e, 1) for e in range(3)]
-        joint_vcov = fit.vcov[np.ix_(idx, idx)].copy()
-
-    return ComplierShares(
-        p_full=estimates[0], p_dropout=estimates[1], p_late_adopter=estimates[2],
-        warnings=tuple(warnings), joint_vcov=joint_vcov,
-    )
+    return ComplierShares(p_full=estimates[0], p_dropout=estimates[1],
+                          p_late_adopter=estimates[2], warnings=tuple(warnings))

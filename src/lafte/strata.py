@@ -111,7 +111,9 @@ _GROUP_TEMPLATES = {
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _close(a: float, b: float, tol: float = EXACT_TOLERANCE) -> bool:
+def close(a: float, b: float, tol: float = EXACT_TOLERANCE) -> bool:
+    """Whether ``|a - b| <= tol * max(1, |a|, |b|)``: an absolute test for
+    magnitudes up to 1, a relative one above."""
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
@@ -222,8 +224,6 @@ class PopulationMoments:
 
     first_stage: dict
     reduced_form: float
-    d1_y: float
-    d2_y: float
     dand_y: float
     untreated_y: float
     gy_or: float
@@ -321,7 +321,7 @@ def validate_spec(spec: PopulationSpec) -> AssumptionAudit:
     structural_de = all(not s.z_dependent for s in spec.strata)
 
     def mean(group, cell):
-        return _group_cell_mean(spec, group, cell)
+        return group_cell_mean(spec, group, cell)
 
     def effect_nonneg(group, hi, lo):
         m_hi, m_lo = mean(group, hi), mean(group, lo)
@@ -347,11 +347,11 @@ def validate_spec(spec: PopulationSpec) -> AssumptionAudit:
     for definition, conditions in HOMOGENEITY_CONDITIONS.items():
         ok = True
         for group, cells in conditions:
-            full = _group_effect(spec, group, FULL_EFFECT)
-            other = _group_effect(spec, group, cells)
+            full = group_effect(spec, group, FULL_EFFECT)
+            other = group_effect(spec, group, cells)
             if full is None:
                 continue
-            if not _close(full, other):
+            if not close(full, other):
                 ok = False
                 break
         homogeneity[definition] = ok
@@ -378,7 +378,9 @@ def group_probs(spec: PopulationSpec) -> dict:
     return probs
 
 
-def _group_cell_mean(spec: PopulationSpec, group: str, cell) -> float | None:
+def group_cell_mean(spec: PopulationSpec, group: str, cell) -> float | None:
+    """Mean potential outcome of ``group`` in treatment ``cell = (d1, d2)``;
+    None when the group has no probability."""
     num = 0.0
     den = 0.0
     for s in spec.strata:
@@ -390,11 +392,13 @@ def _group_cell_mean(spec: PopulationSpec, group: str, cell) -> float | None:
     return num / den
 
 
-def _group_effect(spec: PopulationSpec, group: str, cells) -> float | None:
-    hi = _group_cell_mean(spec, group, cells[0])
+def group_effect(spec: PopulationSpec, group: str, cells) -> float | None:
+    """Difference of the group's mean potential outcomes in ``cells = (treated,
+    untreated)``; None when the group has no probability."""
+    hi = group_cell_mean(spec, group, cells[0])
     if hi is None:
         return None
-    lo = _group_cell_mean(spec, group, cells[1])
+    lo = group_cell_mean(spec, group, cells[1])
     return hi - lo
 
 
@@ -407,7 +411,7 @@ def analytic_moments(spec: PopulationSpec) -> PopulationMoments:
     """
     totals = {name: [0.0, 0.0] for name in (
         "d1", "d2", "d_and", "d_or", "d_sum", "y",
-        "d1_y", "d2_y", "dand_y", "untreated_y", "gy_or", "gy_and", "kernel_y")}
+        "dand_y", "untreated_y", "gy_or", "gy_and", "kernel_y")}
     for s in spec.strata:
         for z in (0, 1):
             d1, d2 = s.d1(z), s.d2(z)
@@ -421,8 +425,6 @@ def analytic_moments(spec: PopulationSpec) -> PopulationMoments:
             totals["d_or"][z] += w * d_or
             totals["d_sum"][z] += w * (d1 + d2)
             totals["y"][z] += w * m
-            totals["d1_y"][z] += w * d1 * m
-            totals["d2_y"][z] += w * d2 * m
             totals["dand_y"][z] += w * d_and * m
             totals["untreated_y"][z] += w * (1 - d1) * (1 - d2) * m
             totals["gy_or"][z] += w * (d_or - d2) * m
@@ -441,8 +443,6 @@ def analytic_moments(spec: PopulationSpec) -> PopulationMoments:
             TreatmentDef.SUM: delta("d_sum"),
         },
         reduced_form=delta("y"),
-        d1_y=delta("d1_y"),
-        d2_y=delta("d2_y"),
         dand_y=delta("dand_y"),
         untreated_y=delta("untreated_y"),
         gy_or=delta("gy_or"),
@@ -464,7 +464,7 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
     if complier_prob == 0.0:
         raise SpecError("relevance violated in population: the complier set is empty")
 
-    group_effects = {g: _group_effect(spec, g, GROUP_EFFECT_CELLS[g])
+    group_effects = {g: group_effect(spec, g, GROUP_EFFECT_CELLS[g])
                      for g in COMPLIER_GROUPS}
 
     lafte_num = 0.0
@@ -472,7 +472,7 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
     for g in COMPLIER_GROUPS:
         if probs[g] == 0.0:
             continue
-        lafte_num += probs[g] * _group_effect(spec, g, FULL_EFFECT)
+        lafte_num += probs[g] * group_effect(spec, g, FULL_EFFECT)
         tau_num += probs[g] * group_effects[g]
     lafte = lafte_num / complier_prob
     tau = tau_num / complier_prob
@@ -499,7 +499,7 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
     for cells in split_cells:
         weight = probs["C1C2"] / sum_denominator if sum_denominator > 0 else 0.0
         sum_terms.append(DecompositionTerm(
-            group="C1C2", cells=cells, effect=_group_effect(spec, "C1C2", cells),
+            group="C1C2", cells=cells, effect=group_effect(spec, "C1C2", cells),
             weight=weight, bias=False))
     for g in COMPLIER_GROUPS[1:]:
         weight = probs[g] / sum_denominator if sum_denominator > 0 else 0.0

@@ -40,10 +40,10 @@ from .strata import (
     FULL_EFFECT,
     GROUP_EFFECT_CELLS,
     PopulationSpec,
-    _close,
-    _group_cell_mean,
-    _group_effect,
     analytic_moments,
+    close,
+    group_cell_mean,
+    group_effect,
     group_probs,
     true_parameters,
     validate_spec,
@@ -85,7 +85,7 @@ class VerificationReport:
 
 
 def _check(name, lhs, rhs, tol, note=""):
-    return CheckResult(name, True, _close(lhs, rhs, tol), float(lhs), float(rhs), note)
+    return CheckResult(name, True, close(lhs, rhs, tol), float(lhs), float(rhs), note)
 
 
 def _check_le(name, lhs, rhs, tol, note=""):
@@ -127,7 +127,7 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
     reduced = 0.0
     for g in COMPLIER_GROUPS:
         if probs[g] > 0:
-            reduced += probs[g] * _group_effect(spec, g, GROUP_EFFECT_CELLS[g])
+            reduced += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
     checks.append(_check("reduced-form-decomposition",
                          moments.reduced_form, reduced, tolerance))
 
@@ -145,7 +145,7 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
         reduced_de = 0.0
         for g in ("C1C2", "C1N2", "C1A2"):
             if probs[g] > 0:
-                reduced_de += probs[g] * _group_effect(spec, g, GROUP_EFFECT_CELLS[g])
+                reduced_de += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
         checks.append(_check("double-exclusion.reduced-form",
                              moments.reduced_form, reduced_de, tolerance))
     else:
@@ -157,7 +157,7 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
     checks.append(_check("mover-contrast.plain.and", moments.g_and, p_ca - p_nc, tolerance))
 
     def weighted_level(group, cell):
-        mean = _group_cell_mean(spec, group, cell)
+        mean = group_cell_mean(spec, group, cell)
         return 0.0 if mean is None else probs[group] * mean
 
     checks.append(_check(
@@ -198,7 +198,7 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
                                 "not applicable: homogeneity flag false or empty groups"))
             continue
         beta = moments.reduced_form / moments.first_stage[d]
-        target = sum(probs[g] * _group_effect(spec, g, FULL_EFFECT)
+        target = sum(probs[g] * group_effect(spec, g, FULL_EFFECT)
                      for g in FIRST_STAGE_GROUPS[d] if probs[g] > 0) / stage_prob
         checks.append(_check(f"homogeneous-movers.{d.value}", beta, target, tolerance))
 
@@ -216,8 +216,8 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
         checks.append(_check_le("lafte-bounds.containment.upper",
                                 params.lafte_over_c, upper, tolerance))
         if p_cn == 0.0 and p_ca == 0.0:
-            sharp_ok = (_close(lower, params.lafte_over_c, SHARPNESS_TOLERANCE)
-                        and _close(upper, params.lafte_over_c, SHARPNESS_TOLERANCE))
+            sharp_ok = (close(lower, params.lafte_over_c, SHARPNESS_TOLERANCE)
+                        and close(upper, params.lafte_over_c, SHARPNESS_TOLERANCE))
             checks.append(CheckResult("lafte-bounds.sharpness", True, sharp_ok,
                                       lower, upper,
                                       "mover shares are zero: both endpoints equal the LAFTE"))

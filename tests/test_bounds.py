@@ -15,6 +15,7 @@ from lafte import (
     lafte_bounds_bounded_response,
     mover_test,
     sample,
+    slopes,
     tau_bounds,
 )
 
@@ -190,7 +191,8 @@ def _leaves(obj):
 def _every_clustered_result(t):
     results = [first_stage(t, d) for d in TreatmentDef]
     results += [iv_estimand(t, d) for d in TreatmentDef]
-    results += [complier_shares(t, joint=True), mover_test(t, force_step2=True),
+    results += [complier_shares(t), slopes(t, [("d2", None), ("g_or", None), ("g_and", None)]),
+                mover_test(t, force_step2=True),
                 double_exclusion_check(t), lafte_bounds(t),
                 lafte_bounds(t, upper_se_method="delta"),
                 lafte_bounds_bounded_response(t), tau_bounds(t)]

@@ -241,3 +241,42 @@ def test_unwritable_truth_sidecar_exit_1(tmp_path, capsys):
                         "--out", str(data_path)], capsys)
     assert code == 1
     assert err.startswith(f"error: cannot write {data_path}.truth.json: ")
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("controls: 5", "controls"),
+    ("controls: {x1: 1}", "controls"),
+    ("delimiter: ';;'", "delimiter"),
+    ("delimiter: ''", "delimiter"),
+])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_bad_config_value_exit_1(tmp_path, fix8_path, capsys, setting, key, command):
+    config = tmp_path / "run.yaml"
+    config.write_text(setting + "\n", encoding="utf-8")
+    data = fix8_path
+    if command == "simulate":
+        data = tmp_path / "s2.yaml"
+        save_spec(s2_spec(), data)
+    out_path = tmp_path / "draw.csv"
+    code, out, err = run([command, "--config", str(config), "--data", str(data),
+                          "--out", str(out_path), "--n", "50"], capsys)
+    assert code == 1
+    assert err.startswith(f"error: config key '{key}' must be ")
+    assert "Traceback" not in err and out == ""
+    assert not out_path.exists()
+
+
+def test_config_hash_pinned():
+    # Reports already written carry these hashes; they must not change.
+    from lafte.cli import _CONFIG_KEYS, RunConfig
+    assert RunConfig(command="estimate", input="draw.csv").config_hash() == (
+        "20369d803d4202bb6ca1218b873174130d960daca9bcc79d83839c9c4a67f45e")
+    config = RunConfig(command="bounds", input="hh.csv", controls=["x1", "x2"], cluster="hh",
+                       mapping={"z": "z", "d1": "d1", "d2": "d2", "y": "y"}, level=0.1,
+                       ymin=0.0, ymax=5.0, out="r.json", upper_se_method="delta")
+    assert config.config_hash() == (
+        "462d29130e2be03f45e5ae860ec940511d74e7d6ae1e2bf9868df3b407694826")
+    assert config.config_hash() == RunConfig(**{**vars(config), "out": None}).config_hash()
+    assert _CONFIG_KEYS == {
+        "input", "mapping", "controls", "cluster", "delimiter", "level", "ymin", "ymax",
+        "out", "format", "seed", "n", "missing", "upper_se_method"}

@@ -477,20 +477,33 @@ def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter
 @pytest.mark.parametrize("labels", [
     ["b", "a", "c", "a", "b", "b"],
     [10, 2, 2, -1, 10, 30],
+    ["hh10", "hh2", "b", "hh2", "a", "hh1"],
+    ["only"] * 6,
 ])
 def test_cluster_codes_follow_sorted_labels(labels):
     t = from_arrays([0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1], [0, 0, 1, 1, 0, 1],
                     [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], cluster=labels)
-    expected = np.unique(np.asarray(labels, dtype=object), return_inverse=True)[1]
+    unique, expected = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     assert t.cluster_codes.dtype == np.int64
     assert np.array_equal(t.cluster_codes, expected)
-    assert t.cluster_count == len(set(labels))
+    assert t.cluster_count == unique.size
     with pytest.raises(ValueError):
         t.cluster_codes[0] = 1
 
 
-@pytest.mark.parametrize("labels", [["a", None, "b", "a"], ["a", " ", "b", "a"]])
+@pytest.mark.parametrize("labels", [["a", None, "b", "a"], ["a", " ", "b", "a"],
+                                    [2, None, 1, 2], [None] * 4])
 def test_missing_cluster_label_rejected(labels):
     with pytest.raises(DataError, match="missing cluster label"):
         from_arrays([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],
                     cluster=labels)
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", None, 5])
+def test_delimiter_not_one_character_is_config_error(tmp_path, fix8_path, delimiter):
+    with pytest.raises(ConfigError, match="delimiter must be one character"):
+        load_table(fix8_path, delimiter=delimiter)
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match="delimiter must be one character"):
+        save_table(fix8_table(), out, delimiter=delimiter)
+    assert not out.exists()

@@ -19,6 +19,7 @@ from lafte import (
     reduced_form,
     regression,
     save_table,
+    slopes,
     tau_bounds,
     tsls,
 )
@@ -69,7 +70,8 @@ def test_derive_runs_once_per_table(monkeypatch):
     real = data.derive
     monkeypatch.setattr(data, "derive", lambda table: calls.append(table) or real(table))
     t = from_arrays(**columns)
-    complier_shares(t, joint=True)
+    complier_shares(t)
+    slopes(t, [("d2", None), ("g_or", None), ("g_and", None)])
     mover_test(t, force_step2=True)
     lafte_bounds(t, upper_se_method="delta")
     lafte_bounds_bounded_response(t)

@@ -11,6 +11,7 @@ from lafte import (
     from_arrays,
     iv_estimand,
     reduced_form,
+    slopes,
 )
 
 
@@ -157,9 +158,10 @@ def test_negative_share_warned():
 
 
 def test_joint_share_covariance(fix8):
-    shares = complier_shares(fix8, joint=True)
-    assert shares.joint_vcov.shape == (3, 3)
-    np.testing.assert_allclose(shares.joint_vcov, shares.joint_vcov.T, rtol=1e-10)
+    shares = complier_shares(fix8)
+    joint_vcov = slopes(fix8, [("d2", None), ("g_or", None), ("g_and", None)]).vcov
+    assert joint_vcov.shape == (3, 3)
+    np.testing.assert_allclose(joint_vcov, joint_vcov.T, rtol=1e-10)
     # block-diagonal coefficients: each diagonal entry is the per-share HC1
     # variance rescaled by the stacked system's small-sample factor
     g, n_stacked, k_stacked = 8, 24, 6
@@ -167,7 +169,7 @@ def test_joint_share_covariance(fix8):
     hc1_factor = 8 / (8 - 2)
     ratio = stacked_factor / hc1_factor
     for i, est in enumerate((shares.p_full, shares.p_dropout, shares.p_late_adopter)):
-        assert shares.joint_vcov[i, i] == pytest.approx(ratio * est.se ** 2, rel=1e-10)
+        assert joint_vcov[i, i] == pytest.approx(ratio * est.se ** 2, rel=1e-10)
 
 
 def test_relevance_error_names_definition():
