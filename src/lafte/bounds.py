@@ -41,7 +41,6 @@ from .estimands import (
     first_stage,
     iv_estimand,
     reduced_form,
-    require_relevance,
     slopes,
 )
 from .exceptions import BoundsError
@@ -84,8 +83,6 @@ def lafte_bounds(table: ObservationTable, *, upper_se_method: str = "stacking") 
     """
     if upper_se_method not in ("stacking", "delta"):
         raise ValueError(f"unknown upper_se_method {upper_se_method!r}")
-    require_relevance(table, TreatmentDef.FIRST)
-    require_relevance(table, TreatmentDef.BOTH)
     lower = iv_estimand(table, TreatmentDef.FIRST)
 
     fit = slopes(table, [("dand_y", "d_and"), ("untreated_y", "d1")])
@@ -123,7 +120,7 @@ def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = 
     """LAFTE bounds assuming only double exclusion and a bounded outcome.
 
     ``ymin``/``ymax`` default to the observed sample range of the outcome;
-    explicit values must enclose it. Each endpoint divides
+    explicit values must be finite and enclose it. Each endpoint divides
     ``(1 - d1 - d2 + 2*d1*d2)*y`` plus multiplier-weighted instrument
     contrasts of ``d_or - d2`` and ``d_and - d2`` by the ``d1`` first stage;
     the width of the interval is ``(ymax - ymin)`` times the mover share
@@ -133,12 +130,13 @@ def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = 
     y_hi = float(np.max(table.y))
     ymin = y_lo if ymin is None else float(ymin)
     ymax = y_hi if ymax is None else float(ymax)
+    if not (np.isfinite(ymin) and np.isfinite(ymax)):
+        raise BoundsError(f"response bounds must be finite, got [{ymin}, {ymax}]")
     if ymin > y_lo or ymax < y_hi:
         raise BoundsError(
             f"response bound violated by data: observed range [{y_lo:.6g}, {y_hi:.6g}], "
             f"stated bounds [{ymin:.6g}, {ymax:.6g}]")
 
-    require_relevance(table, TreatmentDef.FIRST)
     fit = slopes(table, [(column, "d1") for column in ("kernel_y", "g_or", "g_and")])
     lo_value, lo_se = linear_combination(fit, [1.0, ymin, -ymax])
     hi_value, hi_se = linear_combination(fit, [1.0, ymax, -ymin])

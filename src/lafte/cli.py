@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -199,6 +200,12 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"level must be inside (0,1), got {config.level}")
     if config.n < 1:
         raise ConfigError(f"n must be >= 1, got {config.n}")
+    if config.seed < 0:
+        raise ConfigError(f"config key 'seed' must be a non-negative integer, got {config.seed}")
+    for key in ("ymin", "ymax"):
+        value = getattr(config, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"config key '{key}' must be finite, got {value}")
     if config.input is None:
         raise ConfigError("no input file: set 'input' in the config or pass --data")
     return config

@@ -3,8 +3,10 @@
 The estimation input is a rectangular table with a binary instrument ``z``,
 binary enrollment indicators ``d1`` and ``d2`` for the first and second part
 of a two-part treatment, a real-valued outcome ``y``, optional real control
-columns, and an optional cluster label. Everything downstream consumes
-composite columns derived row-locally from these five ingredients:
+columns, and an optional cluster label. Everything downstream regresses
+``d1``, ``d2``, ``y`` or a composite column derived row-locally from them on
+the instruments; :class:`DerivedColumns` builds all 13 (``RESPONSES``) side
+by side:
 
 ==============  =============================
 ``d_and``       ``d1 * d2`` (both parts)
@@ -26,11 +28,12 @@ receive the codes, which give the same per-cluster sums as the labels.
 
 Tables are immutable after construction. Each instance also keeps a cache,
 outside its dataclass fields, of values that are pure functions of its
-columns: the derived columns (computed once, by :func:`from_arrays`) and
-the fits ``estimands.slopes`` memoizes by their equations, so that each fit
-runs once per table. A table made by ``dataclasses.replace`` starts with an
-empty cache. Tables are safe to share across threads: two threads may
-compute the same cache entry at once, and both see equal values.
+columns: ``estimands.slopes`` keeps the table's one fit of the 13 columns
+there, and every slope read off it, so that the table is fit once. The
+columns themselves are built for that fit and then dropped. A table made by
+``dataclasses.replace`` starts with an empty cache. Tables are safe to share
+across threads: two threads may compute the same cache entry at once, and
+both see equal values.
 """
 
 from __future__ import annotations
@@ -55,9 +58,24 @@ _BINARY = {"0", "1"}
 # Rows read and transposed into columns at a time by load_table.
 _CHUNK_ROWS = 1 << 16
 
-_DERIVED_NAMES = (
-    "d_and", "d_or", "d_sum", "g_or", "g_and",
-    "gy_or", "gy_and", "dand_y", "untreated_y", "kernel_y",
+# Every column regressed on the instruments, in the order of a table's one fit.
+RESPONSES = ("d1", "d2", "d_and", "d_or", "d_sum", "y", "g_or", "g_and",
+             "gy_or", "gy_and", "dand_y", "untreated_y", "kernel_y")
+
+_POSITION = {name: j for j, name in enumerate(RESPONSES)}
+
+# Row formula of each derived column; a formula reads only columns before it.
+_FORMULAS = (
+    ("d_and", lambda c: c.d1 * c.d2),
+    ("d_or", lambda c: c.d1 + c.d2 - c.d_and),
+    ("d_sum", lambda c: c.d1 + c.d2),
+    ("g_or", lambda c: c.d_or - c.d2),
+    ("g_and", lambda c: c.d_and - c.d2),
+    ("gy_or", lambda c: c.g_or * c.y),
+    ("gy_and", lambda c: c.g_and * c.y),
+    ("dand_y", lambda c: c.d_and * c.y),
+    ("untreated_y", lambda c: (1 - c.d1) * (1 - c.d2) * c.y),
+    ("kernel_y", lambda c: (1 - c.d1 - c.d2 + 2 * c.d_and) * c.y),
 )
 
 
@@ -106,41 +124,36 @@ class ObservationTable:
             cache[key] = compute()
         return cache[key]
 
-    @property
-    def derived(self) -> DerivedColumns:
-        """The derived columns of this table, computed once."""
-        return self.cached("derived", lambda: derive(self))
-
-    def column(self, name: str) -> np.ndarray:
-        """``d1`` or ``d2`` as floats, ``y``, or a derived column, by name."""
-        if name in ("d1", "d2"):
-            return getattr(self, name).astype(float)
-        return self.y if name == "y" else self.derived.column(name)
-
 
 @dataclass(frozen=True)
 class DerivedColumns:
-    """All composite regressands, derived row-locally from a table."""
+    """The columns of ``RESPONSES`` side by side in one read-only ``n x 13``
+    array; each is also an attribute, such as ``columns.kernel_y``."""
 
-    d_and: np.ndarray
-    d_or: np.ndarray
-    d_sum: np.ndarray
-    g_or: np.ndarray
-    g_and: np.ndarray
-    gy_or: np.ndarray
-    gy_and: np.ndarray
-    dand_y: np.ndarray
-    untreated_y: np.ndarray
-    kernel_y: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, d1, d2, y) -> DerivedColumns:
+        """The 13 columns of rows ``(d1, d2, y)``, one column at a time."""
+        columns = cls(np.empty((np.shape(y)[0], len(RESPONSES)), order="F"))
+        columns.d1[:], columns.d2[:], columns.y[:] = d1, d2, y
+        for name, formula in _FORMULAS:
+            columns.column(name)[:] = formula(columns)
+        columns.values.flags.writeable = False
+        return columns
 
     def column(self, name: str) -> np.ndarray:
-        if name not in _DERIVED_NAMES:
-            raise KeyError(f"unknown derived column {name!r}")
-        return getattr(self, name)
+        return self.values[:, _POSITION[name]]
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _POSITION:
+            raise AttributeError(name)
+        return self.column(name)
 
 
-def _validate_arrays(z, d1, d2, y, controls, cluster, labels) -> list[str]:
-    # ``labels`` are the distinct cluster labels, None when some label is None.
+def _validate_arrays(z, d1, d2, y, controls, cluster, labels, codes) -> list[str]:
+    # ``labels`` are the distinct cluster labels, None when some label is None;
+    # ``codes`` are None when the labels do not order.
     errors: list[str] = []
     n = z.shape[0]
     for name, col in (("d1", d1), ("d2", d2), ("y", y)):
@@ -172,6 +185,9 @@ def _validate_arrays(z, d1, d2, y, controls, cluster, labels) -> list[str]:
             errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
         elif labels is None or any(str(lab).strip() == "" for lab in labels):
             errors.append("missing cluster label")
+        elif codes is None:
+            kinds = sorted({type(lab).__name__ for lab in labels})
+            errors.append(f"cluster labels of types {', '.join(kinds)} cannot be ordered")
     return errors
 
 
@@ -183,17 +199,24 @@ def _collect_warnings(table: ObservationTable) -> list[str]:
             warnings.append(f"tiny instrument arm: only {size} row(s) with z={arm}")
     if table.cluster_count == table.n:
         warnings.append("every cluster is a singleton; clustering is equivalent to HC1")
+    # A column of (d1, d2) alone is constant when it is over the occupied (d1, d2) cells.
+    cells = np.flatnonzero(np.bincount(2 * table.d1 + table.d2, minlength=4))
+    derived = DerivedColumns.of(cells // 2, cells % 2, np.zeros(cells.size))
     for name in ("d_and", "d_or", "d_sum", "g_or", "g_and"):
-        if np.ptp(table.derived.column(name)) == 0:
+        if np.ptp(derived.column(name)) == 0:
             warnings.append(f"derived column '{name}' is constant")
     return warnings
 
 
-def _factorise(cluster: np.ndarray) -> tuple[list, np.ndarray]:
+def _factorise(cluster: np.ndarray) -> tuple[list, np.ndarray | None]:
     """The sorted distinct labels and each row's index into them, as
     ``np.unique(cluster, return_inverse=True)`` gives them, sorting only the
-    distinct labels."""
-    labels = sorted(dict.fromkeys(cluster))
+    distinct labels; the unsorted labels and None when they do not order."""
+    labels = list(dict.fromkeys(cluster))
+    try:
+        labels.sort()
+    except TypeError:
+        return labels, None
     index = {label: i for i, label in enumerate(labels)}
     return labels, np.fromiter(map(index.__getitem__, cluster), np.int64, cluster.shape[0])
 
@@ -222,7 +245,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         if cluster.shape[0] == z.shape[0] and not np.equal(cluster, None).any():
             labels, codes = _factorise(cluster)
 
-    errors = _validate_arrays(z, d1, d2, y, controls, cluster, labels)
+    errors = _validate_arrays(z, d1, d2, y, controls, cluster, labels, codes)
     if errors:
         raise DataError("; ".join(errors),
                         report=ValidationReport(tuple(errors), tuple(warnings)))
@@ -240,33 +263,12 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         cluster_codes=None if codes is None else _freeze(codes),
         cluster_count=None if labels is None else len(labels),
     )
-    result = replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
-    # Same columns, fresh cache: hand over the derived columns computed above.
-    result.cached("derived", lambda: table.derived)
-    return result
+    return replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
 
 
 def derive(table: ObservationTable) -> DerivedColumns:
-    """Compute all composite columns. Deterministic and row-local."""
-    d1 = table.d1.astype(float)
-    d2 = table.d2.astype(float)
-    y = table.y
-    d_and = d1 * d2
-    d_or = d1 + d2 - d_and
-    g_or = d_or - d2
-    g_and = d_and - d2
-    return DerivedColumns(
-        d_and=_freeze(d_and),
-        d_or=_freeze(d_or),
-        d_sum=_freeze(d1 + d2),
-        g_or=_freeze(g_or),
-        g_and=_freeze(g_and),
-        gy_or=_freeze(g_or * y),
-        gy_and=_freeze(g_and * y),
-        dand_y=_freeze(d_and * y),
-        untreated_y=_freeze((1 - d1) * (1 - d2) * y),
-        kernel_y=_freeze((1 - d1 - d2 + 2 * d_and) * y),
-    )
+    """Build the 13 columns of ``RESPONSES``. Deterministic and row-local; not cached."""
+    return DerivedColumns.of(table.d1, table.d2, table.y)
 
 
 def _check_delimiter(delimiter) -> None:

@@ -17,30 +17,24 @@ ratio. Under the double exclusion restriction the three complier-group
 shares are identified by the instrument contrasts of ``d2``, ``d_or - d2``,
 and ``d_and - d2``.
 
-Every number is the slope of one or more just-identified equations on the
-table's instrument matrix ``W = [1, z, controls]``, and :func:`slopes` is
-the one path from a table to those fits.
+Every number is the slope, or a ratio of slopes, of the 13 columns of
+``data.RESPONSES`` on the table's instrument matrix ``W = [1, z, controls]``.
+:func:`slopes` is the one path from a table to them: it fits all 13 once per
+table, as one 2-D :func:`~lafte.regression.ols`, and reads every request off
+that fit as a linear map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .data import ObservationTable
+from .data import RESPONSES, ObservationTable, derive
 from .exceptions import RelevanceError
-from .regression import (
-    RELEVANCE_TOLERANCE,
-    FitResult,
-    fit_stacked,
-    instrument_design,
-    iv_design,
-    ols,
-    stack,
-)
+from .regression import RELEVANCE_TOLERANCE, FitResult, instrument_design, ols, tidy_vcov
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
@@ -114,30 +108,68 @@ class ComplierShares:
     warnings: tuple[str, ...] = ()
 
 
-def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]]) -> FitResult:
-    """Joint fit of ``(response, treatment)`` equations on the table's ``W``, once per table.
+def _table_fit(table: ObservationTable):
+    """The table's one fit, of all 13 columns on ``W``, with each column's
+    minimum and maximum; the columns are dropped once it is done."""
+    def fit():
+        w, names = instrument_design(table.z, table.controls, table.control_names)
+        values = derive(table).values
+        return ols(values, w, table.cluster_codes, names=names), values.min(0), values.max(0)
+    return table.cached("fit", fit)
 
-    A treatment of None regresses the response column on ``W``; a treatment
-    column fits the IV equation whose design is ``W`` with the instrument
-    replaced by the treatment. The result keeps only the slopes (coefficient
-    1 of each equation, in order) and their joint covariance, so ``k`` is
-    the number of equations; ``n`` and ``dof`` are those of the joint fit.
+
+def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]]) -> FitResult:
+    """Slopes of ``(response, treatment)`` equations on the table's ``W`` and
+    their joint covariance, equal to those of the stacked fit of the equations.
+
+    A treatment of None asks for the contrast ``g_r`` of the response, a
+    treatment for the IV slope ``b = g_r / g_d``. Both are read off the
+    table's one fit, of the 13 slopes ``g`` with covariance ``V``: the
+    covariance of ``m`` requests is ``(c_m / c_13) L'VL``, where a request's
+    column of ``L`` is ``u_r`` or ``(u_r - b u_d) / g_d`` (``u`` the unit
+    vectors) and ``c_m`` is the stacking factor of ``m`` equations. A
+    request whose responses are all one constant is degenerate:
+    ``response_constant``, zero covariance. ``k`` is ``m``; ``n`` and
+    ``dof`` are those of the stacked fit. Each request is computed once per
+    table.
+
+    Raises
+    ------
+    RelevanceError
+        When the first stage of a treatment is numerically zero, as it is
+        for a treatment collinear with ``W``; the error names it.
     """
     key = tuple((response, treatment) for response, treatment in equations)
 
     def fit():
-        w, names = instrument_design(table.z, table.controls, table.control_names)
-        if len(key) == 1 and key[0][1] is None:
-            full = ols(table.column(key[0][0]), w, table.cluster_codes, names=names)
-        else:
-            designs = {t: w if t is None else iv_design(w, table.column(t))
-                       for t in dict.fromkeys(t for _, t in key)}
-            full = fit_stacked(stack([(table.column(r), designs[t], w) for r, t in key],
-                                     table.cluster_codes))
-        idx = [e * w.shape[1] + 1 for e in range(len(key))]
-        return replace(full, coefficients=full.coefficients[idx],
-                       vcov=full.vcov[np.ix_(idx, idx)], k=len(idx),
-                       names=tuple(r if t is None else f"{r}~{t}" for r, t in key))
+        for t in dict.fromkeys(t for _, t in key if t is not None):
+            first = contrast(table, t).value
+            if abs(first) <= RELEVANCE_TOLERANCE:
+                raise RelevanceError(f"relevance failure for {_LABELS[t]}: first stage "
+                                     f"{first:.3e}", first_stage=first, definition=_LABELS[t])
+        full, lo, hi = _table_fit(table)
+        k = full.k // len(RESPONSES)
+        gamma = full.coefficients[1::k]
+        m, n = len(key), table.n
+        rows = [RESPONSES.index(response) for response, _ in key]
+        weights = np.zeros((len(RESPONSES), m))
+        weights[rows, range(m)] = 1.0
+        b = gamma[rows]
+        for e, (_, t) in enumerate(key):
+            if t is not None:
+                d = RESPONSES.index(t)
+                b[e] /= gamma[d]
+                weights[:, e] /= gamma[d]
+                weights[d, e] -= b[e] / gamma[d]
+        common = (m * n, m, m * n - m * k, full.covariance_kind, full.cluster_count,
+                 tuple(r if t is None else f"{r}~{t}" for r, t in key))
+        if lo[rows].min() == hi[rows].max():
+            # As in the stacked fit: exact zeros, no covariance.
+            b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(lo[rows[0]]))), 0.0, b)
+            return FitResult(b, np.zeros((m, m)), *common, True)
+        scale = ((m * n - 1.0) / (m * n - m * k)) / ((full.n - 1.0) / (full.n - full.k))
+        vcov = scale * (weights.T @ full.vcov[1::k, 1::k] @ weights)
+        return FitResult(b, tidy_vcov(vcov), *common, False)
     return table.cached(key, fit)
 
 
@@ -150,16 +182,6 @@ def _slope(table: ObservationTable, equation: tuple[str, str | None]) -> Estimat
 def contrast(table: ObservationTable, column: str) -> EstimateWithSE:
     """Instrument coefficient of the OLS of a column on ``W``."""
     return _slope(table, (column, None))
-
-
-def require_relevance(table: ObservationTable, definition: TreatmentDef) -> None:
-    """Raise :class:`RelevanceError` when the first stage of ``definition`` is
-    numerically zero; the error names the definition."""
-    value = contrast(table, definition.value).value
-    if abs(value) <= RELEVANCE_TOLERANCE:
-        raise RelevanceError(
-            f"relevance failure for {definition.label}: first stage {value:.3e}",
-            first_stage=value, definition=definition.label)
 
 
 def first_stage(table: ObservationTable, definition: TreatmentDef) -> EstimateWithSE:
@@ -185,7 +207,6 @@ def iv_estimand(table: ObservationTable, definition: TreatmentDef) -> EstimateWi
         When the definition's first stage is numerically zero; the error
         names the definition and carries the first-stage estimate.
     """
-    require_relevance(table, definition)
     return _slope(table, ("y", definition.value))
 
 

@@ -19,12 +19,17 @@ special case ``W = X``), with the joint sandwich covariance
 For ``m > 1`` this equals stacking the equations block-diagonally on
 duplicated data, with the copies of one observation (or of one cluster) as
 one dependence unit, but the ``(m*n) x K`` stacked matrices are never built.
+
+:func:`ols` of a 2-D ``n x m`` response fits its ``m`` columns on one ``X``
+as ``m`` such equations, with one rank check, one bread ``(X'X)^{-1}`` and
+one multi-column solve. ``S'S`` is summed over blocks of rows in cluster
+order, so no ``n x K`` array of scores is ever held.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -193,57 +198,103 @@ def _cluster_codes(labels) -> tuple[np.ndarray, int]:
     return codes, int(codes.max()) + 1
 
 
-def _fit(equations, cluster, names, *, check_instruments: bool = True) -> FitResult:
-    """Joint fit of parsed equations ``(y, X, W)`` and their cross-equation sandwich."""
+# Rows per block of the score sums; a block splits no cluster.
+_CHUNK_ROWS = 1 << 14
+
+
+def tidy_vcov(vcov: np.ndarray) -> np.ndarray:
+    """``vcov`` symmetrised, with negative rounding dust on its diagonal set to 0."""
+    vcov = 0.5 * (vcov + vcov.T)
+    diag = np.diag(vcov).copy()
+    tiny = (diag < 0) & (diag > -1e-14 * max(diag.max(initial=0.0), 1.0))
+    if tiny.any():
+        vcov[np.diag_indices(vcov.shape[0])] = np.where(tiny, 0.0, diag)
+    return vcov
+
+
+def _scores(equations, b, rows):
+    """Each coefficient's score column on ``rows``: one instrument of its
+    equation times the residual of its response."""
+    col = 0
+    for y, x, w in equations:
+        k = x.shape[1]
+        x_rows = x[rows]
+        w_rows = x_rows if w is x else w[rows]
+        for r in range(y.shape[1]):
+            e = y[rows, r] - x_rows @ b[col:col + k]
+            col += k
+            yield from (w_rows[:, j] * e for j in range(k))
+
+
+def _meat(equations, b, codes, g) -> np.ndarray:
+    """``S'S``, summed over blocks of about ``_CHUNK_ROWS`` rows taken in
+    cluster order (stably, so each cluster sums its rows in row order); a
+    block ends at a cluster boundary."""
+    n = codes.shape[0]
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=g))
+    targets = np.append(np.arange(_CHUNK_ROWS, n, _CHUNK_ROWS), n)
+    stops = np.unique(ends[np.searchsorted(ends, targets)])
+    meat, start = 0.0, 0
+    for stop in stops:
+        rows = order[start:stop]
+        local = codes[rows] - codes[rows[0]]
+        sums = np.column_stack([np.bincount(local, weights=score)
+                                for score in _scores(equations, b, rows)])
+        meat = meat + sums.T @ sums
+        start = stop
+    return meat
+
+
+def _fit(equations, cluster, names) -> FitResult:
+    """Joint fit of parsed equations ``(Y, X, W)``, one per column of ``Y``, and
+    their cross-equation sandwich; ``names`` name the columns of the designs."""
+    equations = [(_as_matrix(y), x, w) for y, x, w in equations]
     n = equations[0][0].shape[0]
-    widths = [x.shape[1] for _, x, _ in equations]
-    big_n, big_k = len(equations) * n, sum(widths)
+    big_n = sum(y.shape[1] for y, _, _ in equations) * n
+    big_k = sum(y.shape[1] * x.shape[1] for y, x, _ in equations)
     if big_n <= big_k:
         raise EstimationError(f"{big_n} rows cannot identify {big_k} parameters")
-    names = tuple(names) if names else tuple(f"x{j}" for j in range(big_k))
-    matrices = {id(m): m for eq in equations for m in eq[1:3 if check_instruments else 2]}
+    names = tuple(names) if names else tuple(
+        f"x{j}" for j in range(sum(x.shape[1] for _, x, _ in equations)))
+    matrices = {id(m): m for eq in equations for m in eq[1:]}
     factors = {key: np.linalg.qr(m, mode="r") for key, m in matrices.items()}
     _check_rank([factors[id(x)] for _, x, _ in equations], names, "design")
-    if check_instruments:
-        _check_rank([factors[id(w)] for _, _, w in equations], names, "instrument")
+    _check_rank([factors[id(w)] for _, _, w in equations], names, "instrument")
 
-    offsets = np.cumsum([0] + widths[:-1])
     bread = np.zeros((big_k, big_k))
     b = np.empty(big_k)
-    for (y, x, w), col, k in zip(equations, offsets, widths):
+    col = 0
+    for y, x, w in equations:
         try:
             inv = np.linalg.inv(w.T @ x)
         except np.linalg.LinAlgError:
             raise RankDeficientError(
                 "instrument/design cross-moment matrix is singular") from None
-        bread[col:col + k, col:col + k] = inv
-        b[col:col + k] = inv @ (w.T @ y)
+        k, m = x.shape[1], y.shape[1]
+        # W'Y one column at a time: a matrix product sums in another order,
+        # which moves slopes of large-mean responses by ~1e-14 relative.
+        wty = np.column_stack([w.T @ y[:, r] for r in range(m)])
+        b[col:col + k * m] = (inv @ wty).T.ravel()
+        for _ in range(m):
+            bread[col:col + k, col:col + k] = inv
+            col += k
 
-    codes, g = (None, n) if cluster is None else _cluster_codes(cluster)
+    codes, g = (np.arange(n), n) if cluster is None else _cluster_codes(cluster)
     kind, count = ("hc1", None) if cluster is None else ("cluster", g)
     ys = [y for y, _, _ in equations]
     if max(y.max() for y in ys) == min(y.min() for y in ys):
         # Exact algebra gives a zero slope on every non-constant column;
         # clean float dust so the reported estimate is exactly 0.
-        b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(ys[0][0]))), 0.0, b)
+        b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(ys[0][0, 0]))), 0.0, b)
         return FitResult(b, np.zeros((big_k, big_k)), big_n, big_k, big_n - big_k,
                          kind, count, names, True)
 
     if g < 2:
         raise EstimationError("cluster covariance requires at least 2 clusters")
-    sums = np.empty((g, big_k))
-    for (y, x, w), col, k in zip(equations, offsets, widths):
-        # Column-major, so that bincount reads each column in place.
-        scores = np.multiply(w, (y - x @ b[col:col + k])[:, None], order="F")
-        sums[:, col:col + k] = scores if codes is None else np.column_stack(
-            [np.bincount(codes, weights=scores[:, j], minlength=g) for j in range(k)])
-    meat = ((g / (g - 1.0)) * ((big_n - 1.0) / (big_n - big_k))) * (sums.T @ sums)
-    vcov = bread @ meat @ bread.T
-    vcov = 0.5 * (vcov + vcov.T)
-    diag = np.diag(vcov).copy()
-    tiny = (diag < 0) & (diag > -1e-14 * max(diag.max(initial=0.0), 1.0))
-    if tiny.any():
-        vcov[np.diag_indices(big_k)] = np.where(tiny, 0.0, diag)
+    meat = _meat(equations, b, codes, g)
+    meat *= (g / (g - 1.0)) * ((big_n - 1.0) / (big_n - big_k))
+    vcov = tidy_vcov(bread @ meat @ bread.T)
     return FitResult(b, vcov, big_n, big_k, big_n - big_k, kind, count, names, False)
 
 
@@ -254,16 +305,27 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     sandwich when present. A constant regressand is permitted: the fit is
     returned with ``response_constant=True`` and an all-zero covariance, and
     :meth:`FitResult.se` reports the standard errors as undefined.
+
+    A 2-D ``y`` fits each of its ``m`` columns on ``x``: the result equals
+    ``fit_stacked(stack([(y[:, e], x) for e in range(m)], cluster))``, with
+    coefficients equation-major and named ``eq<e>.<name>``, and is
+    degenerate only when every column is the same constant.
     """
-    return _fit([_equation(y, x)], cluster, names)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        return _fit([_equation(y, x)], cluster, names)
+    _, x, _ = _equation(y[:, 0], x)
+    fit = _fit([(y, x, x)], cluster, names)
+    return replace(fit, names=tuple(f"eq{e}.{name}" for e in range(y.shape[1])
+                                    for name in fit.names))
 
 
 def instrument_design(z, controls=None, control_names=()) -> tuple[np.ndarray, tuple[str, ...]]:
     """The instrument matrix ``W = [1, z, controls]`` and its column names.
 
     Controls are named by ``control_names``, or ``c0, c1, ...`` without
-    them. Every fit on a table uses this ``W``: as the design of an OLS
-    fit, and as the instruments of an IV fit, whose design is
+    them. A table's one fit uses this ``W`` as its design; :func:`tsls`
+    uses it as the instruments of an IV fit, whose design is
     :func:`iv_design`.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -313,8 +375,7 @@ def tsls(y, d, z, controls=None, cluster=None, *, names=None) -> FitResult:
             f"relevance failure: first-stage coefficient {fs_coef:.3e}",
             first_stage=fs_coef,
         )
-    return _fit([_equation(y, iv_design(w, d), w)], cluster, head + w_names[2:],
-                check_instruments=False)
+    return _fit([_equation(y, iv_design(w, d), w)], cluster, head + w_names[2:])
 
 
 def stack(equations: Sequence, cluster=None) -> StackedSystem:

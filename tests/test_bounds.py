@@ -89,6 +89,13 @@ def test_bounded_response_violated_bounds(fix8):
         lafte_bounds_bounded_response(fix8, 0, 2.5)
 
 
+@pytest.mark.parametrize("ymin, ymax", [(float("nan"), 3.0), (0.0, float("nan")),
+                                        (float("-inf"), 3.0), (0.0, float("inf"))])
+def test_bounded_response_rejects_non_finite_bounds(fix8, ymin, ymax):
+    with pytest.raises(BoundsError, match="response bounds must be finite"):
+        lafte_bounds_bounded_response(fix8, ymin, ymax)
+
+
 def test_bounded_response_ordered_even_when_contradicted():
     # construct data whose d2 contrast exceeds the d1 contrast
     t = from_arrays([1, 1, 1, 1, 0, 0, 0, 0],

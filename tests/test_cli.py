@@ -280,3 +280,40 @@ def test_config_hash_pinned():
     assert _CONFIG_KEYS == {
         "input", "mapping", "controls", "cluster", "delimiter", "level", "ymin", "ymax",
         "out", "format", "seed", "n", "missing", "upper_se_method"}
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["--seed", "-1"], ""),
+    ([], "seed: -1"),
+])
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_negative_seed_exit_1(tmp_path, fix8_path, capsys, argv, setting, command):
+    config = tmp_path / "run.yaml"
+    config.write_text(setting + "\n", encoding="utf-8")
+    data = fix8_path
+    if command == "simulate":
+        data = tmp_path / "s2.yaml"
+        save_spec(s2_spec(), data)
+    out_path = tmp_path / "draw.csv"
+    code, out, err = run([command, "--config", str(config), "--data", str(data),
+                          "--out", str(out_path), "--n", "50", *argv], capsys)
+    assert code == 1
+    assert err.startswith("error: config key 'seed' must be a non-negative integer, got -1")
+    assert "Traceback" not in err and out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, setting, key", [
+    (["--ymin", "nan"], "", "ymin"),
+    (["--ymax", "inf"], "", "ymax"),
+    (["--ymin=-inf"], "", "ymin"),
+    ([], "ymax: .nan", "ymax"),
+    ([], "ymin: -.inf", "ymin"),
+])
+def test_non_finite_response_bound_exit_1(tmp_path, fix8_path, capsys, argv, setting, key):
+    config = tmp_path / "run.yaml"
+    config.write_text(setting + "\n", encoding="utf-8")
+    code, out, err = run(["bounds", "--config", str(config), "--data", str(fix8_path),
+                          "--format", "structured", *argv], capsys)
+    assert code == 1
+    assert err.startswith(f"error: config key '{key}' must be finite")
+    assert "Traceback" not in err and out == ""

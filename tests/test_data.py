@@ -499,6 +499,16 @@ def test_missing_cluster_label_rejected(labels):
                     cluster=labels)
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([2, " ", 1, 2], "missing cluster label"),
+    ([2, "a", 1, 2], "cluster labels of types int, str cannot be ordered"),
+])
+def test_mixed_type_cluster_labels_are_data_errors(labels, message):
+    with pytest.raises(DataError, match=message):
+        from_arrays([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],
+                    cluster=labels)
+
+
 @pytest.mark.parametrize("delimiter", [";;", "", None, 5])
 def test_delimiter_not_one_character_is_config_error(tmp_path, fix8_path, delimiter):
     with pytest.raises(ConfigError, match="delimiter must be one character"):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lafte import RankDeficientError, fit_stacked, ols, stack
+from lafte import RankDeficientError, fit_stacked, ols, regression, stack
 from lafte.regression import RANK_TOLERANCE, _chi2_sf, _normal_cdf
 
 from test_regression import oracle_stacked_iv
@@ -232,3 +232,85 @@ def test_cli_import_leaves_scipy_out():
     code = "import sys, lafte.cli; sys.exit('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# many responses on one design
+
+
+@pytest.mark.parametrize("controls", [0, 2])
+@pytest.mark.parametrize("clustered", [False, True])
+def test_2d_ols_equals_stacked_equations(controls, clustered):
+    rng = np.random.default_rng(30 + controls + clustered)
+    sizes = rng.integers(1, 6, 150)
+    n = int(sizes.sum())
+    x = np.column_stack([np.ones(n), rng.integers(0, 2, n)]
+                        + [rng.standard_normal(n) for _ in range(controls)])
+    y = x @ rng.standard_normal((x.shape[1], 5)) + rng.standard_normal((n, 5))
+    cluster = np.repeat(np.arange(sizes.size), sizes) if clustered else None
+    fit = ols(y, x, cluster, names=[f"w{j}" for j in range(x.shape[1])])
+    ref = fit_stacked(stack([(y[:, e], x) for e in range(5)], cluster))
+    np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=1e-12, atol=0)
+    # Covariances on the correlation scale: an entry near zero between two
+    # equations is a sum that cancels, known only relative to its variances.
+    scale = np.sqrt(np.outer(np.diag(ref.vcov), np.diag(ref.vcov)))
+    assert np.max(np.abs(fit.vcov - ref.vcov) / scale) <= 1e-12
+    np.testing.assert_allclose(np.diag(fit.vcov), np.diag(ref.vcov), rtol=1e-12, atol=0)
+    assert (fit.n, fit.k, fit.dof, fit.covariance_kind, fit.cluster_count) == (
+        ref.n, ref.k, ref.dof, ref.covariance_kind, ref.cluster_count)
+    assert fit.names[:2] == ("eq0.w0", "eq0.w1") and fit.names[-1] == f"eq4.w{x.shape[1] - 1}"
+    assert not fit.response_constant
+
+
+def test_2d_ols_rank_error_names_the_design_column():
+    rng = np.random.default_rng(32)
+    n = 60
+    age = rng.standard_normal(n)
+    x = np.column_stack([np.ones(n), rng.integers(0, 2, n), age, 2 * age])
+    with pytest.raises(RankDeficientError, match="'age2?'"):
+        ols(rng.standard_normal((n, 3)), x, names=("const", "z", "age", "age2"))
+
+
+def test_2d_ols_degenerate_only_when_every_column_is_one_constant():
+    rng = np.random.default_rng(33)
+    n = 40
+    x = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    fit = ols(np.full((n, 3), 2.5), x)
+    assert fit.response_constant and np.array_equal(fit.vcov, np.zeros((6, 6)))
+    assert np.array_equal(fit.coefficients[1::2], np.zeros(3))
+    y = np.column_stack([np.full(n, 2.5), rng.standard_normal(n)])
+    assert not ols(y, x).response_constant
+
+
+def test_2d_ols_never_holds_an_n_by_mk_array():
+    n, m = 200_000, 13
+    rng = np.random.default_rng(34)
+    x = np.column_stack([np.ones(n), rng.integers(0, 2, n), rng.standard_normal((n, 2))])
+    y = rng.standard_normal((n, m))
+    tracemalloc.start()
+    try:
+        ols(y, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * x.shape[1] * 8  # one n x (m*k) float array: 83.2 MB
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+def test_blocked_score_sums_equal_one_block(monkeypatch, rows):
+    # Clusters of 1-9 rows in shuffled order, so blocks of a few rows taken
+    # in cluster order must end at cluster boundaries to sum each cluster whole.
+    rng = np.random.default_rng(35)
+    sizes = rng.integers(1, 10, 60)
+    labels = rng.permutation(np.repeat(np.arange(sizes.size) * 3 + 2, sizes))
+    equations, _ = iv_system(rng, labels.size, (3, 4), sizes)
+    y = np.column_stack([equations[0][0], equations[1][0], rng.standard_normal(labels.size)])
+    x = equations[1][2]
+    whole = [fit_stacked(stack(equations, cluster)) for cluster in (labels, None)]
+    whole += [ols(y, x, cluster) for cluster in (labels, None)]
+    monkeypatch.setattr(regression, "_CHUNK_ROWS", rows)
+    blocked = [fit_stacked(stack(equations, cluster)) for cluster in (labels, None)]
+    blocked += [ols(y, x, cluster) for cluster in (labels, None)]
+    for a, b in zip(blocked, whole):
+        np.testing.assert_array_equal(a.coefficients, b.coefficients)
+        np.testing.assert_allclose(a.vcov, b.vcov, rtol=1e-12, atol=1e-15 * np.abs(b.vcov).max())
