@@ -32,6 +32,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -360,6 +361,11 @@ def run_verify(config: RunConfig) -> ReportBundle:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Values such as -1e3, -inf and -.5 are numbers, as -1 is, not flags.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
     # Usage problems are exit code 1, distinct from data validation (2).
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -3,23 +3,28 @@
 The estimation input is a rectangular table with a binary instrument ``z``,
 binary enrollment indicators ``d1`` and ``d2`` for the first and second part
 of a two-part treatment, a real-valued outcome ``y``, optional real control
-columns, and an optional cluster label. Everything downstream regresses
-``d1``, ``d2``, ``y`` or a composite column derived row-locally from them on
-the instruments; :class:`DerivedColumns` builds all 13 (``RESPONSES``) side
-by side:
+columns, and an optional cluster label. Everything downstream regresses one
+of 13 row-local columns of ``(d1, d2, y)`` on the instruments.
+:data:`COLUMNS` is their one catalogue: a name, a report label and a row
+formula each. The engine evaluates it on a table's rows, as the 13 side by
+side columns of :class:`DerivedColumns`; ``strata.analytic_moments``
+evaluates it on the cells of a population spec.
 
-==============  =============================
-``d_and``       ``d1 * d2`` (both parts)
-``d_or``        ``d1 + d2 - d1*d2`` (at least one part)
-``d_sum``       ``d1 + d2`` (multivalued count)
-``g_or``        ``d_or - d2``
-``g_and``       ``d_and - d2``
-``gy_or``       ``(d_or - d2) * y``
-``gy_and``      ``(d_and - d2) * y``
-``dand_y``      ``d_and * y``
-``untreated_y`` ``(1 - d1) * (1 - d2) * y``
-``kernel_y``    ``(1 - d1 - d2 + 2*d1*d2) * y``
-==============  =============================
+===============  ==================  ===================================
+``d1``           D1                  input: first part
+``d2``           D2                  input: second part
+``d_and``        D∧                  ``d1 * d2`` (both parts)
+``d_or``         D∨                  ``d1 + d2 - d1*d2`` (at least one)
+``d_sum``        D1+D2               ``d1 + d2`` (multivalued count)
+``y``            Y                   input: outcome
+``g_or``         D∨−D2               ``d_or - d2``
+``g_and``        D∧−D2               ``d_and - d2``
+``gy_or``        (D∨−D2)Y            ``(d_or - d2) * y``
+``gy_and``       (D∧−D2)Y            ``(d_and - d2) * y``
+``dand_y``       D∧Y                 ``d_and * y``
+``untreated_y``  (1−D1)(1−D2)Y       ``(1 - d1) * (1 - d2) * y``
+``kernel_y``     (1−D1−D2+2D∧)Y      ``(1 - d1 - d2 + 2*d1*d2) * y``
+===============  ==================  ===================================
 
 ``cluster_codes`` holds each row's cluster label as an ``int64`` index into
 the sorted distinct labels (the inverse of ``np.unique(cluster)``), computed
@@ -42,7 +47,7 @@ import csv
 from dataclasses import dataclass, replace
 from itertools import compress, count, islice
 from operator import itemgetter
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -58,25 +63,38 @@ _BINARY = {"0", "1"}
 # Rows read and transposed into columns at a time by load_table.
 _CHUNK_ROWS = 1 << 16
 
+
+class Column(NamedTuple):
+    """A catalogue entry; ``formula`` reads only earlier columns, and the
+    inputs ``d1``, ``d2`` and ``y`` have none."""
+
+    name: str
+    label: str
+    formula: Callable[[DerivedColumns], np.ndarray] | None = None
+
+
 # Every column regressed on the instruments, in the order of a table's one fit.
-RESPONSES = ("d1", "d2", "d_and", "d_or", "d_sum", "y", "g_or", "g_and",
-             "gy_or", "gy_and", "dand_y", "untreated_y", "kernel_y")
+COLUMNS = (
+    Column("d1", "D1"),
+    Column("d2", "D2"),
+    Column("d_and", "D∧", lambda c: c.d1 * c.d2),
+    Column("d_or", "D∨", lambda c: c.d1 + c.d2 - c.d_and),
+    Column("d_sum", "D1+D2", lambda c: c.d1 + c.d2),
+    Column("y", "Y"),
+    Column("g_or", "D∨−D2", lambda c: c.d_or - c.d2),
+    Column("g_and", "D∧−D2", lambda c: c.d_and - c.d2),
+    Column("gy_or", "(D∨−D2)Y", lambda c: c.g_or * c.y),
+    Column("gy_and", "(D∧−D2)Y", lambda c: c.g_and * c.y),
+    Column("dand_y", "D∧Y", lambda c: c.d_and * c.y),
+    Column("untreated_y", "(1−D1)(1−D2)Y", lambda c: (1 - c.d1) * (1 - c.d2) * c.y),
+    Column("kernel_y", "(1−D1−D2+2D∧)Y", lambda c: (1 - c.d1 - c.d2 + 2 * c.d_and) * c.y),
+)
+
+RESPONSES = tuple(column.name for column in COLUMNS)
+
+LABELS = {column.name: column.label for column in COLUMNS}
 
 _POSITION = {name: j for j, name in enumerate(RESPONSES)}
-
-# Row formula of each derived column; a formula reads only columns before it.
-_FORMULAS = (
-    ("d_and", lambda c: c.d1 * c.d2),
-    ("d_or", lambda c: c.d1 + c.d2 - c.d_and),
-    ("d_sum", lambda c: c.d1 + c.d2),
-    ("g_or", lambda c: c.d_or - c.d2),
-    ("g_and", lambda c: c.d_and - c.d2),
-    ("gy_or", lambda c: c.g_or * c.y),
-    ("gy_and", lambda c: c.g_and * c.y),
-    ("dand_y", lambda c: c.d_and * c.y),
-    ("untreated_y", lambda c: (1 - c.d1) * (1 - c.d2) * c.y),
-    ("kernel_y", lambda c: (1 - c.d1 - c.d2 + 2 * c.d_and) * c.y),
-)
 
 
 @dataclass(frozen=True)
@@ -137,8 +155,9 @@ class DerivedColumns:
         """The 13 columns of rows ``(d1, d2, y)``, one column at a time."""
         columns = cls(np.empty((np.shape(y)[0], len(RESPONSES)), order="F"))
         columns.d1[:], columns.d2[:], columns.y[:] = d1, d2, y
-        for name, formula in _FORMULAS:
-            columns.column(name)[:] = formula(columns)
+        for name, _, formula in COLUMNS:
+            if formula is not None:
+                columns.column(name)[:] = formula(columns)
         columns.values.flags.writeable = False
         return columns
 

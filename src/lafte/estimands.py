@@ -17,11 +17,12 @@ ratio. Under the double exclusion restriction the three complier-group
 shares are identified by the instrument contrasts of ``d2``, ``d_or - d2``,
 and ``d_and - d2``.
 
-Every number is the slope, or a ratio of slopes, of the 13 columns of
-``data.RESPONSES`` on the table's instrument matrix ``W = [1, z, controls]``.
-:func:`slopes` is the one path from a table to them: it fits all 13 once per
-table, as one 2-D :func:`~lafte.regression.ols`, and reads every request off
-that fit as a linear map.
+Every number is the slope, or a ratio of slopes, of the 13 columns of the
+``data.COLUMNS`` catalogue on the table's instrument matrix
+``W = [1, z, controls]``. :func:`slopes` is the one path from a table to
+them: it fits all 13 once per table, as one 2-D
+:func:`~lafte.regression.ols`, and reads every request off that fit as a
+linear map.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import RESPONSES, ObservationTable, derive
+from .data import LABELS, RESPONSES, ObservationTable, derive
 from .exceptions import RelevanceError
 from .regression import RELEVANCE_TOLERANCE, FitResult, instrument_design, ols, tidy_vcov
 
@@ -51,14 +52,7 @@ class TreatmentDef(Enum):
 
     @property
     def label(self) -> str:
-        return _LABELS[self.value]
-
-
-# Reported label of every column regressed on the instruments.
-_LABELS = {
-    "d1": "D1", "d2": "D2", "d_and": "D∧", "d_or": "D∨", "d_sum": "D1+D2", "y": "Y",
-    "g_or": "D∨−D2", "g_and": "D∧−D2", "gy_or": "(D∨−D2)Y", "gy_and": "(D∧−D2)Y",
-}
+        return LABELS[self.value]
 
 # Fixed tie-breaking order for the binary definitions.
 BINARY_DEFS = (TreatmentDef.FIRST, TreatmentDef.SECOND, TreatmentDef.BOTH, TreatmentDef.EITHER)
@@ -145,8 +139,8 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
         for t in dict.fromkeys(t for _, t in key if t is not None):
             first = contrast(table, t).value
             if abs(first) <= RELEVANCE_TOLERANCE:
-                raise RelevanceError(f"relevance failure for {_LABELS[t]}: first stage "
-                                     f"{first:.3e}", first_stage=first, definition=_LABELS[t])
+                raise RelevanceError(f"relevance failure for {LABELS[t]}: first stage "
+                                     f"{first:.3e}", first_stage=first, definition=LABELS[t])
         full, lo, hi = _table_fit(table)
         k = full.k // len(RESPONSES)
         gamma = full.coefficients[1::k]
@@ -176,7 +170,7 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
 def _slope(table: ObservationTable, equation: tuple[str, str | None]) -> EstimateWithSE:
     fit = slopes(table, [equation])
     return EstimateWithSE.from_se(float(fit.coefficients[0]), fit.se(0), table.n,
-                                  fit.cluster_count, _LABELS[equation[1] or equation[0]])
+                                  fit.cluster_count, LABELS[equation[1] or equation[0]])
 
 
 def contrast(table: ObservationTable, column: str) -> EstimateWithSE:

@@ -163,11 +163,7 @@ def _row(label: str, entries) -> str:
 
 def render_estimates(estimates: dict, shares: dict | None) -> str:
     order = [d.value for d in REPORT_ORDER]
-    labels = {"d_sum": "D1+D2", "d1": "D1", "d2": "D2",
-              "d_and": "D∧", "d_or": "D∨"}
-    lines = []
-    header = _row("", [labels[k] for k in order])
-    lines.append(header)
+    lines = [_row("", [d.label for d in REPORT_ORDER])]
     for section, title in (("first_stage", "first stage"), ("iv_estimand", "IV estimand")):
         cells = estimates[section]
         lines.append(_row(title, [fmt(cells[k]["value"]) for k in order]))
@@ -197,19 +193,13 @@ def render_diagnostics(diagnostics: dict) -> str:
     mover = diagnostics["mover_test"]
     sign = diagnostics["double_exclusion"]
     lines = [f"mover test (level {mover['level']:g})"]
-    step1 = mover["step1"]
-    for key, label in (("or_minus_d2", "D∨−D2"),
-                       ("and_minus_d2", "D∧−D2")):
-        c = step1[key]
-        lines.append(f"  {label:<12} {fmt(c['value'])} {fmt_se(c['se'])}")
-    lines.append("  " + _render_joint("step 1 joint", step1["joint"]))
-    if mover["step2"] is not None:
-        step2 = mover["step2"]
-        for key, label in (("or_minus_d2", "(D∨−D2)Y"),
-                           ("and_minus_d2", "(D∧−D2)Y")):
-            c = step2[key]
-            lines.append(f"  {label:<12} {fmt(c['value'])} {fmt_se(c['se'])}")
-        lines.append("  " + _render_joint("step 2 joint", step2["joint"]))
+    for step in ("step1", "step2"):
+        pair = mover[step]
+        if pair is None:
+            continue
+        for c in (pair["or_minus_d2"], pair["and_minus_d2"]):
+            lines.append(f"  {c['definition']:<12} {fmt(c['value'])} {fmt_se(c['se'])}")
+        lines.append("  " + _render_joint(f"step {step[-1]} joint", pair["joint"]))
     lines.append(f"  conclusion: {mover['conclusion']}")
     if mover["degenerate"]:
         lines.append(f"  degenerate contrasts: {', '.join(mover['degenerate'])}"

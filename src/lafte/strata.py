@@ -18,6 +18,9 @@ crossed with the same in the second. The five complier groups are
 and everything a finite-sample estimator targets — first stages, reduced
 form, complier shares, bound endpoints — has an exact closed form as a
 probability-weighted sum over strata, computed here without simulation.
+:func:`analytic_moments` evaluates the estimators' own column catalogue,
+``data.COLUMNS``, on the ``(stratum, z)`` cells, so the oracle and the
+estimators share one definition of every column.
 
 Spec objects are immutable; sampling is a pure function of (spec, n, seed).
 Monte Carlo batches may therefore run concurrently as long as each batch
@@ -32,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .data import ObservationTable, from_arrays
+from .data import RESPONSES, DerivedColumns, ObservationTable, from_arrays
 from .estimands import BINARY_DEFS, TreatmentDef
 from .exceptions import SpecError
 
@@ -220,7 +223,7 @@ class AssumptionAudit:
 
 @dataclass(frozen=True)
 class PopulationMoments:
-    """Exact instrument contrasts of every estimation-relevant moment."""
+    """Exact instrument contrasts of the columns of ``data.COLUMNS``."""
 
     first_stage: dict
     reduced_form: float
@@ -230,6 +233,8 @@ class PopulationMoments:
     gy_and: float
     kernel_y: float
 
+    # Differences of first stages, as the sign checks have always read them;
+    # the contrast of the g_or and g_and columns can differ in the last bit.
     @property
     def g_or(self) -> float:
         return self.first_stage[TreatmentDef.EITHER] - self.first_stage[TreatmentDef.SECOND]
@@ -403,51 +408,25 @@ def group_effect(spec: PopulationSpec, group: str, cells) -> float | None:
 
 
 def analytic_moments(spec: PopulationSpec) -> PopulationMoments:
-    """Exact z-arm contrasts of all estimation moments.
+    """Exact z-arm contrasts of the catalogue's columns.
 
-    Each moment is ``E[W | Z=1] - E[W | Z=0]`` computed as a
-    probability-weighted sum over strata; the results do not depend on
-    ``p_z``.
+    Each moment is ``E[W | Z=1] - E[W | Z=0]`` for a column ``W`` of
+    ``data.COLUMNS``: the columns are evaluated on the 2·S cells
+    ``(stratum, z)`` of ``(d1(z), d2(z), outcome_mean(z))``, weighted by the
+    stratum's probability and summed within each arm in stratum order. The
+    results do not depend on ``p_z``.
     """
-    totals = {name: [0.0, 0.0] for name in (
-        "d1", "d2", "d_and", "d_or", "d_sum", "y",
-        "dand_y", "untreated_y", "gy_or", "gy_and", "kernel_y")}
-    for s in spec.strata:
-        for z in (0, 1):
-            d1, d2 = s.d1(z), s.d2(z)
-            m = s.outcome_mean(z)
-            d_and = d1 * d2
-            d_or = d1 + d2 - d_and
-            w = s.prob
-            totals["d1"][z] += w * d1
-            totals["d2"][z] += w * d2
-            totals["d_and"][z] += w * d_and
-            totals["d_or"][z] += w * d_or
-            totals["d_sum"][z] += w * (d1 + d2)
-            totals["y"][z] += w * m
-            totals["dand_y"][z] += w * d_and * m
-            totals["untreated_y"][z] += w * (1 - d1) * (1 - d2) * m
-            totals["gy_or"][z] += w * (d_or - d2) * m
-            totals["gy_and"][z] += w * (d_and - d2) * m
-            totals["kernel_y"][z] += w * (1 - d1 - d2 + 2 * d_and) * m
-
-    def delta(name):
-        return totals[name][1] - totals[name][0]
-
+    cells = np.array([(s.prob, s.d1(z), s.d2(z), s.outcome_mean(z))
+                      for s in spec.strata for z in (0, 1)], dtype=float).reshape(-1, 4)
+    columns = DerivedColumns.of(cells[:, 1], cells[:, 2], cells[:, 3])
+    weighted = (cells[:, :1] * columns.values).reshape(-1, 2, len(RESPONSES))
+    # One stratum at a time from zero, so each sum is fixed to the last bit.
+    totals = sum(weighted, np.zeros((2, len(RESPONSES))))
+    delta = dict(zip(RESPONSES, (totals[1] - totals[0]).tolist()))
     return PopulationMoments(
-        first_stage={
-            TreatmentDef.FIRST: delta("d1"),
-            TreatmentDef.SECOND: delta("d2"),
-            TreatmentDef.BOTH: delta("d_and"),
-            TreatmentDef.EITHER: delta("d_or"),
-            TreatmentDef.SUM: delta("d_sum"),
-        },
-        reduced_form=delta("y"),
-        dand_y=delta("dand_y"),
-        untreated_y=delta("untreated_y"),
-        gy_or=delta("gy_or"),
-        gy_and=delta("gy_and"),
-        kernel_y=delta("kernel_y"),
+        first_stage={d: delta[d.value] for d in TreatmentDef},
+        reduced_form=delta["y"], dand_y=delta["dand_y"], untreated_y=delta["untreated_y"],
+        gy_or=delta["gy_or"], gy_and=delta["gy_and"], kernel_y=delta["kernel_y"],
     )
 
 
@@ -620,8 +599,19 @@ def spec_from_dict(payload: Mapping) -> PopulationSpec:
         raise SpecError(f"unknown spec keys: {sorted(unknown)}")
     if "strata" not in payload:
         raise SpecError("spec is missing 'strata'")
+    if not isinstance(payload["strata"], (list, tuple)):
+        raise SpecError(f"spec 'strata' must be a list, got {payload['strata']!r}")
+    try:
+        p_z = float(payload.get("p_z", 0.5))
+    except (TypeError, ValueError):
+        raise SpecError(f"p_z must be a number, got {payload['p_z']!r}") from None
+    double_exclusion = payload.get("double_exclusion", False)
+    if not isinstance(double_exclusion, bool):
+        raise SpecError(f"double_exclusion must be true or false, got {double_exclusion!r}")
     strata = []
     for i, raw in enumerate(payload["strata"]):
+        if not isinstance(raw, Mapping):
+            raise SpecError(f"malformed stratum {i}: expected a mapping, got {raw!r}")
         extra = set(raw) - {"prob", "d1", "d2", "mean_y", "y_sd"}
         if extra:
             raise SpecError(f"stratum {i} has unknown keys: {sorted(extra)}")
@@ -638,11 +628,7 @@ def spec_from_dict(payload: Mapping) -> PopulationSpec:
             raise SpecError(f"malformed stratum {i}: responses must be pairs")
         if len(mean_y) != 2 or any(len(r) != 2 for r in mean_y):
             raise SpecError(f"malformed stratum {i}: mean_y must be a 2x2 grid")
-    return PopulationSpec(
-        strata=tuple(strata),
-        p_z=float(payload.get("p_z", 0.5)),
-        double_exclusion=bool(payload.get("double_exclusion", False)),
-    )
+    return PopulationSpec(strata=tuple(strata), p_z=p_z, double_exclusion=double_exclusion)
 
 
 def save_spec(spec: PopulationSpec, path) -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .data import LABELS
 from .estimands import BINARY_DEFS, TreatmentDef
 from .exceptions import SpecError
 from .strata import (
@@ -174,11 +175,12 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
     else:
         checks.append(_skip("double-exclusion.sign",
                             "not applicable: response maps depend on z"))
-        for name, value in (("D∨−D2", moments.g_or), ("D∧−D2", moments.g_and)):
+        for column in ("g_or", "g_and"):
+            value = getattr(moments, column)
             if value < -tolerance:
                 flags.append(
                     f"double exclusion not invocable: instrument contrast of "
-                    f"{name} is {value:.6g} < 0")
+                    f"{LABELS[column]} is {value:.6g} < 0")
 
     # (e) no movers: every binary IV estimand equals the LAFTE
     if audit.no_movers and params is not None and p_cc > 0:

@@ -317,3 +317,42 @@ def test_non_finite_response_bound_exit_1(tmp_path, fix8_path, capsys, argv, set
     assert code == 1
     assert err.startswith(f"error: config key '{key}' must be finite")
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--ymin", "-inf"], 1, "error: config key 'ymin' must be finite, got -inf"),
+    (["--ymin", "-Infinity"], 1, "error: config key 'ymin' must be finite, got -inf"),
+    (["--ymax", "-2.5e1"], 3, "error: response bound violated by data"),
+    (["--ymax", "-.5"], 3, "error: response bound violated by data"),
+    (["--level", "-1e-2"], 1, "error: level must be inside (0,1), got -0.01"),
+])
+def test_negative_numeric_flag_values_are_numbers(fix8_path, capsys, argv, code, message):
+    got, out, err = run(["bounds", "--data", str(fix8_path), *argv], capsys)
+    assert got == code
+    assert err.startswith(message)
+    assert "expected one argument" not in err and out == ""
+
+
+def test_negative_scientific_response_bound(fix8_path, capsys):
+    code, out, _ = run(["bounds", "--data", str(fix8_path), "--format", "structured",
+                        "--ymin", "-1e3", "--ymax", "1e3"], capsys)
+    assert code == 0
+    bounded = json.loads(out)["bounds"]["bounded_response"]
+    assert (bounded["ymin"], bounded["ymax"]) == (-1000.0, 1000.0)
+    assert run(["bounds", "--data", str(fix8_path), "--format", "structured",
+                "--ymin=-1e3", "--ymax=1e3"], capsys)[1] == out
+
+
+@pytest.mark.parametrize("document", [
+    "strata: 5\n", "strata: [5]\n", "p_z: abc\nstrata: []\n", "p_z: [1]\nstrata: []\n",
+    "double_exclusion: 'no'\nstrata: []\n",
+])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_malformed_spec_file_exit_2(tmp_path, capsys, document, command):
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(document, encoding="utf-8")
+    out_path = tmp_path / "draw.csv"
+    code, out, err = run([command, "--data", str(spec_path), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err and out == ""
+    assert not out_path.exists()

@@ -1,6 +1,8 @@
 """One design per table: one instrument matrix, one build of the columns and one fit."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,3 +102,16 @@ def test_iv_rank_errors_name_controls():
         iv_estimand(twice, TreatmentDef.FIRST)
     with pytest.raises(RankDeficientError, match="instrument matrix .*'age2?'"):
         tsls(twice.y, twice.d1, twice.z, twice.controls, names=("const", "d1", "age", "age2"))
+
+
+def test_column_labels_are_written_only_in_the_catalogue():
+    src = Path(data.__file__).resolve().parent
+    labels = set(data.LABELS.values())
+    assert {"D∨−D2", "(D∧−D2)Y", "D1+D2"} <= labels
+    offenders = {
+        (path.name, node.value)
+        for path in sorted(src.glob("*.py")) if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in labels}
+    assert offenders == set()
+

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import yaml
 
 from lafte import (
+    PopulationMoments,
     PopulationSpec,
     SpecError,
     Stratum,
@@ -253,3 +255,85 @@ def test_group_probs_cover_all_strata():
     spec = random_spec(rng)
     probs = group_probs(spec)
     assert sum(probs.values()) == pytest.approx(1.0, rel=1e-12)
+
+
+def _hand_written_moments(spec):
+    """The per-column sums ``analytic_moments`` ran before it evaluated the
+    column catalogue; kept as the reference its values must equal bit for bit."""
+    totals = {name: [0.0, 0.0] for name in (
+        "d1", "d2", "d_and", "d_or", "d_sum", "y",
+        "dand_y", "untreated_y", "gy_or", "gy_and", "kernel_y")}
+    for s in spec.strata:
+        for z in (0, 1):
+            d1, d2 = s.d1(z), s.d2(z)
+            m = s.outcome_mean(z)
+            d_and = d1 * d2
+            d_or = d1 + d2 - d_and
+            w = s.prob
+            totals["d1"][z] += w * d1
+            totals["d2"][z] += w * d2
+            totals["d_and"][z] += w * d_and
+            totals["d_or"][z] += w * d_or
+            totals["d_sum"][z] += w * (d1 + d2)
+            totals["y"][z] += w * m
+            totals["dand_y"][z] += w * d_and * m
+            totals["untreated_y"][z] += w * (1 - d1) * (1 - d2) * m
+            totals["gy_or"][z] += w * (d_or - d2) * m
+            totals["gy_and"][z] += w * (d_and - d2) * m
+            totals["kernel_y"][z] += w * (1 - d1 - d2 + 2 * d_and) * m
+    delta = {name: total[1] - total[0] for name, total in totals.items()}
+    return PopulationMoments(
+        first_stage={d: delta[d.value] for d in TreatmentDef}, reduced_form=delta["y"],
+        **{name: delta[name] for name in ("dand_y", "untreated_y", "gy_or", "gy_and",
+                                          "kernel_y")})
+
+
+def _moment_values(moments):
+    values = {f"first_stage.{d.value}": v for d, v in moments.first_stage.items()}
+    values.update({name: getattr(moments, name) for name in (
+        "reduced_form", "dand_y", "untreated_y", "gy_or", "gy_and", "kernel_y",
+        "g_or", "g_and")})
+    return values
+
+
+def test_analytic_moments_equal_hand_written_sums_bit_for_bit():
+    rng = np.random.default_rng(20250810)
+    specs = [s2_spec(), single_full_complier_spec()]
+    specs += [random_spec(rng, double_exclusion=bool(i % 2),
+                          mean_range=(-10.0, 10.0) if i % 3 else (0.0, 10.0),
+                          n_strata=8 if i % 5 == 0 else None)
+              for i in range(240)]
+    for i, spec in enumerate(specs):
+        got, want = _moment_values(analytic_moments(spec)), _moment_values(
+            _hand_written_moments(spec))
+        assert list(got) == list(want)
+        # float.hex tells -0.0 from 0.0, which == does not.
+        assert {k: float(v).hex() for k, v in got.items()} == {
+            k: float(v).hex() for k, v in want.items()}, i
+        assert all(type(v) is float for v in got.values())
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"strata": 5}, "'strata' must be a list"),
+    ({"strata": [5]}, "malformed stratum 0: expected a mapping"),
+    ({"p_z": "abc"}, "p_z must be a number"),
+    ({"p_z": [1]}, "p_z must be a number"),
+    ({"double_exclusion": "no"}, "double_exclusion must be true or false"),
+    ({"double_exclusion": 1}, "double_exclusion must be true or false"),
+])
+def test_malformed_spec_documents_raise_spec_error(tmp_path, change, message):
+    payload = {**spec_to_dict(s2_spec()), **change}
+    with pytest.raises(SpecError, match=message):
+        spec_from_dict(payload)
+    path = tmp_path / "spec.yaml"
+    path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    with pytest.raises(SpecError, match=message):
+        load_spec(path)
+
+
+def test_yaml_boolean_double_exclusion_is_read():
+    payload = spec_to_dict(s2_spec())
+    for text, flag in (("true", True), ("no", False), ("false", False)):
+        document = yaml.safe_dump(payload).replace("double_exclusion: true",
+                                                   f"double_exclusion: {text}")
+        assert spec_from_dict(yaml.safe_load(document)).double_exclusion is flag
