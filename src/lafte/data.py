@@ -26,6 +26,12 @@ evaluates it on the cells of a population spec.
 ``kernel_y``     (1−D1−D2+2D∧)Y      ``(1 - d1 - d2 + 2*d1*d2) * y``
 ===============  ==================  ===================================
 
+:func:`load_table` and :func:`save_table` move tables through delimited
+text. Their token grammar and their bytes are those of the ``csv`` module,
+which reads any file the loader's byte tokenizer does not take (quoted,
+non-ASCII or ragged files; see :func:`load_table`) and writes the header;
+the rows are split and joined as plain strings, a block of rows at a time.
+
 ``cluster_codes`` holds each row's cluster label as an ``int64`` index into
 the sorted distinct labels (the inverse of ``np.unique(cluster)``), computed
 once by :func:`from_arrays`; ``cluster_count`` is their number. The fits
@@ -43,9 +49,11 @@ both see equal values.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 from dataclasses import dataclass, replace
-from itertools import compress, count, islice
+from itertools import compress, count, islice, product
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
@@ -60,8 +68,11 @@ _MISSING_TOKENS = {"", ".", "na", "nan"}
 
 _BINARY = {"0", "1"}
 
-# Rows read and transposed into columns at a time by load_table.
+# Rows parsed at a time by load_table, and written at a time by save_table.
 _CHUNK_ROWS = 1 << 16
+
+# Bytes searched for line ends at a time by the byte tokenizer of load_table.
+_SCAN_BYTES = 1 << 22
 
 
 class Column(NamedTuple):
@@ -323,33 +334,114 @@ def _missing(tokens, values: np.ndarray | None) -> np.ndarray:
             else np.zeros(len(tokens), dtype=bool))
 
 
-def _parse_rows(rows, positions, kinds):
-    """Parse one chunk of records column by column.
+class _Chunk(NamedTuple):
+    """Up to ``_CHUNK_ROWS`` records of a file, as a tokenizer split them."""
+
+    column: Callable[[int], list[str]]  # the tokens at one position, "" past a row's end
+    fields: Callable[[int], list[str]]  # every token of one record
+
+
+def _csv_reader(raw: bytes, delimiter: str):
+    return csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""),
+                      delimiter=delimiter)
+
+
+def _csv_chunk(rows: list[list[str]]) -> _Chunk:
+    short = min(map(len, rows))
+
+    def column(p: int) -> list[str]:
+        if p < short:
+            return list(map(itemgetter(p), rows))
+        return [row[p] if p < len(row) else "" for row in rows]
+
+    return _Chunk(column, rows.__getitem__)
+
+
+def _csv_tokens(raw: bytes, delimiter: str):
+    """The header and the chunks of records of ``raw`` as ``csv.reader`` reads them."""
+    reader = _csv_reader(raw, delimiter)
+    header = next(reader, None)
+    return header, map(_csv_chunk, iter(lambda: list(islice(reader, _CHUNK_ROWS)), []))
+
+
+def _line_ends(text: np.ndarray, delimiter: int, width: int) -> np.ndarray | None:
+    """Offsets of the line feeds of ``text``; None unless every line has
+    ``width`` fields (the last line may lack its line feed)."""
+    ends, seen = [], 0
+    for start in range(0, text.size, _SCAN_BYTES):
+        piece = text[start:start + _SCAN_BYTES]
+        at = np.flatnonzero((piece == delimiter) | (piece == 10))
+        is_end = piece[at] == 10
+        # Counted from the start of the file, every width-th separator ends a line.
+        expected = is_end[(width - 1 - seen) % width::width]
+        if not expected.all() or expected.size != np.count_nonzero(is_end):
+            return None
+        ends.append(at[is_end] + start)
+        seen += at.size
+    if text[-1] != 10 and seen % width != width - 1:
+        return None
+    return np.concatenate(ends)
+
+
+def _byte_tokens(raw: bytes, delimiter: str):
+    """The header and the chunks of records of ``raw``, split as bytes; None
+    unless ``csv.reader`` would split ``raw`` the same way. That holds when,
+    after an optional BOM, ``raw`` is ASCII with no quote, no NUL and no
+    carriage return outside a CRLF, its header line is not empty, every line
+    has as many fields as the header, and every line is shorter than
+    ``csv.field_size_limit()``."""
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8):]
+    if (not raw or raw.startswith((b"\n", b"\r")) or not raw.isascii() or b'"' in raw
+            or b"\0" in raw or not delimiter.isascii() or delimiter in '"\0\r\n'):
+        return None
+    text = np.frombuffer(raw, np.uint8)
+    header_end = raw.find(b"\n") if b"\n" in raw else text.size
+    width = raw.count(delimiter.encode(), 0, header_end) + 1
+    ends = _line_ends(text, ord(delimiter), width)
+    if ends is None or raw.count(b"\r") != np.count_nonzero(text[ends - 1] == 13):
+        return None
+    if text[-1] != 10:
+        ends = np.append(ends, text.size)
+    if np.diff(ends, prepend=-1).max() > csv.field_size_limit():  # a length plus one
+        return None
+    split = bytes.maketrans(delimiter.encode(), b"\n")
+
+    def chunk(first: int, stop: int) -> _Chunk:
+        # Lines first..stop-1, without the line feed of the last one.
+        tokens = raw[ends[first - 1] + 1:ends[stop - 1]].translate(split, b"\r")
+        tokens = tokens.decode("ascii").split("\n")
+        return _Chunk(lambda p: tokens[p::width], lambda i: tokens[i * width:(i + 1) * width])
+
+    header = raw[:header_end].rstrip(b"\r").decode("ascii").split(delimiter)
+    return header, (chunk(i, min(i + _CHUNK_ROWS, ends.size))
+                    for i in range(1, ends.size, _CHUNK_ROWS))
+
+
+def _parse_columns(columns: list[list[str]], kinds, fields):
+    """Parse one chunk, given the tokens of each mapped column.
 
     Returns the values of each mapped column over the kept rows (None when a
     kept token does not parse) and the mask of rows dropped for a missing
-    value. Rows whose every field is blank are neither kept nor dropped.
+    value. Rows whose every field (``fields(i)``) is blank are neither kept
+    nor dropped.
     """
-    width = max(positions) + 1
-    if min(map(len, rows)) < width:
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    tokens = {p: list(map(itemgetter(p), rows)) for p in positions}
-    floats = {p: _floats(tokens[p]) for p, kind in zip(positions, kinds) if kind == "float"}
-    missing = np.logical_or.reduce([_missing(tokens[p], floats.get(p)) for p in tokens])
+    floats = [_floats(col) if kind == "float" else None for col, kind in zip(columns, kinds)]
+    missing = np.logical_or.reduce([_missing(col, v) for col, v in zip(columns, floats)])
     if missing.any():
         keep = ~missing
-        blank = [i for i in np.flatnonzero(missing) if not any(t.strip() for t in rows[i])]
+        blank = [i for i in np.flatnonzero(missing) if not any(t.strip() for t in fields(i))]
         missing[blank] = False
-        tokens = {p: list(compress(col, keep)) for p, col in tokens.items()}
-        floats = {p: None if v is None else v[keep] for p, v in floats.items()}
+        columns = [list(compress(col, keep)) for col in columns]
+        floats = [None if v is None else v[keep] for v in floats]
     values = []
-    for p, kind in zip(positions, kinds):
+    for col, v, kind in zip(columns, floats, kinds):
         if kind == "float":
-            column = _floats(tokens[p]) if floats[p] is None else floats[p]
+            column = _floats(col) if v is None else v
         elif kind == "cluster":
-            column = np.array([tok.strip() for tok in tokens[p]], dtype=object)
+            column = np.array([tok.strip() for tok in col], dtype=object)
         else:
-            column = _binary(tokens[p])
+            column = _binary(col)
         if column is None:
             return None, missing
         values.append(column)
@@ -409,6 +501,14 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     ``1`` with optional surrounding whitespace. Real columns follow Python's
     ``float`` grammar (``1_0``, ``inf`` and ``1e500`` parse). Cluster labels
     are stripped. Errors name the first offending line or token.
+
+    Records are what ``csv.reader`` makes of the file, and the grammar above
+    applies to its tokens. The file is read once; a plain file is split as
+    bytes, which gives the same tokens faster. Any other file is read by
+    ``csv.reader``: one that, after its BOM, has a non-ASCII byte, a quote, a
+    NUL, a carriage return outside a CRLF, an empty header line, a line with
+    more or fewer fields than the header, or a line as long as
+    ``csv.field_size_limit()``.
     """
     if on_missing not in ("drop", "fail"):
         raise ConfigError(f"unknown missing-data policy {on_missing!r}")
@@ -425,39 +525,36 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     cluster_name = mapping.get("cluster")
 
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle, delimiter=delimiter)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"file {path} is empty")
-            header = [h.strip() for h in header]
-            cols = [str(mapping[key]) for key in ("z", "d1", "d2", "y")] + control_names
-            cols += [str(cluster_name)] if cluster_name else []
-            absent = [col for col in cols if col not in header]
-            if absent:
-                raise ColumnMissingError(
-                    f"column(s) {absent} not found in {path}; header is {header}")
-            positions = [header.index(col) for col in cols]
-            kinds = ["instrument", "treatment", "treatment"] + ["float"] * (1 + len(control_names))
-            kinds += ["cluster"] if cluster_name else []
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        header, chunks = _byte_tokens(raw, delimiter) or _csv_tokens(raw, delimiter)
+        if header is None:
+            raise DataError(f"file {path} is empty")
+        header = [h.strip() for h in header]
+        cols = [str(mapping[key]) for key in ("z", "d1", "d2", "y")] + control_names
+        cols += [str(cluster_name)] if cluster_name else []
+        absent = [col for col in cols if col not in header]
+        if absent:
+            raise ColumnMissingError(
+                f"column(s) {absent} not found in {path}; header is {header}")
+        positions = [header.index(col) for col in cols]
+        kinds = ["instrument", "treatment", "treatment"] + ["float"] * (1 + len(control_names))
+        kinds += ["cluster"] if cluster_name else []
 
-            parts: list[list] = []
-            dropped = 0
-            for start in count(2, _CHUNK_ROWS):
-                rows = list(islice(reader, _CHUNK_ROWS))
-                if not rows:
-                    break
-                chunk, missing = _parse_rows(rows, positions, kinds)
-                if on_missing == "fail" and missing.any():
-                    line = start + int(np.argmax(missing))
-                    raise DataError(f"missing value at line {line} of {path}")
-                dropped += int(missing.sum())
-                if chunk is None:
-                    handle.seek(0)
-                    reader = csv.reader(handle, delimiter=delimiter)
-                    next(reader)
-                    _raise_first_error(reader, positions, cols, kinds, on_missing, path)
-                parts.append(chunk)
+        parts: list[list] = []
+        dropped = 0
+        for start, tokens in zip(count(2, _CHUNK_ROWS), chunks):
+            chunk, missing = _parse_columns(list(map(tokens.column, positions)), kinds,
+                                            tokens.fields)
+            if on_missing == "fail" and missing.any():
+                line = start + int(np.argmax(missing))
+                raise DataError(f"missing value at line {line} of {path}")
+            dropped += int(missing.sum())
+            if chunk is None:
+                reader = _csv_reader(raw, delimiter)
+                next(reader)
+                _raise_first_error(reader, positions, cols, kinds, on_missing, path)
+            parts.append(chunk)
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
 
@@ -472,24 +569,52 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     )
 
 
+def _csv_fields(values, delimiter: str) -> dict[str, str]:
+    """Each distinct string of ``values`` as ``csv.writer`` writes it in a field."""
+    distinct = list(dict.fromkeys(values))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter)
+    writer.writerow(distinct)
+    if buffer.getvalue() == delimiter.join(distinct) + "\r\n":
+        return dict(zip(distinct, distinct))
+    fields = {}
+    for value in distinct:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([value])
+        fields[value] = buffer.getvalue()[:-2]
+    return fields
+
+
 def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     """Write a table in the delimited format :func:`load_table` reads.
 
-    Binary columns are written as ``0``/``1`` and reals with ``repr`` (the
-    ``csv`` module's float format), so reloading reproduces every value
-    bit-identically. Cluster labels are written with ``str`` and quoted
-    when they contain the delimiter, a quote or a line break; lines end in
-    CRLF. Control columns without names are headed ``x0``, ``x1``, ...
+    The bytes are those of ``csv.writer`` with its defaults: binary columns
+    are written as ``0``/``1`` and reals with ``repr`` (the ``csv`` module's
+    float format), so reloading reproduces every value bit-identically.
+    Cluster labels are written with ``str`` and quoted when they contain the
+    delimiter, a quote or a line break; lines end in CRLF. Control columns
+    without names are headed ``x0``, ``x1``, ... Rows are written
+    ``_CHUNK_ROWS`` at a time, each block as one string.
     """
     _check_delimiter(delimiter)
     names = ["z", "d1", "d2", "y"]
     names += list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
-    columns = [table.z.tolist(), table.d1.tolist(), table.d2.tolist(), table.y.tolist(),
-               *table.controls.T.tolist()]
+    reals = [table.y, *table.controls.T]
+    labels = None
     if table.cluster is not None:
         names.append("cluster")
-        columns.append(map(str, table.cluster))
+        labels = _csv_fields(map(str, table.cluster), delimiter)
+    # The (z, d1, d2) fields of a row, at 4*z + 2*d1 + d2.
+    prefixes = [delimiter.join(bits) for bits in product("01", repeat=3)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(names)
-        writer.writerows(zip(*columns))
+        csv.writer(handle, delimiter=delimiter).writerow(names)
+        for start in range(0, table.n, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            codes = 4 * table.z[rows] + 2 * table.d1[rows] + table.d2[rows]
+            fields = [map(prefixes.__getitem__, codes.tolist())]
+            fields += [map(repr, column[rows].tolist()) for column in reals]
+            if labels is not None:
+                fields.append(map(labels.__getitem__, map(str, table.cluster[rows])))
+            handle.write("\r\n".join(map(delimiter.join, zip(*fields))))
+            handle.write("\r\n")

@@ -226,21 +226,26 @@ def _scores(equations, b, rows):
             yield from (w_rows[:, j] * e for j in range(k))
 
 
-def _meat(equations, b, codes, g) -> np.ndarray:
-    """``S'S``, summed over blocks of about ``_CHUNK_ROWS`` rows taken in
-    cluster order (stably, so each cluster sums its rows in row order); a
-    block ends at a cluster boundary."""
-    n = codes.shape[0]
-    order = np.argsort(codes, kind="stable")
-    ends = np.cumsum(np.bincount(codes, minlength=g))
-    targets = np.append(np.arange(_CHUNK_ROWS, n, _CHUNK_ROWS), n)
-    stops = np.unique(ends[np.searchsorted(ends, targets)])
+def _meat(equations, b, codes, n) -> np.ndarray:
+    """``S'S`` over ``n`` rows, summed over blocks of about ``_CHUNK_ROWS``
+    rows. With cluster ``codes``, the rows are taken in cluster order (stably,
+    so each cluster sums its rows in row order) and a block ends at a cluster
+    boundary; with ``codes`` None, a block is a run of rows and each row's
+    scores are its own sums."""
+    stops = np.append(np.arange(_CHUNK_ROWS, n, _CHUNK_ROWS), n)
+    if codes is not None:
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes))
+        stops = np.unique(ends[np.searchsorted(ends, stops)])
     meat, start = 0.0, 0
     for stop in stops:
-        rows = order[start:stop]
-        local = codes[rows] - codes[rows[0]]
-        sums = np.column_stack([np.bincount(local, weights=score)
-                                for score in _scores(equations, b, rows)])
+        if codes is None:
+            sums = np.column_stack(list(_scores(equations, b, slice(start, stop))))
+        else:
+            rows = order[start:stop]
+            local = codes[rows] - codes[rows[0]]
+            sums = np.column_stack([np.bincount(local, weights=score)
+                                    for score in _scores(equations, b, rows)])
         meat = meat + sums.T @ sums
         start = stop
     return meat
@@ -280,7 +285,7 @@ def _fit(equations, cluster, names) -> FitResult:
             bread[col:col + k, col:col + k] = inv
             col += k
 
-    codes, g = (np.arange(n), n) if cluster is None else _cluster_codes(cluster)
+    codes, g = (None, n) if cluster is None else _cluster_codes(cluster)
     kind, count = ("hc1", None) if cluster is None else ("cluster", g)
     ys = [y for y, _, _ in equations]
     if max(y.max() for y in ys) == min(y.min() for y in ys):
@@ -292,7 +297,7 @@ def _fit(equations, cluster, names) -> FitResult:
 
     if g < 2:
         raise EstimationError("cluster covariance requires at least 2 clusters")
-    meat = _meat(equations, b, codes, g)
+    meat = _meat(equations, b, codes, n)
     meat *= (g / (g - 1.0)) * ((big_n - 1.0) / (big_n - big_k))
     vcov = tidy_vcov(bread @ meat @ bread.T)
     return FitResult(b, vcov, big_n, big_k, big_n - big_k, kind, count, names, False)

@@ -29,6 +29,7 @@ owns its own seeded generator and results are combined in a fixed order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -590,6 +591,20 @@ def spec_to_dict(spec: PopulationSpec) -> dict:
     }
 
 
+def _real(value, name: str) -> float:
+    """A real field of a spec; TypeError for a bool, a string or any non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _response(value, name: str) -> int:
+    """A treatment response of a spec; TypeError unless it is an integer 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
+        raise TypeError(f"{name} entries must be integers 0 or 1, got {value!r}")
+    return int(value)
+
+
 def spec_from_dict(payload: Mapping) -> PopulationSpec:
     if not isinstance(payload, Mapping):
         raise SpecError("population spec document must be a mapping")
@@ -602,9 +617,9 @@ def spec_from_dict(payload: Mapping) -> PopulationSpec:
     if not isinstance(payload["strata"], (list, tuple)):
         raise SpecError(f"spec 'strata' must be a list, got {payload['strata']!r}")
     try:
-        p_z = float(payload.get("p_z", 0.5))
-    except (TypeError, ValueError):
-        raise SpecError(f"p_z must be a number, got {payload['p_z']!r}") from None
+        p_z = _real(payload.get("p_z", 0.5), "p_z")
+    except TypeError as exc:
+        raise SpecError(str(exc)) from None
     double_exclusion = payload.get("double_exclusion", False)
     if not isinstance(double_exclusion, bool):
         raise SpecError(f"double_exclusion must be true or false, got {double_exclusion!r}")
@@ -616,12 +631,12 @@ def spec_from_dict(payload: Mapping) -> PopulationSpec:
         if extra:
             raise SpecError(f"stratum {i} has unknown keys: {sorted(extra)}")
         try:
-            d1_at = tuple(int(v) for v in raw["d1"])
-            d2_at = tuple(tuple(int(v) for v in row) for row in raw["d2"])
-            mean_y = tuple(tuple(float(v) for v in row) for row in raw["mean_y"])
+            d1_at = tuple(_response(v, "d1") for v in raw["d1"])
+            d2_at = tuple(tuple(_response(v, "d2") for v in row) for row in raw["d2"])
+            mean_y = tuple(tuple(_real(v, "mean_y") for v in row) for row in raw["mean_y"])
             strata.append(Stratum(
-                prob=float(raw["prob"]), d1_at=d1_at, d2_at=d2_at,
-                mean_y=mean_y, y_sd=float(raw.get("y_sd", 0.0))))
+                prob=_real(raw["prob"], "prob"), d1_at=d1_at, d2_at=d2_at,
+                mean_y=mean_y, y_sd=_real(raw.get("y_sd", 0.0), "y_sd")))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed stratum {i}: {exc}") from None
         if len(d1_at) != 2 or len(d2_at) != 2 or any(len(r) != 2 for r in d2_at):

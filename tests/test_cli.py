@@ -346,6 +346,9 @@ def test_negative_scientific_response_bound(fix8_path, capsys):
 @pytest.mark.parametrize("document", [
     "strata: 5\n", "strata: [5]\n", "p_z: abc\nstrata: []\n", "p_z: [1]\nstrata: []\n",
     "double_exclusion: 'no'\nstrata: []\n",
+    # Fields that would coerce to a full-complier stratum of probability 1.
+    "strata:\n- {prob: true, d1: '01', d2: ['01', '01'], mean_y: [[0, 0], [0, 1]]}\n",
+    "strata:\n- {prob: 1, d1: [0, 1], d2: ['01', '01'], mean_y: [[0, 0], [0, 1]]}\n",
 ])
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_malformed_spec_file_exit_2(tmp_path, capsys, document, command):

@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import os
 import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -356,19 +358,27 @@ def _delimited_files(draw):
     if draw(st.booleans()):
         header = draw(st.permutations(header))
     odd_one_in = {kind: draw(st.sampled_from([0, 4, 16])) for kind in _TOKENS}
+    # A plain file has full rows of tokens free of delimiters, quotes and line
+    # breaks, as the byte tokenizer of load_table needs.
+    plain = draw(st.booleans())
+    tokens = {kind: [[tok for tok in group if not plain or tok.isprintable() and not
+                      set(tok) & set(',"')] for group in groups]
+              for kind, groups in _TOKENS.items()}
+    shapes = ["full"] * 12 + (["spaces"] if plain else ["short", "long", "blank", "spaces"])
     rows = []
     for _ in range(draw(st.integers(0, 16))):
-        shape = draw(st.sampled_from(["full"] * 12 + ["short", "long", "blank", "spaces"]))
+        shape = draw(st.sampled_from(shapes))
         if shape == "blank":
             rows.append([])
             continue
         if shape == "spaces":
-            rows.append([" "] * draw(st.integers(1, len(header) + 1)))
+            width = len(header) if plain else draw(st.integers(1, len(header) + 1))
+            rows.append([" "] * width)
             continue
         row = []
         for col in header:
             kind = _COLUMN_KINDS[col]
-            usual, odd = _TOKENS[kind]
+            usual, odd = tokens[kind]
             is_odd = odd_one_in[kind] and draw(st.integers(1, odd_one_in[kind])) == 1
             row.append(draw(st.sampled_from(odd if is_odd else usual)))
         if shape == "short":
@@ -379,37 +389,7 @@ def _delimited_files(draw):
     return header, rows
 
 
-@given(
-    file=_delimited_files(),
-    delimiter=st.sampled_from([",", "\t"]),
-    bom=st.booleans(),
-    padded_header=st.booleans(),
-    on_missing=st.sampled_from(["drop", "fail"]),
-    controls=st.sampled_from([None, ["x"], ["x", "w"], ["y"]]),
-    cluster=st.sampled_from([None, "hh", "z"]),
-    chunk_rows=st.sampled_from([1, 2, 3, 1 << 16]),
-)
-@settings(max_examples=400, deadline=None)
-def test_columnar_loader_matches_rowwise_reference(file, delimiter, bom, padded_header,
-                                                   on_missing, controls, cluster, chunk_rows):
-    header, rows = file
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, delimiter=delimiter)
-    writer.writerow([f" {h} " if padded_header else h for h in header])
-    writer.writerows(rows)
-    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y"}
-    if controls:
-        mapping["controls"] = controls
-    if cluster:
-        mapping["cluster"] = cluster
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "t.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(("\ufeff" if bom else "") + buffer.getvalue())
-        kwargs = dict(mapping=mapping, delimiter=delimiter, on_missing=on_missing)
-        ref = _load_outcome(_rowwise_load, path, **kwargs)
-        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
-            new = _load_outcome(load_table, path, **kwargs)
+def _assert_same_outcome(new, ref):
     if isinstance(new, Exception):
         assert isinstance(new, (ConfigError, DataError)), repr(new)
     if isinstance(ref, (ConfigError, DataError)):
@@ -419,6 +399,144 @@ def test_columnar_loader_matches_rowwise_reference(file, delimiter, bom, padded_
     else:
         assert not isinstance(new, Exception), repr(new)
         _assert_same_table(new, ref)
+
+
+def _assert_both_tokenizers_match_reference(path, **kwargs):
+    """load_table with the byte tokenizer allowed, and forced off, against
+    the row-wise reference; returns whether the byte tokenizer applies."""
+    ref = _load_outcome(_rowwise_load, path, **kwargs)
+    _assert_same_outcome(_load_outcome(load_table, path, **kwargs), ref)
+    with mock.patch.object(data, "_byte_tokens", lambda raw, delimiter: None):
+        _assert_same_outcome(_load_outcome(load_table, path, **kwargs), ref)
+    with open(path, "rb") as handle:
+        return data._byte_tokens(handle.read(), kwargs.get("delimiter", ",")) is not None
+
+
+@given(
+    file=_delimited_files(),
+    delimiter=st.sampled_from([",", "\t"]),
+    bom=st.booleans(),
+    padded_header=st.booleans(),
+    quoted=st.booleans(),
+    line_end=st.sampled_from(["\r\n", "\n"]),
+    last_line_end=st.booleans(),
+    on_missing=st.sampled_from(["drop", "fail"]),
+    controls=st.sampled_from([None, ["x"], ["x", "w"], ["y"]]),
+    cluster=st.sampled_from([None, "hh", "z"]),
+    chunk_rows=st.sampled_from([1, 2, 3, 1 << 16]),
+)
+@settings(max_examples=400, deadline=None)
+def test_columnar_loader_matches_rowwise_reference(file, delimiter, bom, padded_header, quoted,
+                                                   line_end, last_line_end, on_missing,
+                                                   controls, cluster, chunk_rows):
+    # Each file is read by both tokenizers. Files written by csv.writer quote
+    # odd tokens; files written by a plain join do not, so their odd tokens
+    # make ragged rows, bare carriage returns and stray quotes.
+    header, rows = file
+    header = [f" {h} " if padded_header else h for h in header]
+    buffer = io.StringIO()
+    if quoted:
+        csv.writer(buffer, delimiter=delimiter, lineterminator=line_end).writerows([header, *rows])
+    else:
+        buffer.write("".join(delimiter.join(row) + line_end for row in [header, *rows]))
+    text = buffer.getvalue()
+    if not last_line_end:
+        text = text.removesuffix(line_end)
+    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y"}
+    if controls:
+        mapping["controls"] = controls
+    if cluster:
+        mapping["cluster"] = cluster
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(("\ufeff" if bom else "") + text)
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+            _assert_both_tokenizers_match_reference(
+                path, mapping=mapping, delimiter=delimiter, on_missing=on_missing)
+
+
+_HH = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": ["x"], "cluster": "hh"}
+_CLEAN = "z,d1,d2,y,x,hh\n1,1,0,1.5,0.25,a\n0,0,1,-2.0,1e-3,b\n1,0,0,3.0,-0.0,a\n"
+
+
+@pytest.mark.parametrize("text, byte_path", [
+    (_CLEAN, True),
+    (_CLEAN.replace("\n", "\r\n"), True),
+    ("\ufeff" + _CLEAN, True),
+    (_CLEAN.replace("-2.0", "-2.0\r"), False),  # bare carriage return
+    (_CLEAN.replace("\n0,0,1", "\r0,0,1"), False),  # carriage return as a line end
+    (_CLEAN.replace(",b\n", ",b\0\n"), False),  # NUL
+    (_CLEAN.replace(",b\n", ",bé\n"), False),  # non-ASCII label
+    (_CLEAN.replace(",b\n", ',"b"\n'), False),  # quote
+    (_CLEAN.replace(",b\n", ",b" + "x" * 60 + "\n"), False),  # longer than the field limit
+    (_CLEAN.replace(",b\n", ",b,extra\n"), False),  # ragged: long row
+    (_CLEAN.replace(",0.25,a\n", ",0.25\n"), False),  # ragged: short row
+    (_CLEAN.replace("\n0,0,1", "\n\n0,0,1"), False),  # empty line
+    (_CLEAN.replace("\n0,0,1", "\n,,,,,\n0,0,1"), True),  # all-blank row
+    (_CLEAN.replace("\n0,0,1", "\n , ,\t, , ,\n0,0,1"), True),  # all-whitespace row
+    (_CLEAN.replace(",b\n", ",\n"), True),  # missing cluster label
+    (_CLEAN.split("\n")[0], True),  # header only, no line end
+    (_CLEAN.split("\n")[0] + "\n", True),  # header only
+    (_CLEAN.rstrip("\n"), True),  # missing last line end
+    (_CLEAN.rstrip("\n").replace("\n", "\r\n"), True),
+    (_CLEAN.rstrip("\n") + "\r", False),
+    (_CLEAN.rstrip("\n").removesuffix(",a"), False),  # ragged last row without a line end
+    (_CLEAN.rstrip("\n") + ",extra", False),
+    ("", False),
+    ("\n" + _CLEAN, False),  # empty header line
+    (_CLEAN.replace("1.5", "oops"), True),  # bad token: rescanned by csv.reader
+])
+def test_byte_tokenizer_fallback_triggers(tmp_path, text, byte_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    limit = csv.field_size_limit(40)
+    try:
+        for on_missing in ("drop", "fail"):
+            assert _assert_both_tokenizers_match_reference(
+                path, mapping=_HH, on_missing=on_missing) is byte_path
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_lines_shorter_than_the_field_limit_take_the_byte_path(tmp_path):
+    path = tmp_path / "t.csv"
+    line = "1,1,0,1.5,0.25," + "a" * 25
+    path.write_text(_CLEAN.replace("1,1,0,1.5,0.25,a", line), encoding="utf-8")
+    limit = csv.field_size_limit(len(line) + 1)
+    try:
+        assert _assert_both_tokenizers_match_reference(path, mapping=_HH)
+        csv.field_size_limit(len(line))
+        assert not _assert_both_tokenizers_match_reference(path, mapping=_HH)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _households_csv(path, n, rng):
+    # The shape of the clustered bench input: LF line ends, fixed-precision reals.
+    lines = ["z,d1,d2,y,x1,x2,hh"] + [
+        f"{a},{b},{c},{v:.6f},{w:.4f},{h},hh{g:06d}" for a, b, c, v, w, h, g in zip(
+            rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
+            rng.standard_normal(n), rng.standard_normal(n), rng.integers(-1, 2, n),
+            np.arange(n) // 3)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_clean_files_never_reach_csv_reader(tmp_path):
+    rng = np.random.default_rng(5)
+    households = tmp_path / "hh.csv"
+    _households_csv(households, 5000, rng)
+    draw = tmp_path / "draw.csv"  # written by save_table: CRLF line ends, repr reals
+    save_table(from_arrays(rng.integers(0, 2, 5000), rng.integers(0, 2, 5000),
+                           rng.integers(0, 2, 5000), rng.standard_normal(5000)), draw)
+    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": ["x1", "x2"],
+               "cluster": "hh"}
+    cases = [(households, mapping), (draw, None)]
+    refs = [_rowwise_load(path, mapping) for path, mapping in cases]
+    with mock.patch.object(data.csv, "reader", side_effect=AssertionError("csv.reader")), \
+            mock.patch.object(data, "_CHUNK_ROWS", 1000):
+        for (path, mapping), ref in zip(cases, refs):
+            _assert_same_table(load_table(path, mapping), ref)
 
 
 def test_loader_error_precedence_across_chunks(tmp_path):
@@ -455,11 +573,20 @@ def _awkward_table(rng, n=60, k=2):
 
 @pytest.mark.parametrize("delimiter", [",", "\t"])
 def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter):
+    # Blocks of 1-3 rows start and end on each of the seven label kinds, three
+    # of which need quoting under either delimiter and one under each.
     rng = np.random.default_rng(11)
-    for table in (_awkward_table(rng), _awkward_table(rng, k=0),
-                  from_arrays([0, 1, 1], [1, 0, 1], [0, 0, 1], [0.1, -0.0, 1e-310])):
+    plain = _awkward_table(rng, n=9)
+    tables = (_awkward_table(rng), _awkward_table(rng, k=0),
+              replace(plain, cluster=None, cluster_codes=None, cluster_count=None),
+              from_arrays([0, 1, 1], [1, 0, 1], [0, 0, 1], [0.1, -0.0, 1e-310]),
+              from_arrays([0, 1], [1, 1], [0, 0], [-0.0, 5e-324],
+                          controls=[[1e-310, -0.0], [-1.7976931348623157e308, 1e308]],
+                          cluster=["a,b", "c"]))
+    for chunk_rows, table in itertools.product([1, 2, 3, data._CHUNK_ROWS], tables):
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        save_table(table, new, delimiter=delimiter)
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+            save_table(table, new, delimiter=delimiter)
         _rowwise_save(table, ref, delimiter=delimiter)
         assert new.read_bytes() == ref.read_bytes()
         names = list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]

@@ -314,3 +314,19 @@ def test_blocked_score_sums_equal_one_block(monkeypatch, rows):
     for a, b in zip(blocked, whole):
         np.testing.assert_array_equal(a.coefficients, b.coefficients)
         np.testing.assert_allclose(a.vcov, b.vcov, rtol=1e-12, atol=1e-15 * np.abs(b.vcov).max())
+
+
+@pytest.mark.parametrize("rows, n", [
+    (7, 100), (regression._CHUNK_ROWS, 3 * regression._CHUNK_ROWS + 5)])
+def test_unclustered_meat_equals_singleton_cluster_meat(monkeypatch, rows, n):
+    # Runs of rows, each row its own sum, give the bits of the per-cluster
+    # bincount sums over n singleton clusters; n is not a multiple of the block.
+    rng = np.random.default_rng(36)
+    equations, _ = iv_system(rng, n, (3, 4), [n])
+    equations = [(np.column_stack([y, rng.standard_normal(n)]), x, w) for y, x, w in equations]
+    b = rng.standard_normal(sum(2 * x.shape[1] for _, x, _ in equations))
+    monkeypatch.setattr(regression, "_CHUNK_ROWS", rows)
+    blocked = regression._meat(equations, b, None, n)
+    singletons = regression._meat(equations, b, np.arange(n), n)
+    assert blocked.shape == (b.size, b.size)
+    assert blocked.tobytes() == singletons.tobytes()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -329,6 +331,49 @@ def test_malformed_spec_documents_raise_spec_error(tmp_path, change, message):
     path.write_text(yaml.safe_dump(payload), encoding="utf-8")
     with pytest.raises(SpecError, match=message):
         load_spec(path)
+
+
+def _stratum_change(**fields):
+    payload = spec_to_dict(s2_spec())
+    payload["strata"][0].update(fields)
+    return payload
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_stratum_change(d1="01"), "malformed stratum 0: d1 entries must be integers 0 or 1, got '0'"),
+    (_stratum_change(d1=[0, "1"]), "d1 entries must be integers 0 or 1, got '1'"),
+    (_stratum_change(d1=[False, True]), "d1 entries must be integers 0 or 1, got False"),
+    (_stratum_change(d1=[0, 1.0]), "d1 entries must be integers 0 or 1, got 1.0"),
+    (_stratum_change(d1=[0, 2]), "d1 entries must be integers 0 or 1, got 2"),
+    (_stratum_change(d2=["01", "01"]), "d2 entries must be integers 0 or 1, got '0'"),
+    (_stratum_change(d2=[[0, 1], [True, 1]]), "d2 entries must be integers 0 or 1, got True"),
+    (_stratum_change(prob=True), "malformed stratum 0: prob must be a number, got True"),
+    (_stratum_change(prob="0.5"), "prob must be a number, got '0.5'"),
+    (_stratum_change(y_sd=True), "y_sd must be a number, got True"),
+    (_stratum_change(y_sd="1"), "y_sd must be a number, got '1'"),
+    (_stratum_change(mean_y=[[0.0, "1"], [0.0, 0.0]]), "mean_y must be a number, got '1'"),
+    (_stratum_change(mean_y=[[0.0, False], [0.0, 0.0]]), "mean_y must be a number, got False"),
+    ({**spec_to_dict(s2_spec()), "p_z": True}, "p_z must be a number, got True"),
+    ({**spec_to_dict(s2_spec()), "p_z": "0.5"}, "p_z must be a number, got '0.5'"),
+])
+def test_spec_fields_are_not_coerced(tmp_path, payload, message):
+    with pytest.raises(SpecError, match=re.escape(message)):
+        spec_from_dict(payload)
+    path = tmp_path / "spec.yaml"
+    path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    with pytest.raises(SpecError, match=re.escape(message)):
+        load_spec(path)
+
+
+def test_spec_numbers_of_either_yaml_kind_are_read():
+    payload = spec_to_dict(s2_spec())
+    payload["p_z"] = np.float64(0.5)
+    payload["strata"][0].update(prob=np.float64(payload["strata"][0]["prob"]), y_sd=0,
+                                d1=[np.int64(0), 1], mean_y=[[0, 1], [2, 3.5]])
+    spec = spec_from_dict(payload)
+    assert spec.strata[0].d1_at == (0, 1) and type(spec.strata[0].d1_at[0]) is int
+    assert spec.strata[0].mean_y == ((0.0, 1.0), (2.0, 3.5)) and spec.strata[0].y_sd == 0.0
+    assert all(type(v) is float for row in spec.strata[0].mean_y for v in row)
 
 
 def test_yaml_boolean_double_exclusion_is_read():
