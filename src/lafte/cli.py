@@ -32,16 +32,17 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
 from . import __version__
 from .bounds import lafte_bounds, lafte_bounds_bounded_response, tau_bounds
-from .data import load_table, save_table
+from .data import DEFAULT_MAPPING, load_table, save_table
 from .diagnostics import double_exclusion_check, mover_test
 from .estimands import (
     REPORT_ORDER,
@@ -54,14 +55,10 @@ from .exceptions import ConfigError, DataError, EstimationError, SpecError
 from .report import (
     ReportBundle,
     bounds_dict,
-    cell,
-    mover_test_dict,
     render_bounds,
     render_diagnostics,
     render_estimates,
     render_verification,
-    shares_dict,
-    sign_check_dict,
     verification_dict,
 )
 from .strata import (
@@ -73,8 +70,6 @@ from .strata import (
     validate_spec,
 )
 from .verify import verify_identities
-
-_MAPPING_KEYS = {"z", "d1", "d2", "y"}
 
 
 @dataclass
@@ -110,7 +105,7 @@ class RunConfig:
                 "config_hash": self.config_hash()}
 
     def table_mapping(self) -> dict:
-        mapping = dict(self.mapping or {"z": "z", "d1": "d1", "d2": "d2", "y": "y"})
+        mapping = dict(self.mapping or DEFAULT_MAPPING)
         if self.controls:
             mapping["controls"] = list(self.controls)
         if self.cluster:
@@ -148,7 +143,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         mapping = payload["mapping"]
         if not isinstance(mapping, dict):
             raise ConfigError("config 'mapping' must be a key-value mapping")
-        unknown = set(mapping) - _MAPPING_KEYS
+        unknown = set(mapping) - set(DEFAULT_MAPPING)
         if unknown:
             raise ConfigError(f"unknown mapping keys: {sorted(unknown)}")
         config.mapping = {k: str(v) for k, v in mapping.items()}
@@ -164,13 +159,18 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config key 'controls' must be a list of column names "
                               "or a comma-separated string")
         config.controls = [str(c) for c in controls]
+    # Numbers are read as YAML wrote them, never coerced: no bool, no string,
+    # and no float where an integer is meant.
     for key, caster in (("level", float), ("ymin", float), ("ymax", float),
                         ("seed", int), ("n", int)):
-        if key in payload and payload[key] is not None:
-            try:
-                setattr(config, key, caster(payload[key]))
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key '{key}' must be a number") from None
+        value = payload.get(key)
+        if value is None:
+            continue
+        kind, noun = ((numbers.Integral, "an integer") if caster is int
+                      else (numbers.Real, "a number"))
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"config key '{key}' must be {noun}, got {value!r}")
+        setattr(config, key, caster(value))
 
     # per-flag overrides
     if getattr(args, "data", None):
@@ -226,30 +226,20 @@ def _load(config: RunConfig):
                       delimiter=config.delimiter, on_missing=config.missing)
 
 
-def _estimate_sections(table):
-    stages = {}
-    ivs = {}
-    for d in REPORT_ORDER:
-        stages[d.value] = cell(first_stage(table, d))
-        ivs[d.value] = cell(iv_estimand(table, d))
-    estimates = {
-        "first_stage": stages,
-        "iv_estimand": ivs,
-        "reduced_form": cell(reduced_form(table)),
-    }
-    shares = complier_shares(table)
-    return estimates, shares
-
-
 def run_estimate(config: RunConfig) -> ReportBundle:
     table = _load(config)
-    estimates, shares = _estimate_sections(table)
+    estimates = {
+        "first_stage": {d.value: asdict(first_stage(table, d)) for d in REPORT_ORDER},
+        "iv_estimand": {d.value: asdict(iv_estimand(table, d)) for d in REPORT_ORDER},
+        "reduced_form": asdict(reduced_form(table)),
+    }
+    shares = complier_shares(table)
     warnings = list(table.warnings) + list(shares.warnings)
     warnings.append("complier shares assume the double exclusion restriction; "
                     "run 'lafte diagnose' to test its necessary conditions")
     bundle = ReportBundle(
         command="estimate", metadata=config.metadata(),
-        estimates=estimates, shares=shares_dict(shares), warnings=warnings)
+        estimates=estimates, shares=asdict(shares), warnings=warnings)
     bundle.text = (f"estimate: n={table.n}"
                    + (f", clusters={table.cluster_count}" if table.cluster_count else "")
                    + "\n\n" + render_estimates(estimates, bundle.shares))
@@ -259,8 +249,7 @@ def run_estimate(config: RunConfig) -> ReportBundle:
 def _diagnostics_sections(table, level):
     mover = mover_test(table, level=level)
     sign = double_exclusion_check(table, level=level)
-    return {"mover_test": mover_test_dict(mover),
-            "double_exclusion": sign_check_dict(sign)}, mover, sign
+    return {"mover_test": asdict(mover), "double_exclusion": asdict(sign)}, mover, sign
 
 
 def run_diagnose(config: RunConfig) -> ReportBundle:
@@ -317,14 +306,8 @@ def run_simulate(config: RunConfig) -> ReportBundle:
     moments = analytic_moments(spec)
     truth = {
         "spec": spec_to_dict(spec),
-        "audit": {
-            "no_movers": audit.no_movers,
-            "double_exclusion": audit.double_exclusion,
-            "mtr": audit.mtr, "mts": audit.mts,
-            "positive_response": audit.positive_response,
-            "relevance": audit.relevance,
-            "homogeneity": {d.value: v for d, v in audit.homogeneity.items()},
-        },
+        "audit": {**asdict(audit),
+                  "homogeneity": {d.value: v for d, v in audit.homogeneity.items()}},
         "group_probs": params.group_probs,
         "group_effects": params.group_effects,
         "lafte_over_c": params.lafte_over_c,

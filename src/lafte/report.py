@@ -5,17 +5,20 @@ holding every estimate at full precision, serialized as deterministic JSON
 (no timestamps, sorted keys), plus a fixed-width text rendering that prints
 three decimals and renders an undefined standard error as ``(.)``. Every
 number in the text table is present in the machine-readable document.
+
+Each section of the document is the ``dataclasses.asdict`` of the result it
+reports, so its keys are that result's fields. Two sections differ: a bound
+pair leaves out the optional fields it did not set, and a verification adds
+its ``all_passed`` and ``clean`` verdicts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bounds import BoundsResult
-from .diagnostics import MoverTestReport, SignCheckReport
-from .estimands import REPORT_ORDER, ComplierShares, EstimateWithSE
-from .regression import TestResult
+from .estimands import REPORT_ORDER
 from .verify import VerificationReport
 
 UNDEFINED_SE = "(.)"
@@ -31,25 +34,6 @@ def fmt_se(se: float | None, decimals: int = 3) -> str:
     if se is None:
         return UNDEFINED_SE
     return f"({se + 0.0:.{decimals}f})"
-
-
-def cell(est: EstimateWithSE) -> dict:
-    return {
-        "value": float(est.value),
-        "se": None if est.se is None else float(est.se),
-        "ci_low": None if est.ci_low is None else float(est.ci_low),
-        "ci_high": None if est.ci_high is None else float(est.ci_high),
-        "n": est.n,
-        "cluster_count": est.cluster_count,
-        "definition": est.definition,
-    }
-
-
-def test_dict(test: TestResult | None) -> dict | None:
-    if test is None:
-        return None
-    return {"statistic": float(test.statistic), "dof": test.dof,
-            "p_value": float(test.p_value), "kind": test.kind}
 
 
 @dataclass
@@ -81,73 +65,13 @@ class ReportBundle:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def shares_dict(shares: ComplierShares) -> dict:
-    return {
-        "p_full": cell(shares.p_full),
-        "p_dropout": cell(shares.p_dropout),
-        "p_late_adopter": cell(shares.p_late_adopter),
-        "warnings": list(shares.warnings),
-    }
-
-
-def mover_test_dict(report: MoverTestReport) -> dict:
-    def pair(step):
-        if step is None:
-            return None
-        return {"or_minus_d2": cell(step.or_minus_d2),
-                "and_minus_d2": cell(step.and_minus_d2),
-                "joint": test_dict(step.joint)}
-    return {
-        "level": report.level,
-        "conclusion": report.conclusion,
-        "method": report.method,
-        "caveat": report.caveat,
-        "degenerate": list(report.degenerate),
-        "recommendation": report.recommendation,
-        "step1": pair(report.step1),
-        "step2": pair(report.step2),
-    }
-
-
-def sign_check_dict(report: SignCheckReport) -> dict:
-    return {
-        "level": report.level,
-        "verdict": report.verdict,
-        "or_minus_d2": cell(report.or_minus_d2),
-        "and_minus_d2": cell(report.and_minus_d2),
-        "one_sided_p": [None if p is None else float(p) for p in report.one_sided_p],
-    }
-
-
 def bounds_dict(result: BoundsResult) -> dict:
-    payload = {
-        "kind": result.kind,
-        "lower": cell(result.lower),
-        "upper": cell(result.upper),
-        "assumptions": list(result.assumptions),
-        "warnings": list(result.warnings),
-        "flipped": result.flipped,
-    }
-    if result.ymin is not None:
-        payload["ymin"] = float(result.ymin)
-        payload["ymax"] = float(result.ymax)
-    if result.maximizer is not None:
-        payload["maximizer"] = result.maximizer
-    return payload
+    """The fields of a bound pair, without the optional ones it leaves unset."""
+    return {key: value for key, value in asdict(result).items() if value is not None}
 
 
 def verification_dict(report: VerificationReport) -> dict:
-    return {
-        "tolerance": report.tolerance,
-        "all_passed": report.all_passed,
-        "clean": report.clean,
-        "flags": list(report.flags),
-        "checks": [
-            {"name": c.name, "applicable": c.applicable, "passed": c.passed,
-             "lhs": c.lhs, "rhs": c.rhs, "note": c.note}
-            for c in report.checks
-        ],
-    }
+    return {**asdict(report), "all_passed": report.all_passed, "clean": report.clean}
 
 
 # ---------------------------------------------------------------------------

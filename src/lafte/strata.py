@@ -299,6 +299,10 @@ def validate_spec(spec: PopulationSpec) -> AssumptionAudit:
     """
     if not spec.strata:
         raise SpecError("spec has no strata")
+    for i, s in enumerate(spec.strata):
+        # A NaN would slip through every comparison below.
+        if not np.isfinite([s.prob, s.y_sd, *s.mean_y[0], *s.mean_y[1]]).all():
+            raise SpecError(f"stratum {i} has a non-finite prob, y_sd or mean_y")
     probs = np.array([s.prob for s in spec.strata], dtype=float)
     if (probs < 0).any():
         raise SpecError("stratum probabilities must be nonnegative")

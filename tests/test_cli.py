@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 import yaml
 
-from lafte import PopulationSpec, load_table, sample, save_spec, stratum
+from lafte import (
+    PopulationSpec,
+    from_arrays,
+    load_table,
+    sample,
+    save_spec,
+    save_table,
+    stratum,
+)
 from lafte.cli import main
 
-from conftest import FIX8_CSV, s2_spec
+from conftest import FIX8_CSV, random_table, s2_spec
 
 
 def run(argv, capsys):
@@ -138,7 +146,6 @@ def test_bounds_downgrade_on_rejected_double_exclusion(tmp_path, capsys):
         stratum("N1N2", 0.2, {}, y_sd=0.5),
     ), p_z=0.5)
     table = sample(spec, 20_000, seed=6)
-    from lafte import save_table
     path = tmp_path / "rejected.csv"
     save_table(table, path)
     code, out, _ = run(["bounds", "--data", str(path)], capsys)
@@ -248,6 +255,18 @@ def test_unwritable_truth_sidecar_exit_1(tmp_path, capsys):
     ("controls: {x1: 1}", "controls"),
     ("delimiter: ';;'", "delimiter"),
     ("delimiter: ''", "delimiter"),
+    # Numbers are not coerced: an overflowing, fractional, boolean or quoted
+    # value is an error, not a traceback or a silently different run.
+    ("n: .inf", "n"),
+    ("n: 50.0", "n"),
+    ("seed: .inf", "seed"),
+    ("seed: 1.9", "seed"),
+    ("seed: true", "seed"),
+    ("seed: '1'", "seed"),
+    ("level: true", "level"),
+    ("level: '0.1'", "level"),
+    ("ymin: abc", "ymin"),
+    ("ymax: [1]", "ymax"),
 ])
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
 def test_bad_config_value_exit_1(tmp_path, fix8_path, capsys, setting, key, command):
@@ -349,6 +368,11 @@ def test_negative_scientific_response_bound(fix8_path, capsys):
     # Fields that would coerce to a full-complier stratum of probability 1.
     "strata:\n- {prob: true, d1: '01', d2: ['01', '01'], mean_y: [[0, 0], [0, 1]]}\n",
     "strata:\n- {prob: 1, d1: [0, 1], d2: ['01', '01'], mean_y: [[0, 0], [0, 1]]}\n",
+    # Non-finite reals, which would pass the probability-sum check or draw no noise.
+    "strata:\n- {prob: .nan, d1: [0, 1], d2: [[0, 1], [0, 1]], mean_y: [[0, 0], [0, 1]]}\n",
+    "strata:\n- {prob: 1, d1: [0, 1], d2: [[0, 1], [0, 1]], mean_y: [[0, 0], [0, 1]],"
+    " y_sd: .nan}\n",
+    "strata:\n- {prob: 1, d1: [0, 1], d2: [[0, 1], [0, 1]], mean_y: [[0, .inf], [0, 1]]}\n",
 ])
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_malformed_spec_file_exit_2(tmp_path, capsys, document, command):
@@ -359,3 +383,113 @@ def test_malformed_spec_file_exit_2(tmp_path, capsys, document, command):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err and out == ""
     assert not out_path.exists()
+
+
+# The structured document, section by section. Each section is the
+# ``dataclasses.asdict`` of one result, so its keys are the result's fields.
+CELL = {"value", "se", "ci_low", "ci_high", "n", "cluster_count", "definition"}
+JOINT = {"statistic", "dof", "p_value", "kind"}
+PAIR = {"or_minus_d2", "and_minus_d2", "joint"}
+BOUND = {"kind", "lower", "upper", "assumptions", "warnings", "flipped"}
+CHECK = {"name", "applicable", "passed", "lhs", "rhs", "note"}
+DEFINITIONS = {"d1", "d2", "d_and", "d_or", "d_sum"}
+
+
+def _assert_cells(cells):
+    for c in cells:
+        assert set(c) == CELL
+
+
+def _assert_schema(doc, command):
+    section = {"estimate": {"estimates", "shares"}, "diagnose": {"diagnostics"},
+               "bounds": {"diagnostics", "bounds"}, "simulate": {"simulation"},
+               "verify": {"verification"}}[command]
+    assert set(doc) == {"command", "metadata", "warnings"} | section
+    assert set(doc["metadata"]) == {"version", "seed", "config_hash"}
+    if "estimates" in doc:
+        est = doc["estimates"]
+        assert set(est) == {"first_stage", "iv_estimand", "reduced_form"}
+        assert set(est["first_stage"]) == set(est["iv_estimand"]) == DEFINITIONS
+        _assert_cells([*est["first_stage"].values(), *est["iv_estimand"].values(),
+                       est["reduced_form"]])
+        shares = doc["shares"]
+        assert set(shares) == {"p_full", "p_dropout", "p_late_adopter", "warnings"}
+        _assert_cells([shares["p_full"], shares["p_dropout"], shares["p_late_adopter"]])
+    if "diagnostics" in doc:
+        assert set(doc["diagnostics"]) == {"mover_test", "double_exclusion"}
+        mover = doc["diagnostics"]["mover_test"]
+        assert set(mover) == {"level", "conclusion", "method", "caveat", "degenerate",
+                              "recommendation", "step1", "step2"}
+        for step in ("step1", "step2"):
+            assert set(mover[step]) == PAIR
+            _assert_cells([mover[step]["or_minus_d2"], mover[step]["and_minus_d2"]])
+            assert set(mover[step]["joint"]) == JOINT
+        sign = doc["diagnostics"]["double_exclusion"]
+        assert set(sign) == {"level", "verdict", "or_minus_d2", "and_minus_d2",
+                             "one_sided_p"}
+        _assert_cells([sign["or_minus_d2"], sign["and_minus_d2"]])
+        assert len(sign["one_sided_p"]) == 2
+    if "bounds" in doc:
+        bounds = doc["bounds"]
+        assert set(bounds) == {"theorem1", "bounded_response", "tau", "downgraded"}
+        assert set(bounds["theorem1"]) == BOUND
+        assert set(bounds["bounded_response"]) == BOUND | {"ymin", "ymax"}
+        assert set(bounds["tau"]) == BOUND | {"maximizer"}
+        _assert_cells([bounds[k][end] for k in ("theorem1", "bounded_response", "tau")
+                       for end in ("lower", "upper")])
+    if "verification" in doc:
+        verification = doc["verification"]
+        assert set(verification) == {"tolerance", "all_passed", "clean", "flags", "checks"}
+        assert verification["checks"]
+        for c in verification["checks"]:
+            assert set(c) == CHECK
+    if "simulation" in doc:
+        simulation = doc["simulation"]
+        assert set(simulation) == {"data_path", "truth_path", "n", "seed", "truth"}
+        truth = simulation["truth"]
+        assert set(truth) == {"spec", "audit", "group_probs", "group_effects",
+                              "lafte_over_c", "tau", "moments"}
+        assert set(truth["audit"]) == {"no_movers", "double_exclusion", "mtr", "mts",
+                                       "positive_response", "relevance", "homogeneity"}
+        assert set(truth["audit"]["homogeneity"]) == DEFINITIONS - {"d_sum"}
+        assert set(truth["moments"]) == {"first_stage", "reduced_form"}
+        assert set(truth["moments"]["first_stage"]) == DEFINITIONS
+
+
+def _leaf_types(node):
+    if isinstance(node, dict):
+        assert all(type(key) is str for key in node)
+        return set().union(*map(_leaf_types, node.values()))
+    if type(node) in (list, tuple):
+        return set().union(*map(_leaf_types, node))
+    return {type(node)}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_structured_document_schema(tmp_path, fix8_path, capsys):
+    from lafte.cli import _RUNNERS, _build_parser, build_config
+    spec_path = tmp_path / "s2.yaml"
+    save_spec(s2_spec(y_sd=0.5), spec_path)
+    households = tmp_path / "hh.csv"
+    table = random_table(np.random.default_rng(4), n=300, cluster_size=3)
+    save_table(from_arrays(table.z, table.d1, table.d2, table.y, cluster=table.cluster,
+                           controls=np.random.default_rng(5).standard_normal((300, 2)),
+                           control_names=("x1", "x2")), households)
+    runs = [[command, "--data", str(fix8_path)] for command in ("estimate", "diagnose",
+                                                                 "bounds")]
+    runs += [["bounds", "--data", str(households), "--controls", "x1,x2", "--cluster", "cluster"],
+             ["verify", "--data", str(spec_path)],
+             ["simulate", "--data", str(spec_path), "--n", "200",
+              "--out", str(tmp_path / "draw.csv")]]
+    for argv in runs:
+        code, out, _ = run([*argv, "--format", "structured"], capsys)
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        _assert_schema(doc, argv[0])
+        args = _build_parser().parse_args([*argv, "--format", "structured"])
+        bundle = _RUNNERS[args.command](build_config(args.command, args))
+        assert _leaf_types(bundle.to_dict()) <= {str, int, float, bool, type(None)}
+        assert json.loads(bundle.to_json()) == doc

@@ -67,6 +67,21 @@ def test_probability_sum_checked():
         validate_spec(spec)
 
 
+@pytest.mark.parametrize("bad", [
+    # The NaN probability makes the sum NaN, which no comparison rejects.
+    dict(prob=float("nan")),
+    dict(y_sd=float("nan")),
+    dict(y_sd=float("inf")),
+    dict(mean_y=((0.0, 0.0), (0.0, float("-inf")))),
+])
+def test_non_finite_spec_reals_rejected(bad):
+    fields = dict(prob=0.5, d1_at=(0, 1), d2_at=((0, 1), (0, 1)),
+                  mean_y=((0.0, 0.0), (0.0, 1.0)), y_sd=0.0)
+    spec = PopulationSpec(strata=(Stratum(**{**fields, **bad}), stratum("N1N2", 0.5, {})))
+    with pytest.raises(SpecError, match="stratum 0 has a non-finite prob, y_sd or mean_y"):
+        validate_spec(spec)
+
+
 def test_double_exclusion_flag_contradiction():
     spec = PopulationSpec(strata=(
         stratum("C1C2", 0.5, {}),
