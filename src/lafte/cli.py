@@ -64,6 +64,7 @@ from .report import (
 from .strata import (
     analytic_moments,
     load_spec,
+    load_yaml,
     sample,
     spec_to_dict,
     true_parameters,
@@ -120,7 +121,7 @@ _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 def _load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = yaml.safe_load(handle)
+            payload = load_yaml(handle)
     except OSError as exc:
         raise ConfigError(f"unreadable config file {path}: {exc}") from None
     except yaml.YAMLError as exc:

@@ -41,10 +41,11 @@ Tables are immutable after construction. Each instance also keeps a cache,
 outside its dataclass fields, of values that are pure functions of its
 columns: ``estimands.slopes`` keeps the table's one fit of the 13 columns
 there, and every slope read off it, so that the table is fit once. The
-columns themselves are built for that fit and then dropped. A table made by
-``dataclasses.replace`` starts with an empty cache. Tables are safe to share
-across threads: two threads may compute the same cache entry at once, and
-both see equal values.
+columns themselves are never held whole: the fit builds them a block of
+rows at a time, with :meth:`DerivedColumns.of`, as it reads them. A table
+made by ``dataclasses.replace`` starts with an empty cache. Tables are safe
+to share across threads: two threads may compute the same cache entry at
+once, and both see equal values.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ _MISSING_TOKENS = {"", ".", "na", "nan"}
 _BINARY = {"0", "1"}
 
 # Rows parsed at a time by load_table, and written at a time by save_table.
-_CHUNK_ROWS = 1 << 16
+# A parsed block holds a Python string per field, about 60 bytes each.
+_CHUNK_ROWS = 1 << 14
 
 # Bytes searched for line ends at a time by the byte tokenizer of load_table.
 _SCAN_BYTES = 1 << 22
@@ -297,7 +299,8 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
 
 
 def derive(table: ObservationTable) -> DerivedColumns:
-    """Build the 13 columns of ``RESPONSES``. Deterministic and row-local; not cached."""
+    """Build the 13 columns of ``RESPONSES`` for every row at once.
+    Deterministic and row-local; not cached, and not used by the fit."""
     return DerivedColumns.of(table.d1, table.d2, table.y)
 
 
@@ -315,12 +318,12 @@ def _floats(tokens) -> np.ndarray | None:
 
 
 def _binary(tokens) -> np.ndarray | None:
-    """``0``/``1`` tokens, surrounding whitespace allowed, as int64; None if any other."""
+    """``0``/``1`` tokens, surrounding whitespace allowed, as uint8; None if any other."""
     if not set(tokens) <= _BINARY:
         tokens = [tok.strip() for tok in tokens]
         if not set(tokens) <= _BINARY:
             return None
-    return np.frombuffer("".join(tokens).encode(), np.uint8).astype(np.int64) - 48
+    return np.frombuffer("".join(tokens).encode(), np.uint8) - 48
 
 
 def _missing(tokens, values: np.ndarray | None) -> np.ndarray:
@@ -524,6 +527,31 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     control_names = [str(c) for c in mapping.get("controls", []) or []]
     cluster_name = mapping.get("cluster")
 
+    cols = [str(mapping[key]) for key in ("z", "d1", "d2", "y")] + control_names
+    cols += [str(cluster_name)] if cluster_name else []
+    kinds = ["instrument", "treatment", "treatment"] + ["float"] * (1 + len(control_names))
+    kinds += ["cluster"] if cluster_name else []
+    header, parts, dropped = _read_columns(path, delimiter, cols, kinds, on_missing)
+    if not sum(map(len, parts[0])):
+        raise DataError(f"no complete rows in {path}")
+    # The file, its tokens and its line offsets are gone by now; each column
+    # is joined, and its chunks let go, before the next.
+    columns = []
+    while parts:
+        columns.append(np.concatenate(parts.pop(0)))
+    z, d1, d2, y, *rest = columns
+    cluster = rest.pop() if cluster_name else None
+    return from_arrays(
+        z, d1, d2, y, controls=np.column_stack(rest) if rest else None,
+        control_names=tuple(control_names), cluster=cluster, column_names=tuple(header),
+        warnings=[f"dropped {dropped} row(s) with missing values"] if dropped else [],
+    )
+
+
+def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_missing: str):
+    """The stripped header of the file at ``path``, the chunks of each column
+    ``cols`` (parsed as ``kinds``) over the kept rows, and the number of rows
+    dropped for a missing value."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -531,17 +559,12 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
         if header is None:
             raise DataError(f"file {path} is empty")
         header = [h.strip() for h in header]
-        cols = [str(mapping[key]) for key in ("z", "d1", "d2", "y")] + control_names
-        cols += [str(cluster_name)] if cluster_name else []
         absent = [col for col in cols if col not in header]
         if absent:
             raise ColumnMissingError(
                 f"column(s) {absent} not found in {path}; header is {header}")
         positions = [header.index(col) for col in cols]
-        kinds = ["instrument", "treatment", "treatment"] + ["float"] * (1 + len(control_names))
-        kinds += ["cluster"] if cluster_name else []
-
-        parts: list[list] = []
+        parts: list[list[np.ndarray]] = [[] for _ in cols]
         dropped = 0
         for start, tokens in zip(count(2, _CHUNK_ROWS), chunks):
             chunk, missing = _parse_columns(list(map(tokens.column, positions)), kinds,
@@ -554,19 +577,12 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
                 reader = _csv_reader(raw, delimiter)
                 next(reader)
                 _raise_first_error(reader, positions, cols, kinds, on_missing, path)
-            parts.append(chunk)
+            for part, column in zip(parts, chunk):
+                part.append(column)
+            del tokens  # before the next chunk is split
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
-
-    if not sum(len(chunk[0]) for chunk in parts):
-        raise DataError(f"no complete rows in {path}")
-    z, d1, d2, y, *rest = (np.concatenate(column) for column in zip(*parts))
-    cluster = rest.pop() if cluster_name else None
-    return from_arrays(
-        z, d1, d2, y, controls=np.column_stack(rest) if rest else None,
-        control_names=tuple(control_names), cluster=cluster, column_names=tuple(header),
-        warnings=[f"dropped {dropped} row(s) with missing values"] if dropped else [],
-    )
+    return header, parts, dropped
 
 
 def _csv_fields(values, delimiter: str) -> dict[str, str]:

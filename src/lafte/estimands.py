@@ -20,9 +20,9 @@ and ``d_and - d2``.
 Every number is the slope, or a ratio of slopes, of the 13 columns of the
 ``data.COLUMNS`` catalogue on the table's instrument matrix
 ``W = [1, z, controls]``. :func:`slopes` is the one path from a table to
-them: it fits all 13 once per table, as one 2-D
-:func:`~lafte.regression.ols`, and reads every request off that fit as a
-linear map.
+them: it fits all 13 once per table, as one multi-response fit whose
+columns are built a block of rows at a time, and reads every request off
+that fit as a linear map.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABELS, RESPONSES, ObservationTable, derive
+from . import regression
+from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable
 from .exceptions import RelevanceError
-from .regression import RELEVANCE_TOLERANCE, FitResult, instrument_design, ols, tidy_vcov
+from .regression import RELEVANCE_TOLERANCE, FitResult, Responses, instrument_design, tidy_vcov
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
@@ -102,13 +103,14 @@ class ComplierShares:
     warnings: tuple[str, ...] = ()
 
 
-def _table_fit(table: ObservationTable):
-    """The table's one fit, of all 13 columns on ``W``, with each column's
-    minimum and maximum; the columns are dropped once it is done."""
+def _table_fit(table: ObservationTable) -> FitResult:
+    """The table's one fit, of all 13 columns on ``W``; each block of rows
+    builds its columns when the fit reads it, so no ``n x 13`` array is held."""
     def fit():
         w, names = instrument_design(table.z, table.controls, table.control_names)
-        values = derive(table).values
-        return ols(values, w, table.cluster_codes, names=names), values.min(0), values.max(0)
+        columns = Responses((table.n, len(RESPONSES)), lambda rows: DerivedColumns.of(
+            table.d1[rows], table.d2[rows], table.y[rows]).values)
+        return regression._fit([(columns, w, w)], table.cluster_codes, names)
     return table.cached("fit", fit)
 
 
@@ -141,7 +143,7 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
             if abs(first) <= RELEVANCE_TOLERANCE:
                 raise RelevanceError(f"relevance failure for {LABELS[t]}: first stage "
                                      f"{first:.3e}", first_stage=first, definition=LABELS[t])
-        full, lo, hi = _table_fit(table)
+        full = _table_fit(table)
         k = full.k // len(RESPONSES)
         gamma = full.coefficients[1::k]
         m, n = len(key), table.n
@@ -157,13 +159,14 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
                 weights[d, e] -= b[e] / gamma[d]
         common = (m * n, m, m * n - m * k, full.covariance_kind, full.cluster_count,
                  tuple(r if t is None else f"{r}~{t}" for r, t in key))
-        if lo[rows].min() == hi[rows].max():
+        lo, hi = full.response_min[rows], full.response_max[rows]
+        if lo.min() == hi.max():
             # As in the stacked fit: exact zeros, no covariance.
-            b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(lo[rows[0]]))), 0.0, b)
-            return FitResult(b, np.zeros((m, m)), *common, True)
+            b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(lo[0]))), 0.0, b)
+            return FitResult(b, np.zeros((m, m)), *common, True, lo, hi)
         scale = ((m * n - 1.0) / (m * n - m * k)) / ((full.n - 1.0) / (full.n - full.k))
         vcov = scale * (weights.T @ full.vcov[1::k, 1::k] @ weights)
-        return FitResult(b, tidy_vcov(vcov), *common, False)
+        return FitResult(b, tidy_vcov(vcov), *common, False, lo, hi)
     return table.cached(key, fit)
 
 

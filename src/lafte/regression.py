@@ -22,15 +22,18 @@ one dependence unit, but the ``(m*n) x K`` stacked matrices are never built.
 
 :func:`ols` of a 2-D ``n x m`` response fits its ``m`` columns on one ``X``
 as ``m`` such equations, with one rank check, one bread ``(X'X)^{-1}`` and
-one multi-column solve. ``S'S`` is summed over blocks of rows in cluster
-order, so no ``n x K`` array of scores is ever held.
+one multi-column solve. The responses are read a block of rows at a time,
+twice: in row order for ``W'Y`` and each column's range, then in cluster
+order for ``S'S``, so no ``n x K`` array of scores is ever held. A response
+given as :class:`Responses` builds each block's rows on demand, so no
+``n x m`` array of responses is held either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +53,11 @@ RELEVANCE_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients and covariance from one linear (IV) fit."""
+    """Coefficients and covariance from one linear (IV) fit.
+
+    ``response_min`` and ``response_max`` hold the range of each response
+    column, one entry per column of each equation in turn.
+    """
 
     coefficients: np.ndarray
     vcov: np.ndarray
@@ -61,6 +68,8 @@ class FitResult:
     cluster_count: int | None = None
     names: tuple[str, ...] = ()
     response_constant: bool = False
+    response_min: np.ndarray | None = None
+    response_max: np.ndarray | None = None
 
     def se(self, j: int) -> float | None:
         """Standard error of coefficient ``j``; None when the regressand was constant."""
@@ -122,6 +131,18 @@ class StackedSystem:
         for e, (eq, col) in enumerate(zip(self.equations, self.equation_offsets)):
             out[e * n:(e + 1) * n, col:col + eq[part].shape[1]] = eq[part]
         return out
+
+
+@dataclass(frozen=True)
+class Responses:
+    """An ``n x m`` response whose rows are built when read: like an array,
+    ``responses[rows]`` is its rows ``rows`` (a slice or an index array)."""
+
+    shape: tuple[int, int]
+    build: Callable[[slice | np.ndarray], np.ndarray]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.build(rows)
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -220,10 +241,21 @@ def _scores(equations, b, rows):
         k = x.shape[1]
         x_rows = x[rows]
         w_rows = x_rows if w is x else w[rows]
+        y_rows = y[rows]
         for r in range(y.shape[1]):
-            e = y[rows, r] - x_rows @ b[col:col + k]
+            e = y_rows[:, r] - x_rows @ b[col:col + k]
             col += k
             yield from (w_rows[:, j] * e for j in range(k))
+
+
+def _block_meat(equations, b, rows, local=None) -> np.ndarray:
+    """``S'S`` of one block of ``rows``: each row's scores are its own sums,
+    or with ``local`` cluster codes (0, 1, ... in row order) each cluster's."""
+    units = rows.stop - rows.start if local is None else local[-1] + 1
+    sums = np.empty((units, b.size))
+    for j, score in enumerate(_scores(equations, b, rows)):
+        sums[:, j] = score if local is None else np.bincount(local, weights=score)
+    return sums.T @ sums
 
 
 def _meat(equations, b, codes, n) -> np.ndarray:
@@ -240,21 +272,65 @@ def _meat(equations, b, codes, n) -> np.ndarray:
     meat, start = 0.0, 0
     for stop in stops:
         if codes is None:
-            sums = np.column_stack(list(_scores(equations, b, slice(start, stop))))
+            meat = meat + _block_meat(equations, b, slice(start, stop))
         else:
             rows = order[start:stop]
-            local = codes[rows] - codes[rows[0]]
-            sums = np.column_stack([np.bincount(local, weights=score)
-                                    for score in _scores(equations, b, rows)])
-        meat = meat + sums.T @ sums
+            meat = meat + _block_meat(equations, b, rows, codes[rows] - codes[rows[0]])
         start = stop
     return meat
 
 
+def _add_block(y_rows, w_rows, total, low, high) -> None:
+    """Add one block's ``W'Y`` to ``total``, and widen ``low`` and ``high``
+    to the range of each of its response columns."""
+    # One column at a time, as the fit of that column alone sums it: a
+    # matrix product sums in another order, which moves slopes of
+    # large-mean responses by ~1e-14 relative.
+    for r in range(y_rows.shape[1]):
+        total[:, r] += w_rows.T @ y_rows[:, r]
+    np.minimum(low, y_rows.min(0), out=low)
+    np.maximum(high, y_rows.max(0), out=high)
+
+
+def _row_pass(equations, n):
+    """The pass in row order, over runs of ``_CHUNK_ROWS`` rows: the R factor
+    of each distinct design and instrument matrix (one QR of each run stacked
+    under the R so far), each equation's ``W'Y``, and the smallest and largest
+    value of each response column."""
+    matrices = {id(a): a for eq in equations for a in eq[1:]}
+    factors = {key: np.empty((0, a.shape[1])) for key, a in matrices.items()}
+    wty = [np.zeros((w.shape[1], y.shape[1])) for y, _, w in equations]
+    lo = np.full(sum(y.shape[1] for y, _, _ in equations), np.inf)
+    hi = -lo
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        for key, a in matrices.items():
+            factors[key] = np.linalg.qr(np.vstack([factors[key], a[rows]]), mode="r")
+        col = 0
+        for (y, _, w), total in zip(equations, wty):
+            cols = slice(col, col + y.shape[1])
+            _add_block(y[rows], w[rows], total, lo[cols], hi[cols])
+            col = cols.stop
+    return factors, wty, lo, hi
+
+
+def _check_finite(what: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise EstimationError(f"numeric overflow: the fit's {what} are not finite; "
+                              "rescale the variables")
+
+
 def _fit(equations, cluster, names) -> FitResult:
     """Joint fit of parsed equations ``(Y, X, W)``, one per column of ``Y``, and
-    their cross-equation sandwich; ``names`` name the columns of the designs."""
-    equations = [(_as_matrix(y), x, w) for y, x, w in equations]
+    their cross-equation sandwich; ``names`` name the columns of the designs.
+
+    ``Y`` is an array or :class:`Responses`, read a block of rows at a time:
+    in row order for ``W'Y`` and the column ranges, then in cluster order for
+    the score sums. A fit whose coefficients or covariance overflow raises
+    :class:`EstimationError`.
+    """
+    equations = [(y if isinstance(y, Responses) else _as_matrix(y), x, w)
+                 for y, x, w in equations]
     n = equations[0][0].shape[0]
     big_n = sum(y.shape[1] for y, _, _ in equations) * n
     big_k = sum(y.shape[1] * x.shape[1] for y, x, _ in equations)
@@ -262,45 +338,42 @@ def _fit(equations, cluster, names) -> FitResult:
         raise EstimationError(f"{big_n} rows cannot identify {big_k} parameters")
     names = tuple(names) if names else tuple(
         f"x{j}" for j in range(sum(x.shape[1] for _, x, _ in equations)))
-    matrices = {id(m): m for eq in equations for m in eq[1:]}
-    factors = {key: np.linalg.qr(m, mode="r") for key, m in matrices.items()}
-    _check_rank([factors[id(x)] for _, x, _ in equations], names, "design")
-    _check_rank([factors[id(w)] for _, _, w in equations], names, "instrument")
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors, wty, lo, hi = _row_pass(equations, n)
+        _check_rank([factors[id(x)] for _, x, _ in equations], names, "design")
+        _check_rank([factors[id(w)] for _, _, w in equations], names, "instrument")
+        bread = np.zeros((big_k, big_k))
+        b = np.empty(big_k)
+        col = 0
+        for (y, x, w), moments in zip(equations, wty):
+            try:
+                inv = np.linalg.inv(w.T @ x)
+            except np.linalg.LinAlgError:
+                raise RankDeficientError(
+                    "instrument/design cross-moment matrix is singular") from None
+            k, m = x.shape[1], y.shape[1]
+            b[col:col + k * m] = (inv @ moments).T.ravel()
+            for _ in range(m):
+                bread[col:col + k, col:col + k] = inv
+                col += k
+        _check_finite("coefficients", b)
 
-    bread = np.zeros((big_k, big_k))
-    b = np.empty(big_k)
-    col = 0
-    for y, x, w in equations:
-        try:
-            inv = np.linalg.inv(w.T @ x)
-        except np.linalg.LinAlgError:
-            raise RankDeficientError(
-                "instrument/design cross-moment matrix is singular") from None
-        k, m = x.shape[1], y.shape[1]
-        # W'Y one column at a time: a matrix product sums in another order,
-        # which moves slopes of large-mean responses by ~1e-14 relative.
-        wty = np.column_stack([w.T @ y[:, r] for r in range(m)])
-        b[col:col + k * m] = (inv @ wty).T.ravel()
-        for _ in range(m):
-            bread[col:col + k, col:col + k] = inv
-            col += k
+        codes, g = (None, n) if cluster is None else _cluster_codes(cluster)
+        kind, count = ("hc1", None) if cluster is None else ("cluster", g)
+        if hi.max() == lo.min():
+            # Exact algebra gives a zero slope on every non-constant column;
+            # clean float dust so the reported estimate is exactly 0.
+            b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(lo[0]))), 0.0, b)
+            return FitResult(b, np.zeros((big_k, big_k)), big_n, big_k, big_n - big_k,
+                             kind, count, names, True, lo, hi)
 
-    codes, g = (None, n) if cluster is None else _cluster_codes(cluster)
-    kind, count = ("hc1", None) if cluster is None else ("cluster", g)
-    ys = [y for y, _, _ in equations]
-    if max(y.max() for y in ys) == min(y.min() for y in ys):
-        # Exact algebra gives a zero slope on every non-constant column;
-        # clean float dust so the reported estimate is exactly 0.
-        b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(ys[0][0, 0]))), 0.0, b)
-        return FitResult(b, np.zeros((big_k, big_k)), big_n, big_k, big_n - big_k,
-                         kind, count, names, True)
-
-    if g < 2:
-        raise EstimationError("cluster covariance requires at least 2 clusters")
-    meat = _meat(equations, b, codes, n)
-    meat *= (g / (g - 1.0)) * ((big_n - 1.0) / (big_n - big_k))
-    vcov = tidy_vcov(bread @ meat @ bread.T)
-    return FitResult(b, vcov, big_n, big_k, big_n - big_k, kind, count, names, False)
+        if g < 2:
+            raise EstimationError("cluster covariance requires at least 2 clusters")
+        meat = _meat(equations, b, codes, n)
+        meat *= (g / (g - 1.0)) * ((big_n - 1.0) / (big_n - big_k))
+        vcov = tidy_vcov(bread @ meat @ bread.T)
+    _check_finite("covariances", vcov)
+    return FitResult(b, vcov, big_n, big_k, big_n - big_k, kind, count, names, False, lo, hi)
 
 
 def ols(y, x, cluster=None, *, names=None) -> FitResult:
@@ -333,15 +406,15 @@ def instrument_design(z, controls=None, control_names=()) -> tuple[np.ndarray, t
     uses it as the instruments of an IV fit, whose design is
     :func:`iv_design`.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    cols = [np.ones_like(z), z]
+    z = np.asarray(z).reshape(-1)
+    c = np.empty((z.shape[0], 0)) if controls is None else _as_matrix(controls)
     names = ["const", "z"]
-    if controls is not None:
-        c = _as_matrix(controls)
-        if c.shape[1]:
-            cols.append(c)
-            names += list(control_names) or [f"c{j}" for j in range(c.shape[1])]
-    return np.column_stack(cols), tuple(names)
+    if c.shape[1]:
+        names += list(control_names) or [f"c{j}" for j in range(c.shape[1])]
+    # Filled in place: no column is held twice.
+    w = np.empty((z.shape[0], 2 + c.shape[1]))
+    w[:, 0], w[:, 1], w[:, 2:] = 1.0, z, c
+    return w, tuple(names)
 
 
 def iv_design(w: np.ndarray, d) -> np.ndarray:

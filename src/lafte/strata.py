@@ -30,6 +30,7 @@ owns its own seeded generator and results are combined in a fixed order.
 from __future__ import annotations
 
 import numbers
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -650,6 +651,38 @@ def spec_from_dict(payload: Mapping) -> PopulationSpec:
     return PopulationSpec(strata=tuple(strata), p_z=p_z, double_exclusion=double_exclusion)
 
 
+class _YamlFloat(float):
+    """A float read from YAML; ``str`` gives its text as written, so a field
+    that names a file or a column reads ``1e5`` as ``"1e5"``."""
+
+    def __new__(cls, value: float, text: str):
+        number = super().__new__(cls, value)
+        number.text = text
+        return number
+
+    def __str__(self) -> str:
+        return self.text
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, whose YAML 1.1 floats need a dot, plus the YAML
+    1.2 floats with an exponent and no dot or an unsigned one: ``1e3``,
+    ``-1e3``, ``1e-2``, ``2.5e3``."""
+
+
+_Loader.add_constructor("tag:yaml.org,2002:float", lambda loader, node: _YamlFloat(
+    loader.construct_yaml_float(node), node.value))
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def load_yaml(stream):
+    """The document of a spec or config file, read by :class:`_Loader`."""
+    return yaml.load(stream, Loader=_Loader)
+
+
 def save_spec(spec: PopulationSpec, path) -> None:
     """Write a spec as human-editable YAML; round-trips losslessly."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -659,7 +692,7 @@ def save_spec(spec: PopulationSpec, path) -> None:
 def load_spec(path) -> PopulationSpec:
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = yaml.safe_load(handle)
+            payload = load_yaml(handle)
     except OSError as exc:
         raise SpecError(f"unreadable spec file {path}: {exc}") from None
     except yaml.YAMLError as exc:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -493,3 +494,61 @@ def test_structured_document_schema(tmp_path, fix8_path, capsys):
         bundle = _RUNNERS[args.command](build_config(args.command, args))
         assert _leaf_types(bundle.to_dict()) <= {str, int, float, bool, type(None)}
         assert json.loads(bundle.to_json()) == doc
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose", "bounds"])
+def test_overflowing_fit_exit_3(tmp_path, capsys, command):
+    # Finite outcomes whose sums and squared scores overflow a float.
+    path = tmp_path / "huge.csv"
+    path.write_text("z,d1,d2,y\n0,0,0,1e308\n0,0,1,-1e308\n0,1,0,1e308\n"
+                    "1,1,1,-1e308\n1,1,0,1e308\n1,0,1,-1e308\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([command, "--data", str(path), "--format", "structured"], capsys)
+    assert code == 3
+    assert err.startswith("error: numeric overflow") and "Traceback" not in err
+    assert caught == []
+    for token in ("NaN", "Infinity"):
+        assert token not in out
+
+
+def test_yaml_1_2_floats_are_numbers(tmp_path, fix8_path, capsys, monkeypatch):
+    # YAML 1.1 reads 1e3 as a string; a field that names a file or a column
+    # keeps the text as written.
+    table = load_table(fix8_path)
+    monkeypatch.chdir(tmp_path)
+    save_table(from_arrays(table.z, table.d1, table.d2, table.y,
+                           cluster=["a", "a", "b", "b", "c", "c", "d", "d"]), tmp_path / "1e5")
+    (tmp_path / "1e5").write_text((tmp_path / "1e5").read_text().replace("cluster", "1e5"))
+    config = tmp_path / "run.yaml"
+    config.write_text("input: 1e5\ncluster: 1e5\nymin: -1e3\nymax: 1e3\nlevel: 1e-2\n",
+                      encoding="utf-8")
+    code, out, err = run(["bounds", "--config", str(config), "--format", "structured"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["bounds"]["bounded_response"]["ymin"] == -1000.0
+    assert doc["bounds"]["bounded_response"]["ymax"] == 1000.0
+    assert doc["diagnostics"]["mover_test"]["level"] == 0.01
+    assert doc["bounds"]["theorem1"]["lower"]["cluster_count"] == 4
+    spec = tmp_path / "spec.yaml"
+    spec.write_text("p_z: 5e-1\nstrata:\n- {prob: 1e0, d1: [0, 1], d2: [[0, 1], [0, 1]],"
+                    " mean_y: [[1e3, 0], [0, 1]], y_sd: 1E-1}\n", encoding="utf-8")
+    code, out, err = run(["verify", "--data", str(spec), "--format", "structured"], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("document, command, code", [
+    ("ymin: '-1e3'\n", "estimate", 1),
+    ("level: !!bool yes\n", "estimate", 1),
+    ("strata:\n- {prob: 1, d1: [0, 1], d2: [[0, 1], [0, 1]], mean_y: [['1e3', 0], [0, 1]]}\n",
+     "verify", 2),
+])
+def test_quoted_or_bool_numbers_still_rejected(tmp_path, fix8_path, capsys, document, command,
+                                               code):
+    path = tmp_path / "doc.yaml"
+    path.write_text(document, encoding="utf-8")
+    argv = ([command, "--config", str(path), "--data", str(fix8_path)] if command == "estimate"
+            else [command, "--data", str(path)])
+    exit_code, out, err = run(argv, capsys)
+    assert exit_code == code
+    assert "must be a number" in err and out == ""

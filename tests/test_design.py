@@ -59,20 +59,23 @@ def test_no_fit_repeats_within_a_command(tmp_path, monkeypatch, runner):
     assert calls == [[(240, 13)]]
 
 
-def test_derive_runs_once_per_table(monkeypatch):
-    columns = _household_columns()
+def test_columns_are_built_once_per_fit_pass(monkeypatch):
+    t = _household_table()
     built = []
     real = data.DerivedColumns.of.__func__
     monkeypatch.setattr(data.DerivedColumns, "of", classmethod(
         lambda cls, d1, d2, y: built.append(len(y)) or real(cls, d1, d2, y)))
-    t = from_arrays(**columns)
+    monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
     complier_shares(t)
     slopes(t, [("d2", None), ("g_or", None), ("g_and", None)])
     mover_test(t, force_step2=True)
     lafte_bounds(t, upper_se_method="delta")
     lafte_bounds_bounded_response(t)
     tau_bounds(t)
-    assert built.count(t.n) == 1
+    # Each row once per pass of the one fit, a block at a time: runs of 50
+    # rows for W'Y, then blocks ending at the first household (of 4) end
+    # from 50 rows on for the score sums. No other call builds them.
+    assert built == [50] * 4 + [40] + [52, 48] * 2 + [40]
 
 
 def test_replace_recomputes_derived_columns_and_fits():

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from lafte import (
     from_arrays,
     iv_estimand,
     ols,
+    regression,
     slopes,
     stack,
     tsls,
@@ -124,6 +126,68 @@ def test_every_request_equals_its_stacked_fit(controls, cluster, seed):
         assert not fit.response_constant
 
 
+BLOCK = regression._CHUNK_ROWS
+BLOCKED = [pytest.param(n, c, g, k, id=f"n={n}-controls={c}-cluster={g}-constant={k}")
+           for n in (3, BLOCK, 3 * BLOCK + 5) for c in (False, True) for g in (False, True)
+           for k in (False, True) if n > 3 or not c]
+
+
+def _blocked_table(n, controls, clustered, constant):
+    rng = np.random.default_rng(n + 2 * controls + clustered)
+    z = np.arange(n) % 2
+    d1 = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+    # With d2 = d1, g_or and g_and are the constant 0.
+    d2 = d1 if constant else (rng.random(n) < 0.2 + 0.3 * z + 0.2 * d1).astype(int)
+    # Clusters of 7 rows in row order straddle the block edges, as 16384 is
+    # not a multiple of 7; 3 rows make two clusters.
+    return from_arrays(z, d1, d2, 0.5 * d1 + (d1 & d2) + rng.standard_normal(n),
+                       controls=rng.standard_normal((n, 2)) if controls else None,
+                       cluster=np.arange(n) // min(7, n - 1) if clustered else None)
+
+
+@pytest.mark.parametrize("n, controls, clustered, constant", BLOCKED)
+def test_blocked_table_fit_equals_whole_array_fit(monkeypatch, n, controls, clustered, constant):
+    t = _blocked_table(n, controls, clustered, constant)
+    fit = estimands._table_fit(t)
+    # The parent design: all 13 columns held at once and fit in one block.
+    w, names = instrument_design(t.z, t.controls, t.control_names)
+    values = derive(t).values
+    monkeypatch.setattr(regression, "_CHUNK_ROWS", n + 1)
+    ref = ols(values, w, t.cluster_codes, names=names)
+    np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=REL, atol=0)
+    sd = np.sqrt(np.diag(ref.vcov))
+    assert np.array_equal(sd == 0, np.diag(fit.vcov) == 0)
+    varied = np.ix_(sd > 0, sd > 0)
+    scale = np.outer(sd, sd)[varied]
+    assert np.max(np.abs(fit.vcov[varied] - ref.vcov[varied]) / scale) <= REL
+    assert np.array_equal(fit.response_min, values.min(0))
+    assert np.array_equal(fit.response_max, values.max(0))
+    assert (fit.n, fit.k, fit.dof, fit.covariance_kind, fit.cluster_count) == (
+        ref.n, ref.k, ref.dof, ref.covariance_kind, ref.cluster_count)
+    if constant:
+        constant_columns = [RESPONSES.index("g_or"), RESPONSES.index("g_and")]
+        assert not fit.response_max[constant_columns].any()
+        assert not fit.response_min[constant_columns].any()
+
+
+def test_table_fit_holds_no_n_by_13_array():
+    # Per row the fit holds W (16 bytes here) and nothing per column; the
+    # blocks of rows it reads add a fixed few MB, so n is large enough for
+    # the per-row bound to show.
+    n = 1_000_000
+    rng = np.random.default_rng(76)
+    z = np.arange(n) % 2
+    d1 = (rng.random(n) < 0.3 + 0.4 * z).astype(np.int8)
+    t = from_arrays(z, d1, rng.random(n) < 0.5, rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        slopes(t, [("y", "d1")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * len(RESPONSES) * 8 / 4  # a quarter of the n x 13 response: 26 MB
+
+
 def _no_movers_table():
     # d2 >= d1 on every row, so g_or = d1 (1 - d2) is the constant 0.
     rng = np.random.default_rng(75)
@@ -178,12 +242,12 @@ def test_treatment_collinear_with_w_fails_relevance():
     assert abs(slopes(t, [("d1", None)]).coefficients[0]) <= 1e-10
 
 
-def test_one_ols_call_and_one_qr_per_table(monkeypatch):
+def test_one_fit_and_one_qr_per_table(monkeypatch):
     t = _table(controls=True, cluster=True)
     responses, factored = [], []
-    real_ols, real_qr = estimands.ols, np.linalg.qr
-    monkeypatch.setattr(estimands, "ols", lambda y, *args, **kwargs: (
-        responses.append(np.shape(y)) or real_ols(y, *args, **kwargs)))
+    real_fit, real_qr = regression._fit, np.linalg.qr
+    monkeypatch.setattr(regression, "_fit", lambda equations, *args: (
+        responses.extend(np.shape(y) for y, _, _ in equations) or real_fit(equations, *args)))
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs: (
         factored.append(np.shape(a)) or real_qr(a, *args, **kwargs)))
     for equations in REQUESTS:
