@@ -33,10 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import regression
 from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable
 from .exceptions import RelevanceError
-from .regression import RELEVANCE_TOLERANCE, FitResult, Responses, instrument_design, tidy_vcov
+from .regression import (RELEVANCE_TOLERANCE, FitResult, Responses, instrument_design, ols,
+                         tidy_vcov)
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
@@ -110,7 +110,7 @@ def _table_fit(table: ObservationTable) -> FitResult:
         w, names = instrument_design(table.z, table.controls, table.control_names)
         columns = Responses((table.n, len(RESPONSES)), lambda rows: DerivedColumns.of(
             table.d1[rows], table.d2[rows], table.y[rows]).values)
-        return regression._fit([(columns, w, w)], table.cluster_codes, names)
+        return ols(columns, w, table.cluster_codes, names=names)
     return table.cached("fit", fit)
 
 

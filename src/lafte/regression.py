@@ -136,13 +136,21 @@ class StackedSystem:
 @dataclass(frozen=True)
 class Responses:
     """An ``n x m`` response whose rows are built when read: like an array,
-    ``responses[rows]`` is its rows ``rows`` (a slice or an index array)."""
+    ``responses[rows]`` is its rows ``rows`` (a slice or an index array).
+
+    ``np.asarray(responses)`` builds all ``n`` rows at once; the fit never
+    does.
+    """
 
     shape: tuple[int, int]
     build: Callable[[slice | np.ndarray], np.ndarray]
 
     def __getitem__(self, rows) -> np.ndarray:
         return self.build(rows)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        values = self.build(slice(None))
+        return values if dtype is None else values.astype(dtype, copy=False)
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -316,8 +324,9 @@ def _row_pass(equations, n):
 
 def _check_finite(what: str, a: np.ndarray) -> None:
     if not np.isfinite(a).all():
-        raise EstimationError(f"numeric overflow: the fit's {what} are not finite; "
-                              "rescale the variables")
+        raise EstimationError(f"numeric overflow or a non-finite input: the fit's {what} "
+                              "are not finite; drop NaN or infinite values, or rescale "
+                              "the variables")
 
 
 def _fit(equations, cluster, names) -> FitResult:
@@ -326,7 +335,8 @@ def _fit(equations, cluster, names) -> FitResult:
 
     ``Y`` is an array or :class:`Responses`, read a block of rows at a time:
     in row order for ``W'Y`` and the column ranges, then in cluster order for
-    the score sums. A fit whose coefficients or covariance overflow raises
+    the score sums. A fit whose coefficients or covariance are not finite,
+    from overflow or from a NaN or infinite input, raises
     :class:`EstimationError`.
     """
     equations = [(y if isinstance(y, Responses) else _as_matrix(y), x, w)
@@ -387,12 +397,16 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     A 2-D ``y`` fits each of its ``m`` columns on ``x``: the result equals
     ``fit_stacked(stack([(y[:, e], x) for e in range(m)], cluster))``, with
     coefficients equation-major and named ``eq<e>.<name>``, and is
-    degenerate only when every column is the same constant.
+    degenerate only when every column is the same constant. ``y`` may be
+    :class:`Responses`, whose rows are built a block at a time.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        return _fit([_equation(y, x)], cluster, names)
-    _, x, _ = _equation(y[:, 0], x)
+    if not isinstance(y, Responses):
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 2:
+            return _fit([_equation(y, x)], cluster, names)
+    x = _as_matrix(x)
+    if y.shape[0] != x.shape[0]:
+        raise EstimationError("response, design, and instrument row counts differ")
     fit = _fit([(y, x, x)], cluster, names)
     return replace(fit, names=tuple(f"eq{e}.{name}" for e in range(y.shape[1])
                                     for name in fit.names))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lafte import RankDeficientError, fit_stacked, ols, regression, stack
+from lafte import EstimationError, RankDeficientError, fit_stacked, ols, regression, stack
 from lafte.regression import RANK_TOLERANCE, _chi2_sf, _normal_cdf
 
 from test_regression import oracle_stacked_iv
@@ -317,6 +317,22 @@ def test_blocked_score_sums_equal_one_block(monkeypatch, rows):
         np.testing.assert_allclose(a.vcov, b.vcov, rtol=1e-12, atol=1e-15 * np.abs(b.vcov).max())
         np.testing.assert_array_equal(a.response_min, b.response_min)
         np.testing.assert_array_equal(a.response_max, b.response_max)
+    # At one block size the source of the rows does not matter: a response
+    # read through Responses fits to the bits of the array it reads.
+    for cluster, a in zip((labels, None), blocked[2:]):
+        lazy = ols(regression.Responses(y.shape, y.__getitem__), x, cluster)
+        assert lazy.coefficients.tobytes() == a.coefficients.tobytes()
+        assert lazy.vcov.tobytes() == a.vcov.tobytes()
+
+
+@pytest.mark.parametrize("where", ["y", "x"])
+def test_non_finite_input_raises_estimation_error(where):
+    rng = np.random.default_rng(38)
+    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    y = rng.standard_normal(40)
+    (y if where == "y" else x)[5, ...] = np.nan
+    with pytest.raises(EstimationError, match="non-finite input"):
+        ols(y, x)
 
 
 @pytest.mark.parametrize("rows, n", [

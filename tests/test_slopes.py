@@ -23,7 +23,7 @@ from lafte import (
     stack,
     tsls,
 )
-from lafte.data import RESPONSES
+from lafte.data import RESPONSES, DerivedColumns
 from lafte.regression import instrument_design, iv_design
 
 from conftest import random_table
@@ -168,6 +168,37 @@ def test_blocked_table_fit_equals_whole_array_fit(monkeypatch, n, controls, clus
         constant_columns = [RESPONSES.index("g_or"), RESPONSES.index("g_and")]
         assert not fit.response_max[constant_columns].any()
         assert not fit.response_min[constant_columns].any()
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+def test_table_fit_meat_equals_whole_array_meat_exactly(monkeypatch, clustered):
+    # The 13 columns are elementwise in (d1, d2, y), so for fixed coefficients
+    # the score sums of blocks built on demand are those of the held array,
+    # bit for bit, at any block size.
+    n = 3 * 50 + 5
+    t = _blocked_table(n, True, clustered, False)
+    w, _ = instrument_design(t.z, t.controls, t.control_names)
+    lazy = regression.Responses((n, len(RESPONSES)), lambda rows: DerivedColumns.of(
+        t.d1[rows], t.d2[rows], t.y[rows]).values)
+    b = np.random.default_rng(78).standard_normal(len(RESPONSES) * w.shape[1])
+    codes = t.cluster_codes if clustered else None
+    monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
+    meat = regression._meat([(lazy, w, w)], b, codes, n)
+    whole = regression._meat([(derive(t).values, w, w)], b, codes, n)
+    assert meat.tobytes() == whole.tobytes()
+
+
+def test_table_fit_goes_through_ols(monkeypatch):
+    # A caller that wraps ols and reads its response as an array, as a tracer
+    # does, sees the table's one fit and the 13 columns that derive builds.
+    t = _table(controls=True, cluster=True)
+    seen = []
+    real_ols = estimands.ols
+    monkeypatch.setattr(estimands, "ols", lambda y, *args, **kwargs: (
+        seen.append(np.asarray(y)) or real_ols(y, *args, **kwargs)))
+    slopes(t, [("y", "d1")])
+    assert len(seen) == 1
+    assert seen[0].tobytes() == derive(t).values.tobytes()
 
 
 def test_table_fit_holds_no_n_by_13_array():
