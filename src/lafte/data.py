@@ -54,9 +54,9 @@ import codecs
 import csv
 import io
 from dataclasses import dataclass, replace
-from itertools import compress, count, islice, product
+from itertools import chain, compress, islice, product
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple
+from typing import BinaryIO, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -69,12 +69,15 @@ _MISSING_TOKENS = {"", ".", "na", "nan"}
 
 _BINARY = {"0", "1"}
 
+# The dtype load_table parses each kind of column to, and the table stores.
+_DTYPES = {"instrument": np.uint8, "treatment": np.uint8, "float": float, "cluster": object}
+
 # Rows parsed at a time by load_table, and written at a time by save_table.
 # A parsed block holds a Python string per field, about 60 bytes each.
 _CHUNK_ROWS = 1 << 14
 
-# Bytes searched for line ends at a time by the byte tokenizer of load_table.
-_SCAN_BYTES = 1 << 22
+# Bytes read at a time by load_table, which extends each read to a line end.
+_SCAN_BYTES = 1 << 16
 
 
 class Column(NamedTuple):
@@ -183,6 +186,12 @@ class DerivedColumns:
         return self.column(name)
 
 
+def _non_binary(col: np.ndarray) -> np.ndarray:
+    """Mask of the entries that are neither 0 nor 1 (``~np.isin(col, (0, 1))``
+    without its ``int64`` copy of ``col``)."""
+    return (col != 0) & (col != 1)
+
+
 def _validate_arrays(z, d1, d2, y, controls, cluster, labels, codes) -> list[str]:
     # ``labels`` are the distinct cluster labels, None when some label is None;
     # ``codes`` are None when the labels do not order.
@@ -197,11 +206,11 @@ def _validate_arrays(z, d1, d2, y, controls, cluster, labels, codes) -> list[str
         return errors
     if n < 2:
         errors.append(f"table has {n} rows; at least 2 required")
-    bad_z = ~np.isin(z, (0, 1))
+    bad_z = _non_binary(z)
     if bad_z.any():
         errors.append(f"non-binary instrument column 'z': value {z[bad_z][0]!r}")
     for name, col in (("d1", d1), ("d2", d2)):
-        bad = ~np.isin(col, (0, 1))
+        bad = _non_binary(col)
         if bad.any():
             errors.append(f"non-binary treatment column '{name}': value {col[bad][0]!r}")
     if not bad_z.any() and n >= 1:
@@ -232,7 +241,8 @@ def _collect_warnings(table: ObservationTable) -> list[str]:
     if table.cluster_count == table.n:
         warnings.append("every cluster is a singleton; clustering is equivalent to HC1")
     # A column of (d1, d2) alone is constant when it is over the occupied (d1, d2) cells.
-    cells = np.flatnonzero(np.bincount(2 * table.d1 + table.d2, minlength=4))
+    cell = 2 * table.d1 + table.d2  # uint8; np.bincount would copy it to int64
+    cells = np.array([c for c in range(4) if (cell == c).any()])
     derived = DerivedColumns.of(cells // 2, cells % 2, np.zeros(cells.size))
     for name in ("d_and", "d_or", "d_sum", "g_or", "g_and"):
         if np.ptp(derived.column(name)) == 0:
@@ -254,26 +264,34 @@ def _factorise(cluster: np.ndarray) -> tuple[list, np.ndarray | None]:
 
 
 def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
-                column_names=(), warnings=()) -> ObservationTable:
+                column_names=(), warnings=(), copy=True) -> ObservationTable:
     """Build a validated table from in-memory arrays.
+
+    The table stores ``z``, ``d1`` and ``d2`` as ``uint8``, ``y`` and the
+    controls as ``float64`` and the cluster labels as objects, all read-only.
+    By default it stores copies, so the caller's arrays stay writeable and
+    unshared. With ``copy=False`` an input that already has its stored dtype
+    and is contiguous is adopted and made read-only in place, which saves a
+    copy for a caller that lets go of its arrays.
 
     Raises
     ------
     DataError
         If any table invariant fails; the message lists every finding.
     """
+    take = np.array if copy else np.asarray  # np.array always copies
     z = np.asarray(z)
     d1 = np.asarray(d1)
     d2 = np.asarray(d2)
-    y = np.asarray(y, dtype=float)
+    y = take(y, dtype=float)
     if controls is None:
         controls = np.empty((z.shape[0], 0))
-    controls = np.asarray(controls, dtype=float)
+    controls = take(controls, dtype=float)
     if controls.ndim == 1:
         controls = controls[:, None]
     labels = codes = None
     if cluster is not None:
-        cluster = np.asarray(cluster, dtype=object)
+        cluster = take(cluster, dtype=object)
         if cluster.shape[0] == z.shape[0] and not np.equal(cluster, None).any():
             labels, codes = _factorise(cluster)
 
@@ -283,9 +301,9 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
                         report=ValidationReport(tuple(errors), tuple(warnings)))
 
     table = ObservationTable(
-        z=_freeze(z.astype(np.int64)),
-        d1=_freeze(d1.astype(np.int64)),
-        d2=_freeze(d2.astype(np.int64)),
+        z=_freeze(z.astype(np.uint8, copy=copy)),
+        d1=_freeze(d1.astype(np.uint8, copy=copy)),
+        d2=_freeze(d2.astype(np.uint8, copy=copy)),
         y=_freeze(y),
         controls=_freeze(controls),
         control_names=tuple(control_names),
@@ -344,9 +362,34 @@ class _Chunk(NamedTuple):
     fields: Callable[[int], list[str]]  # every token of one record
 
 
-def _csv_reader(raw: bytes, delimiter: str):
-    return csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""),
-                      delimiter=delimiter)
+class _Tokens(NamedTuple):
+    """A file as a tokenizer splits it: its header (None for an empty file),
+    its chunks of records, and ``settle``, which reads the rest of the file
+    and raises :class:`_NotPlain` if that tokenizer could not have split it."""
+
+    header: list[str] | None
+    chunks: Iterator[_Chunk]
+    settle: Callable[[], None]
+
+
+class _NotPlain(Exception):
+    """A piece of the file that the byte tokenizer does not take."""
+
+
+def _source(path) -> Callable[[], BinaryIO]:
+    """A function that opens the file at ``path`` as bytes, from its start,
+    each time it is called. A pipe can be read only once, so it is held."""
+    with open(path, "rb") as handle:
+        if handle.seekable():
+            return lambda: open(path, "rb")
+        raw = handle.read()
+    return lambda: io.BytesIO(raw)
+
+
+def _csv_text(handle: BinaryIO) -> io.TextIOWrapper:
+    """The binary file ``handle`` as text for ``csv.reader``: UTF-8 after an
+    optional BOM, line ends as written."""
+    return io.TextIOWrapper(handle, encoding="utf-8-sig", newline="")
 
 
 def _csv_chunk(rows: list[list[str]]) -> _Chunk:
@@ -360,65 +403,96 @@ def _csv_chunk(rows: list[list[str]]) -> _Chunk:
     return _Chunk(column, rows.__getitem__)
 
 
-def _csv_tokens(raw: bytes, delimiter: str):
-    """The header and the chunks of records of ``raw`` as ``csv.reader`` reads them."""
-    reader = _csv_reader(raw, delimiter)
+def _csv_tokens(text, delimiter: str) -> _Tokens:
+    """The records of the text file ``text`` as ``csv.reader`` reads them."""
+    reader = csv.reader(text, delimiter=delimiter)
     header = next(reader, None)
-    return header, map(_csv_chunk, iter(lambda: list(islice(reader, _CHUNK_ROWS)), []))
+    return _Tokens(header, map(_csv_chunk, iter(lambda: list(islice(reader, _CHUNK_ROWS)), [])),
+                   lambda: None)
 
 
-def _line_ends(text: np.ndarray, delimiter: int, width: int) -> np.ndarray | None:
-    """Offsets of the line feeds of ``text``; None unless every line has
-    ``width`` fields (the last line may lack its line feed)."""
-    ends, seen = [], 0
-    for start in range(0, text.size, _SCAN_BYTES):
-        piece = text[start:start + _SCAN_BYTES]
-        at = np.flatnonzero((piece == delimiter) | (piece == 10))
-        is_end = piece[at] == 10
-        # Counted from the start of the file, every width-th separator ends a line.
-        expected = is_end[(width - 1 - seen) % width::width]
-        if not expected.all() or expected.size != np.count_nonzero(is_end):
-            return None
-        ends.append(at[is_end] + start)
-        seen += at.size
-    if text[-1] != 10 and seen % width != width - 1:
-        return None
-    return np.concatenate(ends)
+def _pieces(handle) -> Iterator[bytes]:
+    """The rest of the binary file ``handle`` in pieces of ``_SCAN_BYTES``
+    bytes, each extended to the end of its last line."""
+    while piece := handle.read(_SCAN_BYTES) + handle.readline():
+        yield piece
 
 
-def _byte_tokens(raw: bytes, delimiter: str):
-    """The header and the chunks of records of ``raw``, split as bytes; None
-    unless ``csv.reader`` would split ``raw`` the same way. That holds when,
-    after an optional BOM, ``raw`` is ASCII with no quote, no NUL and no
-    carriage return outside a CRLF, its header line is not empty, every line
-    has as many fields as the header, and every line is shorter than
-    ``csv.field_size_limit()``."""
-    if raw.startswith(codecs.BOM_UTF8):
-        raw = raw[len(codecs.BOM_UTF8):]
-    if (not raw or raw.startswith((b"\n", b"\r")) or not raw.isascii() or b'"' in raw
-            or b"\0" in raw or not delimiter.isascii() or delimiter in '"\0\r\n'):
-        return None
-    text = np.frombuffer(raw, np.uint8)
-    header_end = raw.find(b"\n") if b"\n" in raw else text.size
-    width = raw.count(delimiter.encode(), 0, header_end) + 1
-    ends = _line_ends(text, ord(delimiter), width)
-    if ends is None or raw.count(b"\r") != np.count_nonzero(text[ends - 1] == 13):
-        return None
+def _line_ends(piece: bytes, delimiter: str, width: int) -> np.ndarray:
+    """Offsets of the line ends of ``piece``, which starts a line: its line
+    feeds, then its size if its last line has none.
+
+    Raises :class:`_NotPlain` unless ``piece`` is ASCII with no quote, no NUL
+    and no carriage return outside a CRLF, and each of its lines has
+    ``width`` fields and is shorter than ``csv.field_size_limit()``.
+    """
+    if not piece.isascii() or b'"' in piece or b"\0" in piece:
+        raise _NotPlain
+    text = np.frombuffer(piece, np.uint8)
+    at = np.flatnonzero((text == ord(delimiter)) | (text == 10))
+    is_end = text[at] == 10
+    # Every width-th separator ends a line, and no other does.
+    expected = is_end[width - 1::width]
+    if not expected.all() or expected.size != np.count_nonzero(is_end):
+        raise _NotPlain
+    ends = at[is_end]
+    # A line feed at 0 has no carriage return before it.
+    if np.count_nonzero(text == 13) != np.count_nonzero(text[np.maximum(ends - 1, 0)] == 13):
+        raise _NotPlain
     if text[-1] != 10:
+        if at.size % width != width - 1:
+            raise _NotPlain
         ends = np.append(ends, text.size)
     if np.diff(ends, prepend=-1).max() > csv.field_size_limit():  # a length plus one
-        return None
+        raise _NotPlain
+    return ends
+
+
+def _token_chunk(lines: bytes, split: bytes, width: int) -> _Chunk:
+    """The tokens of whole ``lines`` (without the last line feed), split at
+    the bytes ``split`` maps to a line feed; of its own, so that each chunk
+    keeps its own tokens and the bytes go as soon as they are split."""
+    tokens = lines.translate(split, b"\r").decode("ascii").split("\n")
+    return _Chunk(lambda p: tokens[p::width], lambda i: tokens[i * width:(i + 1) * width])
+
+
+def _byte_tokens(handle, delimiter: str) -> _Tokens:
+    """The records of the binary file ``handle``, split as bytes a piece at a
+    time; each piece is checked by :func:`_line_ends` before it is split.
+
+    ``csv.reader`` splits a file the same way when, after an optional BOM,
+    its header line is not empty, the delimiter is ASCII and neither a
+    quote, a NUL nor a line break, and each piece passes that check against
+    the header's width. Raises :class:`_NotPlain` here, or while the chunks
+    are read or the file is settled, at the first that does not.
+    """
+    if not delimiter.isascii() or delimiter in '"\0\r\n':
+        raise _NotPlain
+    pieces = _pieces(handle)
+    first = next(pieces, b"").removeprefix(codecs.BOM_UTF8)
+    if not first or first.startswith((b"\n", b"\r")):
+        raise _NotPlain
+    header_end = first.find(b"\n") if b"\n" in first else len(first)
+    width = first.count(delimiter.encode(), 0, header_end) + 1
+    checked = chain([(first, _line_ends(first, delimiter, width))],
+                    ((piece, _line_ends(piece, delimiter, width)) for piece in pieces))
     split = bytes.maketrans(delimiter.encode(), b"\n")
 
-    def chunk(first: int, stop: int) -> _Chunk:
-        # Lines first..stop-1, without the line feed of the last one.
-        tokens = raw[ends[first - 1] + 1:ends[stop - 1]].translate(split, b"\r")
-        tokens = tokens.decode("ascii").split("\n")
-        return _Chunk(lambda p: tokens[p::width], lambda i: tokens[i * width:(i + 1) * width])
+    def chunks() -> Iterator[_Chunk]:
+        first_line = 1  # line 0 of the first piece is the header
+        for piece, ends in checked:
+            for i in range(first_line, ends.size, _CHUNK_ROWS):
+                stop = min(i + _CHUNK_ROWS, ends.size)
+                yield _token_chunk(piece[ends[i - 1] + 1 if i else 0:ends[stop - 1]], split,
+                                   width)
+            first_line = 0
 
-    header = raw[:header_end].rstrip(b"\r").decode("ascii").split(delimiter)
-    return header, (chunk(i, min(i + _CHUNK_ROWS, ends.size))
-                    for i in range(1, ends.size, _CHUNK_ROWS))
+    def settle() -> None:
+        for piece in pieces:
+            _line_ends(piece, delimiter, width)
+
+    header = first[:header_end].rstrip(b"\r").decode("ascii").split(delimiter)
+    return _Tokens(header, chunks(), settle)
 
 
 def _parse_columns(columns: list[list[str]], kinds, fields):
@@ -462,19 +536,24 @@ def _token_error(fields, cols, kinds) -> DataError | None:
     return None
 
 
-def _raise_first_error(reader, positions, cols, kinds, on_missing: str, path) -> None:
-    """Rescan row by row and raise the error a columnar pass ran into: a missing
-    value anywhere under ``on_missing="fail"``, else the first bad token of a kept row."""
+def _raise_first_error(source, path, delimiter: str, positions, cols, kinds,
+                       on_missing: str) -> None:
+    """Rescan the file row by row with ``csv.reader`` and raise the error a
+    columnar pass ran into: a missing value anywhere under
+    ``on_missing="fail"``, else the first bad token of a kept row."""
     error = None
-    for rownum, row in enumerate(reader, start=2):
-        fields = [row[i] if i < len(row) else "" for i in positions]
-        if any(tok.strip().lower() in _MISSING_TOKENS for tok in fields):
-            if on_missing == "fail" and any(tok.strip() for tok in row):
-                raise DataError(f"missing value at line {rownum} of {path}")
-        elif error is None:
-            error = _token_error(fields, cols, kinds)
-        elif on_missing == "drop":
-            break
+    with _csv_text(source()) as text:
+        reader = csv.reader(text, delimiter=delimiter)
+        next(reader)
+        for rownum, row in enumerate(reader, start=2):
+            fields = [row[i] if i < len(row) else "" for i in positions]
+            if any(tok.strip().lower() in _MISSING_TOKENS for tok in fields):
+                if on_missing == "fail" and any(tok.strip() for tok in row):
+                    raise DataError(f"missing value at line {rownum} of {path}")
+            elif error is None:
+                error = _token_error(fields, cols, kinds)
+            elif on_missing == "drop":
+                break
     raise error
 
 
@@ -506,12 +585,15 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     are stripped. Errors name the first offending line or token.
 
     Records are what ``csv.reader`` makes of the file, and the grammar above
-    applies to its tokens. The file is read once; a plain file is split as
-    bytes, which gives the same tokens faster. Any other file is read by
-    ``csv.reader``: one that, after its BOM, has a non-ASCII byte, a quote, a
-    NUL, a carriage return outside a CRLF, an empty header line, a line with
-    more or fewer fields than the header, or a line as long as
-    ``csv.field_size_limit()``.
+    applies to its tokens. The file is streamed: it is read in line-aligned
+    pieces, and neither it nor its line offsets are ever held whole (a pipe,
+    which can be read only once, is held). A plain file is split as bytes,
+    which gives the same tokens faster. Any other file is read by
+    ``csv.reader``, from its first byte: one that, after its BOM, has a
+    non-ASCII byte, a quote, a NUL, a carriage return outside a CRLF, an
+    empty header line, a line with more or fewer fields than the header, or
+    a line as long as ``csv.field_size_limit()``. The table, or the error,
+    does not depend on which piece shows that a file is not plain.
     """
     if on_missing not in ("drop", "fail"):
         raise ConfigError(f"unknown missing-data policy {on_missing!r}")
@@ -531,58 +613,96 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     cols += [str(cluster_name)] if cluster_name else []
     kinds = ["instrument", "treatment", "treatment"] + ["float"] * (1 + len(control_names))
     kinds += ["cluster"] if cluster_name else []
-    header, parts, dropped = _read_columns(path, delimiter, cols, kinds, on_missing)
-    if not sum(map(len, parts[0])):
+    header, columns, dropped = _read_columns(path, delimiter, cols, kinds, on_missing)
+    if not columns[0].size:
         raise DataError(f"no complete rows in {path}")
-    # The file, its tokens and its line offsets are gone by now; each column
-    # is joined, and its chunks let go, before the next.
-    columns = []
-    while parts:
-        columns.append(np.concatenate(parts.pop(0)))
     z, d1, d2, y, *rest = columns
     cluster = rest.pop() if cluster_name else None
     return from_arrays(
         z, d1, d2, y, controls=np.column_stack(rest) if rest else None,
         control_names=tuple(control_names), cluster=cluster, column_names=tuple(header),
         warnings=[f"dropped {dropped} row(s) with missing values"] if dropped else [],
+        copy=False,
     )
 
 
 def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_missing: str):
-    """The stripped header of the file at ``path``, the chunks of each column
-    ``cols`` (parsed as ``kinds``) over the kept rows, and the number of rows
-    dropped for a missing value."""
+    """The stripped header of the file at ``path``, each column ``cols``
+    (parsed as ``kinds``) over the kept rows, and the number of rows dropped
+    for a missing value.
+
+    The file is split as bytes while every piece of it is plain; the first
+    piece that is not sends the whole file through ``csv.reader``.
+    """
     try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        header, chunks = _byte_tokens(raw, delimiter) or _csv_tokens(raw, delimiter)
-        if header is None:
-            raise DataError(f"file {path} is empty")
-        header = [h.strip() for h in header]
-        absent = [col for col in cols if col not in header]
-        if absent:
-            raise ColumnMissingError(
-                f"column(s) {absent} not found in {path}; header is {header}")
-        positions = [header.index(col) for col in cols]
-        parts: list[list[np.ndarray]] = [[] for _ in cols]
-        dropped = 0
-        for start, tokens in zip(count(2, _CHUNK_ROWS), chunks):
-            chunk, missing = _parse_columns(list(map(tokens.column, positions)), kinds,
-                                            tokens.fields)
-            if on_missing == "fail" and missing.any():
-                line = start + int(np.argmax(missing))
-                raise DataError(f"missing value at line {line} of {path}")
-            dropped += int(missing.sum())
-            if chunk is None:
-                reader = _csv_reader(raw, delimiter)
-                next(reader)
-                _raise_first_error(reader, positions, cols, kinds, on_missing, path)
-            for part, column in zip(parts, chunk):
-                part.append(column)
-            del tokens  # before the next chunk is split
+        source = _source(path)
+        with source() as handle:
+            line_feeds, returns = _line_breaks(handle)
+            try:
+                return _collect(_byte_tokens(handle, delimiter), line_feeds + 1, source, path,
+                                delimiter, cols, kinds, on_missing)
+            except _NotPlain:
+                pass
+        # Out of the handler, so that the byte path's columns are let go.
+        with _csv_text(source()) as text:
+            return _collect(_csv_tokens(text, delimiter), line_feeds + returns + 1, source, path,
+                            delimiter, cols, kinds, on_missing)
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
-    return header, parts, dropped
+
+
+def _line_breaks(handle) -> tuple[int, int]:
+    """The line feeds and the carriage returns of the binary file ``handle``,
+    which is then rewound. A record ends at one of them or at the end of the
+    file, so they bound the number of records."""
+    line_feeds = returns = 0
+    for piece in iter(lambda: handle.read(_SCAN_BYTES), b""):
+        text = np.frombuffer(piece, np.uint8)
+        line_feeds += np.count_nonzero(text == 10)
+        returns += np.count_nonzero(text == 13)
+    handle.seek(0)
+    return line_feeds, returns
+
+
+def _collect(tokens: _Tokens, records: int, source, path, delimiter: str, cols, kinds,
+             on_missing: str):
+    """:func:`_read_columns` of one tokenizer's records, at most ``records``.
+
+    Each column is filled in place, so it is held once. Before it raises an
+    error, it settles the rest of the file: the error stands only if the
+    tokenizer could have split the whole file.
+    """
+    header, chunks, settle = tokens
+    if header is None:
+        raise DataError(f"file {path} is empty")
+    header = [h.strip() for h in header]
+    absent = [col for col in cols if col not in header]
+    if absent:
+        settle()
+        raise ColumnMissingError(f"column(s) {absent} not found in {path}; header is {header}")
+    positions = [header.index(col) for col in cols]
+    columns = [np.empty(records, _DTYPES[kind]) for kind in kinds]
+    kept = dropped = 0
+    line = 2
+    for tokens in chunks:
+        chunk, missing = _parse_columns(list(map(tokens.column, positions)), kinds, tokens.fields)
+        if on_missing == "fail" and missing.any():
+            settle()
+            raise DataError(f"missing value at line {line + int(np.argmax(missing))} of {path}")
+        if chunk is None:
+            settle()
+            _raise_first_error(source, path, delimiter, positions, cols, kinds, on_missing)
+        if kept + chunk[0].size > records:
+            raise DataError(f"file {path} changed while it was read")
+        for column, values in zip(columns, chunk):
+            column[kept:kept + values.size] = values
+        kept += chunk[0].size
+        dropped += int(missing.sum())
+        line += missing.size
+        del tokens  # before the next chunk is split
+    for column in columns:
+        column.resize(kept, refcheck=False)  # in place: the array is not copied
+    return header, columns, dropped
 
 
 def _csv_fields(values, delimiter: str) -> dict[str, str]:

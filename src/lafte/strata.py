@@ -520,19 +520,26 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> ObservationTable:
     probs = np.array([s.prob for s in strata], dtype=float)
     probs = probs / probs.sum()
 
-    d1_tab = np.array([[s.d1(0), s.d1(1)] for s in strata], dtype=np.int64)
-    d2_tab = np.array([[s.d2(0), s.d2(1)] for s in strata], dtype=np.int64)
+    d1_tab = np.array([[s.d1(0), s.d1(1)] for s in strata], dtype=np.uint8)
+    d2_tab = np.array([[s.d2(0), s.d2(1)] for s in strata], dtype=np.uint8)
     mean_tab = np.array([[s.outcome_mean(0), s.outcome_mean(1)] for s in strata])
     sd = np.array([s.y_sd for s in strata])
 
-    idx = rng.choice(len(strata), size=n, p=probs)
-    z = rng.binomial(1, spec.p_z, size=n)
+    # Each draw is narrowed as soon as it is made: a drawn row holds 4 bytes
+    # of indices and treatments and 8 of outcome, the table's own columns.
+    idx = rng.choice(len(strata), size=n, p=probs).astype(np.min_scalar_type(len(strata) - 1))
+    z = rng.binomial(1, spec.p_z, size=n).astype(np.uint8)
     d1 = d1_tab[idx, z]
     d2 = d2_tab[idx, z]
-    y = mean_tab[idx, z].astype(float)
     if (sd > 0).any():
-        y = y + sd[idx] * rng.standard_normal(n)
-    return from_arrays(z, d1, d2, y, column_names=("z", "d1", "d2", "y"))
+        # mean + sd * noise, built in place: IEEE products and sums commute.
+        y = rng.standard_normal(n)
+        y *= sd[idx]
+        y += mean_tab[idx, z]
+    else:
+        y = mean_tab[idx, z]
+    del idx
+    return from_arrays(z, d1, d2, y, column_names=("z", "d1", "d2", "y"), copy=False)
 
 
 def random_spec(rng: np.random.Generator, *, n_strata: int | None = None,

@@ -1,4 +1,6 @@
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from lafte import (
     reduced_form,
     sample,
     save_spec,
+    save_table,
     spec_from_dict,
     spec_to_dict,
     stratum,
@@ -167,6 +170,43 @@ def test_sample_deterministic(s2):
     assert np.array_equal(a.y, b.y)
     c = sample(s2, 50, seed=8)
     assert not (np.array_equal(a.z, c.z) and np.array_equal(a.y, c.y))
+
+
+# Four strata, one without noise, so that every branch of sample draws.
+_PINNED_SPEC = PopulationSpec(strata=(
+    stratum("C1C2", 0.35, [0.0, 1.25, 0.5, 2.75], y_sd=1.5),
+    stratum("C1N2", 0.2, [0.25, 1.0, 1.5, 0.0], y_sd=0.0),
+    stratum("N1A2", 0.15, [-1.0, 0.125, 0.0, 0.0], y_sd=0.75),
+    stratum("A1A2", 0.3, [0.0, 0.0, 2.0, 3.5], y_sd=2.0),
+), p_z=0.4, double_exclusion=True)
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (_PINNED_SPEC, "c324b90d94358ed0cb0b562f3df92ef4ad61bedebf3e95deccd188a24b909e5e"),
+    (PopulationSpec(strata=_PINNED_SPEC.strata[:2] + (stratum("A1A2", 0.45, [0, 0, 2.0, 3.5]),),
+                    p_z=0.6),
+     "e6b291a250b75630aacbcd66ea8fe043c0d86eb3bd7f2314f2e4505162570c32"),
+])
+def test_sample_draw_bytes_are_pinned(tmp_path, spec, digest):
+    # The draws, their order and every outcome bit are part of the contract.
+    path = tmp_path / "draw.csv"
+    save_table(sample(spec, 50_000, seed=20240611), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_sample_peak_memory_per_row():
+    # The draw holds 12 bytes per row once made; its peak is the 16 of
+    # rng.choice and the 20 of the outcome's in-place build.
+    n = 200_000
+    sample(_PINNED_SPEC, 1000, seed=1)  # allocations made once per process
+    tracemalloc.start()
+    try:
+        table = sample(_PINNED_SPEC, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.z.dtype == table.d1.dtype == table.d2.dtype == np.uint8
+    assert peak <= 25 * n
 
 
 def test_sample_perfect_compliance():
