@@ -55,13 +55,9 @@ from .exceptions import (
 )
 from .regression import (
     FitResult,
-    StackedSystem,
     TestResult,
-    fit_stacked,
     linear_combination,
     ols,
-    stack,
-    tsls,
     wald_joint,
 )
 from .strata import (

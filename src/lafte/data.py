@@ -617,9 +617,14 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     if not columns[0].size:
         raise DataError(f"no complete rows in {path}")
     z, d1, d2, y, *rest = columns
+    del columns  # so that ``rest`` holds the only reference to each parsed control
     cluster = rest.pop() if cluster_name else None
+    controls = np.empty((z.shape[0], len(rest))) if rest else None
+    for j in range(len(rest)):
+        # Let go of each parsed column once copied: the controls are held once.
+        controls[:, j], rest[j] = rest[j], None
     return from_arrays(
-        z, d1, d2, y, controls=np.column_stack(rest) if rest else None,
+        z, d1, d2, y, controls=controls,
         control_names=tuple(control_names), cluster=cluster, column_names=tuple(header),
         warnings=[f"dropped {dropped} row(s) with missing values"] if dropped else [],
         copy=False,

@@ -17,7 +17,7 @@ from lafte import (
     complier_shares,
     derive,
     first_stage,
-    fit_stacked,
+    from_arrays,
     iv_estimand,
     lafte_bounds,
     lafte_bounds_bounded_response,
@@ -26,9 +26,8 @@ from lafte import (
     ols,
     reduced_form,
     sample,
-    stack,
+    slopes,
     stratum,
-    tsls,
     verify_identities,
 )
 from lafte.cli import RunConfig, run_bounds, run_diagnose, run_estimate
@@ -176,8 +175,8 @@ def test_criterion_4_inference_cross_checks():
         den = d[z == 1].mean() - d[z == 0].mean()
         if abs(den) < 0.05:
             continue
-        fit = tsls(y, d, z.astype(float))
-        close(fit.coefficients[1], num / den)
+        close(iv_estimand(from_arrays(z, d, np.zeros(n, int), y), TreatmentDef.FIRST).value,
+              num / den)
 
     # cluster sandwich with singleton clusters equals HC1 exactly: the
     # documented factors (G/(G-1))((N-1)/(N-K)) and N/(N-K) coincide at G=N
@@ -194,22 +193,9 @@ def test_criterion_4_inference_cross_checks():
 
     # stacked upper-bound SE: order invariance and the FIX8 oracle value
     t = fix8_table()
-    d = derive(t)
-    ones = np.ones(t.n)
-    zf = t.z.astype(float)
-    eq1 = (d.dand_y, np.column_stack([ones, d.d_and]), np.column_stack([ones, zf]))
-    eq2 = (d.untreated_y, np.column_stack([ones, t.d1]), np.column_stack([ones, zf]))
-
-    def stacked_se(eqs, idx_pairs):
-        system = stack(eqs)
-        fit = fit_stacked(system)
-        w = np.zeros(fit.k)
-        for eq_i, coef_i in idx_pairs:
-            w[system.coef_index(eq_i, coef_i)] = 1.0
-        return linear_combination(fit, w)[1]
-
-    se_a = stacked_se([eq1, eq2], [(0, 1), (1, 1)])
-    se_b = stacked_se([eq2, eq1], [(0, 1), (1, 1)])
+    pair = [("dand_y", "d_and"), ("untreated_y", "d1")]
+    se_a = linear_combination(slopes(t, pair), [1.0, 1.0])[1]
+    se_b = linear_combination(slopes(t, pair[::-1]), [1.0, 1.0])[1]
     close(se_a, se_b)
     close(se_a, FIX8_STACKED_UPPER_SE)
     _, _, oracle_se = _oracle_fix8_upper()

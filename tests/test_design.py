@@ -23,7 +23,6 @@ from lafte import (
     save_table,
     slopes,
     tau_bounds,
-    tsls,
 )
 from lafte.cli import RunConfig, run_bounds, run_estimate
 
@@ -49,14 +48,14 @@ def test_no_fit_repeats_within_a_command(tmp_path, monkeypatch, runner):
     calls = []
     real = regression._fit
 
-    def recorder(equations, cluster, names, **kwargs):
-        calls.append([np.shape(y) for y, _, _ in equations])
-        return real(equations, cluster, names, **kwargs)
+    def recorder(y, w, cluster, names):
+        calls.append(np.shape(y))
+        return real(y, w, cluster, names)
 
     monkeypatch.setattr(regression, "_fit", recorder)
     runner(RunConfig(command=runner.__name__[4:], input=str(path),
                      controls=["age", "income"], cluster="cluster"))
-    assert calls == [[(240, 13)]]
+    assert calls == [(240, 13)]
 
 
 def test_columns_are_built_once_per_fit_pass(monkeypatch):
@@ -91,8 +90,6 @@ def test_instrument_design_is_shared_by_every_fit():
     w, names = regression.instrument_design(t.z, t.controls, t.control_names)
     assert names == ("const", "z", "age", "income")
     assert np.array_equal(w, np.column_stack([np.ones(t.n), t.z, t.controls]))
-    x = regression.iv_design(w, t.d1)
-    assert np.array_equal(x[:, 1], t.d1) and np.array_equal(np.delete(x, 1, 1), np.delete(w, 1, 1))
     assert regression.instrument_design(t.z, t.controls)[1][2:] == ("c0", "c1")
 
 
@@ -101,10 +98,8 @@ def test_iv_rank_errors_name_controls():
     twice = from_arrays(t.z, t.d1, t.d2, t.y,
                         controls=np.column_stack([t.controls[:, 0], 2 * t.controls[:, 0]]),
                         control_names=("age", "age2"))
-    with pytest.raises(RankDeficientError, match="'age2?'"):
+    with pytest.raises(RankDeficientError, match="design matrix .*'age2?'"):
         iv_estimand(twice, TreatmentDef.FIRST)
-    with pytest.raises(RankDeficientError, match="instrument matrix .*'age2?'"):
-        tsls(twice.y, twice.d1, twice.z, twice.controls, names=("const", "d1", "age", "age2"))
 
 
 def test_column_labels_are_written_only_in_the_catalogue():

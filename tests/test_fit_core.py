@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lafte import EstimationError, RankDeficientError, fit_stacked, ols, regression, stack
+from lafte import EstimationError, RankDeficientError, ols, regression
 from lafte.regression import RANK_TOLERANCE, _chi2_sf, _normal_cdf
 
 from test_regression import oracle_stacked_iv
@@ -75,27 +75,32 @@ def test_injected_dependence_names_a_column_in_the_span_of_the_others():
 
 
 def test_stacked_deficient_block_is_named():
+    # a joint fit stacks its m equations on one design: a deficient design is
+    # named once, by an unprefixed column in the span of the others
     rng = np.random.default_rng(22)
     n = 80
-    blocks = [random_design(rng, n, k) for k in (3, 4, 2)]
-    blocks[1] = inject_dependence(rng, blocks[1])
-    system = stack([(rng.standard_normal(n), x) for x in blocks])
-    with pytest.raises(RankDeficientError) as info:
-        fit_stacked(system)
-    j = int(re.search(r"'eq1\.b(\d)'", str(info.value)).group(1))
-    assert in_span_of_others(blocks[1], j)
+    for _ in range(50):
+        k, m = int(rng.integers(3, 8)), int(rng.integers(2, 5))
+        x = inject_dependence(rng, random_design(rng, n, k))
+        with pytest.raises(RankDeficientError, match=r"collinear column 'c\d+'") as info:
+            ols(rng.standard_normal((n, m)), x, names=[f"c{j}" for j in range(k)])
+        assert in_span_of_others(x, named_column(info.value))
 
 
 def test_stacked_rank_check_names_the_largest_pivot_below_tolerance():
-    # an exact dependence in block 0 and a near one (pivot ratio ~1e-13) in
-    # block 2: a pivoted QR of the block-diagonal matrix reaches block 2 first
+    # an exact dependence (b2 = 2 b1) and a near one (pivot ratio ~1e-13,
+    # b4 ~ b3) in one design: the pivoted QR reaches the near one first
     rng = np.random.default_rng(26)
     n = 80
-    blocks = [random_design(rng, n, 3) for _ in range(3)]
-    blocks[0][:, 2] = 2.0 * blocks[0][:, 1]
-    blocks[2][:, 2] = blocks[2][:, 1] * (1.0 + 1e-13 * rng.standard_normal(n))
-    with pytest.raises(RankDeficientError, match=r"'eq2\.b[12]'"):
-        fit_stacked(stack([(rng.standard_normal(n), x) for x in blocks]))
+    x = random_design(rng, n, 5)
+    x[:, 2] = 2.0 * x[:, 1]
+    x[:, 4] = x[:, 3] * (1.0 + 1e-13 * rng.standard_normal(n))
+    names = [f"b{j}" for j in range(5)]
+    y = rng.standard_normal((n, 3))
+    with pytest.raises(RankDeficientError, match=r"'b[34]'"):
+        ols(y, x, names=names)
+    with pytest.raises(RankDeficientError, match=r"'b[12]'"):
+        ols(y, x[:, :4], names=names[:4])
 
 
 def old_rule_rank_deficient(x) -> bool:
@@ -154,62 +159,25 @@ def test_p_values_match_scipy():
 # the stack-free engine
 
 
-def iv_system(rng, n, widths, cluster_sizes):
-    """Equations ``(y, X, W)`` with ``X = W`` except an endogenous column 1."""
+def joint_system(rng, n, k, m, cluster_sizes):
+    """An ``n x m`` response on one design ``[1, z, k - 2 Gaussian columns]``,
+    and cluster labels of the given sizes."""
     z = rng.integers(0, 2, n).astype(float)
-    equations = []
-    for k in widths:
-        w = np.column_stack([np.ones(n), z] + [rng.standard_normal(n) for _ in range(k - 2)])
-        x = w.copy()
-        x[:, 1] = (rng.random(n) < 0.3 + 0.4 * z).astype(float)
-        y = 1.5 * x[:, 1] + x[:, 2:].sum(axis=1) + rng.standard_normal(n)
-        equations.append((y, x, w))
+    w = np.column_stack([np.ones(n), z] + [rng.standard_normal(n) for _ in range(k - 2)])
+    y = w @ rng.standard_normal((k, m)) + rng.standard_normal((n, m))
     labels = np.repeat(np.arange(len(cluster_sizes)), cluster_sizes)
-    return equations, labels
+    return y, w, labels
 
 
-@pytest.mark.parametrize("widths", [(4, 4, 4), (2, 5, 3)])
-def test_fit_stacked_equals_stacking_oracle(widths):
-    rng = np.random.default_rng(sum(widths))
-    sizes = rng.integers(1, 7, 120)
-    equations, labels = iv_system(rng, int(sizes.sum()), widths, sizes)
-    for cluster in (labels, None):
-        fit = fit_stacked(stack(equations, cluster))
-        units = np.arange(labels.size) if cluster is None else labels
-        b, v = oracle_stacked_iv(equations, units)
-        np.testing.assert_allclose(fit.coefficients, b, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(fit.vcov, v, rtol=1e-10, atol=1e-16)
-        assert fit.cluster_count == (None if cluster is None else sizes.size)
-
-
-def test_stacked_properties_equal_block_diagonal_arrays():
-    rng = np.random.default_rng(24)
-    n = 30
-    equations, labels = iv_system(rng, n, (3, 2), [3] * 10)
-    equations[1] = equations[1][:2]  # an OLS equation: instruments are the design
-    for cluster, units in ((None, np.arange(n)), (labels, labels)):
-        system = stack(equations, cluster)
-        design = np.zeros((2 * n, 5))
-        instruments = np.zeros((2 * n, 5))
-        design[:n, :3], instruments[:n, :3] = equations[0][1], equations[0][2]
-        design[n:, 3:] = instruments[n:, 3:] = equations[1][1]
-        np.testing.assert_array_equal(system.design, design)
-        np.testing.assert_array_equal(system.instruments, instruments)
-        np.testing.assert_array_equal(
-            system.response, np.concatenate([equations[0][0], equations[1][0]]))
-        assert system.cluster_labels.dtype == units.dtype
-        np.testing.assert_array_equal(system.cluster_labels, np.tile(units, 2))
-
-
-def test_stacked_fit_never_builds_the_stacked_rows():
-    n, widths = 200_000, (4, 4, 4)
-    stacked_bytes = 3 * n * sum(widths) * 8  # one (m*n) x K float array: 57.6 MB
+def test_joint_fit_never_builds_the_stacked_rows():
+    n, k, m = 200_000, 4, 3
+    stacked_bytes = m * n * m * k * 8  # one (m*n) x K float array: 57.6 MB
     rng = np.random.default_rng(25)
-    equations, labels = iv_system(rng, n, widths, [4] * (n // 4))
+    y, w, labels = joint_system(rng, n, k, m, [4] * (n // 4))
     for cluster in (labels, None):
         tracemalloc.start()
         try:
-            fit_stacked(stack(equations, cluster))
+            ols(y, w, cluster)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,15 +217,18 @@ def test_2d_ols_equals_stacked_equations(controls, clustered):
     y = x @ rng.standard_normal((x.shape[1], 5)) + rng.standard_normal((n, 5))
     cluster = np.repeat(np.arange(sizes.size), sizes) if clustered else None
     fit = ols(y, x, cluster, names=[f"w{j}" for j in range(x.shape[1])])
-    ref = fit_stacked(stack([(y[:, e], x) for e in range(5)], cluster))
-    np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=1e-12, atol=0)
+    b, v = oracle_stacked_iv([(y[:, e], x, x) for e in range(5)],
+                             np.arange(n) if cluster is None else cluster)
+    np.testing.assert_allclose(fit.coefficients, b, rtol=1e-12, atol=0)
     # Covariances on the correlation scale: an entry near zero between two
     # equations is a sum that cancels, known only relative to its variances.
-    scale = np.sqrt(np.outer(np.diag(ref.vcov), np.diag(ref.vcov)))
-    assert np.max(np.abs(fit.vcov - ref.vcov) / scale) <= 1e-12
-    np.testing.assert_allclose(np.diag(fit.vcov), np.diag(ref.vcov), rtol=1e-12, atol=0)
+    scale = np.sqrt(np.outer(np.diag(v), np.diag(v)))
+    assert np.max(np.abs(fit.vcov - v) / scale) <= 1e-12
+    np.testing.assert_allclose(np.diag(fit.vcov), np.diag(v), rtol=1e-12, atol=0)
+    k = x.shape[1]
     assert (fit.n, fit.k, fit.dof, fit.covariance_kind, fit.cluster_count) == (
-        ref.n, ref.k, ref.dof, ref.covariance_kind, ref.cluster_count)
+        5 * n, 5 * k, 5 * (n - k), "cluster" if clustered else "hc1",
+        sizes.size if clustered else None)
     assert fit.names[:2] == ("eq0.w0", "eq0.w1") and fit.names[-1] == f"eq4.w{x.shape[1] - 1}"
     assert not fit.response_constant
 
@@ -269,6 +240,25 @@ def test_2d_ols_rank_error_names_the_design_column():
     x = np.column_stack([np.ones(n), rng.integers(0, 2, n), age, 2 * age])
     with pytest.raises(RankDeficientError, match="'age2?'"):
         ols(rng.standard_normal((n, 3)), x, names=("const", "z", "age", "age2"))
+
+
+def test_2d_ols_counts_stacked_rows_and_parameters_when_too_few_rows():
+    # m equations of n rows on k columns: m*n rows for m*k parameters
+    rng = np.random.default_rng(37)
+    x = np.column_stack([np.ones(3), [0.0, 1.0, 1.0], rng.standard_normal(3)])
+    with pytest.raises(EstimationError, match="^12 rows cannot identify 12 parameters$"):
+        ols(rng.standard_normal((3, 4)), x)
+    assert ols(rng.standard_normal((4, 4)), np.vstack([x, [1.0, 0.0, 0.5]])).dof == 4
+
+
+def test_2d_ols_needs_two_clusters():
+    rng = np.random.default_rng(38)
+    n = 30
+    x = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    y = rng.standard_normal((n, 3))
+    with pytest.raises(EstimationError, match="at least 2 clusters"):
+        ols(y, x, np.full(n, 7))
+    assert ols(y, x, np.arange(n) % 2).cluster_count == 2
 
 
 def test_2d_ols_degenerate_only_when_every_column_is_one_constant():
@@ -303,13 +293,11 @@ def test_blocked_score_sums_equal_one_block(monkeypatch, rows):
     rng = np.random.default_rng(35)
     sizes = rng.integers(1, 10, 60)
     labels = rng.permutation(np.repeat(np.arange(sizes.size) * 3 + 2, sizes))
-    equations, _ = iv_system(rng, labels.size, (3, 4), sizes)
-    y = np.column_stack([equations[0][0], equations[1][0], rng.standard_normal(labels.size)])
-    x = equations[1][2]
-    whole = [fit_stacked(stack(equations, cluster)) for cluster in (labels, None)]
+    y, x, _ = joint_system(rng, labels.size, 4, 3, sizes)
+    whole = [ols(y[:, 0], x, cluster) for cluster in (labels, None)]
     whole += [ols(y, x, cluster) for cluster in (labels, None)]
     monkeypatch.setattr(regression, "_CHUNK_ROWS", rows)
-    blocked = [fit_stacked(stack(equations, cluster)) for cluster in (labels, None)]
+    blocked = [ols(y[:, 0], x, cluster) for cluster in (labels, None)]
     blocked += [ols(y, x, cluster) for cluster in (labels, None)]
     for a, b in zip(blocked, whole):
         # W'Y is summed block by block too, so only its summation order moves.
@@ -341,11 +329,10 @@ def test_unclustered_meat_equals_singleton_cluster_meat(monkeypatch, rows, n):
     # Runs of rows, each row its own sum, give the bits of the per-cluster
     # bincount sums over n singleton clusters; n is not a multiple of the block.
     rng = np.random.default_rng(36)
-    equations, _ = iv_system(rng, n, (3, 4), [n])
-    equations = [(np.column_stack([y, rng.standard_normal(n)]), x, w) for y, x, w in equations]
-    b = rng.standard_normal(sum(2 * x.shape[1] for _, x, _ in equations))
+    y, w, _ = joint_system(rng, n, 4, 3, [n])
+    b = rng.standard_normal(y.shape[1] * w.shape[1])
     monkeypatch.setattr(regression, "_CHUNK_ROWS", rows)
-    blocked = regression._meat(equations, b, None, n)
-    singletons = regression._meat(equations, b, np.arange(n), n)
+    blocked = regression._meat(y, w, b, None, n)
+    singletons = regression._meat(y, w, b, np.arange(n), n)
     assert blocked.shape == (b.size, b.size)
     assert blocked.tobytes() == singletons.tobytes()

@@ -6,12 +6,13 @@ from lafte import (
     EstimationError,
     RankDeficientError,
     RelevanceError,
+    TreatmentDef,
     derive,
-    fit_stacked,
+    from_arrays,
+    iv_estimand,
     linear_combination,
     ols,
-    stack,
-    tsls,
+    slopes,
     wald_joint,
 )
 
@@ -174,69 +175,81 @@ def test_too_few_rows():
         ols(np.array([1.0, 2.0]), np.column_stack([np.ones(2), [0.0, 1.0]]))
 
 
+def test_ols_mismatched_rows():
+    with pytest.raises(EstimationError, match="row counts differ"):
+        ols(np.ones(4), np.ones((5, 1)))
+    with pytest.raises(EstimationError, match="row counts differ"):
+        ols(np.ones((4, 2)), np.ones((5, 1)))
+
+
+def test_one_column_response_equals_1d_ols():
+    rng = np.random.default_rng(10)
+    t = random_table(rng, n=70)
+    x = np.column_stack([np.ones(t.n), t.z])
+    single = ols(t.y[:, None], x)
+    plain = ols(t.y, x)
+    np.testing.assert_allclose(single.coefficients, plain.coefficients, rtol=1e-12)
+    np.testing.assert_allclose(single.vcov, plain.vcov, rtol=1e-10)
+    assert plain.names == ("x0", "x1") and single.names == ("eq0.x0", "eq0.x1")
+
+
 # ---------------------------------------------------------------------------
-# tsls
+# IV slopes of a table
 
 
-def test_tsls_fix8_values():
+def test_iv_fix8_values():
     t = fix8_table()
-    d = derive(t)
-    z = t.z.astype(float)
-    assert tsls(t.y, t.d1, z).coefficients[1] == pytest.approx(4 / 3, rel=1e-12)
-    assert tsls(t.y, d.d_sum, z).coefficients[1] == pytest.approx(1.0, rel=1e-12)
-    assert tsls(t.y, t.d2, z).coefficients[1] == pytest.approx(4.0, rel=1e-12)
+    assert iv_estimand(t, TreatmentDef.FIRST).value == pytest.approx(4 / 3, rel=1e-12)
+    assert iv_estimand(t, TreatmentDef.SUM).value == pytest.approx(1.0, rel=1e-12)
+    assert iv_estimand(t, TreatmentDef.SECOND).value == pytest.approx(4.0, rel=1e-12)
 
 
-def test_tsls_equals_wald_ratio():
+def test_iv_equals_wald_ratio():
     rng = np.random.default_rng(7)
     for _ in range(10):
         t = random_table(rng, n=150)
-        fit = tsls(t.y, t.d1, t.z.astype(float))
         num = t.y[t.z == 1].mean() - t.y[t.z == 0].mean()
         den = t.d1[t.z == 1].mean() - t.d1[t.z == 0].mean()
-        assert fit.coefficients[1] == pytest.approx(num / den, rel=1e-10)
+        assert iv_estimand(t, TreatmentDef.FIRST).value == pytest.approx(num / den, rel=1e-10)
 
 
-def test_tsls_with_controls_changes_estimate():
+def test_iv_with_controls_equals_oracle():
     rng = np.random.default_rng(8)
-    t = random_table(rng, n=300)
-    x = rng.standard_normal((t.n, 2))
-    fit = tsls(t.y, t.d1, t.z.astype(float), controls=x)
-    assert fit.k == 4
-    assert np.isfinite(fit.se(1))
+    base = random_table(rng, n=300)
+    x = rng.standard_normal((base.n, 2))
+    t = from_arrays(base.z, base.d1, base.d2, base.y, controls=x)
+    fit = slopes(t, [("y", "d1")])
+    w = np.column_stack([np.ones(t.n), t.z, x])
+    design = w.copy()
+    design[:, 1] = t.d1
+    b, v = oracle_stacked_iv([(t.y, design, w)], np.arange(t.n))
+    assert fit.coefficients[0] == pytest.approx(b[1], rel=1e-12)
+    assert fit.se(0) == pytest.approx(np.sqrt(v[1, 1]), rel=1e-12)
+    assert fit.coefficients[0] != pytest.approx(iv_estimand(base, TreatmentDef.FIRST).value)
 
 
-def test_tsls_relevance_error_carries_first_stage():
+def test_iv_relevance_error_carries_first_stage():
     rng = np.random.default_rng(9)
     n = 80
     # d varies but has the same mean in both arms: exactly zero first stage
     z = np.repeat([0, 1], n // 2)
-    d = np.tile([0.0, 1.0], n // 2)
+    d = np.tile([0, 1], n // 2)
+    t = from_arrays(z, d, np.zeros(n, int), rng.standard_normal(n))
     with pytest.raises(RelevanceError) as info:
-        tsls(rng.standard_normal(n), d, z.astype(float))
+        iv_estimand(t, TreatmentDef.FIRST)
     assert abs(info.value.first_stage) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
-# stacking
+# joint fits
 
 
-def test_stack_matches_separate_fits(fix8=None):
+def test_joint_slopes_match_separate_fits():
     t = fix8_table()
-    d = derive(t)
-    ones = np.ones(t.n)
-    z = t.z.astype(float)
-    eq1 = (d.dand_y, np.column_stack([ones, d.d_and]), np.column_stack([ones, z]))
-    eq2 = (d.untreated_y, np.column_stack([ones, t.d1]), np.column_stack([ones, z]))
-    system = stack([eq1, eq2])
-    fit = fit_stacked(system)
-    assert fit.coefficients[system.coef_index(0, 1)] == pytest.approx(3.0, rel=1e-12)
-    assert fit.coefficients[system.coef_index(1, 1)] == pytest.approx(-1 / 3, rel=1e-12)
-
-    weights = np.zeros(fit.k)
-    weights[system.coef_index(0, 1)] = 1.0
-    weights[system.coef_index(1, 1)] = 1.0
-    value, se = linear_combination(fit, weights)
+    fit = slopes(t, [("dand_y", "d_and"), ("untreated_y", "d1")])
+    assert fit.coefficients[0] == pytest.approx(3.0, rel=1e-12)
+    assert fit.coefficients[1] == pytest.approx(-1 / 3, rel=1e-12)
+    value, se = linear_combination(fit, [1.0, 1.0])
     assert value == pytest.approx(8 / 3, rel=1e-12)
     assert np.isfinite(se) and se > 0
 
@@ -246,81 +259,41 @@ def test_stacked_se_matches_matrix_oracle():
     assert upper == pytest.approx(8 / 3, rel=1e-12)
     assert se == pytest.approx(FIX8_STACKED_UPPER_SE, rel=1e-12)
 
-    t = fix8_table()
-    d = derive(t)
-    ones = np.ones(t.n)
-    z = t.z.astype(float)
-    system = stack([
-        (d.dand_y, np.column_stack([ones, d.d_and]), np.column_stack([ones, z])),
-        (d.untreated_y, np.column_stack([ones, t.d1]), np.column_stack([ones, z])),
-    ])
-    fit = fit_stacked(system)
-    weights = np.zeros(fit.k)
-    weights[1] = weights[3] = 1.0
-    _, got = linear_combination(fit, weights)
+    fit = slopes(fix8_table(), [("dand_y", "d_and"), ("untreated_y", "d1")])
+    _, got = linear_combination(fit, [1.0, 1.0])
     assert got == pytest.approx(se, rel=1e-12)
 
 
-def test_stack_single_equation_equals_ols():
-    rng = np.random.default_rng(10)
-    t = random_table(rng, n=70)
-    x = np.column_stack([np.ones(t.n), t.z])
-    single = fit_stacked(stack([(t.y, x)]))
-    plain = ols(t.y, x)
-    np.testing.assert_allclose(single.coefficients, plain.coefficients, rtol=1e-12)
-    np.testing.assert_allclose(single.vcov, plain.vcov, rtol=1e-10)
-
-
-def test_stack_order_invariance():
+def test_joint_request_order_invariance():
     rng = np.random.default_rng(11)
     t = random_table(rng, n=120, cluster_size=6)
-    d = derive(t)
-    ones = np.ones(t.n)
-    z = t.z.astype(float)
-    eq1 = (d.dand_y, np.column_stack([ones, d.d_and]), np.column_stack([ones, z]))
-    eq2 = (d.untreated_y, np.column_stack([ones, t.d1]), np.column_stack([ones, z]))
-
-    def upper_se(eqs, first, second):
-        system = stack(eqs, cluster=t.cluster)
-        fit = fit_stacked(system)
-        w = np.zeros(fit.k)
-        w[system.coef_index(first, 1)] = 1.0
-        w[system.coef_index(second, 1)] = 1.0
-        return linear_combination(fit, w)
-
-    v1, s1 = upper_se([eq1, eq2], 0, 1)
-    v2, s2 = upper_se([eq2, eq1], 1, 0)
+    pair = [("dand_y", "d_and"), ("untreated_y", "d1")]
+    v1, s1 = linear_combination(slopes(t, pair), [1.0, 1.0])
+    v2, s2 = linear_combination(slopes(t, pair[::-1]), [1.0, 1.0])
     assert v1 == pytest.approx(v2, rel=1e-12)
     assert s1 == pytest.approx(s2, rel=1e-10)
 
 
-def test_stack_mismatched_rows():
-    with pytest.raises(EstimationError, match="mismatch"):
-        stack([(np.ones(4), np.ones((4, 1))), (np.ones(5), np.ones((5, 1)))])
-
-
-def test_stacked_cluster_duplication():
-    # with clusters given, the duplicated labels keep both copies of an
-    # observation in one dependence unit
+def test_joint_fit_cluster_count():
+    # with clusters given, the copies of an observation in the stacked
+    # system stay in one dependence unit
     rng = np.random.default_rng(12)
     t = random_table(rng, n=40, cluster_size=4)
     x = np.column_stack([np.ones(t.n), t.z])
-    system = stack([(t.y, x), (t.d1.astype(float), x)], cluster=t.cluster)
-    assert system.cluster is not None
-    fit = fit_stacked(system)
+    fit = ols(np.column_stack([t.y, t.d1]), x, cluster=t.cluster)
     assert fit.cluster_count == 10
 
 
-def test_unclustered_stack_reports_hc1_with_row_units():
+def test_unclustered_joint_fit_reports_hc1_with_row_units():
     # without labels the original rows are the dependence units: the
     # covariance is the row-clustered one to the bit, but it is reported as
     # "hc1" without a cluster count
     rng = np.random.default_rng(13)
     t = random_table(rng, n=40)
     x = np.column_stack([np.ones(t.n), t.z])
-    eqs = [(t.y, x), (t.d1.astype(float), x)]
-    fit = fit_stacked(stack(eqs))
-    by_row = fit_stacked(stack(eqs, cluster=np.arange(t.n)))
+    y = np.column_stack([t.y, t.d1])
+    fit = ols(y, x)
+    by_row = ols(y, x, cluster=np.arange(t.n))
     assert fit.covariance_kind == "hc1" and fit.cluster_count is None
     assert by_row.covariance_kind == "cluster" and by_row.cluster_count == t.n
     assert fit.vcov.tobytes() == by_row.vcov.tobytes()
@@ -363,9 +336,8 @@ def test_fix8_joint_contrast_test_matches_oracle():
     t = fix8_table()
     d = derive(t)
     x = np.column_stack([np.ones(t.n), t.z])
-    system = stack([(d.g_or, x), (d.g_and, x)])
-    fit = fit_stacked(system)
-    res = wald_joint(fit, [system.coef_index(0, 1), system.coef_index(1, 1)])
+    fit = ols(np.column_stack([d.g_or, d.g_and]), x)
+    res = wald_joint(fit, [1, 3])
     assert res.dof == 2
     assert np.isfinite(res.statistic)
 

@@ -14,19 +14,17 @@ from lafte import (
     TreatmentDef,
     derive,
     estimands,
-    fit_stacked,
     from_arrays,
     iv_estimand,
     ols,
     regression,
     slopes,
-    stack,
-    tsls,
 )
 from lafte.data import RESPONSES, DerivedColumns
-from lafte.regression import instrument_design, iv_design
+from lafte.regression import instrument_design
 
 from conftest import random_table
+from test_regression import oracle_stacked_iv
 
 SRC = Path(lafte.__file__).resolve().parent
 
@@ -34,8 +32,7 @@ SRC = Path(lafte.__file__).resolve().parent
 # module reaches the fits through ``estimands.slopes``. ``__init__`` only
 # re-exports the public API.
 FIT_LAYER = {"data", "regression", "estimands", "__init__"}
-FIT_NAMES = {"ols", "tsls", "stack", "fit_stacked", "iv_design", "instrument_design",
-             "coef_index", "cluster_codes"}
+FIT_NAMES = {"ols", "instrument_design", "cluster_codes"}
 
 # The north-star agreement rule between two ways of computing one number.
 REL = 1e-12
@@ -54,19 +51,31 @@ TABLES = [pytest.param(c, g, id=f"controls={c}-cluster={g}")
           for c in (False, True) for g in (False, True)]
 
 
+def _iv_design(w, d):
+    """``W`` with the instrument column replaced by the treatment ``d``."""
+    x = w.copy()
+    x[:, 1] = d
+    return x
+
+
 def _stacked_reference(t, equations):
-    """The slopes and their covariance from a hand-built stacked fit of ``equations``."""
-    w, _ = instrument_design(t.z, t.controls, t.control_names)
+    """The slopes of ``equations`` and their covariance by the dense stacking
+    oracle, and the stacked fit's ``(n, dof, covariance_kind, cluster_count)``."""
+    w = np.column_stack([np.ones(t.n), t.z, t.controls])
     columns = derive(t)
-    system = stack([(columns.column(r), w if d is None else iv_design(w, columns.column(d)), w)
-                    for r, d in equations], t.cluster_codes)
-    ref = fit_stacked(system)
-    idx = [system.coef_index(e, 1) for e in range(len(equations))]
-    return ref, ref.coefficients[idx], ref.vcov[np.ix_(idx, idx)]
+    system = [(columns.column(r), w if d is None else _iv_design(w, columns.column(d)), w)
+              for r, d in equations]
+    clustered = t.cluster_codes is not None
+    b, v = oracle_stacked_iv(system, t.cluster_codes if clustered else np.arange(t.n))
+    m, k = len(equations), w.shape[1]
+    idx = [e * k + 1 for e in range(m)]
+    meta = (m * t.n, m * (t.n - k), "cluster" if clustered else "hc1",
+            t.cluster_count if clustered else None)
+    return meta, b[idx], v[np.ix_(idx, idx)]
 
 
 @pytest.mark.parametrize("controls, cluster", TABLES)
-def test_single_equation_equals_ols_and_tsls(controls, cluster):
+def test_single_equation_equals_ols_and_the_oracle(controls, cluster):
     t = _table(controls, cluster)
     w, names = instrument_design(t.z, t.controls, t.control_names)
     columns = derive(t)
@@ -78,23 +87,21 @@ def test_single_equation_equals_ols_and_tsls(controls, cluster):
         assert (fs.k, fs.cluster_count) == (1, ref.cluster_count)
 
         iv = slopes(t, [("y", d.value)])
-        ref = tsls(t.y, columns.column(d.value), t.z, t.controls if controls else None,
-                   t.cluster_codes)
+        meta, coefficients, vcov = _stacked_reference(t, [("y", d.value)])
         np.testing.assert_allclose([iv.coefficients[0], iv.se(0)],
-                                   [ref.coefficients[1], ref.se(1)], rtol=REL, atol=0)
-        assert (iv.k, iv.cluster_count) == (1, ref.cluster_count)
+                                   [coefficients[0], np.sqrt(vcov[0, 0])], rtol=REL, atol=0)
+        assert (iv.k, iv.cluster_count) == (1, meta[3])
 
 
 @pytest.mark.parametrize("controls, cluster", TABLES)
-def test_multi_equation_equals_hand_built_stack(controls, cluster):
+def test_multi_equation_equals_the_stacking_oracle(controls, cluster):
     t = _table(controls, cluster)
     equations = [("dand_y", "d_and"), ("g_or", None), ("untreated_y", "d1"), ("kernel_y", "d1")]
     fit = slopes(t, equations)
-    ref, coefficients, vcov = _stacked_reference(t, equations)
+    meta, coefficients, vcov = _stacked_reference(t, equations)
     np.testing.assert_allclose(fit.coefficients, coefficients, rtol=REL, atol=0)
     np.testing.assert_allclose(fit.vcov, vcov, rtol=REL, atol=0)
-    assert (fit.k, fit.n, fit.dof, fit.covariance_kind, fit.cluster_count) == (
-        4, ref.n, ref.dof, ref.covariance_kind, ref.cluster_count)
+    assert (fit.k, fit.n, fit.dof, fit.covariance_kind, fit.cluster_count) == (4, *meta)
     assert fit.names == ("dand_y~d_and", "g_or", "untreated_y~d1", "kernel_y~d1")
 
 
@@ -118,11 +125,10 @@ def test_every_request_equals_its_stacked_fit(controls, cluster, seed):
     t = _table(controls, cluster, seed=seed, n=300)
     for equations in REQUESTS:
         fit = slopes(t, equations)
-        ref, coefficients, vcov = _stacked_reference(t, equations)
+        meta, coefficients, vcov = _stacked_reference(t, equations)
         np.testing.assert_allclose(fit.coefficients, coefficients, rtol=REL, atol=0)
         np.testing.assert_allclose(fit.vcov, vcov, rtol=REL, atol=0)
-        assert (fit.n, fit.dof, fit.covariance_kind, fit.cluster_count) == (
-            ref.n, ref.dof, ref.covariance_kind, ref.cluster_count)
+        assert (fit.n, fit.dof, fit.covariance_kind, fit.cluster_count) == meta
         assert not fit.response_constant
 
 
@@ -183,8 +189,8 @@ def test_table_fit_meat_equals_whole_array_meat_exactly(monkeypatch, clustered):
     b = np.random.default_rng(78).standard_normal(len(RESPONSES) * w.shape[1])
     codes = t.cluster_codes if clustered else None
     monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
-    meat = regression._meat([(lazy, w, w)], b, codes, n)
-    whole = regression._meat([(derive(t).values, w, w)], b, codes, n)
+    meat = regression._meat(lazy, w, b, codes, n)
+    whole = regression._meat(derive(t).values, w, b, codes, n)
     assert meat.tobytes() == whole.tobytes()
 
 
@@ -277,8 +283,8 @@ def test_one_fit_and_one_qr_per_table(monkeypatch):
     t = _table(controls=True, cluster=True)
     responses, factored = [], []
     real_fit, real_qr = regression._fit, np.linalg.qr
-    monkeypatch.setattr(regression, "_fit", lambda equations, *args: (
-        responses.extend(np.shape(y) for y, _, _ in equations) or real_fit(equations, *args)))
+    monkeypatch.setattr(regression, "_fit", lambda y, *args: (
+        responses.append(np.shape(y)) or real_fit(y, *args)))
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs: (
         factored.append(np.shape(a)) or real_qr(a, *args, **kwargs)))
     for equations in REQUESTS:
@@ -322,3 +328,33 @@ def test_only_the_fit_layer_reaches_the_fit_core():
     offenders = {m.stem: sorted(_fit_references(m)) for m in modules
                  if m.stem not in FIT_LAYER and _fit_references(m)}
     assert offenders == {}
+
+
+# The package's public names. A name removed from the API (the stacked
+# reference fits ``tsls``, ``stack``, ``fit_stacked`` and ``StackedSystem``)
+# must not come back by a stray re-export.
+PUBLIC_API = {
+    # results and specs
+    "AssumptionAudit", "BINARY_DEFS", "BoundsResult", "CheckResult", "ComplierShares",
+    "DerivedColumns", "EstimateWithSE", "FitResult", "MoverTestReport", "ObservationTable",
+    "PopulationMoments", "PopulationSpec", "SignCheckReport", "Stratum", "TestResult",
+    "TreatmentDef", "TrueParams", "ValidationReport", "VerificationReport",
+    # errors
+    "BoundsError", "ColumnMissingError", "ConfigError", "DataError", "DegenerateTestError",
+    "EstimationError", "LafteError", "RankDeficientError", "RelevanceError", "SpecError",
+    # functions
+    "analytic_moments", "complier_shares", "derive", "double_exclusion_check", "first_stage",
+    "from_arrays", "group_probs", "iv_estimand", "lafte_bounds",
+    "lafte_bounds_bounded_response", "linear_combination", "load_spec", "load_table",
+    "mover_conclusion", "mover_test", "ols", "random_spec", "reduced_form", "sample",
+    "save_spec", "save_table", "slopes", "spec_from_dict", "spec_to_dict", "stratum",
+    "tau_bounds", "true_parameters", "validate_spec", "verify_identities", "wald_joint",
+    # submodules
+    "bounds", "data", "diagnostics", "estimands", "exceptions", "regression", "strata",
+    "verify",
+}
+
+
+def test_public_api_is_pinned():
+    assert set(lafte.__all__) == PUBLIC_API
+    assert all(hasattr(lafte, name) for name in PUBLIC_API)
