@@ -132,7 +132,7 @@ def _load_config_file(path) -> dict:
         raise ConfigError("config file must contain a key-value mapping")
     unknown = set(payload) - _CONFIG_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     return payload
 
 
@@ -146,7 +146,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config 'mapping' must be a key-value mapping")
         unknown = set(mapping) - set(DEFAULT_MAPPING)
         if unknown:
-            raise ConfigError(f"unknown mapping keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown mapping keys: {sorted(unknown, key=str)}")
         config.mapping = {k: str(v) for k, v in mapping.items()}
     for key in ("input", "cluster", "delimiter", "out", "format", "missing",
                 "upper_se_method"):

@@ -29,8 +29,9 @@ evaluates it on the cells of a population spec.
 :func:`load_table` and :func:`save_table` move tables through delimited
 text. Their token grammar and their bytes are those of the ``csv`` module,
 which reads any file the loader's byte tokenizer does not take (quoted,
-non-ASCII or ragged files; see :func:`load_table`) and writes the header;
-the rows are split and joined as plain strings, a block of rows at a time.
+non-ASCII or ragged files, and any file with an error; see
+:func:`load_table`) and writes the header; the rows are split and joined
+as plain strings, a block of rows at a time.
 
 ``cluster_codes`` holds each row's cluster label as an ``int64`` index into
 the sorted distinct labels (the inverse of ``np.unique(cluster)``), computed
@@ -192,7 +193,7 @@ def _non_binary(col: np.ndarray) -> np.ndarray:
     return (col != 0) & (col != 1)
 
 
-def _validate_arrays(z, d1, d2, y, controls, cluster, labels, codes) -> list[str]:
+def _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, codes) -> list[str]:
     # ``labels`` are the distinct cluster labels, None when some label is None;
     # ``codes`` are None when the labels do not order.
     errors: list[str] = []
@@ -221,6 +222,9 @@ def _validate_arrays(z, d1, d2, y, controls, cluster, labels, codes) -> list[str
         errors.append("outcome column 'y' contains non-finite values")
     if controls.size and not np.isfinite(controls).all():
         errors.append("control columns contain non-finite values")
+    if control_names and len(control_names) != controls.shape[1]:
+        errors.append(f"{len(control_names)} control name(s) for "
+                      f"{controls.shape[1]} control column(s)")
     if cluster is not None:
         if cluster.shape[0] != n:
             errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
@@ -272,7 +276,8 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     By default it stores copies, so the caller's arrays stay writeable and
     unshared. With ``copy=False`` an input that already has its stored dtype
     and is contiguous is adopted and made read-only in place, which saves a
-    copy for a caller that lets go of its arrays.
+    copy for a caller that lets go of its arrays. ``control_names`` is empty
+    or names each control column.
 
     Raises
     ------
@@ -295,7 +300,8 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         if cluster.shape[0] == z.shape[0] and not np.equal(cluster, None).any():
             labels, codes = _factorise(cluster)
 
-    errors = _validate_arrays(z, d1, d2, y, controls, cluster, labels, codes)
+    control_names = tuple(control_names)
+    errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, codes)
     if errors:
         raise DataError("; ".join(errors),
                         report=ValidationReport(tuple(errors), tuple(warnings)))
@@ -306,7 +312,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         d2=_freeze(d2.astype(np.uint8, copy=copy)),
         y=_freeze(y),
         controls=_freeze(controls),
-        control_names=tuple(control_names),
+        control_names=control_names,
         cluster=None if cluster is None else _freeze(cluster),
         column_names=tuple(column_names),
         warnings=tuple(warnings),
@@ -363,13 +369,11 @@ class _Chunk(NamedTuple):
 
 
 class _Tokens(NamedTuple):
-    """A file as a tokenizer splits it: its header (None for an empty file),
-    its chunks of records, and ``settle``, which reads the rest of the file
-    and raises :class:`_NotPlain` if that tokenizer could not have split it."""
+    """A file as a tokenizer splits it: its header (None for an empty file)
+    and its chunks of records."""
 
     header: list[str] | None
     chunks: Iterator[_Chunk]
-    settle: Callable[[], None]
 
 
 class _NotPlain(Exception):
@@ -407,8 +411,7 @@ def _csv_tokens(text, delimiter: str) -> _Tokens:
     """The records of the text file ``text`` as ``csv.reader`` reads them."""
     reader = csv.reader(text, delimiter=delimiter)
     header = next(reader, None)
-    return _Tokens(header, map(_csv_chunk, iter(lambda: list(islice(reader, _CHUNK_ROWS)), [])),
-                   lambda: None)
+    return _Tokens(header, map(_csv_chunk, iter(lambda: list(islice(reader, _CHUNK_ROWS)), [])))
 
 
 def _pieces(handle) -> Iterator[bytes]:
@@ -464,7 +467,7 @@ def _byte_tokens(handle, delimiter: str) -> _Tokens:
     its header line is not empty, the delimiter is ASCII and neither a
     quote, a NUL nor a line break, and each piece passes that check against
     the header's width. Raises :class:`_NotPlain` here, or while the chunks
-    are read or the file is settled, at the first that does not.
+    are read, at the first that does not.
     """
     if not delimiter.isascii() or delimiter in '"\0\r\n':
         raise _NotPlain
@@ -487,12 +490,8 @@ def _byte_tokens(handle, delimiter: str) -> _Tokens:
                                    width)
             first_line = 0
 
-    def settle() -> None:
-        for piece in pieces:
-            _line_ends(piece, delimiter, width)
-
     header = first[:header_end].rstrip(b"\r").decode("ascii").split(delimiter)
-    return _Tokens(header, chunks(), settle)
+    return _Tokens(header, chunks())
 
 
 def _parse_columns(columns: list[list[str]], kinds, fields):
@@ -525,36 +524,19 @@ def _parse_columns(columns: list[list[str]], kinds, fields):
     return values, missing
 
 
-def _token_error(fields, cols, kinds) -> DataError | None:
-    """The error for the first token of a kept row that does not parse, if any."""
-    for tok, name, kind in zip(fields, cols, kinds):
-        if kind == "float" and _floats([tok]) is None:
-            return DataError(f"could not parse numeric column '{name}': value {tok!r}")
-        if kind in ("instrument", "treatment") and tok.strip() not in _BINARY:
-            # Only 0/1: "true"/"false" are rejected to avoid silent coercion.
-            return DataError(f"non-binary {kind} column '{name}': value {tok!r}")
-    return None
-
-
-def _raise_first_error(source, path, delimiter: str, positions, cols, kinds,
-                       on_missing: str) -> None:
-    """Rescan the file row by row with ``csv.reader`` and raise the error a
-    columnar pass ran into: a missing value anywhere under
-    ``on_missing="fail"``, else the first bad token of a kept row."""
-    error = None
-    with _csv_text(source()) as text:
-        reader = csv.reader(text, delimiter=delimiter)
-        next(reader)
-        for rownum, row in enumerate(reader, start=2):
-            fields = [row[i] if i < len(row) else "" for i in positions]
-            if any(tok.strip().lower() in _MISSING_TOKENS for tok in fields):
-                if on_missing == "fail" and any(tok.strip() for tok in row):
-                    raise DataError(f"missing value at line {rownum} of {path}")
-            elif error is None:
-                error = _token_error(fields, cols, kinds)
-            elif on_missing == "drop":
-                break
-    raise error
+def _token_error(columns: list[list[str]], cols, kinds) -> DataError:
+    """The error for the first token of a kept row that does not parse, given
+    the tokens of each mapped column of a chunk :func:`_parse_columns` could
+    not parse (so that there is one)."""
+    for fields in zip(*columns):
+        if any(tok.strip().lower() in _MISSING_TOKENS for tok in fields):
+            continue
+        for tok, name, kind in zip(fields, cols, kinds):
+            if kind == "float" and _floats([tok]) is None:
+                return DataError(f"could not parse numeric column '{name}': value {tok!r}")
+            if kind in ("instrument", "treatment") and tok.strip() not in _BINARY:
+                # Only 0/1: "true"/"false" are rejected to avoid silent coercion.
+                return DataError(f"non-binary {kind} column '{name}': value {tok!r}")
 
 
 def load_table(path, mapping: Mapping[str, object] | None = None, *,
@@ -592,8 +574,11 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     ``csv.reader``, from its first byte: one that, after its BOM, has a
     non-ASCII byte, a quote, a NUL, a carriage return outside a CRLF, an
     empty header line, a line with more or fewer fields than the header, or
-    a line as long as ``csv.field_size_limit()``. The table, or the error,
-    does not depend on which piece shows that a file is not plain.
+    a line as long as ``csv.field_size_limit()``. An error is always the one
+    ``csv.reader``'s reading of the file gives: a plain file that has an
+    error is read again by ``csv.reader``, which finds it in one pass. So the
+    table, or the error, does not depend on which piece shows that a file is
+    not plain, or has an error.
     """
     if on_missing not in ("drop", "fail"):
         raise ConfigError(f"unknown missing-data policy {on_missing!r}")
@@ -602,11 +587,14 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     allowed = {"z", "d1", "d2", "y", "controls", "cluster"}
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"unknown mapping keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown mapping keys: {sorted(unknown, key=str)}")
     for key in ("z", "d1", "d2", "y"):
         if key not in mapping:
             raise ConfigError(f"mapping is missing required key '{key}'")
-    control_names = [str(c) for c in mapping.get("controls", []) or []]
+    controls = mapping.get("controls")
+    if not isinstance(controls, (list, tuple, type(None))):
+        raise ConfigError(f"mapping 'controls' must be a list of column names, got {controls!r}")
+    control_names = [str(c) for c in controls or ()]
     cluster_name = mapping.get("cluster")
 
     cols = [str(mapping[key]) for key in ("z", "d1", "d2", "y")] + control_names
@@ -636,22 +624,23 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
     (parsed as ``kinds``) over the kept rows, and the number of rows dropped
     for a missing value.
 
-    The file is split as bytes while every piece of it is plain; the first
-    piece that is not sends the whole file through ``csv.reader``.
+    The file is split as bytes while every piece of it is plain. The first
+    piece that is not, or any error, sends the whole file through
+    ``csv.reader``, whose reading alone decides the error.
     """
     try:
         source = _source(path)
         with source() as handle:
             line_feeds, returns = _line_breaks(handle)
             try:
-                return _collect(_byte_tokens(handle, delimiter), line_feeds + 1, source, path,
-                                delimiter, cols, kinds, on_missing)
-            except _NotPlain:
+                return _collect(_byte_tokens(handle, delimiter), line_feeds + 1, path, cols,
+                                kinds, on_missing)
+            except (_NotPlain, ConfigError, DataError):
                 pass
         # Out of the handler, so that the byte path's columns are let go.
         with _csv_text(source()) as text:
-            return _collect(_csv_tokens(text, delimiter), line_feeds + returns + 1, source, path,
-                            delimiter, cols, kinds, on_missing)
+            return _collect(_csv_tokens(text, delimiter), line_feeds + returns + 1, path, cols,
+                            kinds, on_missing)
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
 
@@ -669,42 +658,45 @@ def _line_breaks(handle) -> tuple[int, int]:
     return line_feeds, returns
 
 
-def _collect(tokens: _Tokens, records: int, source, path, delimiter: str, cols, kinds,
-             on_missing: str):
+def _collect(tokens: _Tokens, records: int, path, cols, kinds, on_missing: str):
     """:func:`_read_columns` of one tokenizer's records, at most ``records``.
 
-    Each column is filled in place, so it is held once. Before it raises an
-    error, it settles the rest of the file: the error stands only if the
-    tokenizer could have split the whole file.
+    Each column is filled in place, so it is held once. The error, if any,
+    is found in this one pass: under ``on_missing="fail"`` a missing value
+    anywhere, else the first bad token of a kept row.
     """
-    header, chunks, settle = tokens
+    header, chunks = tokens
     if header is None:
         raise DataError(f"file {path} is empty")
     header = [h.strip() for h in header]
     absent = [col for col in cols if col not in header]
     if absent:
-        settle()
         raise ColumnMissingError(f"column(s) {absent} not found in {path}; header is {header}")
     positions = [header.index(col) for col in cols]
     columns = [np.empty(records, _DTYPES[kind]) for kind in kinds]
     kept = dropped = 0
     line = 2
+    error = None  # under "fail", a bad token stands only if no value is missing
     for tokens in chunks:
-        chunk, missing = _parse_columns(list(map(tokens.column, positions)), kinds, tokens.fields)
+        mapped = list(map(tokens.column, positions))
+        chunk, missing = _parse_columns(mapped, kinds, tokens.fields)
         if on_missing == "fail" and missing.any():
-            settle()
             raise DataError(f"missing value at line {line + int(np.argmax(missing))} of {path}")
         if chunk is None:
-            settle()
-            _raise_first_error(source, path, delimiter, positions, cols, kinds, on_missing)
-        if kept + chunk[0].size > records:
-            raise DataError(f"file {path} changed while it was read")
-        for column, values in zip(columns, chunk):
-            column[kept:kept + values.size] = values
-        kept += chunk[0].size
+            error = error or _token_error(mapped, cols, kinds)
+            if on_missing == "drop":
+                raise error
+        elif error is None:
+            if kept + chunk[0].size > records:
+                raise DataError(f"file {path} changed while it was read")
+            for column, values in zip(columns, chunk):
+                column[kept:kept + values.size] = values
+            kept += chunk[0].size
         dropped += int(missing.sum())
         line += missing.size
-        del tokens  # before the next chunk is split
+        del tokens, mapped  # before the next chunk is split
+    if error is not None:
+        raise error
     for column in columns:
         column.resize(kept, refcheck=False)  # in place: the array is not copied
     return header, columns, dropped

@@ -623,7 +623,7 @@ def spec_from_dict(payload: Mapping) -> PopulationSpec:
     allowed = {"p_z", "double_exclusion", "strata"}
     unknown = set(payload) - allowed
     if unknown:
-        raise SpecError(f"unknown spec keys: {sorted(unknown)}")
+        raise SpecError(f"unknown spec keys: {sorted(unknown, key=str)}")
     if "strata" not in payload:
         raise SpecError("spec is missing 'strata'")
     if not isinstance(payload["strata"], (list, tuple)):
@@ -641,7 +641,7 @@ def spec_from_dict(payload: Mapping) -> PopulationSpec:
             raise SpecError(f"malformed stratum {i}: expected a mapping, got {raw!r}")
         extra = set(raw) - {"prob", "d1", "d2", "mean_y", "y_sd"}
         if extra:
-            raise SpecError(f"stratum {i} has unknown keys: {sorted(extra)}")
+            raise SpecError(f"stratum {i} has unknown keys: {sorted(extra, key=str)}")
         try:
             d1_at = tuple(_response(v, "d1") for v in raw["d1"])
             d2_at = tuple(tuple(_response(v, "d2") for v in row) for row in raw["d2"])

@@ -65,6 +65,12 @@ def test_unknown_config_key(tmp_path, capsys):
     code, _, err = run(["estimate", "--config", str(config)], capsys)
     assert code == 1
     assert "unknown config keys" in err
+    # Keys of mixed types, as YAML reads "1: 2" beside "foo: 3", are named too.
+    for document, message in (("1: 2\nfoo: 3\n", "unknown config keys: [1, 'foo']"),
+                              ("mapping: {1: z, foo: y}\n", "unknown mapping keys: [1, 'foo']")):
+        config.write_text(document, encoding="utf-8")
+        code, _, err = run(["estimate", "--config", str(config)], capsys)
+        assert code == 1 and message in err and "Traceback" not in err
 
 
 def test_missing_column_exit_1(tmp_path, capsys):
@@ -374,6 +380,10 @@ def test_negative_scientific_response_bound(fix8_path, capsys):
     "strata:\n- {prob: 1, d1: [0, 1], d2: [[0, 1], [0, 1]], mean_y: [[0, 0], [0, 1]],"
     " y_sd: .nan}\n",
     "strata:\n- {prob: 1, d1: [0, 1], d2: [[0, 1], [0, 1]], mean_y: [[0, .inf], [0, 1]]}\n",
+    # Unknown keys of mixed types.
+    "1: 2\nfoo: 3\nstrata: []\n",
+    "strata:\n- {1: 2, foo: 3, prob: 1, d1: [0, 1], d2: [[0, 1], [0, 1]],"
+    " mean_y: [[0, 0], [0, 1]]}\n",
 ])
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_malformed_spec_file_exit_2(tmp_path, capsys, document, command):

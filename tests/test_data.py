@@ -815,3 +815,67 @@ def test_load_holds_the_parsed_controls_once(tmp_path):
     # once copied, which must save at least one control column (1.6 MB).
     assert peak - held < 7.5e6 - n * 8
     assert table.controls.shape == (n, 2) and table.controls.flags.c_contiguous
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("fault, on_missing, error, message", [
+    ("bad token", "drop", DataError, "could not parse numeric column 'y': value 'oops'"),
+    ("missing value", "fail", DataError, "missing value at line 3 of"),
+    ("absent column", "drop", ColumnMissingError, r"column\(s\) \['age'\] not found"),
+])
+def test_every_load_error_comes_from_one_csv_reader_pass(tmp_path, quoted, fault, on_missing,
+                                                         error, message):
+    # A plain file with an error goes to csv.reader as a quoted file does, and
+    # csv.reader's one pass over it finds the error: the file is not rescanned.
+    text, mapping = _CLEAN, dict(_HH)
+    if fault == "bad token":
+        text = text.replace("-2.0", "oops")
+    elif fault == "missing value":
+        text = text.replace("-2.0", " ")
+    else:
+        mapping["controls"] = ["x", "age"]
+    if quoted:
+        text = text.replace(",b\n", ',"b"\n')
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    built = []
+    reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        built.append(args)
+        return reader(*args, **kwargs)
+
+    with mock.patch.object(data.csv, "reader", counting_reader):
+        with pytest.raises(error, match=message):
+            load_table(path, mapping, on_missing=on_missing)
+    assert len(built) == 1
+
+
+def test_mapping_keys_of_mixed_types_are_config_errors(fix8_path):
+    mapping = {1: "z", "zz": "z", "z": "z", "d1": "d1", "d2": "d2", "y": "y"}
+    with pytest.raises(ConfigError, match=r"unknown mapping keys: \[1, 'zz'\]"):
+        load_table(fix8_path, mapping)
+
+
+def test_controls_must_be_a_list_of_names(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(FIX8_CSV.replace("\n", ",1,2,3,4\n").replace("y,1,2,3,4", "y,a,g,e,age"),
+                    encoding="utf-8")
+    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y"}
+    with pytest.raises(ConfigError, match="'controls' must be a list of column names, got 'age'"):
+        load_table(path, {**mapping, "controls": "age"})
+    for controls in (["age"], ("age",)):
+        table = load_table(path, {**mapping, "controls": controls})
+        assert table.control_names == ("age",) and table.controls.shape == (8, 1)
+
+
+def test_control_names_are_empty_or_one_per_control_column():
+    # One name for two columns used to save a header narrower than its rows.
+    fix8 = fix8_table()
+    z, d1, d2, y = fix8.z, fix8.d1, fix8.d2, fix8.y
+    controls = np.arange(16.0).reshape(8, 2)
+    with pytest.raises(DataError, match=r"1 control name\(s\) for 2 control column\(s\)"):
+        from_arrays(z, d1, d2, y, controls=controls, control_names=("a",))
+    with pytest.raises(DataError, match=r"1 control name\(s\) for 0 control column\(s\)"):
+        from_arrays(z, d1, d2, y, control_names=("a",))
+    assert from_arrays(z, d1, d2, y, controls=controls).control_names == ()

@@ -263,12 +263,18 @@ def test_spec_dict_strict_keys():
     payload["extra"] = 1
     with pytest.raises(SpecError, match="unknown spec keys"):
         spec_from_dict(payload)
+    payload[1] = 2  # keys of mixed types
+    with pytest.raises(SpecError, match=r"unknown spec keys: \[1, 'extra'\]"):
+        spec_from_dict(payload)
 
 
 def test_stratum_dict_strict_keys():
     payload = spec_to_dict(s2_spec())
     payload["strata"][0]["bogus"] = 1
     with pytest.raises(SpecError, match="unknown keys"):
+        spec_from_dict(payload)
+    payload["strata"][0][1] = 2  # keys of mixed types
+    with pytest.raises(SpecError, match=r"stratum 0 has unknown keys: \[1, 'bogus'\]"):
         spec_from_dict(payload)
 
 
