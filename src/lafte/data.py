@@ -73,7 +73,8 @@ _BINARY = {"0", "1"}
 # The dtype load_table parses each kind of column to, and the table stores.
 _DTYPES = {"instrument": np.uint8, "treatment": np.uint8, "float": float, "cluster": object}
 
-# Rows parsed at a time by load_table, and written at a time by save_table.
+# Rows parsed at a time by load_table, written at a time by save_table, and
+# drawn at a time by strata.sample.
 # A parsed block holds a Python string per field, about 60 bytes each.
 _CHUNK_ROWS = 1 << 14
 
@@ -188,9 +189,10 @@ class DerivedColumns:
 
 
 def _non_binary(col: np.ndarray) -> np.ndarray:
-    """Mask of the entries that are neither 0 nor 1 (``~np.isin(col, (0, 1))``
-    without its ``int64`` copy of ``col``)."""
-    return (col != 0) & (col != 1)
+    """The entries that are neither 0 nor 1, in row order (``~np.isin(col,
+    (0, 1))`` without its ``int64`` copy of ``col``); one comparison for an
+    unsigned ``col``. Of a binary column, an empty array: no mask is kept."""
+    return col[col > 1 if col.dtype.kind == "u" else (col != 0) & (col != 1)]
 
 
 def _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, codes) -> list[str]:
@@ -208,15 +210,16 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, cod
     if n < 2:
         errors.append(f"table has {n} rows; at least 2 required")
     bad_z = _non_binary(z)
-    if bad_z.any():
-        errors.append(f"non-binary instrument column 'z': value {z[bad_z][0]!r}")
+    if bad_z.size:
+        errors.append(f"non-binary instrument column 'z': value {bad_z[0]!r}")
     for name, col in (("d1", d1), ("d2", d2)):
         bad = _non_binary(col)
-        if bad.any():
-            errors.append(f"non-binary treatment column '{name}': value {col[bad][0]!r}")
-    if not bad_z.any() and n >= 1:
-        for arm in (0, 1):
-            if not np.any(z == arm):
+        if bad.size:
+            errors.append(f"non-binary treatment column '{name}': value {bad[0]!r}")
+    if not bad_z.size and n >= 1:
+        # A binary z has the arm 0 when its least value is 0, and 1 when its largest is 1.
+        for arm, end in ((0, z.min()), (1, z.max())):
+            if end != arm:
                 errors.append(f"empty instrument arm (z={arm})")
     if not np.isfinite(y).all():
         errors.append("outcome column 'y' contains non-finite values")
@@ -238,14 +241,15 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, cod
 
 def _collect_warnings(table: ObservationTable) -> list[str]:
     warnings: list[str] = []
-    for arm in (0, 1):
-        size = int(np.sum(table.z == arm))
+    treated = np.count_nonzero(table.z)
+    for arm, size in ((0, table.n - treated), (1, treated)):
         if size < 2:
             warnings.append(f"tiny instrument arm: only {size} row(s) with z={arm}")
     if table.cluster_count == table.n:
         warnings.append("every cluster is a singleton; clustering is equivalent to HC1")
     # A column of (d1, d2) alone is constant when it is over the occupied (d1, d2) cells.
-    cell = 2 * table.d1 + table.d2  # uint8; np.bincount would copy it to int64
+    cell = 2 * table.d1  # uint8, summed in place; np.bincount would copy it to int64
+    cell += table.d2
     cells = np.array([c for c in range(4) if (cell == c).any()])
     derived = DerivedColumns.of(cells // 2, cells % 2, np.zeros(cells.size))
     for name in ("d_and", "d_or", "d_sum", "g_or", "g_and"):

@@ -22,11 +22,12 @@ A just-identified IV slope on instruments ``W`` is a ratio of two such
 slopes, and its covariance a linear map of theirs (``estimands.slopes``).
 
 The fit has one rank check, one bread and one multi-column solve. The
-responses are read a block of rows at a time, twice: in row order for
-``W'Y`` and each column's range, then in cluster order for ``S'S``, so no
-``n x K`` array of scores is ever held. A response given as
-:class:`Responses` builds each block's rows on demand, so no ``n x m``
-array of responses is held either.
+design and the responses are read a block of rows at a time, twice: in row
+order for ``W'W``, ``W'Y`` and each column's range, then in cluster order
+for ``S'S``, so no ``n x K`` array of scores is ever held. A design or a
+response given as :class:`Responses` builds each block's rows on demand, as
+the table's ``W`` (:func:`instrument_design`) and its 13 columns do, so no
+``n x k`` design and no ``n x m`` response is held either.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ class TestResult:
 
 @dataclass(frozen=True)
 class Responses:
-    """An ``n x m`` response whose rows are built when read: like an array,
-    ``responses[rows]`` is its rows ``rows`` (a slice or an index array).
+    """An ``n x m`` response or design whose rows are built when read: like
+    an array, ``responses[rows]`` is its rows ``rows`` (a slice or an index
+    array).
 
     ``np.asarray(responses)`` builds all ``n`` rows at once; the fit never
     does.
@@ -216,16 +218,19 @@ def _meat(y, w, b, codes, n) -> np.ndarray:
 
 def _row_pass(y, w, n):
     """The pass in row order, over runs of ``_CHUNK_ROWS`` rows: the R factor
-    of ``W`` (one QR of each run stacked under the R so far), ``W'Y``, and
-    the smallest and largest value of each response column."""
-    r = np.empty((0, w.shape[1]))
-    wty = np.zeros((w.shape[1], y.shape[1]))
+    of ``W`` (one QR of each run stacked under the R so far), ``W'W``,
+    ``W'Y``, and the smallest and largest value of each response column."""
+    k = w.shape[1]
+    r = np.empty((0, k))
+    wtw = np.zeros((k, k))
+    wty = np.zeros((k, y.shape[1]))
     lo = np.full(y.shape[1], np.inf)
     hi = -lo
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         w_rows, y_rows = w[rows], y[rows]
         r = np.linalg.qr(np.vstack([r, w_rows]), mode="r")
+        wtw += w_rows.T @ w_rows
         # One column at a time, as the fit of that column alone sums it: a
         # matrix product sums in another order, which moves slopes of
         # large-mean responses by ~1e-14 relative.
@@ -233,7 +238,7 @@ def _row_pass(y, w, n):
             wty[:, col] += w_rows.T @ y_rows[:, col]
         np.minimum(lo, y_rows.min(0), out=lo)
         np.maximum(hi, y_rows.max(0), out=hi)
-    return r, wty, lo, hi
+    return r, wtw, wty, lo, hi
 
 
 def _check_finite(what: str, a: np.ndarray) -> None:
@@ -248,10 +253,10 @@ def _fit(y, w, cluster, names) -> FitResult:
     ``w``, and their cross-equation sandwich; ``names`` name the columns of
     ``w``.
 
-    ``y`` is an array or :class:`Responses`, read a block of rows at a time:
-    in row order for ``W'Y`` and the column ranges, then in cluster order for
-    the score sums. A fit whose coefficients or covariance are not finite,
-    from overflow or from a NaN or infinite input, raises
+    ``y`` and ``w`` are arrays or :class:`Responses`, read a block of rows at
+    a time: in row order for ``W'W``, ``W'Y`` and the column ranges, then in
+    cluster order for the score sums. A fit whose coefficients or covariance
+    are not finite, from overflow or from a NaN or infinite input, raises
     :class:`EstimationError`.
     """
     (n, m), k = y.shape, w.shape[1]
@@ -260,10 +265,10 @@ def _fit(y, w, cluster, names) -> FitResult:
         raise EstimationError(f"{big_n} rows cannot identify {big_k} parameters")
     names = tuple(names) if names else tuple(f"x{j}" for j in range(k))
     with np.errstate(over="ignore", invalid="ignore"):
-        r, wty, lo, hi = _row_pass(y, w, n)
+        r, wtw, wty, lo, hi = _row_pass(y, w, n)
         _check_rank(r, names)
         try:
-            inv = np.linalg.inv(w.T @ w)
+            inv = np.linalg.inv(wtw)
         except np.linalg.LinAlgError:
             raise RankDeficientError("design cross-moment matrix is singular") from None
         b = (inv @ wty).T.ravel()
@@ -301,10 +306,11 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     A 2-D ``y`` fits each of its ``m`` columns on ``x``, jointly: the
     covariance is that of the ``m`` equations stacked on duplicated rows.
     Its coefficients are equation-major and named ``eq<e>.<name>``, and it
-    is degenerate only when every column is the same constant. ``y`` may be
-    :class:`Responses`, whose rows are built a block at a time.
+    is degenerate only when every column is the same constant. ``y`` and
+    ``x`` may be :class:`Responses`, whose rows are built a block at a time.
     """
-    x = _as_matrix(x)
+    if not isinstance(x, Responses):
+        x = _as_matrix(x)
     single = False
     if not isinstance(y, Responses):
         y = np.asarray(y, dtype=float)
@@ -320,21 +326,31 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
                                     for name in fit.names))
 
 
-def instrument_design(z, controls=None, control_names=()) -> tuple[np.ndarray, tuple[str, ...]]:
+def instrument_design(z, controls=None, control_names=()) -> tuple[Responses, tuple[str, ...]]:
     """The instrument matrix ``W = [1, z, controls]`` and its column names.
 
-    Controls are named by ``control_names``, or ``c0, c1, ...`` without
-    them. A table's one fit uses this ``W`` as its design.
+    ``W`` is a :class:`Responses`: ``w[rows]`` builds the rows ``rows`` from
+    ``z`` and the controls, so a fit that reads it a block at a time holds
+    no ``n x k`` design; ``np.asarray(w)`` builds all of it. Controls are
+    named by ``control_names``, or ``c0, c1, ...`` without them. A table's
+    one fit uses this ``W`` as its design.
     """
     z = np.asarray(z).reshape(-1)
     c = np.empty((z.shape[0], 0)) if controls is None else _as_matrix(controls)
+    if c.shape[0] != z.shape[0]:
+        raise EstimationError("instrument and control row counts differ")
     names = ["const", "z"]
     if c.shape[1]:
         names += list(control_names) or [f"c{j}" for j in range(c.shape[1])]
-    # Filled in place: no column is held twice.
-    w = np.empty((z.shape[0], 2 + c.shape[1]))
-    w[:, 0], w[:, 1], w[:, 2:] = 1.0, z, c
-    return w, tuple(names)
+
+    def build(rows) -> np.ndarray:
+        z_rows = z[rows]
+        # Filled in place: no column is held twice.
+        w = np.empty((z_rows.shape[0], 2 + c.shape[1]))
+        w[:, 0], w[:, 1], w[:, 2:] = 1.0, z_rows, c[rows]
+        return w
+
+    return Responses((z.shape[0], 2 + c.shape[1]), build), tuple(names)
 
 
 def linear_combination(fit: FitResult, weights) -> tuple[float, float | None]:

@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .data import RESPONSES, DerivedColumns, ObservationTable, from_arrays
+from .data import _CHUNK_ROWS, RESPONSES, DerivedColumns, ObservationTable, from_arrays
 from .estimands import BINARY_DEFS, TreatmentDef
 from .exceptions import SpecError
 
@@ -525,20 +525,31 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> ObservationTable:
     mean_tab = np.array([[s.outcome_mean(0), s.outcome_mean(1)] for s in strata])
     sd = np.array([s.y_sd for s in strata])
 
-    # Each draw is narrowed as soon as it is made: a drawn row holds 4 bytes
-    # of indices and treatments and 8 of outcome, the table's own columns.
-    idx = rng.choice(len(strata), size=n, p=probs).astype(np.min_scalar_type(len(strata) - 1))
-    z = rng.binomial(1, spec.p_z, size=n).astype(np.uint8)
-    d1 = d1_tab[idx, z]
-    d2 = d2_tab[idx, z]
-    if (sd > 0).any():
-        # mean + sd * noise, built in place: IEEE products and sums commute.
-        y = rng.standard_normal(n)
-        y *= sd[idx]
-        y += mean_tab[idx, z]
-    else:
-        y = mean_tab[idx, z]
-    del idx
+    # The draws of one kind are made a block of rows at a time, in the order
+    # of one whole-array call of each kind (every stratum, then every arm,
+    # then every noise term), which they equal. Only the table's narrow
+    # columns and the strata indices are n long.
+    blocks = [slice(start, start + _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)]
+    idx = np.empty(n, np.min_scalar_type(len(strata) - 1))
+    for rows in blocks:
+        idx[rows] = rng.choice(len(strata), size=len(idx[rows]), p=probs)
+    z = np.empty(n, np.uint8)
+    for rows in blocks:
+        z[rows] = rng.binomial(1, spec.p_z, size=len(z[rows]))
+    d1, d2, y = np.empty(n, np.uint8), np.empty(n, np.uint8), np.empty(n)
+    noisy = (sd > 0).any()
+    for rows in blocks:
+        cell, y_rows = (idx[rows], z[rows]), y[rows]
+        d1[rows] = d1_tab[cell]
+        d2[rows] = d2_tab[cell]
+        if noisy:
+            # mean + sd * noise, built in place: IEEE products and sums commute.
+            rng.standard_normal(out=y_rows)
+            y_rows *= sd[cell[0]]
+            y_rows += mean_tab[cell]
+        else:
+            y_rows[:] = mean_tab[cell]
+    del idx, cell  # the last cell views idx
     return from_arrays(z, d1, d2, y, column_names=("z", "d1", "d2", "y"), copy=False)
 
 

@@ -537,7 +537,7 @@ _CLEAN = "z,d1,d2,y,x,hh\n1,1,0,1.5,0.25,a\n0,0,1,-2.0,1e-3,b\n1,0,0,3.0,-0.0,a\
     (_CLEAN.rstrip("\n") + ",extra", False),
     ("", False),
     ("\n" + _CLEAN, False),  # empty header line
-    (_CLEAN.replace("1.5", "oops"), True),  # bad token: rescanned by csv.reader
+    (_CLEAN.replace("1.5", "oops"), True),  # bad token: read again by csv.reader from byte 0
 ])
 def test_byte_tokenizer_fallback_triggers(tmp_path, text, byte_path):
     path = tmp_path / "t.csv"

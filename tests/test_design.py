@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lafte import (
+    EstimationError,
     RankDeficientError,
     TreatmentDef,
     complier_shares,
@@ -91,6 +92,8 @@ def test_instrument_design_is_shared_by_every_fit():
     assert names == ("const", "z", "age", "income")
     assert np.array_equal(w, np.column_stack([np.ones(t.n), t.z, t.controls]))
     assert regression.instrument_design(t.z, t.controls)[1][2:] == ("c0", "c1")
+    with pytest.raises(EstimationError, match="row counts differ"):
+        regression.instrument_design(t.z, t.controls[1:])
 
 
 def test_iv_rank_errors_name_controls():

@@ -313,6 +313,47 @@ def test_blocked_score_sums_equal_one_block(monkeypatch, rows):
         assert lazy.vcov.tobytes() == a.vcov.tobytes()
 
 
+@pytest.mark.parametrize("controls", [False, True])
+def test_blocked_cross_moments_equal_the_whole_array_product(controls):
+    # The row pass sums W'W a block of rows at a time. Each entry of
+    # W = [1, z] is an integer sum, exact in any order; with controls only
+    # the order of the sums moves it.
+    n = 3 * regression._CHUNK_ROWS + 5
+    rng = np.random.default_rng(39)
+    z = rng.integers(0, 2, n)
+    w, _ = regression.instrument_design(
+        z, rng.standard_normal((n, 2)) * [1.0, 1e3] if controls else None)
+    dense = np.asarray(w)
+    _, wtw, _, _, _ = regression._row_pass(rng.standard_normal((n, 2)), w, n)
+    whole = dense.T @ dense
+    if controls:
+        scale = np.sqrt(np.outer(np.diag(whole), np.diag(whole)))
+        assert np.max(np.abs(wtw - whole) / scale) <= 1e-13
+    else:
+        assert wtw.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+def test_fit_reads_its_design_a_block_at_a_time(monkeypatch, clustered):
+    # ols hands a design given as Responses to the fit, which reads it only
+    # by blocks of rows (a cluster of up to 9 rows may end a block) and fits
+    # to the bits of the dense design.
+    rng = np.random.default_rng(40)
+    n = 500
+    labels = np.repeat(np.arange(n), rng.integers(1, 10, n))[:n] if clustered else None
+    w, names = regression.instrument_design(rng.integers(0, 2, n), rng.standard_normal((n, 2)))
+    y = rng.standard_normal((n, 3))
+    read = []
+    lazy = regression.Responses(w.shape, lambda rows: read.append(np.arange(n)[rows].size)
+                                or w[rows])
+    monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
+    fit, dense = ols(y, lazy, labels, names=names), ols(y, np.asarray(w), labels, names=names)
+    assert read and max(read) < 50 + 9
+    assert fit.coefficients.tobytes() == dense.coefficients.tobytes()
+    assert fit.vcov.tobytes() == dense.vcov.tobytes()
+    assert fit.names == dense.names
+
+
 @pytest.mark.parametrize("where", ["y", "x"])
 def test_non_finite_input_raises_estimation_error(where):
     rng = np.random.default_rng(38)

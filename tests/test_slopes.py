@@ -208,8 +208,8 @@ def test_table_fit_goes_through_ols(monkeypatch):
 
 
 def test_table_fit_holds_no_n_by_13_array():
-    # Per row the fit holds W (16 bytes here) and nothing per column; the
-    # blocks of rows it reads add a fixed few MB, so n is large enough for
+    # Per row the fit holds nothing: it reads W and the 13 columns a block
+    # of rows at a time, which adds a fixed few MB, so n is large enough for
     # the per-row bound to show.
     n = 1_000_000
     rng = np.random.default_rng(76)
@@ -223,6 +223,24 @@ def test_table_fit_holds_no_n_by_13_array():
     finally:
         tracemalloc.stop()
     assert peak < n * len(RESPONSES) * 8 / 4  # a quarter of the n x 13 response: 26 MB
+
+
+def test_table_fit_holds_no_design():
+    # W = [1, z, age, income] is built a block of rows at a time, as the 13
+    # columns are; a dense W would be 32 bytes per row.
+    n = 1_000_000
+    rng = np.random.default_rng(79)
+    z = np.arange(n) % 2
+    d1 = (rng.random(n) < 0.3 + 0.4 * z).astype(np.int8)
+    t = from_arrays(z, d1, rng.random(n) < 0.5, rng.standard_normal(n),
+                    controls=rng.standard_normal((n, 2)), control_names=("age", "income"))
+    tracemalloc.start()
+    try:
+        slopes(t, [("y", "d1")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 4 * 8 / 2  # half of the dense n x 4 W: 16 MB
 
 
 def _no_movers_table():

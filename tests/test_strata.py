@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -27,6 +28,7 @@ from lafte import (
     true_parameters,
     validate_spec,
 )
+from lafte.data import _CHUNK_ROWS
 from lafte.strata import ALL_GROUPS
 
 from conftest import s2_spec, single_full_complier_spec
@@ -194,9 +196,54 @@ def test_sample_draw_bytes_are_pinned(tmp_path, spec, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def _whole_array_draw(spec, n, seed):
+    """The columns ``(z, d1, d2, y)`` of the draw made by one whole-array call
+    of each kind, as ``sample`` made it before it drew a block at a time."""
+    rng = np.random.default_rng(seed)
+    strata = spec.strata
+    probs = np.array([s.prob for s in strata], dtype=float)
+    probs = probs / probs.sum()
+
+    d1_tab = np.array([[s.d1(0), s.d1(1)] for s in strata], dtype=np.uint8)
+    d2_tab = np.array([[s.d2(0), s.d2(1)] for s in strata], dtype=np.uint8)
+    mean_tab = np.array([[s.outcome_mean(0), s.outcome_mean(1)] for s in strata])
+    sd = np.array([s.y_sd for s in strata])
+
+    idx = rng.choice(len(strata), size=n, p=probs).astype(np.min_scalar_type(len(strata) - 1))
+    z = rng.binomial(1, spec.p_z, size=n).astype(np.uint8)
+    d1 = d1_tab[idx, z]
+    d2 = d2_tab[idx, z]
+    if (sd > 0).any():
+        y = rng.standard_normal(n)
+        y *= sd[idx]
+        y += mean_tab[idx, z]
+    else:
+        y = mean_tab[idx, z]
+    return z, d1, d2, y
+
+
+_NOISELESS_SPEC = dataclasses.replace(_PINNED_SPEC, strata=tuple(
+    dataclasses.replace(s, y_sd=0.0) for s in _PINNED_SPEC.strata))
+
+
+@pytest.mark.parametrize("spec", [_PINNED_SPEC, _NOISELESS_SPEC], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("n", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_blocked_draw_equals_whole_array_draw(monkeypatch, spec, n):
+    # Each kind of draw, made a block of rows at a time, takes the values of
+    # one whole-array call from the same stream, to the bit. The columns are
+    # read where sample hands them to from_arrays, which rejects n = 1.
+    drawn = []
+    monkeypatch.setattr("lafte.strata.from_arrays", lambda *columns, **_: drawn.append(columns))
+    sample(spec, n, seed=20240611)
+    (columns,) = drawn
+    for got, want in zip(columns, _whole_array_draw(spec, n, seed=20240611), strict=True):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sample_peak_memory_per_row():
-    # The draw holds 12 bytes per row once made; its peak is the 16 of
-    # rng.choice and the 20 of the outcome's in-place build.
+    # The draw holds 11 bytes per row once made, and the stratum indices (1
+    # byte) while it is made; a block of draws adds a fixed few hundred kB.
     n = 200_000
     sample(_PINNED_SPEC, 1000, seed=1)  # allocations made once per process
     tracemalloc.start()
@@ -206,7 +253,7 @@ def test_sample_peak_memory_per_row():
     finally:
         tracemalloc.stop()
     assert table.z.dtype == table.d1.dtype == table.d2.dtype == np.uint8
-    assert peak <= 25 * n
+    assert peak <= 14 * n
 
 
 def test_sample_perfect_compliance():
