@@ -55,7 +55,7 @@ import codecs
 import csv
 import io
 from dataclasses import dataclass, replace
-from itertools import chain, compress, islice, product
+from itertools import compress, islice, product
 from operator import itemgetter
 from typing import BinaryIO, Callable, Iterator, Mapping, NamedTuple
 
@@ -73,12 +73,13 @@ _BINARY = {"0", "1"}
 # The dtype load_table parses each kind of column to, and the table stores.
 _DTYPES = {"instrument": np.uint8, "treatment": np.uint8, "float": float, "cluster": object}
 
-# Rows parsed at a time by load_table, written at a time by save_table, and
-# drawn at a time by strata.sample.
+# Rows load_table takes from csv.reader at a time, and the size its columns
+# start at; rows written at a time by save_table and drawn by strata.sample.
 # A parsed block holds a Python string per field, about 60 bytes each.
 _CHUNK_ROWS = 1 << 14
 
-# Bytes read at a time by load_table, which extends each read to a line end.
+# Bytes read at a time by load_table, which extends each read to a line end;
+# each such piece of a plain file is split as one chunk.
 _SCAN_BYTES = 1 << 16
 
 
@@ -366,7 +367,7 @@ def _missing(tokens, values: np.ndarray | None) -> np.ndarray:
 
 
 class _Chunk(NamedTuple):
-    """Up to ``_CHUNK_ROWS`` records of a file, as a tokenizer split them."""
+    """Records of a file, as a tokenizer split them."""
 
     column: Callable[[int], list[str]]  # the tokens at one position, "" past a row's end
     fields: Callable[[int], list[str]]  # every token of one record
@@ -418,20 +419,11 @@ def _csv_tokens(text, delimiter: str) -> _Tokens:
     return _Tokens(header, map(_csv_chunk, iter(lambda: list(islice(reader, _CHUNK_ROWS)), [])))
 
 
-def _pieces(handle) -> Iterator[bytes]:
-    """The rest of the binary file ``handle`` in pieces of ``_SCAN_BYTES``
-    bytes, each extended to the end of its last line."""
-    while piece := handle.read(_SCAN_BYTES) + handle.readline():
-        yield piece
-
-
-def _line_ends(piece: bytes, delimiter: str, width: int) -> np.ndarray:
-    """Offsets of the line ends of ``piece``, which starts a line: its line
-    feeds, then its size if its last line has none.
-
-    Raises :class:`_NotPlain` unless ``piece`` is ASCII with no quote, no NUL
-    and no carriage return outside a CRLF, and each of its lines has
-    ``width`` fields and is shorter than ``csv.field_size_limit()``.
+def _check_plain(piece: bytes, delimiter: str, width: int) -> None:
+    """Raises :class:`_NotPlain` unless ``piece``, which starts a line, is
+    ASCII with no quote, no NUL and no carriage return outside a CRLF, and
+    each of its lines has ``width`` fields and is shorter than
+    ``csv.field_size_limit()``.
     """
     if not piece.isascii() or b'"' in piece or b"\0" in piece:
         raise _NotPlain
@@ -452,7 +444,6 @@ def _line_ends(piece: bytes, delimiter: str, width: int) -> np.ndarray:
         ends = np.append(ends, text.size)
     if np.diff(ends, prepend=-1).max() > csv.field_size_limit():  # a length plus one
         raise _NotPlain
-    return ends
 
 
 def _token_chunk(lines: bytes, split: bytes, width: int) -> _Chunk:
@@ -464,37 +455,31 @@ def _token_chunk(lines: bytes, split: bytes, width: int) -> _Chunk:
 
 
 def _byte_tokens(handle, delimiter: str) -> _Tokens:
-    """The records of the binary file ``handle``, split as bytes a piece at a
-    time; each piece is checked by :func:`_line_ends` before it is split.
+    """The records of the binary file ``handle``, split as bytes: its header
+    line, then a chunk per piece of ``_SCAN_BYTES`` bytes and the rest of
+    its last line, each checked by :func:`_check_plain` before it is split.
 
     ``csv.reader`` splits a file the same way when, after an optional BOM,
     its header line is not empty, the delimiter is ASCII and neither a
-    quote, a NUL nor a line break, and each piece passes that check against
-    the header's width. Raises :class:`_NotPlain` here, or while the chunks
-    are read, at the first that does not.
+    quote, a NUL nor a line break, and the header and each piece pass that
+    check against the header's width. Raises :class:`_NotPlain` here, or
+    while the chunks are read, at the first that does not.
     """
     if not delimiter.isascii() or delimiter in '"\0\r\n':
         raise _NotPlain
-    pieces = _pieces(handle)
-    first = next(pieces, b"").removeprefix(codecs.BOM_UTF8)
+    first = handle.readline().removeprefix(codecs.BOM_UTF8)
     if not first or first.startswith((b"\n", b"\r")):
         raise _NotPlain
-    header_end = first.find(b"\n") if b"\n" in first else len(first)
-    width = first.count(delimiter.encode(), 0, header_end) + 1
-    checked = chain([(first, _line_ends(first, delimiter, width))],
-                    ((piece, _line_ends(piece, delimiter, width)) for piece in pieces))
+    width = first.count(delimiter.encode()) + 1
+    _check_plain(first, delimiter, width)
     split = bytes.maketrans(delimiter.encode(), b"\n")
 
     def chunks() -> Iterator[_Chunk]:
-        first_line = 1  # line 0 of the first piece is the header
-        for piece, ends in checked:
-            for i in range(first_line, ends.size, _CHUNK_ROWS):
-                stop = min(i + _CHUNK_ROWS, ends.size)
-                yield _token_chunk(piece[ends[i - 1] + 1 if i else 0:ends[stop - 1]], split,
-                                   width)
-            first_line = 0
+        while piece := handle.read(_SCAN_BYTES) + handle.readline():
+            _check_plain(piece, delimiter, width)
+            yield _token_chunk(piece.removesuffix(b"\n"), split, width)
 
-    header = first[:header_end].rstrip(b"\r").decode("ascii").split(delimiter)
+    header = first.rstrip(b"\r\n").decode("ascii").split(delimiter)
     return _Tokens(header, chunks())
 
 
@@ -571,11 +556,11 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     are stripped. Errors name the first offending line or token.
 
     Records are what ``csv.reader`` makes of the file, and the grammar above
-    applies to its tokens. The file is streamed: it is read in line-aligned
-    pieces, and neither it nor its line offsets are ever held whole (a pipe,
-    which can be read only once, is held). A plain file is split as bytes,
-    which gives the same tokens faster. Any other file is read by
-    ``csv.reader``, from its first byte: one that, after its BOM, has a
+    applies to its tokens. The file is streamed in line-aligned pieces and
+    never held whole (a pipe, which can be read only once, is held). A plain
+    file is read once, split as bytes, which gives the same tokens faster.
+    Any other file is read again by ``csv.reader``, from its first byte:
+    one that, after its BOM, has a
     non-ASCII byte, a quote, a NUL, a carriage return outside a CRLF, an
     empty header line, a line with more or fewer fields than the header, or
     a line as long as ``csv.field_size_limit()``. An error is always the one
@@ -635,39 +620,24 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
     try:
         source = _source(path)
         with source() as handle:
-            line_feeds, returns = _line_breaks(handle)
             try:
-                return _collect(_byte_tokens(handle, delimiter), line_feeds + 1, path, cols,
-                                kinds, on_missing)
+                return _collect(_byte_tokens(handle, delimiter), path, cols, kinds, on_missing)
             except (_NotPlain, ConfigError, DataError):
                 pass
         # Out of the handler, so that the byte path's columns are let go.
         with _csv_text(source()) as text:
-            return _collect(_csv_tokens(text, delimiter), line_feeds + returns + 1, path, cols,
-                            kinds, on_missing)
+            return _collect(_csv_tokens(text, delimiter), path, cols, kinds, on_missing)
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
 
 
-def _line_breaks(handle) -> tuple[int, int]:
-    """The line feeds and the carriage returns of the binary file ``handle``,
-    which is then rewound. A record ends at one of them or at the end of the
-    file, so they bound the number of records."""
-    line_feeds = returns = 0
-    for piece in iter(lambda: handle.read(_SCAN_BYTES), b""):
-        text = np.frombuffer(piece, np.uint8)
-        line_feeds += np.count_nonzero(text == 10)
-        returns += np.count_nonzero(text == 13)
-    handle.seek(0)
-    return line_feeds, returns
+def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
+    """:func:`_read_columns` of one tokenizer's records.
 
-
-def _collect(tokens: _Tokens, records: int, path, cols, kinds, on_missing: str):
-    """:func:`_read_columns` of one tokenizer's records, at most ``records``.
-
-    Each column is filled in place, so it is held once. The error, if any,
-    is found in this one pass: under ``on_missing="fail"`` a missing value
-    anywhere, else the first bad token of a kept row.
+    Each column is filled, grown (doubling) and cut to size in place, so it
+    is held once. The error, if any, is found in this one pass: under
+    ``on_missing="fail"`` a missing value anywhere, else the first bad token
+    of a kept row.
     """
     header, chunks = tokens
     if header is None:
@@ -677,7 +647,7 @@ def _collect(tokens: _Tokens, records: int, path, cols, kinds, on_missing: str):
     if absent:
         raise ColumnMissingError(f"column(s) {absent} not found in {path}; header is {header}")
     positions = [header.index(col) for col in cols]
-    columns = [np.empty(records, _DTYPES[kind]) for kind in kinds]
+    columns = [np.empty(_CHUNK_ROWS, _DTYPES[kind]) for kind in kinds]
     kept = dropped = 0
     line = 2
     error = None  # under "fail", a bad token stands only if no value is missing
@@ -691,11 +661,12 @@ def _collect(tokens: _Tokens, records: int, path, cols, kinds, on_missing: str):
             if on_missing == "drop":
                 raise error
         elif error is None:
-            if kept + chunk[0].size > records:
-                raise DataError(f"file {path} changed while it was read")
+            end = kept + chunk[0].size
             for column, values in zip(columns, chunk):
-                column[kept:kept + values.size] = values
-            kept += chunk[0].size
+                if end > column.size:
+                    column.resize(max(end, 2 * column.size), refcheck=False)  # in place
+                column[kept:end] = values
+            kept = end
         dropped += int(missing.sum())
         line += missing.size
         del tokens, mapped  # before the next chunk is split
@@ -733,15 +704,24 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     delimiter, a quote or a line break; lines end in CRLF. Control columns
     without names are headed ``x0``, ``x1``, ... Rows are written
     ``_CHUNK_ROWS`` at a time, each block as one string.
+
+    Raises
+    ------
+    DataError
+        If two header names are the same once stripped, as :func:`load_table`
+        reads them (a control named ``y``, say); nothing is written.
     """
     _check_delimiter(delimiter)
     names = ["z", "d1", "d2", "y"]
     names += list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
+    names += ["cluster"] if table.cluster is not None else []
+    stripped = [str(name).strip() for name in names]
+    repeated = [name for i, name in enumerate(stripped) if name in stripped[:i]]
+    if repeated:
+        raise DataError(f"column '{repeated[0]}' repeats in the header {names}; "
+                        f"nothing is written to {path}")
     reals = [table.y, *table.controls.T]
-    labels = None
-    if table.cluster is not None:
-        names.append("cluster")
-        labels = _csv_fields(map(str, table.cluster), delimiter)
+    labels = None if table.cluster is None else _csv_fields(map(str, table.cluster), delimiter)
     # The (z, d1, d2) fields of a row, at 4*z + 2*d1 + d2.
     prefixes = [delimiter.join(bits) for bits in product("01", repeat=3)]
     with open(path, "w", newline="", encoding="utf-8") as handle:

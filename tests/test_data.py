@@ -183,6 +183,23 @@ def test_roundtrip(tmp_path):
     assert list(back.cluster) == list(t.cluster)
 
 
+@pytest.mark.parametrize("names, cluster, repeated", [
+    (("y",), None, "y"),  # a control named like an input
+    (("a", "a"), None, "a"),
+    (("a", " a"), None, "a"),  # load_table strips header names
+    (("cluster",), ["a", "a", "b", "b"], "cluster"),
+])
+def test_save_refuses_a_header_that_repeats_a_name(tmp_path, names, cluster, repeated):
+    # load_table would read every use of a repeated name from its first column.
+    t = from_arrays([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],
+                    controls=np.arange(4.0 * len(names)).reshape(4, -1), control_names=names,
+                    cluster=cluster)
+    path = tmp_path / "out.csv"
+    with pytest.raises(DataError, match=f"column '{repeated}' repeats in the header"):
+        save_table(t, path)
+    assert not path.exists()
+
+
 def test_constant_derived_column_warning():
     # d2 >= d1 everywhere makes d_or equal d2, so g_or is constant zero
     t = from_arrays([1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 0], [1.0, 2.0, 3.0, 4.0])
@@ -663,11 +680,33 @@ def test_a_pipe_loads_as_its_file_does(tmp_path, text):
     _assert_same_outcome(new, ref)
 
 
-def test_a_file_that_grows_while_it_is_read_is_a_data_error(tmp_path, fix8_path, monkeypatch):
-    # The columns are sized by the file's line breaks, counted before it is split.
-    monkeypatch.setattr(data, "_line_breaks", lambda handle: (3, 0))
-    with pytest.raises(DataError, match="changed while it was read"):
-        load_table(fix8_path)
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_plain_file_is_read_once(tmp_path, monkeypatch, quoted):
+    # Counts the bytes read from the file through every handle the loader
+    # opens. A file whose last line is quoted is split as bytes up to that
+    # line, then read again by csv.reader from its first byte.
+    read = []
+
+    class Counted(io.FileIO):
+        def readinto(self, buffer):
+            size = super().readinto(buffer)
+            read.append(size or 0)
+            return size
+
+    monkeypatch.setattr(data, "open", lambda path, mode: io.BufferedReader(Counted(path)),
+                        raising=False)
+    path = tmp_path / "t.csv"
+    rows = _PLAIN_ROWS + ['1,0,0,3.0,-0.0,"a"'] * quoted
+    path.write_text("z,d1,d2,y,x,hh\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    size = path.stat().st_size
+    for scan_bytes in (*_PIECE_BYTES, data._SCAN_BYTES):
+        read.clear()
+        with mock.patch.object(data, "_SCAN_BYTES", scan_bytes):
+            load_table(path, _HH)
+        if quoted:
+            assert size < sum(read) <= 2 * size
+        else:
+            assert sum(read) == size
 
 
 def test_undecodable_file_is_a_data_error(tmp_path):
