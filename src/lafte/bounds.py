@@ -23,8 +23,7 @@ Standard errors for multi-coefficient endpoints come from the stacking
 procedure: the component equations are fit jointly by
 :func:`~lafte.estimands.slopes`, whose covariance equals that of the
 equations stacked on duplicated data with duplicated cluster labels, and
-the endpoint is a linear combination of their slopes. A delta-method
-alternative is available for cross-checking the theorem1 upper bound.
+the endpoint is a linear combination of their slopes.
 """
 
 from __future__ import annotations
@@ -75,22 +74,12 @@ class BoundsResult:
     warnings: tuple[str, ...] = ()
 
 
-def lafte_bounds(table: ObservationTable, *, upper_se_method: str = "stacking") -> BoundsResult:
-    """Sharp LAFTE bounds under double exclusion, MTR, MTS, and positive response.
-
-    ``upper_se_method`` selects "stacking" (default) or "delta" for the
-    upper-bound standard error; the point estimate is identical either way.
-    """
-    if upper_se_method not in ("stacking", "delta"):
-        raise ValueError(f"unknown upper_se_method {upper_se_method!r}")
+def lafte_bounds(table: ObservationTable) -> BoundsResult:
+    """Sharp LAFTE bounds under double exclusion, MTR, MTS, and positive response."""
     lower = iv_estimand(table, TreatmentDef.FIRST)
 
     fit = slopes(table, [("dand_y", "d_and"), ("untreated_y", "d1")])
     value, se = linear_combination(fit, [1.0, 1.0])
-
-    if upper_se_method == "delta":
-        se = _delta_upper_se(table)
-
     upper = EstimateWithSE.from_se(value, se, table.n, fit.cluster_count, "theorem1-upper")
     warnings = []
     if lower.value > upper.value:
@@ -99,20 +88,6 @@ def lafte_bounds(table: ObservationTable, *, upper_se_method: str = "stacking") 
             "assumption (double exclusion, MTR, MTS, positive response) is falsified")
     return BoundsResult(kind="theorem1", lower=lower, upper=upper,
                         assumptions=THEOREM1_ASSUMPTIONS, warnings=tuple(warnings))
-
-
-def _delta_upper_se(table: ObservationTable) -> float | None:
-    """Delta-method SE for the theorem1 upper bound, for cross-checking.
-
-    Stacks the four instrument regressions behind the two component ratios
-    and propagates the gradient of f(a, b, c, d) = a/b + c/d.
-    """
-    fit = slopes(table, [(column, None) for column in ("dand_y", "d_and", "untreated_y", "d1")])
-    if fit.response_constant:
-        return None
-    a, b, c, d = (float(v) for v in fit.coefficients)
-    grad = np.array([1.0 / b, -a / b ** 2, 1.0 / d, -c / d ** 2])
-    return float(np.sqrt(max(grad @ fit.vcov @ grad, 0.0)))
 
 
 def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = None,

@@ -91,11 +91,12 @@ class RunConfig:
     seed: int = 0
     n: int = 10000
     missing: str = "drop"
-    upper_se_method: str = "stacking"
 
     def resolved(self) -> dict:
-        """Every setting but ``out``: where a report is written does not change it."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        """Every setting but ``out`` and ``format``: where a report is written
+        and how stdout shows it do not change it."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("out", "format")}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True).encode("utf-8")
@@ -136,6 +137,14 @@ def _load_config_file(path) -> dict:
     return payload
 
 
+def _text(key: str, value) -> str:
+    """A setting that names a file, a column or a choice: a string, or a
+    number as YAML wrote it (``1e5`` stays ``"1e5"``)."""
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+        raise ConfigError(f"config key '{key}' must be a string or a number, got {value!r}")
+    return str(value)
+
+
 def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     payload = _load_config_file(args.config) if args.config else {}
     config = RunConfig(command=command)
@@ -147,11 +156,10 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         unknown = set(mapping) - set(DEFAULT_MAPPING)
         if unknown:
             raise ConfigError(f"unknown mapping keys: {sorted(unknown, key=str)}")
-        config.mapping = {k: str(v) for k, v in mapping.items()}
-    for key in ("input", "cluster", "delimiter", "out", "format", "missing",
-                "upper_se_method"):
+        config.mapping = {k: _text(f"mapping.{k}", v) for k, v in mapping.items()}
+    for key in ("input", "cluster", "delimiter", "out", "format", "missing"):
         if key in payload and payload[key] is not None:
-            setattr(config, key, str(payload[key]))
+            setattr(config, key, _text(key, payload[key]))
     if "controls" in payload and payload["controls"] is not None:
         controls = payload["controls"]
         if isinstance(controls, str):
@@ -159,7 +167,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         elif not isinstance(controls, list):
             raise ConfigError("config key 'controls' must be a list of column names "
                               "or a comma-separated string")
-        config.controls = [str(c) for c in controls]
+        config.controls = [_text("controls", c) for c in controls]
     # Numbers are read as YAML wrote them, never coerced: no bool, no string,
     # and no float where an integer is meant.
     for key, caster in (("level", float), ("ymin", float), ("ymax", float),
@@ -196,8 +204,6 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown format {config.format!r}; use text or structured")
     if config.missing not in ("drop", "fail"):
         raise ConfigError(f"unknown missing-data policy {config.missing!r}")
-    if config.upper_se_method not in ("stacking", "delta"):
-        raise ConfigError(f"unknown upper_se_method {config.upper_se_method!r}")
     if not 0.0 < config.level < 1.0:
         raise ConfigError(f"level must be inside (0,1), got {config.level}")
     if config.n < 1:
@@ -267,7 +273,7 @@ def run_bounds(config: RunConfig) -> ReportBundle:
     diagnostics, mover, sign = _diagnostics_sections(table, config.level)
     warnings = list(table.warnings)
 
-    theorem1 = lafte_bounds(table, upper_se_method=config.upper_se_method)
+    theorem1 = lafte_bounds(table)
     bounded = lafte_bounds_bounded_response(table, config.ymin, config.ymax)
     tau = tau_bounds(table)
 

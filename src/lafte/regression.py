@@ -392,12 +392,11 @@ def _normal_cdf(t: float) -> float:
     return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
-def wald_joint(fit: FitResult, indices: Sequence[int], null=None) -> TestResult:
-    """Wald chi-square test that a coefficient subvector equals ``null``.
+def wald_joint(fit: FitResult, indices: Sequence[int]) -> TestResult:
+    """Wald chi-square test that a coefficient subvector is zero.
 
-    ``statistic = (b - null)' V^{-1} (b - null)`` on the selected subvector,
-    with ``dof = len(indices)`` and the p-value from the chi-square upper
-    tail.
+    ``statistic = b' V^{-1} b`` on the selected subvector, with
+    ``dof = len(indices)`` and the p-value from the chi-square upper tail.
 
     Raises
     ------
@@ -409,8 +408,6 @@ def wald_joint(fit: FitResult, indices: Sequence[int], null=None) -> TestResult:
     if not idx:
         raise DegenerateTestError("degenerate joint test: no testable coefficients")
     b = fit.coefficients[idx].astype(float)
-    if null is not None:
-        b = b - np.asarray(null, dtype=float).reshape(-1)
     v = fit.vcov[np.ix_(idx, idx)]
     eig = np.linalg.eigvalsh(v)
     if eig[-1] <= 0.0 or eig[0] < 1e-12 * eig[-1]:

@@ -555,16 +555,15 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> ObservationTable:
 
 def random_spec(rng: np.random.Generator, *, n_strata: int | None = None,
                 double_exclusion: bool = False, y_sd: float = 0.0,
-                mean_range: tuple[float, float] = (0.0, 10.0),
-                require_full_complier: bool = True) -> PopulationSpec:
+                mean_range: tuple[float, float] = (0.0, 10.0)) -> PopulationSpec:
     """Draw a random valid population spec.
 
     Stratum probabilities come from a uniform simplex draw; response maps
     are uniform over binary maps, with draws violating monotonicity rejected
     and redrawn; cell means are uniform on ``mean_range``. With
     ``double_exclusion`` the second-part response is drawn as a function of
-    the first part only and the flag is set. By default redraws until at
-    least one full-complier stratum is present so that relevance holds.
+    the first part only and the flag is set. Redraws until at least one
+    full-complier stratum is present, so that relevance holds.
     """
     lo, hi = mean_range
     d1_choices = ((0, 0), (0, 1), (1, 1))
@@ -593,7 +592,7 @@ def random_spec(rng: np.random.Generator, *, n_strata: int | None = None,
         spec = PopulationSpec(
             strata=tuple(strata), p_z=float(rng.uniform(0.2, 0.8)),
             double_exclusion=double_exclusion)
-        if not require_full_complier or any(s.group() == "C1C2" for s in strata):
+        if any(s.group() == "C1C2" for s in strata):
             return spec
 
 

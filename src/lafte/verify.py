@@ -85,20 +85,20 @@ class VerificationReport:
         return self.all_passed and not self.flags
 
 
-def _check(name, lhs, rhs, tol, note=""):
-    return CheckResult(name, True, close(lhs, rhs, tol), float(lhs), float(rhs), note)
+def _check(name, lhs, rhs):
+    return CheckResult(name, True, close(lhs, rhs), float(lhs), float(rhs))
 
 
-def _check_le(name, lhs, rhs, tol, note=""):
+def _check_le(name, lhs, rhs):
     scale = max(1.0, abs(lhs), abs(rhs))
-    return CheckResult(name, True, lhs <= rhs + tol * scale, float(lhs), float(rhs), note)
+    return CheckResult(name, True, lhs <= rhs + EXACT_TOLERANCE * scale, float(lhs), float(rhs))
 
 
 def _skip(name, note):
     return CheckResult(name, False, True, None, None, note)
 
 
-def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) -> VerificationReport:
+def verify_identities(spec: PopulationSpec) -> VerificationReport:
     """Run the full identity battery on one population spec.
 
     Raises :class:`SpecError` if the spec violates a structural invariant.
@@ -124,38 +124,35 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
     stage_sums = {d: sum(probs[g] for g in FIRST_STAGE_GROUPS[d]) for d in BINARY_DEFS}
     for d in BINARY_DEFS:
         checks.append(_check(f"first-stage-decomposition.{d.value}",
-                             moments.first_stage[d], stage_sums[d], tolerance))
+                             moments.first_stage[d], stage_sums[d]))
     reduced = 0.0
     for g in COMPLIER_GROUPS:
         if probs[g] > 0:
             reduced += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
-    checks.append(_check("reduced-form-decomposition",
-                         moments.reduced_form, reduced, tolerance))
+    checks.append(_check("reduced-form-decomposition", moments.reduced_form, reduced))
 
     # (b) the simplified decompositions under double exclusion
     if audit.double_exclusion:
         checks.append(_check("double-exclusion.first-stage.d1",
-                             moments.first_stage[TreatmentDef.FIRST],
-                             p_cc + p_cn + p_ca, tolerance))
+                             moments.first_stage[TreatmentDef.FIRST], p_cc + p_cn + p_ca))
         checks.append(_check("double-exclusion.first-stage.d2",
-                             moments.first_stage[TreatmentDef.SECOND], p_cc, tolerance))
+                             moments.first_stage[TreatmentDef.SECOND], p_cc))
         checks.append(_check("double-exclusion.first-stage.d_and",
-                             moments.first_stage[TreatmentDef.BOTH], p_cc + p_ca, tolerance))
+                             moments.first_stage[TreatmentDef.BOTH], p_cc + p_ca))
         checks.append(_check("double-exclusion.first-stage.d_or",
-                             moments.first_stage[TreatmentDef.EITHER], p_cc + p_cn, tolerance))
+                             moments.first_stage[TreatmentDef.EITHER], p_cc + p_cn))
         reduced_de = 0.0
         for g in ("C1C2", "C1N2", "C1A2"):
             if probs[g] > 0:
                 reduced_de += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
-        checks.append(_check("double-exclusion.reduced-form",
-                             moments.reduced_form, reduced_de, tolerance))
+        checks.append(_check("double-exclusion.reduced-form", moments.reduced_form, reduced_de))
     else:
         checks.append(_skip("double-exclusion.first-stage",
                             "not applicable: response maps depend on z"))
 
     # (c) the four mover contrasts
-    checks.append(_check("mover-contrast.plain.or", moments.g_or, p_cn - p_ac, tolerance))
-    checks.append(_check("mover-contrast.plain.and", moments.g_and, p_ca - p_nc, tolerance))
+    checks.append(_check("mover-contrast.plain.or", moments.g_or, p_cn - p_ac))
+    checks.append(_check("mover-contrast.plain.and", moments.g_and, p_ca - p_nc))
 
     def weighted_level(group, cell):
         mean = group_cell_mean(spec, group, cell)
@@ -163,21 +160,21 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
 
     checks.append(_check(
         "mover-contrast.outcome.or", moments.gy_or,
-        weighted_level("C1N2", (1, 0)) - weighted_level("A1C2", (1, 0)), tolerance))
+        weighted_level("C1N2", (1, 0)) - weighted_level("A1C2", (1, 0))))
     checks.append(_check(
         "mover-contrast.outcome.and", moments.gy_and,
-        weighted_level("C1A2", (0, 1)) - weighted_level("N1C2", (0, 1)), tolerance))
+        weighted_level("C1A2", (0, 1)) - weighted_level("N1C2", (0, 1))))
 
     # (d) sign restrictions implied by double exclusion
     if audit.double_exclusion:
-        checks.append(_check_le("double-exclusion.sign.or", 0.0, moments.g_or, tolerance))
-        checks.append(_check_le("double-exclusion.sign.and", 0.0, moments.g_and, tolerance))
+        checks.append(_check_le("double-exclusion.sign.or", 0.0, moments.g_or))
+        checks.append(_check_le("double-exclusion.sign.and", 0.0, moments.g_and))
     else:
         checks.append(_skip("double-exclusion.sign",
                             "not applicable: response maps depend on z"))
         for column in ("g_or", "g_and"):
             value = getattr(moments, column)
-            if value < -tolerance:
+            if value < -EXACT_TOLERANCE:
                 flags.append(
                     f"double exclusion not invocable: instrument contrast of "
                     f"{LABELS[column]} is {value:.6g} < 0")
@@ -187,7 +184,7 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
         for d in BINARY_DEFS:
             beta = moments.reduced_form / moments.first_stage[d]
             checks.append(_check(f"no-movers.iv-equals-lafte.{d.value}",
-                                 beta, params.lafte_over_c, tolerance))
+                                 beta, params.lafte_over_c))
     else:
         checks.append(_skip("no-movers.iv-equals-lafte",
                             "not applicable: movers present or no compliers"))
@@ -202,7 +199,7 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
         beta = moments.reduced_form / moments.first_stage[d]
         target = sum(probs[g] * group_effect(spec, g, FULL_EFFECT)
                      for g in FIRST_STAGE_GROUPS[d] if probs[g] > 0) / stage_prob
-        checks.append(_check(f"homogeneous-movers.{d.value}", beta, target, tolerance))
+        checks.append(_check(f"homogeneous-movers.{d.value}", beta, target))
 
     # (g) sharp bounds: containment and sharpness
     fs1 = moments.first_stage[TreatmentDef.FIRST]
@@ -213,10 +210,8 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
     if theorem_applicable:
         lower = moments.reduced_form / fs1
         upper = moments.dand_y / fs_and + moments.untreated_y / fs1
-        checks.append(_check_le("lafte-bounds.containment.lower",
-                                lower, params.lafte_over_c, tolerance))
-        checks.append(_check_le("lafte-bounds.containment.upper",
-                                params.lafte_over_c, upper, tolerance))
+        checks.append(_check_le("lafte-bounds.containment.lower", lower, params.lafte_over_c))
+        checks.append(_check_le("lafte-bounds.containment.upper", params.lafte_over_c, upper))
         if p_cn == 0.0 and p_ca == 0.0:
             sharp_ok = (close(lower, params.lafte_over_c, SHARPNESS_TOLERANCE)
                         and close(upper, params.lafte_over_c, SHARPNESS_TOLERANCE))
@@ -233,12 +228,10 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
         ymin, ymax = min(cells), max(cells)
         lower = (moments.kernel_y + ymin * moments.g_or - ymax * moments.g_and) / fs1
         upper = (moments.kernel_y + ymax * moments.g_or - ymin * moments.g_and) / fs1
-        checks.append(_check_le("bounded-response.containment.lower",
-                                lower, params.lafte_over_c, tolerance))
-        checks.append(_check_le("bounded-response.containment.upper",
-                                params.lafte_over_c, upper, tolerance))
+        checks.append(_check_le("bounded-response.containment.lower", lower, params.lafte_over_c))
+        checks.append(_check_le("bounded-response.containment.upper", params.lafte_over_c, upper))
         checks.append(_check("bounded-response.width", upper - lower,
-                             (ymax - ymin) * (p_cn + p_ca) / fs1, tolerance))
+                             (ymax - ymin) * (p_cn + p_ca) / fs1))
     else:
         checks.append(_skip("bounded-response.containment",
                             "not applicable: double exclusion fails or d1 stage is zero"))
@@ -249,9 +242,9 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
     if (audit.relevance and params is not None and fs_sum > 0
             and moments.reduced_form > 0):
         checks.append(_check_le("tau-bounds.containment.lower",
-                                moments.reduced_form / fs_sum, params.tau, tolerance))
+                                moments.reduced_form / fs_sum, params.tau))
         checks.append(_check_le("tau-bounds.containment.upper",
-                                params.tau, moments.reduced_form / max_stage, tolerance))
+                                params.tau, moments.reduced_form / max_stage))
     else:
         checks.append(_skip("tau-bounds.containment",
                             "not applicable: needs relevance and a positive reduced form"))
@@ -264,9 +257,8 @@ def verify_identities(spec: PopulationSpec, tolerance: float = EXACT_TOLERANCE) 
                                     "not applicable: zero first stage"))
                 continue
             checks.append(_check(f"iv-decomposition.{d.value}",
-                                 decomposition.total, decomposition.value, tolerance))
+                                 decomposition.total, decomposition.value))
     else:
         checks.append(_skip("iv-decomposition", "not applicable: no compliers"))
 
-    return VerificationReport(checks=tuple(checks), flags=tuple(flags),
-                              tolerance=tolerance)
+    return VerificationReport(checks=tuple(checks), flags=tuple(flags), tolerance=EXACT_TOLERANCE)

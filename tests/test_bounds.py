@@ -42,13 +42,31 @@ def test_theorem1_lower_is_iv_estimand(fix8):
     assert result.lower.se == direct.se
 
 
-def test_theorem1_delta_cross_check(fix8):
-    stacked = lafte_bounds(fix8)
-    delta = lafte_bounds(fix8, upper_se_method="delta")
-    assert delta.upper.value == pytest.approx(stacked.upper.value, rel=1e-12)
-    # two consistent estimators of the same variance; close but not identical
-    assert delta.upper.se == pytest.approx(stacked.upper.se, rel=0.25)
-    assert delta.upper.se != stacked.upper.se
+def _clustered_table_with_controls():
+    rng = np.random.default_rng(43)
+    base = random_table(rng, n=300, cluster_size=5)
+    return from_arrays(base.z, base.d1, base.d2, base.y,
+                       controls=rng.standard_normal((300, 2)), cluster=base.cluster)
+
+
+@pytest.mark.parametrize("which", ["fix8", "clustered"])
+def test_theorem1_upper_se_is_the_delta_method_up_to_dof(fix8, which):
+    # The delta method on the four contrasts behind a/b + c/d reads the same
+    # joint covariance as the stacked 2-equation fit, with the stacking
+    # factor c_m = (m n - 1) / (m n - m k) of 4 equations instead of 2.
+    t = fix8 if which == "fix8" else _clustered_table_with_controls()
+    fit = slopes(t, [(c, None) for c in ("dand_y", "d_and", "untreated_y", "d1")])
+    a, b, c, d = fit.coefficients
+    grad = np.array([1 / b, -a / b ** 2, 1 / d, -c / d ** 2])
+    delta_se = np.sqrt(grad @ fit.vcov @ grad)
+    n, k = t.n, 2 + len(t.control_names)
+
+    def factor(m):
+        return (m * n - 1) / (m * n - m * k)
+
+    upper = lafte_bounds(t).upper
+    assert upper.value == pytest.approx(a / b + c / d, rel=1e-12)
+    assert delta_se == pytest.approx(upper.se * np.sqrt(factor(4) / factor(2)), rel=1e-12)
 
 
 def test_fix8_bounded_response(fix8):
@@ -201,7 +219,6 @@ def _every_clustered_result(t):
     results += [complier_shares(t), slopes(t, [("d2", None), ("g_or", None), ("g_and", None)]),
                 mover_test(t, force_step2=True),
                 double_exclusion_check(t), lafte_bounds(t),
-                lafte_bounds(t, upper_se_method="delta"),
                 lafte_bounds_bounded_response(t), tau_bounds(t)]
     return list(_leaves(results))
 
@@ -222,14 +239,8 @@ def test_cluster_codes_and_labels_give_identical_results():
 
 
 def test_tau_bounds_identical_after_reused_fits():
-    def table():
-        rng = np.random.default_rng(43)
-        base = random_table(rng, n=300, cluster_size=5)
-        return from_arrays(base.z, base.d1, base.d2, base.y,
-                           controls=rng.standard_normal((300, 2)), cluster=base.cluster)
-
-    fresh = list(_leaves(tau_bounds(table())))
-    t = table()
+    fresh = list(_leaves(tau_bounds(_clustered_table_with_controls())))
+    t = _clustered_table_with_controls()
     for d in TreatmentDef:
         first_stage(t, d)
     lafte_bounds(t)

@@ -69,7 +69,7 @@ def test_columns_are_built_once_per_fit_pass(monkeypatch):
     complier_shares(t)
     slopes(t, [("d2", None), ("g_or", None), ("g_and", None)])
     mover_test(t, force_step2=True)
-    lafte_bounds(t, upper_se_method="delta")
+    lafte_bounds(t)
     lafte_bounds_bounded_response(t)
     tau_bounds(t)
     # Each row once per pass of the one fit, a block at a time: runs of 50

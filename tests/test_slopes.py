@@ -307,7 +307,7 @@ def test_one_fit_and_one_qr_per_table(monkeypatch):
         factored.append(np.shape(a)) or real_qr(a, *args, **kwargs)))
     for equations in REQUESTS:
         slopes(t, equations)
-    lafte.lafte_bounds(t, upper_se_method="delta")
+    lafte.lafte_bounds(t)
     lafte.lafte_bounds_bounded_response(t)
     lafte.tau_bounds(t)
     lafte.mover_test(t, force_step2=True)
