@@ -17,8 +17,6 @@ from .bounds import BoundsResult, lafte_bounds, lafte_bounds_bounded_response, t
 from .data import (
     DerivedColumns,
     ObservationTable,
-    ValidationReport,
-    derive,
     from_arrays,
     load_table,
     save_table,

@@ -14,12 +14,13 @@ Subcommands::
     lafte verify    ...                             closed-form identity
                                                     checks on a spec
 
-The run configuration lives in a YAML file (``--config``); every setting can
-be overridden per-flag. Output is plain text (``--format text``, default) or
-the machine-readable JSON document (``--format structured``); ``--out``
-additionally writes the JSON document to a file. The same config, inputs,
-and seed produce a byte-identical JSON document. Plain output only; NO_COLOR
-is trivially respected.
+The run configuration lives in a YAML file (``--config``). A flag sets its
+config key (``--data`` sets ``input``) by that key's rules, after the file,
+so an empty flag value sets its key as it does in the file. Output is plain
+text (``--format text``, default) or the machine-readable JSON document
+(``--format structured``); ``--out`` additionally writes the JSON document
+to a file. The same config, inputs, and seed produce a byte-identical JSON
+document. Plain output only; NO_COLOR is trivially respected.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or spec validation
 error, 3 estimation failure (for example a relevance failure, whose message
@@ -145,12 +146,11 @@ def _text(key: str, value) -> str:
     return str(value)
 
 
-def build_config(command: str, args: argparse.Namespace) -> RunConfig:
-    payload = _load_config_file(args.config) if args.config else {}
-    config = RunConfig(command=command)
-
-    if "mapping" in payload:
-        mapping = payload["mapping"]
+def _read_settings(config: RunConfig, settings: dict) -> None:
+    """Set on ``config`` each setting of a config file, or of the flags
+    given, by the rules of its key."""
+    if "mapping" in settings:
+        mapping = settings["mapping"]
         if not isinstance(mapping, dict):
             raise ConfigError("config 'mapping' must be a key-value mapping")
         unknown = set(mapping) - set(DEFAULT_MAPPING)
@@ -158,10 +158,10 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown mapping keys: {sorted(unknown, key=str)}")
         config.mapping = {k: _text(f"mapping.{k}", v) for k, v in mapping.items()}
     for key in ("input", "cluster", "delimiter", "out", "format", "missing"):
-        if key in payload and payload[key] is not None:
-            setattr(config, key, _text(key, payload[key]))
-    if "controls" in payload and payload["controls"] is not None:
-        controls = payload["controls"]
+        if settings.get(key) is not None:
+            setattr(config, key, _text(key, settings[key]))
+    if settings.get("controls") is not None:
+        controls = settings["controls"]
         if isinstance(controls, str):
             controls = [c.strip() for c in controls.split(",") if c.strip()]
         elif not isinstance(controls, list):
@@ -172,7 +172,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     # and no float where an integer is meant.
     for key, caster in (("level", float), ("ymin", float), ("ymax", float),
                         ("seed", int), ("n", int)):
-        value = payload.get(key)
+        value = settings.get(key)
         if value is None:
             continue
         kind, noun = ((numbers.Integral, "an integer") if caster is int
@@ -181,21 +181,13 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config key '{key}' must be {noun}, got {value!r}")
         setattr(config, key, caster(value))
 
-    # per-flag overrides
-    if getattr(args, "data", None):
-        config.input = args.data
-    if getattr(args, "cluster", None):
-        config.cluster = args.cluster
-    if getattr(args, "controls", None):
-        config.controls = [c.strip() for c in args.controls.split(",") if c.strip()]
-    for key in ("level", "ymin", "ymax", "seed", "n"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    if getattr(args, "out", None):
-        config.out = args.out
-    if getattr(args, "format", None):
-        config.format = args.format
+
+def build_config(command: str, args: argparse.Namespace) -> RunConfig:
+    config = RunConfig(command=command)
+    if args.config:
+        _read_settings(config, _load_config_file(args.config))
+    _read_settings(config, {k: v for k, v in vars(args).items()
+                            if k not in ("command", "config") and v is not None})
 
     if len(config.delimiter) != 1:
         raise ConfigError(
@@ -377,8 +369,8 @@ def _build_parser() -> _Parser:
             ("verify", "closed-form identity checks on a population spec")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="YAML run configuration (primary)")
-        p.add_argument("--data", help="input path override (data file, or spec "
-                                      "file for simulate/verify)")
+        p.add_argument("--data", dest="input", help="input path override (data file, "
+                       "or spec file for simulate/verify)")
         p.add_argument("--cluster", help="cluster column override")
         p.add_argument("--controls", help="comma-separated control columns")
         p.add_argument("--level", type=float, help="significance level")

@@ -33,6 +33,9 @@ non-ASCII or ragged files, and any file with an error; see
 :func:`load_table`) and writes the header; the rows are split and joined
 as plain strings, a block of rows at a time.
 
+:func:`from_arrays` raises :class:`~lafte.exceptions.DataError` for a table
+that breaks an invariant; its message lists every finding, joined by "; ".
+
 ``cluster_codes`` holds each row's cluster label as an ``int64`` index into
 the sorted distinct labels (the inverse of ``np.unique(cluster)``), computed
 once by :func:`from_arrays`; ``cluster_count`` is their number. The fits
@@ -116,18 +119,6 @@ LABELS = {column.name: column.label for column in COLUMNS}
 _POSITION = {name: j for j, name in enumerate(RESPONSES)}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Fatal findings and non-fatal warnings collected while building a table."""
-
-    errors: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -145,7 +136,6 @@ class ObservationTable:
     controls: np.ndarray
     control_names: tuple[str, ...] = ()
     cluster: np.ndarray | None = None
-    column_names: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
     cluster_codes: np.ndarray | None = None
     cluster_count: int | None = None
@@ -273,7 +263,7 @@ def _factorise(cluster: np.ndarray) -> tuple[list, np.ndarray | None]:
 
 
 def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
-                column_names=(), warnings=(), copy=True) -> ObservationTable:
+                warnings=(), copy=True) -> ObservationTable:
     """Build a validated table from in-memory arrays.
 
     The table stores ``z``, ``d1`` and ``d2`` as ``uint8``, ``y`` and the
@@ -308,8 +298,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     control_names = tuple(control_names)
     errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, codes)
     if errors:
-        raise DataError("; ".join(errors),
-                        report=ValidationReport(tuple(errors), tuple(warnings)))
+        raise DataError("; ".join(errors))
 
     table = ObservationTable(
         z=_freeze(z.astype(np.uint8, copy=copy)),
@@ -319,18 +308,11 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         controls=_freeze(controls),
         control_names=control_names,
         cluster=None if cluster is None else _freeze(cluster),
-        column_names=tuple(column_names),
         warnings=tuple(warnings),
         cluster_codes=None if codes is None else _freeze(codes),
         cluster_count=None if labels is None else len(labels),
     )
     return replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
-
-
-def derive(table: ObservationTable) -> DerivedColumns:
-    """Build the 13 columns of ``RESPONSES`` for every row at once.
-    Deterministic and row-local; not cached, and not used by the fit."""
-    return DerivedColumns.of(table.d1, table.d2, table.y)
 
 
 def _check_delimiter(delimiter) -> None:
@@ -483,13 +465,13 @@ def _byte_tokens(handle, delimiter: str) -> _Tokens:
     return _Tokens(header, chunks())
 
 
-def _parse_columns(columns: list[list[str]], kinds, fields):
+def _parse_columns(columns: list[list[str]], kinds, fields, labels: dict[str, str]):
     """Parse one chunk, given the tokens of each mapped column.
 
     Returns the values of each mapped column over the kept rows (None when a
     kept token does not parse) and the mask of rows dropped for a missing
     value. Rows whose every field (``fields(i)``) is blank are neither kept
-    nor dropped.
+    nor dropped. A cluster's rows share its one string in ``labels``.
     """
     floats = [_floats(col) if kind == "float" else None for col, kind in zip(columns, kinds)]
     missing = np.logical_or.reduce([_missing(col, v) for col, v in zip(columns, floats)])
@@ -504,7 +486,7 @@ def _parse_columns(columns: list[list[str]], kinds, fields):
         if kind == "float":
             column = _floats(col) if v is None else v
         elif kind == "cluster":
-            column = np.array([tok.strip() for tok in col], dtype=object)
+            column = np.array([labels.setdefault(s, s) for s in map(str.strip, col)], object)
         else:
             column = _binary(col)
         if column is None:
@@ -590,7 +572,7 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     cols += [str(cluster_name)] if cluster_name else []
     kinds = ["instrument", "treatment", "treatment"] + ["float"] * (1 + len(control_names))
     kinds += ["cluster"] if cluster_name else []
-    header, columns, dropped = _read_columns(path, delimiter, cols, kinds, on_missing)
+    columns, dropped = _read_columns(path, delimiter, cols, kinds, on_missing)
     if not columns[0].size:
         raise DataError(f"no complete rows in {path}")
     z, d1, d2, y, *rest = columns
@@ -602,16 +584,15 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
         controls[:, j], rest[j] = rest[j], None
     return from_arrays(
         z, d1, d2, y, controls=controls,
-        control_names=tuple(control_names), cluster=cluster, column_names=tuple(header),
+        control_names=tuple(control_names), cluster=cluster,
         warnings=[f"dropped {dropped} row(s) with missing values"] if dropped else [],
         copy=False,
     )
 
 
 def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_missing: str):
-    """The stripped header of the file at ``path``, each column ``cols``
-    (parsed as ``kinds``) over the kept rows, and the number of rows dropped
-    for a missing value.
+    """Each column ``cols`` of the file at ``path`` (parsed as ``kinds``)
+    over the kept rows, and the number of rows dropped for a missing value.
 
     The file is split as bytes while every piece of it is plain. The first
     piece that is not, or any error, sends the whole file through
@@ -650,10 +631,11 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
     columns = [np.empty(_CHUNK_ROWS, _DTYPES[kind]) for kind in kinds]
     kept = dropped = 0
     line = 2
+    labels: dict[str, str] = {}
     error = None  # under "fail", a bad token stands only if no value is missing
     for tokens in chunks:
         mapped = list(map(tokens.column, positions))
-        chunk, missing = _parse_columns(mapped, kinds, tokens.fields)
+        chunk, missing = _parse_columns(mapped, kinds, tokens.fields, labels)
         if on_missing == "fail" and missing.any():
             raise DataError(f"missing value at line {line + int(np.argmax(missing))} of {path}")
         if chunk is None:
@@ -674,7 +656,7 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
         raise error
     for column in columns:
         column.resize(kept, refcheck=False)  # in place: the array is not copied
-    return header, columns, dropped
+    return columns, dropped
 
 
 def _csv_fields(values, delimiter: str) -> dict[str, str]:

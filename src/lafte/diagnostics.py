@@ -105,8 +105,7 @@ def _contrast_pair(table: ObservationTable, columns: tuple[str, str]):
     return ContrastPair(estimates[0], estimates[1], joint), degenerate
 
 
-def mover_test(table: ObservationTable, *, level: float = 0.05,
-               force_step2: bool = False) -> MoverTestReport:
+def mover_test(table: ObservationTable, *, level: float = 0.05) -> MoverTestReport:
     """Two-step test for the presence of movers.
 
     Step 1 jointly tests that the instrument contrasts of ``d_or - d2`` and
@@ -115,7 +114,8 @@ def mover_test(table: ObservationTable, *, level: float = 0.05,
     outcome-weighted contrasts; a rejection concludes movers-detected-step2,
     and a second failure to reject concludes no-movers-detected (with the
     caveat that homogeneous potential outcomes also produce step-2 zeros).
-    ``force_step2`` computes step 2 even when step 1 already rejected.
+    After a step-1 rejection ``step2`` is None; ``slopes(table, [("gy_or",
+    None), ("gy_and", None)])`` gives step 2's contrasts in any case.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")
@@ -124,7 +124,7 @@ def mover_test(table: ObservationTable, *, level: float = 0.05,
     step1_rejects = step1.p_value is not None and step1.p_value < level
     step2 = None
     degenerate2: list[str] = []
-    if not step1_rejects or force_step2:
+    if not step1_rejects:
         step2, degenerate2 = _contrast_pair(table, ("gy_or", "gy_and"))
 
     conclusion = mover_conclusion(step1.p_value,

@@ -142,7 +142,7 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
             first = contrast(table, t).value
             if abs(first) <= RELEVANCE_TOLERANCE:
                 raise RelevanceError(f"relevance failure for {LABELS[t]}: first stage "
-                                     f"{first:.3e}", first_stage=first, definition=LABELS[t])
+                                     f"{first:.3e}")
         full = _table_fit(table)
         k = full.k // len(RESPONSES)
         gamma = full.coefficients[1::k]

@@ -2,7 +2,8 @@
 
 The CLI maps these onto disjoint exit codes: configuration problems exit 1,
 data or population-spec validation problems exit 2, estimation failures
-exit 3.
+exit 3. Each error carries only its message, which says what failed and
+where: the CLI prints it after ``error:``.
 """
 
 
@@ -19,15 +20,8 @@ class ColumnMissingError(ConfigError):
 
 
 class DataError(LafteError):
-    """The input data violates the table contract.
-
-    ``report`` carries the full :class:`~lafte.data.ValidationReport` when
-    the failure came from table validation.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """The input data violates the table contract; the message lists every
+    finding, joined by "; "."""
 
 
 class SpecError(LafteError):
@@ -43,12 +37,8 @@ class RankDeficientError(EstimationError):
 
 
 class RelevanceError(EstimationError):
-    """The first stage is numerically zero; the IV ratio is undefined."""
-
-    def __init__(self, message, first_stage=None, definition=None):
-        super().__init__(message)
-        self.first_stage = first_stage
-        self.definition = definition
+    """The first stage is numerically zero; the IV ratio is undefined. The
+    message names the treatment definition and its first stage."""
 
 
 class DegenerateTestError(EstimationError):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import yaml
@@ -177,21 +177,15 @@ class Stratum:
         return g1 + g2
 
 
-def stratum(group: str, prob: float, mean_y: Mapping[tuple[int, int], float] | Sequence[float],
+def stratum(group: str, prob: float, mean_y: Mapping[tuple[int, int], float],
             y_sd: float = 0.0) -> Stratum:
     """Build a stratum of a named response group.
 
     ``mean_y`` maps treatment cells ``(d1, d2)`` to mean potential outcomes;
-    unspecified cells default to 0. A flat sequence of four values is read
-    in cell order (0,0), (0,1), (1,0), (1,1).
+    unspecified cells default to 0.
     """
     if group not in _GROUP_TEMPLATES:
         raise SpecError(f"unknown response group {group!r}; expected one of {ALL_GROUPS}")
-    if not isinstance(mean_y, Mapping):
-        values = list(mean_y)
-        if len(values) != 4:
-            raise SpecError("mean_y sequence must have 4 entries")
-        mean_y = dict(zip(_CELLS, values))
     cells = {cell: float(mean_y.get(cell, 0.0)) for cell in _CELLS}
     d1_at, d2_at = _GROUP_TEMPLATES[group]
     return Stratum(
@@ -550,7 +544,7 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> ObservationTable:
         else:
             y_rows[:] = mean_tab[cell]
     del idx, cell  # the last cell views idx
-    return from_arrays(z, d1, d2, y, column_names=("z", "d1", "d2", "y"), copy=False)
+    return from_arrays(z, d1, d2, y, copy=False)
 
 
 def random_spec(rng: np.random.Generator, *, n_strata: int | None = None,

@@ -20,8 +20,7 @@ FIX8_CSV = "z,d1,d2,y\n" + "\n".join(",".join(str(v) for v in row) for row in FI
 
 def fix8_table():
     a = np.array(FIX8_ROWS)
-    return from_arrays(a[:, 0], a[:, 1], a[:, 2], a[:, 3].astype(float),
-                       column_names=("z", "d1", "d2", "y"))
+    return from_arrays(a[:, 0], a[:, 1], a[:, 2], a[:, 3].astype(float))
 
 
 @pytest.fixture

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from lafte import (
+    DerivedColumns,
     PopulationSpec,
     TreatmentDef,
     analytic_moments,
     complier_shares,
-    derive,
     first_stage,
     from_arrays,
     iv_estimand,
@@ -207,7 +207,7 @@ def test_criterion_4_inference_cross_checks():
 
 def _oracle_fix8_upper():
     t = fix8_table()
-    d = derive(t)
+    d = DerivedColumns.of(t.d1, t.d2, t.y)
     ones = np.ones(t.n)
     z = t.z.astype(float)
     eqs = [(d.dand_y, np.column_stack([ones, d.d_and]), np.column_stack([ones, z])),

@@ -217,7 +217,7 @@ def _every_clustered_result(t):
     results = [first_stage(t, d) for d in TreatmentDef]
     results += [iv_estimand(t, d) for d in TreatmentDef]
     results += [complier_shares(t), slopes(t, [("d2", None), ("g_or", None), ("g_and", None)]),
-                mover_test(t, force_step2=True),
+                mover_test(t), slopes(t, [("gy_or", None), ("gy_and", None)]),
                 double_exclusion_check(t), lafte_bounds(t),
                 lafte_bounds_bounded_response(t), tau_bounds(t)]
     return list(_leaves(results))

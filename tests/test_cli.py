@@ -59,6 +59,27 @@ def test_config_file_with_overrides(tmp_path, fix8_path, capsys):
     assert code == 0
 
 
+def test_empty_cluster_flag_clears_the_configs_cluster(tmp_path, capsys):
+    # A flag is read by the rules of its config key, after the file: an empty
+    # --cluster sets cluster to "", as the same empty value in the file does.
+    households = tmp_path / "hh.csv"
+    save_table(random_table(np.random.default_rng(4), n=300, cluster_size=3), households)
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({"input": str(households), "cluster": "cluster"}),
+                      encoding="utf-8")
+    code, out, _ = run(["estimate", "--config", str(config)], capsys)
+    assert code == 0 and out.startswith("estimate: n=300, clusters=100\n")
+    code, out, _ = run(["estimate", "--config", str(config), "--cluster", ""], capsys)
+    assert code == 0 and out.startswith("estimate: n=300\n") and "clusters=" not in out
+
+
+def test_empty_data_flag_sets_an_empty_input(tmp_path, fix8_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({"input": str(fix8_path)}), encoding="utf-8")
+    code, out, err = run(["estimate", "--config", str(config), "--data", ""], capsys)
+    assert code == 2 and err.startswith("error: unreadable file") and out == ""
+
+
 def test_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.yaml"
     config.write_text("inputs: x.csv\n", encoding="utf-8")

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from lafte import (
+    DerivedColumns,
     EstimationError,
     RankDeficientError,
     TreatmentDef,
     complier_shares,
     data,
-    derive,
     from_arrays,
     iv_estimand,
     lafte_bounds,
@@ -68,7 +68,8 @@ def test_columns_are_built_once_per_fit_pass(monkeypatch):
     monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
     complier_shares(t)
     slopes(t, [("d2", None), ("g_or", None), ("g_and", None)])
-    mover_test(t, force_step2=True)
+    mover_test(t)
+    slopes(t, [("gy_or", None), ("gy_and", None)])
     lafte_bounds(t)
     lafte_bounds_bounded_response(t)
     tau_bounds(t)
@@ -82,7 +83,8 @@ def test_replace_recomputes_derived_columns_and_fits():
     t = fix8_table()
     rf = reduced_form(t).value
     doubled = dataclasses.replace(t, y=2 * t.y)
-    assert np.array_equal(derive(doubled).dand_y, 2 * derive(t).dand_y)
+    assert np.array_equal(DerivedColumns.of(doubled.d1, doubled.d2, doubled.y).dand_y,
+                          2 * DerivedColumns.of(t.d1, t.d2, t.y).dand_y)
     assert reduced_form(doubled).value == pytest.approx(2 * rf, rel=1e-12)
 
 

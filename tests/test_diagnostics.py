@@ -34,7 +34,7 @@ def test_decision_rule_pure_function():
     assert mover_conclusion(0.04, 0.9, 0.01) == "no-movers-detected"
 
 
-def test_step2_skipped_on_step1_rejection_unless_forced():
+def test_step2_skipped_on_step1_rejection():
     spec = PopulationSpec(strata=(
         stratum("C1C2", 0.4, {(1, 1): 2.0}, y_sd=1.0),
         stratum("C1N2", 0.4, {(1, 0): 3.0}, y_sd=1.0),
@@ -44,9 +44,6 @@ def test_step2_skipped_on_step1_rejection_unless_forced():
     report = mover_test(table)
     assert report.conclusion == "movers-detected-step1"
     assert report.step2 is None
-    forced = mover_test(table, force_step2=True)
-    assert forced.step2 is not None
-    assert forced.conclusion == "movers-detected-step1"
 
 
 def test_degenerate_contrast_reduces_dof():

@@ -3,11 +3,12 @@ import pytest
 
 from lafte import (
     DegenerateTestError,
+    DerivedColumns,
     EstimationError,
     RankDeficientError,
     RelevanceError,
     TreatmentDef,
-    derive,
+    first_stage,
     from_arrays,
     iv_estimand,
     linear_combination,
@@ -59,7 +60,7 @@ def oracle_stacked_iv(equations, labels):
 
 def fix8_theorem1_stack_oracle():
     t = fix8_table()
-    d = derive(t)
+    d = DerivedColumns.of(t.d1, t.d2, t.y)
     ones = np.ones(t.n)
     z = t.z.astype(float)
     eq1 = (d.dand_y, np.column_stack([ones, d.d_and]), np.column_stack([ones, z]))
@@ -88,7 +89,7 @@ def test_ols_fix8_outcome():
 
 def test_ols_fix8_g_or():
     t = fix8_table()
-    d = derive(t)
+    d = DerivedColumns.of(t.d1, t.d2, t.y)
     x = np.column_stack([np.ones(t.n), t.z])
     fit = ols(d.g_or, x)
     assert fit.coefficients[1] == pytest.approx(0.25, rel=1e-12)
@@ -228,16 +229,16 @@ def test_iv_with_controls_equals_oracle():
     assert fit.coefficients[0] != pytest.approx(iv_estimand(base, TreatmentDef.FIRST).value)
 
 
-def test_iv_relevance_error_carries_first_stage():
+def test_iv_relevance_error_names_the_definition():
     rng = np.random.default_rng(9)
     n = 80
     # d varies but has the same mean in both arms: exactly zero first stage
     z = np.repeat([0, 1], n // 2)
     d = np.tile([0, 1], n // 2)
     t = from_arrays(z, d, np.zeros(n, int), rng.standard_normal(n))
-    with pytest.raises(RelevanceError) as info:
+    with pytest.raises(RelevanceError, match="relevance failure for D1: first stage"):
         iv_estimand(t, TreatmentDef.FIRST)
-    assert abs(info.value.first_stage) <= 1e-10
+    assert abs(first_stage(t, TreatmentDef.FIRST).value) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ def test_wald_singular_submatrix():
 def test_fix8_joint_contrast_test_matches_oracle():
     # joint 2-df test of both plain mover contrasts, against explicit algebra
     t = fix8_table()
-    d = derive(t)
+    d = DerivedColumns.of(t.d1, t.d2, t.y)
     x = np.column_stack([np.ones(t.n), t.z])
     fit = ols(np.column_stack([d.g_or, d.g_and]), x)
     res = wald_joint(fit, [1, 3])

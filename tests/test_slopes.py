@@ -12,7 +12,6 @@ import lafte
 from lafte import (
     RelevanceError,
     TreatmentDef,
-    derive,
     estimands,
     from_arrays,
     iv_estimand,
@@ -62,7 +61,7 @@ def _stacked_reference(t, equations):
     """The slopes of ``equations`` and their covariance by the dense stacking
     oracle, and the stacked fit's ``(n, dof, covariance_kind, cluster_count)``."""
     w = np.column_stack([np.ones(t.n), t.z, t.controls])
-    columns = derive(t)
+    columns = DerivedColumns.of(t.d1, t.d2, t.y)
     system = [(columns.column(r), w if d is None else _iv_design(w, columns.column(d)), w)
               for r, d in equations]
     clustered = t.cluster_codes is not None
@@ -78,7 +77,7 @@ def _stacked_reference(t, equations):
 def test_single_equation_equals_ols_and_the_oracle(controls, cluster):
     t = _table(controls, cluster)
     w, names = instrument_design(t.z, t.controls, t.control_names)
-    columns = derive(t)
+    columns = DerivedColumns.of(t.d1, t.d2, t.y)
     for d in TreatmentDef:
         fs = slopes(t, [(d.value, None)])
         ref = ols(columns.column(d.value), w, t.cluster_codes, names=names)
@@ -157,7 +156,7 @@ def test_blocked_table_fit_equals_whole_array_fit(monkeypatch, n, controls, clus
     fit = estimands._table_fit(t)
     # The parent design: all 13 columns held at once and fit in one block.
     w, names = instrument_design(t.z, t.controls, t.control_names)
-    values = derive(t).values
+    values = DerivedColumns.of(t.d1, t.d2, t.y).values
     monkeypatch.setattr(regression, "_CHUNK_ROWS", n + 1)
     ref = ols(values, w, t.cluster_codes, names=names)
     np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=REL, atol=0)
@@ -190,13 +189,13 @@ def test_table_fit_meat_equals_whole_array_meat_exactly(monkeypatch, clustered):
     codes = t.cluster_codes if clustered else None
     monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
     meat = regression._meat(lazy, w, b, codes, n)
-    whole = regression._meat(derive(t).values, w, b, codes, n)
+    whole = regression._meat(DerivedColumns.of(t.d1, t.d2, t.y).values, w, b, codes, n)
     assert meat.tobytes() == whole.tobytes()
 
 
 def test_table_fit_goes_through_ols(monkeypatch):
     # A caller that wraps ols and reads its response as an array, as a tracer
-    # does, sees the table's one fit and the 13 columns that derive builds.
+    # does, sees the table's one fit and the 13 columns DerivedColumns.of builds.
     t = _table(controls=True, cluster=True)
     seen = []
     real_ols = estimands.ols
@@ -204,7 +203,7 @@ def test_table_fit_goes_through_ols(monkeypatch):
         seen.append(np.asarray(y)) or real_ols(y, *args, **kwargs)))
     slopes(t, [("y", "d1")])
     assert len(seen) == 1
-    assert seen[0].tobytes() == derive(t).values.tobytes()
+    assert seen[0].tobytes() == DerivedColumns.of(t.d1, t.d2, t.y).values.tobytes()
 
 
 def test_table_fit_holds_no_n_by_13_array():
@@ -310,7 +309,8 @@ def test_one_fit_and_one_qr_per_table(monkeypatch):
     lafte.lafte_bounds(t)
     lafte.lafte_bounds_bounded_response(t)
     lafte.tau_bounds(t)
-    lafte.mover_test(t, force_step2=True)
+    lafte.mover_test(t)
+    slopes(t, [("gy_or", None), ("gy_and", None)])
     assert responses == [(t.n, len(RESPONSES))]
     assert factored == [(t.n, 4)]
 
@@ -356,12 +356,12 @@ PUBLIC_API = {
     "AssumptionAudit", "BINARY_DEFS", "BoundsResult", "CheckResult", "ComplierShares",
     "DerivedColumns", "EstimateWithSE", "FitResult", "MoverTestReport", "ObservationTable",
     "PopulationMoments", "PopulationSpec", "SignCheckReport", "Stratum", "TestResult",
-    "TreatmentDef", "TrueParams", "ValidationReport", "VerificationReport",
+    "TreatmentDef", "TrueParams", "VerificationReport",
     # errors
     "BoundsError", "ColumnMissingError", "ConfigError", "DataError", "DegenerateTestError",
     "EstimationError", "LafteError", "RankDeficientError", "RelevanceError", "SpecError",
     # functions
-    "analytic_moments", "complier_shares", "derive", "double_exclusion_check", "first_stage",
+    "analytic_moments", "complier_shares", "double_exclusion_check", "first_stage",
     "from_arrays", "group_probs", "iv_estimand", "lafte_bounds",
     "lafte_bounds_bounded_response", "linear_combination", "load_spec", "load_table",
     "mover_conclusion", "mover_test", "ols", "random_spec", "reduced_form", "sample",

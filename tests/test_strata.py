@@ -176,17 +176,17 @@ def test_sample_deterministic(s2):
 
 # Four strata, one without noise, so that every branch of sample draws.
 _PINNED_SPEC = PopulationSpec(strata=(
-    stratum("C1C2", 0.35, [0.0, 1.25, 0.5, 2.75], y_sd=1.5),
-    stratum("C1N2", 0.2, [0.25, 1.0, 1.5, 0.0], y_sd=0.0),
-    stratum("N1A2", 0.15, [-1.0, 0.125, 0.0, 0.0], y_sd=0.75),
-    stratum("A1A2", 0.3, [0.0, 0.0, 2.0, 3.5], y_sd=2.0),
+    stratum("C1C2", 0.35, {(0, 1): 1.25, (1, 0): 0.5, (1, 1): 2.75}, y_sd=1.5),
+    stratum("C1N2", 0.2, {(0, 0): 0.25, (0, 1): 1.0, (1, 0): 1.5}, y_sd=0.0),
+    stratum("N1A2", 0.15, {(0, 0): -1.0, (0, 1): 0.125}, y_sd=0.75),
+    stratum("A1A2", 0.3, {(1, 0): 2.0, (1, 1): 3.5}, y_sd=2.0),
 ), p_z=0.4, double_exclusion=True)
 
 
 @pytest.mark.parametrize("spec, digest", [
     (_PINNED_SPEC, "c324b90d94358ed0cb0b562f3df92ef4ad61bedebf3e95deccd188a24b909e5e"),
-    (PopulationSpec(strata=_PINNED_SPEC.strata[:2] + (stratum("A1A2", 0.45, [0, 0, 2.0, 3.5]),),
-                    p_z=0.6),
+    (PopulationSpec(strata=_PINNED_SPEC.strata[:2]
+                    + (stratum("A1A2", 0.45, {(1, 0): 2.0, (1, 1): 3.5}),), p_z=0.6),
      "e6b291a250b75630aacbcd66ea8fe043c0d86eb3bd7f2314f2e4505162570c32"),
 ])
 def test_sample_draw_bytes_are_pinned(tmp_path, spec, digest):
