@@ -60,7 +60,6 @@ from .regression import (
 )
 from .strata import (
     AssumptionAudit,
-    PopulationMoments,
     PopulationSpec,
     Stratum,
     TrueParams,

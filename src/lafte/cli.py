@@ -43,7 +43,7 @@ import yaml
 
 from . import __version__
 from .bounds import lafte_bounds, lafte_bounds_bounded_response, tau_bounds
-from .data import DEFAULT_MAPPING, load_table, save_table
+from .data import DEFAULT_MAPPING, _check_delimiter, load_table, save_table
 from .diagnostics import double_exclusion_check, mover_test
 from .estimands import (
     REPORT_ORDER,
@@ -189,9 +189,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     _read_settings(config, {k: v for k, v in vars(args).items()
                             if k not in ("command", "config") and v is not None})
 
-    if len(config.delimiter) != 1:
-        raise ConfigError(
-            f"config key 'delimiter' must be one character, got {config.delimiter!r}")
+    _check_delimiter(config.delimiter, "config key 'delimiter'")
     if config.format not in ("text", "structured"):
         raise ConfigError(f"unknown format {config.format!r}; use text or structured")
     if config.missing not in ("drop", "fail"):
@@ -305,15 +303,14 @@ def run_simulate(config: RunConfig) -> ReportBundle:
     moments = analytic_moments(spec)
     truth = {
         "spec": spec_to_dict(spec),
-        "audit": {**asdict(audit),
-                  "homogeneity": {d.value: v for d, v in audit.homogeneity.items()}},
+        "audit": asdict(audit),
         "group_probs": params.group_probs,
         "group_effects": params.group_effects,
         "lafte_over_c": params.lafte_over_c,
         "tau": params.tau,
         "moments": {
-            "first_stage": {d.value: v for d, v in moments.first_stage.items()},
-            "reduced_form": moments.reduced_form,
+            "first_stage": {d.value: moments[d.value] for d in REPORT_ORDER},
+            "reduced_form": moments["y"],
         },
     }
     truth_path = out + ".truth.json"

@@ -202,11 +202,11 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, cod
         errors.append(f"table has {n} rows; at least 2 required")
     bad_z = _non_binary(z)
     if bad_z.size:
-        errors.append(f"non-binary instrument column 'z': value {bad_z[0]!r}")
+        errors.append(f"non-binary instrument column 'z': value {bad_z[0].item()!r}")
     for name, col in (("d1", d1), ("d2", d2)):
         bad = _non_binary(col)
         if bad.size:
-            errors.append(f"non-binary treatment column '{name}': value {bad[0]!r}")
+            errors.append(f"non-binary treatment column '{name}': value {bad[0].item()!r}")
     if not bad_z.size and n >= 1:
         # A binary z has the arm 0 when its least value is 0, and 1 when its largest is 1.
         for arm, end in ((0, z.min()), (1, z.max())):
@@ -315,9 +315,13 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     return replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
 
 
-def _check_delimiter(delimiter) -> None:
+def _check_delimiter(delimiter, name: str = "delimiter") -> None:
+    """Refuse a delimiter that is not one character, or that can occur inside an
+    unquoted field: a letter or digit, ``.``, ``+``, ``-``, a quote, CR or LF."""
     if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
+        raise ConfigError(f"{name} must be one character, got {delimiter!r}")
+    if delimiter.isalnum() or delimiter in '.+-"\r\n':
+        raise ConfigError(f"{name} must be a character no field can contain, got {delimiter!r}")
 
 
 def _floats(tokens) -> np.ndarray | None:
@@ -524,7 +528,8 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
         and optional keys ``controls`` (list of names) and ``cluster``.
         Defaults to the identity mapping ``{"z": "z", ...}``.
     delimiter : str
-        Field delimiter, one character; comma by default, tab selectable.
+        Field delimiter, one character that cannot occur inside a field (see
+        :func:`_check_delimiter`); comma by default, tab selectable.
     on_missing : {"drop", "fail"}
         Rows with a missing value in any mapped column are dropped (with a
         warning recording the count) or cause an error.

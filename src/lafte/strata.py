@@ -19,8 +19,9 @@ and everything a finite-sample estimator targets — first stages, reduced
 form, complier shares, bound endpoints — has an exact closed form as a
 probability-weighted sum over strata, computed here without simulation.
 :func:`analytic_moments` evaluates the estimators' own column catalogue,
-``data.COLUMNS``, on the ``(stratum, z)`` cells, so the oracle and the
-estimators share one definition of every column.
+``data.COLUMNS``, on the ``(stratum, z)`` cells and keys each contrast by
+its column's name, so the oracle and the estimators share one definition,
+and one name, of every column.
 
 Spec objects are immutable; sampling is a pure function of (spec, n, seed).
 Monte Carlo batches may therefore run concurrently as long as each batch
@@ -206,7 +207,8 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class AssumptionAudit:
-    """Exactly decided flags for every maintained assumption."""
+    """Exactly decided flags for every maintained assumption, each
+    definition's ``homogeneity`` keyed by its column name."""
 
     no_movers: bool
     double_exclusion: bool
@@ -215,29 +217,6 @@ class AssumptionAudit:
     positive_response: bool
     relevance: bool
     homogeneity: dict
-
-
-@dataclass(frozen=True)
-class PopulationMoments:
-    """Exact instrument contrasts of the columns of ``data.COLUMNS``."""
-
-    first_stage: dict
-    reduced_form: float
-    dand_y: float
-    untreated_y: float
-    gy_or: float
-    gy_and: float
-    kernel_y: float
-
-    # Differences of first stages, as the sign checks have always read them;
-    # the contrast of the g_or and g_and columns can differ in the last bit.
-    @property
-    def g_or(self) -> float:
-        return self.first_stage[TreatmentDef.EITHER] - self.first_stage[TreatmentDef.SECOND]
-
-    @property
-    def g_and(self) -> float:
-        return self.first_stage[TreatmentDef.BOTH] - self.first_stage[TreatmentDef.SECOND]
 
 
 @dataclass(frozen=True)
@@ -359,10 +338,10 @@ def validate_spec(spec: PopulationSpec) -> AssumptionAudit:
             if not close(full, other):
                 ok = False
                 break
-        homogeneity[definition] = ok
+        homogeneity[definition.value] = ok
 
     moments = analytic_moments(spec)
-    relevance = all(moments.first_stage[d] > 0 for d in BINARY_DEFS)
+    relevance = all(moments[d.value] > 0 for d in BINARY_DEFS)
 
     return AssumptionAudit(
         no_movers=movers == 0.0,
@@ -407,14 +386,15 @@ def group_effect(spec: PopulationSpec, group: str, cells) -> float | None:
     return hi - lo
 
 
-def analytic_moments(spec: PopulationSpec) -> PopulationMoments:
-    """Exact z-arm contrasts of the catalogue's columns.
+def analytic_moments(spec: PopulationSpec) -> dict[str, float]:
+    """Exact z-arm contrasts of the catalogue's columns, keyed as ``data.RESPONSES``.
 
-    Each moment is ``E[W | Z=1] - E[W | Z=0]`` for a column ``W`` of
-    ``data.COLUMNS``: the columns are evaluated on the 2·S cells
-    ``(stratum, z)`` of ``(d1(z), d2(z), outcome_mean(z))``, weighted by the
-    stratum's probability and summed within each arm in stratum order. The
-    results do not depend on ``p_z``.
+    ``analytic_moments(spec)[c]`` is ``E[W | Z=1] - E[W | Z=0]`` for the
+    column ``W`` named ``c``, the population value of ``contrast(table, c)``:
+    the columns are evaluated on the 2·S cells ``(stratum, z)`` of
+    ``(d1(z), d2(z), outcome_mean(z))``, weighted by the stratum's
+    probability and summed within each arm in stratum order. The results do
+    not depend on ``p_z``.
     """
     cells = np.array([(s.prob, s.d1(z), s.d2(z), s.outcome_mean(z))
                       for s in spec.strata for z in (0, 1)], dtype=float).reshape(-1, 4)
@@ -422,12 +402,7 @@ def analytic_moments(spec: PopulationSpec) -> PopulationMoments:
     weighted = (cells[:, :1] * columns.values).reshape(-1, 2, len(RESPONSES))
     # One stratum at a time from zero, so each sum is fixed to the last bit.
     totals = sum(weighted, np.zeros((2, len(RESPONSES))))
-    delta = dict(zip(RESPONSES, (totals[1] - totals[0]).tolist()))
-    return PopulationMoments(
-        first_stage={d: delta[d.value] for d in TreatmentDef},
-        reduced_form=delta["y"], dand_y=delta["dand_y"], untreated_y=delta["untreated_y"],
-        gy_or=delta["gy_or"], gy_and=delta["gy_and"], kernel_y=delta["kernel_y"],
-    )
+    return dict(zip(RESPONSES, (totals[1] - totals[0]).tolist()))
 
 
 def true_parameters(spec: PopulationSpec) -> TrueParams:
@@ -459,7 +434,7 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
     moments = analytic_moments(spec)
     decompositions = {}
     for definition in BINARY_DEFS:
-        denominator = moments.first_stage[definition]
+        denominator = moments[definition.value]
         stage_groups = FIRST_STAGE_GROUPS[definition]
         terms = []
         for g in COMPLIER_GROUPS:
@@ -467,12 +442,12 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
             terms.append(DecompositionTerm(
                 group=g, cells=GROUP_EFFECT_CELLS[g], effect=group_effects[g],
                 weight=weight, bias=g not in stage_groups))
-        value = moments.reduced_form / denominator if denominator > 0 else None
+        value = moments["y"] / denominator if denominator > 0 else None
         decompositions[definition] = BetaDecomposition(
             definition=definition, value=value, denominator=denominator,
             terms=tuple(terms))
 
-    sum_denominator = moments.first_stage[TreatmentDef.SUM]
+    sum_denominator = moments["d_sum"]
     sum_terms = []
     split_cells = (((1, 1), (1, 0)), ((1, 0), (0, 0)))
     for cells in split_cells:
@@ -487,7 +462,7 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
             weight=weight, bias=False))
     decompositions[TreatmentDef.SUM] = BetaDecomposition(
         definition=TreatmentDef.SUM,
-        value=moments.reduced_form / sum_denominator if sum_denominator > 0 else None,
+        value=moments["y"] / sum_denominator if sum_denominator > 0 else None,
         denominator=sum_denominator, terms=tuple(sum_terms))
 
     return TrueParams(

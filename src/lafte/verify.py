@@ -1,8 +1,10 @@
 """Closed-form verification of every identification identity on a spec.
 
 Each check compares two exactly-computable population quantities: one side
-built from observable moments (instrument contrasts), the other from the
-spec's stratum probabilities and mean potential outcomes. Checks that
+built from observable moments (the instrument contrasts of the catalogue's
+columns, read by column name from :func:`analytic_moments`), the other
+summed by hand from the spec's group probabilities and mean potential
+outcomes, independently of the column catalogue. Checks that
 depend on substantive assumptions are marked not-applicable when the spec's
 audit flags do not hold, so a report with zero failures certifies the full
 battery:
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import LABELS
-from .estimands import BINARY_DEFS, TreatmentDef
+from .estimands import BINARY_DEFS
 from .exceptions import SpecError
 from .strata import (
     COMPLIER_GROUPS,
@@ -124,56 +126,56 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     stage_sums = {d: sum(probs[g] for g in FIRST_STAGE_GROUPS[d]) for d in BINARY_DEFS}
     for d in BINARY_DEFS:
         checks.append(_check(f"first-stage-decomposition.{d.value}",
-                             moments.first_stage[d], stage_sums[d]))
+                             moments[d.value], stage_sums[d]))
     reduced = 0.0
     for g in COMPLIER_GROUPS:
         if probs[g] > 0:
             reduced += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
-    checks.append(_check("reduced-form-decomposition", moments.reduced_form, reduced))
+    checks.append(_check("reduced-form-decomposition", moments["y"], reduced))
 
     # (b) the simplified decompositions under double exclusion
     if audit.double_exclusion:
         checks.append(_check("double-exclusion.first-stage.d1",
-                             moments.first_stage[TreatmentDef.FIRST], p_cc + p_cn + p_ca))
+                             moments["d1"], p_cc + p_cn + p_ca))
         checks.append(_check("double-exclusion.first-stage.d2",
-                             moments.first_stage[TreatmentDef.SECOND], p_cc))
+                             moments["d2"], p_cc))
         checks.append(_check("double-exclusion.first-stage.d_and",
-                             moments.first_stage[TreatmentDef.BOTH], p_cc + p_ca))
+                             moments["d_and"], p_cc + p_ca))
         checks.append(_check("double-exclusion.first-stage.d_or",
-                             moments.first_stage[TreatmentDef.EITHER], p_cc + p_cn))
+                             moments["d_or"], p_cc + p_cn))
         reduced_de = 0.0
         for g in ("C1C2", "C1N2", "C1A2"):
             if probs[g] > 0:
                 reduced_de += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
-        checks.append(_check("double-exclusion.reduced-form", moments.reduced_form, reduced_de))
+        checks.append(_check("double-exclusion.reduced-form", moments["y"], reduced_de))
     else:
         checks.append(_skip("double-exclusion.first-stage",
                             "not applicable: response maps depend on z"))
 
     # (c) the four mover contrasts
-    checks.append(_check("mover-contrast.plain.or", moments.g_or, p_cn - p_ac))
-    checks.append(_check("mover-contrast.plain.and", moments.g_and, p_ca - p_nc))
+    checks.append(_check("mover-contrast.plain.or", moments["g_or"], p_cn - p_ac))
+    checks.append(_check("mover-contrast.plain.and", moments["g_and"], p_ca - p_nc))
 
     def weighted_level(group, cell):
         mean = group_cell_mean(spec, group, cell)
         return 0.0 if mean is None else probs[group] * mean
 
     checks.append(_check(
-        "mover-contrast.outcome.or", moments.gy_or,
+        "mover-contrast.outcome.or", moments["gy_or"],
         weighted_level("C1N2", (1, 0)) - weighted_level("A1C2", (1, 0))))
     checks.append(_check(
-        "mover-contrast.outcome.and", moments.gy_and,
+        "mover-contrast.outcome.and", moments["gy_and"],
         weighted_level("C1A2", (0, 1)) - weighted_level("N1C2", (0, 1))))
 
     # (d) sign restrictions implied by double exclusion
     if audit.double_exclusion:
-        checks.append(_check_le("double-exclusion.sign.or", 0.0, moments.g_or))
-        checks.append(_check_le("double-exclusion.sign.and", 0.0, moments.g_and))
+        checks.append(_check_le("double-exclusion.sign.or", 0.0, moments["g_or"]))
+        checks.append(_check_le("double-exclusion.sign.and", 0.0, moments["g_and"]))
     else:
         checks.append(_skip("double-exclusion.sign",
                             "not applicable: response maps depend on z"))
         for column in ("g_or", "g_and"):
-            value = getattr(moments, column)
+            value = moments[column]
             if value < -EXACT_TOLERANCE:
                 flags.append(
                     f"double exclusion not invocable: instrument contrast of "
@@ -182,7 +184,7 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     # (e) no movers: every binary IV estimand equals the LAFTE
     if audit.no_movers and params is not None and p_cc > 0:
         for d in BINARY_DEFS:
-            beta = moments.reduced_form / moments.first_stage[d]
+            beta = moments["y"] / moments[d.value]
             checks.append(_check(f"no-movers.iv-equals-lafte.{d.value}",
                                  beta, params.lafte_over_c))
     else:
@@ -192,24 +194,24 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     # (f) homogeneity conditions: IV equals the definition's group effect
     for d in BINARY_DEFS:
         stage_prob = stage_sums[d]
-        if not audit.homogeneity[d] or stage_prob <= 0:
+        if not audit.homogeneity[d.value] or stage_prob <= 0:
             checks.append(_skip(f"homogeneous-movers.{d.value}",
                                 "not applicable: homogeneity flag false or empty groups"))
             continue
-        beta = moments.reduced_form / moments.first_stage[d]
+        beta = moments["y"] / moments[d.value]
         target = sum(probs[g] * group_effect(spec, g, FULL_EFFECT)
                      for g in FIRST_STAGE_GROUPS[d] if probs[g] > 0) / stage_prob
         checks.append(_check(f"homogeneous-movers.{d.value}", beta, target))
 
     # (g) sharp bounds: containment and sharpness
-    fs1 = moments.first_stage[TreatmentDef.FIRST]
-    fs_and = moments.first_stage[TreatmentDef.BOTH]
+    fs1 = moments["d1"]
+    fs_and = moments["d_and"]
     theorem_applicable = (audit.double_exclusion and audit.mtr and audit.mts
                           and audit.positive_response and params is not None
                           and fs1 > 0 and fs_and > 0)
     if theorem_applicable:
-        lower = moments.reduced_form / fs1
-        upper = moments.dand_y / fs_and + moments.untreated_y / fs1
+        lower = moments["y"] / fs1
+        upper = moments["dand_y"] / fs_and + moments["untreated_y"] / fs1
         checks.append(_check_le("lafte-bounds.containment.lower", lower, params.lafte_over_c))
         checks.append(_check_le("lafte-bounds.containment.upper", params.lafte_over_c, upper))
         if p_cn == 0.0 and p_ca == 0.0:
@@ -226,8 +228,8 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     if audit.double_exclusion and params is not None and fs1 > 0:
         cells = [s.mean_y[i][j] for s in spec.strata for i in (0, 1) for j in (0, 1)]
         ymin, ymax = min(cells), max(cells)
-        lower = (moments.kernel_y + ymin * moments.g_or - ymax * moments.g_and) / fs1
-        upper = (moments.kernel_y + ymax * moments.g_or - ymin * moments.g_and) / fs1
+        lower = (moments["kernel_y"] + ymin * moments["g_or"] - ymax * moments["g_and"]) / fs1
+        upper = (moments["kernel_y"] + ymax * moments["g_or"] - ymin * moments["g_and"]) / fs1
         checks.append(_check_le("bounded-response.containment.lower", lower, params.lafte_over_c))
         checks.append(_check_le("bounded-response.containment.upper", params.lafte_over_c, upper))
         checks.append(_check("bounded-response.width", upper - lower,
@@ -237,14 +239,14 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
                             "not applicable: double exclusion fails or d1 stage is zero"))
 
     # (i) tau bounds
-    max_stage = max(moments.first_stage[d] for d in BINARY_DEFS)
-    fs_sum = moments.first_stage[TreatmentDef.SUM]
+    max_stage = max(moments[d.value] for d in BINARY_DEFS)
+    fs_sum = moments["d_sum"]
     if (audit.relevance and params is not None and fs_sum > 0
-            and moments.reduced_form > 0):
+            and moments["y"] > 0):
         checks.append(_check_le("tau-bounds.containment.lower",
-                                moments.reduced_form / fs_sum, params.tau))
+                                moments["y"] / fs_sum, params.tau))
         checks.append(_check_le("tau-bounds.containment.upper",
-                                params.tau, moments.reduced_form / max_stage))
+                                params.tau, moments["y"] / max_stage))
     else:
         checks.append(_skip("tau-bounds.containment",
                             "not applicable: needs relevance and a positive reduced form"))

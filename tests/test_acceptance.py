@@ -132,8 +132,7 @@ def random_spec_for_battery(rng, i):
 def test_criterion_3_sampling_consistency():
     spec = s2_spec()
     moments = analytic_moments(spec)
-    truth_fs = moments.first_stage
-    truth_rf = moments.reduced_form
+    truth_rf = moments["y"]
     start = time.perf_counter()
     contains = 0
     for seed in (11, 12, 13):
@@ -144,8 +143,8 @@ def test_criterion_3_sampling_consistency():
             assert abs(est.value - truth) <= tol, (est.definition, est.value, truth)
 
         for definition in TreatmentDef:
-            within(first_stage(table, definition), truth_fs[definition])
-            within(iv_estimand(table, definition), truth_rf / truth_fs[definition])
+            within(first_stage(table, definition), moments[definition.value])
+            within(iv_estimand(table, definition), truth_rf / moments[definition.value])
         within(reduced_form(table), truth_rf)
         shares = complier_shares(table)
         within(shares.p_full, 0.5)
@@ -233,13 +232,13 @@ def test_criterion_5_width_identity():
         spec = random_spec(rng, double_exclusion=True)
         probs = group_probs(spec)
         moments = analytic_moments(spec)
-        fs1 = moments.first_stage[TreatmentDef.FIRST]
+        fs1 = moments["d1"]
         if fs1 <= 0:
             continue
         cells = [s.mean_y[i][j] for s in spec.strata for i in (0, 1) for j in (0, 1)]
         ymin, ymax = min(cells), max(cells)
-        lower = (moments.kernel_y + ymin * moments.g_or - ymax * moments.g_and) / fs1
-        upper = (moments.kernel_y + ymax * moments.g_or - ymin * moments.g_and) / fs1
+        lower = (moments["kernel_y"] + ymin * moments["g_or"] - ymax * moments["g_and"]) / fs1
+        upper = (moments["kernel_y"] + ymax * moments["g_or"] - ymin * moments["g_and"]) / fs1
         close(upper - lower,
               (ymax - ymin) * (probs["C1N2"] + probs["C1A2"]) / fs1)
 

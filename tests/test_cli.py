@@ -283,6 +283,9 @@ def test_unwritable_truth_sidecar_exit_1(tmp_path, capsys):
     ("controls: {x1: 1}", "controls"),
     ("delimiter: ';;'", "delimiter"),
     ("delimiter: ''", "delimiter"),
+    # A delimiter that can occur inside a field would corrupt the draw.
+    ("delimiter: '.'", "delimiter"),
+    ("delimiter: '1'", "delimiter"),
     # Numbers are not coerced: an overflowing, fractional, boolean or quoted
     # value is an error, not a traceback or a silently different run.
     ("n: .inf", "n"),

@@ -262,8 +262,10 @@ def test_validation_message_lists_every_finding():
         from_arrays([1, 1], [1, 2], [1, 0], [1.0, 2.0])
     findings = str(info.value).split("; ")
     assert len(findings) == 2
-    assert findings[0].startswith("non-binary treatment column 'd1': value ")
+    assert findings[0] == "non-binary treatment column 'd1': value 2"
     assert findings[1] == "empty instrument arm (z=0)"
+    with pytest.raises(DataError, match=r"^non-binary instrument column 'z': value 0\.5$"):
+        from_arrays([0.5, 1.0], [1, 0], [1, 0], [1.0, 2.0])
 
 
 # --- Row-wise reference implementations of the loader and the writer ------
@@ -740,10 +742,11 @@ def _awkward_table(rng, n=60, k=2):
                        controls=rng.standard_normal((n, k)), cluster=labels)
 
 
-@pytest.mark.parametrize("delimiter", [",", "\t"])
+@pytest.mark.parametrize("delimiter", [",", "\t", ";", "|", " "])
 def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter):
     # Blocks of 1-3 rows start and end on each of the seven label kinds, three
-    # of which need quoting under either delimiter and one under each.
+    # of which need quoting under every delimiter, one more under "," and one
+    # more under tab.
     rng = np.random.default_rng(11)
     plain = _awkward_table(rng, n=9)
     tables = (_awkward_table(rng), _awkward_table(rng, k=0),
@@ -805,12 +808,17 @@ def test_mixed_type_cluster_labels_are_data_errors(labels, message):
                     cluster=labels)
 
 
-@pytest.mark.parametrize("delimiter", [";;", "", None, 5])
-def test_delimiter_not_one_character_is_config_error(tmp_path, fix8_path, delimiter):
-    with pytest.raises(ConfigError, match="delimiter must be one character"):
+@pytest.mark.parametrize("delimiter, message", [
+    *((d, "one character") for d in (";;", "", None, 5)),
+    # A real's repr has digits, ".", "-", "+" and letters ("1e-05", "inf"):
+    # written unquoted, it would split at such a delimiter.
+    *((d, "a character no field can contain") for d in (".", "1", "e", "-", '"', "\n")),
+])
+def test_bad_delimiter_is_config_error(tmp_path, fix8_path, delimiter, message):
+    with pytest.raises(ConfigError, match=f"delimiter must be {message}"):
         load_table(fix8_path, delimiter=delimiter)
     out = tmp_path / "out.csv"
-    with pytest.raises(ConfigError, match="delimiter must be one character"):
+    with pytest.raises(ConfigError, match=f"delimiter must be {message}"):
         save_table(fix8_table(), out, delimiter=delimiter)
     assert not out.exists()
 

@@ -65,14 +65,6 @@ def _specs():
     return [_rounded(random_spec(rng, double_exclusion=bool(i % 2))) for i in range(200)]
 
 
-def _contrasts(moments):
-    """The closed-form contrast of each catalogue column."""
-    values = {d.value: moments.first_stage[d] for d in TreatmentDef}
-    values["y"] = moments.reduced_form
-    values.update({c: getattr(moments, c) for c in RESPONSES if c not in values})
-    return values
-
-
 def _ratio(num, den):
     return None if abs(den) <= RELEVANCE_TOLERANCE else num / den
 
@@ -103,49 +95,48 @@ def _check_spec(i, spec, counts):
     relevance_failures = 0
     t = _cell_table(spec, counts)
     m = analytic_moments(spec)
-    c = _contrasts(m)
-    fs1, fs_and, fs_sum = c["d1"], c["d_and"], c["d_sum"]
+    fs1, fs_and, fs_sum = m["d1"], m["d_and"], m["d_sum"]
 
     for column in RESPONSES:
         est = contrast(t, column)
         assert est.definition == LABELS[column]
-        _assert_close(est.value, c[column], (i, column))
+        _assert_close(est.value, m[column], (i, column))
     for d in TreatmentDef:
-        _assert_close(first_stage(t, d).value, m.first_stage[d], (i, d))
-        expected = _ratio(m.reduced_form, m.first_stage[d])
+        _assert_close(first_stage(t, d).value, m[d.value], (i, d))
+        expected = _ratio(m["y"], m[d.value])
         relevance_failures += expected is None
         _check(lambda: iv_estimand(t, d).value, expected, (i, "iv", d))
 
     shares = complier_shares(t)
     _check(lambda: (shares.p_full.value, shares.p_dropout.value,
                     shares.p_late_adopter.value),
-           (c["d2"], m.g_or, m.g_and), (i, "shares"))
+           (m["d2"], m["g_or"], m["g_and"]), (i, "shares"))
     # Step 2's contrasts are those of gy_or and gy_and, checked above.
     step1 = mover_test(t).step1
     _check(lambda: (step1.or_minus_d2.value, step1.and_minus_d2.value),
-           (m.g_or, m.g_and), (i, "movers"))
+           (m["g_or"], m["g_and"]), (i, "movers"))
 
-    lower, upper = _ratio(m.reduced_form, fs1), _ratio(m.dand_y, fs_and)
+    lower, upper = _ratio(m["y"], fs1), _ratio(m["dand_y"], fs_and)
     theorem1 = None if lower is None or upper is None else (
-        lower, upper + m.untreated_y / fs1)
+        lower, upper + m["untreated_y"] / fs1)
     _check(lambda: (lafte_bounds(t).lower.value, lafte_bounds(t).upper.value),
            theorem1, (i, "theorem1"))
 
     cells = [v for s in spec.strata for row in s.mean_y for v in row]
     ymin, ymax = min(cells), max(cells)
     bounded = None if _ratio(1.0, fs1) is None else tuple(sorted(
-        ((m.kernel_y + ymin * m.g_or - ymax * m.g_and) / fs1,
-         (m.kernel_y + ymax * m.g_or - ymin * m.g_and) / fs1)))
+        ((m["kernel_y"] + ymin * m["g_or"] - ymax * m["g_and"]) / fs1,
+         (m["kernel_y"] + ymax * m["g_or"] - ymin * m["g_and"]) / fs1)))
 
     def bounded_pair():
         b = lafte_bounds_bounded_response(t, ymin, ymax)
         return b.lower.value, b.upper.value
     _check(bounded_pair, bounded, (i, "bounded-response"))
 
-    by_sum = _ratio(m.reduced_form, fs_sum)
-    by_max = _ratio(m.reduced_form, max(m.first_stage[d] for d in BINARY_DEFS))
+    by_sum = _ratio(m["y"], fs_sum)
+    by_max = _ratio(m["y"], max(m[d.value] for d in BINARY_DEFS))
     tau = None if by_sum is None or by_max is None else (
-        tuple(sorted((by_sum, by_max))) if m.reduced_form < 0 else (by_sum, by_max))
+        tuple(sorted((by_sum, by_max))) if m["y"] < 0 else (by_sum, by_max))
     _check(lambda: (tau_bounds(t).lower.value, tau_bounds(t).upper.value),
            tau, (i, "tau"))
     return relevance_failures

@@ -355,7 +355,7 @@ PUBLIC_API = {
     # results and specs
     "AssumptionAudit", "BINARY_DEFS", "BoundsResult", "CheckResult", "ComplierShares",
     "DerivedColumns", "EstimateWithSE", "FitResult", "MoverTestReport", "ObservationTable",
-    "PopulationMoments", "PopulationSpec", "SignCheckReport", "Stratum", "TestResult",
+    "PopulationSpec", "SignCheckReport", "Stratum", "TestResult",
     "TreatmentDef", "TrueParams", "VerificationReport",
     # errors
     "BoundsError", "ColumnMissingError", "ConfigError", "DataError", "DegenerateTestError",

@@ -8,7 +8,6 @@ import pytest
 import yaml
 
 from lafte import (
-    PopulationMoments,
     PopulationSpec,
     SpecError,
     Stratum,
@@ -28,7 +27,7 @@ from lafte import (
     true_parameters,
     validate_spec,
 )
-from lafte.data import _CHUNK_ROWS
+from lafte.data import _CHUNK_ROWS, RESPONSES
 from lafte.strata import ALL_GROUPS
 
 from conftest import s2_spec, single_full_complier_spec
@@ -98,28 +97,25 @@ def test_double_exclusion_flag_contradiction():
 
 def test_s2_moments(s2):
     m = analytic_moments(s2)
-    assert m.first_stage[TreatmentDef.FIRST] == pytest.approx(1.0, abs=1e-15)
-    assert m.first_stage[TreatmentDef.SECOND] == pytest.approx(0.5, abs=1e-15)
-    assert m.reduced_form == pytest.approx(1.5, abs=1e-15)
-    assert m.dand_y == pytest.approx(1.0, abs=1e-15)
-    assert m.untreated_y == pytest.approx(0.0, abs=1e-15)
+    assert m["d1"] == pytest.approx(1.0, abs=1e-15)
+    assert m["d2"] == pytest.approx(0.5, abs=1e-15)
+    assert m["y"] == pytest.approx(1.5, abs=1e-15)
+    assert m["dand_y"] == pytest.approx(1.0, abs=1e-15)
+    assert m["untreated_y"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_single_stratum_moments():
     m = analytic_moments(single_full_complier_spec(effect=2.0))
     for d in TreatmentDef:
         expected = 2.0 if d is TreatmentDef.SUM else 1.0
-        assert m.first_stage[d] == pytest.approx(expected, abs=1e-15)
-    assert m.reduced_form == pytest.approx(2.0, abs=1e-15)
+        assert m[d.value] == pytest.approx(expected, abs=1e-15)
+    assert m["y"] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_moments_do_not_depend_on_pz(s2):
     shifted = PopulationSpec(strata=s2.strata, p_z=0.9,
                              double_exclusion=s2.double_exclusion)
-    a, b = analytic_moments(s2), analytic_moments(shifted)
-    assert a.first_stage == b.first_stage
-    assert a.reduced_form == b.reduced_form
-    assert a.kernel_y == b.kernel_y
+    assert analytic_moments(s2) == analytic_moments(shifted)
 
 
 def test_s2_true_parameters(s2):
@@ -129,9 +125,8 @@ def test_s2_true_parameters(s2):
     assert params.group_probs["C1N2"] == 0.5
     # analytic sharp-bound endpoints bracket the truth
     m = analytic_moments(s2)
-    lower = m.reduced_form / m.first_stage[TreatmentDef.FIRST]
-    upper = (m.dand_y / m.first_stage[TreatmentDef.BOTH]
-             + m.untreated_y / m.first_stage[TreatmentDef.FIRST])
+    lower = m["y"] / m["d1"]
+    upper = m["dand_y"] / m["d_and"] + m["untreated_y"] / m["d1"]
     assert lower == pytest.approx(1.5, abs=1e-15)
     assert upper == pytest.approx(2.0, abs=1e-15)
     assert lower <= params.lafte_over_c <= upper
@@ -352,11 +347,11 @@ def test_outcome_scaling_property():
         assert big.lafte_over_c == pytest.approx(factor * base.lafte_over_c, rel=1e-12)
         assert big.tau == pytest.approx(factor * base.tau, rel=1e-12)
         mb, ms = analytic_moments(spec), analytic_moments(scaled)
-        fs1 = mb.first_stage[TreatmentDef.FIRST]
-        for l, s_ in ((mb.reduced_form / fs1, ms.reduced_form / fs1),):
+        fs1 = mb["d1"]
+        for l, s_ in ((mb["y"] / fs1, ms["y"] / fs1),):
             assert s_ == pytest.approx(factor * l, rel=1e-12)
-        upper_base = mb.dand_y / mb.first_stage[TreatmentDef.BOTH] + mb.untreated_y / fs1
-        upper_big = ms.dand_y / ms.first_stage[TreatmentDef.BOTH] + ms.untreated_y / fs1
+        upper_base = mb["dand_y"] / mb["d_and"] + mb["untreated_y"] / fs1
+        upper_big = ms["dand_y"] / ms["d_and"] + ms["untreated_y"] / fs1
         assert upper_big == pytest.approx(factor * upper_base, rel=1e-12)
 
 
@@ -370,9 +365,7 @@ def test_group_probs_cover_all_strata():
 def _hand_written_moments(spec):
     """The per-column sums ``analytic_moments`` ran before it evaluated the
     column catalogue; kept as the reference its values must equal bit for bit."""
-    totals = {name: [0.0, 0.0] for name in (
-        "d1", "d2", "d_and", "d_or", "d_sum", "y",
-        "dand_y", "untreated_y", "gy_or", "gy_and", "kernel_y")}
+    totals = {name: [0.0, 0.0] for name in RESPONSES}
     for s in spec.strata:
         for z in (0, 1):
             d1, d2 = s.d1(z), s.d2(z)
@@ -386,24 +379,14 @@ def _hand_written_moments(spec):
             totals["d_or"][z] += w * d_or
             totals["d_sum"][z] += w * (d1 + d2)
             totals["y"][z] += w * m
+            totals["g_or"][z] += w * (d_or - d2)
+            totals["g_and"][z] += w * (d_and - d2)
             totals["dand_y"][z] += w * d_and * m
             totals["untreated_y"][z] += w * (1 - d1) * (1 - d2) * m
             totals["gy_or"][z] += w * (d_or - d2) * m
             totals["gy_and"][z] += w * (d_and - d2) * m
             totals["kernel_y"][z] += w * (1 - d1 - d2 + 2 * d_and) * m
-    delta = {name: total[1] - total[0] for name, total in totals.items()}
-    return PopulationMoments(
-        first_stage={d: delta[d.value] for d in TreatmentDef}, reduced_form=delta["y"],
-        **{name: delta[name] for name in ("dand_y", "untreated_y", "gy_or", "gy_and",
-                                          "kernel_y")})
-
-
-def _moment_values(moments):
-    values = {f"first_stage.{d.value}": v for d, v in moments.first_stage.items()}
-    values.update({name: getattr(moments, name) for name in (
-        "reduced_form", "dand_y", "untreated_y", "gy_or", "gy_and", "kernel_y",
-        "g_or", "g_and")})
-    return values
+    return {name: total[1] - total[0] for name, total in totals.items()}
 
 
 def test_analytic_moments_equal_hand_written_sums_bit_for_bit():
@@ -414,9 +397,8 @@ def test_analytic_moments_equal_hand_written_sums_bit_for_bit():
                           n_strata=8 if i % 5 == 0 else None)
               for i in range(240)]
     for i, spec in enumerate(specs):
-        got, want = _moment_values(analytic_moments(spec)), _moment_values(
-            _hand_written_moments(spec))
-        assert list(got) == list(want)
+        got, want = analytic_moments(spec), _hand_written_moments(spec)
+        assert list(got) == list(want) == list(RESPONSES)
         # float.hex tells -0.0 from 0.0, which == does not.
         assert {k: float(v).hex() for k, v in got.items()} == {
             k: float(v).hex() for k, v in want.items()}, i

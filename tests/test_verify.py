@@ -123,7 +123,7 @@ def test_homogeneity_collapse_every_definition(def_value):
     for _ in range(10):
         spec = _spec_satisfying_homogeneity(definition, rng)
         audit = validate_spec(spec)
-        assert audit.homogeneity[definition]
+        assert audit.homogeneity[definition.value]
         report = verify_identities(spec)
         assert report.all_passed, report.failures
         check = next(c for c in report.checks
