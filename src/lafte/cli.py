@@ -196,8 +196,8 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown missing-data policy {config.missing!r}")
     if not 0.0 < config.level < 1.0:
         raise ConfigError(f"level must be inside (0,1), got {config.level}")
-    if config.n < 1:
-        raise ConfigError(f"n must be >= 1, got {config.n}")
+    if config.n < 2:  # a table's least size
+        raise ConfigError(f"n must be >= 2, got {config.n}")
     if config.seed < 0:
         raise ConfigError(f"config key 'seed' must be a non-negative integer, got {config.seed}")
     for key in ("ymin", "ymax"):

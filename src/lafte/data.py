@@ -31,7 +31,11 @@ text. Their token grammar and their bytes are those of the ``csv`` module,
 which reads any file the loader's byte tokenizer does not take (quoted,
 non-ASCII or ragged files, and any file with an error; see
 :func:`load_table`) and writes the header; the rows are split and joined
-as plain strings, a block of rows at a time.
+as plain strings, a block of rows at a time. On a machine where this
+process may use two CPUs or more, a large table or plain file is split in
+two halves: a forked worker process writes or parses the back half while
+this one does the front half (:func:`_forked`). The bytes, the table and
+every warning and error are those of the one-process path.
 
 :func:`from_arrays` raises :class:`~lafte.exceptions.DataError` for a table
 that breaks an invariant; its message lists every finding, joined by "; ".
@@ -57,6 +61,13 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import os
+import pickle
+import shutil
+import tempfile
+import threading
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import compress, islice, product
 from operator import itemgetter
@@ -84,6 +95,13 @@ _CHUNK_ROWS = 1 << 14
 # Bytes read at a time by load_table, which extends each read to a line end;
 # each such piece of a plain file is split as one chunk.
 _SCAN_BYTES = 1 << 16
+
+# The least table (rows) that save_table, and the least plain file (bytes)
+# that load_table, splits with a forked worker (see _two_cores): about twice
+# the break-even of 2**15 rows or 1 MiB measured on a 2-vCPU machine, where
+# forking, reaping and stitching the halves cost 5-7 ms.
+_SPLIT_ROWS = 1 << 16
+_SPLIT_BYTES = 1 << 21
 
 
 class Column(NamedTuple):
@@ -371,14 +389,15 @@ class _NotPlain(Exception):
     """A piece of the file that the byte tokenizer does not take."""
 
 
-def _source(path) -> Callable[[], BinaryIO]:
+def _source(path) -> tuple[Callable[[], BinaryIO], int | None]:
     """A function that opens the file at ``path`` as bytes, from its start,
-    each time it is called. A pipe can be read only once, so it is held."""
+    each time it is called, and the file's size. A pipe can be read only
+    once, so it is held; its size is None."""
     with open(path, "rb") as handle:
         if handle.seekable():
-            return lambda: open(path, "rb")
+            return (lambda: open(path, "rb")), os.fstat(handle.fileno()).st_size
         raw = handle.read()
-    return lambda: io.BytesIO(raw)
+    return (lambda: io.BytesIO(raw)), None
 
 
 def _csv_text(handle: BinaryIO) -> io.TextIOWrapper:
@@ -440,10 +459,12 @@ def _token_chunk(lines: bytes, split: bytes, width: int) -> _Chunk:
     return _Chunk(lambda p: tokens[p::width], lambda i: tokens[i * width:(i + 1) * width])
 
 
-def _byte_tokens(handle, delimiter: str) -> _Tokens:
+def _byte_tokens(handle, delimiter: str, start: int = 0, stop: int | None = None) -> _Tokens:
     """The records of the binary file ``handle``, split as bytes: its header
     line, then a chunk per piece of ``_SCAN_BYTES`` bytes and the rest of
     its last line, each checked by :func:`_check_plain` before it is split.
+    The chunks hold the lines after the header that start at a byte offset
+    in ``[start, stop)``; all of them by default.
 
     ``csv.reader`` splits a file the same way when, after an optional BOM,
     its header line is not empty, the delimiter is ASCII and neither a
@@ -461,7 +482,17 @@ def _byte_tokens(handle, delimiter: str) -> _Tokens:
     split = bytes.maketrans(delimiter.encode(), b"\n")
 
     def chunks() -> Iterator[_Chunk]:
-        while piece := handle.read(_SCAN_BYTES) + handle.readline():
+        if start > handle.tell():
+            handle.seek(start - 1)
+            handle.readline()  # to the first line that starts at or after ``start``
+        at = handle.tell()
+        while stop is None or at < stop:
+            piece = handle.read(_SCAN_BYTES if stop is None else min(_SCAN_BYTES, stop - at))
+            if not piece:
+                return
+            if not piece.endswith(b"\n"):
+                piece += handle.readline()
+            at += len(piece)
             _check_plain(piece, delimiter, width)
             yield _token_chunk(piece.removesuffix(b"\n"), split, width)
 
@@ -599,17 +630,20 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
     """Each column ``cols`` of the file at ``path`` (parsed as ``kinds``)
     over the kept rows, and the number of rows dropped for a missing value.
 
-    The file is split as bytes while every piece of it is plain. The first
-    piece that is not, or any error, sends the whole file through
+    The file is split as bytes while every piece of it is plain, a large
+    file in two halves (:func:`_split_read`). The first piece that is not,
+    any error, or a worker that fails sends the whole file through
     ``csv.reader``, whose reading alone decides the error.
     """
     try:
-        source = _source(path)
-        with source() as handle:
-            try:
+        source, size = _source(path)
+        try:
+            if size is not None and _two_cores(size, _SPLIT_BYTES):
+                return _split_read(source, size // 2, path, delimiter, cols, kinds, on_missing)
+            with source() as handle:
                 return _collect(_byte_tokens(handle, delimiter), path, cols, kinds, on_missing)
-            except (_NotPlain, ConfigError, DataError):
-                pass
+        except (_NotPlain, ConfigError, DataError):
+            pass
         # Out of the handler, so that the byte path's columns are let go.
         with _csv_text(source()) as text:
             return _collect(_csv_tokens(text, delimiter), path, cols, kinds, on_missing)
@@ -617,13 +651,14 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
         raise DataError(f"unreadable file {path}: {exc}") from None
 
 
-def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
+def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str,
+             labels: dict[str, str] | None = None):
     """:func:`_read_columns` of one tokenizer's records.
 
     Each column is filled, grown (doubling) and cut to size in place, so it
     is held once. The error, if any, is found in this one pass: under
     ``on_missing="fail"`` a missing value anywhere, else the first bad token
-    of a kept row.
+    of a kept row. The rows of a cluster share its one string in ``labels``.
     """
     header, chunks = tokens
     if header is None:
@@ -636,7 +671,7 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
     columns = [np.empty(_CHUNK_ROWS, _DTYPES[kind]) for kind in kinds]
     kept = dropped = 0
     line = 2
-    labels: dict[str, str] = {}
+    labels = {} if labels is None else labels
     error = None  # under "fail", a bad token stands only if no value is missing
     for tokens in chunks:
         mapped = list(map(tokens.column, positions))
@@ -662,6 +697,120 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
     for column in columns:
         column.resize(kept, refcheck=False)  # in place: the array is not copied
     return columns, dropped
+
+
+def _split_read(source, middle: int, path, delimiter: str, cols, kinds, on_missing: str):
+    """:func:`_collect` of the byte tokens of a plain file, its lines from
+    byte ``middle`` on parsed by a forked worker. Raises :class:`_NotPlain`
+    if the worker fails, for any reason."""
+
+    def back(out: BinaryIO) -> None:
+        labels: dict[str, str] = {}
+        with source() as handle:  # its own handle: one shared with this process shares its offset
+            tokens = _byte_tokens(handle, delimiter, start=middle)
+            _send(*_collect(tokens, path, cols, kinds, on_missing, labels), labels, out)
+
+    with source() as handle:
+        tokens = _byte_tokens(handle, delimiter, stop=middle)  # a header that is not plain forks nothing
+        with _forked(back) as result:
+            labels: dict[str, str] = {}
+            columns, dropped = _collect(tokens, path, cols, kinds, on_missing, labels)
+            out = result()
+            if out is None:
+                raise _NotPlain
+            return columns, dropped + _receive(columns, labels, out)
+
+
+def _send(columns: list[np.ndarray], dropped: int, labels: dict[str, str], out: BinaryIO) -> None:
+    """Writes parsed columns for :func:`_receive`: a pickle of their length,
+    ``dropped`` and their distinct cluster labels (the keys of ``labels``),
+    then each column's bytes, a cluster column as ``int64`` indices into
+    those labels."""
+    index = dict(zip(labels, range(len(labels))))
+    arrays = [np.fromiter(map(index.__getitem__, column.tolist()), np.int64, column.size)
+              if column.dtype == object else column for column in columns]
+    pickle.dump((columns[0].size, dropped, list(labels)), out)
+    for array in arrays:
+        out.write(array.data)
+
+
+def _receive(columns: list[np.ndarray], labels: dict[str, str], back: BinaryIO) -> int:
+    """Appends the rows :func:`_send` wrote to ``back`` to ``columns``, each
+    grown in place and read into, and returns their dropped count. A
+    cluster's rows share its one string in ``labels``."""
+    kept, dropped, distinct = pickle.load(back)
+    start = columns[0].size
+    for column in columns:
+        column.resize(start + kept, refcheck=False)
+        rows = np.empty(kept, np.int64) if column.dtype == object else column[start:]
+        if back.readinto(rows) != rows.nbytes:
+            raise _NotPlain
+        if column.dtype == object:
+            shared = np.array([labels.setdefault(s, s) for s in distinct], object)
+            np.take(shared, rows, out=column[start:])
+    return dropped
+
+
+def _two_cores(size: int, least: int) -> bool:
+    """Whether work of ``size`` is split with a forked worker: it is at
+    least ``least``, this process may run on two CPUs or more, and it has
+    one Python thread (a fork copies only the calling thread, not the locks
+    another may hold)."""
+    return (size >= least and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
+
+
+@contextmanager
+def _forked(work: Callable[[BinaryIO], None]) -> Iterator[Callable[[], BinaryIO | None]]:
+    """Runs ``work(out)`` in one forked worker process while the body of the
+    ``with`` runs in this one; ``out`` is an unlinked temporary file.
+
+    Yields a function that waits for the worker and returns ``out`` rewound,
+    or None when the worker failed or could not start. The worker never
+    returns into its caller: it ends in ``os._exit``, so it runs no exit
+    handler and flushes none of this process's buffers. It is reaped on
+    every way out of the ``with``, and killed first if it was not waited for.
+    """
+    out = pid = status = None
+    try:
+        out = tempfile.TemporaryFile()
+        with warnings.catch_warnings():
+            # Python 3.12 warns that a fork of a process with other threads
+            # (numpy's BLAS pool) may deadlock the child: the worker calls no
+            # BLAS and ends in os._exit.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        pass
+    if pid == 0:
+        code = 1
+        try:
+            work(out)
+            out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+
+    def result() -> BinaryIO | None:
+        nonlocal status
+        if pid is None:
+            return None
+        _, status = os.waitpid(pid, 0)
+        if os.waitstatus_to_exitcode(status):
+            return None
+        out.seek(0)
+        return out
+
+    try:
+        yield result
+    finally:
+        if pid is not None and status is None:
+            from signal import SIGKILL  # only on this path: the module is not loaded otherwise
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        if out is not None:
+            out.close()
 
 
 def _csv_fields(values, delimiter: str) -> dict[str, str]:
@@ -690,7 +839,9 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     Cluster labels are written with ``str`` and quoted when they contain the
     delimiter, a quote or a line break; lines end in CRLF. Control columns
     without names are headed ``x0``, ``x1``, ... Rows are written
-    ``_CHUNK_ROWS`` at a time, each block as one string.
+    ``_CHUNK_ROWS`` at a time, each block as one string; a table of
+    ``_SPLIT_ROWS`` rows or more has its back half written by a forked
+    worker (:func:`_two_cores`), whose bytes are appended.
 
     Raises
     ------
@@ -707,18 +858,43 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     if repeated:
         raise DataError(f"column '{repeated[0]}' repeats in the header {names}; "
                         f"nothing is written to {path}")
-    reals = [table.y, *table.controls.T]
     labels = None if table.cluster is None else _csv_fields(map(str, table.cluster), delimiter)
-    # The (z, d1, d2) fields of a row, at 4*z + 2*d1 + d2.
-    prefixes = [delimiter.join(bits) for bits in product("01", repeat=3)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, delimiter=delimiter).writerow(names)
-        for start in range(0, table.n, _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            codes = 4 * table.z[rows] + 2 * table.d1[rows] + table.d2[rows]
-            fields = [map(prefixes.__getitem__, codes.tolist())]
-            fields += [map(repr, column[rows].tolist()) for column in reals]
-            if labels is not None:
-                fields.append(map(labels.__getitem__, map(str, table.cluster[rows])))
-            handle.write("\r\n".join(map(delimiter.join, zip(*fields))))
-            handle.write("\r\n")
+        if not _two_cores(table.n, _SPLIT_ROWS):
+            _write_rows(handle, table, 0, table.n, delimiter, labels)
+            return
+        middle = table.n // 2
+
+        def back(out: BinaryIO) -> None:
+            text = io.TextIOWrapper(out, encoding="utf-8", newline="")
+            _write_rows(text, table, middle, table.n, delimiter, labels)
+            text.detach()  # flushes it, and leaves ``out`` open
+
+        with _forked(back) as result:
+            _write_rows(handle, table, 0, middle, delimiter, labels)
+            out = result()
+            if out is None:
+                _write_rows(handle, table, middle, table.n, delimiter, labels)
+            else:
+                handle.flush()
+                shutil.copyfileobj(out, handle.buffer)
+
+
+def _write_rows(handle, table: ObservationTable, start: int, stop: int, delimiter: str,
+                labels: dict[str, str] | None) -> None:
+    """Writes rows ``[start, stop)`` of ``table`` to the text file ``handle``,
+    ``_CHUNK_ROWS`` at a time, each block as one string; ``labels`` maps each
+    cluster label to its field."""
+    reals = [table.y, *table.controls.T]
+    # The (z, d1, d2) fields of a row, at 4*z + 2*d1 + d2.
+    prefixes = [delimiter.join(bits) for bits in product("01", repeat=3)]
+    for first in range(start, stop, _CHUNK_ROWS):
+        rows = slice(first, min(first + _CHUNK_ROWS, stop))
+        codes = 4 * table.z[rows] + 2 * table.d1[rows] + table.d2[rows]
+        fields = [map(prefixes.__getitem__, codes.tolist())]
+        fields += [map(repr, column[rows].tolist()) for column in reals]
+        if labels is not None:
+            fields.append(map(labels.__getitem__, map(str, table.cluster[rows])))
+        handle.write("\r\n".join(map(delimiter.join, zip(*fields))))
+        handle.write("\r\n")

@@ -482,8 +482,8 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> ObservationTable:
     is the cell mean plus (when the stratum's ``y_sd`` is positive)
     independent normal noise.
     """
-    if n < 1:
-        raise SpecError(f"sample size must be >= 1, got {n}")
+    if n < 2:  # a table's least size
+        raise SpecError(f"sample size must be >= 2, got {n}")
     rng = np.random.default_rng(seed)
     strata = spec.strata
     probs = np.array([s.prob for s in strata], dtype=float)

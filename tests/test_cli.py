@@ -267,6 +267,19 @@ def test_unwritable_simulated_dataset_exit_1(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {data_path}: ")
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_simulate_below_two_rows_is_a_usage_error(tmp_path, capsys, n):
+    # A table needs two rows: the run stops before anything is drawn or written.
+    spec_path = tmp_path / "s2.yaml"
+    save_spec(s2_spec(), spec_path)
+    data_path = tmp_path / "d.csv"
+    code, out, err = run(["simulate", "--data", str(spec_path), "--n", n,
+                          "--out", str(data_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: n must be >= 2, got {n}\n"
+    assert list(tmp_path.iterdir()) == [spec_path]
+
+
 def test_unwritable_truth_sidecar_exit_1(tmp_path, capsys):
     spec_path = tmp_path / "s2.yaml"
     save_spec(s2_spec(), spec_path)

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import itertools
 import os
 import tempfile
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -464,7 +466,7 @@ def _assert_same_outcome(new, ref):
 _PIECE_BYTES = (1, 7, 64)
 
 
-def _csv_only(handle, delimiter):
+def _csv_only(handle, delimiter, **lines):
     raise data._NotPlain
 
 
@@ -497,7 +499,51 @@ def _assert_both_tokenizers_match_reference(path, **kwargs):
     return _byte_path(path, kwargs.get("delimiter", ","))
 
 
-@given(
+@contextlib.contextmanager
+def _split():
+    """Every table that save_table writes and every plain file that load_table
+    reads is split with a forked worker, as on a machine with two CPUs; yields
+    the list of the workers' process ids."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    workers = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            workers.append(pid)
+        return pid
+
+    with mock.patch.object(data, "_SPLIT_ROWS", 0), mock.patch.object(data, "_SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
+            mock.patch.object(os, "fork", counted):
+        yield workers
+
+
+def _worker_fails(function):
+    """``function``, which raises RuntimeError in any process but this one."""
+    parent = os.getpid()
+
+    def call(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("the worker fails")
+        return function(*args, **kwargs)
+    return call
+
+
+def _worker_sleeps(function):
+    """``function``, which sleeps in any process but this one until it is killed."""
+    parent = os.getpid()
+
+    def call(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return function(*args, **kwargs)
+    return call
+
+
+_LOADER_CASES = dict(
     file=_delimited_files(),
     delimiter=st.sampled_from([",", "\t"]),
     bom=st.booleans(),
@@ -510,6 +556,9 @@ def _assert_both_tokenizers_match_reference(path, **kwargs):
     cluster=st.sampled_from([None, "hh", "z"]),
     chunk_rows=st.sampled_from([1, 2, 3, 1 << 16]),
 )
+
+
+@given(**_LOADER_CASES)
 @settings(max_examples=400, deadline=None)
 def test_columnar_loader_matches_rowwise_reference(file, delimiter, bom, padded_header, quoted,
                                                    line_end, last_line_end, on_missing,
@@ -539,6 +588,16 @@ def test_columnar_loader_matches_rowwise_reference(file, delimiter, bom, padded_
         with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
             _assert_both_tokenizers_match_reference(
                 path, mapping=mapping, delimiter=delimiter, on_missing=on_missing)
+
+
+@given(**_LOADER_CASES)
+@settings(max_examples=30, deadline=None)
+def test_split_loader_matches_rowwise_reference(**case):
+    # The same files, each load split at its middle byte with a forked worker;
+    # the worker's half may be empty, or hold the error or the line that is not plain.
+    with _split() as workers:
+        test_columnar_loader_matches_rowwise_reference.hypothesis.inner_test(**case)
+    assert workers
 
 
 _HH = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": ["x"], "cluster": "hh"}
@@ -723,6 +782,20 @@ def test_a_plain_file_is_read_once(tmp_path, monkeypatch, quoted):
             assert size < sum(read) <= 2 * size
         else:
             assert sum(read) == size
+    # Split with a worker, this process reads the lines that start before the
+    # middle byte, and no further; its own buffer holds one byte, so that the
+    # bytes read are those used. The quoted last line fails the worker, and
+    # csv.reader reads the file again.
+    middle = path.read_bytes().index(b"\n", size // 2 - 1) + 1
+    monkeypatch.setattr(data, "open", lambda path, mode: io.BufferedReader(Counted(path), 1),
+                        raising=False)
+    with _split() as workers:
+        for scan_bytes in (*_PIECE_BYTES, data._SCAN_BYTES):
+            read.clear()
+            with mock.patch.object(data, "_SCAN_BYTES", scan_bytes):
+                load_table(path, _HH)
+            assert sum(read) == middle + quoted * size
+    assert len(workers) == 1 + len(_PIECE_BYTES)
 
 
 def test_undecodable_file_is_a_data_error(tmp_path):
@@ -771,6 +844,82 @@ def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter
         if table.cluster is not None:
             assert list(back.cluster) == list(table.cluster)
             assert _same_bits(back.cluster_codes, table.cluster_codes)
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_split_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter):
+    # Each table written and read back by two processes; halves of 1-30 rows.
+    with _split() as workers:
+        test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter)
+    assert workers
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_split_rows_of_a_cluster_share_one_label(tmp_path, monkeypatch, quote):
+    # The worker's labels come back through this process's one string per cluster.
+    with _split() as workers:
+        test_rows_of_a_cluster_share_one_label(tmp_path, monkeypatch, quote)
+    assert workers
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_worker_gives_the_serial_result(tmp_path):
+    rng = np.random.default_rng(7)
+    table = _awkward_table(rng)
+    households = tmp_path / "hh.csv"
+    _households_csv(households, 300, rng)
+    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": ["x1", "x2"],
+               "cluster": "hh"}
+    save_table(table, tmp_path / "serial.csv")
+    serial = load_table(households, mapping)
+    with _split() as workers, mock.patch.object(data, "_write_rows", _worker_fails(data._write_rows)), \
+            mock.patch.object(data, "_collect", _worker_fails(data._collect)):
+        save_table(table, tmp_path / "split.csv")
+        split = load_table(households, mapping)
+    assert len(workers) == 2
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    _assert_same_table(split, serial)
+    _no_child_left()
+
+
+def _front_half_fails(*args, **kwargs):
+    raise RuntimeError("the front half fails")
+
+
+@pytest.mark.parametrize("outcome", ["success", "worker fails", "front half fails"])
+def test_every_worker_is_reaped(tmp_path, outcome):
+    # A worker still running when the front half fails is killed, not waited for.
+    table = _awkward_table(np.random.default_rng(8))
+    households = tmp_path / "hh.csv"
+    _households_csv(households, 300, np.random.default_rng(9))
+    write, collect = data._write_rows, data._collect
+    if outcome == "worker fails":
+        write, collect = _worker_fails(write), _worker_fails(collect)
+    elif outcome == "front half fails":  # a bad token in the front half
+        write, collect = _worker_sleeps(_front_half_fails), _worker_sleeps(collect)
+        households.write_text(households.read_text().replace("\n1,", "\n1.5,", 1))
+    failures = []
+    started = time.monotonic()
+    with _split() as workers, mock.patch.object(data, "_write_rows", write), \
+            mock.patch.object(data, "_collect", collect):
+        for call in (lambda: save_table(table, tmp_path / "t.csv"),
+                     lambda: load_table(households, {"z": "z", "d1": "d1", "d2": "d2", "y": "y"})):
+            try:
+                call()
+            except (RuntimeError, DataError) as exc:
+                failures.append(str(exc))
+    if outcome == "front half fails":
+        assert failures == ["the front half fails",
+                            "non-binary instrument column 'z': value '1.5'"]
+        assert time.monotonic() - started < 30
+    else:
+        assert failures == []
+    assert len(workers) == 2
+    _no_child_left()
 
 
 @pytest.mark.parametrize("labels", [

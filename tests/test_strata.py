@@ -222,11 +222,12 @@ _NOISELESS_SPEC = dataclasses.replace(_PINNED_SPEC, strata=tuple(
 
 
 @pytest.mark.parametrize("spec", [_PINNED_SPEC, _NOISELESS_SPEC], ids=["noisy", "noiseless"])
-@pytest.mark.parametrize("n", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
 def test_blocked_draw_equals_whole_array_draw(monkeypatch, spec, n):
     # Each kind of draw, made a block of rows at a time, takes the values of
     # one whole-array call from the same stream, to the bit. The columns are
-    # read where sample hands them to from_arrays, which rejects n = 1.
+    # read where sample hands them to from_arrays, which may reject a draw of
+    # 2 rows (an empty instrument arm).
     drawn = []
     monkeypatch.setattr("lafte.strata.from_arrays", lambda *columns, **_: drawn.append(columns))
     sample(spec, n, seed=20240611)
@@ -249,6 +250,13 @@ def test_sample_peak_memory_per_row():
         tracemalloc.stop()
     assert table.z.dtype == table.d1.dtype == table.d2.dtype == np.uint8
     assert peak <= 14 * n
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_sample_needs_a_table_of_two_rows(s2, n):
+    # A table needs two rows; a smaller draw is refused before anything is drawn.
+    with pytest.raises(SpecError, match=f"sample size must be >= 2, got {n}"):
+        sample(s2, n, seed=0)
 
 
 def test_sample_perfect_compliance():
