@@ -39,8 +39,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
-import yaml
-
 from . import __version__
 from .bounds import lafte_bounds, lafte_bounds_bounded_response, tau_bounds
 from .data import DEFAULT_MAPPING, _check_delimiter, load_table, save_table
@@ -65,7 +63,7 @@ from .report import (
 from .strata import (
     analytic_moments,
     load_spec,
-    load_yaml,
+    read_yaml,
     sample,
     spec_to_dict,
     true_parameters,
@@ -121,13 +119,7 @@ _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 
 
 def _load_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = load_yaml(handle)
-    except OSError as exc:
-        raise ConfigError(f"unreadable config file {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from None
+    payload = read_yaml(path, ConfigError, "config")
     if payload is None:
         return {}
     if not isinstance(payload, dict):

@@ -240,8 +240,8 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, cod
     if cluster is not None:
         if cluster.shape[0] != n:
             errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
-        elif labels is None or any(str(lab).strip() == "" for lab in labels):
-            errors.append("missing cluster label")
+        elif labels is None or any(lab != lab or str(lab).strip() == "" for lab in labels):
+            errors.append("missing cluster label")  # None, NaN (unequal to itself) or blank
         elif codes is None:
             kinds = sorted({type(lab).__name__ for lab in labels})
             errors.append(f"cluster labels of types {', '.join(kinds)} cannot be ordered")
@@ -290,7 +290,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     unshared. With ``copy=False`` an input that already has its stored dtype
     and is contiguous is adopted and made read-only in place, which saves a
     copy for a caller that lets go of its arrays. ``control_names`` is empty
-    or names each control column.
+    or names each control column. A None, NaN or blank cluster label is missing.
 
     Raises
     ------

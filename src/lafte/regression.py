@@ -174,23 +174,20 @@ def tidy_vcov(vcov: np.ndarray) -> np.ndarray:
     return vcov
 
 
-def _scores(y, w, b, rows):
-    """Each coefficient's score column on ``rows``: one column of ``W`` times
-    the residual of its response."""
+def _block_meat(y, w, b, rows, local=None) -> np.ndarray:
+    """``S'S`` of one block of ``rows``, where coefficient ``j`` of response ``r``
+    scores ``W[:, j]`` times the residual of ``r``: each row's scores are its own
+    sums, or with ``local`` cluster codes (0, 1, ... in row order) each cluster's.
+    ``S`` is filled a column at a time, so it is held column-major."""
     k = w.shape[1]
     w_rows, y_rows = w[rows], y[rows]
+    units = len(w_rows) if local is None else local[-1] + 1
+    sums = np.empty((units, b.size), order="F")
     for r in range(y.shape[1]):
         e = y_rows[:, r] - w_rows @ b[r * k:(r + 1) * k]
-        yield from (w_rows[:, j] * e for j in range(k))
-
-
-def _block_meat(y, w, b, rows, local=None) -> np.ndarray:
-    """``S'S`` of one block of ``rows``: each row's scores are its own sums,
-    or with ``local`` cluster codes (0, 1, ... in row order) each cluster's."""
-    units = rows.stop - rows.start if local is None else local[-1] + 1
-    sums = np.empty((units, b.size))
-    for j, score in enumerate(_scores(y, w, b, rows)):
-        sums[:, j] = score if local is None else np.bincount(local, weights=score)
+        for j in range(k):
+            score = w_rows[:, j] * e
+            sums[:, r * k + j] = score if local is None else np.bincount(local, weights=score)
     return sums.T @ sums
 
 

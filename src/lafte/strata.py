@@ -114,6 +114,9 @@ _GROUP_TEMPLATES = {
     "A1A2": ((1, 1), ((1, 1), (1, 1))),
 }
 
+# The full compliers' effect on d1 + d2 in two unit steps: d2 given d1 = 1, then d1.
+_SUM_STEPS = (((1, 1), (1, 0)), ((1, 0), (0, 0)))
+
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -125,6 +128,11 @@ def close(a: float, b: float, tol: float = EXACT_TOLERANCE) -> bool:
 
 def _ge(a: float, b: float, tol: float = EXACT_TOLERANCE) -> bool:
     return a >= b - tol * max(1.0, abs(a), abs(b))
+
+
+def _kind(lo: int, hi: int) -> str:
+    """Complier, always- or never-taker, from one part's realized values at z=0, 1."""
+    return "C" if hi > lo else "A" if lo == 1 else "N"
 
 
 @dataclass(frozen=True)
@@ -161,21 +169,7 @@ class Stratum:
         return self.d2_at[0] != self.d2_at[1]
 
     def group(self) -> str:
-        d10, d11 = self.d1_at
-        if d11 > d10:
-            g1 = "C1"
-        elif d10 == 1:
-            g1 = "A1"
-        else:
-            g1 = "N1"
-        lo, hi = self.d2(0), self.d2(1)
-        if hi > lo:
-            g2 = "C2"
-        elif lo == 1:
-            g2 = "A2"
-        else:
-            g2 = "N2"
-        return g1 + g2
+        return f"{_kind(*self.d1_at)}1{_kind(self.d2(0), self.d2(1))}2"
 
 
 def stratum(group: str, prob: float, mean_y: Mapping[tuple[int, int], float],
@@ -433,37 +427,22 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
 
     moments = analytic_moments(spec)
     decompositions = {}
-    for definition in BINARY_DEFS:
+    for definition in (*BINARY_DEFS, TreatmentDef.SUM):
+        # Terms (group, cells, bias): the groups outside a first stage are biases.
+        if definition is TreatmentDef.SUM:
+            terms = [("C1C2", cells, False) for cells in _SUM_STEPS]
+            terms += [(g, GROUP_EFFECT_CELLS[g], False) for g in COMPLIER_GROUPS[1:]]
+        else:
+            terms = [(g, GROUP_EFFECT_CELLS[g], g not in FIRST_STAGE_GROUPS[definition])
+                     for g in COMPLIER_GROUPS]
         denominator = moments[definition.value]
-        stage_groups = FIRST_STAGE_GROUPS[definition]
-        terms = []
-        for g in COMPLIER_GROUPS:
-            weight = probs[g] / denominator if denominator > 0 else 0.0
-            terms.append(DecompositionTerm(
-                group=g, cells=GROUP_EFFECT_CELLS[g], effect=group_effects[g],
-                weight=weight, bias=g not in stage_groups))
-        value = moments["y"] / denominator if denominator > 0 else None
+        positive = denominator > 0
         decompositions[definition] = BetaDecomposition(
-            definition=definition, value=value, denominator=denominator,
-            terms=tuple(terms))
-
-    sum_denominator = moments["d_sum"]
-    sum_terms = []
-    split_cells = (((1, 1), (1, 0)), ((1, 0), (0, 0)))
-    for cells in split_cells:
-        weight = probs["C1C2"] / sum_denominator if sum_denominator > 0 else 0.0
-        sum_terms.append(DecompositionTerm(
-            group="C1C2", cells=cells, effect=group_effect(spec, "C1C2", cells),
-            weight=weight, bias=False))
-    for g in COMPLIER_GROUPS[1:]:
-        weight = probs[g] / sum_denominator if sum_denominator > 0 else 0.0
-        sum_terms.append(DecompositionTerm(
-            group=g, cells=GROUP_EFFECT_CELLS[g], effect=group_effects[g],
-            weight=weight, bias=False))
-    decompositions[TreatmentDef.SUM] = BetaDecomposition(
-        definition=TreatmentDef.SUM,
-        value=moments["y"] / sum_denominator if sum_denominator > 0 else None,
-        denominator=sum_denominator, terms=tuple(sum_terms))
+            definition=definition, value=moments["y"] / denominator if positive else None,
+            denominator=denominator, terms=tuple(DecompositionTerm(
+                group=g, cells=cells, effect=group_effect(spec, g, cells),
+                weight=probs[g] / denominator if positive else 0.0, bias=bias)
+                for g, cells, bias in terms))
 
     return TrueParams(
         group_probs={g: probs[g] for g in COMPLIER_GROUPS},
@@ -664,9 +643,16 @@ _Loader.add_implicit_resolver(
     list("-+.0123456789"))
 
 
-def load_yaml(stream):
-    """The document of a spec or config file, read by :class:`_Loader`."""
-    return yaml.load(stream, Loader=_Loader)
+def read_yaml(path, error: type[Exception], what: str):
+    """The document of the YAML file ``path``, read by :class:`_Loader`. A file that
+    cannot be opened, decoded as UTF-8 or parsed raises ``error`` naming ``what``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return yaml.load(handle, Loader=_Loader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"unreadable {what} file {path}: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise error(f"malformed {what} file {path}: {exc}") from None
 
 
 def save_spec(spec: PopulationSpec, path) -> None:
@@ -676,11 +662,4 @@ def save_spec(spec: PopulationSpec, path) -> None:
 
 
 def load_spec(path) -> PopulationSpec:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = load_yaml(handle)
-    except OSError as exc:
-        raise SpecError(f"unreadable spec file {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise SpecError(f"malformed spec file {path}: {exc}") from None
-    return spec_from_dict(payload)
+    return spec_from_dict(read_yaml(path, SpecError, "spec"))

@@ -122,16 +122,21 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     checks: list[CheckResult] = []
     flags: list[str] = []
 
+    def path_effects(groups):
+        # Probability-weighted path effects of the groups that have a probability.
+        total = 0.0
+        for g in groups:
+            if probs[g] > 0:
+                total += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
+        return total
+
     # (a) first-stage and reduced-form decompositions
     stage_sums = {d: sum(probs[g] for g in FIRST_STAGE_GROUPS[d]) for d in BINARY_DEFS}
     for d in BINARY_DEFS:
         checks.append(_check(f"first-stage-decomposition.{d.value}",
                              moments[d.value], stage_sums[d]))
-    reduced = 0.0
-    for g in COMPLIER_GROUPS:
-        if probs[g] > 0:
-            reduced += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
-    checks.append(_check("reduced-form-decomposition", moments["y"], reduced))
+    checks.append(_check("reduced-form-decomposition", moments["y"],
+                         path_effects(COMPLIER_GROUPS)))
 
     # (b) the simplified decompositions under double exclusion
     if audit.double_exclusion:
@@ -143,11 +148,8 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
                              moments["d_and"], p_cc + p_ca))
         checks.append(_check("double-exclusion.first-stage.d_or",
                              moments["d_or"], p_cc + p_cn))
-        reduced_de = 0.0
-        for g in ("C1C2", "C1N2", "C1A2"):
-            if probs[g] > 0:
-                reduced_de += probs[g] * group_effect(spec, g, GROUP_EFFECT_CELLS[g])
-        checks.append(_check("double-exclusion.reduced-form", moments["y"], reduced_de))
+        checks.append(_check("double-exclusion.reduced-form", moments["y"],
+                             path_effects(("C1C2", "C1N2", "C1A2"))))
     else:
         checks.append(_skip("double-exclusion.first-stage",
                             "not applicable: response maps depend on z"))

@@ -94,6 +94,26 @@ def test_unknown_config_key(tmp_path, capsys):
         assert code == 1 and message in err and "Traceback" not in err
 
 
+def test_undecodable_config_file_exit_1(tmp_path, fix8_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_bytes(b"input: \xff.csv\n")
+    code, out, err = run(["estimate", "--config", str(config), "--data", str(fix8_path)],
+                         capsys)
+    assert code == 1 and err.startswith("error: unreadable config file")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_undecodable_spec_file_exit_2(tmp_path, capsys, command):
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_bytes(b"p_z: 0.5\n# \xff\nstrata: []\n")
+    out_path = tmp_path / "draw.csv"
+    code, out, err = run([command, "--data", str(spec_path), "--out", str(out_path)], capsys)
+    assert code == 2 and err.startswith("error: unreadable spec file")
+    assert "Traceback" not in err and out == ""
+    assert list(tmp_path.iterdir()) == [spec_path]
+
+
 def test_missing_column_exit_1(tmp_path, capsys):
     path = tmp_path / "t.csv"
     path.write_text(FIX8_CSV, encoding="utf-8")

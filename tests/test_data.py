@@ -940,7 +940,9 @@ def test_cluster_codes_follow_sorted_labels(labels):
 
 
 @pytest.mark.parametrize("labels", [["a", None, "b", "a"], ["a", " ", "b", "a"],
-                                    [2, None, 1, 2], [None] * 4])
+                                    [2, None, 1, 2], [None] * 4,
+                                    [1.0, float("nan"), 2.0, float("nan")],
+                                    np.array([1.0, np.nan, 2.0, np.nan])])
 def test_missing_cluster_label_rejected(labels):
     with pytest.raises(DataError, match="missing cluster label"):
         from_arrays([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],

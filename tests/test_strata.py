@@ -40,6 +40,34 @@ def test_group_templates_classify_back():
         assert s.monotone
 
 
+def _ladder_group(s):
+    """The group rule as an if/else ladder for each part, as ``Stratum.group``
+    wrote it before it applied one rule to both parts; the reference below."""
+    d10, d11 = s.d1_at
+    if d11 > d10:
+        g1 = "C1"
+    elif d10 == 1:
+        g1 = "A1"
+    else:
+        g1 = "N1"
+    lo, hi = s.d2(0), s.d2(1)
+    if hi > lo:
+        g2 = "C2"
+    elif lo == 1:
+        g2 = "A2"
+    else:
+        g2 = "N2"
+    return g1 + g2
+
+
+def test_group_matches_the_ladder_on_every_binary_response_map():
+    for bits in range(64):
+        b = [(bits >> i) & 1 for i in range(6)]
+        s = Stratum(prob=1.0, d1_at=(b[0], b[1]), d2_at=((b[2], b[3]), (b[4], b[5])),
+                    mean_y=((0.0, 0.0), (0.0, 0.0)))
+        assert s.group() == _ladder_group(s), b
+
+
 def test_s2_audit(s2):
     audit = validate_spec(s2)
     assert not audit.no_movers
@@ -151,6 +179,37 @@ def test_decomposition_weights():
             if decomposition.denominator > 0:
                 stage = sum(t.weight for t in decomposition.terms if not t.bias)
                 assert stage == pytest.approx(1.0, rel=1e-10)
+
+
+def _decomposition_digest(specs):
+    """sha256 of every term (group, cells, ``float.hex`` of effect and weight,
+    bias) and of each decomposition's value and denominator."""
+    def hexed(x):
+        return None if x is None else float(x).hex()
+
+    digest = hashlib.sha256()
+    for spec in specs:
+        for d, decomposition in true_parameters(spec).beta_decomposition.items():
+            for t in decomposition.terms:
+                digest.update(repr((d.value, t.group, t.cells, hexed(t.effect),
+                                    hexed(t.weight), t.bias)).encode())
+            digest.update(repr((hexed(decomposition.value),
+                                hexed(decomposition.denominator))).encode())
+    return digest.hexdigest()
+
+
+def test_beta_decomposition_is_pinned_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    specs = [s2_spec(), single_full_complier_spec()]
+    # Zero first stages: of d2 and d_and with dropouts only, of d1 with
+    # late-adopters only, so some values are None and their weights 0.
+    specs += [PopulationSpec(strata=(stratum(g, 0.5, {(1, 1): 1.5, (1, 0): 0.25}),
+                                     stratum("N1N2", 0.5, {})))
+              for g in ("C1N2", "N1C2")]
+    specs += [random_spec(rng, double_exclusion=bool(i % 2),
+                          mean_range=(-10.0, 10.0) if i % 3 else (0.0, 10.0))
+              for i in range(100)]
+    assert _decomposition_digest(specs) == "59934a7b94b78b5bf80dd08e545901e9068096169f065dae8fe35cc8390e8c3e"
 
 
 def test_empty_complier_set_rejected():
