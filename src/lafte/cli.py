@@ -22,7 +22,8 @@ text (``--format text``, default) or the machine-readable JSON document
 to a file. The same config, inputs, and seed produce a byte-identical JSON
 document. Plain output only; NO_COLOR is trivially respected.
 
-Exit codes: 0 success, 1 usage/config error, 2 data or spec validation
+Exit codes: 0 success, 1 usage/config error or an output that cannot be
+written (``--out``, or a closed stdout), 2 data or spec validation
 error, 3 estimation failure (for example a relevance failure, whose message
 names the failing treatment definition).
 """
@@ -34,6 +35,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -391,24 +393,24 @@ def main(argv=None) -> int:
         if config.out and args.command != "simulate":
             with _writing(config.out), open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(bundle.to_json())
-    except ConfigError as exc:
+    except (ConfigError, DataError, SpecError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, EstimationError) else 2
 
-    if config.format == "structured":
-        sys.stdout.write(bundle.to_json())
-    else:
-        print(bundle.text)
-        if bundle.warnings:
-            print()
-            for warning in bundle.warnings:
-                print(f"warning: {warning}")
+    try:
+        if config.format == "structured":
+            sys.stdout.write(bundle.to_json())
+        else:
+            print(bundle.text)
+            if bundle.warnings:
+                print()
+                for warning in bundle.warnings:
+                    print(f"warning: {warning}")
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # what stays buffered then goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 1
 
     if args.command == "verify":
         return 0 if bundle.verification["clean"] else 2

@@ -204,9 +204,7 @@ def _non_binary(col: np.ndarray) -> np.ndarray:
     return col[col > 1 if col.dtype.kind == "u" else (col != 0) & (col != 1)]
 
 
-def _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, codes) -> list[str]:
-    # ``labels`` are the distinct cluster labels, None when some label is None;
-    # ``codes`` are None when the labels do not order.
+def _validate_arrays(z, d1, d2, y, controls, control_names, cluster) -> list[str]:
     errors: list[str] = []
     n = z.shape[0]
     for name, col in (("d1", d1), ("d2", d2), ("y", y)):
@@ -237,14 +235,8 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, cod
     if control_names and len(control_names) != controls.shape[1]:
         errors.append(f"{len(control_names)} control name(s) for "
                       f"{controls.shape[1]} control column(s)")
-    if cluster is not None:
-        if cluster.shape[0] != n:
-            errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
-        elif labels is None or any(lab != lab or str(lab).strip() == "" for lab in labels):
-            errors.append("missing cluster label")  # None, NaN (unequal to itself) or blank
-        elif codes is None:
-            kinds = sorted({type(lab).__name__ for lab in labels})
-            errors.append(f"cluster labels of types {', '.join(kinds)} cannot be ordered")
+    if cluster is not None and cluster.shape[0] != n:
+        errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
     return errors
 
 
@@ -267,17 +259,31 @@ def _collect_warnings(table: ObservationTable) -> list[str]:
     return warnings
 
 
-def _factorise(cluster: np.ndarray) -> tuple[list, np.ndarray | None]:
-    """The sorted distinct labels and each row's index into them, as
-    ``np.unique(cluster, return_inverse=True)`` gives them, sorting only the
-    distinct labels; the unsorted labels and None when they do not order."""
-    labels = list(dict.fromkeys(cluster))
+def _label_missing(label) -> bool:
+    return label is None or label != label or str(label).strip() == ""  # NaN: unequal to itself
+
+
+def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
+    """The cluster label rule of :func:`from_arrays` and of ``regression.ols``:
+    each row's code 0..G-1 in sorted-label order, and G, sorting only the
+    distinct labels. Dense integer codes (an integer array using each of
+    0..G-1) pass through. A None, NaN or blank label is missing: ``error``
+    names its row (from 0); labels that do not order raise ``error`` too.
+    """
+    if (isinstance(labels, np.ndarray) and labels.dtype.kind == "i" and labels.size
+            and labels.min() >= 0 and labels.max() < labels.size and np.bincount(labels).all()):
+        return labels, int(labels.max()) + 1
+    distinct = list(dict.fromkeys(labels))
+    if any(map(_label_missing, distinct)):
+        row = next(i for i, label in enumerate(labels) if _label_missing(label))
+        raise error(f"missing cluster label at row {row}")
     try:
-        labels.sort()
+        distinct.sort()
     except TypeError:
-        return labels, None
-    index = {label: i for i, label in enumerate(labels)}
-    return labels, np.fromiter(map(index.__getitem__, cluster), np.int64, cluster.shape[0])
+        kinds = sorted({type(label).__name__ for label in distinct})
+        raise error(f"cluster labels of types {', '.join(kinds)} cannot be ordered") from None
+    index = {label: i for i, label in enumerate(distinct)}
+    return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), len(distinct)
 
 
 def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
@@ -307,14 +313,16 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     controls = take(controls, dtype=float)
     if controls.ndim == 1:
         controls = controls[:, None]
-    labels = codes = None
-    if cluster is not None:
-        cluster = take(cluster, dtype=object)
-        if cluster.shape[0] == z.shape[0] and not np.equal(cluster, None).any():
-            labels, codes = _factorise(cluster)
+    cluster = None if cluster is None else take(cluster, dtype=object)
 
     control_names = tuple(control_names)
-    errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster, labels, codes)
+    errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster)
+    codes = count = None
+    if cluster is not None and cluster.shape[0] == z.shape[0]:
+        try:
+            codes, count = _label_codes(cluster, DataError)
+        except DataError as exc:
+            errors.append(str(exc))
     if errors:
         raise DataError("; ".join(errors))
 
@@ -328,7 +336,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         cluster=None if cluster is None else _freeze(cluster),
         warnings=tuple(warnings),
         cluster_codes=None if codes is None else _freeze(codes),
-        cluster_count=None if labels is None else len(labels),
+        cluster_count=count,
     )
     return replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
 

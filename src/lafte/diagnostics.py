@@ -116,6 +116,10 @@ def mover_test(table: ObservationTable, *, level: float = 0.05) -> MoverTestRepo
     caveat that homogeneous potential outcomes also produce step-2 zeros).
     After a step-1 rejection ``step2`` is None; ``slopes(table, [("gy_or",
     None), ("gy_and", None)])`` gives step 2's contrasts in any case.
+
+    ``level`` applies to each step. The procedure rejects when either step
+    does, so under no movers it rejects up to ``2·level`` of the time (0.080
+    at ``level`` 0.05 in a seeded Monte Carlo of a no-mover spec).
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")
@@ -143,7 +147,9 @@ def double_exclusion_check(table: ObservationTable, *, level: float = 0.05) -> S
     at ``level``, in which case the double exclusion restriction cannot be
     invoked; otherwise "consistent". A contrast of exactly zero sits on the
     boundary of the null (p = 0.5); a degenerate contrast (constant
-    regressand) has no p-value and cannot reject.
+    regressand) has no p-value and cannot reject. Like :func:`mover_test`, the
+    verdict rejects when either of two tests at ``level`` does, so its size
+    can exceed ``level``, up to ``2·level``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")

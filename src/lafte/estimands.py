@@ -35,8 +35,8 @@ import numpy as np
 
 from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable
 from .exceptions import RelevanceError
-from .regression import (RELEVANCE_TOLERANCE, FitResult, Responses, instrument_design, ols,
-                         tidy_vcov)
+from .regression import (RELEVANCE_TOLERANCE, FitResult, Responses, _constant_zeros,
+                         instrument_design, ols, tidy_vcov)
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
@@ -162,8 +162,7 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
         lo, hi = full.response_min[rows], full.response_max[rows]
         if lo.min() == hi.max():
             # As in the stacked fit: exact zeros, no covariance.
-            b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(lo[0]))), 0.0, b)
-            return FitResult(b, np.zeros((m, m)), *common, True, lo, hi)
+            return FitResult(_constant_zeros(b, lo), np.zeros((m, m)), *common, True, lo, hi)
         scale = ((m * n - 1.0) / (m * n - m * k)) / ((full.n - 1.0) / (full.n - full.k))
         vcov = scale * (weights.T @ full.vcov[1::k, 1::k] @ weights)
         return FitResult(b, tidy_vcov(vcov), *common, False, lo, hi)

@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import _label_codes
 from .exceptions import DegenerateTestError, EstimationError, RankDeficientError
 
 # A pivot below this fraction of the largest pivot marks a collinear column.
@@ -150,16 +151,6 @@ def _check_rank(r: np.ndarray, names: Sequence[str]) -> None:
         raise RankDeficientError(f"design matrix is rank deficient: collinear column '{name}'")
 
 
-def _cluster_codes(labels) -> tuple[np.ndarray, int]:
-    """Codes 0..G-1 in sorted-label order, and G; dense integer codes pass through."""
-    labels = np.asarray(labels)
-    if (labels.dtype.kind == "i" and labels.size and labels.min() >= 0
-            and labels.max() < labels.size and np.bincount(labels).all()):
-        return labels, int(labels.max()) + 1
-    _, codes = np.unique(labels, return_inverse=True)
-    return codes, int(codes.max()) + 1
-
-
 # Rows per block of the score sums; a block splits no cluster.
 _CHUNK_ROWS = 1 << 14
 
@@ -201,7 +192,7 @@ def _meat(y, w, b, codes, n) -> np.ndarray:
     if codes is not None:
         order = np.argsort(codes, kind="stable")
         ends = np.cumsum(np.bincount(codes))
-        stops = np.unique(ends[np.searchsorted(ends, stops)])
+        stops = sorted(set(ends[np.searchsorted(ends, stops)]))
     meat, start = 0.0, 0
     for stop in stops:
         if codes is None:
@@ -236,6 +227,11 @@ def _row_pass(y, w, n):
         np.minimum(lo, y_rows.min(0), out=lo)
         np.maximum(hi, y_rows.max(0), out=hi)
     return r, wtw, wty, lo, hi
+
+
+def _constant_zeros(b: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Slopes ``b`` of responses all equal to ``lo[0]``, float dust made exactly 0."""
+    return np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(lo[0]))), 0.0, b)
 
 
 def _check_finite(what: str, a: np.ndarray) -> None:
@@ -274,14 +270,11 @@ def _fit(y, w, cluster, names) -> FitResult:
             bread[col:col + k, col:col + k] = inv
         _check_finite("coefficients", b)
 
-        codes, g = (None, n) if cluster is None else _cluster_codes(cluster)
+        codes, g = (None, n) if cluster is None else _label_codes(cluster, EstimationError)
         kind, count = ("hc1", None) if cluster is None else ("cluster", g)
         if hi.max() == lo.min():
-            # Exact algebra gives a zero slope on every non-constant column;
-            # clean float dust so the reported estimate is exactly 0.
-            b = np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(lo[0]))), 0.0, b)
-            return FitResult(b, np.zeros((big_k, big_k)), big_n, big_k, big_n - big_k,
-                             kind, count, names, True, lo, hi)
+            return FitResult(_constant_zeros(b, lo), np.zeros((big_k, big_k)), big_n, big_k,
+                             big_n - big_k, kind, count, names, True, lo, hi)
 
         if g < 2:
             raise EstimationError("cluster covariance requires at least 2 clusters")
@@ -296,9 +289,13 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     """Ordinary least squares of ``y`` on a design matrix ``x``.
 
     The covariance is HC1 when ``cluster`` is absent and the one-way cluster
-    sandwich when present. A constant regressand is permitted: the fit is
-    returned with ``response_constant=True`` and an all-zero covariance, and
-    :meth:`FitResult.se` reports the standard errors as undefined.
+    sandwich when present. ``cluster`` holds a label per row, read by the rule
+    of ``from_arrays`` (``data._label_codes``): a None, NaN or blank label,
+    labels that do not order, or a length other than ``y``'s raise
+    :class:`EstimationError`, naming the row of a missing label. A constant
+    regressand is permitted: the fit is returned with ``response_constant=True``
+    and an all-zero covariance, and :meth:`FitResult.se` reports the standard
+    errors as undefined.
 
     A 2-D ``y`` fits each of its ``m`` columns on ``x``, jointly: the
     covariance is that of the ``m`` equations stacked on duplicated rows.
@@ -316,6 +313,8 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
             y = y.reshape(-1, 1)
     if y.shape[0] != x.shape[0]:
         raise EstimationError("response and design row counts differ")
+    if cluster is not None and len(cluster) != y.shape[0]:
+        raise EstimationError("cluster and response row counts differ")
     fit = _fit(y, x, cluster, names)
     if single:
         return fit

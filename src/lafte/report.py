@@ -24,16 +24,16 @@ from .verify import VerificationReport
 UNDEFINED_SE = "(.)"
 
 
-def fmt(value: float | None, decimals: int = 3) -> str:
+def fmt(value: float | None) -> str:
     if value is None:
         return "."
-    return f"{value + 0.0:.{decimals}f}"
+    return f"{value + 0.0:.3f}"
 
 
-def fmt_se(se: float | None, decimals: int = 3) -> str:
+def fmt_se(se: float | None) -> str:
     if se is None:
         return UNDEFINED_SE
-    return f"({se + 0.0:.{decimals}f})"
+    return f"({se + 0.0:.3f})"
 
 
 @dataclass

@@ -126,8 +126,9 @@ def close(a: float, b: float, tol: float = EXACT_TOLERANCE) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _ge(a: float, b: float, tol: float = EXACT_TOLERANCE) -> bool:
-    return a >= b - tol * max(1.0, abs(a), abs(b))
+def _ge(a: float, b: float) -> bool:
+    """Whether ``a >= b`` up to ``EXACT_TOLERANCE * max(1, |a|, |b|)``."""
+    return a >= b - EXACT_TOLERANCE * max(1.0, abs(a), abs(b))
 
 
 def _kind(lo: int, hi: int) -> str:
@@ -303,36 +304,23 @@ def validate_spec(spec: PopulationSpec) -> AssumptionAudit:
 
     def effect_nonneg(group, hi, lo):
         m_hi, m_lo = mean(group, hi), mean(group, lo)
-        if m_hi is None:
-            return True
-        return _ge(m_hi - m_lo, 0.0)
+        return m_hi is None or _ge(m_hi - m_lo, 0.0)
 
     mtr = (effect_nonneg("C1N2", (1, 1), (1, 0))
            and effect_nonneg("C1A2", (0, 1), (0, 0)))
 
     m_ca, m_cn, m_cc = mean("C1A2", (1, 1)), mean("C1N2", (1, 1)), mean("C1C2", (1, 1))
-    mts = True
-    if m_cn is not None:
-        if m_ca is not None and not _ge(m_ca, m_cn):
-            mts = False
-        if m_cc is not None and not _ge(m_cc, m_cn):
-            mts = False
+    mts = m_cn is None or all(m is None or _ge(m, m_cn) for m in (m_ca, m_cc))
 
     m_pos = mean("C1A2", (0, 0))
     positive_response = m_pos is None or _ge(m_pos, 0.0)
 
-    homogeneity = {}
-    for definition, conditions in HOMOGENEITY_CONDITIONS.items():
-        ok = True
-        for group, cells in conditions:
-            full = group_effect(spec, group, FULL_EFFECT)
-            other = group_effect(spec, group, cells)
-            if full is None:
-                continue
-            if not close(full, other):
-                ok = False
-                break
-        homogeneity[definition.value] = ok
+    def homogeneous(group, cells):
+        full = group_effect(spec, group, FULL_EFFECT)
+        return full is None or close(full, group_effect(spec, group, cells))
+
+    homogeneity = {definition.value: all(homogeneous(*c) for c in conditions)
+                   for definition, conditions in HOMOGENEITY_CONDITIONS.items()}
 
     moments = analytic_moments(spec)
     relevance = all(moments[d.value] > 0 for d in BINARY_DEFS)

@@ -43,6 +43,7 @@ from .strata import (
     FULL_EFFECT,
     GROUP_EFFECT_CELLS,
     PopulationSpec,
+    _ge,
     analytic_moments,
     close,
     group_cell_mean,
@@ -92,8 +93,7 @@ def _check(name, lhs, rhs):
 
 
 def _check_le(name, lhs, rhs):
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return CheckResult(name, True, lhs <= rhs + EXACT_TOLERANCE * scale, float(lhs), float(rhs))
+    return CheckResult(name, True, _ge(rhs, lhs), float(lhs), float(rhs))
 
 
 def _skip(name, note):
@@ -140,14 +140,9 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
 
     # (b) the simplified decompositions under double exclusion
     if audit.double_exclusion:
-        checks.append(_check("double-exclusion.first-stage.d1",
-                             moments["d1"], p_cc + p_cn + p_ca))
-        checks.append(_check("double-exclusion.first-stage.d2",
-                             moments["d2"], p_cc))
-        checks.append(_check("double-exclusion.first-stage.d_and",
-                             moments["d_and"], p_cc + p_ca))
-        checks.append(_check("double-exclusion.first-stage.d_or",
-                             moments["d_or"], p_cc + p_cn))
+        for column, share in (("d1", p_cc + p_cn + p_ca), ("d2", p_cc),
+                              ("d_and", p_cc + p_ca), ("d_or", p_cc + p_cn)):
+            checks.append(_check(f"double-exclusion.first-stage.{column}", moments[column], share))
         checks.append(_check("double-exclusion.reduced-form", moments["y"],
                              path_effects(("C1C2", "C1N2", "C1A2"))))
     else:

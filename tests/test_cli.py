@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from lafte import (
 from lafte.cli import main
 
 from conftest import FIX8_CSV, random_table, s2_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -275,6 +281,25 @@ def test_unwritable_report_exit_1(tmp_path, fix8_path, command, capsys):
     assert code == 1
     assert err.startswith(f"error: cannot write {out_path}: ")
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["estimate"], ["estimate", "--format", "structured"],
+                                  ["verify"]], ids=["estimate", "structured", "verify"])
+def test_closed_stdout_exit_1(tmp_path, fix8_path, argv):
+    # stdout is a pipe whose read end is closed before the run.
+    spec_path = tmp_path / "s2.yaml"
+    save_spec(s2_spec(), spec_path)
+    data = spec_path if argv[0] == "verify" else fix8_path
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "lafte.cli", *argv, "--data", str(data)],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_unwritable_simulated_dataset_exit_1(tmp_path, capsys):

@@ -301,6 +301,42 @@ def test_unclustered_joint_fit_reports_hc1_with_row_units():
     assert fit.coefficients.tobytes() == by_row.coefficients.tobytes()
 
 
+_NAN = float("nan")
+_NAN_LABELS = [1.0, _NAN, 2.0, _NAN, 1.0, 2.0, 3.0, 3.0]
+
+
+@pytest.mark.parametrize("labels, message", [
+    (_NAN_LABELS, "missing cluster label at row 1"),
+    (np.array(_NAN_LABELS), "missing cluster label at row 1"),
+    (np.array(_NAN_LABELS, dtype=object), "missing cluster label at row 1"),
+    (np.array(["a", "b", None, "a", "b", "c", "c", "a"], dtype=object),
+     "missing cluster label at row 2"),
+    (["a", "b", "c", " ", "a", "b", "c", "a"], "missing cluster label at row 3"),
+    (["a", 1, "b", 1, "a", 2, "b", 2], "cluster labels of types int, str cannot be ordered"),
+    ([1, 2, 3], "cluster and response row counts differ"),
+], ids=["nan-list", "nan-float-array", "nan-object-array", "none", "blank", "int-and-str",
+        "short"])
+def test_direct_ols_refuses_bad_cluster_labels(labels, message):
+    # The label rule of from_arrays: an EstimationError, never a TypeError,
+    # an IndexError or a StopIteration, and never a silent regrouping.
+    t = fix8_table()
+    x = np.column_stack([np.ones(t.n), t.z])
+    with pytest.raises(EstimationError, match=message):
+        ols(t.y, x, cluster=labels)
+
+
+@pytest.mark.parametrize("as_labels", [list, np.array, lambda v: np.array(v, dtype=object)],
+                         ids=["float-list", "float-array", "object-array"])
+def test_direct_ols_labels_group_as_the_tables_codes(as_labels):
+    t = fix8_table()
+    labels = [3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 1.0, 2.0]
+    codes = from_arrays(t.z, t.d1, t.d2, t.y, cluster=as_labels(labels)).cluster_codes
+    x = np.column_stack([np.ones(t.n), t.z])
+    direct, coded = ols(t.y, x, cluster=as_labels(labels)), ols(t.y, x, cluster=codes)
+    assert direct.cluster_count == coded.cluster_count == 3
+    assert direct.vcov.tobytes() == coded.vcov.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # wald tests
 
