@@ -22,6 +22,12 @@ text (``--format text``, default) or the machine-readable JSON document
 to a file. The same config, inputs, and seed produce a byte-identical JSON
 document. Plain output only; NO_COLOR is trivially respected.
 
+Each command reads its data file with ``data.load_table``. The parsed
+columns of a file of 2 MiB or more are kept in an on-disk cache
+(``$XDG_CACHE_HOME/lafte``), so ``estimate``, ``diagnose`` and ``bounds``
+on the same bytes and columns parse the file once between them; each still
+reads it once, to hash it. The output does not depend on the cache.
+
 Exit codes: 0 success, 1 usage/config error or an output that cannot be
 written (``--out``, or a closed stdout), 2 data or spec validation
 error, 3 estimation failure (for example a relevance failure, whose message
@@ -31,6 +37,7 @@ names the failing treatment definition).
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -43,7 +50,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .bounds import lafte_bounds, lafte_bounds_bounded_response, tau_bounds
-from .data import DEFAULT_MAPPING, _check_delimiter, load_table, save_table
+from .data import DEFAULT_MAPPING, _check_delimiter, _check_missing, load_table, save_table
 from .diagnostics import double_exclusion_check, mover_test
 from .estimands import (
     REPORT_ORDER,
@@ -186,8 +193,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     _check_delimiter(config.delimiter, "config key 'delimiter'")
     if config.format not in ("text", "structured"):
         raise ConfigError(f"unknown format {config.format!r}; use text or structured")
-    if config.missing not in ("drop", "fail"):
-        raise ConfigError(f"unknown missing-data policy {config.missing!r}")
+    _check_missing(config.missing)
     if not 0.0 < config.level < 1.0:
         raise ConfigError(f"level must be inside (0,1), got {config.level}")
     if config.n < 2:  # a table's least size
@@ -418,7 +424,13 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    code = main()
+    # Moves every object to the permanent generation, which the collections
+    # at interpreter exit skip: they would traverse the whole heap (numpy's
+    # modules, a table's labels) for cycles in a process that is ending. Not
+    # in main(): the tests and bench/tracer.py call it in a process that goes on.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

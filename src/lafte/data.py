@@ -35,7 +35,10 @@ as plain strings, a block of rows at a time. On a machine where this
 process may use two CPUs or more, a large table or plain file is split in
 two halves: a forked worker process writes or parses the back half while
 this one does the front half (:func:`_forked`). The bytes, the table and
-every warning and error are those of the one-process path.
+every warning and error are those of the one-process path. The parsed
+columns of a large file are kept in an on-disk cache, keyed by the file's
+bytes, and a later load of the same bytes reads them from there
+(:func:`_read_columns`); the table is built from them as from a parse.
 
 :func:`from_arrays` raises :class:`~lafte.exceptions.DataError` for a table
 that breaks an invariant; its message lists every finding, joined by "; ".
@@ -60,14 +63,17 @@ from __future__ import annotations
 
 import codecs
 import csv
+import hashlib
 import io
+import json
 import os
-import pickle
 import shutil
+import stat
+import sys
 import tempfile
 import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from itertools import compress, islice, product
 from operator import itemgetter
@@ -102,6 +108,11 @@ _SCAN_BYTES = 1 << 16
 # forking, reaping and stitching the halves cost 5-7 ms.
 _SPLIT_ROWS = 1 << 16
 _SPLIT_BYTES = 1 << 21
+
+# The least file (bytes) whose parsed columns load_table keeps on disk (see
+# _cache_entry), and the most bytes the cache directory holds.
+_CACHE_BYTES = 1 << 21
+_CACHE_CAP = 1 << 30
 
 
 class Column(NamedTuple):
@@ -235,7 +246,7 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster) -> list[str
     if control_names and len(control_names) != controls.shape[1]:
         errors.append(f"{len(control_names)} control name(s) for "
                       f"{controls.shape[1]} control column(s)")
-    if cluster is not None and cluster.shape[0] != n:
+    if cluster is not None and cluster.ndim == 1 and cluster.shape[0] != n:
         errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
     return errors
 
@@ -268,12 +279,22 @@ def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
     each row's code 0..G-1 in sorted-label order, and G, sorting only the
     distinct labels. Dense integer codes (an integer array using each of
     0..G-1) pass through. A None, NaN or blank label is missing: ``error``
-    names its row (from 0); labels that do not order raise ``error`` too.
+    names its row (from 0); labels that are not one per row, that are not
+    hashable or that do not order raise ``error`` too.
     """
-    if (isinstance(labels, np.ndarray) and labels.dtype.kind == "i" and labels.size
-            and labels.min() >= 0 and labels.max() < labels.size and np.bincount(labels).all()):
+    if not isinstance(labels, np.ndarray):
+        labels = np.array(labels, dtype=object)
+    if labels.ndim != 1:
+        raise error(f"cluster labels must be one per row, not an array of shape {labels.shape}")
+    if (labels.dtype.kind == "i" and labels.size and labels.min() >= 0
+            and labels.max() < labels.size and np.bincount(labels).all()):
         return labels, int(labels.max()) + 1
-    distinct = list(dict.fromkeys(labels))
+    try:
+        distinct = list(dict.fromkeys(labels))
+    except TypeError:
+        kinds = sorted({type(label).__name__ for label in labels})
+        raise error(f"cluster labels must be hashable, such as strings or numbers; "
+                    f"got {', '.join(kinds)}") from None
     if any(map(_label_missing, distinct)):
         row = next(i for i, label in enumerate(labels) if _label_missing(label))
         raise error(f"missing cluster label at row {row}")
@@ -318,7 +339,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     control_names = tuple(control_names)
     errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster)
     codes = count = None
-    if cluster is not None and cluster.shape[0] == z.shape[0]:
+    if cluster is not None and (cluster.ndim != 1 or cluster.shape[0] == z.shape[0]):
         try:
             codes, count = _label_codes(cluster, DataError)
         except DataError as exc:
@@ -348,6 +369,12 @@ def _check_delimiter(delimiter, name: str = "delimiter") -> None:
         raise ConfigError(f"{name} must be one character, got {delimiter!r}")
     if delimiter.isalnum() or delimiter in '.+-"\r\n':
         raise ConfigError(f"{name} must be a character no field can contain, got {delimiter!r}")
+
+
+def _check_missing(on_missing) -> None:
+    """Refuse a missing-data policy other than ``drop`` and ``fail``."""
+    if on_missing not in ("drop", "fail"):
+        raise ConfigError(f"unknown missing-data policy {on_missing!r}")
 
 
 def _floats(tokens) -> np.ndarray | None:
@@ -584,9 +611,9 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     Records are what ``csv.reader`` makes of the file, and the grammar above
     applies to its tokens. The file is streamed in line-aligned pieces and
     never held whole (a pipe, which can be read only once, is held). A plain
-    file is read once, split as bytes, which gives the same tokens faster.
-    Any other file is read again by ``csv.reader``, from its first byte:
-    one that, after its BOM, has a
+    file is parsed in one reading, split as bytes, which gives the same
+    tokens faster. Any other file is read again by ``csv.reader``, from its
+    first byte: one that, after its BOM, has a
     non-ASCII byte, a quote, a NUL, a carriage return outside a CRLF, an
     empty header line, a line with more or fewer fields than the header, or
     a line as long as ``csv.field_size_limit()``. An error is always the one
@@ -594,9 +621,17 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     error is read again by ``csv.reader``, which finds it in one pass. So the
     table, or the error, does not depend on which piece shows that a file is
     not plain, or has an error.
+
+    The parsed columns of a seekable file of 2 MiB or more are kept in
+    ``$XDG_CACHE_HOME/lafte`` (``~/.cache/lafte`` when it is unset), named
+    by the sha256 of the file's bytes and of everything else that decides
+    them (:func:`_cache_entry`). Such a file is read once more, first, to
+    hash it; when the entry is there, it is read in place of the parse, and
+    the table, its warnings and its errors are the same. A file that raises
+    while it is read keeps no entry. An ``XDG_CACHE_HOME`` that cannot be
+    used turns the cache off.
     """
-    if on_missing not in ("drop", "fail"):
-        raise ConfigError(f"unknown missing-data policy {on_missing!r}")
+    _check_missing(on_missing)
     _check_delimiter(delimiter)
     mapping = dict(DEFAULT_MAPPING) if mapping is None else dict(mapping)
     allowed = {"z", "d1", "d2", "y", "controls", "cluster"}
@@ -638,29 +673,49 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
     """Each column ``cols`` of the file at ``path`` (parsed as ``kinds``)
     over the kept rows, and the number of rows dropped for a missing value.
 
+    They are read from the cache when it holds them (:func:`_cache_entry`),
+    and parsed otherwise (:func:`_parse`), then kept there.
+    """
+    try:
+        source, size = _source(path)
+        entry = _cache_entry(path, size, [cols, kinds, delimiter, on_missing])
+        hit = None if entry is None else _cache_read(entry[0], kinds)
+        if hit is not None:
+            return hit
+        labels: dict[str, str] = {}
+        columns, dropped = _parse(source, size, path, delimiter, cols, kinds, on_missing, labels)
+        if entry is not None:
+            _cache_write(*entry, path, columns, dropped, labels)
+        return columns, dropped
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"unreadable file {path}: {exc}") from None
+
+
+def _parse(source, size, path, delimiter: str, cols, kinds, on_missing: str,
+           labels: dict[str, str]):
+    """:func:`_read_columns` of the file that ``source`` opens, of ``size``
+    bytes (None for a pipe); a cluster's rows share its one string in
+    ``labels``.
+
     The file is split as bytes while every piece of it is plain, a large
     file in two halves (:func:`_split_read`). The first piece that is not,
     any error, or a worker that fails sends the whole file through
     ``csv.reader``, whose reading alone decides the error.
     """
     try:
-        source, size = _source(path)
-        try:
-            if size is not None and _two_cores(size, _SPLIT_BYTES):
-                return _split_read(source, size // 2, path, delimiter, cols, kinds, on_missing)
-            with source() as handle:
-                return _collect(_byte_tokens(handle, delimiter), path, cols, kinds, on_missing)
-        except (_NotPlain, ConfigError, DataError):
-            pass
-        # Out of the handler, so that the byte path's columns are let go.
-        with _csv_text(source()) as text:
-            return _collect(_csv_tokens(text, delimiter), path, cols, kinds, on_missing)
-    except (OSError, csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"unreadable file {path}: {exc}") from None
+        if size is not None and _two_cores(size, _SPLIT_BYTES):
+            return _split_read(source, size // 2, path, delimiter, cols, kinds, on_missing, labels)
+        with source() as handle:
+            return _collect(_byte_tokens(handle, delimiter), path, cols, kinds, on_missing, labels)
+    except (_NotPlain, ConfigError, DataError):
+        pass
+    # Out of the handler, so that the byte path's columns are let go.
+    labels.clear()
+    with _csv_text(source()) as text:
+        return _collect(_csv_tokens(text, delimiter), path, cols, kinds, on_missing, labels)
 
 
-def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str,
-             labels: dict[str, str] | None = None):
+def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str, labels: dict[str, str]):
     """:func:`_read_columns` of one tokenizer's records.
 
     Each column is filled, grown (doubling) and cut to size in place, so it
@@ -679,7 +734,6 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str,
     columns = [np.empty(_CHUNK_ROWS, _DTYPES[kind]) for kind in kinds]
     kept = dropped = 0
     line = 2
-    labels = {} if labels is None else labels
     error = None  # under "fail", a bad token stands only if no value is missing
     for tokens in chunks:
         mapped = list(map(tokens.column, positions))
@@ -707,7 +761,8 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str,
     return columns, dropped
 
 
-def _split_read(source, middle: int, path, delimiter: str, cols, kinds, on_missing: str):
+def _split_read(source, middle: int, path, delimiter: str, cols, kinds, on_missing: str,
+                labels: dict[str, str]):
     """:func:`_collect` of the byte tokens of a plain file, its lines from
     byte ``middle`` on parsed by a forked worker. Raises :class:`_NotPlain`
     if the worker fails, for any reason."""
@@ -721,7 +776,6 @@ def _split_read(source, middle: int, path, delimiter: str, cols, kinds, on_missi
     with source() as handle:
         tokens = _byte_tokens(handle, delimiter, stop=middle)  # a header that is not plain forks nothing
         with _forked(back) as result:
-            labels: dict[str, str] = {}
             columns, dropped = _collect(tokens, path, cols, kinds, on_missing, labels)
             out = result()
             if out is None:
@@ -730,33 +784,159 @@ def _split_read(source, middle: int, path, delimiter: str, cols, kinds, on_missi
 
 
 def _send(columns: list[np.ndarray], dropped: int, labels: dict[str, str], out: BinaryIO) -> None:
-    """Writes parsed columns for :func:`_receive`: a pickle of their length,
-    ``dropped`` and their distinct cluster labels (the keys of ``labels``),
-    then each column's bytes, a cluster column as ``int64`` indices into
-    those labels."""
+    """Writes parsed columns for :func:`_receive`: one JSON line of their
+    length, ``dropped`` and their distinct cluster labels (the keys of
+    ``labels``), then each column's bytes, a cluster column as ``int64``
+    indices into those labels, coded a block of rows at a time."""
+    out.write(json.dumps([columns[0].size, dropped, list(labels)]).encode() + b"\n")
     index = dict(zip(labels, range(len(labels))))
-    arrays = [np.fromiter(map(index.__getitem__, column.tolist()), np.int64, column.size)
-              if column.dtype == object else column for column in columns]
-    pickle.dump((columns[0].size, dropped, list(labels)), out)
-    for array in arrays:
-        out.write(array.data)
+    for column in columns:
+        if column.dtype != object:
+            out.write(column.data)
+            continue
+        for first in range(0, column.size, _CHUNK_ROWS):
+            block = column[first:first + _CHUNK_ROWS].tolist()
+            out.write(np.fromiter(map(index.__getitem__, block), np.int64, len(block)).data)
 
 
 def _receive(columns: list[np.ndarray], labels: dict[str, str], back: BinaryIO) -> int:
-    """Appends the rows :func:`_send` wrote to ``back`` to ``columns``, each
-    grown in place and read into, and returns their dropped count. A
-    cluster's rows share its one string in ``labels``."""
-    kept, dropped, distinct = pickle.load(back)
+    """Appends the rows :func:`_send` wrote to the file ``back`` to
+    ``columns``, each grown in place and read into, and returns their
+    dropped count. A cluster's rows share its one string in ``labels``.
+    Raises :class:`_NotPlain`, with ``columns`` in any state, unless what
+    is left of ``back`` is what :func:`_send` writes for such columns."""
+    try:
+        kept, dropped, distinct = json.loads(back.readline())
+    except (ValueError, TypeError):  # not JSON, or not three values
+        raise _NotPlain from None
+    if (not all(type(count) is int and count >= 0 for count in (kept, dropped))
+            or not isinstance(distinct, list) or not set(map(type, distinct)) <= {str}):
+        raise _NotPlain
+    row_bytes = sum(8 if column.dtype == object else column.itemsize for column in columns)
+    if os.fstat(back.fileno()).st_size - back.tell() != kept * row_bytes:
+        raise _NotPlain
+    shared = np.array([labels.setdefault(s, s) for s in distinct], object)
     start = columns[0].size
     for column in columns:
         column.resize(start + kept, refcheck=False)
-        rows = np.empty(kept, np.int64) if column.dtype == object else column[start:]
-        if back.readinto(rows) != rows.nbytes:
-            raise _NotPlain
-        if column.dtype == object:
-            shared = np.array([labels.setdefault(s, s) for s in distinct], object)
-            np.take(shared, rows, out=column[start:])
+        if column.dtype != object:
+            if back.readinto(column[start:]) != kept * column.itemsize:
+                raise _NotPlain
+            continue
+        codes = np.empty(min(kept, _CHUNK_ROWS), np.int64)
+        for first in range(start, start + kept, _CHUNK_ROWS):
+            block = codes[:min(_CHUNK_ROWS, start + kept - first)]
+            if (back.readinto(block) != block.nbytes or block.min() < 0
+                    or block.max() >= shared.size):
+                raise _NotPlain
+            np.take(shared, block, out=column[first:first + block.size])
     return dropped
+
+
+def _identity(info: os.stat_result) -> tuple[int, ...]:
+    """What changes when a file is replaced or written to."""
+    return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns, info.st_ctime_ns
+
+
+def _cache_dir() -> str | None:
+    """``lafte`` in ``$XDG_CACHE_HOME``, or in ``~/.cache`` when that is
+    unset or empty, made if need be with mode 0700; None when it is not an
+    absolute path, cannot be made, is a symlink or not a directory, or
+    another user owns it."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base) or not hasattr(os, "getuid"):
+        return None
+    directory = os.path.join(base, "lafte")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        info = os.lstat(directory)
+        if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid():
+            return None
+        if stat.S_IMODE(info.st_mode) != 0o700:
+            os.chmod(directory, 0o700)
+    except OSError:
+        return None
+    return directory
+
+
+def _cache_entry(path, size: int | None, parts: list) -> tuple[str, tuple] | None:
+    """Where the columns that ``parts`` (the mapped columns, their kinds, the
+    delimiter and the missing policy) read from the file at ``path`` are
+    kept, and the file's :func:`_identity` before it was hashed; None when a
+    file of ``size`` is not cached: a pipe, a file under ``_CACHE_BYTES``,
+    or no usable cache directory (:func:`_cache_dir`).
+
+    The entry is named by the sha256 of the file's bytes, ``parts``, the
+    source of this module, the numpy and Python versions and
+    ``csv.field_size_limit()``: anything that could change the columns.
+    """
+    if size is None or size < _CACHE_BYTES:
+        return None
+    directory = _cache_dir()
+    if directory is None:
+        return None
+    try:
+        with open(path, "rb", buffering=0) as handle:
+            identity = _identity(os.fstat(handle.fileno()))
+            digest = hashlib.sha256()
+            block = bytearray(1 << 20)
+            while read := handle.readinto(block):
+                digest.update(memoryview(block)[:read])
+        with open(__file__, "rb") as source:
+            code = hashlib.sha256(source.read()).hexdigest()
+    except OSError:
+        return None
+    key = [digest.hexdigest(), *parts, code, np.__version__, sys.version, csv.field_size_limit()]
+    return os.path.join(directory, hashlib.sha256(json.dumps(key).encode()).hexdigest()), identity
+
+
+def _cache_read(path: str, kinds: list[str]):
+    """:func:`_read_columns`'s value from the entry at ``path``, whose
+    modification time is brought up to now; None when it cannot be read or
+    does not hold columns of ``kinds``."""
+    columns = [np.empty(0, _DTYPES[kind]) for kind in kinds]
+    try:
+        with open(path, "rb") as entry:
+            dropped = _receive(columns, {}, entry)
+    except (OSError, _NotPlain):
+        return None
+    with suppress(OSError):
+        os.utime(path)  # the entries least recently used go first
+    return columns, dropped
+
+
+def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray], dropped: int,
+                 labels: dict[str, str]) -> None:
+    """Keeps parsed columns at ``entry``, unless the file at ``path`` no
+    longer has its ``identity``; written to a temporary file that replaces
+    the entry whole. Then the oldest entries are removed while the directory
+    holds more than ``_CACHE_CAP`` bytes. Nothing is kept if anything fails."""
+    directory = os.path.dirname(entry)
+    temporary = None
+    try:
+        if _identity(os.stat(path)) != identity:
+            return
+        handle, temporary = tempfile.mkstemp(dir=directory)
+        with open(handle, "wb") as out:
+            _send(columns, dropped, labels, out)
+        os.replace(temporary, entry)
+        temporary = None
+        with os.scandir(directory) as listing:
+            kept = sorted((info.st_mtime_ns, info.st_size, item.path) for item in listing
+                          for info in [item.stat(follow_symlinks=False)])
+    except OSError:
+        return
+    finally:
+        if temporary is not None:
+            with suppress(OSError):
+                os.unlink(temporary)
+    total = sum(size for _, size, _ in kept)
+    for _, size, name in kept:
+        if total <= _CACHE_CAP:
+            break
+        with suppress(OSError):
+            os.unlink(name)
+        total -= size
 
 
 def _two_cores(size: int, least: int) -> bool:

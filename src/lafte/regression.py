@@ -241,10 +241,11 @@ def _check_finite(what: str, a: np.ndarray) -> None:
                               "the variables")
 
 
-def _fit(y, w, cluster, names) -> FitResult:
+def _fit(y, w, clusters, names) -> FitResult:
     """Joint fit of each column of the ``n x m`` response ``y`` on the design
     ``w``, and their cross-equation sandwich; ``names`` name the columns of
-    ``w``.
+    ``w``, and ``clusters`` is None or each row's cluster code and their
+    number (``data._label_codes``).
 
     ``y`` and ``w`` are arrays or :class:`Responses`, read a block of rows at
     a time: in row order for ``W'W``, ``W'Y`` and the column ranges, then in
@@ -270,8 +271,8 @@ def _fit(y, w, cluster, names) -> FitResult:
             bread[col:col + k, col:col + k] = inv
         _check_finite("coefficients", b)
 
-        codes, g = (None, n) if cluster is None else _label_codes(cluster, EstimationError)
-        kind, count = ("hc1", None) if cluster is None else ("cluster", g)
+        codes, g = (None, n) if clusters is None else clusters
+        kind, count = ("hc1", None) if clusters is None else ("cluster", g)
         if hi.max() == lo.min():
             return FitResult(_constant_zeros(b, lo), np.zeros((big_k, big_k)), big_n, big_k,
                              big_n - big_k, kind, count, names, True, lo, hi)
@@ -313,9 +314,10 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
             y = y.reshape(-1, 1)
     if y.shape[0] != x.shape[0]:
         raise EstimationError("response and design row counts differ")
-    if cluster is not None and len(cluster) != y.shape[0]:
+    clusters = None if cluster is None else _label_codes(cluster, EstimationError)
+    if clusters is not None and clusters[0].shape[0] != y.shape[0]:
         raise EstimationError("cluster and response row counts differ")
-    fit = _fit(y, x, cluster, names)
+    fit = _fit(y, x, clusters, names)
     if single:
         return fit
     return replace(fit, names=tuple(f"eq{e}.{name}" for e in range(y.shape[1])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ FIX8_ROWS = (
     (0, 0, 1, 2),
     (0, 0, 0, 0),
 )
+
+@pytest.fixture(autouse=True)
+def _no_cache(monkeypatch):
+    """Every test parses what it loads: the cache directory cannot be made
+    under a file that is not a directory. A cache test sets its own."""
+    monkeypatch.setenv("XDG_CACHE_HOME", os.path.join(os.devnull, "cache"))
+
 
 FIX8_CSV = "z,d1,d2,y\n" + "\n".join(",".join(str(v) for v in row) for row in FIX8_ROWS) + "\n"
 

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from lafte import (
+    ConfigError,
     PopulationSpec,
     from_arrays,
     load_table,
@@ -118,6 +119,21 @@ def test_undecodable_spec_file_exit_2(tmp_path, capsys, command):
     assert code == 2 and err.startswith("error: unreadable spec file")
     assert "Traceback" not in err and out == ""
     assert list(tmp_path.iterdir()) == [spec_path]
+
+
+def test_unknown_missing_policy_exit_1_before_reading(tmp_path, capsys, monkeypatch):
+    # One rule, data._check_missing, for the CLI and load_table: the CLI
+    # refuses the policy before it opens the data file.
+    config = tmp_path / "run.yaml"
+    config.write_text("missing: bogus\n", encoding="utf-8")
+    opened = []
+    monkeypatch.setattr("lafte.data._source", lambda path: opened.append(path))
+    code, out, err = run(["estimate", "--config", str(config), "--data", "absent.csv"], capsys)
+    assert code == 1 and out == "" and opened == []
+    assert err == "error: unknown missing-data policy 'bogus'\n"
+    with pytest.raises(ConfigError) as refused:
+        load_table("absent.csv", on_missing="bogus")
+    assert f"error: {refused.value}\n" == err and opened == []
 
 
 def test_missing_column_exit_1(tmp_path, capsys):

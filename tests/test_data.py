@@ -558,14 +558,13 @@ _LOADER_CASES = dict(
 )
 
 
-@given(**_LOADER_CASES)
-@settings(max_examples=400, deadline=None)
-def test_columnar_loader_matches_rowwise_reference(file, delimiter, bom, padded_header, quoted,
-                                                   line_end, last_line_end, on_missing,
-                                                   controls, cluster, chunk_rows):
-    # Each file is read by both tokenizers. Files written by csv.writer quote
-    # odd tokens; files written by a plain join do not, so their odd tokens
-    # make ragged rows, bare carriage returns and stray quotes.
+def _write_loader_case(path, file, delimiter, bom, padded_header, quoted, line_end,
+                       last_line_end, on_missing, controls, cluster):
+    """Writes a drawn file of ``_LOADER_CASES`` to ``path``; returns the
+    keyword arguments of load_table that read it. Files written by
+    csv.writer quote odd tokens; files written by a plain join do not, so
+    their odd tokens make ragged rows, bare carriage returns and stray
+    quotes."""
     header, rows = file
     header = [f" {h} " if padded_header else h for h in header]
     buffer = io.StringIO()
@@ -581,13 +580,20 @@ def test_columnar_loader_matches_rowwise_reference(file, delimiter, bom, padded_
         mapping["controls"] = controls
     if cluster:
         mapping["cluster"] = cluster
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(("\ufeff" if bom else "") + text)
+    return dict(mapping=mapping, delimiter=delimiter, on_missing=on_missing)
+
+
+@given(**_LOADER_CASES)
+@settings(max_examples=400, deadline=None)
+def test_columnar_loader_matches_rowwise_reference(chunk_rows, **case):
+    # Each file is read by both tokenizers.
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(("\ufeff" if bom else "") + text)
+        kwargs = _write_loader_case(path, **case)
         with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
-            _assert_both_tokenizers_match_reference(
-                path, mapping=mapping, delimiter=delimiter, on_missing=on_missing)
+            _assert_both_tokenizers_match_reference(path, **kwargs)
 
 
 @given(**_LOADER_CASES)
@@ -945,6 +951,19 @@ def test_cluster_codes_follow_sorted_labels(labels):
                                     np.array([1.0, np.nan, 2.0, np.nan])])
 def test_missing_cluster_label_rejected(labels):
     with pytest.raises(DataError, match="missing cluster label"):
+        from_arrays([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],
+                    cluster=labels)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([[1], [2], [1], [2]], r"cluster labels must be one per row, not an array of shape \(4, 1\)"),
+    (np.arange(4).reshape(4, 1), r"one per row, not an array of shape \(4, 1\)"),
+    (5, r"one per row, not an array of shape \(\)"),
+    ([[1], [2, 3], [1], [2, 3]], "cluster labels must be hashable, such as strings or numbers; "
+                                 "got list"),
+])
+def test_cluster_labels_that_are_not_one_scalar_per_row_are_data_errors(labels, message):
+    with pytest.raises(DataError, match=message):
         from_arrays([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],
                     cluster=labels)
 

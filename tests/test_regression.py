@@ -314,8 +314,12 @@ _NAN_LABELS = [1.0, _NAN, 2.0, _NAN, 1.0, 2.0, 3.0, 3.0]
     (["a", "b", "c", " ", "a", "b", "c", "a"], "missing cluster label at row 3"),
     (["a", 1, "b", 1, "a", 2, "b", 2], "cluster labels of types int, str cannot be ordered"),
     ([1, 2, 3], "cluster and response row counts differ"),
+    ([[1], [2], [1], [2], [1], [2], [1], [2]], r"one per row, not an array of shape \(8, 1\)"),
+    (np.arange(8).reshape(8, 1), r"one per row, not an array of shape \(8, 1\)"),
+    ([[1], [2, 3]] * 4, "cluster labels must be hashable, such as strings or numbers; got list"),
+    (5, r"cluster labels must be one per row, not an array of shape \(\)"),
 ], ids=["nan-list", "nan-float-array", "nan-object-array", "none", "blank", "int-and-str",
-        "short"])
+        "short", "2-d", "2-d-codes", "list-valued", "scalar"])
 def test_direct_ols_refuses_bad_cluster_labels(labels, message):
     # The label rule of from_arrays: an EstimationError, never a TypeError,
     # an IndexError or a StopIteration, and never a silent regrouping.
