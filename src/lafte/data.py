@@ -32,13 +32,13 @@ which reads any file the loader's byte tokenizer does not take (quoted,
 non-ASCII or ragged files, and any file with an error; see
 :func:`load_table`) and writes the header; the rows are split and joined
 as plain strings, a block of rows at a time. On a machine where this
-process may use two CPUs or more, a large table or plain file is split in
-two halves: a forked worker process writes or parses the back half while
-this one does the front half (:func:`_forked`). The bytes, the table and
-every warning and error are those of the one-process path. The parsed
-columns of a large file are kept in an on-disk cache, keyed by the file's
-bytes, and a later load of the same bytes reads them from there
-(:func:`_read_columns`); the table is built from them as from a parse.
+process may use two CPUs or more, a large table is written in two halves: a
+forked worker process writes the back half while this one writes the front
+half (:func:`_forked`), and the bytes are those of one process. A file is
+always read by this one process. The parsed columns of a large file are
+kept in an on-disk cache, keyed by the file's bytes, and a later load of
+the same bytes reads them from there (:func:`_read_columns`); the table is
+built from them as from a parse.
 
 :func:`from_arrays` raises :class:`~lafte.exceptions.DataError` for a table
 that breaks an invariant; its message lists every finding, joined by "; ".
@@ -102,12 +102,10 @@ _CHUNK_ROWS = 1 << 14
 # each such piece of a plain file is split as one chunk.
 _SCAN_BYTES = 1 << 16
 
-# The least table (rows) that save_table, and the least plain file (bytes)
-# that load_table, splits with a forked worker (see _two_cores): about twice
-# the break-even of 2**15 rows or 1 MiB measured on a 2-vCPU machine, where
-# forking, reaping and stitching the halves cost 5-7 ms.
+# The least table (rows) that save_table splits with a forked worker (see
+# _two_cores): about twice the break-even of 2**15 rows measured on a 2-vCPU
+# machine, where forking, reaping and appending the back half cost 5-7 ms.
 _SPLIT_ROWS = 1 << 16
-_SPLIT_BYTES = 1 << 21
 
 # The least file (bytes) whose parsed columns load_table keeps on disk (see
 # _cache_entry), and the most bytes the cache directory holds.
@@ -325,15 +323,16 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         If any table invariant fails; the message lists every finding.
     """
     take = np.array if copy else np.asarray  # np.array always copies
-    z = np.asarray(z)
-    d1 = np.asarray(d1)
-    d2 = np.asarray(d2)
-    y = take(y, dtype=float)
-    if controls is None:
-        controls = np.empty((z.shape[0], 0))
-    controls = take(controls, dtype=float)
+    z, d1, d2, y = np.asarray(z), np.asarray(d1), np.asarray(d2), take(y, dtype=float)
+    controls = take(np.empty((z.size, 0)) if controls is None else controls, dtype=float)
     if controls.ndim == 1:
         controls = controls[:, None]
+    shapes = [f"column '{name}' must hold one value per row, not an array of shape {col.shape}"
+              for name, col in (("z", z), ("d1", d1), ("d2", d2), ("y", y)) if col.ndim != 1]
+    if controls.ndim != 2:
+        shapes.append(f"controls must be one row per row, not an array of shape {controls.shape}")
+    if shapes:
+        raise DataError("; ".join(shapes))
     cluster = None if cluster is None else take(cluster, dtype=object)
 
     control_names = tuple(control_names)
@@ -494,12 +493,10 @@ def _token_chunk(lines: bytes, split: bytes, width: int) -> _Chunk:
     return _Chunk(lambda p: tokens[p::width], lambda i: tokens[i * width:(i + 1) * width])
 
 
-def _byte_tokens(handle, delimiter: str, start: int = 0, stop: int | None = None) -> _Tokens:
+def _byte_tokens(handle, delimiter: str) -> _Tokens:
     """The records of the binary file ``handle``, split as bytes: its header
     line, then a chunk per piece of ``_SCAN_BYTES`` bytes and the rest of
     its last line, each checked by :func:`_check_plain` before it is split.
-    The chunks hold the lines after the header that start at a byte offset
-    in ``[start, stop)``; all of them by default.
 
     ``csv.reader`` splits a file the same way when, after an optional BOM,
     its header line is not empty, the delimiter is ASCII and neither a
@@ -517,17 +514,9 @@ def _byte_tokens(handle, delimiter: str, start: int = 0, stop: int | None = None
     split = bytes.maketrans(delimiter.encode(), b"\n")
 
     def chunks() -> Iterator[_Chunk]:
-        if start > handle.tell():
-            handle.seek(start - 1)
-            handle.readline()  # to the first line that starts at or after ``start``
-        at = handle.tell()
-        while stop is None or at < stop:
-            piece = handle.read(_SCAN_BYTES if stop is None else min(_SCAN_BYTES, stop - at))
-            if not piece:
-                return
+        while piece := handle.read(_SCAN_BYTES):
             if not piece.endswith(b"\n"):
                 piece += handle.readline()
-            at += len(piece)
             _check_plain(piece, delimiter, width)
             yield _token_chunk(piece.removesuffix(b"\n"), split, width)
 
@@ -609,11 +598,11 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     are stripped. Errors name the first offending line or token.
 
     Records are what ``csv.reader`` makes of the file, and the grammar above
-    applies to its tokens. The file is streamed in line-aligned pieces and
-    never held whole (a pipe, which can be read only once, is held). A plain
-    file is parsed in one reading, split as bytes, which gives the same
-    tokens faster. Any other file is read again by ``csv.reader``, from its
-    first byte: one that, after its BOM, has a
+    applies to its tokens. The file is streamed in line-aligned pieces, by
+    this one process, and never held whole (a pipe, which can be read only
+    once, is held). A plain file is parsed in one reading, split as bytes,
+    which gives the same tokens faster. Any other file is read again by
+    ``csv.reader``, from its first byte: one that, after its BOM, has a
     non-ASCII byte, a quote, a NUL, a carriage return outside a CRLF, an
     empty header line, a line with more or fewer fields than the header, or
     a line as long as ``csv.field_size_limit()``. An error is always the one
@@ -682,46 +671,38 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
         hit = None if entry is None else _cache_read(entry[0], kinds)
         if hit is not None:
             return hit
-        labels: dict[str, str] = {}
-        columns, dropped = _parse(source, size, path, delimiter, cols, kinds, on_missing, labels)
+        columns, dropped = _parse(source, path, delimiter, cols, kinds, on_missing)
         if entry is not None:
-            _cache_write(*entry, path, columns, dropped, labels)
+            _cache_write(*entry, path, columns, dropped)
         return columns, dropped
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
 
 
-def _parse(source, size, path, delimiter: str, cols, kinds, on_missing: str,
-           labels: dict[str, str]):
-    """:func:`_read_columns` of the file that ``source`` opens, of ``size``
-    bytes (None for a pipe); a cluster's rows share its one string in
-    ``labels``.
+def _parse(source, path, delimiter: str, cols, kinds, on_missing: str):
+    """:func:`_read_columns` of the file that ``source`` opens.
 
-    The file is split as bytes while every piece of it is plain, a large
-    file in two halves (:func:`_split_read`). The first piece that is not,
-    any error, or a worker that fails sends the whole file through
+    The file is split as bytes while every piece of it is plain. The first
+    piece that is not, or any error, sends the whole file through
     ``csv.reader``, whose reading alone decides the error.
     """
     try:
-        if size is not None and _two_cores(size, _SPLIT_BYTES):
-            return _split_read(source, size // 2, path, delimiter, cols, kinds, on_missing, labels)
         with source() as handle:
-            return _collect(_byte_tokens(handle, delimiter), path, cols, kinds, on_missing, labels)
+            return _collect(_byte_tokens(handle, delimiter), path, cols, kinds, on_missing)
     except (_NotPlain, ConfigError, DataError):
         pass
     # Out of the handler, so that the byte path's columns are let go.
-    labels.clear()
     with _csv_text(source()) as text:
-        return _collect(_csv_tokens(text, delimiter), path, cols, kinds, on_missing, labels)
+        return _collect(_csv_tokens(text, delimiter), path, cols, kinds, on_missing)
 
 
-def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str, labels: dict[str, str]):
+def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
     """:func:`_read_columns` of one tokenizer's records.
 
     Each column is filled, grown (doubling) and cut to size in place, so it
     is held once. The error, if any, is found in this one pass: under
     ``on_missing="fail"`` a missing value anywhere, else the first bad token
-    of a kept row. The rows of a cluster share its one string in ``labels``.
+    of a kept row. The rows of a cluster share one string.
     """
     header, chunks = tokens
     if header is None:
@@ -732,6 +713,7 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str, labels: dict[s
         raise ColumnMissingError(f"column(s) {absent} not found in {path}; header is {header}")
     positions = [header.index(col) for col in cols]
     columns = [np.empty(_CHUNK_ROWS, _DTYPES[kind]) for kind in kinds]
+    labels: dict[str, str] = {}
     kept = dropped = 0
     line = 2
     error = None  # under "fail", a bad token stands only if no value is missing
@@ -761,35 +743,14 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str, labels: dict[s
     return columns, dropped
 
 
-def _split_read(source, middle: int, path, delimiter: str, cols, kinds, on_missing: str,
-                labels: dict[str, str]):
-    """:func:`_collect` of the byte tokens of a plain file, its lines from
-    byte ``middle`` on parsed by a forked worker. Raises :class:`_NotPlain`
-    if the worker fails, for any reason."""
-
-    def back(out: BinaryIO) -> None:
-        labels: dict[str, str] = {}
-        with source() as handle:  # its own handle: one shared with this process shares its offset
-            tokens = _byte_tokens(handle, delimiter, start=middle)
-            _send(*_collect(tokens, path, cols, kinds, on_missing, labels), labels, out)
-
-    with source() as handle:
-        tokens = _byte_tokens(handle, delimiter, stop=middle)  # a header that is not plain forks nothing
-        with _forked(back) as result:
-            columns, dropped = _collect(tokens, path, cols, kinds, on_missing, labels)
-            out = result()
-            if out is None:
-                raise _NotPlain
-            return columns, dropped + _receive(columns, labels, out)
-
-
-def _send(columns: list[np.ndarray], dropped: int, labels: dict[str, str], out: BinaryIO) -> None:
+def _send(columns: list[np.ndarray], dropped: int, out: BinaryIO) -> None:
     """Writes parsed columns for :func:`_receive`: one JSON line of their
-    length, ``dropped`` and their distinct cluster labels (the keys of
-    ``labels``), then each column's bytes, a cluster column as ``int64``
-    indices into those labels, coded a block of rows at a time."""
-    out.write(json.dumps([columns[0].size, dropped, list(labels)]).encode() + b"\n")
-    index = dict(zip(labels, range(len(labels))))
+    length, ``dropped`` and the distinct labels of a cluster column, then
+    each column's bytes, a cluster column as ``int64`` indices into those
+    labels, coded a block of rows at a time."""
+    distinct = list(dict.fromkeys(columns[-1])) if columns[-1].dtype == object else []
+    out.write(json.dumps([columns[0].size, dropped, distinct]).encode() + b"\n")
+    index = dict(zip(distinct, range(len(distinct))))
     for column in columns:
         if column.dtype != object:
             out.write(column.data)
@@ -799,12 +760,12 @@ def _send(columns: list[np.ndarray], dropped: int, labels: dict[str, str], out: 
             out.write(np.fromiter(map(index.__getitem__, block), np.int64, len(block)).data)
 
 
-def _receive(columns: list[np.ndarray], labels: dict[str, str], back: BinaryIO) -> int:
-    """Appends the rows :func:`_send` wrote to the file ``back`` to
-    ``columns``, each grown in place and read into, and returns their
-    dropped count. A cluster's rows share its one string in ``labels``.
-    Raises :class:`_NotPlain`, with ``columns`` in any state, unless what
-    is left of ``back`` is what :func:`_send` writes for such columns."""
+def _receive(kinds: list[str], back: BinaryIO):
+    """The columns of ``kinds`` and the dropped count that :func:`_send`
+    wrote to the file ``back``, each column allocated once, at the length
+    the JSON line gives, and read into. A cluster's rows share its one
+    string. Raises :class:`_NotPlain` unless what is left of ``back`` is
+    what :func:`_send` writes for such columns."""
     try:
         kept, dropped, distinct = json.loads(back.readline())
     except (ValueError, TypeError):  # not JSON, or not three values
@@ -812,25 +773,25 @@ def _receive(columns: list[np.ndarray], labels: dict[str, str], back: BinaryIO) 
     if (not all(type(count) is int and count >= 0 for count in (kept, dropped))
             or not isinstance(distinct, list) or not set(map(type, distinct)) <= {str}):
         raise _NotPlain
-    row_bytes = sum(8 if column.dtype == object else column.itemsize for column in columns)
+    dtypes = [np.dtype(_DTYPES[kind]) for kind in kinds]
+    row_bytes = sum(8 if dtype == object else dtype.itemsize for dtype in dtypes)
     if os.fstat(back.fileno()).st_size - back.tell() != kept * row_bytes:
         raise _NotPlain
-    shared = np.array([labels.setdefault(s, s) for s in distinct], object)
-    start = columns[0].size
+    shared = np.array(distinct, object)
+    columns = [np.empty(kept, dtype) for dtype in dtypes]
     for column in columns:
-        column.resize(start + kept, refcheck=False)
         if column.dtype != object:
-            if back.readinto(column[start:]) != kept * column.itemsize:
+            if back.readinto(column) != column.nbytes:
                 raise _NotPlain
             continue
         codes = np.empty(min(kept, _CHUNK_ROWS), np.int64)
-        for first in range(start, start + kept, _CHUNK_ROWS):
-            block = codes[:min(_CHUNK_ROWS, start + kept - first)]
+        for first in range(0, kept, _CHUNK_ROWS):
+            block = codes[:min(_CHUNK_ROWS, kept - first)]
             if (back.readinto(block) != block.nbytes or block.min() < 0
                     or block.max() >= shared.size):
                 raise _NotPlain
             np.take(shared, block, out=column[first:first + block.size])
-    return dropped
+    return columns, dropped
 
 
 def _identity(info: os.stat_result) -> tuple[int, ...]:
@@ -894,19 +855,18 @@ def _cache_read(path: str, kinds: list[str]):
     """:func:`_read_columns`'s value from the entry at ``path``, whose
     modification time is brought up to now; None when it cannot be read or
     does not hold columns of ``kinds``."""
-    columns = [np.empty(0, _DTYPES[kind]) for kind in kinds]
     try:
         with open(path, "rb") as entry:
-            dropped = _receive(columns, {}, entry)
+            hit = _receive(kinds, entry)
     except (OSError, _NotPlain):
         return None
     with suppress(OSError):
         os.utime(path)  # the entries least recently used go first
-    return columns, dropped
+    return hit
 
 
-def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray], dropped: int,
-                 labels: dict[str, str]) -> None:
+def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray],
+                 dropped: int) -> None:
     """Keeps parsed columns at ``entry``, unless the file at ``path`` no
     longer has its ``identity``; written to a temporary file that replaces
     the entry whole. Then the oldest entries are removed while the directory
@@ -918,7 +878,7 @@ def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray], d
             return
         handle, temporary = tempfile.mkstemp(dir=directory)
         with open(handle, "wb") as out:
-            _send(columns, dropped, labels, out)
+            _send(columns, dropped, out)
         os.replace(temporary, entry)
         temporary = None
         with os.scandir(directory) as listing:
@@ -939,12 +899,12 @@ def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray], d
         total -= size
 
 
-def _two_cores(size: int, least: int) -> bool:
-    """Whether work of ``size`` is split with a forked worker: it is at
-    least ``least``, this process may run on two CPUs or more, and it has
-    one Python thread (a fork copies only the calling thread, not the locks
-    another may hold)."""
-    return (size >= least and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+def _two_cores(rows: int) -> bool:
+    """Whether a table of ``rows`` is written with a forked worker: it has
+    at least ``_SPLIT_ROWS``, this process may run on two CPUs or more, and
+    it has one Python thread (a fork copies only the calling thread, not the
+    locks another may hold)."""
+    return (rows >= _SPLIT_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
 
 
@@ -1049,7 +1009,7 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     labels = None if table.cluster is None else _csv_fields(map(str, table.cluster), delimiter)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, delimiter=delimiter).writerow(names)
-        if not _two_cores(table.n, _SPLIT_ROWS):
+        if not _two_cores(table.n):
             _write_rows(handle, table, 0, table.n, delimiter, labels)
             return
         middle = table.n // 2

@@ -2,7 +2,6 @@
 parse builds, and an entry that is damaged, stale or cannot be kept is never
 read in place of the parse."""
 
-import contextlib
 import csv
 import dataclasses
 import json
@@ -17,7 +16,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lafte import ConfigError, DataError, ObservationTable, cli, data, load_table
 
@@ -26,7 +24,6 @@ from test_data import (
     _LOADER_CASES,
     _households_csv,
     _load_outcome,
-    _split,
     _write_loader_case,
 )
 
@@ -77,18 +74,16 @@ def _no_parse(*args, **kwargs):
     raise AssertionError("a hit parsed the file")
 
 
-@given(split=st.booleans(), **_LOADER_CASES)
+@given(**_LOADER_CASES)
 @settings(max_examples=150, deadline=None)
-def test_a_hit_builds_the_table_of_a_miss(split, chunk_rows, **case):
-    # Every drawn file is loaded twice with a real cache, serially or split
-    # with a worker: the second load reads the entry the first wrote, and
-    # gives the same table (or the same error, raised after the columns
-    # were read).
+def test_a_hit_builds_the_table_of_a_miss(chunk_rows, **case):
+    # Every drawn file is loaded twice with a real cache: the second load
+    # reads the entry the first wrote, and gives the same table (or the same
+    # error, raised after the columns were read).
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ, {"XDG_CACHE_HOME": tmp}), \
             mock.patch.object(data, "_CACHE_BYTES", 0), \
-            mock.patch.object(data, "_CHUNK_ROWS", chunk_rows), \
-            _split() if split else contextlib.nullcontext():
+            mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
         path = os.path.join(tmp, "t.csv")
         kwargs = _write_loader_case(path, **case)
         miss = _load_outcome(load_table, path, **kwargs)
@@ -398,14 +393,13 @@ def test_a_miss_codes_the_labels_a_block_at_a_time(tmp_path):
     # Writing the codes of 200000 labels holds a block of them, not an
     # int64 array (1.6 MB) or a list (1.6 MB) as long as the column.
     n = 200_000
-    labels = {f"hh{i:04d}": f"hh{i:04d}" for i in range(1000)}
-    column = np.array(list(labels), object).repeat(n // 1000)
+    column = np.array([f"hh{i:04d}" for i in range(1000)], object).repeat(n // 1000)
     columns = [np.zeros(n, np.uint8), np.zeros(n), column]
     with open(tmp_path / "entry", "wb") as out:
-        data._send(columns, 0, labels, out)  # allocations made once are not counted
+        data._send(columns, 0, out)  # allocations made once are not counted
         tracemalloc.start()
         try:
-            data._send(columns, 0, labels, out)
+            data._send(columns, 0, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

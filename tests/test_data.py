@@ -501,9 +501,8 @@ def _assert_both_tokenizers_match_reference(path, **kwargs):
 
 @contextlib.contextmanager
 def _split():
-    """Every table that save_table writes and every plain file that load_table
-    reads is split with a forked worker, as on a machine with two CPUs; yields
-    the list of the workers' process ids."""
+    """Every table that save_table writes is split with a forked worker, as on
+    a machine with two CPUs; yields the list of the workers' process ids."""
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     workers = []
@@ -515,7 +514,7 @@ def _split():
             workers.append(pid)
         return pid
 
-    with mock.patch.object(data, "_SPLIT_ROWS", 0), mock.patch.object(data, "_SPLIT_BYTES", 0), \
+    with mock.patch.object(data, "_SPLIT_ROWS", 0), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
             mock.patch.object(os, "fork", counted):
         yield workers
@@ -594,16 +593,6 @@ def test_columnar_loader_matches_rowwise_reference(chunk_rows, **case):
         kwargs = _write_loader_case(path, **case)
         with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
             _assert_both_tokenizers_match_reference(path, **kwargs)
-
-
-@given(**_LOADER_CASES)
-@settings(max_examples=30, deadline=None)
-def test_split_loader_matches_rowwise_reference(**case):
-    # The same files, each load split at its middle byte with a forked worker;
-    # the worker's half may be empty, or hold the error or the line that is not plain.
-    with _split() as workers:
-        test_columnar_loader_matches_rowwise_reference.hypothesis.inner_test(**case)
-    assert workers
 
 
 _HH = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": ["x"], "cluster": "hh"}
@@ -788,20 +777,6 @@ def test_a_plain_file_is_read_once(tmp_path, monkeypatch, quoted):
             assert size < sum(read) <= 2 * size
         else:
             assert sum(read) == size
-    # Split with a worker, this process reads the lines that start before the
-    # middle byte, and no further; its own buffer holds one byte, so that the
-    # bytes read are those used. The quoted last line fails the worker, and
-    # csv.reader reads the file again.
-    middle = path.read_bytes().index(b"\n", size // 2 - 1) + 1
-    monkeypatch.setattr(data, "open", lambda path, mode: io.BufferedReader(Counted(path), 1),
-                        raising=False)
-    with _split() as workers:
-        for scan_bytes in (*_PIECE_BYTES, data._SCAN_BYTES):
-            read.clear()
-            with mock.patch.object(data, "_SCAN_BYTES", scan_bytes):
-                load_table(path, _HH)
-            assert sum(read) == middle + quoted * size
-    assert len(workers) == 1 + len(_PIECE_BYTES)
 
 
 def test_undecodable_file_is_a_data_error(tmp_path):
@@ -860,35 +835,18 @@ def test_split_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, del
     assert workers
 
 
-@pytest.mark.parametrize("quote", ["", '"'])
-def test_split_rows_of_a_cluster_share_one_label(tmp_path, monkeypatch, quote):
-    # The worker's labels come back through this process's one string per cluster.
-    with _split() as workers:
-        test_rows_of_a_cluster_share_one_label(tmp_path, monkeypatch, quote)
-    assert workers
-
-
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_failed_worker_gives_the_serial_result(tmp_path):
-    rng = np.random.default_rng(7)
-    table = _awkward_table(rng)
-    households = tmp_path / "hh.csv"
-    _households_csv(households, 300, rng)
-    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": ["x1", "x2"],
-               "cluster": "hh"}
+    table = _awkward_table(np.random.default_rng(7))
     save_table(table, tmp_path / "serial.csv")
-    serial = load_table(households, mapping)
-    with _split() as workers, mock.patch.object(data, "_write_rows", _worker_fails(data._write_rows)), \
-            mock.patch.object(data, "_collect", _worker_fails(data._collect)):
+    with _split() as workers, mock.patch.object(data, "_write_rows", _worker_fails(data._write_rows)):
         save_table(table, tmp_path / "split.csv")
-        split = load_table(households, mapping)
-    assert len(workers) == 2
+    assert len(workers) == 1
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    _assert_same_table(split, serial)
     _no_child_left()
 
 
@@ -900,31 +858,36 @@ def _front_half_fails(*args, **kwargs):
 def test_every_worker_is_reaped(tmp_path, outcome):
     # A worker still running when the front half fails is killed, not waited for.
     table = _awkward_table(np.random.default_rng(8))
-    households = tmp_path / "hh.csv"
-    _households_csv(households, 300, np.random.default_rng(9))
-    write, collect = data._write_rows, data._collect
-    if outcome == "worker fails":
-        write, collect = _worker_fails(write), _worker_fails(collect)
-    elif outcome == "front half fails":  # a bad token in the front half
-        write, collect = _worker_sleeps(_front_half_fails), _worker_sleeps(collect)
-        households.write_text(households.read_text().replace("\n1,", "\n1.5,", 1))
+    write = {"success": data._write_rows, "worker fails": _worker_fails(data._write_rows),
+             "front half fails": _worker_sleeps(_front_half_fails)}[outcome]
     failures = []
     started = time.monotonic()
-    with _split() as workers, mock.patch.object(data, "_write_rows", write), \
-            mock.patch.object(data, "_collect", collect):
-        for call in (lambda: save_table(table, tmp_path / "t.csv"),
-                     lambda: load_table(households, {"z": "z", "d1": "d1", "d2": "d2", "y": "y"})):
-            try:
-                call()
-            except (RuntimeError, DataError) as exc:
-                failures.append(str(exc))
+    with _split() as workers, mock.patch.object(data, "_write_rows", write):
+        try:
+            save_table(table, tmp_path / "t.csv")
+        except RuntimeError as exc:
+            failures.append(str(exc))
     if outcome == "front half fails":
-        assert failures == ["the front half fails",
-                            "non-binary instrument column 'z': value '1.5'"]
+        assert failures == ["the front half fails"]
         assert time.monotonic() - started < 30
     else:
         assert failures == []
-    assert len(workers) == 2
+    assert len(workers) == 1
+    _no_child_left()
+
+
+def test_only_the_save_forks(tmp_path):
+    # With two CPUs and no least size, load_table reads a plain file of 2 MiB
+    # or more in this process, and save_table writes with one worker.
+    path = tmp_path / "hh.csv"
+    _households_csv(path, 70_000, np.random.default_rng(10))
+    assert os.path.getsize(path) >= 1 << 21
+    with _split() as workers:
+        table = load_table(path, {"z": "z", "d1": "d1", "d2": "d2", "y": "y",
+                                  "controls": ["x1", "x2"], "cluster": "hh"})
+        assert workers == []
+        save_table(table, tmp_path / "t.csv")
+    assert len(workers) == 1
     _no_child_left()
 
 
@@ -966,6 +929,22 @@ def test_cluster_labels_that_are_not_one_scalar_per_row_are_data_errors(labels, 
     with pytest.raises(DataError, match=message):
         from_arrays([0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0],
                     cluster=labels)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("z", 5, r"column 'z' must hold one value per row, not an array of shape \(\)"),
+    ("y", 5.0, r"column 'y' must hold one value per row, not an array of shape \(\)"),
+    ("z", [[0], [1], [0], [1]], r"column 'z' .* shape \(4, 1\)"),
+    ("y", [[1.0], [2.0], [3.0], [4.0]], r"column 'y' .* shape \(4, 1\)"),
+    ("d1", [[0], [1], [1], [0]], r"column 'd1' .* shape \(4, 1\)"),
+    ("d2", [[0, 0, 1, 1]], r"column 'd2' .* shape \(1, 4\)"),
+    ("controls", 5.0, r"controls must be one row per row, not an array of shape \(\)"),
+    ("controls", np.zeros((4, 1, 1)), r"controls .* shape \(4, 1, 1\)"),
+])
+def test_columns_that_are_not_one_value_per_row_are_data_errors(name, value, message):
+    columns = dict(z=[0, 1, 0, 1], d1=[0, 1, 1, 0], d2=[0, 0, 1, 1], y=[1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(DataError, match=message):
+        from_arrays(**{**columns, name: value})
 
 
 @pytest.mark.parametrize("labels, message", [
