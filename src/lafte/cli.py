@@ -24,9 +24,11 @@ document. Plain output only; NO_COLOR is trivially respected.
 
 Each command reads its data file with ``data.load_table``. The parsed
 columns of a file of 2 MiB or more are kept in an on-disk cache
-(``$XDG_CACHE_HOME/lafte``), so ``estimate``, ``diagnose`` and ``bounds``
-on the same bytes and columns parse the file once between them; each still
-reads it once, to hash it. The output does not depend on the cache.
+(``$XDG_CACHE_HOME/lafte``), and the table's one fit beside them, so
+``estimate``, ``diagnose`` and ``bounds`` on the same bytes and columns
+parse the file and fit the table once between them; each still reads it
+once, to hash it. The output does not depend on the cache. PyYAML is
+imported only by a command that reads a config or spec file.
 
 Exit codes: 0 success, 1 usage/config error or an output that cannot be
 written (``--out``, or a closed stdout), 2 data or spec validation

@@ -45,8 +45,10 @@ that breaks an invariant; its message lists every finding, joined by "; ".
 
 ``cluster_codes`` holds each row's cluster label as an ``int64`` index into
 the sorted distinct labels (the inverse of ``np.unique(cluster)``), computed
-once by :func:`from_arrays`; ``cluster_count`` is their number. The fits
-receive the codes, which give the same per-cluster sums as the labels.
+once when the table is built; ``cluster_count`` is their number. The fits
+receive the codes, which give the same per-cluster sums as the labels. A
+load sorts only the distinct labels of a file, and the cache keeps its
+codes, so a hit builds the labels and the codes with one gather each.
 
 Tables are immutable after construction. Each instance also keeps a cache,
 outside its dataclass fields, of values that are pure functions of its
@@ -54,9 +56,13 @@ columns: ``estimands.slopes`` keeps the table's one fit of the 13 columns
 there, and every slope read off it, so that the table is fit once. The
 columns themselves are never held whole: the fit builds them a block of
 rows at a time, with :meth:`DerivedColumns.of`, as it reads them. A table
-made by ``dataclasses.replace`` starts with an empty cache. Tables are safe
-to share across threads: two threads may compute the same cache entry at
-once, and both see equal values.
+that :func:`load_table` read from the on-disk cache, or kept there, also
+remembers that entry, and its one fit is kept on disk beside it
+(:func:`_kept`), so that a later load of the same bytes is not fit again.
+A table made by :func:`from_arrays` or ``dataclasses.replace`` starts with
+an empty cache and no entry. Tables are safe to share across threads: two
+threads may compute the same cache entry at once, and both see equal
+values.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import stat
@@ -75,6 +82,7 @@ import threading
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import compress, islice, product
 from operator import itemgetter
 from typing import BinaryIO, Callable, Iterator, Mapping, NamedTuple
@@ -90,8 +98,9 @@ _MISSING_TOKENS = {"", ".", "na", "nan"}
 
 _BINARY = {"0", "1"}
 
-# The dtype load_table parses each kind of column to, and the table stores.
-_DTYPES = {"instrument": np.uint8, "treatment": np.uint8, "float": float, "cluster": object}
+# The dtype load_table parses each kind of column to, and the table stores;
+# a cluster column is parsed to codes, and the table stores its labels too.
+_DTYPES = {"instrument": np.uint8, "treatment": np.uint8, "float": float, "cluster": np.int64}
 
 # Rows load_table takes from csv.reader at a time, and the size its columns
 # start at; rows written at a time by save_table and drawn by strata.sample.
@@ -272,13 +281,32 @@ def _label_missing(label) -> bool:
     return label is None or label != label or str(label).strip() == ""  # NaN: unequal to itself
 
 
+def _label_ranks(distinct: list, first_row: Callable[[int], int],
+                 error: type[Exception]) -> np.ndarray:
+    """The cluster label rule, on the distinct labels of a column in order of
+    first appearance: the place of each in sorted order. A None, NaN or blank
+    label is missing: ``error`` names its first row, ``first_row(j)`` for the
+    ``j``-th distinct label (the first missing row holds the first missing
+    distinct label). Labels that do not order raise ``error`` too."""
+    missing = next((j for j, label in enumerate(distinct) if _label_missing(label)), None)
+    if missing is not None:
+        raise error(f"missing cluster label at row {first_row(missing)}")
+    try:
+        order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    except TypeError:
+        kinds = sorted({type(label).__name__ for label in distinct})
+        raise error(f"cluster labels of types {', '.join(kinds)} cannot be ordered") from None
+    ranks = np.empty(len(distinct), np.int64)
+    ranks[order] = np.arange(len(distinct))
+    return ranks
+
+
 def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
     """The cluster label rule of :func:`from_arrays` and of ``regression.ols``:
     each row's code 0..G-1 in sorted-label order, and G, sorting only the
-    distinct labels. Dense integer codes (an integer array using each of
-    0..G-1) pass through. A None, NaN or blank label is missing: ``error``
-    names its row (from 0); labels that are not one per row, that are not
-    hashable or that do not order raise ``error`` too.
+    distinct labels (:func:`_label_ranks`). Dense integer codes (an integer
+    array using each of 0..G-1) pass through. Labels that are not one per row,
+    or that are not hashable, raise ``error`` too.
     """
     if not isinstance(labels, np.ndarray):
         labels = np.array(labels, dtype=object)
@@ -293,15 +321,9 @@ def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
         kinds = sorted({type(label).__name__ for label in labels})
         raise error(f"cluster labels must be hashable, such as strings or numbers; "
                     f"got {', '.join(kinds)}") from None
-    if any(map(_label_missing, distinct)):
-        row = next(i for i, label in enumerate(labels) if _label_missing(label))
-        raise error(f"missing cluster label at row {row}")
-    try:
-        distinct.sort()
-    except TypeError:
-        kinds = sorted({type(label).__name__ for label in distinct})
-        raise error(f"cluster labels of types {', '.join(kinds)} cannot be ordered") from None
-    index = {label: i for i, label in enumerate(distinct)}
+    ranks = _label_ranks(distinct, lambda j: next(
+        i for i, label in enumerate(labels) if _label_missing(label)), error)
+    index = dict(zip(distinct, ranks.tolist()))
     return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), len(distinct)
 
 
@@ -334,13 +356,20 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     if shapes:
         raise DataError("; ".join(shapes))
     cluster = None if cluster is None else take(cluster, dtype=object)
+    return _build_table(z, d1, d2, y, controls, tuple(control_names), cluster, warnings, copy,
+                        lambda: _label_codes(cluster, DataError))
 
-    control_names = tuple(control_names)
+
+def _build_table(z, d1, d2, y, controls, control_names, cluster, warnings, copy,
+                 coded: Callable[[], tuple[np.ndarray, int]]) -> ObservationTable:
+    """:func:`from_arrays` of columns of one value per row, ``y`` and the
+    controls already ``float64``, the cluster labels objects; ``coded()``
+    gives their codes and number, or raises :class:`DataError`."""
     errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster)
     codes = count = None
     if cluster is not None and (cluster.ndim != 1 or cluster.shape[0] == z.shape[0]):
         try:
-            codes, count = _label_codes(cluster, DataError)
+            codes, count = coded()
         except DataError as exc:
             errors.append(str(exc))
     if errors:
@@ -412,11 +441,12 @@ class _Chunk(NamedTuple):
 
 
 class _Tokens(NamedTuple):
-    """A file as a tokenizer splits it: its header (None for an empty file)
-    and its chunks of records."""
+    """A file as a tokenizer splits it: its header (None for an empty file),
+    its chunks of records, and how many of its bytes have been read."""
 
     header: list[str] | None
     chunks: Iterator[_Chunk]
+    position: Callable[[], int]
 
 
 class _NotPlain(Exception):
@@ -455,7 +485,8 @@ def _csv_tokens(text, delimiter: str) -> _Tokens:
     """The records of the text file ``text`` as ``csv.reader`` reads them."""
     reader = csv.reader(text, delimiter=delimiter)
     header = next(reader, None)
-    return _Tokens(header, map(_csv_chunk, iter(lambda: list(islice(reader, _CHUNK_ROWS)), [])))
+    return _Tokens(header, map(_csv_chunk, iter(lambda: list(islice(reader, _CHUNK_ROWS)), [])),
+                   text.buffer.tell)
 
 
 def _check_plain(piece: bytes, delimiter: str, width: int) -> None:
@@ -521,16 +552,17 @@ def _byte_tokens(handle, delimiter: str) -> _Tokens:
             yield _token_chunk(piece.removesuffix(b"\n"), split, width)
 
     header = first.rstrip(b"\r\n").decode("ascii").split(delimiter)
-    return _Tokens(header, chunks())
+    return _Tokens(header, chunks(), handle.tell)
 
 
-def _parse_columns(columns: list[list[str]], kinds, fields, labels: dict[str, str]):
+def _parse_columns(columns: list[list[str]], kinds, fields, labels: dict[str, int]):
     """Parse one chunk, given the tokens of each mapped column.
 
     Returns the values of each mapped column over the kept rows (None when a
     kept token does not parse) and the mask of rows dropped for a missing
     value. Rows whose every field (``fields(i)``) is blank are neither kept
-    nor dropped. A cluster's rows share its one string in ``labels``.
+    nor dropped. A cluster label is parsed to its index in ``labels``, which
+    numbers each new one as it is met.
     """
     floats = [_floats(col) if kind == "float" else None for col, kind in zip(columns, kinds)]
     missing = np.logical_or.reduce([_missing(col, v) for col, v in zip(columns, floats)])
@@ -545,7 +577,8 @@ def _parse_columns(columns: list[list[str]], kinds, fields, labels: dict[str, st
         if kind == "float":
             column = _floats(col) if v is None else v
         elif kind == "cluster":
-            column = np.array([labels.setdefault(s, s) for s in map(str.strip, col)], object)
+            column = np.fromiter((labels.setdefault(s, len(labels)) for s in map(str.strip, col)),
+                                 np.int64, len(col))
         else:
             column = _binary(col)
         if column is None:
@@ -616,9 +649,14 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     by the sha256 of the file's bytes and of everything else that decides
     them (:func:`_cache_entry`). Such a file is read once more, first, to
     hash it; when the entry is there, it is read in place of the parse, and
-    the table, its warnings and its errors are the same. A file that raises
-    while it is read keeps no entry. An ``XDG_CACHE_HOME`` that cannot be
-    used turns the cache off.
+    the table, its warnings and its errors are the same. A cluster column
+    is kept as its sorted distinct labels and each row's code, so a hit
+    builds the labels and ``cluster_codes`` with one gather each, and does
+    no work per row in Python. A file that raises while it is read keeps no
+    entry. An ``XDG_CACHE_HOME`` that cannot be used turns the cache off.
+    The table remembers the entry it was read from or kept at, and its one
+    fit is kept beside it (:func:`_kept`): a later command on the same bytes
+    reads that fit in place of fitting the table again.
     """
     _check_missing(on_missing)
     _check_delimiter(delimiter)
@@ -640,27 +678,32 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     cols += [str(cluster_name)] if cluster_name else []
     kinds = ["instrument", "treatment", "treatment"] + ["float"] * (1 + len(control_names))
     kinds += ["cluster"] if cluster_name else []
-    columns, dropped = _read_columns(path, delimiter, cols, kinds, on_missing)
+    columns, dropped, labels, entry = _read_columns(path, delimiter, cols, kinds, on_missing)
     if not columns[0].size:
         raise DataError(f"no complete rows in {path}")
     z, d1, d2, y, *rest = columns
     del columns  # so that ``rest`` holds the only reference to each parsed control
-    cluster = rest.pop() if cluster_name else None
-    controls = np.empty((z.shape[0], len(rest))) if rest else None
+    codes = rest.pop() if cluster_name else None
+    controls = np.empty((z.shape[0], len(rest)))
     for j in range(len(rest)):
         # Let go of each parsed column once copied: the controls are held once.
         controls[:, j], rest[j] = rest[j], None
-    return from_arrays(
-        z, d1, d2, y, controls=controls,
-        control_names=tuple(control_names), cluster=cluster,
-        warnings=[f"dropped {dropped} row(s) with missing values"] if dropped else [],
-        copy=False,
-    )
+    table = _build_table(
+        z, d1, d2, y, controls, tuple(control_names),
+        None if codes is None else np.array(labels, object)[codes],
+        [f"dropped {dropped} row(s) with missing values"] if dropped else [],
+        False, lambda: (codes, len(labels)))
+    if entry is not None:
+        table.__dict__["_entry"] = entry
+    return table
 
 
 def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_missing: str):
     """Each column ``cols`` of the file at ``path`` (parsed as ``kinds``)
-    over the kept rows, and the number of rows dropped for a missing value.
+    over the kept rows, the number of rows dropped for a missing value, the
+    sorted distinct labels of a cluster column, whose rows hold each one's
+    code, and the cache entry the columns were read from or kept at (None
+    when neither).
 
     They are read from the cache when it holds them (:func:`_cache_entry`),
     and parsed otherwise (:func:`_parse`), then kept there.
@@ -668,19 +711,18 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
     try:
         source, size = _source(path)
         entry = _cache_entry(path, size, [cols, kinds, delimiter, on_missing])
-        hit = None if entry is None else _cache_read(entry[0], kinds)
+        hit = None if entry is None else _cache_read(entry[0], partial(_receive, kinds))
         if hit is not None:
-            return hit
-        columns, dropped = _parse(source, path, delimiter, cols, kinds, on_missing)
-        if entry is not None:
-            _cache_write(*entry, path, columns, dropped)
-        return columns, dropped
+            return (*hit, entry[0])
+        parsed = _parse(source, size, path, delimiter, cols, kinds, on_missing)
+        kept = entry is not None and _cache_write(*entry, path, *parsed)
+        return (*parsed, entry[0] if kept else None)
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
 
 
-def _parse(source, path, delimiter: str, cols, kinds, on_missing: str):
-    """:func:`_read_columns` of the file that ``source`` opens.
+def _parse(source, size: int | None, path, delimiter: str, cols, kinds, on_missing: str):
+    """:func:`_read_columns` of the file of ``size`` bytes that ``source`` opens.
 
     The file is split as bytes while every piece of it is plain. The first
     piece that is not, or any error, sends the whole file through
@@ -688,23 +730,29 @@ def _parse(source, path, delimiter: str, cols, kinds, on_missing: str):
     """
     try:
         with source() as handle:
-            return _collect(_byte_tokens(handle, delimiter), path, cols, kinds, on_missing)
+            return _collect(_byte_tokens(handle, delimiter), size, path, cols, kinds, on_missing)
     except (_NotPlain, ConfigError, DataError):
         pass
     # Out of the handler, so that the byte path's columns are let go.
     with _csv_text(source()) as text:
-        return _collect(_csv_tokens(text, delimiter), path, cols, kinds, on_missing)
+        return _collect(_csv_tokens(text, delimiter), size, path, cols, kinds, on_missing)
 
 
-def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
-    """:func:`_read_columns` of one tokenizer's records.
+def _collect(tokens: _Tokens, size: int | None, path, cols, kinds, on_missing: str):
+    """:func:`_read_columns` of one tokenizer's records, from a file of
+    ``size`` bytes (None for a pipe).
 
-    Each column is filled, grown (doubling) and cut to size in place, so it
-    is held once. The error, if any, is found in this one pass: under
+    Each column is allocated once, for the rows that ``size`` and the bytes
+    per kept row read so far foretell, and 1/64 more; it grows only when
+    they fall short, by the rows foretold for the bytes left, and is cut to
+    size once, in place, at the end. A pipe's columns grow by doubling from
+    ``_CHUNK_ROWS``. The error, if any, is found in this one pass: under
     ``on_missing="fail"`` a missing value anywhere, else the first bad token
-    of a kept row. The rows of a cluster share one string.
+    of a kept row. The labels of a cluster column are numbered as they are
+    met, then sorted by the cluster label rule (:func:`_label_ranks`), which
+    they always pass, and the rows recoded to their sorted places.
     """
-    header, chunks = tokens
+    header, chunks, position = tokens
     if header is None:
         raise DataError(f"file {path} is empty")
     header = [h.strip() for h in header]
@@ -712,8 +760,8 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
     if absent:
         raise ColumnMissingError(f"column(s) {absent} not found in {path}; header is {header}")
     positions = [header.index(col) for col in cols]
-    columns = [np.empty(_CHUNK_ROWS, _DTYPES[kind]) for kind in kinds]
-    labels: dict[str, str] = {}
+    columns = [np.empty(0, _DTYPES[kind]) for kind in kinds]
+    labels: dict[str, int] = {}
     kept = dropped = 0
     line = 2
     error = None  # under "fail", a bad token stands only if no value is missing
@@ -728,9 +776,17 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
                 raise error
         elif error is None:
             end = kept + chunk[0].size
+            if end > columns[0].size:
+                # The kept rows that the bytes per kept row so far foretell,
+                # and 1/64 more: a column grown again may be copied whole.
+                rows = max(end, 2 * columns[0].size, _CHUNK_ROWS) if size is None else max(
+                    end, -(-end * size * 65 // (64 * position())))
+                if columns[0].size:
+                    for column in columns:
+                        column.resize(rows, refcheck=False)  # in place
+                else:  # the pages of rows foretold but never kept are never touched
+                    columns = [np.empty(rows, column.dtype) for column in columns]
             for column, values in zip(columns, chunk):
-                if end > column.size:
-                    column.resize(max(end, 2 * column.size), refcheck=False)  # in place
                 column[kept:end] = values
             kept = end
         dropped += int(missing.sum())
@@ -740,58 +796,45 @@ def _collect(tokens: _Tokens, path, cols, kinds, on_missing: str):
         raise error
     for column in columns:
         column.resize(kept, refcheck=False)  # in place: the array is not copied
-    return columns, dropped
+    if "cluster" not in kinds:
+        return columns, dropped, []
+    distinct = list(labels)
+    del labels  # its table, before the codes are sorted
+    ranks = _label_ranks(distinct, lambda j: int(np.argmax(columns[-1] == j)), DataError)
+    columns[-1] = ranks[columns[-1]]
+    ordered = np.empty(len(distinct), object)
+    ordered[ranks] = distinct
+    return columns, dropped, ordered.tolist()
 
 
-def _send(columns: list[np.ndarray], dropped: int, out: BinaryIO) -> None:
+def _send(columns: list[np.ndarray], dropped: int, labels: list[str], out: BinaryIO) -> None:
     """Writes parsed columns for :func:`_receive`: one JSON line of their
-    length, ``dropped`` and the distinct labels of a cluster column, then
-    each column's bytes, a cluster column as ``int64`` indices into those
-    labels, coded a block of rows at a time."""
-    distinct = list(dict.fromkeys(columns[-1])) if columns[-1].dtype == object else []
-    out.write(json.dumps([columns[0].size, dropped, distinct]).encode() + b"\n")
-    index = dict(zip(distinct, range(len(distinct))))
+    length, ``dropped`` and the labels of a cluster column, then each
+    column's bytes."""
+    out.write(json.dumps([columns[0].size, dropped, labels]).encode() + b"\n")
     for column in columns:
-        if column.dtype != object:
-            out.write(column.data)
-            continue
-        for first in range(0, column.size, _CHUNK_ROWS):
-            block = column[first:first + _CHUNK_ROWS].tolist()
-            out.write(np.fromiter(map(index.__getitem__, block), np.int64, len(block)).data)
+        out.write(column.data)
 
 
 def _receive(kinds: list[str], back: BinaryIO):
-    """The columns of ``kinds`` and the dropped count that :func:`_send`
-    wrote to the file ``back``, each column allocated once, at the length
-    the JSON line gives, and read into. A cluster's rows share its one
-    string. Raises :class:`_NotPlain` unless what is left of ``back`` is
-    what :func:`_send` writes for such columns."""
-    try:
-        kept, dropped, distinct = json.loads(back.readline())
-    except (ValueError, TypeError):  # not JSON, or not three values
-        raise _NotPlain from None
+    """The columns of ``kinds``, the dropped count and the labels that
+    :func:`_send` wrote to the file ``back``, each column allocated once, at
+    the length the JSON line gives, and read into. Raises ValueError unless
+    what is left of ``back`` is what :func:`_send` writes for such columns."""
+    kept, dropped, labels = json.loads(back.readline())
     if (not all(type(count) is int and count >= 0 for count in (kept, dropped))
-            or not isinstance(distinct, list) or not set(map(type, distinct)) <= {str}):
-        raise _NotPlain
+            or not isinstance(labels, list) or not set(map(type, labels)) <= {str}):
+        raise ValueError("not a cache entry")
     dtypes = [np.dtype(_DTYPES[kind]) for kind in kinds]
-    row_bytes = sum(8 if dtype == object else dtype.itemsize for dtype in dtypes)
-    if os.fstat(back.fileno()).st_size - back.tell() != kept * row_bytes:
-        raise _NotPlain
-    shared = np.array(distinct, object)
+    if os.fstat(back.fileno()).st_size - back.tell() != kept * sum(d.itemsize for d in dtypes):
+        raise ValueError("not a cache entry")
     columns = [np.empty(kept, dtype) for dtype in dtypes]
     for column in columns:
-        if column.dtype != object:
-            if back.readinto(column) != column.nbytes:
-                raise _NotPlain
-            continue
-        codes = np.empty(min(kept, _CHUNK_ROWS), np.int64)
-        for first in range(0, kept, _CHUNK_ROWS):
-            block = codes[:min(_CHUNK_ROWS, kept - first)]
-            if (back.readinto(block) != block.nbytes or block.min() < 0
-                    or block.max() >= shared.size):
-                raise _NotPlain
-            np.take(shared, block, out=column[first:first + block.size])
-    return columns, dropped
+        if back.readinto(column) != column.nbytes:
+            raise ValueError("not a cache entry")
+    if "cluster" in kinds and kept and (columns[-1].min() < 0 or columns[-1].max() >= len(labels)):
+        raise ValueError("not a cache entry")
+    return columns, dropped, labels
 
 
 def _identity(info: os.stat_result) -> tuple[int, ...]:
@@ -851,41 +894,38 @@ def _cache_entry(path, size: int | None, parts: list) -> tuple[str, tuple] | Non
     return os.path.join(directory, hashlib.sha256(json.dumps(key).encode()).hexdigest()), identity
 
 
-def _cache_read(path: str, kinds: list[str]):
-    """:func:`_read_columns`'s value from the entry at ``path``, whose
-    modification time is brought up to now; None when it cannot be read or
-    does not hold columns of ``kinds``."""
+def _cache_read(path: str, read: Callable[[BinaryIO], object]):
+    """``read`` of the file at ``path`` in the cache directory, whose
+    modification time is then brought up to now; None when it cannot be
+    read or ``read`` refuses it (ValueError, TypeError)."""
     try:
-        with open(path, "rb") as entry:
-            hit = _receive(kinds, entry)
-    except (OSError, _NotPlain):
+        with open(path, "rb") as handle:
+            value = read(handle)
+    except (OSError, ValueError, TypeError):
         return None
     with suppress(OSError):
-        os.utime(path)  # the entries least recently used go first
-    return hit
+        os.utime(path)  # the files least recently used go first
+    return value
 
 
-def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray],
-                 dropped: int) -> None:
-    """Keeps parsed columns at ``entry``, unless the file at ``path`` no
-    longer has its ``identity``; written to a temporary file that replaces
-    the entry whole. Then the oldest entries are removed while the directory
-    holds more than ``_CACHE_CAP`` bytes. Nothing is kept if anything fails."""
-    directory = os.path.dirname(entry)
+def _cache_keep(path: str, write: Callable[[BinaryIO], None]) -> bool:
+    """Keeps what ``write(out)`` writes at ``path`` in the cache directory,
+    through a temporary file that replaces it whole, then removes the oldest
+    files while the directory holds more than ``_CACHE_CAP`` bytes. Whether
+    it was kept: nothing is, if anything fails."""
+    directory = os.path.dirname(path)
     temporary = None
     try:
-        if _identity(os.stat(path)) != identity:
-            return
         handle, temporary = tempfile.mkstemp(dir=directory)
         with open(handle, "wb") as out:
-            _send(columns, dropped, out)
-        os.replace(temporary, entry)
+            write(out)
+        os.replace(temporary, path)
         temporary = None
         with os.scandir(directory) as listing:
             kept = sorted((info.st_mtime_ns, info.st_size, item.path) for item in listing
                           for info in [item.stat(follow_symlinks=False)])
     except OSError:
-        return
+        return False
     finally:
         if temporary is not None:
             with suppress(OSError):
@@ -897,6 +937,76 @@ def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray],
         with suppress(OSError):
             os.unlink(name)
         total -= size
+    return True
+
+
+def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray], dropped: int,
+                 labels: list[str]) -> bool:
+    """Keeps parsed columns at ``entry`` (:func:`_cache_keep`), unless the
+    file at ``path`` no longer has its ``identity``; whether they were kept."""
+    try:
+        if _identity(os.stat(path)) != identity:
+            return False
+    except OSError:
+        return False
+    return _cache_keep(entry, partial(_send, columns, dropped, labels))
+
+
+def _kept(table: ObservationTable, sources: tuple[str, ...], compute: Callable[[], object],
+          encode: Callable[[object], tuple[list, list[np.ndarray]]],
+          decode: Callable[[list, list[np.ndarray]], object]):
+    """``compute()`` of a table that :func:`load_table` read from its cache
+    entry or kept there, kept in a file beside that entry; other tables
+    compute.
+
+    The file is named by its stamp: the entry's name and the sha256 of each
+    file of ``sources``, the code that computes the value. It holds one JSON
+    line, of the stamp, the header and the shape of each array that
+    ``encode(value)`` gives, then the bytes of those ``float64`` arrays;
+    ``decode(header, arrays)`` gives the value back, and raises ValueError
+    for a header it does not take. A file that cannot be read, is cut short,
+    has another stamp or is not such a line and bytes is computed again and
+    replaced; a ``compute`` that raises keeps nothing.
+    """
+    entry = table.__dict__.get("_entry")
+    if entry is None:
+        return compute()
+    stamp = [os.path.basename(entry)]
+    try:
+        for source in sources:
+            with open(source, "rb") as code:
+                stamp.append(hashlib.sha256(code.read()).hexdigest())
+    except OSError:
+        return compute()
+    path = os.path.join(os.path.dirname(entry),
+                        hashlib.sha256(json.dumps(stamp).encode()).hexdigest())
+
+    def read(handle: BinaryIO):
+        written, header, shapes = json.loads(handle.readline())
+        if (written != stamp or not all(isinstance(shape, list) and all(
+                type(size) is int and size >= 0 for size in shape) for shape in shapes)
+                or os.fstat(handle.fileno()).st_size - handle.tell()
+                != 8 * sum(map(math.prod, shapes))):
+            raise ValueError("not a kept value")
+        arrays = [np.empty(shape) for shape in shapes]
+        for array in arrays:
+            if handle.readinto(array) != array.nbytes:
+                raise ValueError("not a kept value")
+        return decode(header, arrays)
+
+    value = _cache_read(path, read)
+    if value is None:
+        value = compute()
+        header, arrays = encode(value)
+
+        def write(out: BinaryIO) -> None:
+            shapes = [array.shape for array in arrays]
+            out.write(json.dumps([stamp, header, shapes]).encode() + b"\n")
+            for array in arrays:
+                out.write(np.ascontiguousarray(array, float).data)
+
+        _cache_keep(path, write)
+    return value
 
 
 def _two_cores(rows: int) -> bool:

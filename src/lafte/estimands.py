@@ -33,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable
+from . import regression
+from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable, _kept
 from .exceptions import RelevanceError
 from .regression import (RELEVANCE_TOLERANCE, FitResult, Responses, _constant_zeros,
                          instrument_design, ols, tidy_vcov)
@@ -103,15 +104,44 @@ class ComplierShares:
     warnings: tuple[str, ...] = ()
 
 
+def _fit_fields(fit: FitResult) -> tuple[list, list[np.ndarray]]:
+    """Every field of ``fit``: the plain values, and the arrays."""
+    return ([fit.n, fit.k, fit.dof, fit.covariance_kind, fit.cluster_count, list(fit.names),
+             fit.response_constant],
+            [fit.coefficients, fit.vcov, fit.response_min, fit.response_max])
+
+
+def _fit_of_fields(header: list, arrays: list[np.ndarray]) -> FitResult:
+    """The fit whose :func:`_fit_fields` are ``header`` and ``arrays``;
+    ValueError if they are not such fields."""
+    n, k, dof, kind, count, names, constant = header
+    coefficients, vcov, lo, hi = arrays
+    if not (all(type(v) is int for v in (n, k, dof)) and kind in ("hc1", "cluster")
+            and (count is None or type(count) is int) and type(constant) is bool
+            and isinstance(names, list) and all(type(name) is str for name in names)
+            and coefficients.shape == (k,) and vcov.shape == (k, k)
+            and lo.shape == hi.shape == (len(RESPONSES),)):
+        raise ValueError("not a table's fit")
+    return FitResult(coefficients, vcov, n, k, dof, kind, count, tuple(names), constant, lo, hi)
+
+
 def _table_fit(table: ObservationTable) -> FitResult:
     """The table's one fit, of all 13 columns on ``W``; each block of rows
-    builds its columns when the fit reads it, so no ``n x 13`` array is held."""
+    builds its columns when the fit reads it, so no ``n x 13`` array is held.
+
+    A table that ``load_table`` read from its cache entry, or kept there,
+    keeps this fit on disk beside the entry (``data._kept``), named by the
+    entry and the source of this module and of ``regression``: a later load
+    of the same bytes reads every field of the fit, bit for bit, in place of
+    fitting the table again. A fit that raises keeps nothing.
+    """
     def fit():
         w, names = instrument_design(table.z, table.controls, table.control_names)
         columns = Responses((table.n, len(RESPONSES)), lambda rows: DerivedColumns.of(
             table.d1[rows], table.d2[rows], table.y[rows]).values)
         return ols(columns, w, table.cluster_codes, names=names)
-    return table.cached("fit", fit)
+    return table.cached("fit", lambda: _kept(table, (regression.__file__, __file__), fit,
+                                             _fit_fields, _fit_of_fields))
 
 
 def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]]) -> FitResult:

@@ -33,10 +33,10 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 import numpy as np
-import yaml
 
 from .data import _CHUNK_ROWS, RESPONSES, DerivedColumns, ObservationTable, from_arrays
 from .estimands import BINARY_DEFS, TreatmentDef
@@ -617,26 +617,34 @@ class _YamlFloat(float):
         return self.text
 
 
-class _Loader(yaml.SafeLoader):
+@cache
+def _loader() -> type:
     """PyYAML's safe loader, whose YAML 1.1 floats need a dot, plus the YAML
     1.2 floats with an exponent and no dot or an unsigned one: ``1e3``,
-    ``-1e3``, ``1e-2``, ``2.5e3``."""
+    ``-1e3``, ``1e-2``, ``2.5e3``. Built on first use: PyYAML is imported
+    only when a YAML file is read or written."""
+    import yaml
 
+    class Loader(yaml.SafeLoader):
+        pass
 
-_Loader.add_constructor("tag:yaml.org,2002:float", lambda loader, node: _YamlFloat(
-    loader.construct_yaml_float(node), node.value))
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
+    Loader.add_constructor("tag:yaml.org,2002:float", lambda loader, node: _YamlFloat(
+        loader.construct_yaml_float(node), node.value))
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return Loader
 
 
 def read_yaml(path, error: type[Exception], what: str):
-    """The document of the YAML file ``path``, read by :class:`_Loader`. A file that
+    """The document of the YAML file ``path``, read by :func:`_loader`. A file that
     cannot be opened, decoded as UTF-8 or parsed raises ``error`` naming ``what``."""
+    import yaml
+
     try:
         with open(path, encoding="utf-8") as handle:
-            return yaml.load(handle, Loader=_Loader)
+            return yaml.load(handle, Loader=_loader())
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"unreadable {what} file {path}: {exc}") from None
     except yaml.YAMLError as exc:
@@ -645,6 +653,8 @@ def read_yaml(path, error: type[Exception], what: str):
 
 def save_spec(spec: PopulationSpec, path) -> None:
     """Write a spec as human-editable YAML; round-trips losslessly."""
+    import yaml
+
     with open(path, "w", encoding="utf-8") as handle:
         yaml.safe_dump(spec_to_dict(spec), handle, sort_keys=False)
 

@@ -1,6 +1,7 @@
-"""The on-disk cache of load_table's parsed columns: a hit builds the table a
-parse builds, and an entry that is damaged, stale or cannot be kept is never
-read in place of the parse."""
+"""The on-disk cache of load_table's parsed columns and of the table's one
+fit: a hit builds the table a parse builds and reads the fit a fit computes,
+and an entry that is damaged, stale or cannot be kept is never read in place
+of the parse or the fit."""
 
 import csv
 import dataclasses
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lafte import ConfigError, DataError, ObservationTable, cli, data, load_table
+from lafte import (ConfigError, DataError, EstimationError, ObservationTable, RankDeficientError,
+                   RelevanceError, TreatmentDef, cli, data, estimands, iv_estimand, load_table)
 
 from test_data import (
     _HH,
@@ -326,7 +328,8 @@ def test_a_file_changed_during_the_parse_keeps_no_entry(tmp_path, cache, change)
         return columns
 
     with mock.patch.object(data, "_parse", changing):
-        load_table(path, _HOUSEHOLDS)
+        table = load_table(path, _HOUSEHOLDS)
+    estimands._table_fit(table)  # nor a fit kept under the name of bytes it was not read from
     assert _entries(cache) == []
     load_table(path, _HOUSEHOLDS)
     assert len(_entries(cache)) == 1
@@ -389,17 +392,17 @@ def test_a_pipe_and_a_small_file_keep_no_entry(tmp_path, monkeypatch):
     _assert_identical_tables(piped, table)
 
 
-def test_a_miss_codes_the_labels_a_block_at_a_time(tmp_path):
-    # Writing the codes of 200000 labels holds a block of them, not an
-    # int64 array (1.6 MB) or a list (1.6 MB) as long as the column.
+def test_a_miss_writes_its_columns_as_they_are(tmp_path):
+    # The entry of 200000 clustered rows holds each column's own bytes, the
+    # labels' codes among them: writing it copies no column (1.6 MB).
     n = 200_000
-    column = np.array([f"hh{i:04d}" for i in range(1000)], object).repeat(n // 1000)
-    columns = [np.zeros(n, np.uint8), np.zeros(n), column]
+    labels = [f"hh{i:04d}" for i in range(1000)]
+    columns = [np.zeros(n, np.uint8), np.zeros(n), np.arange(1000).repeat(n // 1000)]
     with open(tmp_path / "entry", "wb") as out:
-        data._send(columns, 0, out)  # allocations made once are not counted
+        data._send(columns, 0, labels, out)  # allocations made once are not counted
         tracemalloc.start()
         try:
-            data._send(columns, 0, out)
+            data._send(columns, 0, labels, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -415,8 +418,165 @@ def test_the_cli_commands_share_one_entry(tmp_path, cache, capsys):
     for command in ("estimate", "bounds", "bounds"):
         assert cli.main([command, *args]) == 0
         documents.append(capsys.readouterr().out)
-        assert len(_entries(cache)) == 1
+        # The columns, and the table's one fit beside them.
+        assert len(_entries(cache)) == 2
     assert documents[1] == documents[2]
     with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": "relative"}):
         assert cli.main(["bounds", *args]) == 0
     assert capsys.readouterr().out == documents[1]
+
+
+def _shuffled_households(path, n=2000, seed=9):
+    """A clustered table whose labels are met out of their sorted order."""
+    rng = np.random.default_rng(seed)
+    groups = rng.permutation(n // 4).repeat(4)
+    lines = ["z,d1,d2,y,x1,x2,hh"] + [
+        f"{a},{b},{c},{v!r},{w!r},{x!r},h{g}" for a, b, c, v, w, x, g in zip(
+            *(rng.integers(0, 2, n).tolist() for _ in range(3)),
+            *(rng.standard_normal(n).tolist() for _ in range(3)), groups.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _fit_files(cache, path, mapping):
+    """The cache's files other than the columns entry of ``path``."""
+    entry = os.path.basename(load_table(path, mapping).__dict__["_entry"])
+    return [name for name in _entries(cache) if name != entry]
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a kept fit was fit again")
+
+
+def test_hit_codes_are_the_label_codes(tmp_path, cache):
+    path = tmp_path / "hh.csv"
+    _shuffled_households(path)
+    parsed = _parsed(path, _HOUSEHOLDS)
+    for table in (load_table(path, _HOUSEHOLDS), load_table(path, _HOUSEHOLDS)):  # miss, hit
+        codes, count = data._label_codes(table.cluster, DataError)
+        assert table.cluster_codes.tobytes() == codes.tobytes() == parsed.cluster_codes.tobytes()
+        assert table.cluster_count == count == parsed.cluster_count
+        met = list(dict.fromkeys(table.cluster))
+        assert met != sorted(met)  # the labels are met out of their sorted order
+
+
+@pytest.mark.parametrize("mapping", [_HOUSEHOLDS, None], ids=["clustered", "unclustered"])
+def test_a_kept_fit_is_the_fit_bit_for_bit(tmp_path, cache, mapping):
+    path = tmp_path / "hh.csv"
+    _shuffled_households(path)
+    fresh = estimands._table_fit(_parsed(path, mapping))
+    estimands._table_fit(load_table(path, mapping))  # a miss keeps the fit
+    (fit_file,) = _fit_files(cache, path, mapping)
+    os.utime(cache / fit_file, ns=(0, 0))
+    with mock.patch.object(estimands, "ols", _no_fit):
+        kept = estimands._table_fit(load_table(path, mapping))
+    assert os.stat(cache / fit_file).st_mtime_ns > 0  # a hit is a use
+    for field in dataclasses.fields(fresh):
+        a, b = getattr(kept, field.name), getattr(fresh, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+    assert (fresh.covariance_kind, fresh.cluster_count) == (
+        ("cluster", 500) if mapping else ("hc1", None))
+
+
+def _damage_fit(entry, how):
+    raw = entry.read_bytes()
+    line, rest = raw.split(b"\n", 1)
+    stamp, header, shapes = json.loads(line)
+    if how == "truncated":
+        entry.write_bytes(raw[:-1])
+    elif how == "foreign stamp":  # as another version of regression.py keeps it
+        stamp[1] = "0" * 64
+        entry.write_bytes(json.dumps([stamp, header, shapes]).encode() + b"\n" + rest)
+    else:
+        entry.write_bytes(b"not JSON\n" + rest)
+
+
+_COMMANDS = [[command, "--format", form] for command in ("estimate", "diagnose", "bounds")
+             for form in ("text", "structured")]
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=" ".join)
+def test_the_commands_do_not_depend_on_the_kept_fit(tmp_path, cache, capsys, command):
+    path = tmp_path / "hh.csv"
+    _shuffled_households(path)
+    argv = [*command, "--data", str(path), "--cluster", "hh", "--controls", "x1,x2"]
+
+    def run():
+        assert cli.main(argv) == 0
+        return capsys.readouterr()
+
+    with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": "relative"}):
+        off = run()
+    assert run() == off  # a miss: the columns are parsed, the table fit
+    (fit_file,) = _fit_files(cache, path, _HOUSEHOLDS)
+    kept = (cache / fit_file).read_bytes()
+    with mock.patch.object(estimands, "ols", _no_fit):
+        assert run() == off
+    for how in ("truncated", "foreign stamp", "not JSON"):
+        _damage_fit(cache / fit_file, how)
+        assert run() == off
+        assert (cache / fit_file).read_bytes() == kept  # the fit was kept again
+
+
+def test_a_fit_that_raises_keeps_nothing(tmp_path, cache):
+    # The same control twice is collinear: the fit raises on a miss, keeps
+    # nothing, and raises the same again on a hit of the columns.
+    path = tmp_path / "hh.csv"
+    _shuffled_households(path)
+    mapping = {**_HOUSEHOLDS, "controls": ["x1", "x1"]}
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RankDeficientError) as raised:
+            estimands._table_fit(load_table(path, mapping))
+        errors.append(str(raised.value))
+        assert len(_entries(cache)) == 1  # the columns only
+    assert errors[0] == errors[1]
+    # Outcomes that overflow the fit: an EstimationError, and nothing kept.
+    text = path.read_text().splitlines()
+    huge = [",".join(row.split(",")[:3] + [("1e308", "-1e308")[i % 2]] + row.split(",")[4:])
+            for i, row in enumerate(text[1:])]
+    path.write_text("\n".join(text[:1] + huge) + "\n")
+    with pytest.raises(EstimationError, match="not finite"):
+        estimands._table_fit(load_table(path, _HOUSEHOLDS))
+    assert len(_entries(cache)) == 2  # the two files' columns
+
+
+def test_a_relevance_failure_reads_the_same_from_a_kept_fit(tmp_path, cache):
+    # A relevance failure is raised by the reading of a fit that did not
+    # raise: the fit is kept, and a hit raises the same error from it.
+    path = tmp_path / "hh.csv"
+    _shuffled_households(path)
+    text = path.read_text().splitlines()
+    path.write_text("\n".join(text[:1] + [row[:2] + "0" + row[3:] for row in text[1:]]) + "\n")
+    errors = []
+    for load in (lambda: _parsed(path, _HOUSEHOLDS), lambda: load_table(path, _HOUSEHOLDS),
+                 lambda: load_table(path, _HOUSEHOLDS)):
+        with pytest.raises(RelevanceError) as raised:
+            iv_estimand(load(), TreatmentDef.FIRST)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1] == errors[2]
+    assert len(_fit_files(cache, path, _HOUSEHOLDS)) == 1
+
+
+def test_a_replaced_table_fits_again(tmp_path, cache):
+    path = tmp_path / "hh.csv"
+    _shuffled_households(path)
+    estimands._table_fit(load_table(path, _HOUSEHOLDS))
+    fits = []
+    real = estimands.ols
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(estimands, "ols", counted):
+        estimands._table_fit(load_table(path, _HOUSEHOLDS))
+        assert fits == []
+        loaded = load_table(path, _HOUSEHOLDS)
+        estimands._table_fit(dataclasses.replace(loaded))
+        estimands._table_fit(data.from_arrays(loaded.z, loaded.d1, loaded.d2, loaded.y,
+                                              controls=loaded.controls, cluster=loaded.cluster))
+    assert fits == [1, 1]

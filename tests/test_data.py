@@ -980,14 +980,14 @@ def test_load_lets_go_of_the_file_before_building_the_table(tmp_path, monkeypatc
     save_table(from_arrays(z, (rng.random(n) < 0.3 + 0.4 * z).astype(int),
                            (rng.random(n) < 0.5).astype(int), rng.standard_normal(n)), path)
     seen = {}
-    real = data.from_arrays
+    real = data._build_table
 
-    def spy(z, d1, d2, y, **kwargs):
+    def spy(z, d1, d2, y, *args):
         seen["held"] = tracemalloc.get_traced_memory()[0]
         seen["dtypes"] = (z.dtype, d1.dtype, d2.dtype)
-        return real(z, d1, d2, y, **kwargs)
+        return real(z, d1, d2, y, *args)
 
-    monkeypatch.setattr(data, "from_arrays", spy)
+    monkeypatch.setattr(data, "_build_table", spy)
     load_table(path)  # allocations made once per process are not counted
     tracemalloc.start()
     try:
@@ -1004,6 +1004,29 @@ def test_load_lets_go_of_the_file_before_building_the_table(tmp_path, monkeypatc
     # half the file (the file and its line offsets alone would be 7 MB).
     columns = sum(getattr(table, name).nbytes for name in ("z", "d1", "d2", "y", "controls"))
     assert peak - columns < path.stat().st_size / 2
+
+
+def test_a_parse_allocates_each_column_once(tmp_path, monkeypatch):
+    # Just past 2**17 rows, columns grown by doubling from _CHUNK_ROWS would
+    # reach 2**18 rows; sized from the file, they are allocated once.
+    n = 2**17 + 2**12
+    rng = np.random.default_rng(79)
+    path = tmp_path / "draw.csv"
+    save_table(from_arrays(rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
+                           rng.standard_normal(n)), path)
+    monkeypatch.setattr(data, "_SCAN_BYTES", 1 << 12)  # pieces of few tokens
+    source, size = data._source(path)
+    args = (source, size, path, ",", ["z", "d1", "d2", "y"],
+            ["instrument", "treatment", "treatment", "float"], "drop")
+    data._parse(*args)  # allocations made once per process are not counted
+    tracemalloc.start()
+    try:
+        columns = data._parse(*args)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns[0].size == n
+    assert peak - sum(column.nbytes for column in columns) < n * 11 / 4
 
 
 def test_load_holds_the_parsed_controls_once(tmp_path):

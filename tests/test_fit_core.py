@@ -202,6 +202,13 @@ def test_cli_import_leaves_scipy_out():
     assert done.returncode == 0
 
 
+def test_cli_import_leaves_yaml_out():
+    # PyYAML is imported by the commands that read or write a YAML file only.
+    code = "import sys, lafte.cli; sys.exit('yaml' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # many responses on one design
 
