@@ -57,8 +57,8 @@ there, and every slope read off it, so that the table is fit once. The
 columns themselves are never held whole: the fit builds them a block of
 rows at a time, with :meth:`DerivedColumns.of`, as it reads them. A table
 that :func:`load_table` read from the on-disk cache, or kept there, also
-remembers that entry, and its one fit is kept on disk beside it
-(:func:`_kept`), so that a later load of the same bytes is not fit again.
+remembers that entry, and ``estimands`` keeps its one fit on disk beside
+it, so that a later load of the same bytes is not fit again.
 A table made by :func:`from_arrays` or ``dataclasses.replace`` starts with
 an empty cache and no entry. Tables are safe to share across threads: two
 threads may compute the same cache entry at once, and both see equal
@@ -72,7 +72,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import shutil
 import stat
@@ -102,8 +101,8 @@ _BINARY = {"0", "1"}
 # a cluster column is parsed to codes, and the table stores its labels too.
 _DTYPES = {"instrument": np.uint8, "treatment": np.uint8, "float": float, "cluster": np.int64}
 
-# Rows load_table takes from csv.reader at a time, and the size its columns
-# start at; rows written at a time by save_table and drawn by strata.sample.
+# Rows load_table takes from csv.reader at a time; rows written at a time by
+# save_table and drawn by strata.sample.
 # A parsed block holds a Python string per field, about 60 bytes each.
 _CHUNK_ROWS = 1 << 14
 
@@ -281,32 +280,21 @@ def _label_missing(label) -> bool:
     return label is None or label != label or str(label).strip() == ""  # NaN: unequal to itself
 
 
-def _label_ranks(distinct: list, first_row: Callable[[int], int],
-                 error: type[Exception]) -> np.ndarray:
-    """The cluster label rule, on the distinct labels of a column in order of
-    first appearance: the place of each in sorted order. A None, NaN or blank
-    label is missing: ``error`` names its first row, ``first_row(j)`` for the
-    ``j``-th distinct label (the first missing row holds the first missing
-    distinct label). Labels that do not order raise ``error`` too."""
-    missing = next((j for j, label in enumerate(distinct) if _label_missing(label)), None)
-    if missing is not None:
-        raise error(f"missing cluster label at row {first_row(missing)}")
-    try:
-        order = sorted(range(len(distinct)), key=distinct.__getitem__)
-    except TypeError:
-        kinds = sorted({type(label).__name__ for label in distinct})
-        raise error(f"cluster labels of types {', '.join(kinds)} cannot be ordered") from None
+def _ranks(distinct: list) -> np.ndarray:
+    """The place of each of the ``distinct`` labels in their sorted order;
+    TypeError if they do not order."""
     ranks = np.empty(len(distinct), np.int64)
-    ranks[order] = np.arange(len(distinct))
+    ranks[sorted(range(len(distinct)), key=distinct.__getitem__)] = np.arange(len(distinct))
     return ranks
 
 
 def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
     """The cluster label rule of :func:`from_arrays` and of ``regression.ols``:
     each row's code 0..G-1 in sorted-label order, and G, sorting only the
-    distinct labels (:func:`_label_ranks`). Dense integer codes (an integer
-    array using each of 0..G-1) pass through. Labels that are not one per row,
-    or that are not hashable, raise ``error`` too.
+    distinct labels (:func:`_ranks`). Dense integer codes (an integer array
+    using each of 0..G-1) pass through. A None, NaN or blank label is
+    missing: ``error`` names its first row. Labels that are not one per row,
+    not hashable or do not order raise ``error`` too.
     """
     if not isinstance(labels, np.ndarray):
         labels = np.array(labels, dtype=object)
@@ -321,8 +309,14 @@ def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
         kinds = sorted({type(label).__name__ for label in labels})
         raise error(f"cluster labels must be hashable, such as strings or numbers; "
                     f"got {', '.join(kinds)}") from None
-    ranks = _label_ranks(distinct, lambda j: next(
-        i for i, label in enumerate(labels) if _label_missing(label)), error)
+    if any(map(_label_missing, distinct)):
+        row = next(i for i, label in enumerate(labels) if _label_missing(label))
+        raise error(f"missing cluster label at row {row}")
+    try:
+        ranks = _ranks(distinct)
+    except TypeError:
+        kinds = sorted({type(label).__name__ for label in distinct})
+        raise error(f"cluster labels of types {', '.join(kinds)} cannot be ordered") from None
     index = dict(zip(distinct, ranks.tolist()))
     return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), len(distinct)
 
@@ -356,22 +350,23 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
     if shapes:
         raise DataError("; ".join(shapes))
     cluster = None if cluster is None else take(cluster, dtype=object)
-    return _build_table(z, d1, d2, y, controls, tuple(control_names), cluster, warnings, copy,
-                        lambda: _label_codes(cluster, DataError))
-
-
-def _build_table(z, d1, d2, y, controls, control_names, cluster, warnings, copy,
-                 coded: Callable[[], tuple[np.ndarray, int]]) -> ObservationTable:
-    """:func:`from_arrays` of columns of one value per row, ``y`` and the
-    controls already ``float64``, the cluster labels objects; ``coded()``
-    gives their codes and number, or raises :class:`DataError`."""
-    errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster)
     codes = count = None
+    coding = []
     if cluster is not None and (cluster.ndim != 1 or cluster.shape[0] == z.shape[0]):
         try:
-            codes, count = coded()
+            codes, count = _label_codes(cluster, DataError)
         except DataError as exc:
-            errors.append(str(exc))
+            coding.append(str(exc))
+    return _build_table(z, d1, d2, y, controls, tuple(control_names), cluster, codes, count,
+                        warnings, copy, coding)
+
+
+def _build_table(z, d1, d2, y, controls, control_names, cluster, codes, count, warnings,
+                 copy, coding=()) -> ObservationTable:
+    """:func:`from_arrays` of columns of one value per row, ``y`` and the
+    controls already ``float64``, the cluster labels objects with their
+    ``codes`` and ``count``, or ``coding``, the error that coding them raised."""
+    errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster) + list(coding)
     if errors:
         raise DataError("; ".join(errors))
 
@@ -453,15 +448,16 @@ class _NotPlain(Exception):
     """A piece of the file that the byte tokenizer does not take."""
 
 
-def _source(path) -> tuple[Callable[[], BinaryIO], int | None]:
+def _source(path) -> tuple[Callable[[], BinaryIO], int, bool]:
     """A function that opens the file at ``path`` as bytes, from its start,
-    each time it is called, and the file's size. A pipe can be read only
-    once, so it is held; its size is None."""
+    each time it is called, the file's size, and whether the file at
+    ``path`` can be read again. A pipe can be read only once, so it is held,
+    and cannot."""
     with open(path, "rb") as handle:
         if handle.seekable():
-            return (lambda: open(path, "rb")), os.fstat(handle.fileno()).st_size
+            return (lambda: open(path, "rb")), os.fstat(handle.fileno()).st_size, True
         raw = handle.read()
-    return (lambda: io.BytesIO(raw)), None
+    return (lambda: io.BytesIO(raw)), len(raw), False
 
 
 def _csv_text(handle: BinaryIO) -> io.TextIOWrapper:
@@ -633,7 +629,7 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     Records are what ``csv.reader`` makes of the file, and the grammar above
     applies to its tokens. The file is streamed in line-aligned pieces, by
     this one process, and never held whole (a pipe, which can be read only
-    once, is held). A plain file is parsed in one reading, split as bytes,
+    once, is held, and never cached). A plain file is parsed in one reading, split as bytes,
     which gives the same tokens faster. Any other file is read again by
     ``csv.reader``, from its first byte: one that, after its BOM, has a
     non-ASCII byte, a quote, a NUL, a carriage return outside a CRLF, an
@@ -654,9 +650,9 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     builds the labels and ``cluster_codes`` with one gather each, and does
     no work per row in Python. A file that raises while it is read keeps no
     entry. An ``XDG_CACHE_HOME`` that cannot be used turns the cache off.
-    The table remembers the entry it was read from or kept at, and its one
-    fit is kept beside it (:func:`_kept`): a later command on the same bytes
-    reads that fit in place of fitting the table again.
+    The table remembers the entry it was read from or kept at, and
+    ``estimands`` keeps its one fit beside it: a later command on the same
+    bytes reads that fit in place of fitting the table again.
     """
     _check_missing(on_missing)
     _check_delimiter(delimiter)
@@ -691,8 +687,8 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     table = _build_table(
         z, d1, d2, y, controls, tuple(control_names),
         None if codes is None else np.array(labels, object)[codes],
-        [f"dropped {dropped} row(s) with missing values"] if dropped else [],
-        False, lambda: (codes, len(labels)))
+        codes, None if codes is None else len(labels),
+        [f"dropped {dropped} row(s) with missing values"] if dropped else [], False)
     if entry is not None:
         table.__dict__["_entry"] = entry
     return table
@@ -709,8 +705,8 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
     and parsed otherwise (:func:`_parse`), then kept there.
     """
     try:
-        source, size = _source(path)
-        entry = _cache_entry(path, size, [cols, kinds, delimiter, on_missing])
+        source, size, again = _source(path)
+        entry = _cache_entry(path, size, [cols, kinds, delimiter, on_missing]) if again else None
         hit = None if entry is None else _cache_read(entry[0], partial(_receive, kinds))
         if hit is not None:
             return (*hit, entry[0])
@@ -721,7 +717,7 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
         raise DataError(f"unreadable file {path}: {exc}") from None
 
 
-def _parse(source, size: int | None, path, delimiter: str, cols, kinds, on_missing: str):
+def _parse(source, size: int, path, delimiter: str, cols, kinds, on_missing: str):
     """:func:`_read_columns` of the file of ``size`` bytes that ``source`` opens.
 
     The file is split as bytes while every piece of it is plain. The first
@@ -738,19 +734,19 @@ def _parse(source, size: int | None, path, delimiter: str, cols, kinds, on_missi
         return _collect(_csv_tokens(text, delimiter), size, path, cols, kinds, on_missing)
 
 
-def _collect(tokens: _Tokens, size: int | None, path, cols, kinds, on_missing: str):
+def _collect(tokens: _Tokens, size: int, path, cols, kinds, on_missing: str):
     """:func:`_read_columns` of one tokenizer's records, from a file of
-    ``size`` bytes (None for a pipe).
+    ``size`` bytes.
 
     Each column is allocated once, for the rows that ``size`` and the bytes
     per kept row read so far foretell, and 1/64 more; it grows only when
     they fall short, by the rows foretold for the bytes left, and is cut to
-    size once, in place, at the end. A pipe's columns grow by doubling from
-    ``_CHUNK_ROWS``. The error, if any, is found in this one pass: under
-    ``on_missing="fail"`` a missing value anywhere, else the first bad token
-    of a kept row. The labels of a cluster column are numbered as they are
-    met, then sorted by the cluster label rule (:func:`_label_ranks`), which
-    they always pass, and the rows recoded to their sorted places.
+    size once, in place, at the end. The error, if any, is found in this one
+    pass: under ``on_missing="fail"`` a missing value anywhere, else the
+    first bad token of a kept row. The labels of a cluster column are
+    numbered as they are met, then sorted (a parsed label is a stripped,
+    non-blank string, so it is never missing and always orders), and the
+    rows recoded to their sorted places.
     """
     header, chunks, position = tokens
     if header is None:
@@ -779,8 +775,7 @@ def _collect(tokens: _Tokens, size: int | None, path, cols, kinds, on_missing: s
             if end > columns[0].size:
                 # The kept rows that the bytes per kept row so far foretell,
                 # and 1/64 more: a column grown again may be copied whole.
-                rows = max(end, 2 * columns[0].size, _CHUNK_ROWS) if size is None else max(
-                    end, -(-end * size * 65 // (64 * position())))
+                rows = max(end, -(-end * size * 65 // (64 * position())))
                 if columns[0].size:
                     for column in columns:
                         column.resize(rows, refcheck=False)  # in place
@@ -800,7 +795,7 @@ def _collect(tokens: _Tokens, size: int | None, path, cols, kinds, on_missing: s
         return columns, dropped, []
     distinct = list(labels)
     del labels  # its table, before the codes are sorted
-    ranks = _label_ranks(distinct, lambda j: int(np.argmax(columns[-1] == j)), DataError)
+    ranks = _ranks(distinct)
     columns[-1] = ranks[columns[-1]]
     ordered = np.empty(len(distinct), object)
     ordered[ranks] = distinct
@@ -863,18 +858,18 @@ def _cache_dir() -> str | None:
     return directory
 
 
-def _cache_entry(path, size: int | None, parts: list) -> tuple[str, tuple] | None:
+def _cache_entry(path, size: int, parts: list) -> tuple[str, tuple] | None:
     """Where the columns that ``parts`` (the mapped columns, their kinds, the
-    delimiter and the missing policy) read from the file at ``path`` are
-    kept, and the file's :func:`_identity` before it was hashed; None when a
-    file of ``size`` is not cached: a pipe, a file under ``_CACHE_BYTES``,
-    or no usable cache directory (:func:`_cache_dir`).
+    delimiter and the missing policy) read from the file at ``path``, which
+    can be read again, are kept, and the file's :func:`_identity` before it
+    was hashed; None when a file of ``size`` is not cached: a file under
+    ``_CACHE_BYTES``, or no usable cache directory (:func:`_cache_dir`).
 
     The entry is named by the sha256 of the file's bytes, ``parts``, the
     source of this module, the numpy and Python versions and
     ``csv.field_size_limit()``: anything that could change the columns.
     """
-    if size is None or size < _CACHE_BYTES:
+    if size < _CACHE_BYTES:
         return None
     directory = _cache_dir()
     if directory is None:
@@ -950,63 +945,6 @@ def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray], d
     except OSError:
         return False
     return _cache_keep(entry, partial(_send, columns, dropped, labels))
-
-
-def _kept(table: ObservationTable, sources: tuple[str, ...], compute: Callable[[], object],
-          encode: Callable[[object], tuple[list, list[np.ndarray]]],
-          decode: Callable[[list, list[np.ndarray]], object]):
-    """``compute()`` of a table that :func:`load_table` read from its cache
-    entry or kept there, kept in a file beside that entry; other tables
-    compute.
-
-    The file is named by its stamp: the entry's name and the sha256 of each
-    file of ``sources``, the code that computes the value. It holds one JSON
-    line, of the stamp, the header and the shape of each array that
-    ``encode(value)`` gives, then the bytes of those ``float64`` arrays;
-    ``decode(header, arrays)`` gives the value back, and raises ValueError
-    for a header it does not take. A file that cannot be read, is cut short,
-    has another stamp or is not such a line and bytes is computed again and
-    replaced; a ``compute`` that raises keeps nothing.
-    """
-    entry = table.__dict__.get("_entry")
-    if entry is None:
-        return compute()
-    stamp = [os.path.basename(entry)]
-    try:
-        for source in sources:
-            with open(source, "rb") as code:
-                stamp.append(hashlib.sha256(code.read()).hexdigest())
-    except OSError:
-        return compute()
-    path = os.path.join(os.path.dirname(entry),
-                        hashlib.sha256(json.dumps(stamp).encode()).hexdigest())
-
-    def read(handle: BinaryIO):
-        written, header, shapes = json.loads(handle.readline())
-        if (written != stamp or not all(isinstance(shape, list) and all(
-                type(size) is int and size >= 0 for size in shape) for shape in shapes)
-                or os.fstat(handle.fileno()).st_size - handle.tell()
-                != 8 * sum(map(math.prod, shapes))):
-            raise ValueError("not a kept value")
-        arrays = [np.empty(shape) for shape in shapes]
-        for array in arrays:
-            if handle.readinto(array) != array.nbytes:
-                raise ValueError("not a kept value")
-        return decode(header, arrays)
-
-    value = _cache_read(path, read)
-    if value is None:
-        value = compute()
-        header, arrays = encode(value)
-
-        def write(out: BinaryIO) -> None:
-            shapes = [array.shape for array in arrays]
-            out.write(json.dumps([stamp, header, shapes]).encode() + b"\n")
-            for array in arrays:
-                out.write(np.ascontiguousarray(array, float).data)
-
-        _cache_keep(path, write)
-    return value
 
 
 def _two_cores(rows: int) -> bool:

@@ -27,20 +27,28 @@ that fit as a linear map.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import partial
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from . import regression
-from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable, _kept
+from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable, _cache_keep, _cache_read
 from .exceptions import RelevanceError
 from .regression import (RELEVANCE_TOLERANCE, FitResult, Responses, _constant_zeros,
                          instrument_design, ols, tidy_vcov)
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
+
+# The lines of /proc/cpuinfo that name a CPU's model: x86, then ARM.
+_CPU_KEYS = {"vendor_id", "cpu family", "model", "CPU implementer", "CPU part"}
 
 
 class TreatmentDef(Enum):
@@ -104,24 +112,65 @@ class ComplierShares:
     warnings: tuple[str, ...] = ()
 
 
-def _fit_fields(fit: FitResult) -> tuple[list, list[np.ndarray]]:
-    """Every field of ``fit``: the plain values, and the arrays."""
-    return ([fit.n, fit.k, fit.dof, fit.covariance_kind, fit.cluster_count, list(fit.names),
-             fit.response_constant],
-            [fit.coefficients, fit.vcov, fit.response_min, fit.response_max])
+def _machine() -> str:
+    """The sha256 of what makes the bits of one fit differ between machines:
+    the architecture, the CPU's model (which picks the BLAS's kernels, read
+    from ``/proc/cpuinfo`` where there is one), and numpy's build, BLAS and
+    SIMD dispatch (``np.show_config``)."""
+    cpu = []
+    with suppress(OSError), open("/proc/cpuinfo", encoding="utf-8", errors="replace") as info:
+        for line in info:
+            if not line.strip():
+                break  # the first CPU's lines end here
+            key, _, value = line.partition(":")
+            if key.strip() in _CPU_KEYS:
+                cpu.append([key.strip(), value.strip()])
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints it
+        config = None
+    return hashlib.sha256(json.dumps([os.uname().machine, cpu, config]).encode()).hexdigest()
 
 
-def _fit_of_fields(header: list, arrays: list[np.ndarray]) -> FitResult:
-    """The fit whose :func:`_fit_fields` are ``header`` and ``arrays``;
-    ValueError if they are not such fields."""
-    n, k, dof, kind, count, names, constant = header
+def _stamp(entry: str) -> list[str] | None:
+    """What a table's fit depends on besides the columns of its cache
+    ``entry``: the source of this module and of ``regression``, and the
+    machine (:func:`_machine`); None when a source cannot be read."""
+    stamp = [os.path.basename(entry)]
+    try:
+        for source in (regression.__file__, __file__):
+            with open(source, "rb") as code:
+                stamp.append(hashlib.sha256(code.read()).hexdigest())
+    except OSError:
+        return None
+    return [*stamp, _machine()]
+
+
+def _write_fit(stamp: list[str], fit: FitResult, out: BinaryIO) -> None:
+    """Writes ``fit`` for :func:`_read_fit`: one JSON line of the stamp and
+    the plain fields, then the bytes of each array field."""
+    out.write(json.dumps([stamp, fit.n, fit.k, fit.dof, fit.covariance_kind, fit.cluster_count,
+                          list(fit.names), fit.response_constant]).encode() + b"\n")
+    for array in (fit.coefficients, fit.vcov, fit.response_min, fit.response_max):
+        out.write(np.ascontiguousarray(array, float).data)
+
+
+def _read_fit(stamp: list[str], back: BinaryIO) -> FitResult:
+    """The fit that :func:`_write_fit` wrote to the file ``back`` with
+    ``stamp``; ValueError unless what is left of ``back`` is such a fit."""
+    written, n, k, dof, kind, count, names, constant = json.loads(back.readline())
+    if not (written == stamp and all(type(v) is int for v in (n, k, dof)) and k >= 0
+            and kind in ("hc1", "cluster") and (count is None or type(count) is int)
+            and type(constant) is bool and isinstance(names, list)
+            and all(type(name) is str for name in names)
+            and os.fstat(back.fileno()).st_size - back.tell()
+            == 8 * (k + k * k + 2 * len(RESPONSES))):
+        raise ValueError("not a kept fit")
+    arrays = [np.empty(k), np.empty((k, k)), np.empty(len(RESPONSES)), np.empty(len(RESPONSES))]
+    for array in arrays:
+        if back.readinto(array) != array.nbytes:
+            raise ValueError("not a kept fit")
     coefficients, vcov, lo, hi = arrays
-    if not (all(type(v) is int for v in (n, k, dof)) and kind in ("hc1", "cluster")
-            and (count is None or type(count) is int) and type(constant) is bool
-            and isinstance(names, list) and all(type(name) is str for name in names)
-            and coefficients.shape == (k,) and vcov.shape == (k, k)
-            and lo.shape == hi.shape == (len(RESPONSES),)):
-        raise ValueError("not a table's fit")
     return FitResult(coefficients, vcov, n, k, dof, kind, count, tuple(names), constant, lo, hi)
 
 
@@ -130,18 +179,32 @@ def _table_fit(table: ObservationTable) -> FitResult:
     builds its columns when the fit reads it, so no ``n x 13`` array is held.
 
     A table that ``load_table`` read from its cache entry, or kept there,
-    keeps this fit on disk beside the entry (``data._kept``), named by the
-    entry and the source of this module and of ``regression``: a later load
-    of the same bytes reads every field of the fit, bit for bit, in place of
-    fitting the table again. A fit that raises keeps nothing.
+    keeps this fit in a file beside the entry, named by the sha256 of its
+    :func:`_stamp`: a later load of the same bytes, on the same machine and
+    code, reads every field of the fit, bit for bit, in place of fitting
+    the table again. A file that cannot be read, is cut short, has another
+    stamp or is not a JSON line and its bytes is fit again and replaced; a
+    fit that raises keeps nothing.
     """
     def fit():
         w, names = instrument_design(table.z, table.controls, table.control_names)
         columns = Responses((table.n, len(RESPONSES)), lambda rows: DerivedColumns.of(
             table.d1[rows], table.d2[rows], table.y[rows]).values)
         return ols(columns, w, table.cluster_codes, names=names)
-    return table.cached("fit", lambda: _kept(table, (regression.__file__, __file__), fit,
-                                             _fit_fields, _fit_of_fields))
+
+    def kept():
+        entry = table.__dict__.get("_entry")
+        stamp = None if entry is None else _stamp(entry)
+        if stamp is None:
+            return fit()
+        path = os.path.join(os.path.dirname(entry),
+                            hashlib.sha256(json.dumps(stamp).encode()).hexdigest())
+        value = _cache_read(path, partial(_read_fit, stamp))
+        if value is None:
+            value = fit()
+            _cache_keep(path, partial(_write_fit, stamp, value))
+        return value
+    return table.cached("fit", kept)
 
 
 def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]]) -> FitResult:

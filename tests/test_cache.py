@@ -484,12 +484,12 @@ def test_a_kept_fit_is_the_fit_bit_for_bit(tmp_path, cache, mapping):
 def _damage_fit(entry, how):
     raw = entry.read_bytes()
     line, rest = raw.split(b"\n", 1)
-    stamp, header, shapes = json.loads(line)
+    stamp, *header = json.loads(line)
     if how == "truncated":
         entry.write_bytes(raw[:-1])
     elif how == "foreign stamp":  # as another version of regression.py keeps it
         stamp[1] = "0" * 64
-        entry.write_bytes(json.dumps([stamp, header, shapes]).encode() + b"\n" + rest)
+        entry.write_bytes(json.dumps([stamp, *header]).encode() + b"\n" + rest)
     else:
         entry.write_bytes(b"not JSON\n" + rest)
 
@@ -519,6 +519,29 @@ def test_the_commands_do_not_depend_on_the_kept_fit(tmp_path, cache, capsys, com
         _damage_fit(cache / fit_file, how)
         assert run() == off
         assert (cache / fit_file).read_bytes() == kept  # the fit was kept again
+
+
+def test_a_fit_kept_on_another_machine_is_not_read(tmp_path, cache, monkeypatch):
+    # The stamp names the machine: a cache shared with a machine whose CPU
+    # or numpy differs keeps a fit for each, and neither reads the other's.
+    path = tmp_path / "hh.csv"
+    _shuffled_households(path)
+    fresh = estimands._table_fit(load_table(path, _HOUSEHOLDS))
+    (ours,) = _fit_files(cache, path, _HOUSEHOLDS)
+    monkeypatch.setattr(estimands, "_machine", lambda: "0" * 64)
+    fits = []
+    real = estimands.ols
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(estimands, "ols", counted):
+        other = estimands._table_fit(load_table(path, _HOUSEHOLDS))
+    assert fits == [1]
+    assert other.coefficients.tobytes() == fresh.coefficients.tobytes()
+    files = _fit_files(cache, path, _HOUSEHOLDS)
+    assert len(files) == 2 and ours in files
 
 
 def test_a_fit_that_raises_keeps_nothing(tmp_path, cache):

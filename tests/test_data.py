@@ -4,6 +4,7 @@ import io
 import itertools
 import os
 import tempfile
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -1006,16 +1007,30 @@ def test_load_lets_go_of_the_file_before_building_the_table(tmp_path, monkeypatc
     assert peak - columns < path.stat().st_size / 2
 
 
-def test_a_parse_allocates_each_column_once(tmp_path, monkeypatch):
-    # Just past 2**17 rows, columns grown by doubling from _CHUNK_ROWS would
-    # reach 2**18 rows; sized from the file, they are allocated once.
+@pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+def test_a_parse_allocates_each_column_once(tmp_path, monkeypatch, piped):
+    # Just past 2**17 rows, columns grown by doubling from 2**14 rows would
+    # reach 2**18 rows; sized from the file, they are allocated once. A pipe
+    # is held whole, as its bytes, and sized from them the same way.
     n = 2**17 + 2**12
     rng = np.random.default_rng(79)
     path = tmp_path / "draw.csv"
     save_table(from_arrays(rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
                            rng.standard_normal(n)), path)
     monkeypatch.setattr(data, "_SCAN_BYTES", 1 << 12)  # pieces of few tokens
-    source, size = data._source(path)
+    if piped:
+        read, write = os.pipe()
+        writer = threading.Thread(
+            target=lambda: (os.write(write, path.read_bytes()), os.close(write)))
+        writer.start()
+        try:
+            source, size, again = data._source(f"/dev/fd/{read}")
+        finally:
+            writer.join()
+            os.close(read)
+    else:
+        source, size, again = data._source(path)
+    assert (size, again) == (os.path.getsize(path), not piped)
     args = (source, size, path, ",", ["z", "d1", "d2", "y"],
             ["instrument", "treatment", "treatment", "float"], "drop")
     data._parse(*args)  # allocations made once per process are not counted
