@@ -30,11 +30,15 @@ evaluates it on the cells of a population spec.
 text. Their token grammar and their bytes are those of the ``csv`` module,
 which reads any file the loader's byte tokenizer does not take (quoted,
 non-ASCII or ragged files, and any file with an error; see
-:func:`load_table`) and writes the header; the rows are split and joined
-as plain strings, a block of rows at a time. On a machine where this
-process may use two CPUs or more, a large table is written in two halves: a
-forked worker process writes the back half while this one writes the front
-half (:func:`_forked`), and the bytes are those of one process. A file is
+:func:`load_table`) and writes the header. The rows are split as plain
+strings, and written as one array of bytes per block of rows, with no
+Python work per row: each real's ``repr`` is computed from its bits by
+``lafte._text`` (exactly, for every magnitude from 1e-10 up to 1e18;
+``repr`` itself writes the others), and each cluster label is quoted and
+encoded once. On a machine where this process may use two CPUs or more, a
+large table is still written in two halves: a forked worker process writes
+the back half while this one writes the front half (:func:`_forked`), and
+the bytes are those of one process. A file is
 always read by this one process. The parsed columns of a large file are
 kept in an on-disk cache, keyed by the file's bytes, and a later load of
 the same bytes reads them from there (:func:`_read_columns`); the table is
@@ -101,19 +105,28 @@ _BINARY = {"0", "1"}
 # a cluster column is parsed to codes, and the table stores its labels too.
 _DTYPES = {"instrument": np.uint8, "treatment": np.uint8, "float": float, "cluster": np.int64}
 
-# Rows load_table takes from csv.reader at a time; rows written at a time by
-# save_table and drawn by strata.sample.
+# Rows load_table takes from csv.reader at a time, and strata.sample draws;
+# save_table writes at most this many at a time.
 # A parsed block holds a Python string per field, about 60 bytes each.
 _CHUNK_ROWS = 1 << 14
+
+# Rows save_table writes at a time (see _write_rows), unless a block of them
+# would pass _BLOCK_BYTES: one pass of lafte._text, whose temporaries and the
+# block's matrices then take about 1 MiB.
+_WRITE_ROWS = 1 << 12
+_BLOCK_BYTES = 1 << 22
 
 # Bytes read at a time by load_table, which extends each read to a line end;
 # each such piece of a plain file is split as one chunk.
 _SCAN_BYTES = 1 << 16
 
 # The least table (rows) that save_table splits with a forked worker (see
-# _two_cores): about twice the break-even of 2**15 rows measured on a 2-vCPU
-# machine, where forking, reaping and appending the back half cost 5-7 ms.
-_SPLIT_ROWS = 1 << 16
+# _two_cores). On a 2-vCPU machine, with reals written by lafte._text at about
+# 0.35 us a row, forking, reaping and appending the back half cost about
+# 10 ms, and the split write breaks even at about 2**16 rows (medians of 31
+# runs: 23.5 ms either way). At 3 * 2**15 rows, 1.5 times that, the split
+# write takes 30 ms against 36 ms in one process.
+_SPLIT_ROWS = 3 << 15
 
 # The least file (bytes) whose parsed columns load_table keeps on disk (see
 # _cache_entry), and the most bytes the cache directory holds.
@@ -1009,21 +1022,55 @@ def _forked(work: Callable[[BinaryIO], None]) -> Iterator[Callable[[], BinaryIO 
             out.close()
 
 
-def _csv_fields(values, delimiter: str) -> dict[str, str]:
-    """Each distinct string of ``values`` as ``csv.writer`` writes it in a field."""
-    distinct = list(dict.fromkeys(values))
+class _Labels(NamedTuple):
+    """The cluster field of each row, as :func:`_write_rows` takes it: each
+    row's ``codes`` into the distinct texts, whose ``csv.writer`` fields are
+    ``fields``, UTF-8, one after another, from ``starts``."""
+
+    codes: np.ndarray
+    fields: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+
+def _csv_fields(values: list[str], delimiter: str) -> list[str]:
+    """Each of the distinct strings ``values`` as ``csv.writer`` writes it in a field."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter)
-    writer.writerow(distinct)
-    if buffer.getvalue() == delimiter.join(distinct) + "\r\n":
-        return dict(zip(distinct, distinct))
-    fields = {}
-    for value in distinct:
+    writer.writerow(values)
+    if buffer.getvalue() == delimiter.join(values) + "\r\n":
+        return values
+    fields = []
+    for value in values:
         buffer.seek(0)
         buffer.truncate()
         writer.writerow([value])
-        fields[value] = buffer.getvalue()[:-2]
+        fields.append(buffer.getvalue()[:-2])
     return fields
+
+
+def _labels(table: ObservationTable, delimiter: str) -> _Labels:
+    """The cluster fields of ``table``, each distinct one quoted and encoded
+    once. When a row of each cluster holds a ``str``, every row of the
+    cluster holds its text (of built-in and numpy types, only a string
+    equals a string), and the rows' ``cluster_codes`` pick the fields with
+    no work per row. Other labels can differ in text within a cluster
+    (``1``, ``1.0`` and ``True`` are one), so each row's ``str`` is coded."""
+    codes = table.cluster_codes
+    first = np.empty(table.cluster_count, np.intp)  # a row of each code
+    for start in range(0, table.n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        first[codes[rows]] = np.arange(start, start + codes[rows].size)
+    texts = table.cluster[first].tolist()
+    if not all(type(label) is str for label in texts):
+        index: dict[str, int] = {}
+        codes = np.fromiter((index.setdefault(text, len(index))
+                             for text in map(str, table.cluster)), np.int64, table.n)
+        texts = list(index)
+    fields = [field.encode() for field in _csv_fields(texts, delimiter)]
+    lengths = np.fromiter(map(len, fields), np.int64, len(fields))
+    return _Labels(codes, np.frombuffer(b"".join(fields), np.uint8),
+                   np.cumsum(lengths) - lengths, lengths)
 
 
 def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
@@ -1034,10 +1081,22 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     float format), so reloading reproduces every value bit-identically.
     Cluster labels are written with ``str`` and quoted when they contain the
     delimiter, a quote or a line break; lines end in CRLF. Control columns
-    without names are headed ``x0``, ``x1``, ... Rows are written
-    ``_CHUNK_ROWS`` at a time, each block as one string; a table of
-    ``_SPLIT_ROWS`` rows or more has its back half written by a forked
-    worker (:func:`_two_cores`), whose bytes are appended.
+    without names are headed ``x0``, ``x1``, ... Rows are written a block
+    at a time, each block built as one array of bytes with no Python work
+    per row (:func:`_write_rows`); a table of ``_SPLIT_ROWS`` rows or more
+    still has its back half written by a forked worker
+    (:func:`_two_cores`), whose bytes are appended.
+
+    The text of each real is computed by ``lafte._text`` from the value's
+    bits, exactly as ``repr`` writes it, for every magnitude from 1e-10 up
+    to 1e18; ``repr`` itself writes the others (zeros, subnormals,
+    non-finite values and the largest and least magnitudes), on those
+    values only. Each cluster label is quoted and encoded once
+    (:func:`_labels`). A 1e6-row draw is written in about 0.35 s in one
+    process and 0.24 s split over two (2-vCPU machine), against 1.0 and
+    0.73 s with ``repr`` and a row join. ``lafte._text`` is imported here,
+    before any fork, so that a command that writes no table never compiles
+    it and the worker does not compile it again.
 
     Raises
     ------
@@ -1054,43 +1113,79 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     if repeated:
         raise DataError(f"column '{repeated[0]}' repeats in the header {names}; "
                         f"nothing is written to {path}")
-    labels = None if table.cluster is None else _csv_fields(map(str, table.cluster), delimiter)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, delimiter=delimiter).writerow(names)
+    from . import _text  # before a fork, so that the worker has it
+
+    labels = None if table.cluster is None else _labels(table, delimiter)
+    header = io.StringIO()
+    csv.writer(header, delimiter=delimiter).writerow(names)
+    with open(path, "wb") as handle:
+        handle.write(header.getvalue().encode())
         if not _two_cores(table.n):
-            _write_rows(handle, table, 0, table.n, delimiter, labels)
+            _write_rows(handle, table, 0, table.n, delimiter, labels, _text)
             return
         middle = table.n // 2
-
-        def back(out: BinaryIO) -> None:
-            text = io.TextIOWrapper(out, encoding="utf-8", newline="")
-            _write_rows(text, table, middle, table.n, delimiter, labels)
-            text.detach()  # flushes it, and leaves ``out`` open
-
+        back = partial(_write_rows, table=table, start=middle, stop=table.n,
+                       delimiter=delimiter, labels=labels, kernel=_text)
         with _forked(back) as result:
-            _write_rows(handle, table, 0, middle, delimiter, labels)
+            _write_rows(handle, table, 0, middle, delimiter, labels, _text)
             out = result()
             if out is None:
-                _write_rows(handle, table, middle, table.n, delimiter, labels)
+                _write_rows(handle, table, middle, table.n, delimiter, labels, _text)
             else:
                 handle.flush()
-                shutil.copyfileobj(out, handle.buffer)
+                shutil.copyfileobj(out, handle)
 
 
-def _write_rows(handle, table: ObservationTable, start: int, stop: int, delimiter: str,
-                labels: dict[str, str] | None) -> None:
-    """Writes rows ``[start, stop)`` of ``table`` to the text file ``handle``,
-    ``_CHUNK_ROWS`` at a time, each block as one string; ``labels`` maps each
-    cluster label to its field."""
+def _write_rows(handle: BinaryIO, table: ObservationTable, start: int, stop: int,
+                delimiter: str, labels: _Labels | None, kernel) -> None:
+    """Writes rows ``[start, stop)`` of ``table`` to the binary file
+    ``handle``, ``_WRITE_ROWS`` (at most ``_CHUNK_ROWS``) at a time, or
+    fewer where a block would pass ``_BLOCK_BYTES``.
+
+    A block's rows are laid out in one matrix of bytes, each field at fixed
+    columns and right-aligned in them, and written as the bytes that a mask
+    built from the fields' lengths keeps, in row order. The ``(z, d1, d2)``
+    fields come from a table of the 8 rows, each real's from ``kernel``
+    (``lafte._text``), each cluster field from ``labels``. The delimiters
+    and line ends are put in once, and both matrices serve every block.
+    """
+    slot = kernel.WIDTH
+    encoded = delimiter.encode()
+    prefixes = np.frombuffer(b"".join(encoded.join(bits) for bits in
+                                      product((b"0", b"1"), repeat=3)), np.uint8).reshape(8, -1)
+    separator = np.frombuffer(encoded, np.uint8)
     reals = [table.y, *table.controls.T]
-    # The (z, d1, d2) fields of a row, at 4*z + 2*d1 + d2.
-    prefixes = [delimiter.join(bits) for bits in product("01", repeat=3)]
-    for first in range(start, stop, _CHUNK_ROWS):
-        rows = slice(first, min(first + _CHUNK_ROWS, stop))
-        codes = 4 * table.z[rows] + 2 * table.d1[rows] + table.d2[rows]
-        fields = [map(prefixes.__getitem__, codes.tolist())]
-        fields += [map(repr, column[rows].tolist()) for column in reals]
+    # Each field starts at a column of ``fields``, after a delimiter.
+    fields = [prefixes.shape[1] + separator.size + j * (separator.size + slot)
+              for j in range(len(reals))]
+    widest = 0
+    if labels is not None:
+        fields.append(fields[-1] + slot + separator.size)
+        widest = int(labels.lengths.max())
+    width = fields[-1] + (widest if labels is not None else slot) + 2
+    step = max(1, min(_CHUNK_ROWS, _WRITE_ROWS, _BLOCK_BYTES // width, stop - start))
+    text = np.empty((step, width), np.uint8)
+    keep = np.ones((step, width), bool)
+    for at in fields:
+        text[:, at - separator.size:at] = separator
+    text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    tails = np.arange(slot) >= slot - np.arange(slot + 1)[:, None]  # row k keeps the last k
+    for first in range(start, stop, step):
+        rows = slice(first, min(first + step, stop))
+        cells = 4 * table.z[rows] + 2 * table.d1[rows] + table.d2[rows]
+        block, kept = text[:cells.size], keep[:cells.size]
+        block[:, :prefixes.shape[1]] = np.take(prefixes, cells, axis=0)
+        for at, column in zip(fields, reals):
+            slots, lengths = kernel.reprs(column[rows])
+            block[:, at:at + slot] = slots
+            kept[:, at:at + slot] = np.take(tails, lengths, axis=0)
         if labels is not None:
-            fields.append(map(labels.__getitem__, map(str, table.cluster[rows])))
-        handle.write("\r\n".join(map(delimiter.join, zip(*fields))))
-        handle.write("\r\n")
+            at = fields[-1]
+            codes = labels.codes[rows]
+            lengths = labels.lengths[codes]
+            # Byte c of a row is byte c - (widest - length) of its field.
+            where = (labels.starts[codes] - widest + lengths)[:, None] + np.arange(widest)
+            block[:, at:at + widest] = labels.fields[np.maximum(where, 0)]
+            np.greater_equal(np.arange(widest), (widest - lengths)[:, None],
+                             out=kept[:, at:at + widest])
+        handle.write(block[kept])

@@ -142,13 +142,20 @@ def _pivoted_qr_diag(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _check_rank(r: np.ndarray, names: Sequence[str]) -> None:
     """Rank check of the design whose R factor is ``r``: a column is
     collinear when its pivot falls below ``RANK_TOLERANCE`` times the
-    largest, and the first such pivot names it."""
+    largest, and the first such pivot names it. The message gives that
+    ratio: a full-rank design whose columns differ in scale by about
+    ``1/sqrt(RANK_TOLERANCE)`` or more (a control whose mean is 1e5 times
+    its SD, say) falls below it too, and names the intercept."""
     diag, piv = _pivoted_qr_diag(r)
     below = np.nonzero((diag < RANK_TOLERANCE * diag[0]) | (diag[0] == 0.0))[0]
     if below.size:
         col = int(piv[below[0]])
         name = names[col] if col < len(names) else f"column {col}"
-        raise RankDeficientError(f"design matrix is rank deficient: collinear column '{name}'")
+        ratio = diag[below[0]] / diag[0] if diag[0] else 0.0
+        raise RankDeficientError(
+            f"design matrix is rank deficient: collinear column '{name}' (pivot ratio "
+            f"{ratio:.3g}, below the tolerance {RANK_TOLERANCE:g}); a control whose mean "
+            f"is large against its spread can cause this too: centre it")
 
 
 # Rows per block of the score sums; a block splits no cluster.

@@ -116,7 +116,11 @@ def _render_joint(name: str, joint: dict | None) -> str:
 def render_diagnostics(diagnostics: dict) -> str:
     mover = diagnostics["mover_test"]
     sign = diagnostics["double_exclusion"]
-    lines = [f"mover test (level {mover['level']:g})"]
+    level = mover["level"]
+    # Either step may reject at ``level``: under no movers, the procedure
+    # rejects at most ``2 * level`` of the time (Bonferroni).
+    lines = [f"mover test (level {level:g} per step; size at most {2 * level:g} "
+             f"under no movers)"]
     for step in ("step1", "step2"):
         pair = mover[step]
         if pair is None:

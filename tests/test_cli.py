@@ -199,6 +199,8 @@ def test_diagnose_text(fix8_path, capsys):
     assert "0.250" in out
     assert "conclusion: no-movers-detected" in out
     assert "verdict: consistent" in out
+    # Each step tests at the level: the procedure's size is up to twice it.
+    assert "mover test (level 0.05 per step; size at most 0.1 under no movers)" in out
 
 
 def test_bounds_banner_and_values(fix8_path, capsys):

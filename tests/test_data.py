@@ -23,10 +23,11 @@ from lafte import (
     DerivedColumns,
     from_arrays,
     load_table,
+    sample,
     save_table,
 )
 
-from conftest import FIX8_CSV, fix8_table
+from conftest import FIX8_CSV, fix8_table, s2_spec
 
 
 def test_load_fix8(fix8_path):
@@ -797,7 +798,7 @@ def _awkward_table(rng, n=60, k=2):
                        controls=rng.standard_normal((n, k)), cluster=labels)
 
 
-@pytest.mark.parametrize("delimiter", [",", "\t", ";", "|", " "])
+@pytest.mark.parametrize("delimiter", [",", "\t", ";", "|", " ", "§"])
 def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter):
     # Blocks of 1-3 rows start and end on each of the seven label kinds, three
     # of which need quoting under every delimiter, one more under "," and one
@@ -826,6 +827,37 @@ def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter
         if table.cluster is not None:
             assert list(back.cluster) == list(table.cluster)
             assert _same_bits(back.cluster_codes, table.cluster_codes)
+
+
+def test_labels_that_are_one_cluster_keep_each_rows_text(tmp_path):
+    # 1, 1.0 and True are one cluster, as are 0.0 and -0.0, but csv.writer
+    # writes each row's own str; so do string labels that look alike.
+    labels = [1, 1.0, True, 2, 0.0, -0.0, 2.5, 1.0, 0.0, 2]
+    n = len(labels)
+    z = np.arange(n) % 2
+    for cluster in (labels, [str(label) for label in labels]):
+        table = from_arrays(z, z, 1 - z, np.linspace(-1.0, 1.0, n), cluster=cluster)
+        save_table(table, tmp_path / "new.csv")
+        _rowwise_save(table, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_reals_reach_repr_only_outside_the_exact_range(tmp_path, monkeypatch):
+    # The kernel writes every real of a draw; of the awkward table, whose
+    # outcomes span 1e-300 to 1e300, repr writes those outside its range.
+    from lafte import _text
+
+    calls = []
+    monkeypatch.setattr(_text, "repr", lambda value: calls.append(value) or repr(value),
+                        raising=False)
+    monkeypatch.setattr(data, "_SPLIT_ROWS", 1 << 40)  # no worker, whose calls go uncounted
+    save_table(sample(s2_spec(y_sd=1.0), 100_000, seed=5), tmp_path / "draw.csv")
+    assert calls == []
+    table = _awkward_table(np.random.default_rng(12))
+    save_table(table, tmp_path / "awkward.csv")
+    outside = [value for column in (table.y, *table.controls.T) for value in column.tolist()
+               if not _text.LEAST <= abs(value) < _text.BOUND]
+    assert calls == outside and len(outside) > 10
 
 
 @pytest.mark.parametrize("delimiter", [",", "\t"])

@@ -122,6 +122,17 @@ def test_rank_deficiency_names_column():
         ols(rng.standard_normal(20), x, names=("const", "x1", "dup"))
 
 
+def test_a_badly_scaled_full_rank_design_gives_its_pivot_ratio():
+    # A control at mean/SD 1e6 is not collinear, but its pivot ratio falls
+    # below the tolerance; the message says so and names the likely cause.
+    rng = np.random.default_rng(3)
+    n = 2000
+    x = np.column_stack([np.ones(n), rng.integers(0, 2, n), 1e6 + rng.standard_normal(n)])
+    with pytest.raises(RankDeficientError, match=r"collinear column '(const|z|x)' \(pivot ratio "
+                       r"[0-9.e+-]+, below the tolerance 1e-10\); a control whose mean is large"):
+        ols(rng.standard_normal(n), x, names=("const", "z", "x"))
+
+
 def test_constant_regressand_flagged():
     t = fix8_table()
     x = np.column_stack([np.ones(t.n), t.z])
