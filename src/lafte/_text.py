@@ -132,17 +132,15 @@ _PASS = 1 << 12
 
 def _texts(values: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Writes the repr of each value into the rows of ``words``, three
-    uint64 each, and returns the lengths."""
+    uint64 each, and returns the lengths: the kernel's text, computed for
+    1.0 in place of each value outside the exact range, and then ``repr``'s
+    over those."""
     magnitude = np.abs(values)
     exact = (magnitude >= LEAST) & (magnitude < BOUND)
-    if exact.all():
-        return _shortest(values, words)
-    lengths = np.empty(values.size, np.int64)
-    rows = np.flatnonzero(exact)
-    part = np.empty((rows.size, 3), np.uint64)
-    lengths[rows] = _shortest(values[rows], part)
-    words[rows] = part
     rows = np.flatnonzero(~exact)
+    if not rows.size:
+        return _shortest(values, words)
+    lengths = _shortest(np.where(exact, values, 1.0), words)
     texts = list(map(repr, values[rows].tolist()))
     lengths[rows] = sizes = np.fromiter(map(len, texts), np.int64, rows.size)
     ends = np.cumsum(sizes)
@@ -230,38 +228,30 @@ def _format(output, exponent, negative, words) -> np.ndarray:
     does into the rows of ``words``; returns the lengths."""
     digits = np.searchsorted(_POWERS, output, side="right")
     decpt = exponent + digits
-    fixed = (decpt > -4) & (decpt <= 16)
-    if fixed.all():
-        return _fixed(output, digits, decpt, negative, words)
-    lengths = np.empty(output.size, np.int64)
-    rows = np.flatnonzero(fixed)
-    part = np.empty((rows.size, 3), np.uint64)
-    lengths[rows] = _fixed(output[rows], digits[rows], decpt[rows], negative[rows], part)
-    words[rows] = part
-    rows = np.flatnonzero(~fixed)
-    part = np.empty((rows.size, 3), np.uint64)
-    # d.ddd, with no point after a lone digit, then e-XX or e+XX four bytes on.
-    lengths[rows] = _place(output[rows], digits[rows] - 1, 1, negative[rows], part) + 4
-    suffix = _EXPONENT_TEXT[decpt[rows] - 1 + 10]
-    words[rows, 0] = (part[:, 0] >> _U(32)) | (part[:, 1] << _U(32))
-    words[rows, 1] = (part[:, 1] >> _U(32)) | (part[:, 2] << _U(32))
-    words[rows, 2] = (part[:, 2] >> _U(32)) | (suffix << _U(32))
-    return lengths
-
-
-def _fixed(output, digits, decpt, negative, words) -> np.ndarray:
-    """:func:`_format` of values that ``repr`` writes in fixed notation:
-    the digits, zeros to the point, and at least one digit on each side."""
+    # Every value in fixed notation: the digits, zeros to the point, and at
+    # least one digit on each side.
     fraction = np.maximum(digits - decpt, 1)
-    return _place(output * _POWERS[fraction - digits + decpt], fraction,
-                  np.maximum(decpt, 1), negative, words)
+    lengths = _place(output * _POWERS[fraction - digits + decpt], fraction,
+                     np.maximum(decpt, 1), negative, words)
+    # Over those repr writes as d.ddd (no point after a lone digit) and
+    # e-XX or e+XX, four bytes on.
+    rows = np.flatnonzero((decpt <= -4) | (decpt > 16))
+    if rows.size:
+        part = np.empty((rows.size, 3), np.uint64)
+        lengths[rows] = _place(output[rows], digits[rows] - 1, 1, negative[rows], part) + 4
+        suffix = _EXPONENT_TEXT[decpt[rows] - 1 + 10]
+        words[rows, 0] = (part[:, 0] >> _U(32)) | (part[:, 1] << _U(32))
+        words[rows, 1] = (part[:, 1] >> _U(32)) | (part[:, 2] << _U(32))
+        words[rows, 2] = (part[:, 2] >> _U(32)) | (suffix << _U(32))
+    return lengths
 
 
 def _place(number, fraction, whole, negative, words) -> np.ndarray:
     """Writes the decimal digits of each ``number`` (below ``10**17``), the
     last ``fraction`` after a point (none when 0) and ``whole`` before it,
     with zeros ahead as needed and a minus sign where ``negative``,
-    right-aligned in the rows of ``words``; returns the lengths."""
+    right-aligned in the rows of ``words``; returns the lengths. A row past
+    those bounds, which its caller writes over, gets bytes of no meaning."""
     # The number's digits, zero-padded to 24, eight to a word.
     text = []
     for _ in range(2):
@@ -275,10 +265,10 @@ def _place(number, fraction, whole, negative, words) -> np.ndarray:
     first, middle, last = text
     # The bytes left of the point move one byte towards the front.
     point = np.where(fraction > 0, fraction, WIDTH)
-    keep = np.take(_KEEP, point, axis=1)
+    keep = np.take(_KEEP, point, axis=1, mode="clip")
     lengths = fraction + (fraction > 0) + whole
-    marks = np.take(_POINT, point, axis=1) | np.take(_MINUS, np.where(
-        negative, WIDTH - 1 - lengths, WIDTH), axis=1)
+    marks = np.take(_POINT, point, axis=1, mode="clip") | np.take(_MINUS, np.where(
+        negative, WIDTH - 1 - lengths, WIDTH), axis=1, mode="clip")
     moved = [word & ~mask for word, mask in zip(text, keep)]
     # The point goes to a byte that the move left empty, the sign to a zero.
     words[:, 0] = ((moved[0] >> _U(8)) | (moved[1] << _U(56)) | (first & keep[0])) ^ marks[0]
