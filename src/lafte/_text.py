@@ -5,7 +5,8 @@
 length. For ``LEAST <= |x| < BOUND`` it computes them with whole-array
 integer arithmetic. Every other value (zero, ``-0.0``, subnormals, NaN, the
 infinities and anything outside that range) is written by ``repr`` itself,
-on those values only.
+on those values only. The fields are built as little-endian words, so on a
+big-endian machine ``repr`` writes every value.
 
 The digits are those of Ryu (Adams 2018, PLDI), which are ``repr``'s: the
 shortest decimal that reads back as the value, and of two such, the nearest,
@@ -40,6 +41,8 @@ are put in.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 # The longest repr of a float64, such as '-2.2250738585072014e-308'.
@@ -47,6 +50,9 @@ WIDTH = 24
 
 # The least and the bound of the magnitudes written without repr.
 LEAST, BOUND = 1e-10, 1e18
+
+# Whether the uint64 words of a field hold its bytes in order.
+_LITTLE = sys.byteorder == "little"
 
 _U = np.uint64
 
@@ -113,7 +119,8 @@ _EXPONENT_TEXT = np.frombuffer(b"".join(f"e{e:+03d}".encode() for e in range(-10
 def reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bytes of ``repr`` of each float64 of ``values``, right-aligned in
     an ``(n, WIDTH)`` uint8 array, and their lengths (uint8). Exact for
-    ``LEAST <= |x| < BOUND``; ``repr`` writes the other values."""
+    ``LEAST <= |x| < BOUND`` on a little-endian machine; ``repr`` writes
+    the other values."""
     values = np.ascontiguousarray(values, dtype=float)
     words = np.empty((values.size, 3), np.uint64)
     lengths = np.empty(values.size, np.uint8)
@@ -137,7 +144,7 @@ def _texts(values: np.ndarray, words: np.ndarray) -> np.ndarray:
     1.0 in place of each value outside the exact range, and then ``repr``'s
     over those."""
     magnitude = np.abs(values)
-    exact = (magnitude >= LEAST) & (magnitude < BOUND)
+    exact = (magnitude >= LEAST) & (magnitude < BOUND) & _LITTLE
     rows = np.flatnonzero(~exact)
     if not rows.size:
         return _shortest(values, words)

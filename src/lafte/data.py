@@ -32,13 +32,13 @@ which reads any file the loader's byte tokenizer does not take (quoted,
 non-ASCII or ragged files, and any file with an error; see
 :func:`load_table`) and writes the header. The rows are split as plain
 strings, and written as one array of bytes per block of rows, with no
-Python work per row: each real's ``repr`` is computed from its bits by
+Python work per real: each real's ``repr`` is computed from its bits by
 ``lafte._text`` (exactly, for every magnitude from 1e-10 up to 1e18;
-``repr`` itself writes the others), and each cluster label is quoted and
-encoded once. On a machine where this process may use two CPUs or more, a
-large table is still written in two halves: a forked worker process writes
-the back half while this one writes the front half (:func:`_forked`), and
-the bytes are those of one process. A file is
+``repr`` itself writes the others), and each distinct cluster label text
+is quoted and encoded once. On a machine where this process may use two
+CPUs or more, a large table is still written in two halves: a forked
+worker process writes the back half while this one writes the front half
+(:func:`_forked`), and the bytes are those of one process. A file is
 always read by this one process. The parsed columns of a large file are
 kept in an on-disk cache, keyed by the file's bytes, and a later load of
 the same bytes reads them from there (:func:`_read_columns`); the table is
@@ -106,14 +106,13 @@ _BINARY = {"0", "1"}
 _DTYPES = {"instrument": np.uint8, "treatment": np.uint8, "float": float, "cluster": np.int64}
 
 # Rows load_table takes from csv.reader at a time, and strata.sample draws;
-# save_table writes at most this many at a time.
+# save_table's blocks (a pass of lafte._text, 4096 rows) are at most this
+# long too, so that setting it lower moves where every block ends.
 # A parsed block holds a Python string per field, about 60 bytes each.
 _CHUNK_ROWS = 1 << 14
 
-# Rows save_table writes at a time (see _write_rows), unless a block of them
-# would pass _BLOCK_BYTES: one pass of lafte._text, whose temporaries and the
-# block's matrices then take about 1 MiB.
-_WRITE_ROWS = 1 << 12
+# The most bytes of text in a block of rows that save_table writes (see
+# _write_rows), whose temporaries take a few times that.
 _BLOCK_BYTES = 1 << 22
 
 # Bytes read at a time by load_table, which extends each read to a line end;
@@ -1024,13 +1023,14 @@ def _forked(work: Callable[[BinaryIO], None]) -> Iterator[Callable[[], BinaryIO 
 
 class _Labels(NamedTuple):
     """The cluster field of each row, as :func:`_write_rows` takes it: each
-    row's ``codes`` into the distinct texts, whose ``csv.writer`` fields are
-    ``fields``, UTF-8, one after another, from ``starts``."""
+    row's ``codes`` into the distinct texts; each text's ``csv.writer``
+    field with the line end, UTF-8, in ``fields`` and its length in
+    ``lengths``; and ``total``, the bytes of every row's field."""
 
     codes: np.ndarray
-    fields: np.ndarray
-    starts: np.ndarray
+    fields: list[bytes]
     lengths: np.ndarray
+    total: int
 
 
 def _csv_fields(values: list[str], delimiter: str) -> list[str]:
@@ -1050,27 +1050,17 @@ def _csv_fields(values: list[str], delimiter: str) -> list[str]:
 
 
 def _labels(table: ObservationTable, delimiter: str) -> _Labels:
-    """The cluster fields of ``table``, each distinct one quoted and encoded
-    once. When a row of each cluster holds a ``str``, every row of the
-    cluster holds its text (of built-in and numpy types, only a string
-    equals a string), and the rows' ``cluster_codes`` pick the fields with
-    no work per row. Other labels can differ in text within a cluster
-    (``1``, ``1.0`` and ``True`` are one), so each row's ``str`` is coded."""
-    codes = table.cluster_codes
-    first = np.empty(table.cluster_count, np.intp)  # a row of each code
-    for start in range(0, table.n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        first[codes[rows]] = np.arange(start, start + codes[rows].size)
-    texts = table.cluster[first].tolist()
-    if not all(type(label) is str for label in texts):
-        index: dict[str, int] = {}
-        codes = np.fromiter((index.setdefault(text, len(index))
-                             for text in map(str, table.cluster)), np.int64, table.n)
-        texts = list(index)
-    fields = [field.encode() for field in _csv_fields(texts, delimiter)]
+    """The cluster fields of ``table``: each row's ``str``, coded into the
+    distinct texts, each quoted and encoded once. A cluster's rows can
+    differ in text (``1``, ``1.0`` and ``True`` are one cluster), so the
+    texts are coded, not the ``cluster_codes``."""
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(text, len(index)) for text in map(str, table.cluster)),
+                        np.intp, table.n)
+    fields = [field.encode() + b"\r\n" for field in _csv_fields(list(index), delimiter)]
     lengths = np.fromiter(map(len, fields), np.int64, len(fields))
-    return _Labels(codes, np.frombuffer(b"".join(fields), np.uint8),
-                   np.cumsum(lengths) - lengths, lengths)
+    total = int(np.bincount(codes, minlength=lengths.size) @ lengths)
+    return _Labels(codes, fields, lengths, total)
 
 
 def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
@@ -1083,7 +1073,7 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     delimiter, a quote or a line break; lines end in CRLF. Control columns
     without names are headed ``x0``, ``x1``, ... Rows are written a block
     at a time, each block built as one array of bytes with no Python work
-    per row (:func:`_write_rows`); a table of ``_SPLIT_ROWS`` rows or more
+    per real (:func:`_write_rows`); a table of ``_SPLIT_ROWS`` rows or more
     still has its back half written by a forked worker
     (:func:`_two_cores`), whose bytes are appended.
 
@@ -1091,10 +1081,12 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     bits, exactly as ``repr`` writes it, for every magnitude from 1e-10 up
     to 1e18; ``repr`` itself writes the others (zeros, subnormals,
     non-finite values and the largest and least magnitudes), on those
-    values only. Each cluster label is quoted and encoded once
-    (:func:`_labels`). A 1e6-row draw is written in about 0.35 s in one
-    process and 0.24 s split over two (2-vCPU machine), against 1.0 and
-    0.73 s with ``repr`` and a row join. ``lafte._text`` is imported here,
+    values only. Each row's cluster label is coded by its ``str``, and
+    each distinct text quoted and encoded once (:func:`_labels`); a block's
+    fields are joined from those bytes, so a label costs its own length,
+    however long the others are. A 1e6-row draw is written in about 0.35 s
+    in one process and 0.24 s split over two (2-vCPU machine), against 1.0
+    and 0.73 s with ``repr`` and a row join. ``lafte._text`` is imported here,
     before any fork, so that a command that writes no table never compiles
     it and the worker does not compile it again.
 
@@ -1113,7 +1105,7 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     if repeated:
         raise DataError(f"column '{repeated[0]}' repeats in the header {names}; "
                         f"nothing is written to {path}")
-    from . import _text  # before a fork, so that the worker has it
+    from . import _text  # compiled before a fork, not again by the worker (see _write_rows)
 
     labels = None if table.cluster is None else _labels(table, delimiter)
     header = io.StringIO()
@@ -1121,35 +1113,40 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     with open(path, "wb") as handle:
         handle.write(header.getvalue().encode())
         if not _two_cores(table.n):
-            _write_rows(handle, table, 0, table.n, delimiter, labels, _text)
+            _write_rows(handle, table, 0, table.n, delimiter, labels)
             return
         middle = table.n // 2
         back = partial(_write_rows, table=table, start=middle, stop=table.n,
-                       delimiter=delimiter, labels=labels, kernel=_text)
+                       delimiter=delimiter, labels=labels)
         with _forked(back) as result:
-            _write_rows(handle, table, 0, middle, delimiter, labels, _text)
+            _write_rows(handle, table, 0, middle, delimiter, labels)
             out = result()
             if out is None:
-                _write_rows(handle, table, middle, table.n, delimiter, labels, _text)
+                _write_rows(handle, table, middle, table.n, delimiter, labels)
             else:
                 handle.flush()
                 shutil.copyfileobj(out, handle)
 
 
 def _write_rows(handle: BinaryIO, table: ObservationTable, start: int, stop: int,
-                delimiter: str, labels: _Labels | None, kernel) -> None:
+                delimiter: str, labels: _Labels | None) -> None:
     """Writes rows ``[start, stop)`` of ``table`` to the binary file
-    ``handle``, ``_WRITE_ROWS`` (at most ``_CHUNK_ROWS``) at a time, or
-    fewer where a block would pass ``_BLOCK_BYTES``.
+    ``handle``, a pass of ``lafte._text`` at a time (at most
+    ``_CHUNK_ROWS``), or fewer rows where a block would pass
+    ``_BLOCK_BYTES``.
 
     A block's rows are laid out in one matrix of bytes, each field at fixed
     columns and right-aligned in them, and written as the bytes that a mask
     built from the fields' lengths keeps, in row order. The ``(z, d1, d2)``
-    fields come from a table of the 8 rows, each real's from ``kernel``
-    (``lafte._text``), each cluster field from ``labels``. The delimiters
-    and line ends are put in once, and both matrices serve every block.
+    fields come from a table of the 8 rows, each real's from
+    ``lafte._text``. The delimiters and line ends are put in once, and both
+    matrices serve every block. A table with clusters ends each row of the
+    matrix at the cluster field's delimiter, and each row's field (with the
+    line end) from ``labels`` follows it in the block's bytes.
     """
-    slot = kernel.WIDTH
+    from . import _text
+
+    slot = _text.WIDTH
     encoded = delimiter.encode()
     prefixes = np.frombuffer(b"".join(encoded.join(bits) for bits in
                                       product((b"0", b"1"), repeat=3)), np.uint8).reshape(8, -1)
@@ -1158,34 +1155,37 @@ def _write_rows(handle: BinaryIO, table: ObservationTable, start: int, stop: int
     # Each field starts at a column of ``fields``, after a delimiter.
     fields = [prefixes.shape[1] + separator.size + j * (separator.size + slot)
               for j in range(len(reals))]
-    widest = 0
-    if labels is not None:
-        fields.append(fields[-1] + slot + separator.size)
-        widest = int(labels.lengths.max())
-    width = fields[-1] + (widest if labels is not None else slot) + 2
-    step = max(1, min(_CHUNK_ROWS, _WRITE_ROWS, _BLOCK_BYTES // width, stop - start))
+    end = separator if labels is not None else np.frombuffer(b"\r\n", np.uint8)
+    width = fields[-1] + slot + end.size
+    # The bytes of a row: its matrix row and, on average, its label field.
+    row_bytes = width + (0 if labels is None else labels.total // max(table.n, 1))
+    step = max(1, min(_CHUNK_ROWS, _text._PASS, _BLOCK_BYTES // row_bytes, stop - start))
     text = np.empty((step, width), np.uint8)
     keep = np.ones((step, width), bool)
     for at in fields:
         text[:, at - separator.size:at] = separator
-    text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    text[:, width - end.size:] = end
     tails = np.arange(slot) >= slot - np.arange(slot + 1)[:, None]  # row k keeps the last k
     for first in range(start, stop, step):
         rows = slice(first, min(first + step, stop))
         cells = 4 * table.z[rows] + 2 * table.d1[rows] + table.d2[rows]
         block, kept = text[:cells.size], keep[:cells.size]
         block[:, :prefixes.shape[1]] = np.take(prefixes, cells, axis=0)
+        kept_bytes = np.full(cells.size, width - len(reals) * slot)
         for at, column in zip(fields, reals):
-            slots, lengths = kernel.reprs(column[rows])
+            slots, lengths = _text.reprs(column[rows])
             block[:, at:at + slot] = slots
             kept[:, at:at + slot] = np.take(tails, lengths, axis=0)
-        if labels is not None:
-            at = fields[-1]
-            codes = labels.codes[rows]
-            lengths = labels.lengths[codes]
-            # Byte c of a row is byte c - (widest - length) of its field.
-            where = (labels.starts[codes] - widest + lengths)[:, None] + np.arange(widest)
-            block[:, at:at + widest] = labels.fields[np.maximum(where, 0)]
-            np.greater_equal(np.arange(widest), (widest - lengths)[:, None],
-                             out=kept[:, at:at + widest])
-        handle.write(block[kept])
+            kept_bytes += lengths
+        if labels is None:
+            handle.write(block[kept])
+            continue
+        codes = labels.codes[rows]
+        # The bytes of the block alternate: a row's kept bytes, then its field.
+        parts = np.column_stack([kept_bytes, labels.lengths[codes]]).ravel()
+        from_matrix = np.repeat(np.arange(parts.size) % 2 == 0, parts)
+        out = np.empty(from_matrix.size, np.uint8)
+        out[from_matrix] = block[kept]
+        out[~from_matrix] = np.frombuffer(b"".join(map(labels.fields.__getitem__,
+                                                       codes.tolist())), np.uint8)
+        handle.write(out)

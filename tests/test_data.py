@@ -842,6 +842,35 @@ def test_labels_that_are_one_cluster_keep_each_rows_text(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_one_long_label_is_written_as_csv_writes_it(tmp_path, split):
+    # A label of 5000 characters, quoted, among short ones: each row's field
+    # is its own, and the blocks of rows are as long as without it.
+    rng = np.random.default_rng(13)
+    n = 3 * 4096 + 7
+    z = rng.integers(0, 2, n)
+    labels = np.array([f"hh{i}" for i in rng.integers(0, 50, n)], dtype=object)
+    labels[[5, n - 1]] = "ü,long" * 1000
+    table = from_arrays(z, z, 1 - z, rng.standard_normal(n), cluster=labels)
+    blocks = []
+    write = data._write_rows
+
+    def counted(handle, *args, **kwargs):
+        class Counted:
+            def write(self, data):
+                blocks.append(len(data))
+                return handle.write(data)
+        return write(Counted(), *args, **kwargs)
+
+    with mock.patch.object(data, "_SPLIT_ROWS", 0 if split else 1 << 40), \
+            mock.patch.object(data, "_write_rows", counted):
+        save_table(table, tmp_path / "new.csv")
+    _rowwise_save(table, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    if not split:
+        assert len(blocks) == 4
+
+
 def test_reals_reach_repr_only_outside_the_exact_range(tmp_path, monkeypatch):
     # The kernel writes every real of a draw; of the awkward table, whose
     # outcomes span 1e-300 to 1e300, repr writes those outside its range.

@@ -80,3 +80,14 @@ def test_cli_import_leaves_the_kernel_out():
     code = "import sys, lafte.cli; sys.exit('lafte._text' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0
+
+
+def test_a_big_endian_machine_writes_every_value_with_repr(monkeypatch):
+    # The fields are built as little-endian words; elsewhere repr writes them all.
+    calls = []
+    monkeypatch.setattr(_text, "repr", lambda value: calls.append(value) or repr(value),
+                        raising=False)
+    monkeypatch.setattr(_text, "_LITTLE", False)
+    values = [1.0, -2.5, 1e-5, 1e17, 0.1, 123456.789, 0.0, 1e300]
+    _assert_reprs(values)
+    assert calls == values
