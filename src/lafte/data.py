@@ -35,11 +35,8 @@ strings, and written as one array of bytes per block of rows, with no
 Python work per real: each real's ``repr`` is computed from its bits by
 ``lafte._text`` (exactly, for every magnitude from 1e-10 up to 1e18;
 ``repr`` itself writes the others), and each distinct cluster label text
-is quoted and encoded once. On a machine where this process may use two
-CPUs or more, a large table is still written in two halves: a forked
-worker process writes the back half while this one writes the front half
-(:func:`_forked`), and the bytes are those of one process. A file is
-always read by this one process. The parsed columns of a large file are
+is quoted and encoded once. A table is written, and a file read, by
+this one process. The parsed columns of a large file are
 kept in an on-disk cache, keyed by the file's bytes, and a later load of
 the same bytes reads them from there (:func:`_read_columns`); the table is
 built from them as from a parse.
@@ -77,13 +74,10 @@ import hashlib
 import io
 import json
 import os
-import shutil
 import stat
 import sys
 import tempfile
-import threading
-import warnings
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import compress, islice, product
@@ -118,14 +112,6 @@ _BLOCK_BYTES = 1 << 22
 # Bytes read at a time by load_table, which extends each read to a line end;
 # each such piece of a plain file is split as one chunk.
 _SCAN_BYTES = 1 << 16
-
-# The least table (rows) that save_table splits with a forked worker (see
-# _two_cores). On a 2-vCPU machine, with reals written by lafte._text at about
-# 0.35 us a row, forking, reaping and appending the back half cost about
-# 10 ms, and the split write breaks even at about 2**16 rows (medians of 31
-# runs: 23.5 ms either way). At 3 * 2**15 rows, 1.5 times that, the split
-# write takes 30 ms against 36 ms in one process.
-_SPLIT_ROWS = 3 << 15
 
 # The least file (bytes) whose parsed columns load_table keeps on disk (see
 # _cache_entry), and the most bytes the cache directory holds.
@@ -959,68 +945,6 @@ def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray], d
     return _cache_keep(entry, partial(_send, columns, dropped, labels))
 
 
-def _two_cores(rows: int) -> bool:
-    """Whether a table of ``rows`` is written with a forked worker: it has
-    at least ``_SPLIT_ROWS``, this process may run on two CPUs or more, and
-    it has one Python thread (a fork copies only the calling thread, not the
-    locks another may hold)."""
-    return (rows >= _SPLIT_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
-
-
-@contextmanager
-def _forked(work: Callable[[BinaryIO], None]) -> Iterator[Callable[[], BinaryIO | None]]:
-    """Runs ``work(out)`` in one forked worker process while the body of the
-    ``with`` runs in this one; ``out`` is an unlinked temporary file.
-
-    Yields a function that waits for the worker and returns ``out`` rewound,
-    or None when the worker failed or could not start. The worker never
-    returns into its caller: it ends in ``os._exit``, so it runs no exit
-    handler and flushes none of this process's buffers. It is reaped on
-    every way out of the ``with``, and killed first if it was not waited for.
-    """
-    out = pid = status = None
-    try:
-        out = tempfile.TemporaryFile()
-        with warnings.catch_warnings():
-            # Python 3.12 warns that a fork of a process with other threads
-            # (numpy's BLAS pool) may deadlock the child: the worker calls no
-            # BLAS and ends in os._exit.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        pass
-    if pid == 0:
-        code = 1
-        try:
-            work(out)
-            out.flush()
-            code = 0
-        finally:
-            os._exit(code)
-
-    def result() -> BinaryIO | None:
-        nonlocal status
-        if pid is None:
-            return None
-        _, status = os.waitpid(pid, 0)
-        if os.waitstatus_to_exitcode(status):
-            return None
-        out.seek(0)
-        return out
-
-    try:
-        yield result
-    finally:
-        if pid is not None and status is None:
-            from signal import SIGKILL  # only on this path: the module is not loaded otherwise
-
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        if out is not None:
-            out.close()
-
-
 class _Labels(NamedTuple):
     """The cluster field of each row, as :func:`_write_rows` takes it: each
     row's ``codes`` into the distinct texts; each text's ``csv.writer``
@@ -1073,9 +997,7 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     delimiter, a quote or a line break; lines end in CRLF. Control columns
     without names are headed ``x0``, ``x1``, ... Rows are written a block
     at a time, each block built as one array of bytes with no Python work
-    per real (:func:`_write_rows`); a table of ``_SPLIT_ROWS`` rows or more
-    still has its back half written by a forked worker
-    (:func:`_two_cores`), whose bytes are appended.
+    per real (:func:`_write_rows`).
 
     The text of each real is computed by ``lafte._text`` from the value's
     bits, exactly as ``repr`` writes it, for every magnitude from 1e-10 up
@@ -1084,11 +1006,10 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     values only. Each row's cluster label is coded by its ``str``, and
     each distinct text quoted and encoded once (:func:`_labels`); a block's
     fields are joined from those bytes, so a label costs its own length,
-    however long the others are. A 1e6-row draw is written in about 0.35 s
-    in one process and 0.24 s split over two (2-vCPU machine), against 1.0
-    and 0.73 s with ``repr`` and a row join. ``lafte._text`` is imported here,
-    before any fork, so that a command that writes no table never compiles
-    it and the worker does not compile it again.
+    however long the others are. A 1e6-row draw is written in about 0.4 s
+    (2-vCPU machine, median of repeated saves in one process), against
+    1.0 s with ``repr`` and a row join. Only :func:`_write_rows` imports
+    ``lafte._text``, so that a command that writes no table never compiles it.
 
     Raises
     ------
@@ -1105,35 +1026,19 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     if repeated:
         raise DataError(f"column '{repeated[0]}' repeats in the header {names}; "
                         f"nothing is written to {path}")
-    from . import _text  # compiled before a fork, not again by the worker (see _write_rows)
-
     labels = None if table.cluster is None else _labels(table, delimiter)
     header = io.StringIO()
     csv.writer(header, delimiter=delimiter).writerow(names)
     with open(path, "wb") as handle:
         handle.write(header.getvalue().encode())
-        if not _two_cores(table.n):
-            _write_rows(handle, table, 0, table.n, delimiter, labels)
-            return
-        middle = table.n // 2
-        back = partial(_write_rows, table=table, start=middle, stop=table.n,
-                       delimiter=delimiter, labels=labels)
-        with _forked(back) as result:
-            _write_rows(handle, table, 0, middle, delimiter, labels)
-            out = result()
-            if out is None:
-                _write_rows(handle, table, middle, table.n, delimiter, labels)
-            else:
-                handle.flush()
-                shutil.copyfileobj(out, handle)
+        _write_rows(handle, table, delimiter, labels)
 
 
-def _write_rows(handle: BinaryIO, table: ObservationTable, start: int, stop: int,
-                delimiter: str, labels: _Labels | None) -> None:
-    """Writes rows ``[start, stop)`` of ``table`` to the binary file
-    ``handle``, a pass of ``lafte._text`` at a time (at most
-    ``_CHUNK_ROWS``), or fewer rows where a block would pass
-    ``_BLOCK_BYTES``.
+def _write_rows(handle: BinaryIO, table: ObservationTable, delimiter: str,
+                labels: _Labels | None) -> None:
+    """Writes the rows of ``table`` to the binary file ``handle``, a pass
+    of ``lafte._text`` at a time (at most ``_CHUNK_ROWS``), or fewer rows
+    where a block would pass ``_BLOCK_BYTES``.
 
     A block's rows are laid out in one matrix of bytes, each field at fixed
     columns and right-aligned in them, and written as the bytes that a mask
@@ -1159,15 +1064,15 @@ def _write_rows(handle: BinaryIO, table: ObservationTable, start: int, stop: int
     width = fields[-1] + slot + end.size
     # The bytes of a row: its matrix row and, on average, its label field.
     row_bytes = width + (0 if labels is None else labels.total // max(table.n, 1))
-    step = max(1, min(_CHUNK_ROWS, _text._PASS, _BLOCK_BYTES // row_bytes, stop - start))
+    step = max(1, min(_CHUNK_ROWS, _text._PASS, _BLOCK_BYTES // row_bytes, table.n))
     text = np.empty((step, width), np.uint8)
     keep = np.ones((step, width), bool)
     for at in fields:
         text[:, at - separator.size:at] = separator
     text[:, width - end.size:] = end
     tails = np.arange(slot) >= slot - np.arange(slot + 1)[:, None]  # row k keeps the last k
-    for first in range(start, stop, step):
-        rows = slice(first, min(first + step, stop))
+    for first in range(0, table.n, step):
+        rows = slice(first, first + step)
         cells = 4 * table.z[rows] + 2 * table.d1[rows] + table.d2[rows]
         block, kept = text[:cells.size], keep[:cells.size]
         block[:, :prefixes.shape[1]] = np.take(prefixes, cells, axis=0)

@@ -1,11 +1,10 @@
-import contextlib
 import csv
+import errno
 import io
 import itertools
 import os
 import tempfile
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -501,49 +500,6 @@ def _assert_both_tokenizers_match_reference(path, **kwargs):
     return _byte_path(path, kwargs.get("delimiter", ","))
 
 
-@contextlib.contextmanager
-def _split():
-    """Every table that save_table writes is split with a forked worker, as on
-    a machine with two CPUs; yields the list of the workers' process ids."""
-    if not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    workers = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            workers.append(pid)
-        return pid
-
-    with mock.patch.object(data, "_SPLIT_ROWS", 0), \
-            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
-            mock.patch.object(os, "fork", counted):
-        yield workers
-
-
-def _worker_fails(function):
-    """``function``, which raises RuntimeError in any process but this one."""
-    parent = os.getpid()
-
-    def call(*args, **kwargs):
-        if os.getpid() != parent:
-            raise RuntimeError("the worker fails")
-        return function(*args, **kwargs)
-    return call
-
-
-def _worker_sleeps(function):
-    """``function``, which sleeps in any process but this one until it is killed."""
-    parent = os.getpid()
-
-    def call(*args, **kwargs):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return function(*args, **kwargs)
-    return call
-
-
 _LOADER_CASES = dict(
     file=_delimited_files(),
     delimiter=st.sampled_from([",", "\t"]),
@@ -842,16 +798,8 @@ def test_labels_that_are_one_cluster_keep_each_rows_text(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("split", [False, True])
-def test_one_long_label_is_written_as_csv_writes_it(tmp_path, split):
-    # A label of 5000 characters, quoted, among short ones: each row's field
-    # is its own, and the blocks of rows are as long as without it.
-    rng = np.random.default_rng(13)
-    n = 3 * 4096 + 7
-    z = rng.integers(0, 2, n)
-    labels = np.array([f"hh{i}" for i in rng.integers(0, 50, n)], dtype=object)
-    labels[[5, n - 1]] = "ü,long" * 1000
-    table = from_arrays(z, z, 1 - z, rng.standard_normal(n), cluster=labels)
+def _blocks_saved(table, path, **kwargs):
+    """save_table(table, path); returns the length of each block of rows written."""
     blocks = []
     write = data._write_rows
 
@@ -862,13 +810,24 @@ def test_one_long_label_is_written_as_csv_writes_it(tmp_path, split):
                 return handle.write(data)
         return write(Counted(), *args, **kwargs)
 
-    with mock.patch.object(data, "_SPLIT_ROWS", 0 if split else 1 << 40), \
-            mock.patch.object(data, "_write_rows", counted):
-        save_table(table, tmp_path / "new.csv")
+    with mock.patch.object(data, "_write_rows", counted):
+        save_table(table, path, **kwargs)
+    return blocks
+
+
+def test_one_long_label_is_written_as_csv_writes_it(tmp_path):
+    # A label of 5000 characters, quoted, among short ones: each row's field
+    # is its own, and the blocks of rows are as long as without it.
+    rng = np.random.default_rng(13)
+    n = 3 * 4096 + 7
+    z = rng.integers(0, 2, n)
+    labels = np.array([f"hh{i}" for i in rng.integers(0, 50, n)], dtype=object)
+    labels[[5, n - 1]] = "ü,long" * 1000
+    table = from_arrays(z, z, 1 - z, rng.standard_normal(n), cluster=labels)
+    blocks = _blocks_saved(table, tmp_path / "new.csv")
     _rowwise_save(table, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    if not split:
-        assert len(blocks) == 4
+    assert len(blocks) == 4
 
 
 def test_reals_reach_repr_only_outside_the_exact_range(tmp_path, monkeypatch):
@@ -879,7 +838,6 @@ def test_reals_reach_repr_only_outside_the_exact_range(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(_text, "repr", lambda value: calls.append(value) or repr(value),
                         raising=False)
-    monkeypatch.setattr(data, "_SPLIT_ROWS", 1 << 40)  # no worker, whose calls go uncounted
     save_table(sample(s2_spec(y_sd=1.0), 100_000, seed=5), tmp_path / "draw.csv")
     assert calls == []
     table = _awkward_table(np.random.default_rng(12))
@@ -889,68 +847,89 @@ def test_reals_reach_repr_only_outside_the_exact_range(tmp_path, monkeypatch):
     assert calls == outside and len(outside) > 10
 
 
-@pytest.mark.parametrize("delimiter", [",", "\t"])
-def test_split_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter):
-    # Each table written and read back by two processes; halves of 1-30 rows.
-    with _split() as workers:
-        test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter)
-    assert workers
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_failed_worker_gives_the_serial_result(tmp_path):
-    table = _awkward_table(np.random.default_rng(7))
-    save_table(table, tmp_path / "serial.csv")
-    with _split() as workers, mock.patch.object(data, "_write_rows", _worker_fails(data._write_rows)):
-        save_table(table, tmp_path / "split.csv")
-    assert len(workers) == 1
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    _no_child_left()
-
-
-def _front_half_fails(*args, **kwargs):
-    raise RuntimeError("the front half fails")
-
-
-@pytest.mark.parametrize("outcome", ["success", "worker fails", "front half fails"])
-def test_every_worker_is_reaped(tmp_path, outcome):
-    # A worker still running when the front half fails is killed, not waited for.
-    table = _awkward_table(np.random.default_rng(8))
-    write = {"success": data._write_rows, "worker fails": _worker_fails(data._write_rows),
-             "front half fails": _worker_sleeps(_front_half_fails)}[outcome]
-    failures = []
-    started = time.monotonic()
-    with _split() as workers, mock.patch.object(data, "_write_rows", write):
-        try:
-            save_table(table, tmp_path / "t.csv")
-        except RuntimeError as exc:
-            failures.append(str(exc))
-    if outcome == "front half fails":
-        assert failures == ["the front half fails"]
-        assert time.monotonic() - started < 30
-    else:
-        assert failures == []
-    assert len(workers) == 1
-    _no_child_left()
-
-
-def test_only_the_save_forks(tmp_path):
-    # With two CPUs and no least size, load_table reads a plain file of 2 MiB
-    # or more in this process, and save_table writes with one worker.
+def test_nothing_forks(tmp_path, monkeypatch):
+    # A household table of 2 MiB or more, and more rows than a save was once
+    # split at, is parsed, read from the cache and written by this one process.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     path = tmp_path / "hh.csv"
-    _households_csv(path, 70_000, np.random.default_rng(10))
+    _households_csv(path, 100_000, np.random.default_rng(10))
     assert os.path.getsize(path) >= 1 << 21
-    with _split() as workers:
-        table = load_table(path, {"z": "z", "d1": "d1", "d2": "d2", "y": "y",
-                                  "controls": ["x1", "x2"], "cluster": "hh"})
-        assert workers == []
+    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": ["x1", "x2"],
+               "cluster": "hh"}
+    with mock.patch.object(os, "fork", side_effect=AssertionError("os.fork")):
+        parsed = load_table(path, mapping)
+        table = load_table(path, mapping)
         save_table(table, tmp_path / "t.csv")
-    assert len(workers) == 1
-    _no_child_left()
+    _assert_same_table(table, parsed)
+    assert table.n > 98304 and len(os.listdir(tmp_path / "cache" / "lafte")) == 1
+    _rowwise_save(table, tmp_path / "ref.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t", ";", "§"])
+def test_blocks_cut_at_the_byte_bound_match_rowwise_reference(tmp_path, delimiter):
+    # Where _BLOCK_BYTES holds fewer rows than a pass, the blocks are cut at
+    # it: one byte gives a block per row, a block of a table without clusters
+    # is never longer than the bound, and the bytes are the row-wise writer's.
+    rng = np.random.default_rng(14)
+    clustered = _awkward_table(rng, n=500, k=3)
+    plain = replace(clustered, cluster=None, cluster_codes=None, cluster_count=None)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    for table, block_bytes in itertools.product((clustered, plain), (1, 700, 5000)):
+        with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
+            blocks = _blocks_saved(table, new, delimiter=delimiter)
+        _rowwise_save(table, ref, delimiter=delimiter)
+        assert new.read_bytes() == ref.read_bytes()
+        if block_bytes == 1:
+            assert len(blocks) == table.n
+            continue
+        assert 1 < len(blocks) < table.n
+        if table.cluster is None:
+            assert max(blocks) <= block_bytes
+
+
+@pytest.mark.parametrize("failing", ["header", "first block", "a middle block", "last block"])
+def test_a_failed_write_ends_the_save_with_the_bytes_before_it(tmp_path, failing):
+    # A write that fails (a full disk, say) ends the save with its own error,
+    # raised in this process; the file is closed and holds what was written
+    # before it, a prefix of the row-wise writer's bytes.
+    table = _awkward_table(np.random.default_rng(8))
+    _rowwise_save(table, tmp_path / "ref.csv")
+    rows_per_block = 4
+    fail_at = {"header": 0, "first block": 1, "a middle block": 8,
+               "last block": -(-table.n // rows_per_block)}[failing]
+    written, handles = [], []
+
+    class Full:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def write(self, data):
+            if len(written) == fail_at:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(bytes(data))
+            return self.handle.write(data)
+
+    def opener(path, mode):
+        handles.append(open(path, mode))
+        return Full(handles[-1])
+
+    with mock.patch.object(data, "_CHUNK_ROWS", rows_per_block), \
+            mock.patch.object(data, "open", opener, create=True), \
+            mock.patch.object(os, "fork", side_effect=AssertionError("os.fork")), \
+            pytest.raises(OSError) as failure:
+        save_table(table, tmp_path / "new.csv")
+    assert failure.value.errno == errno.ENOSPC
+    assert len(written) == fail_at and len(handles) == 1 and handles[0].closed
+    saved = (tmp_path / "new.csv").read_bytes()
+    assert saved == b"".join(written)
+    assert (tmp_path / "ref.csv").read_bytes().startswith(saved)
 
 
 @pytest.mark.parametrize("labels", [
