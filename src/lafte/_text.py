@@ -1,46 +1,46 @@
-"""The text ``repr`` gives a float64, computed a block of values at a time.
+"""The text ``repr`` gives a float64, computed a pass of values at a time.
 
-:func:`reprs` returns, for each value of a block, the UTF-8 bytes of
-``repr(float(value))``, right-aligned in a row of ``WIDTH`` bytes, and their
-length. For ``LEAST <= |x| < BOUND`` it computes them with whole-array
-integer arithmetic. Every other value (zero, ``-0.0``, subnormals, NaN, the
-infinities and anything outside that range) is written by ``repr`` itself,
-on those values only. The fields are built as little-endian words, so on a
-big-endian machine ``repr`` writes every value.
+A :class:`Kernel` writes, for each value of a pass, the UTF-8 bytes of
+``repr(float(value))`` right-aligned in a row of three little-endian
+uint64 words, after bytes 0xFF (which no UTF-8 text holds), and returns
+their lengths; :func:`reprs` gives them for any number of values. On a
+little-endian machine, it computes them for ``LEAST <= |x| < BOUND`` with
+whole-array integer arithmetic, but for the digits of magnitudes under
+``2**-28``, which are divided in Python integers. ``repr`` writes every
+other value (zeros, subnormals, NaN, the infinities, the others outside
+that range, and all of them on a big-endian machine), on those values only.
 
-The digits are those of Ryu (Adams 2018, PLDI), which are ``repr``'s: the
-shortest decimal that reads back as the value, and of two such, the nearest,
-ties to even. A value ``x = mv * 2**e2`` (``mv`` four times the significand)
-has the rounding interval from ``mm * 2**e2`` to ``mp * 2**e2``, where
-``mp = mv + 2`` and ``mm = mv - 2``, or ``mv - 1`` at a power of two; its
-ends belong to it when the significand is even. Each of the three is
-divided by ``10**e10``, the power Ryu picks from ``e2``, in whose units the
-interval spans under 400. In the range above ``e10 = -s <= 0``, so the
-quotient is ``m * 5**s`` shifted right by ``t`` bits, where ``s`` and ``t``
-depend on ``e2`` alone. The product of the value is computed exactly
-as two uint64 limbs; its floor and remainder past ``2**t`` give the floors
-of the two ends, and whether each of the three is exact, with no further
-product.
+The digits are ``repr``'s: the shortest decimal that reads back as the
+value, and of two such, the nearest, ties to even. They are found as
+Schubfach (Giulietti 2020) finds them, with Ryu's (Adams 2018, PLDI)
+interval. A value ``x = c * 2**q`` (``c`` the 53-bit significand) rounds
+back from an interval of width ``2**q`` (``0.75 * 2**q`` at a power of
+two), whose ends belong to it when ``c`` is even. In units of ``10**k``,
+for the greatest ``k`` with ``10**k`` at most that width, the interval
+spans 1 to 10 units: it holds at most one multiple of 10 units, which is
+the shortest decimal when there is one, and otherwise the nearer of the
+two integers around the value that lies inside. The value in those units
+is ``c * G / 2**t`` (``G`` and ``t`` depend on the exponent alone): a
+float64 product gives it to within 21 of its floor, and ``c * G`` modulo
+``2**64`` the exact floor and the remainder past ``2**t`` (where ``t``
+is at most 57), on which the interval's ends and the rounding are
+decided. From ``2**56`` on, it is ``|x| // 10**k`` in uint64.
 
-Ryu's digit removal then runs on the three floors as a search over whole
-arrays: the digits removed are the most ``k`` for which the interval still
-holds a multiple of ``10**k``, which its width bounds from below, and the
-search goes on only for the values that pass. The last removed digit, and
-whether the ones after it (and the lower end's removed digits) were all 0,
-decide the rounding, half to even. Where the lower end is exact and belongs
-to the interval, its own trailing zeros are removed too, one at a time.
-
-The digits are written in fixed notation when the decimal point ``decpt``
-(the value is ``0.d1d2... * 10**decpt``) has ``-4 < decpt <= 16``, and as
-``d.ddde-XX`` or ``d.ddde+XX`` otherwise, as ``repr`` writes them. A
-field is built as three little-endian uint64 words of eight bytes: of the
-digits, zero-padded to 24, those left of the point move one byte towards
-the front, by masks and shifts, and the point, the sign and an exponent
-are put in.
+Trailing zeros go four at a time, then up to three by a table of the
+last four digits: a shift, then a product with the inverse of ``5**z``
+modulo ``2**64``. In fixed notation, the digits (``10 * |x|`` for an
+integer) plus ``9 * floor(|x|) * 10**f`` (``f`` digits after the point)
+move the whole part one place up and leave a zero where the point goes;
+their 24 digits, zero-padded, come from a table of every four digits,
+and one table by the point's place, the sign and ``f`` turns that zero
+to a point, the zero before the text to a minus sign and those before it
+to 0xFF. The ``d.ddd`` of ``d.ddde-XX`` and ``d.ddde+XX`` is laid out so
+too, then moved four bytes to the front for its exponent.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -51,69 +51,261 @@ WIDTH = 24
 # The least and the bound of the magnitudes written without repr.
 LEAST, BOUND = 1e-10, 1e18
 
+# The magnitudes whose floor in units of 10**k the float64 product finds.
+_QUICK = 2.0**-28, 2.0**56
+
 # Whether the uint64 words of a field hold its bytes in order.
 _LITTLE = sys.byteorder == "little"
-
-_U = np.uint64
 
 # The biased binary exponents of the range: 1e-10 is 1.7 * 2**-34, and every
 # value under 1e18 is under 2**60.
 _FIRST, _LAST = 1023 - 34, 1023 + 59
 
-
-def _exponent_table() -> np.ndarray:
-    """One column per biased exponent ``_FIRST.._LAST`` of a normal value,
-    and one row for each of: the three 32-bit limbs of ``f = 5**s * 2**left``
-    (``left`` is ``e2`` when it is positive), the shift ``t``, the parts
-    above and below bit ``t`` of ``2*f`` and of ``f``, and ``e10``."""
-    columns = []
-    for biased in range(_FIRST, _LAST + 1):
-        e2 = biased - 1023 - 52 - 2
-        if e2 >= 0:  # an integer: no shift, and e10 = 0 (Ryu's q is 0 up to e2 = 6)
-            factor, shift, e10 = 1 << e2, 0, 0
-        else:
-            k = -e2
-            q = ((k * 732923) >> 20) - (k > 1)  # floor(k * log10(5)), less 1 past k = 1
-            factor, shift, e10 = 5 ** (k - q), q, q - k
-        low = (1 << shift) - 1
-        # The product of a 55-bit mv and f fits two limbs, and its floor one.
-        assert factor < 1 << 73 and shift < 64 and (factor << 55) >> shift < 1 << 64
-        columns.append([factor & 0xFFFFFFFF, factor >> 32 & 0xFFFFFFFF, factor >> 64, shift,
-                        2 * factor >> shift, 2 * factor & low, factor >> shift, factor & low,
-                        e10 % (1 << 64)])
-    return np.array(columns, dtype=np.uint64).T.copy()
+# uint64 operands: a 0-d array enters a ufunc fastest.
+_1, _2, _5, _6, _10, _32, _52, _63, _MANTISSA, _HIDDEN, _1E4, _1E16 = (np.array(
+    value, np.uint64) for value in (1, 2, 5, 6, 10, 32, 52, 63, 2**52 - 1, 1 << 52, 10**4, 10**16))
+_QUADS = 10 ** np.arange(0, 17, 4, dtype=np.uint64)
+_DIVISORS = _QUADS[1:, None]
 
 
-_EXPONENTS = _exponent_table()
+def _exponent_table() -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """A column per biased exponent, and 2048 on for a power of two, of:
+    ``G``, the float64 bits of ``G / 2**(t + q)`` and ``t``; the upper end,
+    whole units (less 1 where it is whole) and the remainder from which it
+    is one more; the lower end, whole units and remainder plus 1; half a
+    unit; ``-k`` and ``k + 19``. Also ``(G, den)`` by column: the value is
+    ``c * G / den`` units."""
+    columns, ratios = [], []
+    for power in (0, 1):
+        for biased in range(_FIRST, _LAST + 1):
+            q = biased - 1075
+            # The width, m * 2**(q - 2) = top / bottom, and the greatest k
+            # with 10**k at most the width.
+            top, bottom = (3 if power else 4) << max(q - 2, 0), 1 << max(2 - q, 0)
+            k = len(str(top // bottom)) - 1 if top >= bottom else -len(str((bottom - 1) // top))
+            den = 10**k if k > 0 else 2 ** max(0, k - q + 2)
+            unit, exact = divmod((den << max(q - 2, 0)) * 10 ** max(-k, 0),
+                                 (1 << max(2 - q, 0)) * 10 ** max(k, 0))
+            assert not exact
+            factor = 4 * unit
+            up_hi, up_lo = divmod(2 * unit, den)
+            down_hi, down_lo = divmod((1 if power else 2) * unit, den)
+            g, t = (factor, den.bit_length() - 1) if k <= 0 and factor < 1 << 64 else (0, 0)
+            columns.append([g, np.float64(math.ldexp(g / den, -q)).view(np.uint64), t,
+                            up_hi - (up_lo == 0), den - up_lo if up_lo else 0, down_hi,
+                            down_lo + 1, max(den // 2, 1), -k % 2**64, (k + 19) % 2**64])
+            ratios.append((factor, den))
+    count, at = _LAST + 1 - _FIRST, np.arange(4096)
+    index = np.clip(at & 2047, _FIRST, _LAST) - _FIRST + count * (at >> 11)
+    return np.array(columns, np.uint64).T[:, index].copy(), [ratios[i] for i in index]
 
-# 10**0 .. 10**19.
-_POWERS = 10 ** np.arange(20, dtype=np.uint64)
+
+_EXPONENTS, _RATIOS = _exponent_table()
+
+# By the last four digits, not all zeros: how many trailing zeros, and the
+# inverse of 5 to that power modulo 2**64.
+_TRAILING = sum(np.arange(10_000) % 10**z == 0 for z in (1, 2, 3, 4)) % 4
+_TRAILING = np.array([_TRAILING, np.array([pow(5, -z, 2**64) for z in range(4)],
+                                          np.uint64)[_TRAILING]], np.uint64)
 
 # Each number below 10**4 as the little-endian uint64 of its four digits.
 _FOUR_DIGITS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(
     np.uint8).view(np.uint32)[:, 0].astype(np.uint64)
 
 
-def _byte_words(byte: int, places) -> np.ndarray:
-    """A row per word of a field, a column per place in ``places``: ``byte``
-    at that byte of the field (0 to 23), none past it."""
-    words = np.zeros((3, len(places)), np.uint64)
-    for i, place in enumerate(places):
-        if 0 <= place < WIDTH:
-            words[place // 8, i] = byte << 8 * (place % 8)
-    return words
+def _marks(decpts, bare: bool) -> np.ndarray:
+    """By ``(decpt - decpts[0]) * 64 + 32 * negative + f`` (``f`` digits
+    after the point, and no point for 0 where ``bare``): what turns the
+    zero-padded digits into the text, a word at a time (the third, the
+    second, and the first with the four zeros its digits leave out), the
+    text's length, and ``9 * 10**f``. A length of 0 marks a text left out."""
+    index = np.arange(len(decpts) * 64)
+    decpt, negative, point = np.asarray(decpts)[index // 64], index >> 5 & 1, index & 31
+    length = point + (point > 0) + np.maximum(decpt, 1) + negative
+    valid = ((point > 0) | bare) & (length <= WIDTH)
+    at = np.arange(WIDTH)
+    row = np.where(at < WIDTH - length[:, None], ord("0") ^ 0xFF, 0)
+    row |= np.where(at == WIDTH - length[:, None], ord("0") ^ ord("-"), 0) * negative[:, None]
+    row |= np.where(at == WIDTH - 1 - point[:, None], ord("0") ^ ord("."), 0) * (point[:, None] > 0)
+    words = (row * valid[:, None]).astype(np.uint8).view(np.uint64).T
+    nines = np.where((point > 0) & (point < 19), 9 * 10 ** np.minimum(point, 18), 0)
+    return np.array([words[2], words[1], words[0] ^ _FOUR_DIGITS[0], length * valid,
+                     nines * valid], np.uint64)
 
 
-# By the digits after the point, 1..23, or 24 for no point: the bytes that
-# stay (the last ones), and the point.
-_KEEP = np.array([[sum(0xFF << 8 * b for b in range(8) if 8 * j + b >= WIDTH - point)
-                   for point in range(WIDTH + 1)] for j in range(3)], np.uint64)
-_POINT = _byte_words(ord("."), [WIDTH - 1 - point for point in range(WIDTH + 1)])
-# By the byte of the sign, or 24 for none: what turns the zero there to a minus.
-_MINUS = _byte_words(ord("0") ^ ord("-"), range(WIDTH + 1))
-# 'e-10' .. 'e+17' as the little-endian uint64 of the four bytes, by exponent + 10.
-_EXPONENT_TEXT = np.frombuffer(b"".join(f"e{e:+03d}".encode() for e in range(-10, 18)),
-                               np.uint32).astype(np.uint64)
+# The marks of fixed notation and of the d.ddd of e-XX and e+XX; and 'e-10'
+# .. 'e+17', by the exponent + 10, as the little-endian uint64 of four bytes.
+_MARKS, _MANTISSAS = _marks(range(-3, 17), False), _marks([1], True)
+_SUFFIXES = np.frombuffer(b"".join(f"e{e:+03d}".encode() for e in range(-10, 18)),
+                          np.uint32).astype(np.uint64)
+
+# Values written at a time, a save's block of rows: passes of 2**12 values
+# took 0.75 the time a value of passes of 2**11 (2**13 took 0.9 of it, with
+# temporaries of 2.4 MB).
+_PASS = 1 << 12
+_ROWS, _FLAGS = 36, 4
+
+
+class Kernel:
+    """Writes the text of up to ``_PASS`` values at a time, computing in
+    temporaries allocated once: ``_ROWS`` of uint64 and ``_FLAGS`` of bool,
+    each a row of the pass's length, whose views are made once per length."""
+
+    def __init__(self):
+        self._work = np.empty(_ROWS * _PASS, np.uint64)
+        self._flags = np.empty(_FLAGS * _PASS, bool)
+        self._size = self._views = None
+
+    def _rows(self, n: int) -> tuple:
+        if n != self._size:
+            work = self._work[:_ROWS * n].reshape(_ROWS, n)
+            self._size, self._views = n, (work, list(work), list(work.view(np.int64)),
+                                          list(self._flags[:_FLAGS * n].reshape(_FLAGS, n)))
+        return self._views
+
+    def __call__(self, values: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Writes the text of each of ``values`` into its row of ``words``
+        (three uint64 each) and returns the lengths (int64)."""
+        work, w, signed, flags = self._rows(values.size)
+        bits, x, index, c = w[:4]
+        mag = signed[0].view(np.float64)
+        np.absolute(values, out=mag)
+        slow = big = others = None
+        if not (_LITTLE and _QUICK[0] <= np.minimum.reduce(mag)
+                and np.maximum.reduce(mag) < _QUICK[1]):
+            exact = (mag >= LEAST) & (mag < BOUND) & _LITTLE
+            others = np.flatnonzero(~exact)
+            mag[others] = 1.0
+            slow, big = (np.flatnonzero(exact & s) for s in (mag < _QUICK[0], mag >= _QUICK[1]))
+        np.right_shift(bits, _52, out=index)
+        np.bitwise_and(bits, _MANTISSA, out=c)
+        powers = None if c.all() else np.flatnonzero(c == 0)
+        if powers is not None:
+            index[powers] += np.uint64(2048)
+        _EXPONENTS.take(signed[2], axis=1, out=work[4:14], mode="clip")
+        factor, scale, shift, up_hi, up_at, down_hi, down_lo, half, point, decpt3 = w[4:14]
+        c |= _HIDDEN
+        # The value in units: a float64 estimate of its floor vr, and
+        # c * factor modulo 2**64 less vr's share, whose high bits are the
+        # estimate's error and whose low bits are the remainder.
+        vr, rem = w[14:16]
+        np.multiply(mag, signed[5].view(np.float64), out=signed[1].view(np.float64))
+        np.copyto(signed[14], signed[1].view(np.float64), casting="unsafe")
+        np.multiply(c, factor, out=rem)
+        np.left_shift(vr, shift, out=x)
+        rem -= x
+        np.right_shift(signed[15], signed[6], out=signed[1])
+        vr += x
+        x <<= shift
+        rem -= x
+        if big is not None:  # exactly: from 2**56 on, |x| is a uint64
+            vr[big], rem[big] = np.divmod(mag[big].astype(np.uint64),
+                                          _10 ** (-signed[12][big]).astype(np.uint64))
+        if slow is not None and slow.size:  # under 2**-28, in Python integers
+            vr[slow], rem[slow] = zip(*(divmod(m * g, d) for m, (g, d) in zip(
+                c[slow].tolist(), map(_RATIOS.__getitem__, index[slow].tolist()))))
+        # The interval holds the integers a with vr - below < a <= vr + above.
+        odd, below, above = w[16:19]
+        np.bitwise_and(c, _1, out=odd)
+        down_lo -= odd
+        np.less(rem, down_lo, out=flags[0])
+        np.add(down_hi, flags[0], out=below)
+        up_at += odd
+        np.greater_equal(rem, up_at, out=flags[0])
+        np.add(up_hi, flags[0], out=above)
+        # The multiple of 10 inside, else the nearer of vr and vr + 1 inside.
+        tens, last, full = w[19:22]
+        np.floor_divide(vr, _10, out=tens)
+        tens *= _10
+        np.subtract(vr, tens, out=last)
+        level, upper, up, other = flags
+        np.less(last, below, out=level)
+        above += last
+        np.greater_equal(above, _10, out=upper)
+        level |= upper
+        np.bitwise_and(vr, _1, out=x)
+        x += rem
+        np.greater(x, half, out=up)
+        if powers is not None:  # where the lower end is nearer: vr may lie outside
+            up[powers] |= below[powers] == 0
+        np.add(last, up, out=x)
+        np.logical_not(level, out=other)
+        x *= other
+        np.multiply(upper, _10, out=last)
+        x += last
+        np.add(tens, x, out=full)
+        np.greater_equal(full, _1E16, out=other)
+        decpt3 += other
+        # The trailing zeros go, four at a time while the last four are
+        # zeros, then up to three by a table of the last four.
+        zeros, inverse, digits, negative = w[22:26]
+        np.floor_divide(full, _1E4, out=x)
+        x *= _1E4
+        np.subtract(full, x, out=x)
+        if not x.all():
+            rows = np.flatnonzero(x == 0)
+            part = full[rows]
+            quads = 1 + (part % _QUADS[2] == 0) + (part % _QUADS[3] == 0) + (part % _QUADS[4] == 0)
+            full[rows] = part = part // _QUADS[quads]
+            x[rows] = part % _1E4
+            point[rows] -= quads.astype(np.uint64) << _2
+        _TRAILING.take(signed[1], axis=1, out=work[22:24], mode="clip")
+        np.right_shift(full, zeros, out=digits)
+        digits *= inverse
+        point -= zeros
+        if np.minimum.reduce(signed[12]) < 1:  # an integer in fixed notation: |x| and .0
+            rows = np.flatnonzero((signed[12] < 1) & (decpt3 < 20))
+            digits[rows] = mag[rows].astype(np.uint64) * _10
+            point[rows] = 1
+        np.right_shift(values.view(np.uint64), _63, out=negative)
+        negative <<= _5
+        np.left_shift(decpt3, _6, out=index)
+        index |= negative
+        index |= point
+        _MARKS.take(signed[2], axis=1, out=work[26:31], mode="clip")
+        lengths, nines, number = w[29:32]
+        np.copyto(signed[31], mag, casting="unsafe")
+        number *= nines
+        number += digits
+        if others is not None:
+            lengths[others] = 1
+        _place(work[31:36], work[4:9], work[26:29], words)
+        if not lengths.all():
+            rows = np.flatnonzero(lengths == 0)
+            words[rows], lengths[rows] = _exponents(digits[rows], signed[12][rows],
+                                                    signed[13][rows] - 3, signed[25][rows])
+        if others is not None and others.size:
+            padded = [repr(value).rjust(WIDTH, "\xff") for value in values[others].tolist()]
+            lengths[others] = [WIDTH - text.count("\xff") for text in padded]
+            words[others] = np.frombuffer("".join(padded).encode("latin-1"), "u8").reshape(-1, 3)
+        return signed[29]
+
+
+def _place(numbers: np.ndarray, groups: np.ndarray, marks: np.ndarray, words: np.ndarray) -> None:
+    """Writes the 24 digits of ``numbers[0]``, zero-padded, each word XOR'd
+    with its row of ``marks`` (the third word's first), into the rows of
+    ``words``; the rest of ``numbers`` and ``groups`` (5 rows) are temporaries."""
+    np.floor_divide(numbers[0], _DIVISORS, out=numbers[1:])
+    np.multiply(numbers[1:], _1E4, out=groups[:4])
+    np.subtract(numbers[:4], groups[:4], out=numbers[:4])
+    _FOUR_DIGITS.take(numbers.view(np.int64), out=groups, mode="clip")
+    np.left_shift(groups[::2], _32, out=groups[::2])
+    np.bitwise_or(groups[:3:2], groups[1:4:2], out=groups[:3:2])
+    for word in range(3):
+        np.bitwise_xor(groups[4 - 2 * word], marks[2 - word], out=words[:, word])
+
+
+def _exponents(digits, point, decpt, negative) -> tuple[np.ndarray, np.ndarray]:
+    """The words and lengths of ``d.ddde-XX`` or ``d.ddde+XX``: ``d.ddd``
+    laid out as fixed notation, then moved four bytes to the front."""
+    places = decpt + point - 1  # digits after the point
+    marks = _MANTISSAS.take(negative + places, axis=1)
+    numbers = np.empty((5, digits.size), np.uint64)
+    numbers[0] = marks[4] * (digits // _10 ** places.astype(np.uint64)) + digits
+    words = np.empty((digits.size, 3), np.uint64)
+    _place(numbers, np.empty_like(numbers), marks, words)
+    moved = np.column_stack([words[:, 1:], _SUFFIXES[decpt + 9]])
+    return (moved << _32) | (words >> _32), marks[3] + 4
 
 
 def reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,162 +316,8 @@ def reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.ascontiguousarray(values, dtype=float)
     words = np.empty((values.size, 3), np.uint64)
     lengths = np.empty(values.size, np.uint8)
+    kernel = Kernel()
     for start in range(0, values.size, _PASS):
         part = slice(start, start + _PASS)
-        lengths[part] = _texts(values[part], words[part])
+        lengths[part] = kernel(values[part], words[part])
     return words.view(np.uint8), lengths
-
-
-# Values computed at a time: each temporary of a pass takes 32 KiB, so that
-# they stay in the CPU's caches, and fewer pages go back to the system when
-# they are freed, to be faulted in again by the next pass (passes of 2**14
-# values took 0.1 minor faults a value). Passes of 2**12 values were 1.5 to
-# 1.7 times as fast as passes of 2**14 on a 2-vCPU machine.
-_PASS = 1 << 12
-
-
-def _texts(values: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Writes the repr of each value into the rows of ``words``, three
-    uint64 each, and returns the lengths: the kernel's text, computed for
-    1.0 in place of each value outside the exact range, and then ``repr``'s
-    over those."""
-    magnitude = np.abs(values)
-    exact = (magnitude >= LEAST) & (magnitude < BOUND) & _LITTLE
-    rows = np.flatnonzero(~exact)
-    if not rows.size:
-        return _shortest(values, words)
-    lengths = _shortest(np.where(exact, values, 1.0), words)
-    texts = list(map(repr, values[rows].tolist()))
-    lengths[rows] = sizes = np.fromiter(map(len, texts), np.int64, rows.size)
-    ends = np.cumsum(sizes)
-    # Byte b of the texts, one after another, goes to the row whose text ends at ends[row].
-    at = np.repeat(rows * WIDTH + WIDTH - ends, sizes) + np.arange(ends[-1])
-    words.view(np.uint8).reshape(-1)[at] = np.frombuffer("".join(texts).encode(), np.uint8)
-    return lengths
-
-
-def _shortest(values: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Writes the repr of each value, all in the exact range, into the rows
-    of ``words`` (three uint64 each) and returns the lengths."""
-    bits = values.view(np.uint64)
-    fraction_bits = bits & _U((1 << 52) - 1)
-    constants = np.take(_EXPONENTS, ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp) - _FIRST,
-                        axis=1)
-    f0, f1, f2, shift, up_hi, up_lo, one_hi, one_lo, e10 = constants
-    even = (fraction_bits & _U(1)) == 0
-    # mv * f in limbs of 32 bits, then its floor and remainder past 2**shift.
-    mv = (fraction_bits | _U(1 << 52)) << _U(2)
-    m0, m1 = mv & _U(0xFFFFFFFF), mv >> _U(32)
-    p = m0 * f0
-    r0, carry = p & _U(0xFFFFFFFF), p >> _U(32)
-    p, q = m0 * f1, m1 * f0
-    middle = (p & _U(0xFFFFFFFF)) + (q & _U(0xFFFFFFFF)) + carry
-    low = (middle << _U(32)) | r0
-    carry = (p >> _U(32)) + (q >> _U(32)) + (middle >> _U(32))
-    high = m0 * f2 + m1 * f1 + carry + ((m1 * f2) << _U(32))
-    vr = (low >> shift) | ((high << _U(1)) << (_U(63) - shift))
-    remainder = low & ((_U(1) << shift) - _U(1))
-    # The upper end, (mv + 2) * f, and the lower, (mv - 2) * f or, at a
-    # power of two, (mv - 1) * f.
-    up = remainder + up_lo
-    vp = vr + up_hi + (up >> shift)
-    vp -= ~even & (up == (up >> shift) << shift)  # an excluded end that is exact
-    power = fraction_bits == 0
-    down_hi = np.where(power, one_hi, up_hi)
-    down_lo = np.where(power, one_lo, up_lo)
-    vm = vr - down_hi - (remainder < down_lo)
-    vm_zero = even & (remainder == down_lo)
-    output, removed = _remove_digits(vr, vp, vm, remainder == 0, vm_zero, even)
-    return _format(output, e10.view(np.int64) + removed, values < 0, words)
-
-
-def _remove_digits(vr, vp, vm, vr_zero, vm_zero, even):
-    """Ryu's digit removal on the floors of the value and of its interval's
-    ends, and whether each is exact (``vm_zero`` only where the lower end
-    belongs to the interval): the digits of the value to write and how many
-    were removed."""
-    width = vp - vm
-    # k digits go while (vm, vp] holds a multiple of 10**k: surely while
-    # 10**k <= width, then while vp % 10**k < width.
-    removed = (width >= _U(10)).astype(np.int64) + (width >= _U(100)) + (width >= _U(1000))
-    rows = np.flatnonzero(vp % _POWERS[removed + 1] < width)
-    while rows.size:
-        removed[rows] += 1
-        more = vp[rows] % _POWERS[removed[rows] + 1] < width[rows]
-        rows = rows[more]
-    power = _POWERS[removed]
-    digits, lower = vr // power, vm // power
-    vm_zero &= vm == lower * power
-    rest = vr - digits * power
-    power = _POWERS[np.maximum(removed - 1, 0)]
-    last = rest // power
-    vr_zero &= rest == last * power
-    # An exact lower end that belongs to the interval: its trailing zeros go too.
-    rows = np.flatnonzero(vm_zero)
-    while rows.size:
-        m = lower[rows] // _U(10)
-        more = lower[rows] == m * _U(10)
-        rows, m = rows[more], m[more]
-        r = digits[rows]
-        vr_zero[rows] &= last[rows] == 0
-        last[rows] = r % _U(10)
-        digits[rows], lower[rows] = r // _U(10), m
-        removed[rows] += 1
-    # Round half to even when every removed digit after a 5 is 0.
-    last[vr_zero & (last == 5) & ((digits & _U(1)) == 0)] = 4
-    up = ((digits == lower) & (~even | ~vm_zero)) | (last >= 5)
-    return digits + up, removed
-
-
-def _format(output, exponent, negative, words) -> np.ndarray:
-    """Writes ``output * 10**exponent`` (negated where ``negative``) as repr
-    does into the rows of ``words``; returns the lengths."""
-    digits = np.searchsorted(_POWERS, output, side="right")
-    decpt = exponent + digits
-    # Every value in fixed notation: the digits, zeros to the point, and at
-    # least one digit on each side.
-    fraction = np.maximum(digits - decpt, 1)
-    lengths = _place(output * _POWERS[fraction - digits + decpt], fraction,
-                     np.maximum(decpt, 1), negative, words)
-    # Over those repr writes as d.ddd (no point after a lone digit) and
-    # e-XX or e+XX, four bytes on.
-    rows = np.flatnonzero((decpt <= -4) | (decpt > 16))
-    if rows.size:
-        part = np.empty((rows.size, 3), np.uint64)
-        lengths[rows] = _place(output[rows], digits[rows] - 1, 1, negative[rows], part) + 4
-        suffix = _EXPONENT_TEXT[decpt[rows] - 1 + 10]
-        words[rows, 0] = (part[:, 0] >> _U(32)) | (part[:, 1] << _U(32))
-        words[rows, 1] = (part[:, 1] >> _U(32)) | (part[:, 2] << _U(32))
-        words[rows, 2] = (part[:, 2] >> _U(32)) | (suffix << _U(32))
-    return lengths
-
-
-def _place(number, fraction, whole, negative, words) -> np.ndarray:
-    """Writes the decimal digits of each ``number`` (below ``10**17``), the
-    last ``fraction`` after a point (none when 0) and ``whole`` before it,
-    with zeros ahead as needed and a minus sign where ``negative``,
-    right-aligned in the rows of ``words``; returns the lengths. A row past
-    those bounds, which its caller writes over, gets bytes of no meaning."""
-    # The number's digits, zero-padded to 24, eight to a word.
-    text = []
-    for _ in range(2):
-        quotient = number // _U(10**8)
-        eight = number - quotient * _U(10**8)
-        four = eight // _U(10**4)
-        text.append(_FOUR_DIGITS[four] | (_FOUR_DIGITS[eight - four * _U(10**4)] << _U(32)))
-        number = quotient
-    text.append(_FOUR_DIGITS[0] | (_FOUR_DIGITS[number] << _U(32)))
-    text.reverse()
-    first, middle, last = text
-    # The bytes left of the point move one byte towards the front.
-    point = np.where(fraction > 0, fraction, WIDTH)
-    keep = np.take(_KEEP, point, axis=1, mode="clip")
-    lengths = fraction + (fraction > 0) + whole
-    marks = np.take(_POINT, point, axis=1, mode="clip") | np.take(_MINUS, np.where(
-        negative, WIDTH - 1 - lengths, WIDTH), axis=1, mode="clip")
-    moved = [word & ~mask for word, mask in zip(text, keep)]
-    # The point goes to a byte that the move left empty, the sign to a zero.
-    words[:, 0] = ((moved[0] >> _U(8)) | (moved[1] << _U(56)) | (first & keep[0])) ^ marks[0]
-    words[:, 1] = ((moved[1] >> _U(8)) | (moved[2] << _U(56)) | (middle & keep[1])) ^ marks[1]
-    words[:, 2] = ((moved[2] >> _U(8)) | (last & keep[2])) ^ marks[2]
-    return lengths + negative

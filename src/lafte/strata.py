@@ -456,9 +456,10 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> ObservationTable:
     probs = np.array([s.prob for s in strata], dtype=float)
     probs = probs / probs.sum()
 
-    d1_tab = np.array([[s.d1(0), s.d1(1)] for s in strata], dtype=np.uint8)
-    d2_tab = np.array([[s.d2(0), s.d2(1)] for s in strata], dtype=np.uint8)
-    mean_tab = np.array([[s.outcome_mean(0), s.outcome_mean(1)] for s in strata])
+    # Each stratum's two cells, (stratum, arm) at 2 * stratum + arm.
+    d1_tab = np.array([[s.d1(0), s.d1(1)] for s in strata], dtype=np.uint8).ravel()
+    d2_tab = np.array([[s.d2(0), s.d2(1)] for s in strata], dtype=np.uint8).ravel()
+    mean_tab = np.array([[s.outcome_mean(0), s.outcome_mean(1)] for s in strata]).ravel()
     sd = np.array([s.y_sd for s in strata])
 
     # The draws of one kind are made a block of rows at a time, in the order
@@ -475,17 +476,20 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> ObservationTable:
     d1, d2, y = np.empty(n, np.uint8), np.empty(n, np.uint8), np.empty(n)
     noisy = (sd > 0).any()
     for rows in blocks:
-        cell, y_rows = (idx[rows], z[rows]), y[rows]
+        # One flat index, intp: idx is uint8 up to 256 strata, where 2 * idx overflows.
+        cell, y_rows = idx[rows].astype(np.intp), y[rows]
+        cell <<= 1
+        cell += z[rows]
         d1[rows] = d1_tab[cell]
         d2[rows] = d2_tab[cell]
         if noisy:
             # mean + sd * noise, built in place: IEEE products and sums commute.
             rng.standard_normal(out=y_rows)
-            y_rows *= sd[cell[0]]
+            y_rows *= sd[idx[rows]]
             y_rows += mean_tab[cell]
         else:
             y_rows[:] = mean_tab[cell]
-    del idx, cell  # the last cell views idx
+    del idx
     return from_arrays(z, d1, d2, y, copy=False)
 
 

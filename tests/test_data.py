@@ -888,6 +888,24 @@ def test_blocks_cut_at_the_byte_bound_match_rowwise_reference(tmp_path, delimite
             assert max(blocks) <= block_bytes
 
 
+def test_a_save_holds_the_same_memory_at_any_table_size(tmp_path):
+    # A save lays out one block of rows at a time, and the text kernel
+    # computes in temporaries allocated once per save: nothing it holds
+    # grows with the table.
+    small, large = (sample(s2_spec(y_sd=1.0), n, seed=16) for n in (100_000, 400_000))
+    save_table(small, tmp_path / "warm.csv")  # allocations made once per process
+    peaks = []
+    for table in (small, large):
+        tracemalloc.start()
+        try:
+            save_table(table, tmp_path / "t.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.5e6
+    assert max(peaks) < 4e6
+
+
 @pytest.mark.parametrize("failing", ["header", "first block", "a middle block", "last block"])
 def test_a_failed_write_ends_the_save_with_the_bytes_before_it(tmp_path, failing):
     # A write that fails (a full disk, say) ends the save with its own error,

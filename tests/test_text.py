@@ -91,3 +91,47 @@ def test_a_big_endian_machine_writes_every_value_with_repr(monkeypatch):
     values = [1.0, -2.5, 1e-5, 1e17, 0.1, 123456.789, 0.0, 1e300]
     _assert_reprs(values)
     assert calls == values
+
+
+def test_the_kernel_carries_nothing_between_passes_or_calls():
+    # Lengths that end a pass one value short, on its last value and one
+    # past it, four passes with a short last one, then a shorter call: each
+    # mixes fixed notation, e-XX and e+XX inside the exact range and values
+    # that repr writes. One kernel also writes them all, in turn, into the
+    # words of a wider block, as a save does.
+    rng = np.random.default_rng(27)
+    kinds = [0.5, -3.75, 123.456, -0.001, 1e-5, -2.5e17, 7e-10, 0.0, 1e-11, float("nan")]
+    kernel = _text.Kernel()
+    for size in (_text._PASS - 1, _text._PASS, _text._PASS + 1, 3 * _text._PASS + 7, 100):
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 17, size)
+        at = np.linspace(0, size - 1, 4 * len(kinds)).astype(int)
+        values[at] = np.resize(kinds, at.size)
+        _assert_reprs(values)
+        block = np.zeros((_text._PASS, 5), np.uint64)
+        for start in range(0, size, _text._PASS):
+            part = values[start:start + _text._PASS]
+            lengths = kernel(part, block[:part.size, 1:4])
+            texts = list(map(repr, part.tolist()))
+            assert lengths.tolist() == list(map(len, texts))
+            assert [bytes(row).lstrip(b"\xff") for row in block[:part.size, 1:4].view(np.uint8)] \
+                == [text.encode() for text in texts]
+
+
+def test_python_integers_divide_only_the_least_magnitudes(monkeypatch):
+    # Short decimals, integers, e-XX and e+XX texts and the magnitudes from
+    # 2**56 on are written by whole arrays: only the digits of magnitudes
+    # under 2**-28 are divided in Python integers, one value at a time.
+    divided = []
+
+    class Ratios(list):
+        def __getitem__(self, column):
+            divided.append(column)
+            return super().__getitem__(column)
+
+    monkeypatch.setattr(_text, "_RATIOS", Ratios(_text._RATIOS))
+    values = [0.5, -3.75, 1.0, -2.0, 1200.0, 123.456, 1e-5, -2.5e-7, 4e-9, 2.5e17, -1e16,
+              2.0**53 + 2, 2.0**56, 9.99e17, 1e15, 12345678901234567.0]
+    _assert_reprs(values * 1000)
+    assert divided == []
+    _assert_reprs([1e-9, -3e-9, 1.0])
+    assert len(divided) == 2
