@@ -320,7 +320,7 @@ def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
 
 
 def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
-                warnings=(), copy=True) -> ObservationTable:
+                copy=True) -> ObservationTable:
     """Build a validated table from in-memory arrays.
 
     The table stores ``z``, ``d1`` and ``d2`` as ``uint8``, ``y`` and the
@@ -356,7 +356,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         except DataError as exc:
             coding.append(str(exc))
     return _build_table(z, d1, d2, y, controls, tuple(control_names), cluster, codes, count,
-                        warnings, copy, coding)
+                        (), copy, coding)
 
 
 def _build_table(z, d1, d2, y, controls, control_names, cluster, codes, count, warnings,
@@ -643,11 +643,13 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     by the sha256 of the file's bytes and of everything else that decides
     them (:func:`_cache_entry`). Such a file is read once more, first, to
     hash it; when the entry is there, it is read in place of the parse, and
-    the table, its warnings and its errors are the same. A cluster column
-    is kept as its sorted distinct labels and each row's code, so a hit
-    builds the labels and ``cluster_codes`` with one gather each, and does
-    no work per row in Python. A file that raises while it is read keeps no
-    entry. An ``XDG_CACHE_HOME`` that cannot be used turns the cache off.
+    the table, its warnings and its errors are the same. The entry, in the
+    one layout of every kept file (:func:`_cache_keep`), is a JSON line,
+    with a cluster column's sorted distinct labels, then each column's
+    bytes, a cluster column's as each row's code: a hit builds the labels
+    and ``cluster_codes`` with one gather each, and does no work per row in
+    Python. A file that raises while it is read keeps no entry. An
+    ``XDG_CACHE_HOME`` that cannot be used turns the cache off.
     The table remembers the entry it was read from or kept at, and
     ``estimands`` keeps its one fit beside it: a later command on the same
     bytes reads that fit in place of fitting the table again.
@@ -699,20 +701,37 @@ def _read_columns(path, delimiter: str, cols: list[str], kinds: list[str], on_mi
     code, and the cache entry the columns were read from or kept at (None
     when neither).
 
-    They are read from the cache when it holds them (:func:`_cache_entry`),
-    and parsed otherwise (:func:`_parse`), then kept there.
+    They are read from the cache when it holds them (:func:`_cache_read`)
+    and each label code is a label's, else parsed (:func:`_parse`) and kept
+    there, unless the file's :func:`_identity` changed since it was hashed.
     """
     try:
         source, size, again = _source(path)
         entry = _cache_entry(path, size, [cols, kinds, delimiter, on_missing]) if again else None
-        hit = None if entry is None else _cache_read(entry[0], partial(_receive, kinds))
+        hit = None if entry is None else _cache_read(entry[0], partial(_column_arrays, kinds))
         if hit is not None:
-            return (*hit, entry[0])
+            (rows, dropped, labels), columns = hit
+            codes = columns[-1]
+            if "cluster" not in kinds or not rows or 0 <= codes.min() <= codes.max() < len(labels):
+                return columns, dropped, labels, entry[0]
         parsed = _parse(source, size, path, delimiter, cols, kinds, on_missing)
-        kept = entry is not None and _cache_write(*entry, path, *parsed)
-        return (*parsed, entry[0] if kept else None)
+        with suppress(OSError):
+            if (entry is not None and _identity(os.stat(path)) == entry[1]
+                    and _cache_keep(entry[0], [parsed[0][0].size, *parsed[1:]], parsed[0])):
+                return (*parsed, entry[0])
+        return (*parsed, None)
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file {path}: {exc}") from None
+
+
+def _column_arrays(kinds: list[str], header) -> list[np.ndarray]:
+    """The empty columns of ``kinds`` for an entry's JSON line ``[kept,
+    dropped, labels]``; ValueError or TypeError unless it is such a line."""
+    kept, dropped, labels = header
+    if (not all(type(count) is int and count >= 0 for count in (kept, dropped))
+            or not isinstance(labels, list) or not set(map(type, labels)) <= {str}):
+        raise ValueError("not a cache entry")
+    return [np.empty(kept, _DTYPES[kind]) for kind in kinds]
 
 
 def _parse(source, size: int, path, delimiter: str, cols, kinds, on_missing: str):
@@ -800,36 +819,6 @@ def _collect(tokens: _Tokens, size: int, path, cols, kinds, on_missing: str):
     return columns, dropped, ordered.tolist()
 
 
-def _send(columns: list[np.ndarray], dropped: int, labels: list[str], out: BinaryIO) -> None:
-    """Writes parsed columns for :func:`_receive`: one JSON line of their
-    length, ``dropped`` and the labels of a cluster column, then each
-    column's bytes."""
-    out.write(json.dumps([columns[0].size, dropped, labels]).encode() + b"\n")
-    for column in columns:
-        out.write(column.data)
-
-
-def _receive(kinds: list[str], back: BinaryIO):
-    """The columns of ``kinds``, the dropped count and the labels that
-    :func:`_send` wrote to the file ``back``, each column allocated once, at
-    the length the JSON line gives, and read into. Raises ValueError unless
-    what is left of ``back`` is what :func:`_send` writes for such columns."""
-    kept, dropped, labels = json.loads(back.readline())
-    if (not all(type(count) is int and count >= 0 for count in (kept, dropped))
-            or not isinstance(labels, list) or not set(map(type, labels)) <= {str}):
-        raise ValueError("not a cache entry")
-    dtypes = [np.dtype(_DTYPES[kind]) for kind in kinds]
-    if os.fstat(back.fileno()).st_size - back.tell() != kept * sum(d.itemsize for d in dtypes):
-        raise ValueError("not a cache entry")
-    columns = [np.empty(kept, dtype) for dtype in dtypes]
-    for column in columns:
-        if back.readinto(column) != column.nbytes:
-            raise ValueError("not a cache entry")
-    if "cluster" in kinds and kept and (columns[-1].min() < 0 or columns[-1].max() >= len(labels)):
-        raise ValueError("not a cache entry")
-    return columns, dropped, labels
-
-
 def _identity(info: os.stat_result) -> tuple[int, ...]:
     """What changes when a file is replaced or written to."""
     return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns, info.st_ctime_ns
@@ -887,31 +876,41 @@ def _cache_entry(path, size: int, parts: list) -> tuple[str, tuple] | None:
     return os.path.join(directory, hashlib.sha256(json.dumps(key).encode()).hexdigest()), identity
 
 
-def _cache_read(path: str, read: Callable[[BinaryIO], object]):
-    """``read`` of the file at ``path`` in the cache directory, whose
-    modification time is then brought up to now; None when it cannot be
-    read or ``read`` refuses it (ValueError, TypeError)."""
+def _cache_read(path: str, arrays_of: Callable[[object], list[np.ndarray]]):
+    """The JSON line that starts the file at ``path`` in the cache directory
+    and the arrays ``arrays_of`` makes for it, read from the rest; None when
+    it cannot be read, ``arrays_of`` refuses the line (ValueError, TypeError,
+    MemoryError) or the rest is not their bytes. A hit is brought up to now."""
     try:
         with open(path, "rb") as handle:
-            value = read(handle)
-    except (OSError, ValueError, TypeError):
+            header = json.loads(handle.readline())
+            arrays = arrays_of(header)
+            if os.fstat(handle.fileno()).st_size - handle.tell() != sum(a.nbytes for a in arrays):
+                return None
+            for array in arrays:
+                if handle.readinto(array) != array.nbytes:
+                    return None
+    except (OSError, ValueError, TypeError, MemoryError):
         return None
     with suppress(OSError):
         os.utime(path)  # the files least recently used go first
-    return value
+    return header, arrays
 
 
-def _cache_keep(path: str, write: Callable[[BinaryIO], None]) -> bool:
-    """Keeps what ``write(out)`` writes at ``path`` in the cache directory,
-    through a temporary file that replaces it whole, then removes the oldest
-    files while the directory holds more than ``_CACHE_CAP`` bytes. Whether
-    it was kept: nothing is, if anything fails."""
+def _cache_keep(path: str, header, arrays: list[np.ndarray]) -> bool:
+    """Keeps ``header`` as one JSON line, then the bytes of ``arrays``, at
+    ``path`` in the cache directory, through a temporary file that replaces
+    it whole, then removes the oldest files while the directory holds more
+    than ``_CACHE_CAP`` bytes. Whether it was kept: nothing is, if anything
+    fails."""
     directory = os.path.dirname(path)
     temporary = None
     try:
         handle, temporary = tempfile.mkstemp(dir=directory)
         with open(handle, "wb") as out:
-            write(out)
+            out.write(json.dumps(header).encode() + b"\n")
+            for array in arrays:
+                out.write(np.ascontiguousarray(array).data)
         os.replace(temporary, path)
         temporary = None
         with os.scandir(directory) as listing:
@@ -931,18 +930,6 @@ def _cache_keep(path: str, write: Callable[[BinaryIO], None]) -> bool:
             os.unlink(name)
         total -= size
     return True
-
-
-def _cache_write(entry: str, identity: tuple, path, columns: list[np.ndarray], dropped: int,
-                 labels: list[str]) -> bool:
-    """Keeps parsed columns at ``entry`` (:func:`_cache_keep`), unless the
-    file at ``path`` no longer has its ``identity``; whether they were kept."""
-    try:
-        if _identity(os.stat(path)) != identity:
-            return False
-    except OSError:
-        return False
-    return _cache_keep(entry, partial(_send, columns, dropped, labels))
 
 
 class _Labels(NamedTuple):

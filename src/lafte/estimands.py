@@ -34,7 +34,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -146,51 +146,40 @@ def _stamp(entry: str) -> list[str] | None:
     return [*stamp, _machine()]
 
 
-def _write_fit(stamp: list[str], fit: FitResult, out: BinaryIO) -> None:
-    """Writes ``fit`` for :func:`_read_fit`: one JSON line of the stamp and
-    the plain fields, then the bytes of each array field."""
-    out.write(json.dumps([stamp, fit.n, fit.k, fit.dof, fit.covariance_kind, fit.cluster_count,
-                          list(fit.names), fit.response_constant]).encode() + b"\n")
-    for array in (fit.coefficients, fit.vcov, fit.response_min, fit.response_max):
-        out.write(np.ascontiguousarray(array, float).data)
-
-
-def _read_fit(stamp: list[str], back: BinaryIO) -> FitResult:
-    """The fit that :func:`_write_fit` wrote to the file ``back`` with
-    ``stamp``; ValueError unless what is left of ``back`` is such a fit."""
-    written, n, k, dof, kind, count, names, constant = json.loads(back.readline())
+def _fit_arrays(stamp: list[str], header) -> list[np.ndarray]:
+    """The empty coefficients, covariance and response ranges of a kept fit
+    whose JSON line is ``header``; ValueError or TypeError unless the line
+    is ``stamp`` and a fit's plain fields."""
+    written, n, k, dof, kind, count, names, constant = header
     if not (written == stamp and all(type(v) is int for v in (n, k, dof)) and k >= 0
             and kind in ("hc1", "cluster") and (count is None or type(count) is int)
             and type(constant) is bool and isinstance(names, list)
-            and all(type(name) is str for name in names)
-            and os.fstat(back.fileno()).st_size - back.tell()
-            == 8 * (k + k * k + 2 * len(RESPONSES))):
+            and all(type(name) is str for name in names)):
         raise ValueError("not a kept fit")
-    arrays = [np.empty(k), np.empty((k, k)), np.empty(len(RESPONSES)), np.empty(len(RESPONSES))]
-    for array in arrays:
-        if back.readinto(array) != array.nbytes:
-            raise ValueError("not a kept fit")
-    coefficients, vcov, lo, hi = arrays
-    return FitResult(coefficients, vcov, n, k, dof, kind, count, tuple(names), constant, lo, hi)
+    return [np.empty(k), np.empty((k, k)), np.empty(len(RESPONSES)), np.empty(len(RESPONSES))]
 
 
 def _table_fit(table: ObservationTable) -> FitResult:
     """The table's one fit, of all 13 columns on ``W``; each block of rows
     builds its columns when the fit reads it, so no ``n x 13`` array is held.
+    Each block of ``W`` has the controls' means subtracted, so that a control
+    with a large mean costs no digits; no ``z`` slope or covariance changes.
 
     A table that ``load_table`` read from its cache entry, or kept there,
-    keeps this fit in a file beside the entry, named by the sha256 of its
-    :func:`_stamp`: a later load of the same bytes, on the same machine and
-    code, reads every field of the fit, bit for bit, in place of fitting
-    the table again. A file that cannot be read, is cut short, has another
-    stamp or is not a JSON line and its bytes is fit again and replaced; a
-    fit that raises keeps nothing.
+    keeps this fit in a file beside the entry (``data._cache_keep``), named
+    by the sha256 of its :func:`_stamp`: a later load of the same bytes, on
+    the same machine and code, reads every field of the fit, bit for bit,
+    in place of fitting the table again. A file that ``data._cache_read``
+    refuses or that has another stamp is fit again and replaced; a fit that
+    raises keeps nothing.
     """
     def fit():
         w, names = instrument_design(table.z, table.controls, table.control_names)
+        means = np.r_[0.0, 0.0, table.controls.mean(0)]
         columns = Responses((table.n, len(RESPONSES)), lambda rows: DerivedColumns.of(
             table.d1[rows], table.d2[rows], table.y[rows]).values)
-        return ols(columns, w, table.cluster_codes, names=names)
+        return ols(columns, Responses(w.shape, lambda rows: w[rows] - means),
+                   table.cluster_codes, names=names)
 
     def kept():
         entry = table.__dict__.get("_entry")
@@ -199,10 +188,14 @@ def _table_fit(table: ObservationTable) -> FitResult:
             return fit()
         path = os.path.join(os.path.dirname(entry),
                             hashlib.sha256(json.dumps(stamp).encode()).hexdigest())
-        value = _cache_read(path, partial(_read_fit, stamp))
-        if value is None:
-            value = fit()
-            _cache_keep(path, partial(_write_fit, stamp, value))
+        hit = _cache_read(path, partial(_fit_arrays, stamp))
+        if hit is not None:
+            (_, n, k, dof, kind, count, names, constant), (b, vcov, lo, hi) = hit
+            return FitResult(b, vcov, n, k, dof, kind, count, tuple(names), constant, lo, hi)
+        value = fit()
+        _cache_keep(path, [stamp, value.n, value.k, value.dof, value.covariance_kind,
+                           value.cluster_count, list(value.names), value.response_constant],
+                    [value.coefficients, value.vcov, value.response_min, value.response_max])
         return value
     return table.cached("fit", kept)
 

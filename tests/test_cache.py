@@ -212,7 +212,7 @@ def test_new_bytes_of_the_same_size_and_times_miss(tmp_path, cache):
 
 @pytest.mark.parametrize("damage", ["truncated", "bad JSON", "trailing bytes",
                                     "label past the end", "negative label", "header only",
-                                    "empty"])
+                                    "empty", "huge count"])
 def test_a_damaged_entry_gives_the_parse(tmp_path, cache, capfd, damage):
     path = tmp_path / "hh.csv"
     _households(path)
@@ -230,6 +230,9 @@ def test_a_damaged_entry_gives_the_parse(tmp_path, cache, capfd, damage):
         "negative label": raw[:-8] + np.int64(-1).tobytes(),
         "header only": header,
         "empty": b"",
+        # Columns no address space holds: their allocation fails, and is refused.
+        "huge count": (json.dumps([10**15, *json.loads(header)[1:]]).encode()
+                       + raw[len(header) - 1:]),
     }[damage]
     entry.write_bytes(damaged)
     parses = []
@@ -398,14 +401,14 @@ def test_a_miss_writes_its_columns_as_they_are(tmp_path):
     n = 200_000
     labels = [f"hh{i:04d}" for i in range(1000)]
     columns = [np.zeros(n, np.uint8), np.zeros(n), np.arange(1000).repeat(n // 1000)]
-    with open(tmp_path / "entry", "wb") as out:
-        data._send(columns, 0, labels, out)  # allocations made once are not counted
-        tracemalloc.start()
-        try:
-            data._send(columns, 0, labels, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    entry = str(tmp_path / "entry")
+    data._cache_keep(entry, [n, 0, labels], columns)  # allocations made once are not counted
+    tracemalloc.start()
+    try:
+        data._cache_keep(entry, [n, 0, labels], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < n * 8 / 2
 
 
@@ -487,6 +490,12 @@ def _damage_fit(entry, how):
     stamp, *header = json.loads(line)
     if how == "truncated":
         entry.write_bytes(raw[:-1])
+    elif how == "trailing bytes":
+        entry.write_bytes(raw + b"\0")
+    elif how == "header only":
+        entry.write_bytes(line + b"\n")
+    elif how == "empty":
+        entry.write_bytes(b"")
     elif how == "foreign stamp":  # as another version of regression.py keeps it
         stamp[1] = "0" * 64
         entry.write_bytes(json.dumps([stamp, *header]).encode() + b"\n" + rest)
@@ -515,7 +524,8 @@ def test_the_commands_do_not_depend_on_the_kept_fit(tmp_path, cache, capsys, com
     kept = (cache / fit_file).read_bytes()
     with mock.patch.object(estimands, "ols", _no_fit):
         assert run() == off
-    for how in ("truncated", "foreign stamp", "not JSON"):
+    for how in ("truncated", "foreign stamp", "not JSON", "trailing bytes", "header only",
+                "empty"):
         _damage_fit(cache / fit_file, how)
         assert run() == off
         assert (cache / fit_file).read_bytes() == kept  # the fit was kept again

@@ -354,9 +354,10 @@ def _rowwise_load(path, mapping=None, *, delimiter=",", on_missing="drop"):
             controls[i, j] = _rowwise_parse_float(fields[4 + j], cname)
         if cluster is not None:
             cluster[i] = fields[-1].strip()
-    warnings = [f"dropped {dropped} row(s) with missing values"] if dropped else []
-    return from_arrays(z, d1, d2, y, controls=controls, control_names=tuple(control_names),
-                       cluster=cluster, warnings=warnings)
+    table = from_arrays(z, d1, d2, y, controls=controls, control_names=tuple(control_names),
+                        cluster=cluster)
+    dropped_warning = (f"dropped {dropped} row(s) with missing values",) if dropped else ()
+    return replace(table, warnings=dropped_warning + table.warnings)
 
 
 def _rowwise_save(table, path, *, delimiter=","):

@@ -10,6 +10,7 @@ import pytest
 
 import lafte
 from lafte import (
+    RankDeficientError,
     RelevanceError,
     TreatmentDef,
     estimands,
@@ -150,21 +151,36 @@ def _blocked_table(n, controls, clustered, constant):
                        cluster=np.arange(n) // min(7, n - 1) if clustered else None)
 
 
+def _assert_vcov_close(vcov, ref):
+    """``vcov`` is ``ref`` to ``REL`` of the product of the two SDs, with
+    the same zero variances."""
+    sd = np.sqrt(np.diag(ref))
+    assert np.array_equal(sd == 0, np.diag(vcov) == 0)
+    varied = np.ix_(sd > 0, sd > 0)
+    scale = np.outer(sd, sd)[varied]
+    assert np.max(np.abs(vcov[varied] - ref[varied]) / scale) <= REL
+
+
 @pytest.mark.parametrize("n, controls, clustered, constant", BLOCKED)
 def test_blocked_table_fit_equals_whole_array_fit(monkeypatch, n, controls, clustered, constant):
     t = _blocked_table(n, controls, clustered, constant)
     fit = estimands._table_fit(t)
-    # The parent design: all 13 columns held at once and fit in one block.
+    # The dense design, controls centred, with all 13 columns held at once
+    # and fit in one block; and the raw design [1, z, controls].
     w, names = instrument_design(t.z, t.controls, t.control_names)
+    raw = np.asarray(w)
+    centred = raw - np.r_[0.0, 0.0, t.controls.mean(0)]
     values = DerivedColumns.of(t.d1, t.d2, t.y).values
     monkeypatch.setattr(regression, "_CHUNK_ROWS", n + 1)
-    ref = ols(values, w, t.cluster_codes, names=names)
+    ref = ols(values, centred, t.cluster_codes, names=names)
     np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=REL, atol=0)
-    sd = np.sqrt(np.diag(ref.vcov))
-    assert np.array_equal(sd == 0, np.diag(fit.vcov) == 0)
-    varied = np.ix_(sd > 0, sd > 0)
-    scale = np.outer(sd, sd)[varied]
-    assert np.max(np.abs(fit.vcov[varied] - ref.vcov[varied]) / scale) <= REL
+    _assert_vcov_close(fit.vcov, ref.vcov)
+    # The z slopes and their covariance are those of the raw design.
+    by_raw = ols(values, raw, t.cluster_codes, names=names)
+    z_slopes = slice(1, None, w.shape[1])
+    np.testing.assert_allclose(fit.coefficients[z_slopes], by_raw.coefficients[z_slopes],
+                               rtol=REL, atol=0)
+    _assert_vcov_close(fit.vcov[z_slopes, z_slopes], by_raw.vcov[z_slopes, z_slopes])
     assert np.array_equal(fit.response_min, values.min(0))
     assert np.array_equal(fit.response_max, values.max(0))
     assert (fit.n, fit.k, fit.dof, fit.covariance_kind, fit.cluster_count) == (
@@ -173,6 +189,38 @@ def test_blocked_table_fit_equals_whole_array_fit(monkeypatch, n, controls, clus
         constant_columns = [RESPONSES.index("g_or"), RESPONSES.index("g_and")]
         assert not fit.response_max[constant_columns].any()
         assert not fit.response_min[constant_columns].any()
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e4, 1e5, 1e6, 1e7])
+def test_a_control_with_a_large_mean_fits_as_if_centred(monkeypatch, shift):
+    # A control at mean/SD `shift`, as a date or an income can be: the z
+    # slopes and SEs are those of the dense design with the control centred,
+    # and the slopes are lstsq's on it; no full-rank design is refused. The
+    # same control twice is still refused, and named.
+    n = 5000
+    rng = np.random.default_rng(83)
+    z = np.arange(n) % 2
+    d1 = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+    d2 = (rng.random(n) < 0.2 + 0.3 * z + 0.2 * d1).astype(int)
+    noise = rng.standard_normal(n)
+    y = 0.5 * d1 + (d1 & d2) + 0.3 * noise + rng.standard_normal(n)
+    t = from_arrays(z, d1, d2, y, controls=shift + noise, control_names=("date",))
+    fit = estimands._table_fit(t)
+    w = np.column_stack([np.ones(n), z, t.controls - t.controls.mean(0)])
+    values = DerivedColumns.of(t.d1, t.d2, t.y).values
+    monkeypatch.setattr(regression, "_CHUNK_ROWS", n + 1)
+    ref = ols(values, w)
+    z_slopes = slice(1, None, 3)
+    np.testing.assert_allclose(fit.coefficients[z_slopes], ref.coefficients[z_slopes],
+                               rtol=REL, atol=0)
+    np.testing.assert_allclose(np.sqrt(np.diag(fit.vcov)[z_slopes]),
+                               np.sqrt(np.diag(ref.vcov)[z_slopes]), rtol=REL, atol=0)
+    np.testing.assert_allclose(fit.coefficients[z_slopes],
+                               np.linalg.lstsq(w, values, rcond=None)[0][1], rtol=REL, atol=0)
+    twice = from_arrays(z, d1, d2, y, controls=np.column_stack([t.controls, t.controls]),
+                        control_names=("date", "date2"))
+    with pytest.raises(RankDeficientError, match="collinear column 'date2?'"):
+        estimands._table_fit(twice)
 
 
 @pytest.mark.parametrize("clustered", [False, True])
