@@ -4,11 +4,11 @@ A :class:`Kernel` writes, for each value of a pass, the UTF-8 bytes of
 ``repr(float(value))`` right-aligned in a row of three little-endian
 uint64 words, after bytes 0xFF (which no UTF-8 text holds), and returns
 their lengths; :func:`reprs` gives them for any number of values. On a
-little-endian machine, it computes them for ``LEAST <= |x| < BOUND`` with
-whole-array integer arithmetic, but for the digits of magnitudes under
-``2**-28``, which are divided in Python integers. ``repr`` writes every
-other value (zeros, subnormals, NaN, the infinities, the others outside
-that range, and all of them on a big-endian machine), on those values only.
+little-endian machine, it computes them with whole-array integer
+arithmetic for ``LEAST <= |x| < BOUND``, the magnitudes that ``repr``
+writes in fixed notation. ``repr`` writes every other value (zeros,
+subnormals, NaN, the infinities, every ``e-XX`` and ``e+XX`` text, and
+all of them on a big-endian machine), on those values only.
 
 The digits are ``repr``'s: the shortest decimal that reads back as the
 value, and of two such, the nearest, ties to even. They are found as
@@ -20,11 +20,11 @@ for the greatest ``k`` with ``10**k`` at most that width, the interval
 spans 1 to 10 units: it holds at most one multiple of 10 units, which is
 the shortest decimal when there is one, and otherwise the nearer of the
 two integers around the value that lies inside. The value in those units
-is ``c * G / 2**t`` (``G`` and ``t`` depend on the exponent alone): a
-float64 product gives it to within 21 of its floor, and ``c * G`` modulo
-``2**64`` the exact floor and the remainder past ``2**t`` (where ``t``
-is at most 57), on which the interval's ends and the rounding are
-decided. From ``2**56`` on, it is ``|x| // 10**k`` in uint64.
+is ``c * G / 2**t`` (``G`` and ``t`` depend on the exponent alone; in
+the range, ``k <= 0`` and ``G < 2**64``): a float64 product gives it to
+within 21 of its floor, and ``c * G`` modulo ``2**64`` the exact floor
+and the remainder past ``2**t`` (where ``t`` is at most 48), on which the
+interval's ends and the rounding are decided.
 
 Trailing zeros go four at a time, then up to three by a table of the
 last four digits: a shift, then a product with the inverse of ``5**z``
@@ -34,8 +34,7 @@ move the whole part one place up and leave a zero where the point goes;
 their 24 digits, zero-padded, come from a table of every four digits,
 and one table by the point's place, the sign and ``f`` turns that zero
 to a point, the zero before the text to a minus sign and those before it
-to 0xFF. The ``d.ddd`` of ``d.ddde-XX`` and ``d.ddde+XX`` is laid out so
-too, then moved four bytes to the front for its exponent.
+to 0xFF.
 """
 
 from __future__ import annotations
@@ -48,18 +47,16 @@ import numpy as np
 # The longest repr of a float64, such as '-2.2250738585072014e-308'.
 WIDTH = 24
 
-# The least and the bound of the magnitudes written without repr.
-LEAST, BOUND = 1e-10, 1e18
-
-# The magnitudes whose floor in units of 10**k the float64 product finds.
-_QUICK = 2.0**-28, 2.0**56
+# The least and the bound of the magnitudes written without repr: those
+# that repr writes in fixed notation.
+LEAST, BOUND = 1e-4, 1e16
 
 # Whether the uint64 words of a field hold its bytes in order.
 _LITTLE = sys.byteorder == "little"
 
-# The biased binary exponents of the range: 1e-10 is 1.7 * 2**-34, and every
-# value under 1e18 is under 2**60.
-_FIRST, _LAST = 1023 - 34, 1023 + 59
+# The biased binary exponents of the range: 1e-4 is 1.6 * 2**-14, and every
+# value under 1e16 is under 2**54.
+_FIRST, _LAST = 1023 - 14, 1023 + 53
 
 # uint64 operands: a 0-d array enters a ufunc fastest.
 _1, _2, _5, _6, _10, _32, _52, _63, _MANTISSA, _HIDDEN, _1E4, _1E16 = (np.array(
@@ -68,39 +65,37 @@ _QUADS = 10 ** np.arange(0, 17, 4, dtype=np.uint64)
 _DIVISORS = _QUADS[1:, None]
 
 
-def _exponent_table() -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _exponent_table() -> np.ndarray:
     """A column per biased exponent, and 2048 on for a power of two, of:
     ``G``, the float64 bits of ``G / 2**(t + q)`` and ``t``; the upper end,
     whole units (less 1 where it is whole) and the remainder from which it
     is one more; the lower end, whole units and remainder plus 1; half a
-    unit; ``-k`` and ``k + 19``. Also ``(G, den)`` by column: the value is
-    ``c * G / den`` units."""
-    columns, ratios = [], []
+    unit; ``-k`` and ``k + 19``, which is ``decpt + 3`` where the value has
+    16 digits in units and one less where it has 17 (modulo ``2**64``: it
+    is -1 at the least exponent, whose values from ``LEAST`` on have 17)."""
+    columns = []
     for power in (0, 1):
         for biased in range(_FIRST, _LAST + 1):
             q = biased - 1075
-            # The width, m * 2**(q - 2) = top / bottom, and the greatest k
-            # with 10**k at most the width.
-            top, bottom = (3 if power else 4) << max(q - 2, 0), 1 << max(2 - q, 0)
-            k = len(str(top // bottom)) - 1 if top >= bottom else -len(str((bottom - 1) // top))
-            den = 10**k if k > 0 else 2 ** max(0, k - q + 2)
-            unit, exact = divmod((den << max(q - 2, 0)) * 10 ** max(-k, 0),
-                                 (1 << max(2 - q, 0)) * 10 ** max(k, 0))
-            assert not exact
-            factor = 4 * unit
+            # The greatest k with 10**k at most the width, m * 2**(q - 2),
+            # which is at most 2 (q <= 1); 2**(q - 2) is then unit / 2**t
+            # units of 10**k.
+            k = len(str((3 if power else 4) * 10**24 >> 2 - q)) - 25
+            t = max(k - q + 2, 0)
+            den, unit = 1 << t, 5**-k << max(q - 2 - k, 0)
+            g = 4 * unit
+            assert g < 1 << 64
             up_hi, up_lo = divmod(2 * unit, den)
             down_hi, down_lo = divmod((1 if power else 2) * unit, den)
-            g, t = (factor, den.bit_length() - 1) if k <= 0 and factor < 1 << 64 else (0, 0)
             columns.append([g, np.float64(math.ldexp(g / den, -q)).view(np.uint64), t,
                             up_hi - (up_lo == 0), den - up_lo if up_lo else 0, down_hi,
-                            down_lo + 1, max(den // 2, 1), -k % 2**64, (k + 19) % 2**64])
-            ratios.append((factor, den))
+                            down_lo + 1, max(den // 2, 1), -k, (k + 19) % 2**64])
     count, at = _LAST + 1 - _FIRST, np.arange(4096)
     index = np.clip(at & 2047, _FIRST, _LAST) - _FIRST + count * (at >> 11)
-    return np.array(columns, np.uint64).T[:, index].copy(), [ratios[i] for i in index]
+    return np.array(columns, np.uint64).T[:, index].copy()
 
 
-_EXPONENTS, _RATIOS = _exponent_table()
+_EXPONENTS = _exponent_table()
 
 # By the last four digits, not all zeros: how many trailing zeros, and the
 # inverse of 5 to that power modulo 2**64.
@@ -113,31 +108,26 @@ _FOUR_DIGITS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 
     np.uint8).view(np.uint32)[:, 0].astype(np.uint64)
 
 
-def _marks(decpts, bare: bool) -> np.ndarray:
-    """By ``(decpt - decpts[0]) * 64 + 32 * negative + f`` (``f`` digits
-    after the point, and no point for 0 where ``bare``): what turns the
+def _marks() -> np.ndarray:
+    """By ``(decpt + 3) * 64 + 32 * negative + f`` (``decpt`` the digits
+    before the point, or less the zeros after it, which is -3 to 16 in
+    fixed notation; ``f`` digits after the point): what turns the
     zero-padded digits into the text, a word at a time (the third, the
     second, and the first with the four zeros its digits leave out), the
-    text's length, and ``9 * 10**f``. A length of 0 marks a text left out."""
-    index = np.arange(len(decpts) * 64)
-    decpt, negative, point = np.asarray(decpts)[index // 64], index >> 5 & 1, index & 31
+    text's length, and ``9 * 10**f``."""
+    index = np.arange(20 * 64)
+    decpt, negative, point = index // 64 - 3, index >> 5 & 1, index & 31
     length = point + (point > 0) + np.maximum(decpt, 1) + negative
-    valid = ((point > 0) | bare) & (length <= WIDTH)
     at = np.arange(WIDTH)
     row = np.where(at < WIDTH - length[:, None], ord("0") ^ 0xFF, 0)
     row |= np.where(at == WIDTH - length[:, None], ord("0") ^ ord("-"), 0) * negative[:, None]
     row |= np.where(at == WIDTH - 1 - point[:, None], ord("0") ^ ord("."), 0) * (point[:, None] > 0)
-    words = (row * valid[:, None]).astype(np.uint8).view(np.uint64).T
-    nines = np.where((point > 0) & (point < 19), 9 * 10 ** np.minimum(point, 18), 0)
-    return np.array([words[2], words[1], words[0] ^ _FOUR_DIGITS[0], length * valid,
-                     nines * valid], np.uint64)
+    words = row.astype(np.uint8).view(np.uint64).T
+    nines = np.where(point < 19, 9 * 10 ** np.minimum(point, 18), 0)
+    return np.array([words[2], words[1], words[0] ^ _FOUR_DIGITS[0], length, nines], np.uint64)
 
 
-# The marks of fixed notation and of the d.ddd of e-XX and e+XX; and 'e-10'
-# .. 'e+17', by the exponent + 10, as the little-endian uint64 of four bytes.
-_MARKS, _MANTISSAS = _marks(range(-3, 17), False), _marks([1], True)
-_SUFFIXES = np.frombuffer(b"".join(f"e{e:+03d}".encode() for e in range(-10, 18)),
-                          np.uint32).astype(np.uint64)
+_MARKS = _marks()
 
 # Values written at a time, a save's block of rows: passes of 2**12 values
 # took 0.75 the time a value of passes of 2**11 (2**13 took 0.9 of it, with
@@ -170,13 +160,10 @@ class Kernel:
         bits, x, index, c = w[:4]
         mag = signed[0].view(np.float64)
         np.absolute(values, out=mag)
-        slow = big = others = None
-        if not (_LITTLE and _QUICK[0] <= np.minimum.reduce(mag)
-                and np.maximum.reduce(mag) < _QUICK[1]):
-            exact = (mag >= LEAST) & (mag < BOUND) & _LITTLE
-            others = np.flatnonzero(~exact)
+        others = None
+        if not (_LITTLE and LEAST <= np.minimum.reduce(mag) and np.maximum.reduce(mag) < BOUND):
+            others = np.flatnonzero(~((mag >= LEAST) & (mag < BOUND) & _LITTLE))
             mag[others] = 1.0
-            slow, big = (np.flatnonzero(exact & s) for s in (mag < _QUICK[0], mag >= _QUICK[1]))
         np.right_shift(bits, _52, out=index)
         np.bitwise_and(bits, _MANTISSA, out=c)
         powers = None if c.all() else np.flatnonzero(c == 0)
@@ -198,12 +185,6 @@ class Kernel:
         vr += x
         x <<= shift
         rem -= x
-        if big is not None:  # exactly: from 2**56 on, |x| is a uint64
-            vr[big], rem[big] = np.divmod(mag[big].astype(np.uint64),
-                                          _10 ** (-signed[12][big]).astype(np.uint64))
-        if slow is not None and slow.size:  # under 2**-28, in Python integers
-            vr[slow], rem[slow] = zip(*(divmod(m * g, d) for m, (g, d) in zip(
-                c[slow].tolist(), map(_RATIOS.__getitem__, index[slow].tolist()))))
         # The interval holds the integers a with vr - below < a <= vr + above.
         odd, below, above = w[16:19]
         np.bitwise_and(c, _1, out=odd)
@@ -254,7 +235,7 @@ class Kernel:
         digits *= inverse
         point -= zeros
         if np.minimum.reduce(signed[12]) < 1:  # an integer in fixed notation: |x| and .0
-            rows = np.flatnonzero((signed[12] < 1) & (decpt3 < 20))
+            rows = np.flatnonzero(signed[12] < 1)
             digits[rows] = mag[rows].astype(np.uint64) * _10
             point[rows] = 1
         np.right_shift(values.view(np.uint64), _63, out=negative)
@@ -267,14 +248,8 @@ class Kernel:
         np.copyto(signed[31], mag, casting="unsafe")
         number *= nines
         number += digits
-        if others is not None:
-            lengths[others] = 1
         _place(work[31:36], work[4:9], work[26:29], words)
-        if not lengths.all():
-            rows = np.flatnonzero(lengths == 0)
-            words[rows], lengths[rows] = _exponents(digits[rows], signed[12][rows],
-                                                    signed[13][rows] - 3, signed[25][rows])
-        if others is not None and others.size:
+        if others is not None:
             padded = [repr(value).rjust(WIDTH, "\xff") for value in values[others].tolist()]
             lengths[others] = [WIDTH - text.count("\xff") for text in padded]
             words[others] = np.frombuffer("".join(padded).encode("latin-1"), "u8").reshape(-1, 3)
@@ -293,19 +268,6 @@ def _place(numbers: np.ndarray, groups: np.ndarray, marks: np.ndarray, words: np
     np.bitwise_or(groups[:3:2], groups[1:4:2], out=groups[:3:2])
     for word in range(3):
         np.bitwise_xor(groups[4 - 2 * word], marks[2 - word], out=words[:, word])
-
-
-def _exponents(digits, point, decpt, negative) -> tuple[np.ndarray, np.ndarray]:
-    """The words and lengths of ``d.ddde-XX`` or ``d.ddde+XX``: ``d.ddd``
-    laid out as fixed notation, then moved four bytes to the front."""
-    places = decpt + point - 1  # digits after the point
-    marks = _MANTISSAS.take(negative + places, axis=1)
-    numbers = np.empty((5, digits.size), np.uint64)
-    numbers[0] = marks[4] * (digits // _10 ** places.astype(np.uint64)) + digits
-    words = np.empty((digits.size, 3), np.uint64)
-    _place(numbers, np.empty_like(numbers), marks, words)
-    moved = np.column_stack([words[:, 1:], _SUFFIXES[decpt + 9]])
-    return (moved << _32) | (words >> _32), marks[3] + 4
 
 
 def reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

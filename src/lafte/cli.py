@@ -208,6 +208,12 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config key '{key}' must be finite, got {value}")
     if config.input is None:
         raise ConfigError("no input file: set 'input' in the config or pass --data")
+    roles = {column: key for key, column in config.table_mapping().items()
+             if key in DEFAULT_MAPPING}
+    for control in config.controls or ():
+        if control in roles:
+            raise ConfigError(f"control '{control}' is the column mapped as "
+                              f"'{roles[control]}'; a control must be another column")
     return config
 
 

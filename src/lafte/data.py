@@ -33,11 +33,11 @@ non-ASCII or ragged files, and any file with an error; see
 :func:`load_table`) and writes the header. The rows are split as plain
 strings, and written as one array of bytes per block of rows, with no
 Python work per real: each real's ``repr`` is computed from its bits by
-``lafte._text`` (exactly, for every magnitude from 1e-10 up to 1e18;
-``repr`` itself writes the others), and each distinct cluster label text
-is quoted and encoded once. A table is written, and a file read, by
-this one process. The parsed columns of a large file are
-kept in an on-disk cache, keyed by the file's bytes, and a later load of
+``lafte._text`` (exactly, for every magnitude from 1e-4 up to 1e16, which
+``repr`` writes in fixed notation; ``repr`` itself writes the others), and
+each distinct cluster label text is quoted and encoded once. A table is
+written, and a file read, by this one process. The parsed columns of a
+large file are kept in an on-disk cache, keyed by the file's bytes, and a later load of
 the same bytes reads them from there (:func:`_read_columns`); the table is
 built from them as from a parse.
 
@@ -987,13 +987,12 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
 
     The text of each real is computed by ``lafte._text`` from the value's
     bits, exactly as ``repr`` writes it, with whole-array arithmetic for
-    every magnitude from 1e-10 up to 1e18 (but the digits of those under
-    ``2**-28``, which Python integers divide); ``repr`` itself writes the
-    others (zeros, subnormals, non-finite values and the largest and least
-    magnitudes), on those values only. Each row's cluster label is coded
-    by its ``str``, and each distinct text quoted and encoded once
-    (:func:`_labels`), so a label costs its own length, however long the
-    others are. A 1e6-row draw is written in about 0.16 s (2-vCPU machine,
+    every magnitude from 1e-4 up to 1e16, the range ``repr`` writes in
+    fixed notation; ``repr`` itself writes the others (zeros, subnormals,
+    non-finite values and every ``e±XX`` text), on those values only. Each
+    row's cluster label is coded by its ``str``, and each distinct text
+    quoted and encoded once (:func:`_labels`), so a label costs its own
+    length, however long the others are. A 1e6-row draw is written in about 0.16 s (2-vCPU machine,
     median of 15 fresh processes; 0.32 s with the kernel before, 1.0 s with
     ``repr`` and a row join). Only :func:`_write_rows` imports
     ``lafte._text``, so that a command that writes no table never compiles it.

@@ -149,7 +149,9 @@ def double_exclusion_check(table: ObservationTable, *, level: float = 0.05) -> S
     boundary of the null (p = 0.5); a degenerate contrast (constant
     regressand) has no p-value and cannot reject. Like :func:`mover_test`, the
     verdict rejects when either of two tests at ``level`` does, so its size
-    can exceed ``level``, up to ``2·level``.
+    can exceed ``level``, up to ``2·level``: 0.092 (MC SE 0.005) at ``level``
+    0.05 and 0.0185 (MC SE 0.002) at 0.01, in the mover test's seeded Monte
+    Carlo of a no-mover spec (4000 draws of 5000 rows).
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")

@@ -144,6 +144,26 @@ def test_missing_column_exit_1(tmp_path, capsys):
     assert "ghost" in err
 
 
+@pytest.mark.parametrize("mapping, control, role", [
+    ({}, "y", "y"), ({}, "z", "z"), ({}, "d2", "d2"),
+    ({"mapping": {"y": "outcome", "d1": "first"}}, "outcome", "y"),
+    ({"mapping": {"y": "outcome", "d1": "first"}}, "first", "d1"),
+])
+def test_a_role_column_as_a_control_exit_1(tmp_path, monkeypatch, capsys, mapping, control, role):
+    # Refused before any data file is opened: as a control, the outcome
+    # would zero every reduced form and IV estimand.
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(mapping), encoding="utf-8")
+    opened = []
+    monkeypatch.setattr("lafte.data._source", lambda path: opened.append(path))
+    for command in ("estimate", "diagnose", "bounds"):
+        code, out, err = run([command, "--config", str(config), "--data", "absent.csv",
+                              "--controls", f"x1,{control}"], capsys)
+        assert (code, out, opened) == (1, "", [])
+        assert err == (f"error: control '{control}' is the column mapped as '{role}'; "
+                       "a control must be another column\n")
+
+
 def test_data_validation_exit_2(tmp_path, capsys):
     path = tmp_path / "t.csv"
     path.write_text("z,d1,d2,y\n1,2,1,3\n0,0,0,1\n", encoding="utf-8")

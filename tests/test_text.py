@@ -68,11 +68,15 @@ def test_the_exact_range_needs_no_repr(monkeypatch):
                         raising=False)
     inside = np.nextafter([_text.LEAST, _text.BOUND, -_text.LEAST, -_text.BOUND],
                           [1.0, 0.0, -1.0, 0.0])
-    values = np.concatenate([inside, [_text.LEAST, -_text.LEAST, 1.0, -2.5, 1e-5, 1e17]])
+    values = np.concatenate([inside, [_text.LEAST, -_text.LEAST, 1.0, -2.5, 0.5, -3.75, 1.0,
+                                      -2.0, 1200.0, 123.456, 1e15, 2.0**53 + 2]])
     _assert_reprs(values)
     assert calls == []
-    _assert_reprs([0.0, _text.BOUND, 1e-11, 1.0])
-    assert calls == [0.0, _text.BOUND, 1e-11]
+    # Zeros, and every e-XX and e+XX text.
+    outside = [0.0, _text.BOUND, 1e-11, 1e-5, 1e17, -2.5e-7, 4e-9, 2.5e17, -1e16, 2.0**56,
+               9.99e17, 12345678901234567.0]
+    _assert_reprs(outside + [1.0])
+    assert calls == outside
 
 
 def test_cli_import_leaves_the_kernel_out():
@@ -96,8 +100,8 @@ def test_a_big_endian_machine_writes_every_value_with_repr(monkeypatch):
 def test_the_kernel_carries_nothing_between_passes_or_calls():
     # Lengths that end a pass one value short, on its last value and one
     # past it, four passes with a short last one, then a shorter call: each
-    # mixes fixed notation, e-XX and e+XX inside the exact range and values
-    # that repr writes. One kernel also writes them all, in turn, into the
+    # mixes fixed notation inside the exact range and values that repr
+    # writes, e-XX and e+XX texts among them. One kernel also writes them all, in turn, into the
     # words of a wider block, as a save does.
     rng = np.random.default_rng(27)
     kinds = [0.5, -3.75, 123.456, -0.001, 1e-5, -2.5e17, 7e-10, 0.0, 1e-11, float("nan")]
@@ -116,22 +120,3 @@ def test_the_kernel_carries_nothing_between_passes_or_calls():
             assert [bytes(row).lstrip(b"\xff") for row in block[:part.size, 1:4].view(np.uint8)] \
                 == [text.encode() for text in texts]
 
-
-def test_python_integers_divide_only_the_least_magnitudes(monkeypatch):
-    # Short decimals, integers, e-XX and e+XX texts and the magnitudes from
-    # 2**56 on are written by whole arrays: only the digits of magnitudes
-    # under 2**-28 are divided in Python integers, one value at a time.
-    divided = []
-
-    class Ratios(list):
-        def __getitem__(self, column):
-            divided.append(column)
-            return super().__getitem__(column)
-
-    monkeypatch.setattr(_text, "_RATIOS", Ratios(_text._RATIOS))
-    values = [0.5, -3.75, 1.0, -2.0, 1200.0, 123.456, 1e-5, -2.5e-7, 4e-9, 2.5e17, -1e16,
-              2.0**53 + 2, 2.0**56, 9.99e17, 1e15, 12345678901234567.0]
-    _assert_reprs(values * 1000)
-    assert divided == []
-    _assert_reprs([1e-9, -3e-9, 1.0])
-    assert len(divided) == 2
