@@ -24,11 +24,14 @@ document. Plain output only; NO_COLOR is trivially respected.
 
 Each command reads its data file with ``data.load_table``. The parsed
 columns of a file of 2 MiB or more are kept in an on-disk cache
-(``$XDG_CACHE_HOME/lafte``), and the table's one fit beside them, so
-``estimate``, ``diagnose`` and ``bounds`` on the same bytes and columns
-parse the file and fit the table once between them; each still reads it
-once, to hash it. The output does not depend on the cache. PyYAML is
-imported only by a command that reads a config or spec file.
+(``$XDG_CACHE_HOME/lafte``), in an entry named by the sha256 of the file's
+bytes, the mapped columns and their kinds, the delimiter, the missing-data
+policy, the package's source, the numpy and Python versions,
+``csv.field_size_limit()`` and the machine, and the table's one fit at
+``<entry>.fit``. So ``estimate``, ``diagnose`` and ``bounds`` on the same
+bytes and columns parse the file and fit the table once between them; each
+still reads it once, to hash it. The output does not depend on the cache.
+PyYAML is imported only by a command that reads a config or spec file.
 
 Exit codes: 0 success, 1 usage/config error or an output that cannot be
 written (``--out``, or a closed stdout), 2 data or spec validation
@@ -208,12 +211,14 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config key '{key}' must be finite, got {value}")
     if config.input is None:
         raise ConfigError("no input file: set 'input' in the config or pass --data")
-    roles = {column: key for key, column in config.table_mapping().items()
-             if key in DEFAULT_MAPPING}
-    for control in config.controls or ():
-        if control in roles:
-            raise ConfigError(f"control '{control}' is the column mapped as "
-                              f"'{roles[control]}'; a control must be another column")
+    mapping = config.table_mapping()
+    uses: dict[str, str] = {}
+    for use, column in ([(f"'{key}'", mapping[key]) for key in DEFAULT_MAPPING if key in mapping]
+                        + [(f"control {j}", c) for j, c in enumerate(config.controls or (), 1)]):
+        if column in uses:
+            raise ConfigError(f"column '{column}' is named as {uses[column]} and as {use}; "
+                              "z, d1, d2, y and each control must be distinct columns")
+        uses[column] = use
     return config
 
 

@@ -58,8 +58,8 @@ there, and every slope read off it, so that the table is fit once. The
 columns themselves are never held whole: the fit builds them a block of
 rows at a time, with :meth:`DerivedColumns.of`, as it reads them. A table
 that :func:`load_table` read from the on-disk cache, or kept there, also
-remembers that entry, and ``estimands`` keeps its one fit on disk beside
-it, so that a later load of the same bytes is not fit again.
+remembers that entry, and ``estimands`` keeps its one fit on disk at
+``<entry>.fit``, so that a later load of the same bytes is not fit again.
 A table made by :func:`from_arrays` or ``dataclasses.replace`` starts with
 an empty cache and no entry. Tables are safe to share across threads: two
 threads may compute the same cache entry at once, and both see equal
@@ -117,6 +117,9 @@ _SCAN_BYTES = 1 << 16
 # _cache_entry), and the most bytes the cache directory holds.
 _CACHE_BYTES = 1 << 21
 _CACHE_CAP = 1 << 30
+
+# The lines of /proc/cpuinfo that name a CPU's model: x86, then ARM.
+_CPU_KEYS = {"vendor_id", "cpu family", "model", "CPU implementer", "CPU part"}
 
 
 class Column(NamedTuple):
@@ -639,20 +642,23 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     not plain, or has an error.
 
     The parsed columns of a seekable file of 2 MiB or more are kept in
-    ``$XDG_CACHE_HOME/lafte`` (``~/.cache/lafte`` when it is unset), named
-    by the sha256 of the file's bytes and of everything else that decides
-    them (:func:`_cache_entry`). Such a file is read once more, first, to
-    hash it; when the entry is there, it is read in place of the parse, and
-    the table, its warnings and its errors are the same. The entry, in the
-    one layout of every kept file (:func:`_cache_keep`), is a JSON line,
-    with a cluster column's sorted distinct labels, then each column's
-    bytes, a cluster column's as each row's code: a hit builds the labels
-    and ``cluster_codes`` with one gather each, and does no work per row in
-    Python. A file that raises while it is read keeps no entry. An
-    ``XDG_CACHE_HOME`` that cannot be used turns the cache off.
-    The table remembers the entry it was read from or kept at, and
-    ``estimands`` keeps its one fit beside it: a later command on the same
-    bytes reads that fit in place of fitting the table again.
+    ``$XDG_CACHE_HOME/lafte`` (``~/.cache/lafte`` when it is unset), in an
+    entry named by the one key of every kept file (:func:`_cache_entry`):
+    the sha256 of the file's bytes, the mapped columns and their kinds, the
+    delimiter, the missing-data policy, the package's source, the numpy and
+    Python versions, ``csv.field_size_limit()`` and the machine. Such a
+    file is read once more, first, to hash it; when the entry is there, it
+    is read in place of the parse, and the table, its warnings and its
+    errors are the same. The entry, in the one layout of every kept file
+    (:func:`_cache_keep`), is a JSON line, with a cluster column's sorted
+    distinct labels, then each column's bytes, a cluster column's as each
+    row's code: a hit builds the labels and ``cluster_codes`` with one
+    gather each, and does no work per row in Python. A file that raises
+    while it is read keeps no entry. An ``XDG_CACHE_HOME`` that cannot be
+    used turns the cache off. The table remembers the entry it was read from
+    or kept at, and ``estimands`` keeps its one fit at ``<entry>.fit``: a
+    later command on the same bytes reads that fit in place of fitting the
+    table again.
     """
     _check_missing(on_missing)
     _check_delimiter(delimiter)
@@ -845,6 +851,26 @@ def _cache_dir() -> str | None:
     return directory
 
 
+def _machine() -> str:
+    """The sha256 of what makes the bits of one fit differ between machines:
+    the architecture, the CPU's model (which picks the BLAS's kernels, read
+    from ``/proc/cpuinfo`` where there is one), and numpy's build, BLAS and
+    SIMD dispatch (``np.show_config``)."""
+    cpu = []
+    with suppress(OSError), open("/proc/cpuinfo", encoding="utf-8", errors="replace") as info:
+        for line in info:
+            if not line.strip():
+                break  # the first CPU's lines end here
+            key, _, value = line.partition(":")
+            if key.strip() in _CPU_KEYS:
+                cpu.append([key.strip(), value.strip()])
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints it
+        config = None
+    return hashlib.sha256(json.dumps([os.uname().machine, cpu, config]).encode()).hexdigest()
+
+
 def _cache_entry(path, size: int, parts: list) -> tuple[str, tuple] | None:
     """Where the columns that ``parts`` (the mapped columns, their kinds, the
     delimiter and the missing policy) read from the file at ``path``, which
@@ -853,8 +879,11 @@ def _cache_entry(path, size: int, parts: list) -> tuple[str, tuple] | None:
     ``_CACHE_BYTES``, or no usable cache directory (:func:`_cache_dir`).
 
     The entry is named by the sha256 of the file's bytes, ``parts``, the
-    source of this module, the numpy and Python versions and
-    ``csv.field_size_limit()``: anything that could change the columns.
+    source of every module of this package, the numpy and Python versions,
+    ``csv.field_size_limit()`` and the :func:`_machine`: anything that
+    could change the columns, or the bits of the table's fit that
+    ``estimands`` keeps at ``<entry>.fit``. This is the one key of every
+    kept file.
     """
     if size < _CACHE_BYTES:
         return None
@@ -868,11 +897,15 @@ def _cache_entry(path, size: int, parts: list) -> tuple[str, tuple] | None:
             block = bytearray(1 << 20)
             while read := handle.readinto(block):
                 digest.update(memoryview(block)[:read])
-        with open(__file__, "rb") as source:
-            code = hashlib.sha256(source.read()).hexdigest()
+        package = os.path.dirname(__file__)
+        code = []
+        for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+            with open(os.path.join(package, name), "rb") as source:
+                code.append([name, hashlib.sha256(source.read()).hexdigest()])
     except OSError:
         return None
-    key = [digest.hexdigest(), *parts, code, np.__version__, sys.version, csv.field_size_limit()]
+    key = [digest.hexdigest(), *parts, code, np.__version__, sys.version, csv.field_size_limit(),
+           _machine()]
     return os.path.join(directory, hashlib.sha256(json.dumps(key).encode()).hexdigest()), identity
 
 

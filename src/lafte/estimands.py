@@ -27,18 +27,12 @@ that fit as a linear map.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from . import regression
 from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable, _cache_keep, _cache_read
 from .exceptions import RelevanceError
 from .regression import (RELEVANCE_TOLERANCE, FitResult, Responses, _constant_zeros,
@@ -46,9 +40,6 @@ from .regression import (RELEVANCE_TOLERANCE, FitResult, Responses, _constant_ze
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
-
-# The lines of /proc/cpuinfo that name a CPU's model: x86, then ARM.
-_CPU_KEYS = {"vendor_id", "cpu family", "model", "CPU implementer", "CPU part"}
 
 
 class TreatmentDef(Enum):
@@ -112,46 +103,12 @@ class ComplierShares:
     warnings: tuple[str, ...] = ()
 
 
-def _machine() -> str:
-    """The sha256 of what makes the bits of one fit differ between machines:
-    the architecture, the CPU's model (which picks the BLAS's kernels, read
-    from ``/proc/cpuinfo`` where there is one), and numpy's build, BLAS and
-    SIMD dispatch (``np.show_config``)."""
-    cpu = []
-    with suppress(OSError), open("/proc/cpuinfo", encoding="utf-8", errors="replace") as info:
-        for line in info:
-            if not line.strip():
-                break  # the first CPU's lines end here
-            key, _, value = line.partition(":")
-            if key.strip() in _CPU_KEYS:
-                cpu.append([key.strip(), value.strip()])
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # numpy before 1.26 only prints it
-        config = None
-    return hashlib.sha256(json.dumps([os.uname().machine, cpu, config]).encode()).hexdigest()
-
-
-def _stamp(entry: str) -> list[str] | None:
-    """What a table's fit depends on besides the columns of its cache
-    ``entry``: the source of this module and of ``regression``, and the
-    machine (:func:`_machine`); None when a source cannot be read."""
-    stamp = [os.path.basename(entry)]
-    try:
-        for source in (regression.__file__, __file__):
-            with open(source, "rb") as code:
-                stamp.append(hashlib.sha256(code.read()).hexdigest())
-    except OSError:
-        return None
-    return [*stamp, _machine()]
-
-
-def _fit_arrays(stamp: list[str], header) -> list[np.ndarray]:
+def _fit_arrays(header) -> list[np.ndarray]:
     """The empty coefficients, covariance and response ranges of a kept fit
     whose JSON line is ``header``; ValueError or TypeError unless the line
-    is ``stamp`` and a fit's plain fields."""
-    written, n, k, dof, kind, count, names, constant = header
-    if not (written == stamp and all(type(v) is int for v in (n, k, dof)) and k >= 0
+    is a fit's plain fields."""
+    n, k, dof, kind, count, names, constant = header
+    if not (all(type(v) is int for v in (n, k, dof)) and k >= 0
             and kind in ("hc1", "cluster") and (count is None or type(count) is int)
             and type(constant) is bool and isinstance(names, list)
             and all(type(name) is str for name in names)):
@@ -166,12 +123,15 @@ def _table_fit(table: ObservationTable) -> FitResult:
     with a large mean costs no digits; no ``z`` slope or covariance changes.
 
     A table that ``load_table`` read from its cache entry, or kept there,
-    keeps this fit in a file beside the entry (``data._cache_keep``), named
-    by the sha256 of its :func:`_stamp`: a later load of the same bytes, on
-    the same machine and code, reads every field of the fit, bit for bit,
-    in place of fitting the table again. A file that ``data._cache_read``
-    refuses or that has another stamp is fit again and replaced; a fit that
-    raises keeps nothing.
+    keeps this fit at ``<entry>.fit`` (``data._cache_keep``). The entry's
+    name is the one key of both files: the sha256 of the file's bytes, the
+    mapped columns and their kinds, the delimiter, the missing-data policy,
+    the package's source, the numpy and Python versions,
+    ``csv.field_size_limit()`` and the machine (``data._cache_entry``). So
+    a later load of the same bytes, read the same way on the same machine
+    and code, reads every field of the fit, bit for bit, in place of
+    fitting the table again. A fit file that ``data._cache_read`` refuses
+    is fit again and replaced; a fit that raises keeps nothing.
     """
     def fit():
         w, names = instrument_design(table.z, table.controls, table.control_names)
@@ -183,17 +143,15 @@ def _table_fit(table: ObservationTable) -> FitResult:
 
     def kept():
         entry = table.__dict__.get("_entry")
-        stamp = None if entry is None else _stamp(entry)
-        if stamp is None:
+        if entry is None:
             return fit()
-        path = os.path.join(os.path.dirname(entry),
-                            hashlib.sha256(json.dumps(stamp).encode()).hexdigest())
-        hit = _cache_read(path, partial(_fit_arrays, stamp))
+        path = entry + ".fit"
+        hit = _cache_read(path, _fit_arrays)
         if hit is not None:
-            (_, n, k, dof, kind, count, names, constant), (b, vcov, lo, hi) = hit
+            (n, k, dof, kind, count, names, constant), (b, vcov, lo, hi) = hit
             return FitResult(b, vcov, n, k, dof, kind, count, tuple(names), constant, lo, hi)
         value = fit()
-        _cache_keep(path, [stamp, value.n, value.k, value.dof, value.covariance_kind,
+        _cache_keep(path, [value.n, value.k, value.dof, value.covariance_kind,
                            value.cluster_count, list(value.names), value.response_constant],
                     [value.coefficients, value.vcov, value.response_min, value.response_max])
         return value

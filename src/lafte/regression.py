@@ -154,8 +154,7 @@ def _check_rank(r: np.ndarray, names: Sequence[str]) -> None:
         ratio = diag[below[0]] / diag[0] if diag[0] else 0.0
         raise RankDeficientError(
             f"design matrix is rank deficient: collinear column '{name}' (pivot ratio "
-            f"{ratio:.3g}, below the tolerance {RANK_TOLERANCE:g}); a control whose mean "
-            f"is large against its spread can cause this too: centre it")
+            f"{ratio:.3g}, below the tolerance {RANK_TOLERANCE:g})")
 
 
 # Rows per block of the score sums; a block splits no cluster.
@@ -310,6 +309,10 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     Its coefficients are equation-major and named ``eq<e>.<name>``, and it
     is degenerate only when every column is the same constant. ``y`` and
     ``x`` may be :class:`Responses`, whose rows are built a block at a time.
+
+    ``x`` is fit as given: centre a column whose mean is large against its
+    spread first (as ``estimands`` does the controls), or a full-rank design
+    can fail the rank check (:func:`_check_rank`).
     """
     if not isinstance(x, Responses):
         x = _as_matrix(x)

@@ -7,10 +7,12 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import sys
 import tempfile
 import threading
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -167,27 +169,53 @@ def test_each_setting_is_part_of_the_key(tmp_path, cache, change):
     assert _entry_name(path, parts) != _entry_name(path, _PARTS)
 
 
-@pytest.mark.parametrize("part", ["code", "numpy", "python", "field limit"])
+@contextmanager
+def _counting(module, name):
+    """Counts the calls of ``module.name`` while the block runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(module, name, counted):
+        yield calls
+
+
+@pytest.mark.parametrize("part", ["code", "another module", "numpy", "python", "field limit",
+                                  "machine"])
 def test_each_version_is_part_of_the_key(tmp_path, cache, monkeypatch, part):
+    # The entry's name is the one key of the columns and of the fit kept at
+    # <entry>.fit: a change to any part of it parses the file and fits the
+    # table again.
     path = tmp_path / "hh.csv"
     _households(path)
-    load_table(path, _HOUSEHOLDS)
-    before = _entry_name(path, _PARTS)
-    assert _entries(cache) == [os.path.basename(before)]
-    if part == "code":
-        changed = tmp_path / "data.py"
-        changed.write_bytes(Path(data.__file__).read_bytes() + b"\n")
-        monkeypatch.setattr(data, "__file__", str(changed))
+    estimands._table_fit(load_table(path, _HOUSEHOLDS))
+    before = os.path.basename(_entry_name(path, _PARTS))
+    assert _entries(cache) == [before, before + ".fit"]
+    if part in ("code", "another module"):
+        package = tmp_path / "lafte"
+        shutil.copytree(Path(data.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        changed = package / ("data.py" if part == "code" else "regression.py")
+        changed.write_bytes(changed.read_bytes() + b"\n")
+        monkeypatch.setattr(data, "__file__", str(package / "data.py"))
     elif part == "numpy":
         monkeypatch.setattr(np, "__version__", np.__version__ + ".1")
     elif part == "python":
         monkeypatch.setattr(sys, "version", sys.version + " ")
+    elif part == "machine":
+        monkeypatch.setattr(data, "_machine", lambda: "0" * 64)
     else:
         limit = csv.field_size_limit(csv.field_size_limit() + 1)
     try:
-        assert _entry_name(path, _PARTS) != before
-        load_table(path, _HOUSEHOLDS)
-        assert len(_entries(cache)) == 2
+        after = os.path.basename(_entry_name(path, _PARTS))
+        assert after != before
+        with _counting(data, "_parse") as parses, _counting(estimands, "ols") as fits:
+            estimands._table_fit(load_table(path, _HOUSEHOLDS))
+        assert parses == fits == [1]
+        assert _entries(cache) == sorted([before, before + ".fit", after, after + ".fit"])
     finally:
         if part == "field limit":
             csv.field_size_limit(limit)
@@ -235,14 +263,7 @@ def test_a_damaged_entry_gives_the_parse(tmp_path, cache, capfd, damage):
                        + raw[len(header) - 1:]),
     }[damage]
     entry.write_bytes(damaged)
-    parses = []
-    real = data._parse
-
-    def counted(*args, **kwargs):
-        parses.append(1)
-        return real(*args, **kwargs)
-
-    with mock.patch.object(data, "_parse", counted):
+    with _counting(data, "_parse") as parses:
         table = load_table(path, _HOUSEHOLDS)
     assert parses == [1]
     _assert_identical_tables(table, _parsed(path, _HOUSEHOLDS))
@@ -423,6 +444,8 @@ def test_the_cli_commands_share_one_entry(tmp_path, cache, capsys):
         documents.append(capsys.readouterr().out)
         # The columns, and the table's one fit beside them.
         assert len(_entries(cache)) == 2
+    entry = os.path.basename(_entry_name(path, _PARTS))
+    assert _entries(cache) == [entry, entry + ".fit"]
     assert documents[1] == documents[2]
     with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": "relative"}):
         assert cli.main(["bounds", *args]) == 0
@@ -487,7 +510,6 @@ def test_a_kept_fit_is_the_fit_bit_for_bit(tmp_path, cache, mapping):
 def _damage_fit(entry, how):
     raw = entry.read_bytes()
     line, rest = raw.split(b"\n", 1)
-    stamp, *header = json.loads(line)
     if how == "truncated":
         entry.write_bytes(raw[:-1])
     elif how == "trailing bytes":
@@ -496,9 +518,10 @@ def _damage_fit(entry, how):
         entry.write_bytes(line + b"\n")
     elif how == "empty":
         entry.write_bytes(b"")
-    elif how == "foreign stamp":  # as another version of regression.py keeps it
-        stamp[1] = "0" * 64
-        entry.write_bytes(json.dumps([stamp, *header]).encode() + b"\n" + rest)
+    elif how == "wrong shape":  # k one more than its arrays hold
+        header = json.loads(line)
+        header[1] += 1
+        entry.write_bytes(json.dumps(header).encode() + b"\n" + rest)
     else:
         entry.write_bytes(b"not JSON\n" + rest)
 
@@ -524,7 +547,7 @@ def test_the_commands_do_not_depend_on_the_kept_fit(tmp_path, cache, capsys, com
     kept = (cache / fit_file).read_bytes()
     with mock.patch.object(estimands, "ols", _no_fit):
         assert run() == off
-    for how in ("truncated", "foreign stamp", "not JSON", "trailing bytes", "header only",
+    for how in ("truncated", "wrong shape", "not JSON", "trailing bytes", "header only",
                 "empty"):
         _damage_fit(cache / fit_file, how)
         assert run() == off
@@ -532,26 +555,21 @@ def test_the_commands_do_not_depend_on_the_kept_fit(tmp_path, cache, capsys, com
 
 
 def test_a_fit_kept_on_another_machine_is_not_read(tmp_path, cache, monkeypatch):
-    # The stamp names the machine: a cache shared with a machine whose CPU
-    # or numpy differs keeps a fit for each, and neither reads the other's.
+    # The entry's name holds the machine: a cache shared with a machine whose
+    # CPU or numpy differs keeps an entry and a fit for each, and neither
+    # reads the other's.
     path = tmp_path / "hh.csv"
     _shuffled_households(path)
     fresh = estimands._table_fit(load_table(path, _HOUSEHOLDS))
-    (ours,) = _fit_files(cache, path, _HOUSEHOLDS)
-    monkeypatch.setattr(estimands, "_machine", lambda: "0" * 64)
-    fits = []
-    real = estimands.ols
-
-    def counted(*args, **kwargs):
-        fits.append(1)
-        return real(*args, **kwargs)
-
-    with mock.patch.object(estimands, "ols", counted):
-        other = estimands._table_fit(load_table(path, _HOUSEHOLDS))
+    ours = _entries(cache)
+    monkeypatch.setattr(data, "_machine", lambda: "0" * 64)
+    with _counting(estimands, "ols") as fits:
+        other = load_table(path, _HOUSEHOLDS)
+        kept = estimands._table_fit(other)
     assert fits == [1]
-    assert other.coefficients.tobytes() == fresh.coefficients.tobytes()
-    files = _fit_files(cache, path, _HOUSEHOLDS)
-    assert len(files) == 2 and ours in files
+    assert kept.coefficients.tobytes() == fresh.coefficients.tobytes()
+    theirs = os.path.basename(other.__dict__["_entry"])
+    assert _entries(cache) == sorted([*ours, theirs, theirs + ".fit"])
 
 
 def test_a_fit_that_raises_keeps_nothing(tmp_path, cache):
@@ -598,14 +616,7 @@ def test_a_replaced_table_fits_again(tmp_path, cache):
     path = tmp_path / "hh.csv"
     _shuffled_households(path)
     estimands._table_fit(load_table(path, _HOUSEHOLDS))
-    fits = []
-    real = estimands.ols
-
-    def counted(*args, **kwargs):
-        fits.append(1)
-        return real(*args, **kwargs)
-
-    with mock.patch.object(estimands, "ols", counted):
+    with _counting(estimands, "ols") as fits:
         estimands._table_fit(load_table(path, _HOUSEHOLDS))
         assert fits == []
         loaded = load_table(path, _HOUSEHOLDS)

@@ -160,8 +160,37 @@ def test_a_role_column_as_a_control_exit_1(tmp_path, monkeypatch, capsys, mappin
         code, out, err = run([command, "--config", str(config), "--data", "absent.csv",
                               "--controls", f"x1,{control}"], capsys)
         assert (code, out, opened) == (1, "", [])
-        assert err == (f"error: control '{control}' is the column mapped as '{role}'; "
-                       "a control must be another column\n")
+        assert err == (f"error: column '{control}' is named as '{role}' and as control 2; "
+                       "z, d1, d2, y and each control must be distinct columns\n")
+
+
+@pytest.mark.parametrize("settings, flags, uses", [
+    ({}, ["--controls", "x1,x1"], ("x1", "control 1", "control 2")),
+    ({"controls": ["x1", "x1"]}, [], ("x1", "control 1", "control 2")),
+    ({"controls": ["x1", "x2", "x1"]}, [], ("x1", "control 1", "control 3")),
+    ({"mapping": {"z": "d1", "d1": "d1", "d2": "d2", "y": "y"}}, [], ("d1", "'z'", "'d1'")),
+    ({"mapping": {"z": "z", "d1": "d2", "d2": "d2", "y": "y"}}, [], ("d2", "'d1'", "'d2'")),
+    ({"mapping": {"z": "z", "d1": "d1", "d2": "d2", "y": "x1"}}, ["--controls", "x1"],
+     ("x1", "'y'", "control 1")),
+], ids=["control flag", "control key", "third control", "z as d1", "d1 as d2", "y as control"])
+def test_a_column_named_twice_exit_1(tmp_path, capsys, settings, flags, uses):
+    # On a table that has every column: a control named twice made the
+    # design rank deficient (exit 3), and z mapped to the d1 column reported
+    # a D1 first stage of 1.000 (0.000) (exit 0).
+    table = random_table(np.random.default_rng(3), n=300)
+    data = tmp_path / "t.csv"
+    save_table(from_arrays(table.z, table.d1, table.d2, table.y,
+                           controls=np.random.default_rng(4).standard_normal((300, 2)),
+                           control_names=("x1", "x2")), data)
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(settings), encoding="utf-8")
+    column, first, second = uses
+    for command in ("estimate", "diagnose", "bounds"):
+        code, out, err = run([command, "--config", str(config), "--data", str(data), *flags],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: column '{column}' is named as {first} and as {second}; "
+                       "z, d1, d2, y and each control must be distinct columns\n")
 
 
 def test_data_validation_exit_2(tmp_path, capsys):
