@@ -25,6 +25,7 @@ from .estimands import EstimateWithSE, contrast, slopes
 from .regression import TestResult, one_sided_negativity, wald_joint
 
 JOINT_TEST_METHOD = "wald chi-square on the stacked cluster-robust covariance"
+JOINT_TEST_METHOD_HC1 = "wald chi-square on the stacked HC1 covariance"
 
 STEP2_CAVEAT = (
     "a failure to reject the outcome-weighted contrasts is also consistent with "
@@ -136,6 +137,7 @@ def mover_test(table: ObservationTable, *, level: float = 0.05) -> MoverTestRepo
     return MoverTestReport(
         step1=step1, step2=step2, conclusion=conclusion, level=level,
         degenerate=tuple(degenerate1 + degenerate2),
+        method=JOINT_TEST_METHOD if table.cluster is not None else JOINT_TEST_METHOD_HC1,
         recommendation=NO_MOVERS_RECOMMENDATION if conclusion == NO_MOVERS else None,
     )
 

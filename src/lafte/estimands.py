@@ -35,11 +35,13 @@ import numpy as np
 
 from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable, _cache_keep, _cache_read
 from .exceptions import RelevanceError
-from .regression import (RELEVANCE_TOLERANCE, FitResult, Responses, _constant_zeros,
-                         instrument_design, ols, tidy_vcov)
+from .regression import FitResult, Responses, _constant_zeros, ols, tidy_vcov
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
+
+# A first-stage coefficient at or below this magnitude fails relevance.
+RELEVANCE_TOLERANCE = 1e-10
 
 
 class TreatmentDef(Enum):
@@ -117,10 +119,11 @@ def _fit_arrays(header) -> list[np.ndarray]:
 
 
 def _table_fit(table: ObservationTable) -> FitResult:
-    """The table's one fit, of all 13 columns on ``W``; each block of rows
-    builds its columns when the fit reads it, so no ``n x 13`` array is held.
-    Each block of ``W`` has the controls' means subtracted, so that a control
-    with a large mean costs no digits; no ``z`` slope or covariance changes.
+    """The table's one fit, of all 13 columns on ``W``, which is built here a
+    block of rows at a time, as the columns are: ``[1, z, controls - means]``,
+    named ``const``, ``z`` and the control names (or ``c0, c1, ...``). The
+    centring costs a control with a large mean no digits, and changes no
+    ``z`` slope or covariance. No ``n x 13`` array or ``n x k`` design is held.
 
     A table that ``load_table`` read from its cache entry, or kept there,
     keeps this fit at ``<entry>.fit`` (``data._cache_keep``). The entry's
@@ -134,12 +137,21 @@ def _table_fit(table: ObservationTable) -> FitResult:
     is fit again and replaced; a fit that raises keeps nothing.
     """
     def fit():
-        w, names = instrument_design(table.z, table.controls, table.control_names)
-        means = np.r_[0.0, 0.0, table.controls.mean(0)]
+        means = table.controls.mean(0)
+        names = ("const", "z", *(table.control_names
+                                 or (f"c{j}" for j in range(means.size))))
+
+        def design(rows) -> np.ndarray:
+            # Filled in place: no column is held twice.
+            z = table.z[rows]
+            w = np.empty((z.shape[0], len(names)))
+            w[:, 0], w[:, 1], w[:, 2:] = 1.0, z, table.controls[rows] - means
+            return w
+
         columns = Responses((table.n, len(RESPONSES)), lambda rows: DerivedColumns.of(
             table.d1[rows], table.d2[rows], table.y[rows]).values)
-        return ols(columns, Responses(w.shape, lambda rows: w[rows] - means),
-                   table.cluster_codes, names=names)
+        return ols(columns, Responses((table.n, len(names)), design), table.cluster_codes,
+                   names=names)
 
     def kept():
         entry = table.__dict__.get("_entry")

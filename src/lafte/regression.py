@@ -25,9 +25,9 @@ The fit has one rank check, one bread and one multi-column solve. The
 design and the responses are read a block of rows at a time, twice: in row
 order for ``W'W``, ``W'Y`` and each column's range, then in cluster order
 for ``S'S``, so no ``n x K`` array of scores is ever held. A design or a
-response given as :class:`Responses` builds each block's rows on demand, as
-the table's ``W`` (:func:`instrument_design`) and its 13 columns do, so no
-``n x k`` design and no ``n x m`` response is held either.
+response given as :class:`Responses` builds each block's rows on demand, so
+that no ``n x k`` design and no ``n x m`` response is held either (the
+table fit, ``estimands._table_fit``, gives both so).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .exceptions import DegenerateTestError, EstimationError, RankDeficientError
 
 # A pivot below this fraction of the largest pivot marks a collinear column.
 RANK_TOLERANCE = 1e-10
-
-# A first-stage coefficient at or below this magnitude fails relevance.
-RELEVANCE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -332,33 +329,6 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
         return fit
     return replace(fit, names=tuple(f"eq{e}.{name}" for e in range(y.shape[1])
                                     for name in fit.names))
-
-
-def instrument_design(z, controls=None, control_names=()) -> tuple[Responses, tuple[str, ...]]:
-    """The instrument matrix ``W = [1, z, controls]`` and its column names.
-
-    ``W`` is a :class:`Responses`: ``w[rows]`` builds the rows ``rows`` from
-    ``z`` and the controls, so a fit that reads it a block at a time holds
-    no ``n x k`` design; ``np.asarray(w)`` builds all of it. Controls are
-    named by ``control_names``, or ``c0, c1, ...`` without them. A table's
-    one fit uses this ``W`` as its design.
-    """
-    z = np.asarray(z).reshape(-1)
-    c = np.empty((z.shape[0], 0)) if controls is None else _as_matrix(controls)
-    if c.shape[0] != z.shape[0]:
-        raise EstimationError("instrument and control row counts differ")
-    names = ["const", "z"]
-    if c.shape[1]:
-        names += list(control_names) or [f"c{j}" for j in range(c.shape[1])]
-
-    def build(rows) -> np.ndarray:
-        z_rows = z[rows]
-        # Filled in place: no column is held twice.
-        w = np.empty((z_rows.shape[0], 2 + c.shape[1]))
-        w[:, 0], w[:, 1], w[:, 2:] = 1.0, z_rows, c[rows]
-        return w
-
-    return Responses((z.shape[0], 2 + c.shape[1]), build), tuple(names)
 
 
 def linear_combination(fit: FitResult, weights) -> tuple[float, float | None]:

@@ -3,6 +3,7 @@ import errno
 import io
 import itertools
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -24,6 +25,7 @@ from lafte import (
     load_table,
     sample,
     save_table,
+    slopes,
 )
 
 from conftest import FIX8_CSV, fix8_table, s2_spec
@@ -365,6 +367,10 @@ def _rowwise_save(table, path, *, delimiter=","):
     names += list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
     if table.cluster is not None:
         names.append("cluster")
+        # One text per cluster: the str of its label on its first row.
+        texts = {}
+        for code, label in zip(table.cluster_codes.tolist(), table.cluster):
+            texts.setdefault(code, str(label))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(names)
@@ -372,7 +378,7 @@ def _rowwise_save(table, path, *, delimiter=","):
             row = [int(table.z[i]), int(table.d1[i]), int(table.d2[i]), repr(float(table.y[i]))]
             row += [repr(float(v)) for v in table.controls[i]]
             if table.cluster is not None:
-                row.append(str(table.cluster[i]))
+                row.append(texts[int(table.cluster_codes[i])])
             writer.writerow(row)
 
 
@@ -786,17 +792,108 @@ def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter
             assert _same_bits(back.cluster_codes, table.cluster_codes)
 
 
-def test_labels_that_are_one_cluster_keep_each_rows_text(tmp_path):
-    # 1, 1.0 and True are one cluster, as are 0.0 and -0.0, but csv.writer
-    # writes each row's own str; so do string labels that look alike.
+def _same_clusters(a, b):
+    """Whether the cluster codes ``a`` and ``b`` put the rows into the same
+    clusters, whatever the codes are."""
+    pairs = np.unique(np.column_stack([a, b]), axis=0)
+    return a.shape == b.shape and len(pairs) == len(np.unique(a)) == len(np.unique(b))
+
+
+def _reload(path, table):
+    names = list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
+    return load_table(path, {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": names,
+                             "cluster": "cluster"})
+
+
+def _contrast_ses(table):
+    fit = slopes(table, [(column, None) for column in ("d1", "d2", "y")])
+    return np.sqrt(np.diag(fit.vcov))
+
+
+def test_labels_that_are_one_cluster_are_written_as_one_text(tmp_path):
+    # 1, 1.0 and True are one cluster, as are 0.0 and -0.0: each cluster is
+    # written as the str of its label on its first row, so the reload has
+    # the same clusters. As strings the ten labels are seven clusters.
     labels = [1, 1.0, True, 2, 0.0, -0.0, 2.5, 1.0, 0.0, 2]
     n = len(labels)
     z = np.arange(n) % 2
-    for cluster in (labels, [str(label) for label in labels]):
+    written = ["1", "1", "1", "2", "0.0", "0.0", "2.5", "1", "0.0", "2"]
+    for cluster, count, texts in ((labels, 4, written),
+                                  ([str(label) for label in labels], 7, list(map(str, labels)))):
         table = from_arrays(z, z, 1 - z, np.linspace(-1.0, 1.0, n), cluster=cluster)
         save_table(table, tmp_path / "new.csv")
         _rowwise_save(table, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = _reload(tmp_path / "new.csv", table)
+        assert list(back.cluster) == texts
+        assert table.cluster_count == back.cluster_count == count
+        assert _same_clusters(back.cluster_codes, table.cluster_codes)
+
+
+def _repro_table(labels):
+    rng = np.random.default_rng(20)
+    n = len(labels)
+    return from_arrays(rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
+                       rng.standard_normal(n), cluster=np.array(labels, dtype=object))
+
+
+def test_one_cluster_of_many_labels_reloads_as_one_cluster(tmp_path):
+    # Rows 0-199 labelled 1, 1.0 and True in turn are one cluster; with the
+    # 20 clusters after them, a reload has 21, and the same first stage SE.
+    table = _repro_table([(1, 1.0, True)[i % 3] for i in range(200)]
+                         + [2 + i // 10 for i in range(200)])
+    save_table(table, tmp_path / "t.csv")
+    back = _reload(tmp_path / "t.csv", table)
+    assert table.cluster_count == back.cluster_count == 21
+    assert _same_clusters(back.cluster_codes, table.cluster_codes)
+    first, again = (slopes(t, [("d1", None)]).se(0) for t in (table, back))
+    assert again == pytest.approx(first, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([("a", " a")[i % 2] for i in range(200)] + [f"h{i % 30}" for i in range(200)],
+     "cluster labels [' a', 'a'] are alike once stripped or read as missing"),
+    (["NA"] * 40 + [f"h{i % 30}" for i in range(360)],
+     "cluster labels ['NA'] are alike once stripped or read as missing"),
+])
+def test_a_save_refuses_clusters_that_would_not_reload(tmp_path, labels, message):
+    # load_table strips a label and reads NA as missing: " a" would join the
+    # cluster "a" (32 clusters reloading as 31), and the NA rows be dropped.
+    table = _repro_table(labels)
+    path = tmp_path / "t.csv"
+    with pytest.raises(DataError, match=re.escape(message) + ".*nothing is written"):
+        save_table(table, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_a_saved_table_reloads_with_its_own_clusters(tmp_path, seed):
+    # Int, float and bool labels, some equal (1, 1.0, True), or str labels,
+    # some alike once stripped or read as missing: a save either refuses and
+    # writes nothing, or the reload puts the rows into the same clusters,
+    # with the same count and SEs.
+    rng = np.random.default_rng([21, seed])
+    numbers = [0, 1, 2, 7, 0.0, -0.0, 1.0, 2.5, 1e-7, 1e16, 10**16, True, False]
+    texts = ["a", " a", "a ", "b", "B", "NA", "na", ".", "nan", "x y", "1", "1.0", "True",
+             "c,d", 'q"t', "two\nlines", "ü"]
+    pool = numbers if seed % 2 else texts
+    chosen = rng.choice(len(pool), size=rng.integers(2, 7), replace=False)
+    n = 120
+    labels = np.array([pool[i] for i in rng.choice(chosen, n)], dtype=object)
+    table = from_arrays(rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
+                        rng.standard_normal(n), controls=rng.standard_normal((n, 1)),
+                        cluster=labels)
+    path = tmp_path / "t.csv"
+    try:
+        save_table(table, path)
+    except DataError:
+        assert not path.exists() and not seed % 2
+        return
+    back = _reload(path, table)
+    assert back.n == table.n and back.cluster_count == table.cluster_count
+    assert _same_clusters(back.cluster_codes, table.cluster_codes)
+    np.testing.assert_allclose(_contrast_ses(back), _contrast_ses(table),
+                               rtol=1e-12, atol=0)
 
 
 def _blocks_saved(table, path, **kwargs):

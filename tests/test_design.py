@@ -9,11 +9,11 @@ import pytest
 
 from lafte import (
     DerivedColumns,
-    EstimationError,
     RankDeficientError,
     TreatmentDef,
     complier_shares,
     data,
+    estimands,
     from_arrays,
     iv_estimand,
     lafte_bounds,
@@ -88,14 +88,29 @@ def test_replace_recomputes_derived_columns_and_fits():
     assert reduced_form(doubled).value == pytest.approx(2 * rf, rel=1e-12)
 
 
-def test_instrument_design_is_shared_by_every_fit():
-    t = _household_table()
-    w, names = regression.instrument_design(t.z, t.controls, t.control_names)
-    assert names == ("const", "z", "age", "income")
-    assert np.array_equal(w, np.column_stack([np.ones(t.n), t.z, t.controls]))
-    assert regression.instrument_design(t.z, t.controls)[1][2:] == ("c0", "c1")
-    with pytest.raises(EstimationError, match="row counts differ"):
-        regression.instrument_design(t.z, t.controls[1:])
+@pytest.mark.parametrize("control_names", [("age", "income"), ()])
+def test_the_table_fit_builds_w(monkeypatch, control_names):
+    # The table fit builds W = [1, z, controls - mean(controls)] a block of
+    # rows at a time, and names it by the controls, or c0, c1 without names.
+    t = from_arrays(**{**_household_columns(), "control_names": control_names})
+    w = np.column_stack([np.ones(t.n), t.z, t.controls - t.controls.mean(0)])
+    blocks = []
+    real = estimands.ols
+
+    def recorder(y, x, *args, **kwargs):
+        def read(rows):
+            blocks.append((rows, x[rows]))
+            return blocks[-1][1]
+        return real(y, regression.Responses(x.shape, read), *args, **kwargs)
+
+    monkeypatch.setattr(estimands, "ols", recorder)
+    monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
+    fit = estimands._table_fit(t)
+    assert fit.names == tuple(f"eq{e}.{name}" for e in range(len(data.RESPONSES))
+                              for name in ("const", "z", *(control_names or ("c0", "c1"))))
+    assert len(blocks) > 2
+    for rows, block in blocks:
+        assert block.tobytes() == w[rows].tobytes()
 
 
 def test_iv_rank_errors_name_controls():

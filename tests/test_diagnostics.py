@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lafte import (
@@ -7,8 +8,11 @@ from lafte import (
     mover_conclusion,
     mover_test,
     sample,
+    slopes,
     stratum,
 )
+
+from conftest import random_table
 
 
 def test_fix8_step1_contrasts(fix8):
@@ -126,3 +130,15 @@ def test_equal_proportions_detected_only_by_step2():
     assert report.conclusion == "movers-detected-step2"
     assert abs(report.step1.or_minus_d2.value) < 0.02
     assert report.step2.or_minus_d2.value == pytest.approx(0.5, abs=0.05)
+
+
+def test_the_mover_test_names_the_covariance_it_used():
+    # The joint tests use the cluster-robust covariance on a table with
+    # clusters and HC1 on one without, and the report says which.
+    clustered = random_table(np.random.default_rng(90), n=200, cluster_size=4)
+    plain = from_arrays(clustered.z, clustered.d1, clustered.d2, clustered.y)
+    for table, kind, method in (
+            (clustered, "cluster", "wald chi-square on the stacked cluster-robust covariance"),
+            (plain, "hc1", "wald chi-square on the stacked HC1 covariance")):
+        assert mover_test(table).method == method
+        assert slopes(table, [("g_or", None), ("g_and", None)]).covariance_kind == kind

@@ -328,11 +328,10 @@ def test_blocked_cross_moments_equal_the_whole_array_product(controls):
     n = 3 * regression._CHUNK_ROWS + 5
     rng = np.random.default_rng(39)
     z = rng.integers(0, 2, n)
-    w, _ = regression.instrument_design(
-        z, rng.standard_normal((n, 2)) * [1.0, 1e3] if controls else None)
-    dense = np.asarray(w)
+    c = rng.standard_normal((n, 2)) * [1.0, 1e3] if controls else np.empty((n, 0))
+    w = np.column_stack([np.ones(n), z, c])
     _, wtw, _, _, _ = regression._row_pass(rng.standard_normal((n, 2)), w, n)
-    whole = dense.T @ dense
+    whole = w.T @ w
     if controls:
         scale = np.sqrt(np.outer(np.diag(whole), np.diag(whole)))
         assert np.max(np.abs(wtw - whole) / scale) <= 1e-13
@@ -348,13 +347,14 @@ def test_fit_reads_its_design_a_block_at_a_time(monkeypatch, clustered):
     rng = np.random.default_rng(40)
     n = 500
     labels = np.repeat(np.arange(n), rng.integers(1, 10, n))[:n] if clustered else None
-    w, names = regression.instrument_design(rng.integers(0, 2, n), rng.standard_normal((n, 2)))
+    w = np.column_stack([np.ones(n), rng.integers(0, 2, n), rng.standard_normal((n, 2))])
+    names = ("const", "z", "c0", "c1")
     y = rng.standard_normal((n, 3))
     read = []
     lazy = regression.Responses(w.shape, lambda rows: read.append(np.arange(n)[rows].size)
                                 or w[rows])
     monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
-    fit, dense = ols(y, lazy, labels, names=names), ols(y, np.asarray(w), labels, names=names)
+    fit, dense = ols(y, lazy, labels, names=names), ols(y, w, labels, names=names)
     assert read and max(read) < 50 + 9
     assert fit.coefficients.tobytes() == dense.coefficients.tobytes()
     assert fit.vcov.tobytes() == dense.vcov.tobytes()

@@ -30,8 +30,7 @@ from lafte import (
     tau_bounds,
 )
 from lafte.data import LABELS, RESPONSES
-from lafte.estimands import contrast
-from lafte.regression import RELEVANCE_TOLERANCE
+from lafte.estimands import RELEVANCE_TOLERANCE, contrast
 
 DENOMINATOR = 1000
 TOLERANCE = 1e-10

@@ -21,7 +21,6 @@ from lafte import (
     slopes,
 )
 from lafte.data import RESPONSES, DerivedColumns
-from lafte.regression import instrument_design
 
 from conftest import random_table
 from test_regression import oracle_stacked_iv
@@ -32,7 +31,7 @@ SRC = Path(lafte.__file__).resolve().parent
 # module reaches the fits through ``estimands.slopes``. ``__init__`` only
 # re-exports the public API.
 FIT_LAYER = {"data", "regression", "estimands", "__init__"}
-FIT_NAMES = {"ols", "instrument_design", "cluster_codes"}
+FIT_NAMES = {"ols", "cluster_codes"}
 
 # The north-star agreement rule between two ways of computing one number.
 REL = 1e-12
@@ -77,11 +76,11 @@ def _stacked_reference(t, equations):
 @pytest.mark.parametrize("controls, cluster", TABLES)
 def test_single_equation_equals_ols_and_the_oracle(controls, cluster):
     t = _table(controls, cluster)
-    w, names = instrument_design(t.z, t.controls, t.control_names)
+    w = np.column_stack([np.ones(t.n), t.z, t.controls])
     columns = DerivedColumns.of(t.d1, t.d2, t.y)
     for d in TreatmentDef:
         fs = slopes(t, [(d.value, None)])
-        ref = ols(columns.column(d.value), w, t.cluster_codes, names=names)
+        ref = ols(columns.column(d.value), w, t.cluster_codes)
         np.testing.assert_allclose([fs.coefficients[0], fs.se(0)],
                                    [ref.coefficients[1], ref.se(1)], rtol=REL, atol=0)
         assert (fs.k, fs.cluster_count) == (1, ref.cluster_count)
@@ -167,17 +166,16 @@ def test_blocked_table_fit_equals_whole_array_fit(monkeypatch, n, controls, clus
     fit = estimands._table_fit(t)
     # The dense design, controls centred, with all 13 columns held at once
     # and fit in one block; and the raw design [1, z, controls].
-    w, names = instrument_design(t.z, t.controls, t.control_names)
-    raw = np.asarray(w)
+    raw = np.column_stack([np.ones(n), t.z, t.controls])
     centred = raw - np.r_[0.0, 0.0, t.controls.mean(0)]
     values = DerivedColumns.of(t.d1, t.d2, t.y).values
     monkeypatch.setattr(regression, "_CHUNK_ROWS", n + 1)
-    ref = ols(values, centred, t.cluster_codes, names=names)
+    ref = ols(values, centred, t.cluster_codes)
     np.testing.assert_allclose(fit.coefficients, ref.coefficients, rtol=REL, atol=0)
     _assert_vcov_close(fit.vcov, ref.vcov)
     # The z slopes and their covariance are those of the raw design.
-    by_raw = ols(values, raw, t.cluster_codes, names=names)
-    z_slopes = slice(1, None, w.shape[1])
+    by_raw = ols(values, raw, t.cluster_codes)
+    z_slopes = slice(1, None, raw.shape[1])
     np.testing.assert_allclose(fit.coefficients[z_slopes], by_raw.coefficients[z_slopes],
                                rtol=REL, atol=0)
     _assert_vcov_close(fit.vcov[z_slopes, z_slopes], by_raw.vcov[z_slopes, z_slopes])
@@ -230,7 +228,7 @@ def test_table_fit_meat_equals_whole_array_meat_exactly(monkeypatch, clustered):
     # bit for bit, at any block size.
     n = 3 * 50 + 5
     t = _blocked_table(n, True, clustered, False)
-    w, _ = instrument_design(t.z, t.controls, t.control_names)
+    w = np.column_stack([np.ones(n), t.z, t.controls])
     lazy = regression.Responses((n, len(RESPONSES)), lambda rows: DerivedColumns.of(
         t.d1[rows], t.d2[rows], t.y[rows]).values)
     b = np.random.default_rng(78).standard_normal(len(RESPONSES) * w.shape[1])
