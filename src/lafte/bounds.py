@@ -19,16 +19,15 @@ Three bound pairs are computed, each with per-endpoint standard errors and
     effects: the IV estimand with the multivalued treatment from below, the
     reduced form over the largest binary first stage from above.
 
-Standard errors for multi-coefficient endpoints come from the stacking
-procedure: the component equations are fit jointly by
-:func:`~lafte.estimands.slopes`, whose covariance equals that of the
-equations stacked on duplicated data with duplicated cluster labels, and
-the endpoint is a linear combination of their slopes.
+Each endpoint's value, standard error and 95% interval are made by
+:func:`~lafte.estimands.estimate`, as a linear combination of slopes that
+:func:`~lafte.estimands.slopes` fits jointly, with the covariance of the
+equations stacked on duplicated data with duplicated cluster labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,13 +36,12 @@ from .estimands import (
     BINARY_DEFS,
     EstimateWithSE,
     TreatmentDef,
+    estimate,
     first_stage,
     iv_estimand,
     reduced_form,
-    slopes,
 )
 from .exceptions import BoundsError
-from .regression import linear_combination
 
 THEOREM1_ASSUMPTIONS = (
     "double-exclusion",
@@ -78,9 +76,8 @@ def lafte_bounds(table: ObservationTable) -> BoundsResult:
     """Sharp LAFTE bounds under double exclusion, MTR, MTS, and positive response."""
     lower = iv_estimand(table, TreatmentDef.FIRST)
 
-    fit = slopes(table, [("dand_y", "d_and"), ("untreated_y", "d1")])
-    value, se = linear_combination(fit, [1.0, 1.0])
-    upper = EstimateWithSE.from_se(value, se, table.n, fit.cluster_count, "theorem1-upper")
+    upper = estimate(table, [("dand_y", "d_and"), ("untreated_y", "d1")], [1.0, 1.0],
+                     "theorem1-upper")
     warnings = []
     if lower.value > upper.value:
         warnings.append(
@@ -112,26 +109,21 @@ def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = 
             f"response bound violated by data: observed range [{y_lo:.6g}, {y_hi:.6g}], "
             f"stated bounds [{ymin:.6g}, {ymax:.6g}]")
 
-    fit = slopes(table, [(column, "d1") for column in ("kernel_y", "g_or", "g_and")])
-    lo_value, lo_se = linear_combination(fit, [1.0, ymin, -ymax])
-    hi_value, hi_se = linear_combination(fit, [1.0, ymax, -ymin])
+    equations = [(column, "d1") for column in ("kernel_y", "g_or", "g_and")]
+    lower = estimate(table, equations, [1.0, ymin, -ymax], "bounded-response-lower")
+    upper = estimate(table, equations, [1.0, ymax, -ymin], "bounded-response-upper")
 
     warnings = []
     flipped = False
-    if lo_value > hi_value:
+    if lower.value > upper.value:
         # Happens only when the sample d2 contrast exceeds the d1 contrast,
         # which contradicts double exclusion; order is restored and flagged.
         flipped = True
-        lo_value, hi_value = hi_value, lo_value
-        lo_se, hi_se = hi_se, lo_se
+        lower, upper = (replace(upper, definition=lower.definition),
+                        replace(lower, definition=upper.definition))
         warnings.append(
             "endpoints swapped: the sample first stages contradict double exclusion "
             "(instrument contrast of D2 exceeds that of D1)")
-
-    lower = EstimateWithSE.from_se(lo_value, lo_se, table.n, fit.cluster_count,
-                                   "bounded-response-lower")
-    upper = EstimateWithSE.from_se(hi_value, hi_se, table.n, fit.cluster_count,
-                                   "bounded-response-upper")
     return BoundsResult(kind="bounded-response", lower=lower, upper=upper,
                         assumptions=("double-exclusion", "bounded-response"),
                         ymin=ymin, ymax=ymax, flipped=flipped, warnings=tuple(warnings))

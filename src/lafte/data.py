@@ -1043,8 +1043,9 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     DataError
         If two header names are the same once stripped, as :func:`load_table`
         reads them (a control named ``y``, say), or two clusters' texts are
-        (``a`` and `` a``), or a text reads as missing (``NA``); nothing is
-        written.
+        (``a`` and `` a``), or a text reads as missing (``NA``), or the
+        delimiter, a name or a text has no UTF-8 form (holds a lone
+        surrogate); nothing is written.
     """
     _check_delimiter(delimiter)
     names = ["z", "d1", "d2", "y"]
@@ -1055,11 +1056,18 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     if repeated:
         raise DataError(f"column '{repeated[0]}' repeats in the header {names}; "
                         f"nothing is written to {path}")
-    labels = None if table.cluster is None else _labels(table, delimiter, path)
     header = io.StringIO()
     csv.writer(header, delimiter=delimiter).writerow(names)
+    try:
+        labels = None if table.cluster is None else _labels(table, delimiter, path)
+        head = header.getvalue()[:-2].encode()
+    except UnicodeEncodeError:
+        texts = map(str, [delimiter, *names, *(() if table.cluster is None else table.cluster)])
+        refused = sorted({text for text in texts if any("\ud800" <= c <= "\udfff" for c in text)})
+        raise DataError(f"the delimiter, column names or cluster labels {refused} have no "
+                        f"UTF-8 form; nothing is written to {path}") from None
     with open(path, "wb") as handle:
-        handle.write(header.getvalue()[:-2].encode())
+        handle.write(head)
         _write_rows(handle, table, delimiter, labels)
         handle.write(b"\r\n")
 

@@ -22,7 +22,8 @@ Every number is the slope, or a ratio of slopes, of the 13 columns of the
 ``W = [1, z, controls]``. :func:`slopes` is the one path from a table to
 them: it fits all 13 once per table, as one multi-response fit whose
 columns are built a block of rows at a time, and reads every request off
-that fit as a linear map.
+that fit as a linear map. :func:`estimate` makes each reported number,
+bound endpoints too: ``weights · b`` of such slopes, its SE and interval.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable, _cache_keep, _cache_read
 from .exceptions import RelevanceError
-from .regression import FitResult, Responses, _constant_zeros, ols, tidy_vcov
+from .regression import FitResult, Responses, _constant_zeros, linear_combination, ols, tidy_vcov
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
@@ -80,15 +81,6 @@ class EstimateWithSE:
     n: int
     cluster_count: int | None
     definition: str
-
-    @classmethod
-    def from_se(cls, value: float, se: float | None, n: int, cluster_count: int | None,
-                definition: str) -> EstimateWithSE:
-        """An estimate with the 95% interval its standard error implies."""
-        if se is None:
-            return cls(value, None, None, None, n, cluster_count, definition)
-        return cls(value, se, value - CRITICAL_VALUE * se, value + CRITICAL_VALUE * se,
-                   n, cluster_count, definition)
 
     @property
     def degenerate(self) -> bool:
@@ -225,15 +217,21 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
     return table.cached(key, fit)
 
 
-def _slope(table: ObservationTable, equation: tuple[str, str | None]) -> EstimateWithSE:
-    fit = slopes(table, [equation])
-    return EstimateWithSE.from_se(float(fit.coefficients[0]), fit.se(0), table.n,
-                                  fit.cluster_count, LABELS[equation[1] or equation[0]])
+def estimate(table: ObservationTable, equations: Sequence[tuple[str, str | None]], weights,
+             definition: str) -> EstimateWithSE:
+    """``weights · b`` for ``b = slopes(table, equations)``, with the SE of
+    ``linear_combination`` and the interval ``value ± CRITICAL_VALUE · se``;
+    the SE and both ends are None when the responses are one constant."""
+    fit = slopes(table, equations)
+    value, se = linear_combination(fit, weights)
+    low, high = (None, None) if se is None else (value - CRITICAL_VALUE * se,
+                                                 value + CRITICAL_VALUE * se)
+    return EstimateWithSE(value, se, low, high, table.n, fit.cluster_count, definition)
 
 
 def contrast(table: ObservationTable, column: str) -> EstimateWithSE:
     """Instrument coefficient of the OLS of a column on ``W``."""
-    return _slope(table, (column, None))
+    return estimate(table, [(column, None)], [1.0], LABELS[column])
 
 
 def first_stage(table: ObservationTable, definition: TreatmentDef) -> EstimateWithSE:
@@ -259,7 +257,7 @@ def iv_estimand(table: ObservationTable, definition: TreatmentDef) -> EstimateWi
         When the definition's first stage is numerically zero; the error
         names the definition and carries the first-stage estimate.
     """
-    return _slope(table, ("y", definition.value))
+    return estimate(table, [("y", definition.value)], [1.0], definition.label)
 
 
 def complier_shares(table: ObservationTable) -> ComplierShares:

@@ -13,6 +13,7 @@ from lafte import (
     iv_estimand,
     lafte_bounds,
     lafte_bounds_bounded_response,
+    linear_combination,
     mover_test,
     sample,
     slopes,
@@ -124,6 +125,16 @@ def test_bounded_response_ordered_even_when_contradicted():
     assert result.lower.value <= result.upper.value
     assert result.flipped
     assert any("contradict" in w for w in result.warnings)
+    # The swap moves each end whole: its value, SE and interval, from one
+    # combination of the three d1 slopes, under the label of its new place.
+    fit = slopes(t, [(c, "d1") for c in ("kernel_y", "g_or", "g_and")])
+    ymin, ymax = result.ymin, result.ymax
+    for end, weights, label in ((result.lower, [1, ymax, -ymin], "bounded-response-lower"),
+                                (result.upper, [1, ymin, -ymax], "bounded-response-upper")):
+        value, se = linear_combination(fit, weights)
+        assert (end.value, end.se) == (value, se)
+        assert (end.ci_low, end.ci_high) == (value - 1.96 * se, value + 1.96 * se)
+        assert end.definition == label
 
 
 def test_degenerate_movers_collapse_to_point():

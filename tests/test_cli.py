@@ -671,6 +671,52 @@ def test_structured_document_schema(tmp_path, fix8_path, capsys):
         assert json.loads(bundle.to_json()) == doc
 
 
+def _cells(node):
+    """Every mapping of a document that reports a value with its SE and interval."""
+    if isinstance(node, dict):
+        if {"value", "se", "ci_low", "ci_high"} <= node.keys():
+            yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _cells(child)
+
+
+@pytest.mark.parametrize("which", ["clustered", "degenerate"])
+def test_every_reported_interval_is_its_value_plus_or_minus_1_96_se(tmp_path, capsys, which):
+    # One rule for every cell that estimate, diagnose and bounds report: the
+    # interval is value -/+ 1.96 se bit for bit, or the SE and both ends are
+    # None. The degenerate table has no movers (d1 == d2) and y = 0, so no
+    # bounds cell has an SE.
+    path = tmp_path / "t.csv"
+    if which == "clustered":
+        rng = np.random.default_rng(6)
+        table = random_table(rng, n=300, cluster_size=3)
+        save_table(from_arrays(table.z, table.d1, table.d2, table.y, cluster=table.cluster,
+                               controls=rng.standard_normal((300, 2)),
+                               control_names=("x1", "x2")), path)
+        flags = ["--controls", "x1,x2", "--cluster", "cluster"]
+    else:
+        d = [0, 0, 0, 1, 0, 1, 1, 1]
+        save_table(from_arrays([0, 0, 0, 0, 1, 1, 1, 1], d, d, [0.0] * 8), path)
+        flags = []
+    for command in ("estimate", "diagnose", "bounds"):
+        code, out, _ = run([command, "--data", str(path), *flags, "--format", "structured"],
+                           capsys)
+        assert code == 0
+        cells = list(_cells(json.loads(out)))
+        assert cells
+        for cell in cells:
+            value, se = cell["value"], cell["se"]
+            if se is None:
+                assert cell["ci_low"] is None and cell["ci_high"] is None
+            else:
+                assert cell["ci_low"] == value - 1.96 * se
+                assert cell["ci_high"] == value + 1.96 * se
+        if command == "bounds" and which == "degenerate":
+            assert all(cell["se"] is None for cell in cells)
+
+
 @pytest.mark.parametrize("command", ["estimate", "diagnose", "bounds"])
 def test_overflowing_fit_exit_3(tmp_path, capsys, command):
     # Finite outcomes whose sums and squared scores overflow a float.

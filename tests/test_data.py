@@ -866,6 +866,34 @@ def test_a_save_refuses_clusters_that_would_not_reload(tmp_path, labels, message
     assert not path.exists()
 
 
+@pytest.mark.parametrize("where", ["control name", "cluster label", "delimiter"])
+def test_a_save_refuses_text_that_utf8_cannot_encode(tmp_path, where):
+    # A lone surrogate has no UTF-8 form: the save names it and writes
+    # nothing, and a file already at the path keeps its bytes.
+    rng = np.random.default_rng(22)
+    n = 8
+    columns = (rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
+               rng.standard_normal(n))
+    table, text, delimiter = from_arrays(*columns), "\ud800", ","
+    if where == "control name":
+        table = from_arrays(*columns, controls=rng.standard_normal((n, 1)),
+                            control_names=(text,))
+    elif where == "cluster label":
+        text = "\ud800x"
+        table = _repro_table([text, "a"] * 4)
+    else:
+        delimiter = text
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"z,d1,d2,y\r\n0,0,0,1.0\r\n")
+    with pytest.raises(DataError, match=re.escape(repr([text])) + ".*nothing is written"):
+        save_table(table, path, delimiter=delimiter)
+    assert path.read_bytes() == b"z,d1,d2,y\r\n0,0,0,1.0\r\n"
+    path.unlink()
+    with pytest.raises(DataError, match="no UTF-8 form"):
+        save_table(table, path, delimiter=delimiter)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_a_saved_table_reloads_with_its_own_clusters(tmp_path, seed):
     # Int, float and bool labels, some equal (1, 1.0, True), or str labels,
