@@ -24,10 +24,8 @@ document. Plain output only; NO_COLOR is trivially respected.
 
 Each command reads its data file with ``data.load_table``. The parsed
 columns of a file of 2 MiB or more are kept in an on-disk cache
-(``$XDG_CACHE_HOME/lafte``), in an entry named by the sha256 of the file's
-bytes, the mapped columns and their kinds, the delimiter, the missing-data
-policy, the package's source, the numpy and Python versions,
-``csv.field_size_limit()`` and the machine, and the table's one fit at
+(``$XDG_CACHE_HOME/lafte``), in an entry named by the one key of every
+kept file (``data._cache_entry``), and the table's one fit at
 ``<entry>.fit``. So ``estimate``, ``diagnose`` and ``bounds`` on the same
 bytes and columns parse the file and fit the table once between them; each
 still reads it once, to hash it. The output does not depend on the cache.

@@ -262,9 +262,16 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster) -> list[str
 def _collect_warnings(table: ObservationTable) -> list[str]:
     warnings: list[str] = []
     treated = np.count_nonzero(table.z)
+    codes = table.cluster_codes
     for arm, size in ((0, table.n - treated), (1, treated)):
         if size < 2:
             warnings.append(f"tiny instrument arm: only {size} row(s) with z={arm}")
+        elif codes is not None:
+            # W holds 1 and z, so an arm's residuals sum to 0: one cluster of them scores 0.
+            rows = table.z == arm  # a byte per row; the arm's codes would take 8
+            if codes.min(where=rows, initial=table.n) == codes.max(where=rows, initial=-1):
+                warnings.append(f"every row with z={arm} lies in one cluster: the cluster-"
+                                "robust standard errors leave out that arm's variation")
     if table.cluster_count == table.n:
         warnings.append("every cluster is a singleton; clustering is equivalent to HC1")
     # A column of (d1, d2) alone is constant when it is over the occupied (d1, d2) cells.
@@ -323,26 +330,23 @@ def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
     return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), len(distinct)
 
 
-def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
-                copy=True) -> ObservationTable:
+def from_arrays(z, d1, d2, y, *, controls=None, control_names=(),
+                cluster=None) -> ObservationTable:
     """Build a validated table from in-memory arrays.
 
-    The table stores ``z``, ``d1`` and ``d2`` as ``uint8``, ``y`` and the
-    controls as ``float64`` and the cluster labels as objects, all read-only.
-    By default it stores copies, so the caller's arrays stay writeable and
-    unshared. With ``copy=False`` an input that already has its stored dtype
-    and is contiguous is adopted and made read-only in place, which saves a
-    copy for a caller that lets go of its arrays. ``control_names`` is empty
-    or names each control column. A None, NaN or blank cluster label is missing.
+    The table stores copies: ``z``, ``d1`` and ``d2`` as ``uint8``, ``y`` and
+    the controls as ``float64`` and the cluster labels as objects, all
+    read-only, so the caller's arrays stay writeable and unshared.
+    ``control_names`` is empty or names each control column. A None, NaN or
+    blank cluster label is missing.
 
     Raises
     ------
     DataError
         If any table invariant fails; the message lists every finding.
     """
-    take = np.array if copy else np.asarray  # np.array always copies
-    z, d1, d2, y = np.asarray(z), np.asarray(d1), np.asarray(d2), take(y, dtype=float)
-    controls = take(np.empty((z.size, 0)) if controls is None else controls, dtype=float)
+    z, d1, d2, y = np.asarray(z), np.asarray(d1), np.asarray(d2), np.array(y, dtype=float)
+    controls = np.array(np.empty((z.size, 0)) if controls is None else controls, dtype=float)
     if controls.ndim == 1:
         controls = controls[:, None]
     shapes = [f"column '{name}' must hold one value per row, not an array of shape {col.shape}"
@@ -351,7 +355,7 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         shapes.append(f"controls must be one row per row, not an array of shape {controls.shape}")
     if shapes:
         raise DataError("; ".join(shapes))
-    cluster = None if cluster is None else take(cluster, dtype=object)
+    cluster = None if cluster is None else np.array(cluster, dtype=object)
     codes = count = None
     coding = []
     if cluster is not None and (cluster.ndim != 1 or cluster.shape[0] == z.shape[0]):
@@ -360,14 +364,15 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(), cluster=None,
         except DataError as exc:
             coding.append(str(exc))
     return _build_table(z, d1, d2, y, controls, tuple(control_names), cluster, codes, count,
-                        (), copy, coding)
+                        (), True, coding)
 
 
 def _build_table(z, d1, d2, y, controls, control_names, cluster, codes, count, warnings,
                  copy, coding=()) -> ObservationTable:
     """:func:`from_arrays` of columns of one value per row, ``y`` and the
     controls already ``float64``, the cluster labels objects with their
-    ``codes`` and ``count``, or ``coding``, the error that coding them raised."""
+    ``codes`` and ``count``, or ``coding``, the error that coding them raised.
+    With ``copy`` False, binary columns already ``uint8`` are frozen in place too."""
     errors = _validate_arrays(z, d1, d2, y, controls, control_names, cluster) + list(coding)
     if errors:
         raise DataError("; ".join(errors))
@@ -644,13 +649,10 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
 
     The parsed columns of a seekable file of 2 MiB or more are kept in
     ``$XDG_CACHE_HOME/lafte`` (``~/.cache/lafte`` when it is unset), in an
-    entry named by the one key of every kept file (:func:`_cache_entry`):
-    the sha256 of the file's bytes, the mapped columns and their kinds, the
-    delimiter, the missing-data policy, the package's source, the numpy and
-    Python versions, ``csv.field_size_limit()`` and the machine. Such a
-    file is read once more, first, to hash it; when the entry is there, it
-    is read in place of the parse, and the table, its warnings and its
-    errors are the same. The entry, in the one layout of every kept file
+    entry named by the one key of every kept file (:func:`_cache_entry`).
+    Such a file is read once more, first, to hash it; when the entry is
+    there, it is read in place of the parse, and the table, its warnings and
+    its errors are the same. The entry, in the one layout of every kept file
     (:func:`_cache_keep`), is a JSON line, with a cluster column's sorted
     distinct labels, then each column's bytes, a cluster column's as each
     row's code: a hit builds the labels and ``cluster_codes`` with one

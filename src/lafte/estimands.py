@@ -36,7 +36,8 @@ import numpy as np
 
 from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable, _cache_keep, _cache_read
 from .exceptions import RelevanceError
-from .regression import FitResult, Responses, _constant_zeros, linear_combination, ols, tidy_vcov
+from .regression import (FitResult, Responses, _constant_zeros, _equation_names,
+                         linear_combination, ols, tidy_vcov)
 
 # Normal-approximation 95% intervals, matching the reporting convention.
 CRITICAL_VALUE = 1.96
@@ -97,19 +98,6 @@ class ComplierShares:
     warnings: tuple[str, ...] = ()
 
 
-def _fit_arrays(header) -> list[np.ndarray]:
-    """The empty coefficients, covariance and response ranges of a kept fit
-    whose JSON line is ``header``; ValueError or TypeError unless the line
-    is a fit's plain fields."""
-    n, k, dof, kind, count, names, constant = header
-    if not (all(type(v) is int for v in (n, k, dof)) and k >= 0
-            and kind in ("hc1", "cluster") and (count is None or type(count) is int)
-            and type(constant) is bool and isinstance(names, list)
-            and all(type(name) is str for name in names)):
-        raise ValueError("not a kept fit")
-    return [np.empty(k), np.empty((k, k)), np.empty(len(RESPONSES)), np.empty(len(RESPONSES))]
-
-
 def _table_fit(table: ObservationTable) -> FitResult:
     """The table's one fit, of all 13 columns on ``W``, which is built here a
     block of rows at a time, as the columns are: ``[1, z, controls - means]``,
@@ -118,20 +106,18 @@ def _table_fit(table: ObservationTable) -> FitResult:
     ``z`` slope or covariance. No ``n x 13`` array or ``n x k`` design is held.
 
     A table that ``load_table`` read from its cache entry, or kept there,
-    keeps this fit at ``<entry>.fit`` (``data._cache_keep``). The entry's
-    name is the one key of both files: the sha256 of the file's bytes, the
-    mapped columns and their kinds, the delimiter, the missing-data policy,
-    the package's source, the numpy and Python versions,
-    ``csv.field_size_limit()`` and the machine (``data._cache_entry``). So
-    a later load of the same bytes, read the same way on the same machine
-    and code, reads every field of the fit, bit for bit, in place of
-    fitting the table again. A fit file that ``data._cache_read`` refuses
+    keeps this fit at ``<entry>.fit``: one fixed JSON line, then the
+    coefficients, covariance and response ranges. The entry's key
+    (``data._cache_entry``) fixes the table, and the table the fit's other
+    fields, so a later load of the same bytes reads the fit bit for bit in
+    place of fitting it again. A fit file that ``data._cache_read`` refuses
     is fit again and replaced; a fit that raises keeps nothing.
     """
+    names = ("const", "z", *(table.control_names
+                             or (f"c{j}" for j in range(table.controls.shape[1]))))
+
     def fit():
         means = table.controls.mean(0)
-        names = ("const", "z", *(table.control_names
-                                 or (f"c{j}" for j in range(means.size))))
 
         def design(rows) -> np.ndarray:
             # Filled in place: no column is held twice.
@@ -150,14 +136,17 @@ def _table_fit(table: ObservationTable) -> FitResult:
         if entry is None:
             return fit()
         path = entry + ".fit"
-        hit = _cache_read(path, _fit_arrays)
+        m = len(RESPONSES)
+        n, k = m * table.n, m * len(names)
+        hit = _cache_read(path, lambda _: [np.empty(k), np.empty((k, k)), np.empty(m),
+                                           np.empty(m)])
         if hit is not None:
-            (n, k, dof, kind, count, names, constant), (b, vcov, lo, hi) = hit
-            return FitResult(b, vcov, n, k, dof, kind, count, tuple(names), constant, lo, hi)
+            b, vcov, lo, hi = hit[1]
+            return FitResult(b, vcov, n, k, n - k, table.cluster_count,
+                             _equation_names(m, names), lo, hi)
         value = fit()
-        _cache_keep(path, [value.n, value.k, value.dof, value.covariance_kind,
-                           value.cluster_count, list(value.names), value.response_constant],
-                    [value.coefficients, value.vcov, value.response_min, value.response_max])
+        _cache_keep(path, "fit", [value.coefficients, value.vcov, value.response_min,
+                                  value.response_max])
         return value
     return table.cached("fit", kept)
 
@@ -205,15 +194,15 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
                 b[e] /= gamma[d]
                 weights[:, e] /= gamma[d]
                 weights[d, e] -= b[e] / gamma[d]
-        common = (m * n, m, m * n - m * k, full.covariance_kind, full.cluster_count,
-                 tuple(r if t is None else f"{r}~{t}" for r, t in key))
+        common = (m * n, m, m * n - m * k, full.cluster_count,
+                  tuple(r if t is None else f"{r}~{t}" for r, t in key))
         lo, hi = full.response_min[rows], full.response_max[rows]
         if lo.min() == hi.max():
             # As in the stacked fit: exact zeros, no covariance.
-            return FitResult(_constant_zeros(b, lo), np.zeros((m, m)), *common, True, lo, hi)
+            return FitResult(_constant_zeros(b, lo), np.zeros((m, m)), *common, lo, hi)
         scale = ((m * n - 1.0) / (m * n - m * k)) / ((full.n - 1.0) / (full.n - full.k))
         vcov = scale * (weights.T @ full.vcov[1::k, 1::k] @ weights)
-        return FitResult(b, tidy_vcov(vcov), *common, False, lo, hi)
+        return FitResult(b, tidy_vcov(vcov), *common, lo, hi)
     return table.cached(key, fit)
 
 

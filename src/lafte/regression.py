@@ -58,12 +58,20 @@ class FitResult:
     n: int
     k: int
     dof: int
-    covariance_kind: str
-    cluster_count: int | None = None
-    names: tuple[str, ...] = ()
-    response_constant: bool = False
-    response_min: np.ndarray | None = None
-    response_max: np.ndarray | None = None
+    cluster_count: int | None
+    names: tuple[str, ...]
+    response_min: np.ndarray
+    response_max: np.ndarray
+
+    @property
+    def covariance_kind(self) -> str:
+        """``"hc1"`` without clusters, ``"cluster"`` with them."""
+        return "hc1" if self.cluster_count is None else "cluster"
+
+    @property
+    def response_constant(self) -> bool:
+        """Whether every response is one constant: the covariance is then zero."""
+        return bool(self.response_min.min() == self.response_max.max())
 
     def se(self, j: int) -> float | None:
         """Standard error of coefficient ``j``; None when the regressand was constant."""
@@ -232,6 +240,11 @@ def _row_pass(y, w, n):
     return r, wtw, wty, lo, hi
 
 
+def _equation_names(m: int, names: Sequence[str]) -> tuple[str, ...]:
+    """The names of a joint fit of ``m`` responses on ``names``: ``eq<e>.<name>``."""
+    return tuple(f"eq{e}.{name}" for e in range(m) for name in names)
+
+
 def _constant_zeros(b: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Slopes ``b`` of responses all equal to ``lo[0]``, float dust made exactly 0."""
     return np.where(np.abs(b) <= 1e-10 * (1.0 + abs(float(lo[0]))), 0.0, b)
@@ -275,10 +288,9 @@ def _fit(y, w, clusters, names) -> FitResult:
         _check_finite("coefficients", b)
 
         codes, g = (None, n) if clusters is None else clusters
-        kind, count = ("hc1", None) if clusters is None else ("cluster", g)
+        common = (big_n, big_k, big_n - big_k, None if clusters is None else g, names)
         if hi.max() == lo.min():
-            return FitResult(_constant_zeros(b, lo), np.zeros((big_k, big_k)), big_n, big_k,
-                             big_n - big_k, kind, count, names, True, lo, hi)
+            return FitResult(_constant_zeros(b, lo), np.zeros((big_k, big_k)), *common, lo, hi)
 
         if g < 2:
             raise EstimationError("cluster covariance requires at least 2 clusters")
@@ -286,7 +298,7 @@ def _fit(y, w, clusters, names) -> FitResult:
         meat *= (g / (g - 1.0)) * ((big_n - 1.0) / (big_n - big_k))
         vcov = tidy_vcov(bread @ meat @ bread.T)
     _check_finite("covariances", vcov)
-    return FitResult(b, vcov, big_n, big_k, big_n - big_k, kind, count, names, False, lo, hi)
+    return FitResult(b, vcov, *common, lo, hi)
 
 
 def ols(y, x, cluster=None, *, names=None) -> FitResult:
@@ -297,8 +309,8 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     of ``from_arrays`` (``data._label_codes``): a None, NaN or blank label,
     labels that do not order, or a length other than ``y``'s raise
     :class:`EstimationError`, naming the row of a missing label. A constant
-    regressand is permitted: the fit is returned with ``response_constant=True``
-    and an all-zero covariance, and :meth:`FitResult.se` reports the standard
+    regressand is permitted: the fit's ``response_constant`` is true, its
+    covariance all zero, and :meth:`FitResult.se` reports the standard
     errors as undefined.
 
     A 2-D ``y`` fits each of its ``m`` columns on ``x``, jointly: the
@@ -325,10 +337,7 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     if clusters is not None and clusters[0].shape[0] != y.shape[0]:
         raise EstimationError("cluster and response row counts differ")
     fit = _fit(y, x, clusters, names)
-    if single:
-        return fit
-    return replace(fit, names=tuple(f"eq{e}.{name}" for e in range(y.shape[1])
-                                    for name in fit.names))
+    return fit if single else replace(fit, names=_equation_names(y.shape[1], fit.names))
 
 
 def linear_combination(fit: FitResult, weights) -> tuple[float, float | None]:

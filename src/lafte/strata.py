@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import _CHUNK_ROWS, RESPONSES, DerivedColumns, ObservationTable, from_arrays
+from .data import _CHUNK_ROWS, RESPONSES, DerivedColumns, ObservationTable, _build_table
 from .estimands import BINARY_DEFS, TreatmentDef
 from .exceptions import SpecError
 
@@ -490,7 +490,7 @@ def sample(spec: PopulationSpec, n: int, seed: int) -> ObservationTable:
         else:
             y_rows[:] = mean_tab[cell]
     del idx
-    return from_arrays(z, d1, d2, y, copy=False)
+    return _build_table(z, d1, d2, y, np.empty((n, 0)), (), None, None, None, (), False)
 
 
 def random_spec(rng: np.random.Generator, *, n_strata: int | None = None,

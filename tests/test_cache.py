@@ -496,18 +496,37 @@ def test_a_kept_fit_is_the_fit_bit_for_bit(tmp_path, cache, mapping):
     with mock.patch.object(estimands, "ols", _no_fit):
         kept = estimands._table_fit(load_table(path, mapping))
     assert os.stat(cache / fit_file).st_mtime_ns > 0  # a hit is a use
-    for field in dataclasses.fields(fresh):
-        a, b = getattr(kept, field.name), getattr(fresh, field.name)
+    fields = [field.name for field in dataclasses.fields(fresh)]
+    for name in [*fields, "covariance_kind", "response_constant"]:
+        a, b = getattr(kept, name), getattr(fresh, name)
         if isinstance(b, np.ndarray):
             assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
-            assert a.tobytes() == b.tobytes(), field.name
+            assert a.tobytes() == b.tobytes(), name
         else:
-            assert type(a) is type(b) and a == b, field.name
-    assert (fresh.covariance_kind, fresh.cluster_count) == (
-        ("cluster", 500) if mapping else ("hc1", None))
+            assert type(a) is type(b) and a == b, name
+    assert (fresh.covariance_kind, fresh.cluster_count, fresh.response_constant) == (
+        ("cluster", 500, False) if mapping else ("hc1", None, False))
 
 
-def _damage_fit(entry, how):
+@pytest.mark.parametrize("mapping, k", [(_HOUSEHOLDS, 4), (None, 2)],
+                         ids=["two controls", "none"])
+def test_a_kept_fit_is_a_fixed_line_and_four_arrays(tmp_path, cache, mapping, k):
+    # The table fixes every other field of its fit: the file holds the 13k
+    # coefficients, their covariance and the 13 minima and maxima, as float64.
+    path = tmp_path / "hh.csv"
+    _shuffled_households(path)
+    fit = estimands._table_fit(load_table(path, mapping))
+    (fit_file,) = _fit_files(cache, path, mapping)
+    line, rest = (cache / fit_file).read_bytes().split(b"\n", 1)
+    assert json.loads(line) == "fit"
+    assert len(rest) == 8 * (13 * k + (13 * k) ** 2 + 26)
+    assert rest == b"".join(a.tobytes() for a in (fit.coefficients, fit.vcov, fit.response_min,
+                                                  fit.response_max))
+
+
+def _damage_fit(entry, how, wider):
+    """Damage the kept fit at ``entry`` as ``how`` says; ``wider`` is the fit
+    of the same table with one more control."""
     raw = entry.read_bytes()
     line, rest = raw.split(b"\n", 1)
     if how == "truncated":
@@ -518,10 +537,9 @@ def _damage_fit(entry, how):
         entry.write_bytes(line + b"\n")
     elif how == "empty":
         entry.write_bytes(b"")
-    elif how == "wrong shape":  # k one more than its arrays hold
-        header = json.loads(line)
-        header[1] += 1
-        entry.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    elif how == "one more control":  # the arrays of k + 1 columns of W
+        arrays = (wider.coefficients, wider.vcov, wider.response_min, wider.response_max)
+        entry.write_bytes(line + b"\n" + b"".join(a.tobytes() for a in arrays))
     else:
         entry.write_bytes(b"not JSON\n" + rest)
 
@@ -547,9 +565,13 @@ def test_the_commands_do_not_depend_on_the_kept_fit(tmp_path, cache, capsys, com
     kept = (cache / fit_file).read_bytes()
     with mock.patch.object(estimands, "ols", _no_fit):
         assert run() == off
-    for how in ("truncated", "wrong shape", "not JSON", "trailing bytes", "header only",
+    table = _parsed(path, _HOUSEHOLDS)
+    wider = estimands._table_fit(data.from_arrays(
+        table.z, table.d1, table.d2, table.y, cluster=table.cluster,
+        controls=np.column_stack([table.controls, table.controls[:, 0] ** 2])))
+    for how in ("truncated", "one more control", "not JSON", "trailing bytes", "header only",
                 "empty"):
-        _damage_fit(cache / fit_file, how)
+        _damage_fit(cache / fit_file, how, wider)
         assert run() == off
         assert (cache / fit_file).read_bytes() == kept  # the fit was kept again
 

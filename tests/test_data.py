@@ -21,6 +21,8 @@ from lafte import (
     ConfigError,
     DataError,
     DerivedColumns,
+    TreatmentDef,
+    first_stage,
     from_arrays,
     load_table,
     sample,
@@ -210,6 +212,40 @@ def test_constant_derived_column_warning():
     assert any("g_or" in w and "constant" in w for w in t.warnings)
 
 
+def _one_cluster(arm):
+    return (f"every row with z={arm} lies in one cluster: the cluster-robust standard errors "
+            "leave out that arm's variation")
+
+
+def test_an_arm_in_one_cluster_is_warned():
+    # W holds 1 and z, so the residuals sum to zero within each arm, and the
+    # sum of an arm that is one cluster carries none of its variation.
+    rows = np.array([[1, 1, 1, 3.0], [1, 0, 1, 2.0], [1, 0, 1, 2.0], [1, 1, 0, 1.0],
+                     [0, 0, 0, 0.0], [0, 0, 0, 1.0], [0, 1, 0, 0.0], [0, 0, 1, 0.5]])
+    z, d1, d2, y = rows.T
+    table = from_arrays(z, d1, d2, y, cluster=z)
+    assert [w for w in table.warnings if "one cluster" in w] == [_one_cluster(0), _one_cluster(1)]
+    assert first_stage(table, TreatmentDef.FIRST).se == 0.0
+    # Arm 1 one cluster, arm 0 fifty: its first stage's SE falls below HC1's.
+    rng = np.random.default_rng(4)
+    z = np.repeat([1, 0], 2000)
+    d1, d2 = (rng.random(4000) < 0.3 + 0.3 * z for _ in range(2))
+    y = d1 + d2 + rng.standard_normal(4000)
+    cluster = np.where(z == 1, 50, np.arange(4000) % 50)
+    table = from_arrays(z, d1, d2, y, cluster=cluster)
+    assert [w for w in table.warnings if "one cluster" in w] == [_one_cluster(1)]
+    unclustered = from_arrays(z, d1, d2, y)
+    assert (first_stage(table, TreatmentDef.FIRST).se
+            < first_stage(unclustered, TreatmentDef.FIRST).se)
+    # Arms that span two clusters, or a one-row arm (a tiny arm), are not warned.
+    for cluster in (np.arange(4000) % 2, np.arange(4000) % 51):
+        assert not any("one cluster" in w for w in from_arrays(z, d1, d2, y,
+                                                               cluster=cluster).warnings)
+    tiny = from_arrays(z[1999:], d1[1999:], d2[1999:], y[1999:], cluster=z[1999:])
+    assert [w for w in tiny.warnings if "arm" in w] == [
+        _one_cluster(0), "tiny instrument arm: only 1 row(s) with z=1"]
+
+
 def test_tables_are_immutable(fix8):
     with pytest.raises(ValueError):
         fix8.z[0] = 0
@@ -236,10 +272,6 @@ def test_from_arrays_leaves_the_callers_arrays_alone():
     table = from_arrays(z, d1, d2, y, controls=y)
     y[1] = -9.0
     assert table.controls[1, 0] == 2.0
-    # copy=False adopts an input of the stored dtype, and freezes it in place.
-    table = from_arrays(z, d1, d2, y, copy=False)
-    assert np.shares_memory(table.y, y) and np.shares_memory(table.z, z)
-    assert not y.flags.writeable
 
 
 @pytest.mark.parametrize("quote", ["", '"'])

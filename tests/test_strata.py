@@ -285,10 +285,10 @@ _NOISELESS_SPEC = dataclasses.replace(_PINNED_SPEC, strata=tuple(
 def test_blocked_draw_equals_whole_array_draw(monkeypatch, spec, n):
     # Each kind of draw, made a block of rows at a time, takes the values of
     # one whole-array call from the same stream, to the bit. The columns are
-    # read where sample hands them to from_arrays, which may reject a draw of
-    # 2 rows (an empty instrument arm).
+    # read where sample hands them to data._build_table, which may reject a
+    # draw of 2 rows (an empty instrument arm).
     drawn = []
-    monkeypatch.setattr("lafte.strata.from_arrays", lambda *columns, **_: drawn.append(columns))
+    monkeypatch.setattr("lafte.strata._build_table", lambda *args: drawn.append(args[:4]))
     sample(spec, n, seed=20240611)
     (columns,) = drawn
     for got, want in zip(columns, _whole_array_draw(spec, n, seed=20240611), strict=True):
