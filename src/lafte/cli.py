@@ -209,14 +209,6 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config key '{key}' must be finite, got {value}")
     if config.input is None:
         raise ConfigError("no input file: set 'input' in the config or pass --data")
-    mapping = config.table_mapping()
-    uses: dict[str, str] = {}
-    for use, column in ([(f"'{key}'", mapping[key]) for key in DEFAULT_MAPPING if key in mapping]
-                        + [(f"control {j}", c) for j, c in enumerate(config.controls or (), 1)]):
-        if column in uses:
-            raise ConfigError(f"column '{column}' is named as {uses[column]} and as {use}; "
-                              "z, d1, d2, y and each control must be distinct columns")
-        uses[column] = use
     return config
 
 
@@ -229,13 +221,23 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _load(config: RunConfig):
-    return load_table(config.input, config.table_mapping(),
-                      delimiter=config.delimiter, on_missing=config.missing)
+def _on_table(run):
+    """The runner of a command on the table of ``config``: ``run(config,
+    table)``. An estimation failure on the table carries its warnings, as
+    ``table_warnings``, since they may say why it failed."""
+    def runner(config: RunConfig) -> ReportBundle:
+        table = load_table(config.input, config.table_mapping(),
+                           delimiter=config.delimiter, on_missing=config.missing)
+        try:
+            return run(config, table)
+        except EstimationError as exc:
+            exc.table_warnings = table.warnings
+            raise
+    return runner
 
 
-def run_estimate(config: RunConfig) -> ReportBundle:
-    table = _load(config)
+@_on_table
+def run_estimate(config: RunConfig, table) -> ReportBundle:
     estimates = {
         "first_stage": {d.value: asdict(first_stage(table, d)) for d in REPORT_ORDER},
         "iv_estimand": {d.value: asdict(iv_estimand(table, d)) for d in REPORT_ORDER},
@@ -260,8 +262,8 @@ def _diagnostics_sections(table, level):
     return {"mover_test": asdict(mover), "double_exclusion": asdict(sign)}, mover, sign
 
 
-def run_diagnose(config: RunConfig) -> ReportBundle:
-    table = _load(config)
+@_on_table
+def run_diagnose(config: RunConfig, table) -> ReportBundle:
     diagnostics, _, _ = _diagnostics_sections(table, config.level)
     bundle = ReportBundle(command="diagnose", metadata=config.metadata(),
                           diagnostics=diagnostics, warnings=list(table.warnings))
@@ -269,8 +271,8 @@ def run_diagnose(config: RunConfig) -> ReportBundle:
     return bundle
 
 
-def run_bounds(config: RunConfig) -> ReportBundle:
-    table = _load(config)
+@_on_table
+def run_bounds(config: RunConfig, table) -> ReportBundle:
     diagnostics, mover, sign = _diagnostics_sections(table, config.level)
     warnings = list(table.warnings)
 
@@ -412,6 +414,8 @@ def main(argv=None) -> int:
                 handle.write(bundle.to_json())
     except (ConfigError, DataError, SpecError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for warning in getattr(exc, "table_warnings", ()):
+            print(f"warning: {warning}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, EstimationError) else 2
 
     try:

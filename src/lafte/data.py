@@ -617,7 +617,10 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     mapping : mapping, optional
         Column-name mapping with required keys ``z``, ``d1``, ``d2``, ``y``
         and optional keys ``controls`` (list of names) and ``cluster``.
-        Defaults to the identity mapping ``{"z": "z", ...}``.
+        Defaults to the identity mapping ``{"z": "z", ...}``. The mapped
+        ``z``, ``d1``, ``d2``, ``y`` and the controls name distinct columns
+        (a :class:`ConfigError` otherwise, before the file is opened); the
+        cluster may name any column.
     delimiter : str
         Field delimiter, one character that cannot occur inside a field (see
         :func:`_check_delimiter`); comma by default, tab selectable.
@@ -670,13 +673,20 @@ def load_table(path, mapping: Mapping[str, object] | None = None, *,
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown mapping keys: {sorted(unknown, key=str)}")
-    for key in ("z", "d1", "d2", "y"):
-        if key not in mapping:
-            raise ConfigError(f"mapping is missing required key '{key}'")
     controls = mapping.get("controls")
     if not isinstance(controls, (list, tuple, type(None))):
         raise ConfigError(f"mapping 'controls' must be a list of column names, got {controls!r}")
     control_names = [str(c) for c in controls or ()]
+    uses: dict[str, str] = {}
+    for use, column in ([(f"'{k}'", str(mapping[k])) for k in DEFAULT_MAPPING if k in mapping]
+                        + [(f"control {j}", c) for j, c in enumerate(control_names, 1)]):
+        if column in uses:
+            raise ConfigError(f"column '{column}' is named as {uses[column]} and as {use}; "
+                              "z, d1, d2, y and each control must be distinct columns")
+        uses[column] = use
+    for key in ("z", "d1", "d2", "y"):
+        if key not in mapping:
+            raise ConfigError(f"mapping is missing required key '{key}'")
     cluster_name = mapping.get("cluster")
 
     cols = [str(mapping[key]) for key in ("z", "d1", "d2", "y")] + control_names

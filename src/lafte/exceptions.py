@@ -2,8 +2,9 @@
 
 The CLI maps these onto disjoint exit codes: configuration problems exit 1,
 data or population-spec validation problems exit 2, estimation failures
-exit 3. Each error carries only its message, which says what failed and
-where: the CLI prints it after ``error:``.
+exit 3. Each error's message says what failed and where: the CLI prints it
+after ``error:``, and after an estimation failure on a table each of the
+table's warnings, which may say why it failed.
 """
 
 

@@ -595,11 +595,14 @@ def test_a_fit_kept_on_another_machine_is_not_read(tmp_path, cache, monkeypatch)
 
 
 def test_a_fit_that_raises_keeps_nothing(tmp_path, cache):
-    # The same control twice is collinear: the fit raises on a miss, keeps
+    # A control that copies x1 is collinear: the fit raises on a miss, keeps
     # nothing, and raises the same again on a hit of the columns.
     path = tmp_path / "hh.csv"
     _shuffled_households(path)
-    mapping = {**_HOUSEHOLDS, "controls": ["x1", "x1"]}
+    text = path.read_text().splitlines()
+    path.write_text("\n".join([text[0] + ",copy"] + [row + "," + row.split(",")[4]
+                                                     for row in text[1:]]) + "\n")
+    mapping = {**_HOUSEHOLDS, "controls": ["x1", "copy"]}
     errors = []
     for _ in range(2):
         with pytest.raises(RankDeficientError) as raised:

@@ -211,6 +211,21 @@ def test_relevance_exit_3(tmp_path, capsys):
     assert "D2" in err  # names the failing definition
 
 
+def test_an_estimation_failure_prints_the_tables_warnings(tmp_path, capsys):
+    # Each instrument arm in one cluster: the joint tests' covariance is
+    # singular, and the table's warnings say why, after the error line.
+    path = tmp_path / "arms.csv"
+    path.write_text("z,d1,d2,y\n1,1,1,3.0\n1,0,1,2.0\n1,0,1,2.0\n1,1,0,1.0\n"
+                    "0,0,0,0.0\n0,0,0,1.0\n0,1,0,0.0\n0,0,1,0.5\n", encoding="utf-8")
+    for command in ("diagnose", "bounds"):
+        code, out, err = run([command, "--data", str(path), "--cluster", "z"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "".join(
+            ["error: degenerate joint test: singular covariance submatrix\n"]
+            + [f"warning: every row with z={arm} lies in one cluster: the cluster-robust "
+               "standard errors leave out that arm's variation\n" for arm in (0, 1)])
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(["estimate", "--no-such-flag"], capsys)
     assert code == 1

@@ -2,6 +2,7 @@ import csv
 import errno
 import io
 import itertools
+import json
 import os
 import re
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lafte import data
+from lafte.cli import main
 from lafte import (
     ColumnMissingError,
     ConfigError,
@@ -333,6 +335,13 @@ def _rowwise_load(path, mapping=None, *, delimiter=",", on_missing="drop"):
     mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y"} if mapping is None else dict(mapping)
     control_names = [str(c) for c in mapping.get("controls", []) or []]
     cluster_name = mapping.get("cluster")
+    uses = [(f"'{key}'", str(mapping[key])) for key in ("z", "d1", "d2", "y")]
+    uses += [(f"control {j}", name) for j, name in enumerate(control_names, 1)]
+    for i, (use, column) in enumerate(uses):
+        earlier = [first for first, name in uses[:i] if name == column]
+        if earlier:
+            raise ConfigError(f"column '{column}' is named as {earlier[0]} and as {use}; "
+                              "z, d1, d2, y and each control must be distinct columns")
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -1334,6 +1343,33 @@ def test_controls_must_be_a_list_of_names(tmp_path):
     for controls in (["age"], ("age",)):
         table = load_table(path, {**mapping, "controls": controls})
         assert table.control_names == ("age",) and table.controls.shape == (8, 1)
+
+
+@pytest.mark.parametrize("named, message", [
+    ({"controls": ["y"]}, "column 'y' is named as 'y' and as control 1"),
+    ({"d1": "z"}, "column 'z' is named as 'z' and as 'd1'"),
+    ({"controls": ["x1", "x1"]}, "column 'x1' is named as control 1 and as control 2"),
+], ids=["y as a control", "d1 as z", "a control twice"])
+def test_a_column_named_twice_is_refused_by_load_table(tmp_path, fix8_path, monkeypatch,
+                                                       capsys, named, message):
+    # Before any file is opened, and as the CLI refuses it: the outcome as a
+    # control made the reduced form exactly 0, and d1 mapped to the z column
+    # a D1 first stage of exactly 1.
+    mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", **named}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"mapping": {k: mapping[k] for k in ("z", "d1", "d2", "y")},
+                                  "controls": mapping.get("controls", [])}), encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(data, "_source", lambda path: opened.append(path))
+    with pytest.raises(ConfigError) as refused:
+        load_table("absent.csv", mapping)
+    assert str(refused.value) == f"{message}; z, d1, d2, y and each control must be distinct columns"
+    code = main(["estimate", "--config", str(config), "--data", "absent.csv"])
+    assert (code, capsys.readouterr().err, opened) == (1, f"error: {refused.value}\n", [])
+    # The cluster may name any column.
+    monkeypatch.undo()
+    table = load_table(fix8_path, {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "cluster": "z"})
+    assert list(table.cluster) == [str(v) for v in table.z]
 
 
 def test_control_names_are_empty_or_one_per_control_column():
