@@ -73,7 +73,11 @@ class BoundsResult:
 
 
 def lafte_bounds(table: ObservationTable) -> BoundsResult:
-    """Sharp LAFTE bounds under double exclusion, MTR, MTS, and positive response."""
+    """Sharp LAFTE bounds under double exclusion, MTR, MTS, and positive response.
+
+    Positive response reads ``E[Y(0,0) | C1A2] >= 0``, a statement about the
+    level of ``y``: so the upper endpoint moves when a constant is added to ``y``.
+    """
     lower = iv_estimand(table, TreatmentDef.FIRST)
 
     upper = estimate(table, [("dand_y", "d_and"), ("untreated_y", "d1")], [1.0, 1.0],

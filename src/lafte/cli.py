@@ -247,12 +247,12 @@ def run_estimate(config: RunConfig, table) -> ReportBundle:
     warnings = list(table.warnings) + list(shares.warnings)
     warnings.append("complier shares assume the double exclusion restriction; "
                     "run 'lafte diagnose' to test its necessary conditions")
-    bundle = ReportBundle(
-        command="estimate", metadata=config.metadata(),
-        estimates=estimates, shares=asdict(shares), warnings=warnings)
+    sections = {"estimates": estimates, "shares": asdict(shares)}
+    bundle = ReportBundle(command="estimate", metadata=config.metadata(), sections=sections,
+                          warnings=warnings)
     bundle.text = (f"estimate: n={table.n}"
                    + (f", clusters={table.cluster_count}" if table.cluster_count else "")
-                   + "\n\n" + render_estimates(estimates, bundle.shares))
+                   + "\n\n" + render_estimates(estimates, sections["shares"]))
     return bundle
 
 
@@ -266,7 +266,7 @@ def _diagnostics_sections(table, level):
 def run_diagnose(config: RunConfig, table) -> ReportBundle:
     diagnostics, _, _ = _diagnostics_sections(table, config.level)
     bundle = ReportBundle(command="diagnose", metadata=config.metadata(),
-                          diagnostics=diagnostics, warnings=list(table.warnings))
+                          sections={"diagnostics": diagnostics}, warnings=list(table.warnings))
     bundle.text = render_diagnostics(diagnostics)
     return bundle
 
@@ -294,7 +294,7 @@ def run_bounds(config: RunConfig, table) -> ReportBundle:
         "downgraded": downgraded,
     }
     bundle = ReportBundle(command="bounds", metadata=config.metadata(),
-                          diagnostics=diagnostics, bounds=bounds_payload,
+                          sections={"diagnostics": diagnostics, "bounds": bounds_payload},
                           warnings=warnings)
     banner = (f"diagnostics: mover test -> {mover.conclusion}; "
               f"double exclusion sign check -> {sign.verdict}")
@@ -334,7 +334,7 @@ def run_simulate(config: RunConfig) -> ReportBundle:
     simulation = {"data_path": out, "truth_path": truth_path,
                   "n": config.n, "seed": config.seed, "truth": truth}
     bundle = ReportBundle(command="simulate", metadata=config.metadata(),
-                          simulation=simulation)
+                          sections={"simulation": simulation})
     bundle.text = (f"wrote {config.n} rows to {out}\n"
                    f"wrote true parameters to {truth_path}\n"
                    f"LAFTE over C = {params.lafte_over_c:.6g}, tau = {params.tau:.6g}")
@@ -346,8 +346,7 @@ def run_verify(config: RunConfig) -> ReportBundle:
     report = verify_identities(spec)
     verification = verification_dict(report)
     bundle = ReportBundle(command="verify", metadata=config.metadata(),
-                          verification=verification,
-                          warnings=list(report.flags))
+                          sections={"verification": verification}, warnings=list(report.flags))
     bundle.text = render_verification(verification)
     return bundle
 
@@ -434,7 +433,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "verify":
-        return 0 if bundle.verification["clean"] else 2
+        return 0 if bundle.sections["verification"]["clean"] else 2
     return 0
 
 

@@ -121,6 +121,9 @@ def mover_test(table: ObservationTable, *, level: float = 0.05) -> MoverTestRepo
     ``level`` applies to each step. The procedure rejects when either step
     does, so under no movers it rejects up to ``2·level`` of the time (0.080
     at ``level`` 0.05 in a seeded Monte Carlo of a no-mover spec).
+
+    Step 2 depends on the origin of ``y``: ``y + c`` moves each of its
+    contrasts by ``c`` times the plain contrast of step 1, and so its p-value.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")

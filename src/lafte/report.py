@@ -42,24 +42,13 @@ class ReportBundle:
 
     command: str
     metadata: dict
-    estimates: dict | None = None
-    shares: dict | None = None
-    diagnostics: dict | None = None
-    bounds: dict | None = None
-    verification: dict | None = None
-    simulation: dict | None = None
+    sections: dict  # by name: "estimates", "diagnostics", "bounds", ...
     warnings: list = field(default_factory=list)
     text: str = ""
 
     def to_dict(self) -> dict:
-        payload = {"command": self.command, "metadata": self.metadata,
-                   "warnings": list(self.warnings)}
-        for key in ("estimates", "shares", "diagnostics", "bounds",
-                    "verification", "simulation"):
-            value = getattr(self, key)
-            if value is not None:
-                payload[key] = value
-        return payload
+        return {"command": self.command, "metadata": self.metadata,
+                "warnings": list(self.warnings), **self.sections}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -128,6 +117,8 @@ def render_diagnostics(diagnostics: dict) -> str:
         for c in (pair["or_minus_d2"], pair["and_minus_d2"]):
             lines.append(f"  {c['definition']:<12} {fmt(c['value'])} {fmt_se(c['se'])}")
         lines.append("  " + _render_joint(f"step {step[-1]} joint", pair["joint"]))
+    if mover["step2"] is not None:
+        lines.append("  step 2 moves with the origin of y: y + c adds c times the step 1 contrasts")
     lines.append(f"  conclusion: {mover['conclusion']}")
     if mover["degenerate"]:
         lines.append(f"  degenerate contrasts: {', '.join(mover['degenerate'])}"
@@ -148,9 +139,10 @@ def render_diagnostics(diagnostics: dict) -> str:
 
 def render_bounds(bounds: dict) -> str:
     lines = []
-    for key, title in (("theorem1", "sharp LAFTE bounds"),
-                       ("bounded_response", "bounded-response LAFTE bounds"),
-                       ("tau", "weighted-average-effect (tau) bounds")):
+    origin = "the upper end moves with the origin of y: it assumes E[Y(0,0) | C1A2] >= 0"
+    for key, title, note in (("theorem1", "sharp LAFTE bounds", origin),
+                             ("bounded_response", "bounded-response LAFTE bounds", None),
+                             ("tau", "weighted-average-effect (tau) bounds", None)):
         if key not in bounds:
             continue
         b = bounds[key]
@@ -165,6 +157,8 @@ def render_bounds(bounds: dict) -> str:
                      f"95% CI [{fmt(lo['ci_low'])}, {fmt(lo['ci_high'])}]")
         lines.append(f"  upper  {fmt(hi['value'])} {fmt_se(hi['se'])}   "
                      f"95% CI [{fmt(hi['ci_low'])}, {fmt(hi['ci_high'])}]")
+        if note:
+            lines.append(f"  note: {note}")
         for w in b["warnings"]:
             lines.append(f"  warning: {w}")
         lines.append("")

@@ -266,7 +266,7 @@ def test_criterion_6_degenerate_case(tmp_path, capsys):
     assert "0.000 (.)" in out
 
     bundle = run_diagnose(RunConfig(command="diagnose", input=str(path)))
-    step1 = bundle.diagnostics["mover_test"]["step1"]
+    step1 = bundle.sections["diagnostics"]["mover_test"]["step1"]
     assert step1["or_minus_d2"]["se"] is None
     assert step1["joint"]["dof"] == 1
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import lafte
 from lafte import (
     ConfigError,
     PopulationSpec,
@@ -21,9 +23,11 @@ from lafte import (
 )
 from lafte.cli import main
 
-from conftest import FIX8_CSV, random_table, s2_spec
+from conftest import FIX8_CSV, random_table, s2_spec, single_full_complier_spec
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# Where the lafte these tests import lives: src/, or the installed package
+# when the tests run against an installation. A child process imports it too.
+LAFTE_HOME = Path(lafte.__file__).resolve().parents[1]
 
 
 def run(argv, capsys):
@@ -95,6 +99,8 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in err
     # Keys of mixed types, as YAML reads "1: 2" beside "foo: 3", are named too.
     for document, message in (("1: 2\nfoo: 3\n", "unknown config keys: [1, 'foo']"),
+                              ("upper_se_method: delta\n",  # a removed setting
+                               "unknown config keys: ['upper_se_method']"),
                               ("mapping: {1: z, foo: y}\n", "unknown mapping keys: [1, 'foo']")):
         config.write_text(document, encoding="utf-8")
         code, _, err = run(["estimate", "--config", str(config)], capsys)
@@ -193,12 +199,17 @@ def test_a_column_named_twice_exit_1(tmp_path, capsys, settings, flags, uses):
                        "z, d1, d2, y and each control must be distinct columns\n")
 
 
-def test_data_validation_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("z,d1,d2,y\n1,2,1,3\n0,0,0,1\n", "non-binary treatment column"),
+    # A quoted field sends the file through csv.reader, which names the token too.
+    ('z,d1,d2,y\n0,0,0,"1.0"\n1,1,1,oops\n', "could not parse numeric column 'y': value 'oops'"),
+], ids=["non-binary", "quoted bad token"])
+def test_data_validation_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "t.csv"
-    path.write_text("z,d1,d2,y\n1,2,1,3\n0,0,0,1\n", encoding="utf-8")
-    code, _, err = run(["estimate", "--data", str(path)], capsys)
-    assert code == 2
-    assert "non-binary treatment column" in err
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["estimate", "--data", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_relevance_exit_3(tmp_path, capsys):
@@ -217,13 +228,19 @@ def test_an_estimation_failure_prints_the_tables_warnings(tmp_path, capsys):
     path = tmp_path / "arms.csv"
     path.write_text("z,d1,d2,y\n1,1,1,3.0\n1,0,1,2.0\n1,0,1,2.0\n1,1,0,1.0\n"
                     "0,0,0,0.0\n0,0,0,1.0\n0,1,0,0.0\n0,0,1,0.5\n", encoding="utf-8")
+    warnings = [f"every row with z={arm} lies in one cluster: the cluster-robust standard "
+                "errors leave out that arm's variation" for arm in (0, 1)]
     for command in ("diagnose", "bounds"):
         code, out, err = run([command, "--data", str(path), "--cluster", "z"], capsys)
         assert (code, out) == (3, "")
         assert err == "".join(
             ["error: degenerate joint test: singular covariance submatrix\n"]
-            + [f"warning: every row with z={arm} lies in one cluster: the cluster-robust "
-               "standard errors leave out that arm's variation\n" for arm in (0, 1)])
+            + [f"warning: {warning}\n" for warning in warnings])
+    # estimate needs no joint test: it succeeds, and its document says the same.
+    code, out, err = run(["estimate", "--data", str(path), "--cluster", "z", "--format",
+                          "structured"], capsys)
+    assert (code, err) == (0, "")
+    assert set(warnings) <= set(json.loads(out)["warnings"])
 
 
 def test_usage_error_exit_1(capsys):
@@ -237,12 +254,18 @@ def test_no_input_exit_1(capsys):
     assert "input" in err
 
 
-def test_determinism_byte_identical(tmp_path, fix8_path, capsys):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    run(["estimate", "--data", str(fix8_path), "--out", str(out1)], capsys)
-    run(["estimate", "--data", str(fix8_path), "--out", str(out2)], capsys)
-    assert out1.read_bytes() == out2.read_bytes()
+@pytest.mark.parametrize("command", ["estimate", "bounds"])
+def test_determinism_byte_identical(tmp_path, fix8_path, capsys, command):
+    # Two runs write the same bytes, and the stdout format does not change
+    # the document: --out holds what --format structured prints.
+    written = []
+    for form in ("text", "structured"):
+        path = tmp_path / f"{form}.json"
+        code, out, _ = run([command, "--data", str(fix8_path), "--format", form,
+                            "--out", str(path)], capsys)
+        assert code == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == out.encode("utf-8")
 
 
 def test_text_numbers_present_in_report(fix8_path, capsys):
@@ -377,7 +400,7 @@ def test_closed_stdout_exit_1(tmp_path, fix8_path, argv):
     try:
         done = subprocess.run([sys.executable, "-m", "lafte.cli", *argv, "--data", str(data)],
                               stdout=write, stderr=subprocess.PIPE, text=True,
-                              env={**os.environ, "PYTHONPATH": str(SRC)})
+                              env={**os.environ, "PYTHONPATH": str(LAFTE_HOME)})
     finally:
         os.close(write)
     assert done.returncode == 1
@@ -664,6 +687,7 @@ def test_structured_document_schema(tmp_path, fix8_path, capsys):
     from lafte.cli import _RUNNERS, _build_parser, build_config
     spec_path = tmp_path / "s2.yaml"
     save_spec(s2_spec(y_sd=0.5), spec_path)
+    draw = tmp_path / "draw.csv"
     households = tmp_path / "hh.csv"
     table = random_table(np.random.default_rng(4), n=300, cluster_size=3)
     save_table(from_arrays(table.z, table.d1, table.d2, table.y, cluster=table.cluster,
@@ -673,8 +697,7 @@ def test_structured_document_schema(tmp_path, fix8_path, capsys):
                                                                  "bounds")]
     runs += [["bounds", "--data", str(households), "--controls", "x1,x2", "--cluster", "cluster"],
              ["verify", "--data", str(spec_path)],
-             ["simulate", "--data", str(spec_path), "--n", "200",
-              "--out", str(tmp_path / "draw.csv")]]
+             ["simulate", "--data", str(spec_path), "--n", "200", "--out", str(draw)]]
     for argv in runs:
         code, out, _ = run([*argv, "--format", "structured"], capsys)
         assert code == 0
@@ -684,6 +707,8 @@ def test_structured_document_schema(tmp_path, fix8_path, capsys):
         bundle = _RUNNERS[args.command](build_config(args.command, args))
         assert _leaf_types(bundle.to_dict()) <= {str, int, float, bool, type(None)}
         assert json.loads(bundle.to_json()) == doc
+    json.loads(Path(f"{draw}.truth.json").read_text(encoding="utf-8"),
+               parse_constant=_reject_constant)
 
 
 def _cells(node):
@@ -697,13 +722,16 @@ def _cells(node):
             yield from _cells(child)
 
 
-@pytest.mark.parametrize("which", ["clustered", "degenerate"])
+@pytest.mark.parametrize("which", ["clustered", "degenerate", "exact"])
 def test_every_reported_interval_is_its_value_plus_or_minus_1_96_se(tmp_path, capsys, which):
     # One rule for every cell that estimate, diagnose and bounds report: the
     # interval is value -/+ 1.96 se bit for bit, or the SE and both ends are
     # None. The degenerate table has no movers (d1 == d2) and y = 0, so no
-    # bounds cell has an SE.
+    # bounds cell has an SE. The exact one, a noiseless draw of full
+    # compliers, is fitted exactly: its SEs are 0 or dust, and its document
+    # is still strict JSON.
     path = tmp_path / "t.csv"
+    flags = []
     if which == "clustered":
         rng = np.random.default_rng(6)
         table = random_table(rng, n=300, cluster_size=3)
@@ -711,15 +739,16 @@ def test_every_reported_interval_is_its_value_plus_or_minus_1_96_se(tmp_path, ca
                                controls=rng.standard_normal((300, 2)),
                                control_names=("x1", "x2")), path)
         flags = ["--controls", "x1,x2", "--cluster", "cluster"]
-    else:
+    elif which == "degenerate":
         d = [0, 0, 0, 1, 0, 1, 1, 1]
         save_table(from_arrays([0, 0, 0, 0, 1, 1, 1, 1], d, d, [0.0] * 8), path)
-        flags = []
+    else:
+        save_table(sample(single_full_complier_spec(), 2000, seed=1), path)
     for command in ("estimate", "diagnose", "bounds"):
         code, out, _ = run([command, "--data", str(path), *flags, "--format", "structured"],
                            capsys)
         assert code == 0
-        cells = list(_cells(json.loads(out)))
+        cells = list(_cells(json.loads(out, parse_constant=_reject_constant)))
         assert cells
         for cell in cells:
             value, se = cell["value"], cell["se"]
@@ -730,6 +759,60 @@ def test_every_reported_interval_is_its_value_plus_or_minus_1_96_se(tmp_path, ca
                 assert cell["ci_high"] == value + 1.96 * se
         if command == "bounds" and which == "degenerate":
             assert all(cell["se"] is None for cell in cells)
+
+
+# The floats of estimate, diagnose and bounds that move with the origin of y,
+# by their path in the document. Theorem 1's upper end holds through positive
+# response, E[Y(0,0) | C1A2] >= 0; the bounded-response range is y's own; and
+# y + c moves each step-2 contrast by c times its plain, step-1 contrast.
+_CELL_FLOATS = ("value", "se", "ci_low", "ci_high")
+ORIGIN_DEPENDENT = (
+    {("bounds", "theorem1", "upper", key) for key in _CELL_FLOATS}
+    | {("bounds", "bounded_response", key) for key in ("ymin", "ymax")}
+    | {("diagnostics", "mover_test", "step2", pair, key)
+       for pair in ("or_minus_d2", "and_minus_d2") for key in _CELL_FLOATS}
+    | {("diagnostics", "mover_test", "step2", "joint", key) for key in ("statistic", "p_value")})
+
+
+def _floats(node, path=()):
+    """Each float of a document, with its path."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _floats(child, (*path, key))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _floats(child, (*path, index))
+    elif type(node) is float:
+        yield path, node
+
+
+def test_only_the_declared_fields_move_with_the_origin_of_y(tmp_path, capsys):
+    # A no-mover draw on which step 1 does not reject, so step 2 is reported,
+    # and the same draw with y + 8: every other float agrees to 1e-9.
+    spec = PopulationSpec(strata=tuple(stratum(group, prob, {}, y_sd=1.0) for group, prob in (
+        ("C1C2", 0.4), ("N1N2", 0.2), ("A1A2", 0.2), ("N1A2", 0.1), ("A1N2", 0.1))))
+    table = sample(spec, 20_000, seed=4)
+    for shift in (0.0, 8.0):
+        save_table(from_arrays(table.z, table.d1, table.d2, table.y + shift),
+                   tmp_path / f"{shift}.csv")
+    for command in ("estimate", "diagnose", "bounds"):
+        docs = []
+        for shift in (0.0, 8.0):
+            code, out, _ = run([command, "--data", str(tmp_path / f"{shift}.csv"),
+                                "--format", "structured"], capsys)
+            assert code == 0
+            docs.append(json.loads(out))
+        base, shifted = (dict(_floats(doc)) for doc in docs)
+        assert base.keys() == shifted.keys()
+        moved = {path for path in base
+                 if not math.isclose(base[path], shifted[path], rel_tol=1e-9)}
+        assert moved == {path for path in ORIGIN_DEPENDENT if path[0] in docs[0]}
+        if command == "diagnose":
+            mover = [doc["diagnostics"]["mover_test"] for doc in docs]
+            for pair in ("or_minus_d2", "and_minus_d2"):
+                step1 = mover[0]["step1"][pair]["value"]
+                step2 = [m["step2"][pair]["value"] for m in mover]
+                assert step2[1] - step2[0] == pytest.approx(8 * step1, rel=1e-9)
 
 
 @pytest.mark.parametrize("command", ["estimate", "diagnose", "bounds"])
@@ -743,9 +826,7 @@ def test_overflowing_fit_exit_3(tmp_path, capsys, command):
         code, out, err = run([command, "--data", str(path), "--format", "structured"], capsys)
     assert code == 3
     assert err.startswith("error: numeric overflow") and "Traceback" not in err
-    assert caught == []
-    for token in ("NaN", "Infinity"):
-        assert token not in out
+    assert caught == [] and out == ""
 
 
 def test_yaml_1_2_floats_are_numbers(tmp_path, fix8_path, capsys, monkeypatch):

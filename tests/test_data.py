@@ -23,6 +23,7 @@ from lafte import (
     ConfigError,
     DataError,
     DerivedColumns,
+    PopulationSpec,
     TreatmentDef,
     first_stage,
     from_arrays,
@@ -30,9 +31,10 @@ from lafte import (
     sample,
     save_table,
     slopes,
+    stratum,
 )
 
-from conftest import FIX8_CSV, fix8_table, s2_spec
+from conftest import FIX8_CSV, fix8_table, s2_spec, single_full_complier_spec
 
 
 def test_load_fix8(fix8_path):
@@ -802,11 +804,30 @@ def _awkward_table(rng, n=60, k=2):
                        controls=rng.standard_normal((n, k)), cluster=labels)
 
 
+def _full_compliers(*strata, y_sd=0.0):
+    """A population of full compliers: ``(prob, mean_y)`` for each stratum."""
+    return PopulationSpec(strata=tuple(stratum("C1C2", prob, mean_y, y_sd=y_sd)
+                                       for prob, mean_y in strata))
+
+
+# Draws of 100000 rows whose outcomes are written by both the text kernel
+# (magnitudes from 1e-4 up to 1e16) and repr (the others): half 0.0, which
+# repr writes, and half 2.0, an integer the kernel writes with '.0'; the same
+# with noise, a few of whose values fall below 1e-4; d.ddde-0X texts and 1e+20;
+# and a short decimal, a negative one and two integers beside 2.5e+17 and 1e-05.
+_DRAW_SPECS = (
+    single_full_complier_spec(), single_full_complier_spec(y_sd=1.0),
+    _full_compliers((1.0, {(0, 0): 1e-7, (0, 1): 2e-7, (1, 0): 3e-7, (1, 1): 1e20}), y_sd=1e-6),
+    _full_compliers((0.3, {(0, 0): 0.5, (1, 1): -3.75}), (0.3, {(0, 0): 2.5e17, (1, 1): 1e-5}),
+                    (0.4, {(0, 0): 2.0, (1, 1): -1200.0})))
+
+
 @pytest.mark.parametrize("delimiter", [",", "\t", ";", "|", " ", "§"])
 def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter):
     # Blocks of 1-3 rows start and end on each of the seven label kinds, three
     # of which need quoting under every delimiter, one more under "," and one
-    # more under tab.
+    # more under tab. The draws add their outcomes, not a delimiter or a
+    # block size, so they are saved once, as simulate saves them.
     rng = np.random.default_rng(11)
     plain = _awkward_table(rng, n=9)
     tables = (_awkward_table(rng), _awkward_table(rng, k=0),
@@ -815,7 +836,10 @@ def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter
               from_arrays([0, 1], [1, 1], [0, 0], [-0.0, 5e-324],
                           controls=[[1e-310, -0.0], [-1.7976931348623157e308, 1e308]],
                           cluster=["a,b", "c"]))
-    for chunk_rows, table in itertools.product([1, 2, 3, data._CHUNK_ROWS], tables):
+    cases = list(itertools.product([1, 2, 3, data._CHUNK_ROWS], tables))
+    if delimiter == ",":
+        cases += [(data._CHUNK_ROWS, sample(spec, 100_000, seed=1)) for spec in _DRAW_SPECS]
+    for chunk_rows, table in cases:
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
             save_table(table, new, delimiter=delimiter)
