@@ -64,8 +64,8 @@ from .estimands import (
 )
 from .exceptions import ConfigError, DataError, EstimationError, SpecError
 from .report import (
-    ReportBundle,
     bounds_dict,
+    document,
     render_bounds,
     render_diagnostics,
     render_estimates,
@@ -225,7 +225,7 @@ def _on_table(run):
     """The runner of a command on the table of ``config``: ``run(config,
     table)``. An estimation failure on the table carries its warnings, as
     ``table_warnings``, since they may say why it failed."""
-    def runner(config: RunConfig) -> ReportBundle:
+    def runner(config: RunConfig) -> tuple[dict, list, str]:
         table = load_table(config.input, config.table_mapping(),
                            delimiter=config.delimiter, on_missing=config.missing)
         try:
@@ -237,7 +237,7 @@ def _on_table(run):
 
 
 @_on_table
-def run_estimate(config: RunConfig, table) -> ReportBundle:
+def run_estimate(config: RunConfig, table) -> tuple[dict, list, str]:
     estimates = {
         "first_stage": {d.value: asdict(first_stage(table, d)) for d in REPORT_ORDER},
         "iv_estimand": {d.value: asdict(iv_estimand(table, d)) for d in REPORT_ORDER},
@@ -248,12 +248,10 @@ def run_estimate(config: RunConfig, table) -> ReportBundle:
     warnings.append("complier shares assume the double exclusion restriction; "
                     "run 'lafte diagnose' to test its necessary conditions")
     sections = {"estimates": estimates, "shares": asdict(shares)}
-    bundle = ReportBundle(command="estimate", metadata=config.metadata(), sections=sections,
-                          warnings=warnings)
-    bundle.text = (f"estimate: n={table.n}"
-                   + (f", clusters={table.cluster_count}" if table.cluster_count else "")
-                   + "\n\n" + render_estimates(estimates, sections["shares"]))
-    return bundle
+    text = (f"estimate: n={table.n}"
+            + (f", clusters={table.cluster_count}" if table.cluster_count else "")
+            + "\n\n" + render_estimates(estimates, sections["shares"]))
+    return sections, warnings, text
 
 
 def _diagnostics_sections(table, level):
@@ -263,16 +261,14 @@ def _diagnostics_sections(table, level):
 
 
 @_on_table
-def run_diagnose(config: RunConfig, table) -> ReportBundle:
+def run_diagnose(config: RunConfig, table) -> tuple[dict, list, str]:
     diagnostics, _, _ = _diagnostics_sections(table, config.level)
-    bundle = ReportBundle(command="diagnose", metadata=config.metadata(),
-                          sections={"diagnostics": diagnostics}, warnings=list(table.warnings))
-    bundle.text = render_diagnostics(diagnostics)
-    return bundle
+    return ({"diagnostics": diagnostics}, list(table.warnings),
+            render_diagnostics(diagnostics))
 
 
 @_on_table
-def run_bounds(config: RunConfig, table) -> ReportBundle:
+def run_bounds(config: RunConfig, table) -> tuple[dict, list, str]:
     diagnostics, mover, sign = _diagnostics_sections(table, config.level)
     warnings = list(table.warnings)
 
@@ -293,18 +289,15 @@ def run_bounds(config: RunConfig, table) -> ReportBundle:
         "tau": bounds_dict(tau),
         "downgraded": downgraded,
     }
-    bundle = ReportBundle(command="bounds", metadata=config.metadata(),
-                          sections={"diagnostics": diagnostics, "bounds": bounds_payload},
-                          warnings=warnings)
     banner = (f"diagnostics: mover test -> {mover.conclusion}; "
               f"double exclusion sign check -> {sign.verdict}")
     if downgraded:
         banner += "\nWARNING: bounds below are reported under a rejected assumption"
-    bundle.text = banner + "\n\n" + render_bounds(bounds_payload)
-    return bundle
+    return ({"diagnostics": diagnostics, "bounds": bounds_payload}, warnings,
+            banner + "\n\n" + render_bounds(bounds_payload))
 
 
-def run_simulate(config: RunConfig) -> ReportBundle:
+def run_simulate(config: RunConfig) -> tuple[dict, list, str]:
     spec = load_spec(config.input)
     audit = validate_spec(spec)
     table = sample(spec, config.n, config.seed)
@@ -333,22 +326,16 @@ def run_simulate(config: RunConfig) -> ReportBundle:
 
     simulation = {"data_path": out, "truth_path": truth_path,
                   "n": config.n, "seed": config.seed, "truth": truth}
-    bundle = ReportBundle(command="simulate", metadata=config.metadata(),
-                          sections={"simulation": simulation})
-    bundle.text = (f"wrote {config.n} rows to {out}\n"
-                   f"wrote true parameters to {truth_path}\n"
-                   f"LAFTE over C = {params.lafte_over_c:.6g}, tau = {params.tau:.6g}")
-    return bundle
+    return ({"simulation": simulation}, [],
+            f"wrote {config.n} rows to {out}\n"
+            f"wrote true parameters to {truth_path}\n"
+            f"LAFTE over C = {params.lafte_over_c:.6g}, tau = {params.tau:.6g}")
 
 
-def run_verify(config: RunConfig) -> ReportBundle:
-    spec = load_spec(config.input)
-    report = verify_identities(spec)
-    verification = verification_dict(report)
-    bundle = ReportBundle(command="verify", metadata=config.metadata(),
-                          sections={"verification": verification}, warnings=list(report.flags))
-    bundle.text = render_verification(verification)
-    return bundle
+def run_verify(config: RunConfig) -> tuple[dict, list, str]:
+    verification = verification_dict(verify_identities(load_spec(config.input)))
+    return ({"verification": verification}, list(verification["flags"]),
+            render_verification(verification))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,6 +380,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Each runner gives its command's document sections by name, its warnings and
+# its text.
 _RUNNERS = {
     "estimate": run_estimate,
     "diagnose": run_diagnose,
@@ -407,10 +396,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = build_config(args.command, args)
-        bundle = _RUNNERS[args.command](config)
+        sections, warnings, text = _RUNNERS[args.command](config)
         if config.out and args.command != "simulate":
             with _writing(config.out), open(config.out, "w", encoding="utf-8") as handle:
-                handle.write(bundle.to_json())
+                handle.write(document(args.command, config.metadata(), sections, warnings))
     except (ConfigError, DataError, SpecError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for warning in getattr(exc, "table_warnings", ()):
@@ -419,12 +408,12 @@ def main(argv=None) -> int:
 
     try:
         if config.format == "structured":
-            sys.stdout.write(bundle.to_json())
+            sys.stdout.write(document(args.command, config.metadata(), sections, warnings))
         else:
-            print(bundle.text)
-            if bundle.warnings:
+            print(text)
+            if warnings:
                 print()
-                for warning in bundle.warnings:
+                for warning in warnings:
                     print(f"warning: {warning}")
         sys.stdout.flush()
     except BrokenPipeError as exc:  # what stays buffered then goes nowhere at exit
@@ -433,7 +422,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "verify":
-        return 0 if bundle.sections["verification"]["clean"] else 2
+        return 0 if sections["verification"]["clean"] else 2
     return 0
 
 

@@ -231,6 +231,8 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster) -> list[str
             errors.append(f"column '{name}' has {col.shape[0]} rows, expected {n}")
     if controls.shape[0] != n:
         errors.append(f"controls have {controls.shape[0]} rows, expected {n}")
+    if cluster is not None and cluster.ndim == 1 and cluster.shape[0] != n:
+        errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
     if errors:
         return errors
     if n < 2:
@@ -254,8 +256,6 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster) -> list[str
     if control_names and len(control_names) != controls.shape[1]:
         errors.append(f"{len(control_names)} control name(s) for "
                       f"{controls.shape[1]} control column(s)")
-    if cluster is not None and cluster.ndim == 1 and cluster.shape[0] != n:
-        errors.append(f"cluster column has {cluster.shape[0]} rows, expected {n}")
     return errors
 
 

@@ -161,10 +161,7 @@ def double_exclusion_check(table: ObservationTable, *, level: float = 0.05) -> S
     if not 0.0 < level < 1.0:
         raise ValueError(f"significance level must be in (0,1), got {level}")
     estimates = [contrast(table, "g_or"), contrast(table, "g_and")]
-    p_values: list[float | None] = []
-    for est in estimates:
-        test = one_sided_negativity(est.value, est.se)
-        p_values.append(None if test is None else test.p_value)
+    p_values = [one_sided_negativity(est.value, est.se) for est in estimates]
     rejected = any(p is not None and p < level for p in p_values)
     return SignCheckReport(
         or_minus_d2=estimates[0], and_minus_d2=estimates[1],

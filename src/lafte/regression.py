@@ -405,17 +405,17 @@ def wald_joint(fit: FitResult, indices: Sequence[int]) -> TestResult:
     return TestResult(statistic, dof, _chi2_sf(statistic, dof), "wald-two-sided")
 
 
-def one_sided_negativity(estimate: float, se: float | None) -> TestResult | None:
-    """Normal test of H0: quantity >= 0 against the one-sided alternative < 0.
+def one_sided_negativity(estimate: float, se: float | None) -> float | None:
+    """p-value of the normal test of H0: quantity >= 0 against the one-sided
+    alternative < 0.
 
     Returns None when the standard error is undefined (degenerate fit). An
     estimate of exactly zero sits at the boundary of the null and yields
-    p = 0.5.
+    p = 0.5; with a zero standard error, p is 1 for an estimate of at least
+    zero and 0 below it.
     """
     if se is None:
         return None
     if se == 0.0:
-        p = 1.0 if estimate >= 0 else 0.0
-        return TestResult(float("-inf") if estimate < 0 else 0.0, 1, p, "one-sided-negativity")
-    t = estimate / se
-    return TestResult(float(t), 1, _normal_cdf(t), "one-sided-negativity")
+        return 1.0 if estimate >= 0 else 0.0
+    return _normal_cdf(estimate / se)

@@ -1,10 +1,10 @@
 """Report assembly and rendering.
 
-One run produces one :class:`ReportBundle`: a nested key-value document
-holding every estimate at full precision, serialized as deterministic JSON
-(no timestamps, sorted keys), plus a fixed-width text rendering that prints
-three decimals and renders an undefined standard error as ``(.)``. Every
-number in the text table is present in the machine-readable document.
+One run produces one document: a nested key-value mapping holding every
+estimate at full precision, serialized by :func:`document` as deterministic
+JSON (no timestamps, sorted keys), plus a fixed-width text rendering that
+prints three decimals and renders an undefined standard error as ``(.)``.
+Every number in the text table is present in the machine-readable document.
 
 Each section of the document is the ``dataclasses.asdict`` of the result it
 reports, so its keys are that result's fields. Two sections differ: a bound
@@ -15,7 +15,7 @@ its ``all_passed`` and ``clean`` verdicts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 from .bounds import BoundsResult
 from .estimands import REPORT_ORDER
@@ -36,22 +36,11 @@ def fmt_se(se: float | None) -> str:
     return f"({se + 0.0:.3f})"
 
 
-@dataclass
-class ReportBundle:
-    """All outputs of one command, serializable and deterministic."""
-
-    command: str
-    metadata: dict
-    sections: dict  # by name: "estimates", "diagnostics", "bounds", ...
-    warnings: list = field(default_factory=list)
-    text: str = ""
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "metadata": self.metadata,
-                "warnings": list(self.warnings), **self.sections}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+def document(command: str, metadata: dict, sections: dict, warnings: list) -> str:
+    """The JSON document of one run: its command, metadata and warnings, and
+    each section by name ("estimates", "diagnostics", "bounds", ...)."""
+    return json.dumps({"command": command, "metadata": metadata, "warnings": warnings,
+                       **sections}, sort_keys=True, indent=2) + "\n"
 
 
 def bounds_dict(result: BoundsResult) -> dict:
@@ -74,7 +63,7 @@ def _row(label: str, entries) -> str:
     return label.ljust(_LABELW) + "".join(str(e).rjust(_COL) for e in entries)
 
 
-def render_estimates(estimates: dict, shares: dict | None) -> str:
+def render_estimates(estimates: dict, shares: dict) -> str:
     order = [d.value for d in REPORT_ORDER]
     lines = [_row("", [d.label for d in REPORT_ORDER])]
     for section, title in (("first_stage", "first stage"), ("iv_estimand", "IV estimand")):
@@ -84,14 +73,13 @@ def render_estimates(estimates: dict, shares: dict | None) -> str:
     rf = estimates["reduced_form"]
     lines.append(_row("reduced form", [fmt(rf["value"])]))
     lines.append(_row("", [fmt_se(rf["se"])]))
-    if shares is not None:
-        lines.append("")
-        lines.append("complier shares (assume the double exclusion restriction):")
-        for key, name in (("p_full", "P[C1,C2]"), ("p_dropout", "P[C1,N2]"),
-                          ("p_late_adopter", "P[C1,A2]")):
-            c = shares[key]
-            lines.append(f"  {name}  {fmt(c['value'])} {fmt_se(c['se'])}"
-                         f"   [{c['definition']} on Z]")
+    lines.append("")
+    lines.append("complier shares (assume the double exclusion restriction):")
+    for key, name in (("p_full", "P[C1,C2]"), ("p_dropout", "P[C1,N2]"),
+                      ("p_late_adopter", "P[C1,A2]")):
+        c = shares[key]
+        lines.append(f"  {name}  {fmt(c['value'])} {fmt_se(c['se'])}"
+                     f"   [{c['definition']} on Z]")
     return "\n".join(lines)
 
 
@@ -143,8 +131,6 @@ def render_bounds(bounds: dict) -> str:
     for key, title, note in (("theorem1", "sharp LAFTE bounds", origin),
                              ("bounded_response", "bounded-response LAFTE bounds", None),
                              ("tau", "weighted-average-effect (tau) bounds", None)):
-        if key not in bounds:
-            continue
         b = bounds[key]
         lo, hi = b["lower"], b["upper"]
         extra = ""

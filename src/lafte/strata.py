@@ -234,22 +234,14 @@ class DecompositionTerm:
 
 
 @dataclass(frozen=True)
-class BetaDecomposition:
-    """IV estimand for one treatment definition, split into its group terms."""
-
-    definition: TreatmentDef
-    value: float | None
-    denominator: float
-    terms: tuple[DecompositionTerm, ...]
-
-    @property
-    def total(self) -> float:
-        return sum(t.contribution for t in self.terms)
-
-
-@dataclass(frozen=True)
 class TrueParams:
-    """Exact causal parameters of a population spec."""
+    """Exact causal parameters of a population spec.
+
+    ``beta_decomposition[d]`` holds the :class:`DecompositionTerm` of each
+    group in the IV estimand of definition ``d``: where ``d``'s first stage
+    ``analytic_moments(spec)[d.value]`` is positive, their contributions sum
+    to the estimand ``analytic_moments(spec)["y"]`` over that first stage.
+    """
 
     group_probs: dict
     group_effects: dict
@@ -424,13 +416,10 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
             terms = [(g, GROUP_EFFECT_CELLS[g], g not in FIRST_STAGE_GROUPS[definition])
                      for g in COMPLIER_GROUPS]
         denominator = moments[definition.value]
-        positive = denominator > 0
-        decompositions[definition] = BetaDecomposition(
-            definition=definition, value=moments["y"] / denominator if positive else None,
-            denominator=denominator, terms=tuple(DecompositionTerm(
-                group=g, cells=cells, effect=group_effect(spec, g, cells),
-                weight=probs[g] / denominator if positive else 0.0, bias=bias)
-                for g, cells, bias in terms))
+        decompositions[definition] = tuple(DecompositionTerm(
+            group=g, cells=cells, effect=group_effect(spec, g, cells),
+            weight=probs[g] / denominator if denominator > 0 else 0.0, bias=bias)
+            for g, cells, bias in terms)
 
     return TrueParams(
         group_probs={g: probs[g] for g in COMPLIER_GROUPS},

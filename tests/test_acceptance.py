@@ -67,10 +67,9 @@ def test_criterion_1_fix8_exactness(tmp_path):
     path.write_text(FIX8_CSV, encoding="utf-8")
 
     start = time.perf_counter()
-    est = run_estimate(RunConfig(command="estimate", input=str(path))).to_dict()
-    diag = run_diagnose(RunConfig(command="diagnose", input=str(path))).to_dict()
-    bnd = run_bounds(RunConfig(command="bounds", input=str(path),
-                               ymin=0.0, ymax=3.0)).to_dict()
+    est, _, _ = run_estimate(RunConfig(command="estimate", input=str(path)))
+    diag, _, _ = run_diagnose(RunConfig(command="diagnose", input=str(path)))
+    bnd, _, _ = run_bounds(RunConfig(command="bounds", input=str(path), ymin=0.0, ymax=3.0))
     elapsed = time.perf_counter() - start
 
     stages = est["estimates"]["first_stage"]
@@ -265,8 +264,8 @@ def test_criterion_6_degenerate_case(tmp_path, capsys):
     assert "(.)" in out
     assert "0.000 (.)" in out
 
-    bundle = run_diagnose(RunConfig(command="diagnose", input=str(path)))
-    step1 = bundle.sections["diagnostics"]["mover_test"]["step1"]
+    sections, _, _ = run_diagnose(RunConfig(command="diagnose", input=str(path)))
+    step1 = sections["diagnostics"]["mover_test"]["step1"]
     assert step1["or_minus_d2"]["se"] is None
     assert step1["joint"]["dof"] == 1
 

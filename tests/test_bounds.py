@@ -169,6 +169,20 @@ def test_tau_flip_with_negative_reduced_form(fix8):
     assert result.upper.value == pytest.approx(-1.0, rel=1e-12)
 
 
+def test_tau_warns_when_its_lower_candidate_exceeds_the_upper():
+    # The d2 first stage is -0.5, so the d1 + d2 stage (0.5) is below the d1
+    # stage (1): with a positive reduced form, y / (d1 + d2) > y / d1.
+    z = [0, 0, 0, 0, 1, 1, 1, 1]
+    t = from_arrays(z, z, [1, 1, 0, 0, 0, 0, 0, 0], [0.0, 1.0, 0.0, 1.0, 2.0, 3.0, 2.0, 3.0])
+    result = tau_bounds(t)
+    assert result.lower.value == pytest.approx(4.0, rel=1e-12)
+    assert result.upper.value == pytest.approx(2.0, rel=1e-12)
+    assert not result.flipped
+    assert result.warnings == ("in-sample lower bound exceeds upper bound; some binary "
+                               "first stage is negative, contradicting the maintained "
+                               "monotonicity",)
+
+
 def test_no_movers_sample_brackets_truth():
     spec = single_full_complier_spec(effect=2.0, y_sd=1.0)
     table = sample(spec, 20_000, seed=5)

@@ -354,6 +354,29 @@ def test_verify_clean_exit_0(tmp_path, capsys):
     assert "all applicable checks passed" in out
 
 
+@pytest.mark.parametrize("strata, skipped", [
+    # dropouts only: the d2 and d_and first stages are zero
+    ((stratum("C1N2", 0.5, {(1, 0): 1.5}), stratum("N1N2", 0.5, {})),
+     {"iv-decomposition.d2": "not applicable: zero first stage",
+      "iv-decomposition.d_and": "not applicable: zero first stage"}),
+    # no complier group at all
+    ((stratum("N1N2", 0.5, {}), stratum("A1A2", 0.5, {})),
+     {"iv-decomposition": "not applicable: no compliers"}),
+], ids=["zero first stage", "no compliers"])
+def test_verify_skips_the_undefined_decompositions(tmp_path, capsys, strata, skipped):
+    spec_path = tmp_path / "spec.yaml"
+    save_spec(PopulationSpec(strata=strata), spec_path)
+    code, out, err = run(["verify", "--data", str(spec_path), "--format", "structured"],
+                         capsys)
+    assert code == 0, err
+    checks = {c["name"]: c for c in json.loads(out)["verification"]["checks"]
+              if c["name"].startswith("iv-decomposition")}
+    for name, note in skipped.items():
+        assert not checks[name]["applicable"] and checks[name]["note"] == note
+    assert all(c["applicable"] and c["passed"] for name, c in checks.items()
+               if name not in skipped)
+
+
 def test_verify_flagged_exit_nonzero(tmp_path, capsys):
     spec = PopulationSpec(strata=(
         stratum("C1C2", 0.6, {(1, 1): 2.0}),
@@ -573,6 +596,7 @@ def test_negative_scientific_response_bound(fix8_path, capsys):
 
 
 @pytest.mark.parametrize("document", [
+    "strata: [\n",  # not YAML
     "strata: 5\n", "strata: [5]\n", "p_z: abc\nstrata: []\n", "p_z: [1]\nstrata: []\n",
     "double_exclusion: 'no'\nstrata: []\n",
     # Fields that would coerce to a full-complier stratum of probability 1.
@@ -685,6 +709,7 @@ def _reject_constant(name):
 
 def test_structured_document_schema(tmp_path, fix8_path, capsys):
     from lafte.cli import _RUNNERS, _build_parser, build_config
+    from lafte.report import document
     spec_path = tmp_path / "s2.yaml"
     save_spec(s2_spec(y_sd=0.5), spec_path)
     draw = tmp_path / "draw.csv"
@@ -704,9 +729,10 @@ def test_structured_document_schema(tmp_path, fix8_path, capsys):
         doc = json.loads(out, parse_constant=_reject_constant)
         _assert_schema(doc, argv[0])
         args = _build_parser().parse_args([*argv, "--format", "structured"])
-        bundle = _RUNNERS[args.command](build_config(args.command, args))
-        assert _leaf_types(bundle.to_dict()) <= {str, int, float, bool, type(None)}
-        assert json.loads(bundle.to_json()) == doc
+        config = build_config(args.command, args)
+        sections, warnings, _ = _RUNNERS[args.command](config)
+        assert _leaf_types([sections, warnings]) <= {str, int, float, bool, type(None)}
+        assert document(args.command, config.metadata(), sections, warnings) == out
     json.loads(Path(f"{draw}.truth.json").read_text(encoding="utf-8"),
                parse_constant=_reject_constant)
 

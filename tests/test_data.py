@@ -307,6 +307,12 @@ def test_validation_message_lists_every_finding():
     assert findings[1] == "empty instrument arm (z=0)"
     with pytest.raises(DataError, match=r"^non-binary instrument column 'z': value 0\.5$"):
         from_arrays([0.5, 1.0], [1, 0], [1, 0], [1.0, 2.0])
+    with pytest.raises(DataError) as info:
+        from_arrays([0, 1, 1], [0, 1], [0, 1, 1], [1.0, 2.0], controls=[[1.0]] * 4,
+                    cluster=["a", "b"])
+    assert str(info.value).split("; ") == [
+        "column 'd1' has 2 rows, expected 3", "column 'y' has 2 rows, expected 3",
+        "controls have 4 rows, expected 3", "cluster column has 2 rows, expected 3"]
 
 
 # --- Row-wise reference implementations of the loader and the writer ------

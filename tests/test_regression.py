@@ -17,6 +17,8 @@ from lafte import (
     wald_joint,
 )
 
+from lafte.regression import one_sided_negativity
+
 from conftest import fix8_table, random_table
 
 # ---------------------------------------------------------------------------
@@ -386,6 +388,20 @@ def test_wald_singular_submatrix():
     fit = ols(np.zeros(t.n), x)  # constant response, zero vcov
     with pytest.raises(DegenerateTestError, match="degenerate joint test"):
         wald_joint(fit, [1])
+
+
+@pytest.mark.parametrize("estimate, se, p", [
+    (-1.0, None, None),  # a degenerate fit: no SE, no p-value
+    (0.5, 0.0, 1.0), (0.0, 0.0, 1.0), (-0.5, 0.0, 0.0),  # estimate / 0.0 would raise
+    (0.0, 0.3, 0.5),  # the boundary of the null
+    (-1.959963984540054, 1.0, 0.025), (1.959963984540054, 2.0, 0.8364524961544296),
+])
+def test_one_sided_negativity_p_value(estimate, se, p):
+    got = one_sided_negativity(estimate, se)
+    if p is None:
+        assert got is None
+    else:
+        assert type(got) is float and got == pytest.approx(p, rel=1e-12)
 
 
 def test_fix8_joint_contrast_test_matches_oracle():

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import tracemalloc
 from pathlib import Path
 
@@ -422,3 +423,24 @@ PUBLIC_API = {
 def test_public_api_is_pinned():
     assert set(lafte.__all__) == PUBLIC_API
     assert all(hasattr(lafte, name) for name in PUBLIC_API)
+
+
+# The dataclasses defined under lafte, public or not: a new result type is a
+# decision, made here, and not a by-product of a change.
+DATACLASSES = {
+    "AssumptionAudit", "BoundsResult", "CheckResult", "ComplierShares", "ContrastPair",
+    "DecompositionTerm", "DerivedColumns", "EstimateWithSE", "FitResult", "MoverTestReport",
+    "ObservationTable", "PopulationSpec", "Responses", "RunConfig", "SignCheckReport",
+    "Stratum", "TestResult", "TrueParams", "VerificationReport",
+}
+
+
+def test_dataclasses_are_pinned():
+    defined = set()
+    for path in SRC.glob("*.py"):
+        module = importlib.import_module(f"lafte.{path.stem}" if path.stem != "__init__"
+                                         else "lafte")
+        defined |= {name for name, obj in vars(module).items()
+                    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__}
+    assert defined == DATACLASSES

@@ -99,19 +99,36 @@ def test_probability_sum_checked():
         validate_spec(spec)
 
 
-@pytest.mark.parametrize("bad", [
-    # The NaN probability makes the sum NaN, which no comparison rejects.
-    dict(prob=float("nan")),
-    dict(y_sd=float("nan")),
-    dict(y_sd=float("inf")),
-    dict(mean_y=((0.0, 0.0), (0.0, float("-inf")))),
-])
-def test_non_finite_spec_reals_rejected(bad):
+def _first_of_two(p_z=0.5, **bad):
+    """A spec of a full-complier stratum changed by ``bad`` and a never-taker,
+    built when called."""
     fields = dict(prob=0.5, d1_at=(0, 1), d2_at=((0, 1), (0, 1)),
                   mean_y=((0.0, 0.0), (0.0, 1.0)), y_sd=0.0)
-    spec = PopulationSpec(strata=(Stratum(**{**fields, **bad}), stratum("N1N2", 0.5, {})))
-    with pytest.raises(SpecError, match="stratum 0 has a non-finite prob, y_sd or mean_y"):
-        validate_spec(spec)
+    return lambda: PopulationSpec(
+        strata=(Stratum(**{**fields, **bad}), stratum("N1N2", 0.5, {})), p_z=p_z)
+
+
+NON_FINITE = "stratum 0 has a non-finite prob, y_sd or mean_y"
+
+
+@pytest.mark.parametrize("make, message", [
+    # The NaN probability makes the sum NaN, which no comparison rejects.
+    (_first_of_two(prob=float("nan")), NON_FINITE),
+    (_first_of_two(y_sd=float("nan")), NON_FINITE),
+    (_first_of_two(y_sd=float("inf")), NON_FINITE),
+    (_first_of_two(mean_y=((0.0, 0.0), (0.0, float("-inf")))), NON_FINITE),
+    (lambda: PopulationSpec(strata=()), "spec has no strata"),
+    (_first_of_two(prob=-0.5), "stratum probabilities must be nonnegative"),
+    (_first_of_two(p_z=0.0), "p_z must be inside (0,1), got 0.0"),
+    (_first_of_two(p_z=1.0), "p_z must be inside (0,1), got 1.0"),
+    (_first_of_two(d2_at=((0, 2), (0, 1))), "stratum 0 has non-binary treatment responses"),
+    (_first_of_two(y_sd=-1.0), "stratum 0 has negative outcome noise scale"),
+    (lambda: PopulationSpec(strata=(stratum("C1X2", 1.0, {}),)),
+     "unknown response group 'C1X2'"),
+])
+def test_invalid_spec_rejected(make, message):
+    with pytest.raises(SpecError, match=re.escape(message)):
+        validate_spec(make())
 
 
 def test_double_exclusion_flag_contradiction():
@@ -165,7 +182,8 @@ def test_single_group_tau_equals_lafte():
     assert params.tau == pytest.approx(2.0, abs=1e-15)
     assert params.lafte_over_c == pytest.approx(2.0, abs=1e-15)
     # the multivalued-treatment estimand halves it
-    assert params.beta_decomposition[TreatmentDef.SUM].value == pytest.approx(1.0, abs=1e-15)
+    terms = params.beta_decomposition[TreatmentDef.SUM]
+    assert sum(t.contribution for t in terms) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_decomposition_weights():
@@ -173,28 +191,31 @@ def test_decomposition_weights():
     for _ in range(20):
         spec = random_spec(rng)
         params = true_parameters(spec)
-        for d, decomposition in params.beta_decomposition.items():
-            weights = [t.weight for t in decomposition.terms]
-            assert all(w >= 0 for w in weights)
-            if decomposition.denominator > 0:
-                stage = sum(t.weight for t in decomposition.terms if not t.bias)
+        moments = analytic_moments(spec)
+        for d, terms in params.beta_decomposition.items():
+            assert all(t.weight >= 0 for t in terms)
+            if moments[d.value] > 0:
+                stage = sum(t.weight for t in terms if not t.bias)
                 assert stage == pytest.approx(1.0, rel=1e-10)
 
 
 def _decomposition_digest(specs):
     """sha256 of every term (group, cells, ``float.hex`` of effect and weight,
-    bias) and of each decomposition's value and denominator."""
+    bias) and of each decomposition's value and denominator: the IV estimand
+    ``m["y"] / m[d]`` (None unless the first stage ``m[d]`` is positive) and
+    ``m[d]``, with ``m = analytic_moments(spec)``."""
     def hexed(x):
         return None if x is None else float(x).hex()
 
     digest = hashlib.sha256()
     for spec in specs:
-        for d, decomposition in true_parameters(spec).beta_decomposition.items():
-            for t in decomposition.terms:
+        m = analytic_moments(spec)
+        for d, terms in true_parameters(spec).beta_decomposition.items():
+            for t in terms:
                 digest.update(repr((d.value, t.group, t.cells, hexed(t.effect),
                                     hexed(t.weight), t.bias)).encode())
-            digest.update(repr((hexed(decomposition.value),
-                                hexed(decomposition.denominator))).encode())
+            value = m["y"] / m[d.value] if m[d.value] > 0 else None
+            digest.update(repr((hexed(value), hexed(m[d.value]))).encode())
     return digest.hexdigest()
 
 
@@ -472,28 +493,36 @@ def test_analytic_moments_equal_hand_written_sums_bit_for_bit():
         assert all(type(v) is float for v in got.values())
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"strata": 5}, "'strata' must be a list"),
-    ({"strata": [5]}, "malformed stratum 0: expected a mapping"),
-    ({"p_z": "abc"}, "p_z must be a number"),
-    ({"p_z": [1]}, "p_z must be a number"),
-    ({"double_exclusion": "no"}, "double_exclusion must be true or false"),
-    ({"double_exclusion": 1}, "double_exclusion must be true or false"),
-])
-def test_malformed_spec_documents_raise_spec_error(tmp_path, change, message):
-    payload = {**spec_to_dict(s2_spec()), **change}
-    with pytest.raises(SpecError, match=message):
-        spec_from_dict(payload)
-    path = tmp_path / "spec.yaml"
-    path.write_text(yaml.safe_dump(payload), encoding="utf-8")
-    with pytest.raises(SpecError, match=message):
-        load_spec(path)
+def _spec_change(**change):
+    return {**spec_to_dict(s2_spec()), **change}
 
 
 def _stratum_change(**fields):
     payload = spec_to_dict(s2_spec())
     payload["strata"][0].update(fields)
     return payload
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([_spec_change()], "population spec document must be a mapping"),
+    ({"p_z": 0.5}, "spec is missing 'strata'"),
+    (_spec_change(strata=5), "'strata' must be a list"),
+    (_spec_change(strata=[5]), "malformed stratum 0: expected a mapping"),
+    (_spec_change(p_z="abc"), "p_z must be a number"),
+    (_spec_change(p_z=[1]), "p_z must be a number"),
+    (_spec_change(double_exclusion="no"), "double_exclusion must be true or false"),
+    (_spec_change(double_exclusion=1), "double_exclusion must be true or false"),
+    (_stratum_change(d1=[0, 1, 1]), "malformed stratum 0: responses must be pairs"),
+    (_stratum_change(d2=[[0, 1]]), "malformed stratum 0: responses must be pairs"),
+    (_stratum_change(mean_y=[[0.0, 1.0]]), "malformed stratum 0: mean_y must be a 2x2 grid"),
+])
+def test_malformed_spec_documents_raise_spec_error(tmp_path, payload, message):
+    with pytest.raises(SpecError, match=message):
+        spec_from_dict(payload)
+    path = tmp_path / "spec.yaml"
+    path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    with pytest.raises(SpecError, match=message):
+        load_spec(path)
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -510,8 +539,8 @@ def _stratum_change(**fields):
     (_stratum_change(y_sd="1"), "y_sd must be a number, got '1'"),
     (_stratum_change(mean_y=[[0.0, "1"], [0.0, 0.0]]), "mean_y must be a number, got '1'"),
     (_stratum_change(mean_y=[[0.0, False], [0.0, 0.0]]), "mean_y must be a number, got False"),
-    ({**spec_to_dict(s2_spec()), "p_z": True}, "p_z must be a number, got True"),
-    ({**spec_to_dict(s2_spec()), "p_z": "0.5"}, "p_z must be a number, got '0.5'"),
+    (_spec_change(p_z=True), "p_z must be a number, got True"),
+    (_spec_change(p_z="0.5"), "p_z must be a number, got '0.5'"),
 ])
 def test_spec_fields_are_not_coerced(tmp_path, payload, message):
     with pytest.raises(SpecError, match=re.escape(message)):
