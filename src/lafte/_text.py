@@ -6,9 +6,10 @@ uint64 words, after bytes 0xFF (which no UTF-8 text holds), and returns
 their lengths; :func:`reprs` gives them for any number of values. On a
 little-endian machine, it computes them with whole-array integer
 arithmetic for ``LEAST <= |x| < BOUND``, the magnitudes that ``repr``
-writes in fixed notation. ``repr`` writes every other value (zeros,
-subnormals, NaN, the infinities, every ``e-XX`` and ``e+XX`` text, and
-all of them on a big-endian machine), on those values only.
+writes in fixed notation, and from a table for the two zeros. ``repr``
+writes every other value (subnormals, NaN, the infinities, every ``e-XX``
+and ``e+XX`` text, and all of them on a big-endian machine), on those
+values only.
 
 The digits are ``repr``'s: the shortest decimal that reads back as the
 value, and of two such, the nearest, ties to even. They are found as
@@ -128,6 +129,10 @@ def _marks() -> np.ndarray:
 
 
 _MARKS = _marks()
+
+# The words of 0.0 and of -0.0, by the sign bit.
+_ZEROS = np.frombuffer(b"".join(text.rjust(WIDTH, b"\xff") for text in (b"0.0", b"-0.0")),
+                       np.uint64).reshape(2, 3)
 
 # Values written at a time, a save's block of rows: passes of 2**12 values
 # took 0.75 the time a value of passes of 2**11 (2**13 took 0.9 of it, with
@@ -250,6 +255,10 @@ class Kernel:
         number += digits
         _place(work[31:36], work[4:9], work[26:29], words)
         if others is not None:
+            zero = (values[others] == 0) & _LITTLE
+            at, others = others[zero], others[~zero]
+            sign = np.signbit(values[at]).view(np.int8)
+            words[at], lengths[at] = _ZEROS[sign], 3 + sign
             padded = [repr(value).rjust(WIDTH, "\xff") for value in values[others].tolist()]
             lengths[others] = [WIDTH - text.count("\xff") for text in padded]
             words[others] = np.frombuffer("".join(padded).encode("latin-1"), "u8").reshape(-1, 3)
@@ -273,8 +282,8 @@ def _place(numbers: np.ndarray, groups: np.ndarray, marks: np.ndarray, words: np
 def reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bytes of ``repr`` of each float64 of ``values``, right-aligned in
     an ``(n, WIDTH)`` uint8 array, and their lengths (uint8). Exact for
-    ``LEAST <= |x| < BOUND`` on a little-endian machine; ``repr`` writes
-    the other values."""
+    ``LEAST <= |x| < BOUND`` and the zeros on a little-endian machine;
+    ``repr`` writes the other values."""
     values = np.ascontiguousarray(values, dtype=float)
     words = np.empty((values.size, 3), np.uint64)
     lengths = np.empty(values.size, np.uint8)

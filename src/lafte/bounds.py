@@ -27,7 +27,7 @@ equations stacked on duplicated data with duplicated cluster labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ THEOREM1_ASSUMPTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class BoundsResult:
+class BoundsResult(NamedTuple):
     """A lower/upper bound pair with provenance.
 
     For ``kind="bounded-response"`` the endpoints are ordered (swapped with
@@ -123,8 +122,8 @@ def lafte_bounds_bounded_response(table: ObservationTable, ymin: float | None = 
         # Happens only when the sample d2 contrast exceeds the d1 contrast,
         # which contradicts double exclusion; order is restored and flagged.
         flipped = True
-        lower, upper = (replace(upper, definition=lower.definition),
-                        replace(lower, definition=upper.definition))
+        lower, upper = (upper._replace(definition=lower.definition),
+                        lower._replace(definition=upper.definition))
         warnings.append(
             "endpoints swapped: the sample first stages contradict double exclusion "
             "(instrument contrast of D2 exceeds that of D1)")

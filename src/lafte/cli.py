@@ -49,7 +49,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .bounds import lafte_bounds, lafte_bounds_bounded_response, tau_bounds
@@ -64,6 +64,7 @@ from .estimands import (
 )
 from .exceptions import ConfigError, DataError, EstimationError, SpecError
 from .report import (
+    as_dict,
     bounds_dict,
     document,
     render_bounds,
@@ -239,15 +240,15 @@ def _on_table(run):
 @_on_table
 def run_estimate(config: RunConfig, table) -> tuple[dict, list, str]:
     estimates = {
-        "first_stage": {d.value: asdict(first_stage(table, d)) for d in REPORT_ORDER},
-        "iv_estimand": {d.value: asdict(iv_estimand(table, d)) for d in REPORT_ORDER},
-        "reduced_form": asdict(reduced_form(table)),
+        "first_stage": {d.value: as_dict(first_stage(table, d)) for d in REPORT_ORDER},
+        "iv_estimand": {d.value: as_dict(iv_estimand(table, d)) for d in REPORT_ORDER},
+        "reduced_form": as_dict(reduced_form(table)),
     }
     shares = complier_shares(table)
     warnings = list(table.warnings) + list(shares.warnings)
     warnings.append("complier shares assume the double exclusion restriction; "
                     "run 'lafte diagnose' to test its necessary conditions")
-    sections = {"estimates": estimates, "shares": asdict(shares)}
+    sections = {"estimates": estimates, "shares": as_dict(shares)}
     text = (f"estimate: n={table.n}"
             + (f", clusters={table.cluster_count}" if table.cluster_count else "")
             + "\n\n" + render_estimates(estimates, sections["shares"]))
@@ -257,7 +258,7 @@ def run_estimate(config: RunConfig, table) -> tuple[dict, list, str]:
 def _diagnostics_sections(table, level):
     mover = mover_test(table, level=level)
     sign = double_exclusion_check(table, level=level)
-    return {"mover_test": asdict(mover), "double_exclusion": asdict(sign)}, mover, sign
+    return {"mover_test": as_dict(mover), "double_exclusion": as_dict(sign)}, mover, sign
 
 
 @_on_table
@@ -309,7 +310,7 @@ def run_simulate(config: RunConfig) -> tuple[dict, list, str]:
     moments = analytic_moments(spec)
     truth = {
         "spec": spec_to_dict(spec),
-        "audit": asdict(audit),
+        "audit": as_dict(audit),
         "group_probs": params.group_probs,
         "group_effects": params.group_effects,
         "lafte_over_c": params.lafte_over_c,

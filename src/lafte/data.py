@@ -189,8 +189,7 @@ class ObservationTable:
         return cache[key]
 
 
-@dataclass(frozen=True)
-class DerivedColumns:
+class DerivedColumns(NamedTuple):
     """The columns of ``RESPONSES`` side by side in one read-only ``n x 13``
     array; each is also an attribute, such as ``columns.kernel_y``."""
 

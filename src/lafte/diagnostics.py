@@ -18,7 +18,7 @@ restriction to be tenable, which the one-sided sign check tests directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .data import ObservationTable
 from .estimands import EstimateWithSE, contrast, slopes
@@ -40,8 +40,7 @@ NO_MOVERS_RECOMMENDATION = (
     "effect for the full compliers")
 
 
-@dataclass(frozen=True)
-class ContrastPair:
+class ContrastPair(NamedTuple):
     """Both contrast estimates of one step plus their joint test."""
 
     or_minus_d2: EstimateWithSE
@@ -53,8 +52,7 @@ class ContrastPair:
         return None if self.joint is None else self.joint.p_value
 
 
-@dataclass(frozen=True)
-class MoverTestReport:
+class MoverTestReport(NamedTuple):
     """Outcome of the two-step mover detection procedure."""
 
     step1: ContrastPair
@@ -67,8 +65,7 @@ class MoverTestReport:
     recommendation: str | None = None
 
 
-@dataclass(frozen=True)
-class SignCheckReport:
+class SignCheckReport(NamedTuple):
     """One-sided nonnegativity checks for the double exclusion restriction."""
 
     or_minus_d2: EstimateWithSE

@@ -28,9 +28,8 @@ bound endpoints too: ``weights · b`` of such slopes, its SE and interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +66,7 @@ REPORT_ORDER = (TreatmentDef.SUM, TreatmentDef.FIRST, TreatmentDef.SECOND,
                 TreatmentDef.BOTH, TreatmentDef.EITHER)
 
 
-@dataclass(frozen=True)
-class EstimateWithSE:
+class EstimateWithSE(NamedTuple):
     """A point estimate with its standard error and 95% interval.
 
     ``se`` is None when the underlying regressand was constant, in which
@@ -88,8 +86,7 @@ class EstimateWithSE:
         return self.se is None
 
 
-@dataclass(frozen=True)
-class ComplierShares:
+class ComplierShares(NamedTuple):
     """The three complier-group shares identified under double exclusion."""
 
     p_full: EstimateWithSE

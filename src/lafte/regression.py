@@ -33,8 +33,8 @@ table fit, ``estimands._table_fit``, gives both so).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +45,7 @@ from .exceptions import DegenerateTestError, EstimationError, RankDeficientError
 RANK_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Coefficients and covariance from one linear (IV) fit.
 
     ``response_min`` and ``response_max`` hold the range of each response
@@ -80,8 +79,7 @@ class FitResult:
         return float(np.sqrt(max(self.vcov[j, j], 0.0)))
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     """Outcome of a hypothesis test."""
 
     statistic: float
@@ -337,7 +335,7 @@ def ols(y, x, cluster=None, *, names=None) -> FitResult:
     if clusters is not None and clusters[0].shape[0] != y.shape[0]:
         raise EstimationError("cluster and response row counts differ")
     fit = _fit(y, x, clusters, names)
-    return fit if single else replace(fit, names=_equation_names(y.shape[1], fit.names))
+    return fit if single else fit._replace(names=_equation_names(y.shape[1], fit.names))
 
 
 def linear_combination(fit: FitResult, weights) -> tuple[float, float | None]:

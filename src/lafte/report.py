@@ -6,16 +6,15 @@ JSON (no timestamps, sorted keys), plus a fixed-width text rendering that
 prints three decimals and renders an undefined standard error as ``(.)``.
 Every number in the text table is present in the machine-readable document.
 
-Each section of the document is the ``dataclasses.asdict`` of the result it
-reports, so its keys are that result's fields. Two sections differ: a bound
-pair leaves out the optional fields it did not set, and a verification adds
-its ``all_passed`` and ``clean`` verdicts.
+Each result is a ``NamedTuple`` record, and each section of the document is
+its :func:`as_dict`, so its keys are that result's fields. Two sections
+differ: a bound pair leaves out the optional fields it did not set, and a
+verification adds its ``all_passed`` and ``clean`` verdicts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from .bounds import BoundsResult
 from .estimands import REPORT_ORDER
@@ -43,13 +42,26 @@ def document(command: str, metadata: dict, sections: dict, warnings: list) -> st
                        **sections}, sort_keys=True, indent=2) + "\n"
 
 
+def as_dict(value):
+    """A record as the dict of its fields, with every record, tuple, list and
+    dict inside it converted alike, as ``dataclasses.asdict`` converts a
+    dataclass; any other value is returned as it is."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: as_dict(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return type(value)(as_dict(item) for item in value)
+    if isinstance(value, dict):
+        return {key: as_dict(item) for key, item in value.items()}
+    return value
+
+
 def bounds_dict(result: BoundsResult) -> dict:
     """The fields of a bound pair, without the optional ones it leaves unset."""
-    return {key: value for key, value in asdict(result).items() if value is not None}
+    return {key: value for key, value in as_dict(result).items() if value is not None}
 
 
 def verification_dict(report: VerificationReport) -> dict:
-    return {**asdict(report), "all_passed": report.all_passed, "clean": report.clean}
+    return {**as_dict(report), "all_passed": report.all_passed, "clean": report.clean}
 
 
 # ---------------------------------------------------------------------------

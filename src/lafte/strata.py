@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import numbers
 import re
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -136,8 +135,7 @@ def _kind(lo: int, hi: int) -> str:
     return "C" if hi > lo else "A" if lo == 1 else "N"
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """One response type with its population share and mean potential outcomes."""
 
     prob: float
@@ -191,8 +189,7 @@ def stratum(group: str, prob: float, mean_y: Mapping[tuple[int, int], float],
     )
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(NamedTuple):
     """A finite-strata population with an instrument assignment probability."""
 
     strata: tuple[Stratum, ...]
@@ -200,8 +197,7 @@ class PopulationSpec:
     double_exclusion: bool = False
 
 
-@dataclass(frozen=True)
-class AssumptionAudit:
+class AssumptionAudit(NamedTuple):
     """Exactly decided flags for every maintained assumption, each
     definition's ``homogeneity`` keyed by its column name."""
 
@@ -214,8 +210,7 @@ class AssumptionAudit:
     homogeneity: dict
 
 
-@dataclass(frozen=True)
-class DecompositionTerm:
+class DecompositionTerm(NamedTuple):
     """One weighted group effect inside an IV-estimand decomposition."""
 
     group: str
@@ -233,8 +228,7 @@ class DecompositionTerm:
         return self.weight * self.effect
 
 
-@dataclass(frozen=True)
-class TrueParams:
+class TrueParams(NamedTuple):
     """Exact causal parameters of a population spec.
 
     ``beta_decomposition[d]`` holds the :class:`DecompositionTerm` of each

@@ -31,7 +31,7 @@ battery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .data import LABELS
 from .estimands import BINARY_DEFS
@@ -56,8 +56,7 @@ from .strata import (
 SHARPNESS_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verified identity: its two sides and the outcome."""
 
     name: str
@@ -68,8 +67,7 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
     flags: tuple[str, ...]
     tolerance: float

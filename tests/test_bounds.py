@@ -224,11 +224,12 @@ def test_unclustered_stacked_endpoints_report_no_clusters(fix8):
 
 
 def _leaves(obj):
-    """Every number and string in a result, floats by repr and arrays by bytes."""
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield f.name
-            yield from _leaves(getattr(obj, f.name))
+    """Every field name, number and string in a result, floats by repr and
+    arrays by bytes."""
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        for name, value in zip(obj._fields, obj):
+            yield name
+            yield from _leaves(value)
     elif isinstance(obj, np.ndarray):
         yield obj.dtype.str, obj.shape, obj.tobytes()
     elif isinstance(obj, (tuple, list)):

@@ -624,7 +624,7 @@ def test_malformed_spec_file_exit_2(tmp_path, capsys, document, command):
 
 
 # The structured document, section by section. Each section is the
-# ``dataclasses.asdict`` of one result, so its keys are the result's fields.
+# ``report.as_dict`` of one result record, so its keys are the result's fields.
 CELL = {"value", "se", "ci_low", "ci_high", "n", "cluster_count", "definition"}
 JOINT = {"statistic", "dof", "p_value", "kind"}
 PAIR = {"or_minus_d2", "and_minus_d2", "joint"}

@@ -209,6 +209,22 @@ def test_cli_import_leaves_yaml_out():
     assert done.returncode == 0
 
 
+@pytest.mark.parametrize("before", ["", "gc.disable()", "gc.freeze()"])
+def test_import_leaves_collection_as_it_found_it(before):
+    # Collection is on or off after the import as before it, and what a
+    # caller froze stays frozen. With collection on and nothing frozen, no
+    # collection runs during the import.
+    code = (f"import gc\n{before}\nfound = gc.isenabled(), gc.get_freeze_count()\nruns = []\n"
+            "gc.callbacks.append(lambda phase, info: runs.append(phase))\nimport lafte\n"
+            "print(len(runs), (gc.isenabled(), gc.get_freeze_count()) == found)")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    runs, restored = done.stdout.split()
+    assert restored == "True"
+    if not before:
+        assert runs == "0"
+
+
 # ---------------------------------------------------------------------------
 # many responses on one design
 

@@ -7,8 +7,6 @@ sample contrast, IV slope and bound endpoint equals its closed form from
 ``analytic_moments`` up to rounding.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -47,7 +45,7 @@ def _largest_remainders(probs, total):
 
 def _rounded(spec):
     counts = _largest_remainders([s.prob for s in spec.strata], DENOMINATOR)
-    strata = tuple(dataclasses.replace(s, prob=c / DENOMINATOR, y_sd=0.0)
+    strata = tuple(s._replace(prob=c / DENOMINATOR, y_sd=0.0)
                    for s, c in zip(spec.strata, counts) if c)
     return PopulationSpec(strata, p_z=0.5, double_exclusion=spec.double_exclusion), counts[counts > 0]
 

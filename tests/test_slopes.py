@@ -425,22 +425,37 @@ def test_public_api_is_pinned():
     assert all(hasattr(lafte, name) for name in PUBLIC_API)
 
 
-# The dataclasses defined under lafte, public or not: a new result type is a
-# decision, made here, and not a by-product of a change.
-DATACLASSES = {
-    "AssumptionAudit", "BoundsResult", "CheckResult", "ComplierShares", "ContrastPair",
-    "DecompositionTerm", "DerivedColumns", "EstimateWithSE", "FitResult", "MoverTestReport",
-    "ObservationTable", "PopulationSpec", "Responses", "RunConfig", "SignCheckReport",
-    "Stratum", "TestResult", "TrueParams", "VerificationReport",
+# The classes defined under lafte, public or not, that hold fields: a new
+# result type is a decision, made here, and not a by-product of a change. A
+# record is a ``NamedTuple``, which costs its import about a tenth of what a
+# frozen dataclass does. The three dataclasses cannot be tuples: a table keeps
+# its cache entry and memo in its ``__dict__``, ``build_config`` assigns to a
+# ``RunConfig``, and a ``Responses`` is indexed by rows.
+DATACLASSES = {"ObservationTable", "Responses", "RunConfig"}
+
+RECORDS = {
+    "AssumptionAudit", "BoundsResult", "CheckResult", "Column", "ComplierShares",
+    "ContrastPair", "DecompositionTerm", "DerivedColumns", "EstimateWithSE", "FitResult",
+    "MoverTestReport", "PopulationSpec", "SignCheckReport", "Stratum", "TestResult",
+    "TrueParams", "VerificationReport", "_Chunk", "_Labels", "_Tokens",
 }
 
 
-def test_dataclasses_are_pinned():
+def _defined_classes(kind):
     defined = set()
     for path in SRC.glob("*.py"):
         module = importlib.import_module(f"lafte.{path.stem}" if path.stem != "__init__"
                                          else "lafte")
         defined |= {name for name, obj in vars(module).items()
-                    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    if isinstance(obj, type) and kind(obj)
                     and obj.__module__ == module.__name__}
-    assert defined == DATACLASSES
+    return defined
+
+
+def test_dataclasses_are_pinned():
+    assert _defined_classes(dataclasses.is_dataclass) == DATACLASSES
+
+
+def test_records_are_pinned():
+    assert _defined_classes(lambda cls: issubclass(cls, tuple)
+                            and hasattr(cls, "_fields")) == RECORDS

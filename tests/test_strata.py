@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -297,8 +296,8 @@ def _whole_array_draw(spec, n, seed):
     return z, d1, d2, y
 
 
-_NOISELESS_SPEC = dataclasses.replace(_PINNED_SPEC, strata=tuple(
-    dataclasses.replace(s, y_sd=0.0) for s in _PINNED_SPEC.strata))
+_NOISELESS_SPEC = _PINNED_SPEC._replace(strata=tuple(
+    s._replace(y_sd=0.0) for s in _PINNED_SPEC.strata))
 
 
 @pytest.mark.parametrize("spec", [_PINNED_SPEC, _NOISELESS_SPEC], ids=["noisy", "noiseless"])
@@ -376,7 +375,7 @@ def test_spec_roundtrip(tmp_path, s2):
     path = tmp_path / "spec.yaml"
     save_spec(s2, path)
     back = load_spec(path)
-    assert back == s2  # frozen dataclasses compare by value
+    assert back == s2  # records compare by value
 
 
 def test_random_spec_roundtrip(tmp_path):

@@ -69,11 +69,11 @@ def test_the_exact_range_needs_no_repr(monkeypatch):
     inside = np.nextafter([_text.LEAST, _text.BOUND, -_text.LEAST, -_text.BOUND],
                           [1.0, 0.0, -1.0, 0.0])
     values = np.concatenate([inside, [_text.LEAST, -_text.LEAST, 1.0, -2.5, 0.5, -3.75, 1.0,
-                                      -2.0, 1200.0, 123.456, 1e15, 2.0**53 + 2]])
+                                      -2.0, 1200.0, 123.456, 1e15, 2.0**53 + 2, 0.0, -0.0]])
     _assert_reprs(values)
     assert calls == []
-    # Zeros, and every e-XX and e+XX text.
-    outside = [0.0, _text.BOUND, 1e-11, 1e-5, 1e17, -2.5e-7, 4e-9, 2.5e17, -1e16, 2.0**56,
+    # Every e-XX and e+XX text.
+    outside = [_text.BOUND, 1e-11, 1e-5, 1e17, -2.5e-7, 4e-9, 2.5e17, -1e16, 2.0**56,
                9.99e17, 12345678901234567.0]
     _assert_reprs(outside + [1.0])
     assert calls == outside
