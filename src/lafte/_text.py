@@ -3,13 +3,12 @@
 A :class:`Kernel` writes, for each value of a pass, the UTF-8 bytes of
 ``repr(float(value))`` right-aligned in a row of three little-endian
 uint64 words, after bytes 0xFF (which no UTF-8 text holds), and returns
-their lengths; :func:`reprs` gives them for any number of values. On a
-little-endian machine, it computes them with whole-array integer
-arithmetic for ``LEAST <= |x| < BOUND``, the magnitudes that ``repr``
-writes in fixed notation, and from a table for the two zeros. ``repr``
-writes every other value (subnormals, NaN, the infinities, every ``e-XX``
-and ``e+XX`` text, and all of them on a big-endian machine), on those
-values only.
+their lengths. On a little-endian machine, it computes them with
+whole-array integer arithmetic for ``LEAST <= |x| < BOUND``, the
+magnitudes that ``repr`` writes in fixed notation, and from a table for
+the two zeros. ``repr`` writes every other value (subnormals, NaN, the
+infinities, every ``e-XX`` and ``e+XX`` text, and all of them on a
+big-endian machine), on those values only.
 
 The digits are ``repr``'s: the shortest decimal that reads back as the
 value, and of two such, the nearest, ties to even. They are found as
@@ -278,17 +277,3 @@ def _place(numbers: np.ndarray, groups: np.ndarray, marks: np.ndarray, words: np
     for word in range(3):
         np.bitwise_xor(groups[4 - 2 * word], marks[2 - word], out=words[:, word])
 
-
-def reprs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of ``repr`` of each float64 of ``values``, right-aligned in
-    an ``(n, WIDTH)`` uint8 array, and their lengths (uint8). Exact for
-    ``LEAST <= |x| < BOUND`` and the zeros on a little-endian machine;
-    ``repr`` writes the other values."""
-    values = np.ascontiguousarray(values, dtype=float)
-    words = np.empty((values.size, 3), np.uint64)
-    lengths = np.empty(values.size, np.uint8)
-    kernel = Kernel()
-    for start in range(0, values.size, _PASS):
-        part = slice(start, start + _PASS)
-        lengths[part] = kernel(values[part], words[part])
-    return words.view(np.uint8), lengths

@@ -288,21 +288,32 @@ def _label_missing(label) -> bool:
     return label is None or label != label or str(label).strip() == ""  # NaN: unequal to itself
 
 
-def _ranks(distinct: list) -> np.ndarray:
-    """The place of each of the ``distinct`` labels in their sorted order;
-    TypeError if they do not order."""
-    ranks = np.empty(len(distinct), np.int64)
-    ranks[sorted(range(len(distinct)), key=distinct.__getitem__)] = np.arange(len(distinct))
-    return ranks
+def _numbers(labels, size: int, numbers: dict) -> np.ndarray:
+    """The number of each of the ``size`` labels ``labels`` in ``numbers``,
+    which numbers each new one as it is met; TypeError for a label that is
+    not hashable."""
+    return np.fromiter((numbers.setdefault(label, len(numbers)) for label in labels),
+                       np.int64, size)
+
+
+def _sorted_codes(met: list, codes: np.ndarray) -> tuple[np.ndarray, list]:
+    """``codes``, the :func:`_numbers` of labels, each a place in ``met``
+    (the distinct labels, as they were met), recoded to their places in the
+    sorted labels, and those labels, sorting only them; TypeError if they
+    do not order."""
+    order = sorted(range(len(met)), key=met.__getitem__)
+    places = np.empty(len(met), np.int64)
+    places[order] = np.arange(len(met))
+    return places[codes], [met[i] for i in order]
 
 
 def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
     """The cluster label rule of :func:`from_arrays` and of ``regression.ols``:
-    each row's code 0..G-1 in sorted-label order, and G, sorting only the
-    distinct labels (:func:`_ranks`). Dense integer codes (an integer array
-    using each of 0..G-1) pass through. A None, NaN or blank label is
-    missing: ``error`` names its first row. Labels that are not one per row,
-    not hashable or do not order raise ``error`` too.
+    each row's code 0..G-1 in sorted-label order, and G, as a load codes
+    its labels (:func:`_numbers`, :func:`_sorted_codes`). Dense integer
+    codes (an integer array using each of 0..G-1) pass through. A None, NaN
+    or blank label is missing: ``error`` names its first row. Labels that
+    are not one per row, not hashable or do not order raise ``error`` too.
     """
     if not isinstance(labels, np.ndarray):
         labels = np.array(labels, dtype=object)
@@ -311,22 +322,21 @@ def _label_codes(labels, error: type[Exception]) -> tuple[np.ndarray, int]:
     if (labels.dtype.kind == "i" and labels.size and labels.min() >= 0
             and labels.max() < labels.size and np.bincount(labels).all()):
         return labels, int(labels.max()) + 1
+    numbers: dict = {}
     try:
-        distinct = list(dict.fromkeys(labels))
+        codes = _numbers(labels, len(labels), numbers)
     except TypeError:
         kinds = sorted({type(label).__name__ for label in labels})
         raise error(f"cluster labels must be hashable, such as strings or numbers; "
                     f"got {', '.join(kinds)}") from None
-    if any(map(_label_missing, distinct)):
+    if any(map(_label_missing, numbers)):
         row = next(i for i, label in enumerate(labels) if _label_missing(label))
         raise error(f"missing cluster label at row {row}")
     try:
-        ranks = _ranks(distinct)
+        return _sorted_codes(list(numbers), codes)[0], len(numbers)
     except TypeError:
-        kinds = sorted({type(label).__name__ for label in distinct})
+        kinds = sorted({type(label).__name__ for label in numbers})
         raise error(f"cluster labels of types {', '.join(kinds)} cannot be ordered") from None
-    index = dict(zip(distinct, ranks.tolist()))
-    return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), len(distinct)
 
 
 def from_arrays(z, d1, d2, y, *, controls=None, control_names=(),
@@ -563,8 +573,7 @@ def _parse_columns(columns: list[list[str]], kinds, fields, labels: dict[str, in
     Returns the values of each mapped column over the kept rows (None when a
     kept token does not parse) and the mask of rows dropped for a missing
     value. Rows whose every field (``fields(i)``) is blank are neither kept
-    nor dropped. A cluster label is parsed to its index in ``labels``, which
-    numbers each new one as it is met.
+    nor dropped. A cluster label is parsed to its :func:`_numbers` in ``labels``.
     """
     floats = [_floats(col) if kind == "float" else None for col, kind in zip(columns, kinds)]
     missing = np.logical_or.reduce([_missing(col, v) for col, v in zip(columns, floats)])
@@ -579,8 +588,7 @@ def _parse_columns(columns: list[list[str]], kinds, fields, labels: dict[str, in
         if kind == "float":
             column = _floats(col) if v is None else v
         elif kind == "cluster":
-            column = np.fromiter((labels.setdefault(s, len(labels)) for s in map(str.strip, col)),
-                                 np.int64, len(col))
+            column = _numbers(map(str.strip, col), len(col), labels)
         else:
             column = _binary(col)
         if column is None:
@@ -781,7 +789,7 @@ def _collect(tokens: _Tokens, size: int, path, cols, kinds, on_missing: str):
     first bad token of a kept row. The labels of a cluster column are
     numbered as they are met, then sorted (a parsed label is a stripped,
     non-blank string, so it is never missing and always orders), and the
-    rows recoded to their sorted places.
+    rows recoded to their sorted places (:func:`_sorted_codes`).
     """
     header, chunks, position = tokens
     if header is None:
@@ -828,13 +836,10 @@ def _collect(tokens: _Tokens, size: int, path, cols, kinds, on_missing: str):
         column.resize(kept, refcheck=False)  # in place: the array is not copied
     if "cluster" not in kinds:
         return columns, dropped, []
-    distinct = list(labels)
-    del labels  # its table, before the codes are sorted
-    ranks = _ranks(distinct)
-    columns[-1] = ranks[columns[-1]]
-    ordered = np.empty(len(distinct), object)
-    ordered[ranks] = distinct
-    return columns, dropped, ordered.tolist()
+    met = list(labels)
+    del labels  # its table, before the labels are sorted
+    columns[-1], distinct = _sorted_codes(met, columns[-1])
+    return columns, dropped, distinct
 
 
 def _identity(info: os.stat_result) -> tuple[int, ...]:
@@ -947,13 +952,16 @@ def _cache_keep(path: str, header, arrays: list[np.ndarray]) -> bool:
     ``path`` in the cache directory, through a temporary file that replaces
     it whole, then removes the oldest files while the directory holds more
     than ``_CACHE_CAP`` bytes. Whether it was kept: nothing is, if anything
-    fails."""
+    fails, nor is anything removed for a file that alone would pass the cap."""
+    line = json.dumps(header).encode() + b"\n"
+    if len(line) + sum(array.nbytes for array in arrays) > _CACHE_CAP:
+        return False
     directory = os.path.dirname(path)
     temporary = None
     try:
         handle, temporary = tempfile.mkstemp(dir=directory)
         with open(handle, "wb") as out:
-            out.write(json.dumps(header).encode() + b"\n")
+            out.write(line)
             for array in arrays:
                 out.write(np.ascontiguousarray(array).data)
         os.replace(temporary, path)
@@ -977,18 +985,6 @@ def _cache_keep(path: str, header, arrays: list[np.ndarray]) -> bool:
     return True
 
 
-class _Labels(NamedTuple):
-    """The cluster field of each row, as :func:`_write_rows` takes it: each
-    row's ``codes`` into the distinct texts; each text's ``csv.writer``
-    field after the delimiter, UTF-8, in ``fields`` and its length in
-    ``lengths``; and ``total``, the bytes of every row's field."""
-
-    codes: np.ndarray
-    fields: list[bytes]
-    lengths: np.ndarray
-    total: int
-
-
 def _csv_fields(values: list[str], delimiter: str) -> list[str]:
     """Each of the distinct strings ``values`` as ``csv.writer`` writes it in a field."""
     buffer = io.StringIO()
@@ -1005,11 +1001,12 @@ def _csv_fields(values: list[str], delimiter: str) -> list[str]:
     return fields
 
 
-def _labels(table: ObservationTable, delimiter: str, path) -> _Labels:
-    """The cluster fields of ``table``: one text per cluster, the ``str`` of
-    its label on its first row, quoted and encoded once; each row's
-    ``cluster_codes`` gathers its field. DataError, writing nothing, for
-    texts that :func:`load_table` would not read as their clusters."""
+def _labels(table: ObservationTable, delimiter: str, path) -> list[bytes]:
+    """The cluster fields of ``table``, in code order: one text per cluster,
+    the ``str`` of its label on its first row, as ``csv.writer`` writes it
+    after the delimiter, UTF-8; each row's ``cluster_codes`` gathers its
+    field. DataError, writing nothing, for texts that :func:`load_table`
+    would not read as their clusters."""
     texts = [str(label) for label in
              table.cluster[np.unique(table.cluster_codes, return_index=True)[1]]]
     keys = [text.strip() for text in texts]
@@ -1019,10 +1016,7 @@ def _labels(table: ObservationTable, delimiter: str, path) -> _Labels:
     if refused:
         raise DataError(f"cluster labels {refused} are alike once stripped or read as missing, "
                         f"as load_table reads them; nothing is written to {path}")
-    fields = [(delimiter + field).encode() for field in _csv_fields(texts, delimiter)]
-    lengths = np.fromiter(map(len, fields), np.int64, len(fields))
-    total = int(np.bincount(table.cluster_codes, minlength=lengths.size) @ lengths)
-    return _Labels(table.cluster_codes, fields, lengths, total)
+    return [(delimiter + field).encode() for field in _csv_fields(texts, delimiter)]
 
 
 def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
@@ -1044,10 +1038,10 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     non-finite values and every ``e±XX`` text), on those values only. Each
     cluster's text is quoted and encoded once, and each row's is gathered by
     its ``cluster_codes`` (:func:`_labels`), so a label costs its own
-    length, however long the others are. A 1e6-row draw is written in about 0.16 s (2-vCPU machine,
-    median of 15 fresh processes; 0.32 s with the kernel before, 1.0 s with
-    ``repr`` and a row join). Only :func:`_write_rows` imports
-    ``lafte._text``, so that a command that writes no table never compiles it.
+    length, however long the others are. A 1e6-row draw is written in
+    about 0.16 s (2-vCPU machine, median of 15 fresh processes). Only
+    :func:`_write_rows` imports ``lafte._text``, so that a command that
+    writes no table never compiles it.
 
     Raises
     ------
@@ -1084,7 +1078,7 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
 
 
 def _write_rows(handle: BinaryIO, table: ObservationTable, delimiter: str,
-                labels: _Labels | None) -> None:
+                labels: list[bytes] | None) -> None:
     """Writes the rows of ``table`` to the binary file ``handle``, a pass
     of ``lafte._text`` at a time (at most ``_CHUNK_ROWS``), or fewer rows
     where a block would pass ``_BLOCK_BYTES``. Each row starts with the
@@ -1096,7 +1090,7 @@ def _write_rows(handle: BinaryIO, table: ObservationTable, delimiter: str,
     place, with a word holding the delimiter between two reals. Each byte
     that is no part of the text is 0xFF, which no UTF-8 text holds, and
     the block is written without those bytes. A table with clusters has
-    each row's field from ``labels``, after its delimiter, follow the rest
+    each row's field, ``labels`` at its ``cluster_codes``, follow the rest
     of the row in the block's bytes.
     """
     from . import _text
@@ -1113,7 +1107,10 @@ def _write_rows(handle: BinaryIO, table: ObservationTable, delimiter: str,
     fields = [head + j * (slot + 1) for j in range(len(reals))]
     width = fields[-1] + slot
     # The bytes of a row: its matrix row and, on average, its label field.
-    row_bytes = 8 * width + (0 if labels is None else labels.total // max(table.n, 1))
+    row_bytes = 8 * width
+    if labels is not None:
+        lengths = np.fromiter(map(len, labels), np.int64, len(labels))
+        row_bytes += int(np.bincount(table.cluster_codes) @ lengths) // max(table.n, 1)
     step = max(1, min(_CHUNK_ROWS, _text._PASS, _BLOCK_BYTES // row_bytes, table.n))
     block = np.empty((step, width), np.uint64)
     block[:, [at - 1 for at in fields[1:]]] = np.frombuffer(encoded.rjust(8, pad), np.uint64)
@@ -1130,12 +1127,12 @@ def _write_rows(handle: BinaryIO, table: ObservationTable, delimiter: str,
         if labels is None:
             handle.write(text)
             continue
-        codes = labels.codes[rows]
+        codes = table.cluster_codes[rows]
         # The bytes of the block alternate: a row's kept bytes, then its field.
-        parts = np.column_stack([kept_bytes, labels.lengths[codes]]).ravel()
+        parts = np.column_stack([kept_bytes, lengths[codes]]).ravel()
         from_matrix = np.repeat(np.arange(parts.size) % 2 == 0, parts)
         out = np.empty(from_matrix.size, np.uint8)
         out[from_matrix] = np.frombuffer(text, np.uint8)
-        out[~from_matrix] = np.frombuffer(b"".join(map(labels.fields.__getitem__,
-                                                       codes.tolist())), np.uint8)
+        out[~from_matrix] = np.frombuffer(b"".join(map(labels.__getitem__, codes.tolist())),
+                                          np.uint8)
         handle.write(out)

@@ -72,12 +72,6 @@ class FitResult(NamedTuple):
         """Whether every response is one constant: the covariance is then zero."""
         return bool(self.response_min.min() == self.response_max.max())
 
-    def se(self, j: int) -> float | None:
-        """Standard error of coefficient ``j``; None when the regressand was constant."""
-        if self.response_constant:
-            return None
-        return float(np.sqrt(max(self.vcov[j, j], 0.0)))
-
 
 class TestResult(NamedTuple):
     """Outcome of a hypothesis test."""

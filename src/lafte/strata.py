@@ -68,34 +68,18 @@ FIRST_STAGE_GROUPS = {
     TreatmentDef.EITHER: ("C1C2", "C1N2", "N1C2"),
 }
 
+# The two mover types, each a pair of complier groups: dropouts, then late-adopters.
+MOVER_TYPES = (("C1N2", "A1C2"), ("C1A2", "N1C2"))
+
 # Per-definition homogeneity conditions under which the IV estimand equals
 # the full-treatment effect for the definition's complier groups: for each
-# mover group, the full effect must equal the listed effect.
+# group of a mover type, the full effect must equal that type's listed
+# effect, in the order of ``MOVER_TYPES``.
 HOMOGENEITY_CONDITIONS = {
-    TreatmentDef.FIRST: (
-        ("C1N2", ((1, 0), (0, 0))),
-        ("C1A2", ((1, 1), (0, 1))),
-        ("N1C2", ((1, 1), (0, 1))),
-        ("A1C2", ((1, 0), (0, 0))),
-    ),
-    TreatmentDef.SECOND: (
-        ("C1N2", ((1, 1), (1, 0))),
-        ("C1A2", ((0, 1), (0, 0))),
-        ("N1C2", ((0, 1), (0, 0))),
-        ("A1C2", ((1, 1), (1, 0))),
-    ),
-    TreatmentDef.BOTH: (
-        ("C1N2", ((1, 1), (1, 0))),
-        ("C1A2", ((1, 1), (0, 1))),
-        ("N1C2", ((1, 1), (0, 1))),
-        ("A1C2", ((1, 1), (1, 0))),
-    ),
-    TreatmentDef.EITHER: (
-        ("C1N2", ((1, 0), (0, 0))),
-        ("C1A2", ((0, 1), (0, 0))),
-        ("N1C2", ((0, 1), (0, 0))),
-        ("A1C2", ((1, 0), (0, 0))),
-    ),
+    TreatmentDef.FIRST: (((1, 0), (0, 0)), ((1, 1), (0, 1))),
+    TreatmentDef.SECOND: (((1, 1), (1, 0)), ((0, 1), (0, 0))),
+    TreatmentDef.BOTH: (((1, 1), (1, 0)), ((1, 1), (0, 1))),
+    TreatmentDef.EITHER: (((1, 0), (0, 0)), ((0, 1), (0, 0))),
 }
 
 # Templates for the named response groups: (d1_at, d2_at) with
@@ -282,7 +266,7 @@ def validate_spec(spec: PopulationSpec) -> AssumptionAudit:
                 "response depends on z")
 
     probs_by_group = group_probs(spec)
-    movers = sum(probs_by_group[g] for g in ("C1N2", "C1A2", "N1C2", "A1C2"))
+    movers = sum(probs_by_group[g] for groups in MOVER_TYPES for g in groups)
     structural_de = all(not s.z_dependent for s in spec.strata)
 
     def mean(group, cell):
@@ -305,7 +289,9 @@ def validate_spec(spec: PopulationSpec) -> AssumptionAudit:
         full = group_effect(spec, group, FULL_EFFECT)
         return full is None or close(full, group_effect(spec, group, cells))
 
-    homogeneity = {definition.value: all(homogeneous(*c) for c in conditions)
+    homogeneity = {definition.value: all(homogeneous(group, cells)
+                                         for groups, cells in zip(MOVER_TYPES, conditions)
+                                         for group in groups)
                    for definition, conditions in HOMOGENEITY_CONDITIONS.items()}
 
     moments = analytic_moments(spec)

@@ -385,6 +385,24 @@ def test_eviction_keeps_the_directory_under_the_cap(tmp_path, cache, monkeypatch
     assert _entries(cache) == sorted([names[paths[3]], names[paths[0]]])
 
 
+def test_an_entry_past_the_cap_is_not_kept_and_evicts_nothing(tmp_path, cache, monkeypatch):
+    # The cap holds one small entry and 100 kB; the columns of 20000
+    # household rows pass it. They are not kept, the small entry is not
+    # evicted for them, and the table, with no entry, is the parse's.
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    _households(small)
+    _households(large, n=20_000)
+    load_table(small, _HOUSEHOLDS)
+    (first,) = _entries(cache)
+    monkeypatch.setattr(data, "_CACHE_CAP", os.path.getsize(cache / first) + 100_000)
+    table = load_table(large, _HOUSEHOLDS)
+    assert _entries(cache) == [first]
+    assert "_entry" not in table.__dict__
+    _assert_identical_tables(table, _parsed(large, _HOUSEHOLDS))
+    estimands._table_fit(table)  # nor is its fit kept
+    assert _entries(cache) == [first]
+
+
 def test_a_pipe_and_a_small_file_keep_no_entry(tmp_path, monkeypatch):
     # At the real floor of 2 MiB: a file that large keeps its columns, a file
     # one line shorter, or the same bytes through a pipe, does not.

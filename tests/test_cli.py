@@ -895,3 +895,70 @@ def test_quoted_or_bool_numbers_still_rejected(tmp_path, fix8_path, capsys, docu
     exit_code, out, err = run(argv, capsys)
     assert exit_code == code
     assert "must be a number" in err and out == ""
+
+
+def _household_table(rng, n):
+    """Rows in households of 2-6 with two controls: the instrument and the
+    second control per household, the treatments, the first control and a
+    noise term per person, and an outcome shock shared by a household."""
+    household = np.repeat(np.arange(n), rng.integers(2, 7, n))[:n]
+    households = household[-1] + 1
+    z = rng.integers(0, 2, households)[household]
+    d1 = (rng.random(n) < 0.3 + 0.4 * z).astype(int)
+    d2 = (rng.random(n) < 0.2 + 0.3 * z + 0.2 * d1).astype(int)
+    x1 = rng.standard_normal(n)
+    x2 = rng.integers(-1, 2, households)[household].astype(float)
+    y = (d1 & d2) + 0.5 * d1 + 0.5 * x1 + 0.3 * x2 + 0.5 * rng.standard_normal(households)[
+        household] + rng.standard_normal(n)
+    return z, d1, d2, y, np.column_stack([x1, x2]), household
+
+
+def _assert_leaves_close(new, ref, path="document"):
+    """Every float leaf within 1e-12 * max(1, |a|, |b|), every other leaf equal."""
+    if isinstance(ref, dict):
+        assert new.keys() == ref.keys(), path
+        for key in ref:
+            _assert_leaves_close(new[key], ref[key], f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert len(new) == len(ref), path
+        for i, (a, b) in enumerate(zip(new, ref)):
+            _assert_leaves_close(a, b, f"{path}[{i}]")
+    elif isinstance(ref, float) and isinstance(new, float):
+        assert abs(new - ref) <= 1e-12 * max(1.0, abs(new), abs(ref)), (path, new, ref)
+    else:
+        assert new == ref, (path, new, ref)
+
+
+def test_the_documents_do_not_move_with_cluster_names_row_order_or_control_origins(
+        tmp_path, capsys):
+    # estimate, diagnose and bounds on 20000 household rows, and on the same
+    # rows with the clusters renamed in reverse order, with the rows
+    # permuted, and with x1 -> 3 + 2 x1 and x2 -> 1e4 + x2: every field but
+    # the metadata agrees to 1e-12.
+    rng = np.random.default_rng(19)
+    z, d1, d2, y, controls, household = _household_table(rng, 20_000)
+    order = rng.permutation(z.size)
+    last = household.max()
+    variants = {
+        "table": (z, d1, d2, y, controls, household),
+        "renamed": (z, d1, d2, y, controls, last - household),
+        "permuted": tuple(column[order] for column in (z, d1, d2, y, controls, household)),
+        "shifted": (z, d1, d2, y, np.column_stack([3 + 2 * controls[:, 0],
+                                                   1e4 + controls[:, 1]]), household),
+    }
+    documents = {}
+    for name, (z_, d1_, d2_, y_, controls_, household_) in variants.items():
+        path = tmp_path / f"{name}.csv"
+        labels = np.array([f"hh{h:06d}" for h in household_.tolist()], dtype=object)
+        save_table(from_arrays(z_, d1_, d2_, y_, controls=controls_, control_names=("x1", "x2"),
+                               cluster=labels), path)
+        for command in ("estimate", "diagnose", "bounds"):
+            code, out, _ = run([command, "--data", str(path), "--controls", "x1,x2",
+                                "--cluster", "cluster", "--format", "structured"], capsys)
+            assert code == 0, (name, command)
+            documents[name, command] = json.loads(out)
+            del documents[name, command]["metadata"]
+    for name in ("renamed", "permuted", "shifted"):
+        for command in ("estimate", "diagnose", "bounds"):
+            _assert_leaves_close(documents[name, command], documents["table", command],
+                                 f"{name} {command}")

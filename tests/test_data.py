@@ -917,7 +917,7 @@ def test_one_cluster_of_many_labels_reloads_as_one_cluster(tmp_path):
     back = _reload(tmp_path / "t.csv", table)
     assert table.cluster_count == back.cluster_count == 21
     assert _same_clusters(back.cluster_codes, table.cluster_codes)
-    first, again = (slopes(t, [("d1", None)]).se(0) for t in (table, back))
+    first, again = (np.sqrt(slopes(t, [("d1", None)]).vcov[0, 0]) for t in (table, back))
     assert again == pytest.approx(first, rel=1e-12, abs=0)
 
 

@@ -24,7 +24,7 @@ from lafte import (
 from lafte.data import RESPONSES, DerivedColumns
 
 from conftest import random_table
-from test_regression import oracle_stacked_iv
+from test_regression import _se, oracle_stacked_iv
 
 SRC = Path(lafte.__file__).resolve().parent
 
@@ -82,13 +82,13 @@ def test_single_equation_equals_ols_and_the_oracle(controls, cluster):
     for d in TreatmentDef:
         fs = slopes(t, [(d.value, None)])
         ref = ols(columns.column(d.value), w, t.cluster_codes)
-        np.testing.assert_allclose([fs.coefficients[0], fs.se(0)],
-                                   [ref.coefficients[1], ref.se(1)], rtol=REL, atol=0)
+        np.testing.assert_allclose([fs.coefficients[0], _se(fs, 0)],
+                                   [ref.coefficients[1], _se(ref, 1)], rtol=REL, atol=0)
         assert (fs.k, fs.cluster_count) == (1, ref.cluster_count)
 
         iv = slopes(t, [("y", d.value)])
         meta, coefficients, vcov = _stacked_reference(t, [("y", d.value)])
-        np.testing.assert_allclose([iv.coefficients[0], iv.se(0)],
+        np.testing.assert_allclose([iv.coefficients[0], _se(iv, 0)],
                                    [coefficients[0], np.sqrt(vcov[0, 0])], rtol=REL, atol=0)
         assert (iv.k, iv.cluster_count) == (1, meta[3])
 
@@ -304,7 +304,7 @@ def test_request_degenerate_only_when_all_its_responses_are_one_constant():
     t = _no_movers_table()
     for equations in ([("g_or", None)], [("g_or", "d1")], [("g_or", None), ("g_or", "d2")]):
         fit = slopes(t, equations)
-        assert fit.response_constant and fit.se(0) is None
+        assert fit.response_constant and _se(fit, 0) is None
         assert np.array_equal(fit.coefficients, np.zeros(len(equations)))
         assert np.array_equal(fit.vcov, np.zeros((len(equations),) * 2))
         assert (fit.n, fit.k, fit.cluster_count) == (len(equations) * t.n, len(equations), 40)
@@ -437,7 +437,7 @@ RECORDS = {
     "AssumptionAudit", "BoundsResult", "CheckResult", "Column", "ComplierShares",
     "ContrastPair", "DecompositionTerm", "DerivedColumns", "EstimateWithSE", "FitResult",
     "MoverTestReport", "PopulationSpec", "SignCheckReport", "Stratum", "TestResult",
-    "TrueParams", "VerificationReport", "_Chunk", "_Labels", "_Tokens",
+    "TrueParams", "VerificationReport", "_Chunk", "_Tokens",
 }
 
 

@@ -1,4 +1,4 @@
-"""The float text kernel: ``lafte._text.reprs`` gives the bytes of ``repr``."""
+"""The float text kernel: ``lafte._text.Kernel`` writes the bytes of ``repr``."""
 
 import os
 import subprocess
@@ -15,10 +15,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _assert_reprs(values):
-    """The kernel's bytes of each of ``values`` are those of ``repr``: all
-    of them joined, and each one's length."""
-    values = np.asarray(values, dtype=float)
-    slots, lengths = _text.reprs(values)
+    """The kernel's bytes of each of ``values``, written a pass at a time,
+    are those of ``repr``: all of them joined, and each one's length."""
+    values = np.ascontiguousarray(values, dtype=float)
+    words = np.empty((values.size, 3), np.uint64)
+    lengths = np.empty(values.size, np.int64)
+    kernel = _text.Kernel()
+    for start in range(0, values.size, _text._PASS):
+        part = slice(start, start + _text._PASS)
+        lengths[part] = kernel(values[part], words[part])
+    slots = words.view(np.uint8)
     texts = list(map(repr, values.tolist()))
     kept = np.arange(_text.WIDTH) >= _text.WIDTH - lengths[:, None]
     if (slots[kept].tobytes() != "".join(texts).encode()

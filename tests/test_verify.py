@@ -89,9 +89,11 @@ def _spec_satisfying_homogeneity(definition, rng):
     """One stratum per complier group, cell means projected so that the
     definition's homogeneity conditions hold: each condition reduces to a
     single cell equality (m11=m10, m00=m01, m00=m10, or m11=m01)."""
-    from lafte.strata import HOMOGENEITY_CONDITIONS
+    from lafte.strata import HOMOGENEITY_CONDITIONS, MOVER_TYPES
 
-    conditions = dict(HOMOGENEITY_CONDITIONS[definition])
+    conditions = {group: cells for groups, cells in zip(MOVER_TYPES,
+                                                          HOMOGENEITY_CONDITIONS[definition])
+                  for group in groups}
     strata = []
     groups = ("C1C2", "C1N2", "C1A2", "N1C2", "A1C2")
     probs = (0.4, 0.15, 0.15, 0.15, 0.15)
