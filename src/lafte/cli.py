@@ -16,7 +16,8 @@ Subcommands::
 
 The run configuration lives in a YAML file (``--config``). A flag sets its
 config key (``--data`` sets ``input``) by that key's rules, after the file,
-so an empty flag value sets its key as it does in the file. Output is plain
+so an empty flag value sets its key as it does in the file; the settings
+read make one immutable :class:`RunConfig`. Output is plain
 text (``--format text``, default) or the machine-readable JSON document
 (``--format structured``); ``--out`` additionally writes the JSON document
 to a file. The same config, inputs, and seed produce a byte-identical JSON
@@ -31,10 +32,10 @@ bytes and columns parse the file and fit the table once between them; each
 still reads it once, to hash it. The output does not depend on the cache.
 PyYAML is imported only by a command that reads a config or spec file.
 
-Exit codes: 0 success, 1 usage/config error or an output that cannot be
-written (``--out``, or a closed stdout), 2 data or spec validation
-error, 3 estimation failure (for example a relevance failure, whose message
-names the failing treatment definition).
+Exit codes: 0 success, 1 usage/config error, an output that is the input
+file, or one that cannot be written (``--out``, or a closed stdout), 2 data
+or spec validation error, 3 estimation failure (for example a relevance
+failure, whose message names the failing treatment definition).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ import numbers
 import os
 import re
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from contextlib import contextmanager, suppress
+from typing import NamedTuple
 
 from . import __version__
 from .bounds import lafte_bounds, lafte_bounds_bounded_response, tau_bounds
@@ -85,8 +86,7 @@ from .strata import (
 from .verify import verify_identities
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved settings for one run; validated before any computation."""
 
     command: str
@@ -104,15 +104,12 @@ class RunConfig:
     n: int = 10000
     missing: str = "drop"
 
-    def resolved(self) -> dict:
-        """Every setting but ``out`` and ``format``: where a report is written
-        and how stdout shows it do not change it."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("out", "format")}
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.resolved(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        """The sha256 of every setting but ``out`` and ``format``: where a
+        report is written and how stdout shows it do not change it."""
+        settings = self._asdict()
+        del settings["out"], settings["format"]
+        return hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
 
     def metadata(self) -> dict:
         return {"version": __version__, "seed": self.seed,
@@ -128,7 +125,7 @@ class RunConfig:
 
 
 # Keys of a config file: every setting but the subcommand.
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+_CONFIG_KEYS = set(RunConfig._fields) - {"command"}
 
 
 def _load_config_file(path) -> dict:
@@ -151,9 +148,10 @@ def _text(key: str, value) -> str:
     return str(value)
 
 
-def _read_settings(config: RunConfig, settings: dict) -> None:
-    """Set on ``config`` each setting of a config file, or of the flags
-    given, by the rules of its key."""
+def _read_settings(settings: dict) -> dict:
+    """Each setting of a config file, or of the flags given, read by the
+    rules of its key; a setting that is None is left out."""
+    read = {}
     if "mapping" in settings:
         mapping = settings["mapping"]
         if not isinstance(mapping, dict):
@@ -161,10 +159,10 @@ def _read_settings(config: RunConfig, settings: dict) -> None:
         unknown = set(mapping) - set(DEFAULT_MAPPING)
         if unknown:
             raise ConfigError(f"unknown mapping keys: {sorted(unknown, key=str)}")
-        config.mapping = {k: _text(f"mapping.{k}", v) for k, v in mapping.items()}
+        read["mapping"] = {k: _text(f"mapping.{k}", v) for k, v in mapping.items()}
     for key in ("input", "cluster", "delimiter", "out", "format", "missing"):
         if settings.get(key) is not None:
-            setattr(config, key, _text(key, settings[key]))
+            read[key] = _text(key, settings[key])
     if settings.get("controls") is not None:
         controls = settings["controls"]
         if isinstance(controls, str):
@@ -172,7 +170,7 @@ def _read_settings(config: RunConfig, settings: dict) -> None:
         elif not isinstance(controls, list):
             raise ConfigError("config key 'controls' must be a list of column names "
                               "or a comma-separated string")
-        config.controls = [_text("controls", c) for c in controls]
+        read["controls"] = [_text("controls", c) for c in controls]
     # Numbers are read as YAML wrote them, never coerced: no bool, no string,
     # and no float where an integer is meant.
     for key, caster in (("level", float), ("ymin", float), ("ymax", float),
@@ -184,15 +182,19 @@ def _read_settings(config: RunConfig, settings: dict) -> None:
                       else (numbers.Real, "a number"))
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigError(f"config key '{key}' must be {noun}, got {value!r}")
-        setattr(config, key, caster(value))
+        read[key] = caster(value)
+    return read
 
 
 def build_config(command: str, args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=command)
-    if args.config:
-        _read_settings(config, _load_config_file(args.config))
-    _read_settings(config, {k: v for k, v in vars(args).items()
-                            if k not in ("command", "config") and v is not None})
+    """The settings of the config file, then of the flags; ``simulate``
+    writes its draw to ``simulated.csv`` unless ``out`` names a file."""
+    settings = _read_settings(_load_config_file(args.config)) if args.config else {}
+    settings.update(_read_settings({k: v for k, v in vars(args).items()
+                                    if k not in ("command", "config") and v is not None}))
+    if command == "simulate":
+        settings.setdefault("out", "simulated.csv")
+    config = RunConfig(command, **settings)
 
     _check_delimiter(config.delimiter, "config key 'delimiter'")
     if config.format not in ("text", "structured"):
@@ -210,6 +212,12 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config key '{key}' must be finite, got {value}")
     if config.input is None:
         raise ConfigError("no input file: set 'input' in the config or pass --data")
+    outputs = [config.out, config.out + ".truth.json"] if command == "simulate" else [config.out]
+    for path in filter(None, outputs):
+        with suppress(OSError):  # either file is absent: no output overwrites the input
+            if os.path.samefile(path, config.input):
+                raise ConfigError(f"output {path} is the input file {config.input}; "
+                                  "nothing is read or written")
     return config
 
 
@@ -302,35 +310,32 @@ def run_simulate(config: RunConfig) -> tuple[dict, list, str]:
     spec = load_spec(config.input)
     audit = validate_spec(spec)
     table = sample(spec, config.n, config.seed)
-    out = config.out or "simulated.csv"
-    with _writing(out):
-        save_table(table, out, delimiter=config.delimiter)
+    with _writing(config.out):
+        save_table(table, config.out, delimiter=config.delimiter)
 
-    params = true_parameters(spec)
+    params = as_dict(true_parameters(spec))
+    del params["beta_decomposition"]
     moments = analytic_moments(spec)
     truth = {
         "spec": spec_to_dict(spec),
         "audit": as_dict(audit),
-        "group_probs": params.group_probs,
-        "group_effects": params.group_effects,
-        "lafte_over_c": params.lafte_over_c,
-        "tau": params.tau,
+        **params,
         "moments": {
             "first_stage": {d.value: moments[d.value] for d in REPORT_ORDER},
             "reduced_form": moments["y"],
         },
     }
-    truth_path = out + ".truth.json"
+    truth_path = config.out + ".truth.json"
     with _writing(truth_path), open(truth_path, "w", encoding="utf-8") as handle:
         json.dump(truth, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
-    simulation = {"data_path": out, "truth_path": truth_path,
+    simulation = {"data_path": config.out, "truth_path": truth_path,
                   "n": config.n, "seed": config.seed, "truth": truth}
     return ({"simulation": simulation}, [],
-            f"wrote {config.n} rows to {out}\n"
+            f"wrote {config.n} rows to {config.out}\n"
             f"wrote true parameters to {truth_path}\n"
-            f"LAFTE over C = {params.lafte_over_c:.6g}, tau = {params.tau:.6g}")
+            f"LAFTE over C = {params['lafte_over_c']:.6g}, tau = {params['tau']:.6g}")
 
 
 def run_verify(config: RunConfig) -> tuple[dict, list, str]:
@@ -357,6 +362,19 @@ def _build_parser() -> _Parser:
         "mover diagnostics, partial-identification bounds, and a "
         "principal-strata simulation oracle."))
     parser.add_argument("--version", action="version", version=f"lafte {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="YAML run configuration (primary)")
+    common.add_argument("--data", dest="input", help="input path override (data file, "
+                        "or spec file for simulate/verify)")
+    common.add_argument("--cluster", help="cluster column override")
+    common.add_argument("--controls", help="comma-separated control columns")
+    common.add_argument("--level", type=float, help="significance level")
+    common.add_argument("--ymin", type=float, help="lower response bound")
+    common.add_argument("--ymax", type=float, help="upper response bound")
+    common.add_argument("--n", type=int, help="simulation sample size")
+    common.add_argument("--seed", type=int, help="random seed")
+    common.add_argument("--out", help="write the JSON report (or dataset) here")
+    common.add_argument("--format", choices=("text", "structured"), help="stdout format")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
             ("estimate", "first stages, IV estimands, and complier shares"),
@@ -364,20 +382,7 @@ def _build_parser() -> _Parser:
             ("bounds", "diagnostics banner plus all three bound pairs"),
             ("simulate", "draw a dataset from a population spec"),
             ("verify", "closed-form identity checks on a population spec")):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", help="YAML run configuration (primary)")
-        p.add_argument("--data", dest="input", help="input path override (data file, "
-                       "or spec file for simulate/verify)")
-        p.add_argument("--cluster", help="cluster column override")
-        p.add_argument("--controls", help="comma-separated control columns")
-        p.add_argument("--level", type=float, help="significance level")
-        p.add_argument("--ymin", type=float, help="lower response bound")
-        p.add_argument("--ymax", type=float, help="upper response bound")
-        p.add_argument("--n", type=int, help="simulation sample size")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--out", help="write the JSON report (or dataset) here")
-        p.add_argument("--format", choices=("text", "structured"),
-                       help="stdout format")
+        sub.add_parser(name, help=doc, parents=[common])
     return parser
 
 

@@ -43,6 +43,8 @@ built from them as from a parse.
 
 :func:`from_arrays` raises :class:`~lafte.exceptions.DataError` for a table
 that breaks an invariant; its message lists every finding, joined by "; ".
+A table is made once, whole, with its warnings and a name for each control
+(``x0``, ``x1``, ... where none is given, as :func:`save_table` heads it).
 
 ``cluster_codes`` holds each row's cluster label as an ``int64`` index into
 the sorted distinct labels (the inverse of ``np.unique(cluster)``), computed
@@ -60,8 +62,8 @@ rows at a time, with :meth:`DerivedColumns.of`, as it reads them. A table
 that :func:`load_table` read from the on-disk cache, or kept there, also
 remembers that entry, and ``estimands`` keeps its one fit on disk at
 ``<entry>.fit``, so that a later load of the same bytes is not fit again.
-A table made by :func:`from_arrays` or ``dataclasses.replace`` starts with
-an empty cache and no entry. Tables are safe to share across threads: two
+A table made by :func:`from_arrays`, or a copy with fields replaced, starts
+with an empty cache and no entry. Tables are safe to share across threads: two
 threads may compute the same cache entry at once, and both see equal
 values.
 """
@@ -79,7 +81,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice, product
 from operator import itemgetter
@@ -258,24 +260,23 @@ def _validate_arrays(z, d1, d2, y, controls, control_names, cluster) -> list[str
     return errors
 
 
-def _collect_warnings(table: ObservationTable) -> list[str]:
+def _collect_warnings(z, d1, d2, codes, count) -> list[str]:
     warnings: list[str] = []
-    treated = np.count_nonzero(table.z)
-    codes = table.cluster_codes
-    for arm, size in ((0, table.n - treated), (1, treated)):
+    treated = np.count_nonzero(z)
+    for arm, size in ((0, z.size - treated), (1, treated)):
         if size < 2:
             warnings.append(f"tiny instrument arm: only {size} row(s) with z={arm}")
         elif codes is not None:
             # W holds 1 and z, so an arm's residuals sum to 0: one cluster of them scores 0.
-            rows = table.z == arm  # a byte per row; the arm's codes would take 8
-            if codes.min(where=rows, initial=table.n) == codes.max(where=rows, initial=-1):
+            rows = z == arm  # a byte per row; the arm's codes would take 8
+            if not ((codes != codes[rows.argmax()]) & rows).any():
                 warnings.append(f"every row with z={arm} lies in one cluster: the cluster-"
                                 "robust standard errors leave out that arm's variation")
-    if table.cluster_count == table.n:
+    if count == z.size:
         warnings.append("every cluster is a singleton; clustering is equivalent to HC1")
     # A column of (d1, d2) alone is constant when it is over the occupied (d1, d2) cells.
-    cell = 2 * table.d1  # uint8, summed in place; np.bincount would copy it to int64
-    cell += table.d2
+    cell = 2 * d1  # uint8, summed in place; np.bincount would copy it to int64
+    cell += d2
     cells = np.array([c for c in range(4) if (cell == c).any()])
     derived = DerivedColumns.of(cells // 2, cells % 2, np.zeros(cells.size))
     for name in ("d_and", "d_or", "d_sum", "g_or", "g_and"):
@@ -346,8 +347,8 @@ def from_arrays(z, d1, d2, y, *, controls=None, control_names=(),
     The table stores copies: ``z``, ``d1`` and ``d2`` as ``uint8``, ``y`` and
     the controls as ``float64`` and the cluster labels as objects, all
     read-only, so the caller's arrays stay writeable and unshared.
-    ``control_names`` is empty or names each control column. A None, NaN or
-    blank cluster label is missing.
+    ``control_names`` is empty (the controls are then named ``x0``, ``x1``,
+    ...) or names each control column. A None, NaN or blank cluster label is missing.
 
     Raises
     ------
@@ -386,19 +387,14 @@ def _build_table(z, d1, d2, y, controls, control_names, cluster, codes, count, w
     if errors:
         raise DataError("; ".join(errors))
 
-    table = ObservationTable(
-        z=_freeze(z.astype(np.uint8, copy=copy)),
-        d1=_freeze(d1.astype(np.uint8, copy=copy)),
-        d2=_freeze(d2.astype(np.uint8, copy=copy)),
-        y=_freeze(y),
-        controls=_freeze(controls),
-        control_names=control_names,
+    z, d1, d2 = (_freeze(col.astype(np.uint8, copy=copy)) for col in (z, d1, d2))
+    codes = None if codes is None else _freeze(codes)
+    return ObservationTable(
+        z, d1, d2, _freeze(y), _freeze(controls),
+        control_names=control_names or tuple(f"x{j}" for j in range(controls.shape[1])),
         cluster=None if cluster is None else _freeze(cluster),
-        warnings=tuple(warnings),
-        cluster_codes=None if codes is None else _freeze(codes),
-        cluster_count=count,
-    )
-    return replace(table, warnings=table.warnings + tuple(_collect_warnings(table)))
+        warnings=(*warnings, *_collect_warnings(z, d1, d2, codes, count)),
+        cluster_codes=codes, cluster_count=count)
 
 
 def _check_delimiter(delimiter, name: str = "delimiter") -> None:
@@ -1027,8 +1023,8 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
     float format), so reloading reproduces every value bit-identically.
     Each cluster is written as one text, the ``str`` of its label on its
     first row (``1``, ``1.0`` and ``True`` are one cluster), quoted when it
-    contains the delimiter, a quote or a line break; lines end in CRLF. Control columns
-    without names are headed ``x0``, ``x1``, ... Rows are written a block
+    contains the delimiter, a quote or a line break; lines end in CRLF. Each
+    control column is headed by its name. Rows are written a block
     at a time, each block laid out as one array (:func:`_write_rows`).
 
     The text of each real is computed by ``lafte._text`` from the value's
@@ -1053,8 +1049,7 @@ def save_table(table: ObservationTable, path, *, delimiter: str = ",") -> None:
         surrogate); nothing is written.
     """
     _check_delimiter(delimiter)
-    names = ["z", "d1", "d2", "y"]
-    names += list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
+    names = ["z", "d1", "d2", "y", *table.control_names]
     names += ["cluster"] if table.cluster is not None else []
     stripped = [str(name).strip() for name in names]
     repeated = [name for i, name in enumerate(stripped) if name in stripped[:i]]

@@ -98,9 +98,9 @@ class ComplierShares(NamedTuple):
 def _table_fit(table: ObservationTable) -> FitResult:
     """The table's one fit, of all 13 columns on ``W``, which is built here a
     block of rows at a time, as the columns are: ``[1, z, controls - means]``,
-    named ``const``, ``z`` and the control names (or ``c0, c1, ...``). The
-    centring costs a control with a large mean no digits, and changes no
-    ``z`` slope or covariance. No ``n x 13`` array or ``n x k`` design is held.
+    named ``const``, ``z`` and the control names. The centring costs a
+    control with a large mean no digits, and changes no ``z`` slope or
+    covariance. No ``n x 13`` array or ``n x k`` design is held.
 
     A table that ``load_table`` read from its cache entry, or kept there,
     keeps this fit at ``<entry>.fit``: one fixed JSON line, then the
@@ -110,8 +110,7 @@ def _table_fit(table: ObservationTable) -> FitResult:
     place of fitting it again. A fit file that ``data._cache_read`` refuses
     is fit again and replaced; a fit that raises keeps nothing.
     """
-    names = ("const", "z", *(table.control_names
-                             or (f"c{j}" for j in range(table.controls.shape[1]))))
+    names = ("const", "z", *table.control_names)
 
     def fit():
         means = table.controls.mean(0)

@@ -411,6 +411,27 @@ def test_unwritable_report_exit_1(tmp_path, fix8_path, command, capsys):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("command, sidecar", [
+    ("estimate", False), ("diagnose", False), ("bounds", False), ("verify", False),
+    ("simulate", False), ("simulate", True)])
+def test_an_out_that_names_the_input_exit_1(tmp_path, fix8_path, capsys, command, sidecar):
+    # An --out that is the input file, however its path is spelled, or, for
+    # simulate, whose truth sidecar is, is refused before anything is read
+    # or written: the input keeps its bytes.
+    source = fix8_path
+    if command in ("simulate", "verify"):
+        source = tmp_path / ("d.csv.truth.json" if sidecar else "s2.yaml")
+        save_spec(s2_spec(), source)
+    before, files = source.read_bytes(), sorted(tmp_path.iterdir())
+    out = f"{tmp_path}/./{source.name}".removesuffix(".truth.json" if sidecar else "")
+    written = out + ".truth.json" if sidecar else out
+    code, stdout, err = run([command, "--data", str(source), "--out", out], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: output {written} is the input file {source}; "
+                   "nothing is read or written\n")
+    assert source.read_bytes() == before and sorted(tmp_path.iterdir()) == files
+
+
 @pytest.mark.parametrize("argv", [["estimate"], ["estimate", "--format", "structured"],
                                   ["verify"]], ids=["estimate", "structured", "verify"])
 def test_closed_stdout_exit_1(tmp_path, fix8_path, argv):
@@ -514,6 +535,63 @@ def test_bad_config_value_exit_1(tmp_path, fix8_path, capsys, setting, key, comm
     assert not out_path.exists()
 
 
+_USAGE = {
+    8: """usage: lafte {} [-h] [--config CONFIG] [--data INPUT]
+                      [--cluster CLUSTER] [--controls CONTROLS]
+                      [--level LEVEL] [--ymin YMIN] [--ymax YMAX] [--n N]
+                      [--seed SEED] [--out OUT] [--format {{text,structured}}]
+""",
+    6: """usage: lafte {} [-h] [--config CONFIG] [--data INPUT] [--cluster CLUSTER]
+                    [--controls CONTROLS] [--level LEVEL] [--ymin YMIN]
+                    [--ymax YMAX] [--n N] [--seed SEED] [--out OUT]
+                    [--format {{text,structured}}]
+""",
+}
+
+_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       YAML run configuration (primary)
+  --data INPUT          input path override (data file, or spec file for
+                        simulate/verify)
+  --cluster CLUSTER     cluster column override
+  --controls CONTROLS   comma-separated control columns
+  --level LEVEL         significance level
+  --ymin YMIN           lower response bound
+  --ymax YMAX           upper response bound
+  --n N                 simulation sample size
+  --seed SEED           random seed
+  --out OUT             write the JSON report (or dataset) here
+  --format {text,structured}
+                        stdout format
+"""
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose", "bounds", "simulate", "verify"])
+def test_every_subcommand_takes_the_same_flags(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == _USAGE[len(command)].format(command) + _OPTIONS
+
+
+def test_a_fresh_import_of_the_cli_loads_every_traced_layer():
+    # bench/tracer.py wraps the functions of its LAYERS, which it finds in
+    # sys.modules once lafte.cli is imported and before a command runs.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = ("import json, sys; import lafte.cli; sys.path.insert(0, sys.argv[1]); "
+            "from tracer import LAYERS; "
+            "print(json.dumps([name for name in LAYERS if f'lafte.{name}' not in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", code, str(bench)], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(LAFTE_HOME)})
+    missing = json.loads(done.stdout)
+    assert missing == [], (
+        f"import lafte.cli does not load {missing}, which bench/tracer.py reads from "
+        "sys.modules: a command may import its layers lazily only after ROADMAP item 2 "
+        "lets the tracer find them (item 18(a))")
+
+
 def test_config_hash_pinned():
     # Reports carry these hashes. They changed once, when the upper_se_method
     # setting was removed and format left the hash (neither changes a
@@ -528,7 +606,7 @@ def test_config_hash_pinned():
         "77f0967e694edbcc92965eb9283008197775870c4a4708c220b52e4e4d17045b")
     # Neither where the report is written nor how stdout shows it moves the hash.
     for display in ({"out": None}, {"format": "structured"}):
-        assert config.config_hash() == RunConfig(**{**vars(config), **display}).config_hash()
+        assert config.config_hash() == config._replace(**display).config_hash()
     assert _CONFIG_KEYS == {
         "input", "mapping", "controls", "cluster", "delimiter", "level", "ymin", "ymax",
         "out", "format", "seed", "n", "missing"}

@@ -851,8 +851,8 @@ def test_writer_bytes_match_rowwise_reference_and_round_trip(tmp_path, delimiter
             save_table(table, new, delimiter=delimiter)
         _rowwise_save(table, ref, delimiter=delimiter)
         assert new.read_bytes() == ref.read_bytes()
-        names = list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
-        mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": names}
+        mapping = {"z": "z", "d1": "d1", "d2": "d2", "y": "y",
+                   "controls": list(table.control_names)}
         if table.cluster is not None:
             mapping["cluster"] = "cluster"
         back = load_table(new, mapping, delimiter=delimiter)
@@ -871,9 +871,8 @@ def _same_clusters(a, b):
 
 
 def _reload(path, table):
-    names = list(table.control_names) or [f"x{j}" for j in range(table.controls.shape[1])]
-    return load_table(path, {"z": "z", "d1": "d1", "d2": "d2", "y": "y", "controls": names,
-                             "cluster": "cluster"})
+    return load_table(path, {"z": "z", "d1": "d1", "d2": "d2", "y": "y",
+                             "controls": list(table.control_names), "cluster": "cluster"})
 
 
 def _contrast_ses(table):
@@ -1240,12 +1239,22 @@ def test_load_lets_go_of_the_file_before_building_the_table(tmp_path, monkeypatc
                            (rng.random(n) < 0.5).astype(int), rng.standard_normal(n)), path)
     seen = {}
     real = data._build_table
+    made = [0]
+    init = data.ObservationTable.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
 
     def spy(z, d1, d2, y, *args):
         seen["held"] = tracemalloc.get_traced_memory()[0]
         seen["dtypes"] = (z.dtype, d1.dtype, d2.dtype)
-        return real(z, d1, d2, y, *args)
+        before = made[0]
+        table = real(z, d1, d2, y, *args)
+        seen["made"] = made[0] - before
+        return table
 
+    monkeypatch.setattr(data.ObservationTable, "__init__", counted)
     monkeypatch.setattr(data, "_build_table", spy)
     load_table(path)  # allocations made once per process are not counted
     tracemalloc.start()
@@ -1258,6 +1267,8 @@ def test_load_lets_go_of_the_file_before_building_the_table(tmp_path, monkeypatc
     # binary field and 8 per real (2.2 MB), not the 5.3 MB file or its tokens.
     assert seen["dtypes"] == (np.uint8,) * 3
     assert seen["held"] < n * (3 + 8) + 100_000
+    # The table is made once, whole: its warnings are not added by a copy.
+    assert seen["made"] == 1
     assert table.z.dtype == table.d1.dtype == table.d2.dtype == np.uint8
     # The file is streamed: beyond its parsed columns, the load never holds
     # half the file (the file and its line offsets alone would be 7 MB).
@@ -1411,4 +1422,4 @@ def test_control_names_are_empty_or_one_per_control_column():
         from_arrays(z, d1, d2, y, controls=controls, control_names=("a",))
     with pytest.raises(DataError, match=r"1 control name\(s\) for 0 control column\(s\)"):
         from_arrays(z, d1, d2, y, control_names=("a",))
-    assert from_arrays(z, d1, d2, y, controls=controls).control_names == ()
+    assert from_arrays(z, d1, d2, y, controls=controls).control_names == ("x0", "x1")

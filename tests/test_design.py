@@ -18,6 +18,7 @@ from lafte import (
     iv_estimand,
     lafte_bounds,
     lafte_bounds_bounded_response,
+    load_table,
     mover_test,
     reduced_form,
     regression,
@@ -91,7 +92,7 @@ def test_replace_recomputes_derived_columns_and_fits():
 @pytest.mark.parametrize("control_names", [("age", "income"), ()])
 def test_the_table_fit_builds_w(monkeypatch, control_names):
     # The table fit builds W = [1, z, controls - mean(controls)] a block of
-    # rows at a time, and names it by the controls, or c0, c1 without names.
+    # rows at a time, and names it by the controls, or x0, x1 without names.
     t = from_arrays(**{**_household_columns(), "control_names": control_names})
     w = np.column_stack([np.ones(t.n), t.z, t.controls - t.controls.mean(0)])
     blocks = []
@@ -107,7 +108,7 @@ def test_the_table_fit_builds_w(monkeypatch, control_names):
     monkeypatch.setattr(regression, "_CHUNK_ROWS", 50)
     fit = estimands._table_fit(t)
     assert fit.names == tuple(f"eq{e}.{name}" for e in range(len(data.RESPONSES))
-                              for name in ("const", "z", *(control_names or ("c0", "c1"))))
+                              for name in ("const", "z", *(control_names or ("x0", "x1"))))
     assert len(blocks) > 2
     for rows, block in blocks:
         assert block.tobytes() == w[rows].tobytes()
@@ -120,6 +121,23 @@ def test_iv_rank_errors_name_controls():
                         control_names=("age", "age2"))
     with pytest.raises(RankDeficientError, match="design matrix .*'age2?'"):
         iv_estimand(twice, TreatmentDef.FIRST)
+
+
+def test_unnamed_controls_are_named_x0_x1_in_the_table_its_file_and_its_errors(tmp_path):
+    # The names from_arrays gives are the header save_table writes and
+    # load_table reads back, so a rank error names the same column both ways.
+    t = _household_table()
+    twice = from_arrays(t.z, t.d1, t.d2, t.y,
+                        controls=np.column_stack([t.controls[:, 0], 2 * t.controls[:, 0]]))
+    assert twice.control_names == ("x0", "x1")
+    path = tmp_path / "twice.csv"
+    save_table(twice, path)
+    assert path.read_bytes().partition(b"\r\n")[0] == b"z,d1,d2,y,x0,x1"
+    back = load_table(path, {**data.DEFAULT_MAPPING, "controls": ["x0", "x1"]})
+    assert back.control_names == ("x0", "x1")
+    for table in (twice, back):
+        with pytest.raises(RankDeficientError, match="collinear column 'x0'"):
+            iv_estimand(table, TreatmentDef.FIRST)
 
 
 def test_column_labels_are_written_only_in_the_catalogue():

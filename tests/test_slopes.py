@@ -428,16 +428,16 @@ def test_public_api_is_pinned():
 # The classes defined under lafte, public or not, that hold fields: a new
 # result type is a decision, made here, and not a by-product of a change. A
 # record is a ``NamedTuple``, which costs its import about a tenth of what a
-# frozen dataclass does. The three dataclasses cannot be tuples: a table keeps
-# its cache entry and memo in its ``__dict__``, ``build_config`` assigns to a
-# ``RunConfig``, and a ``Responses`` is indexed by rows.
-DATACLASSES = {"ObservationTable", "Responses", "RunConfig"}
+# frozen dataclass does. The two dataclasses cannot be tuples: a table keeps
+# its cache entry and memo in its ``__dict__``, and a ``Responses`` is
+# indexed by rows.
+DATACLASSES = {"ObservationTable", "Responses"}
 
 RECORDS = {
     "AssumptionAudit", "BoundsResult", "CheckResult", "Column", "ComplierShares",
     "ContrastPair", "DecompositionTerm", "DerivedColumns", "EstimateWithSE", "FitResult",
-    "MoverTestReport", "PopulationSpec", "SignCheckReport", "Stratum", "TestResult",
-    "TrueParams", "VerificationReport", "_Chunk", "_Tokens",
+    "MoverTestReport", "PopulationSpec", "RunConfig", "SignCheckReport", "Stratum",
+    "TestResult", "TrueParams", "VerificationReport", "_Chunk", "_Tokens",
 }
 
 

@@ -8,6 +8,8 @@ from lafte import (
     stratum,
     verify_identities,
 )
+from lafte.report import render_verification, verification_dict
+from lafte.verify import CheckResult, VerificationReport
 
 from conftest import single_full_complier_spec
 
@@ -154,3 +156,18 @@ def test_failures_carry_both_sides(s2):
 def test_invalid_spec_raises():
     with pytest.raises(SpecError):
         verify_identities(PopulationSpec(strata=(stratum("C1C2", 0.4, {}),)))
+
+
+def test_a_failed_check_is_shown_and_counted():
+    report = VerificationReport(checks=(
+        CheckResult("first.identity", True, True, 1.0, 1.0),
+        CheckResult("second.identity", True, False, 1.0, 2.5, "off by 1.5"),
+        CheckResult("third.identity", False, False, note="no movers"),
+    ), flags=("not invocable",), tolerance=1e-9)
+    assert render_verification(verification_dict(report)) == (
+        "identity checks (tolerance 1e-09)\n"
+        "  [PASS ] first.identity                             lhs=1 rhs=1\n"
+        "  [FAIL ] second.identity                            lhs=1 rhs=2.5  (off by 1.5)\n"
+        "  [ n/a ] third.identity                             no movers\n"
+        "  [FLAG ] not invocable\n"
+        "1 check(s) failed")
