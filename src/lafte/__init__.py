@@ -28,8 +28,8 @@ try:
     from .data import DerivedColumns, ObservationTable, from_arrays, load_table, save_table
     from .diagnostics import (MoverTestReport, SignCheckReport, double_exclusion_check,
                               mover_conclusion, mover_test)
-    from .estimands import (BINARY_DEFS, ComplierShares, EstimateWithSE, TreatmentDef,
-                            complier_shares, first_stage, iv_estimand, reduced_form, slopes)
+    from .estimands import (BINARY_DEFS, ComplierShares, EstimateWithSE, complier_shares,
+                            first_stage, iv_estimand, reduced_form, slopes)
     from .exceptions import (BoundsError, ColumnMissingError, ConfigError, DataError,
                              DegenerateTestError, EstimationError, LafteError,
                              RankDeficientError, RelevanceError, SpecError)

@@ -31,16 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ObservationTable
-from .estimands import (
-    BINARY_DEFS,
-    EstimateWithSE,
-    TreatmentDef,
-    estimate,
-    first_stage,
-    iv_estimand,
-    reduced_form,
-)
+from .data import LABELS, ObservationTable
+from .estimands import BINARY_DEFS, EstimateWithSE, estimate, first_stage, iv_estimand, reduced_form
 from .exceptions import BoundsError
 
 THEOREM1_ASSUMPTIONS = (
@@ -77,7 +69,7 @@ def lafte_bounds(table: ObservationTable) -> BoundsResult:
     Positive response reads ``E[Y(0,0) | C1A2] >= 0``, a statement about the
     level of ``y``: so the upper endpoint moves when a constant is added to ``y``.
     """
-    lower = iv_estimand(table, TreatmentDef.FIRST)
+    lower = iv_estimand(table, "d1")
 
     upper = estimate(table, [("dand_y", "d_and"), ("untreated_y", "d1")], [1.0, 1.0],
                      "theorem1-upper")
@@ -147,7 +139,7 @@ def tau_bounds(table: ObservationTable) -> BoundsResult:
     best = int(np.argmax(values))
     maximizer = BINARY_DEFS[best]
 
-    sum_candidate = iv_estimand(table, TreatmentDef.SUM)
+    sum_candidate = iv_estimand(table, "d_sum")
     max_candidate = iv_estimand(table, maximizer)
     rf = reduced_form(table)
     warnings = []
@@ -166,5 +158,5 @@ def tau_bounds(table: ObservationTable) -> BoundsResult:
             "is negative, contradicting the maintained monotonicity")
     return BoundsResult(kind="tau", lower=lower, upper=upper,
                         assumptions=("iv-assumptions",),
-                        maximizer=maximizer.label, flipped=flipped,
+                        maximizer=LABELS[maximizer], flipped=flipped,
                         warnings=tuple(warnings))

@@ -33,7 +33,7 @@ still reads it once, to hash it. The output does not depend on the cache.
 PyYAML is imported only by a command that reads a config or spec file.
 
 Exit codes: 0 success, 1 usage/config error, an output that is the input
-file, or one that cannot be written (``--out``, or a closed stdout), 2 data
+or config file, or one that cannot be written (``--out``, or a closed stdout), 2 data
 or spec validation error, 3 estimation failure (for example a relevance
 failure, whose message names the failing treatment definition).
 """
@@ -214,10 +214,11 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError("no input file: set 'input' in the config or pass --data")
     outputs = [config.out, config.out + ".truth.json"] if command == "simulate" else [config.out]
     for path in filter(None, outputs):
-        with suppress(OSError):  # either file is absent: no output overwrites the input
-            if os.path.samefile(path, config.input):
-                raise ConfigError(f"output {path} is the input file {config.input}; "
-                                  "nothing is read or written")
+        for what, source in (("input", config.input), ("config", args.config)):
+            with suppress(OSError):  # a file is absent: no output overwrites it
+                if source and os.path.samefile(path, source):
+                    raise ConfigError(f"output {path} is the {what} file {source}; "
+                                      "nothing is read or written")
     return config
 
 
@@ -248,8 +249,8 @@ def _on_table(run):
 @_on_table
 def run_estimate(config: RunConfig, table) -> tuple[dict, list, str]:
     estimates = {
-        "first_stage": {d.value: as_dict(first_stage(table, d)) for d in REPORT_ORDER},
-        "iv_estimand": {d.value: as_dict(iv_estimand(table, d)) for d in REPORT_ORDER},
+        "first_stage": {d: as_dict(first_stage(table, d)) for d in REPORT_ORDER},
+        "iv_estimand": {d: as_dict(iv_estimand(table, d)) for d in REPORT_ORDER},
         "reduced_form": as_dict(reduced_form(table)),
     }
     shares = complier_shares(table)
@@ -321,7 +322,7 @@ def run_simulate(config: RunConfig) -> tuple[dict, list, str]:
         "audit": as_dict(audit),
         **params,
         "moments": {
-            "first_stage": {d.value: moments[d.value] for d in REPORT_ORDER},
+            "first_stage": {d: moments[d] for d in REPORT_ORDER},
             "reduced_form": moments["y"],
         },
     }

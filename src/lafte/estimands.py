@@ -1,14 +1,15 @@
 """First stages, reduced forms, IV estimands, and complier shares.
 
-The five treatment definitions summarize a two-part treatment one way each:
+The five treatment definitions summarize a two-part treatment one way each,
+and each is named by its ``data.COLUMNS`` column:
 
-=========  ===========  ===============================
-FIRST      ``d1``       enrolled in the first part
-SECOND     ``d2``       enrolled in the second part
-BOTH       ``d_and``    enrolled in both parts
-EITHER     ``d_or``     enrolled in at least one part
-SUM        ``d_sum``    number of parts enrolled (0/1/2)
-=========  ===========  ===============================
+===========  ===============================
+``d1``       enrolled in the first part
+``d2``       enrolled in the second part
+``d_and``    enrolled in both parts
+``d_or``     enrolled in at least one part
+``d_sum``    number of parts enrolled (0/1/2)
+===========  ===============================
 
 A "first stage" is the coefficient on the instrument in an OLS regression of
 the treatment column on the instrument plus controls; the "reduced form" is
@@ -28,14 +29,13 @@ bound endpoints too: ``weights · b`` of such slopes, its SE and interval.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import LABELS, RESPONSES, DerivedColumns, ObservationTable, _cache_keep, _cache_read
 from .exceptions import RelevanceError
-from .regression import (FitResult, Responses, _constant_zeros, _equation_names,
+from .regression import (FitResult, Responses, _constant_zeros, _dof_factor, _equation_names,
                          linear_combination, ols, tidy_vcov)
 
 # Normal-approximation 95% intervals, matching the reporting convention.
@@ -45,25 +45,16 @@ CRITICAL_VALUE = 1.96
 RELEVANCE_TOLERANCE = 1e-10
 
 
-class TreatmentDef(Enum):
-    """One of the five treatment summaries built from (d1, d2)."""
-
-    FIRST = "d1"
-    SECOND = "d2"
-    BOTH = "d_and"
-    EITHER = "d_or"
-    SUM = "d_sum"
-
-    @property
-    def label(self) -> str:
-        return LABELS[self.value]
-
 # Fixed tie-breaking order for the binary definitions.
-BINARY_DEFS = (TreatmentDef.FIRST, TreatmentDef.SECOND, TreatmentDef.BOTH, TreatmentDef.EITHER)
+BINARY_DEFS = ("d1", "d2", "d_and", "d_or")
 
-# Reporting order mirroring the published tables.
-REPORT_ORDER = (TreatmentDef.SUM, TreatmentDef.FIRST, TreatmentDef.SECOND,
-                TreatmentDef.BOTH, TreatmentDef.EITHER)
+# Reporting order mirroring the published tables: all five definitions.
+REPORT_ORDER = ("d_sum", *BINARY_DEFS)
+
+# Each complier share: its field of ComplierShares, the column whose
+# instrument contrast identifies it, and its name.
+COMPLIER_SHARES = (("p_full", "d2", "P[C1,C2]"), ("p_dropout", "g_or", "P[C1,N2]"),
+                   ("p_late_adopter", "g_and", "P[C1,A2]"))
 
 
 class EstimateWithSE(NamedTuple):
@@ -196,7 +187,7 @@ def slopes(table: ObservationTable, equations: Sequence[tuple[str, str | None]])
         if lo.min() == hi.max():
             # As in the stacked fit: exact zeros, no covariance.
             return FitResult(_constant_zeros(b, lo), np.zeros((m, m)), *common, lo, hi)
-        scale = ((m * n - 1.0) / (m * n - m * k)) / ((full.n - 1.0) / (full.n - full.k))
+        scale = _dof_factor(m * n, m * k) / _dof_factor(full.n, full.k)
         vcov = scale * (weights.T @ full.vcov[1::k, 1::k] @ weights)
         return FitResult(b, tidy_vcov(vcov), *common, lo, hi)
     return table.cached(key, fit)
@@ -219,13 +210,21 @@ def contrast(table: ObservationTable, column: str) -> EstimateWithSE:
     return estimate(table, [(column, None)], [1.0], LABELS[column])
 
 
-def first_stage(table: ObservationTable, definition: TreatmentDef) -> EstimateWithSE:
-    """Instrument coefficient for one treatment definition.
+def _definition(name: str) -> str:
+    if name not in REPORT_ORDER:
+        raise ValueError(f"unknown treatment definition {name!r}; expected one of "
+                         f"{', '.join(REPORT_ORDER)}")
+    return name
+
+
+def first_stage(table: ObservationTable, definition: str) -> EstimateWithSE:
+    """Instrument coefficient for one treatment definition, named by its
+    column (one of ``REPORT_ORDER``; any other name raises ValueError).
 
     Any sign is reported as-is; estimands that divide by the first stage
     enforce relevance themselves.
     """
-    return contrast(table, definition.value)
+    return contrast(table, _definition(definition))
 
 
 def reduced_form(table: ObservationTable) -> EstimateWithSE:
@@ -233,16 +232,19 @@ def reduced_form(table: ObservationTable) -> EstimateWithSE:
     return contrast(table, "y")
 
 
-def iv_estimand(table: ObservationTable, definition: TreatmentDef) -> EstimateWithSE:
-    """2SLS coefficient of the outcome on one treatment definition.
+def iv_estimand(table: ObservationTable, definition: str) -> EstimateWithSE:
+    """2SLS coefficient of the outcome on one treatment definition, named as
+    for :func:`first_stage`.
 
     Raises
     ------
+    ValueError
+        When ``definition`` is not one of ``REPORT_ORDER``.
     RelevanceError
         When the definition's first stage is numerically zero; the error
         names the definition and carries the first-stage estimate.
     """
-    return estimate(table, [("y", definition.value)], [1.0], definition.label)
+    return estimate(table, [("y", _definition(definition))], [1.0], LABELS[definition])
 
 
 def complier_shares(table: ObservationTable) -> ComplierShares:
@@ -253,14 +255,12 @@ def complier_shares(table: ObservationTable) -> ComplierShares:
     under the double exclusion restriction, which callers should test with
     the diagnostics module first. Negative point estimates falsify the
     maintained assumptions and are returned as-is with a warning. Their
-    3x3 joint covariance is ``slopes(table, [(c, None) for c in ("d2",
-    "g_or", "g_and")]).vcov``.
+    3x3 joint covariance is ``slopes(table, [(c, None) for _, c, _ in
+    COMPLIER_SHARES]).vcov``.
     """
-    estimates = [contrast(table, column) for column in ("d2", "g_or", "g_and")]
+    estimates = {field: contrast(table, column) for field, column, _ in COMPLIER_SHARES}
     warnings = [
-        f"negative share estimate {share} = {est.value:.6g}; the maintained "
+        f"negative share estimate {name} = {estimates[field].value:.6g}; the maintained "
         "assumptions are falsified rather than the estimate clipped"
-        for share, est in zip(("P[C1,C2]", "P[C1,N2]", "P[C1,A2]"), estimates)
-        if est.value < 0]
-    return ComplierShares(p_full=estimates[0], p_dropout=estimates[1],
-                          p_late_adopter=estimates[2], warnings=tuple(warnings))
+        for field, _, name in COMPLIER_SHARES if estimates[field].value < 0]
+    return ComplierShares(**estimates, warnings=tuple(warnings))

@@ -249,6 +249,12 @@ def _check_finite(what: str, a: np.ndarray) -> None:
                               "the variables")
 
 
+def _dof_factor(n, k) -> float:
+    """The small-sample factor ``(n - 1) / (n - k)`` of ``n`` rows and ``k``
+    parameters."""
+    return (n - 1.0) / (n - k)
+
+
 def _fit(y, w, clusters, names) -> FitResult:
     """Joint fit of each column of the ``n x m`` response ``y`` on the design
     ``w``, and their cross-equation sandwich; ``names`` name the columns of
@@ -287,7 +293,7 @@ def _fit(y, w, clusters, names) -> FitResult:
         if g < 2:
             raise EstimationError("cluster covariance requires at least 2 clusters")
         meat = _meat(y, w, b, codes, n)
-        meat *= (g / (g - 1.0)) * ((big_n - 1.0) / (big_n - big_k))
+        meat *= (g / (g - 1.0)) * _dof_factor(big_n, big_k)
         vcov = tidy_vcov(bread @ meat @ bread.T)
     _check_finite("covariances", vcov)
     return FitResult(b, vcov, *common, lo, hi)

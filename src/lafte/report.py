@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 
 from .bounds import BoundsResult
-from .estimands import REPORT_ORDER
+from .data import LABELS
+from .estimands import COMPLIER_SHARES, REPORT_ORDER
 from .verify import VerificationReport
 
 UNDEFINED_SE = "(.)"
@@ -76,19 +77,17 @@ def _row(label: str, entries) -> str:
 
 
 def render_estimates(estimates: dict, shares: dict) -> str:
-    order = [d.value for d in REPORT_ORDER]
-    lines = [_row("", [d.label for d in REPORT_ORDER])]
+    lines = [_row("", [LABELS[d] for d in REPORT_ORDER])]
     for section, title in (("first_stage", "first stage"), ("iv_estimand", "IV estimand")):
         cells = estimates[section]
-        lines.append(_row(title, [fmt(cells[k]["value"]) for k in order]))
-        lines.append(_row("", [fmt_se(cells[k]["se"]) for k in order]))
+        lines.append(_row(title, [fmt(cells[d]["value"]) for d in REPORT_ORDER]))
+        lines.append(_row("", [fmt_se(cells[d]["se"]) for d in REPORT_ORDER]))
     rf = estimates["reduced_form"]
     lines.append(_row("reduced form", [fmt(rf["value"])]))
     lines.append(_row("", [fmt_se(rf["se"])]))
     lines.append("")
     lines.append("complier shares (assume the double exclusion restriction):")
-    for key, name in (("p_full", "P[C1,C2]"), ("p_dropout", "P[C1,N2]"),
-                      ("p_late_adopter", "P[C1,A2]")):
+    for key, _, name in COMPLIER_SHARES:
         c = shares[key]
         lines.append(f"  {name}  {fmt(c['value'])} {fmt_se(c['se'])}"
                      f"   [{c['definition']} on Z]")

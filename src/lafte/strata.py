@@ -38,7 +38,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .data import _CHUNK_ROWS, RESPONSES, DerivedColumns, ObservationTable, _build_table
-from .estimands import BINARY_DEFS, TreatmentDef
+from .estimands import BINARY_DEFS
 from .exceptions import SpecError
 
 # Relative tolerance for "exact" closed-form comparisons; absorbs float
@@ -62,10 +62,10 @@ GROUP_EFFECT_CELLS = {
 
 # Groups whose share enters each definition's first stage.
 FIRST_STAGE_GROUPS = {
-    TreatmentDef.FIRST: ("C1C2", "C1N2", "C1A2"),
-    TreatmentDef.SECOND: ("C1C2", "N1C2", "A1C2"),
-    TreatmentDef.BOTH: ("C1C2", "C1A2", "A1C2"),
-    TreatmentDef.EITHER: ("C1C2", "C1N2", "N1C2"),
+    "d1": ("C1C2", "C1N2", "C1A2"),
+    "d2": ("C1C2", "N1C2", "A1C2"),
+    "d_and": ("C1C2", "C1A2", "A1C2"),
+    "d_or": ("C1C2", "C1N2", "N1C2"),
 }
 
 # The two mover types, each a pair of complier groups: dropouts, then late-adopters.
@@ -76,10 +76,10 @@ MOVER_TYPES = (("C1N2", "A1C2"), ("C1A2", "N1C2"))
 # group of a mover type, the full effect must equal that type's listed
 # effect, in the order of ``MOVER_TYPES``.
 HOMOGENEITY_CONDITIONS = {
-    TreatmentDef.FIRST: (((1, 0), (0, 0)), ((1, 1), (0, 1))),
-    TreatmentDef.SECOND: (((1, 1), (1, 0)), ((0, 1), (0, 0))),
-    TreatmentDef.BOTH: (((1, 1), (1, 0)), ((1, 1), (0, 1))),
-    TreatmentDef.EITHER: (((1, 0), (0, 0)), ((0, 1), (0, 0))),
+    "d1": (((1, 0), (0, 0)), ((1, 1), (0, 1))),
+    "d2": (((1, 1), (1, 0)), ((0, 1), (0, 0))),
+    "d_and": (((1, 1), (1, 0)), ((1, 1), (0, 1))),
+    "d_or": (((1, 0), (0, 0)), ((0, 1), (0, 0))),
 }
 
 # Templates for the named response groups: (d1_at, d2_at) with
@@ -217,7 +217,7 @@ class TrueParams(NamedTuple):
 
     ``beta_decomposition[d]`` holds the :class:`DecompositionTerm` of each
     group in the IV estimand of definition ``d``: where ``d``'s first stage
-    ``analytic_moments(spec)[d.value]`` is positive, their contributions sum
+    ``analytic_moments(spec)[d]`` is positive, their contributions sum
     to the estimand ``analytic_moments(spec)["y"]`` over that first stage.
     """
 
@@ -289,13 +289,13 @@ def validate_spec(spec: PopulationSpec) -> AssumptionAudit:
         full = group_effect(spec, group, FULL_EFFECT)
         return full is None or close(full, group_effect(spec, group, cells))
 
-    homogeneity = {definition.value: all(homogeneous(group, cells)
-                                         for groups, cells in zip(MOVER_TYPES, conditions)
-                                         for group in groups)
+    homogeneity = {definition: all(homogeneous(group, cells)
+                                   for groups, cells in zip(MOVER_TYPES, conditions)
+                                   for group in groups)
                    for definition, conditions in HOMOGENEITY_CONDITIONS.items()}
 
     moments = analytic_moments(spec)
-    relevance = all(moments[d.value] > 0 for d in BINARY_DEFS)
+    relevance = all(moments[d] > 0 for d in BINARY_DEFS)
 
     return AssumptionAudit(
         no_movers=movers == 0.0,
@@ -387,15 +387,15 @@ def true_parameters(spec: PopulationSpec) -> TrueParams:
 
     moments = analytic_moments(spec)
     decompositions = {}
-    for definition in (*BINARY_DEFS, TreatmentDef.SUM):
+    for definition in (*BINARY_DEFS, "d_sum"):
         # Terms (group, cells, bias): the groups outside a first stage are biases.
-        if definition is TreatmentDef.SUM:
+        if definition == "d_sum":
             terms = [("C1C2", cells, False) for cells in _SUM_STEPS]
             terms += [(g, GROUP_EFFECT_CELLS[g], False) for g in COMPLIER_GROUPS[1:]]
         else:
             terms = [(g, GROUP_EFFECT_CELLS[g], g not in FIRST_STAGE_GROUPS[definition])
                      for g in COMPLIER_GROUPS]
-        denominator = moments[definition.value]
+        denominator = moments[definition]
         decompositions[definition] = tuple(DecompositionTerm(
             group=g, cells=cells, effect=group_effect(spec, g, cells),
             weight=probs[g] / denominator if denominator > 0 else 0.0, bias=bias)

@@ -131,8 +131,7 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     # (a) first-stage and reduced-form decompositions
     stage_sums = {d: sum(probs[g] for g in FIRST_STAGE_GROUPS[d]) for d in BINARY_DEFS}
     for d in BINARY_DEFS:
-        checks.append(_check(f"first-stage-decomposition.{d.value}",
-                             moments[d.value], stage_sums[d]))
+        checks.append(_check(f"first-stage-decomposition.{d}", moments[d], stage_sums[d]))
     checks.append(_check("reduced-form-decomposition", moments["y"],
                          path_effects(COMPLIER_GROUPS)))
 
@@ -179,9 +178,8 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     # (e) no movers: every binary IV estimand equals the LAFTE
     if audit.no_movers and params is not None and p_cc > 0:
         for d in BINARY_DEFS:
-            beta = moments["y"] / moments[d.value]
-            checks.append(_check(f"no-movers.iv-equals-lafte.{d.value}",
-                                 beta, params.lafte_over_c))
+            checks.append(_check(f"no-movers.iv-equals-lafte.{d}", moments["y"] / moments[d],
+                                 params.lafte_over_c))
     else:
         checks.append(_skip("no-movers.iv-equals-lafte",
                             "not applicable: movers present or no compliers"))
@@ -189,14 +187,14 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     # (f) homogeneity conditions: IV equals the definition's group effect
     for d in BINARY_DEFS:
         stage_prob = stage_sums[d]
-        if not audit.homogeneity[d.value] or stage_prob <= 0:
-            checks.append(_skip(f"homogeneous-movers.{d.value}",
+        if not audit.homogeneity[d] or stage_prob <= 0:
+            checks.append(_skip(f"homogeneous-movers.{d}",
                                 "not applicable: homogeneity flag false or empty groups"))
             continue
-        beta = moments["y"] / moments[d.value]
+        beta = moments["y"] / moments[d]
         target = sum(probs[g] * group_effect(spec, g, FULL_EFFECT)
                      for g in FIRST_STAGE_GROUPS[d] if probs[g] > 0) / stage_prob
-        checks.append(_check(f"homogeneous-movers.{d.value}", beta, target))
+        checks.append(_check(f"homogeneous-movers.{d}", beta, target))
 
     # (g) sharp bounds: containment and sharpness
     fs1 = moments["d1"]
@@ -234,7 +232,7 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
                             "not applicable: double exclusion fails or d1 stage is zero"))
 
     # (i) tau bounds
-    max_stage = max(moments[d.value] for d in BINARY_DEFS)
+    max_stage = max(moments[d] for d in BINARY_DEFS)
     fs_sum = moments["d_sum"]
     if (audit.relevance and params is not None and fs_sum > 0
             and moments["y"] > 0):
@@ -249,13 +247,12 @@ def verify_identities(spec: PopulationSpec) -> VerificationReport:
     # (j) weighted-group-effect decompositions reproduce the IV estimands
     if params is not None:
         for d, terms in params.beta_decomposition.items():
-            if moments[d.value] <= 0:
-                checks.append(_skip(f"iv-decomposition.{d.value}",
+            if moments[d] <= 0:
+                checks.append(_skip(f"iv-decomposition.{d}",
                                     "not applicable: zero first stage"))
                 continue
-            checks.append(_check(f"iv-decomposition.{d.value}",
-                                 sum(t.contribution for t in terms),
-                                 moments["y"] / moments[d.value]))
+            checks.append(_check(f"iv-decomposition.{d}", sum(t.contribution for t in terms),
+                                 moments["y"] / moments[d]))
     else:
         checks.append(_skip("iv-decomposition", "not applicable: no compliers"))
 

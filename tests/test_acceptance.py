@@ -13,7 +13,6 @@ import pytest
 from lafte import (
     DerivedColumns,
     PopulationSpec,
-    TreatmentDef,
     analytic_moments,
     complier_shares,
     first_stage,
@@ -30,6 +29,7 @@ from lafte import (
     stratum,
     verify_identities,
 )
+from lafte.estimands import REPORT_ORDER
 from lafte.cli import RunConfig, run_bounds, run_diagnose, run_estimate
 
 from conftest import FIX8_CSV, fix8_table, s2_spec, single_full_complier_spec
@@ -141,9 +141,9 @@ def test_criterion_3_sampling_consistency():
             tol = (3 * est.se if est.se is not None else 0.0) + 1e-9
             assert abs(est.value - truth) <= tol, (est.definition, est.value, truth)
 
-        for definition in TreatmentDef:
-            within(first_stage(table, definition), moments[definition.value])
-            within(iv_estimand(table, definition), truth_rf / moments[definition.value])
+        for definition in REPORT_ORDER:
+            within(first_stage(table, definition), moments[definition])
+            within(iv_estimand(table, definition), truth_rf / moments[definition])
         within(reduced_form(table), truth_rf)
         shares = complier_shares(table)
         within(shares.p_full, 0.5)
@@ -173,7 +173,7 @@ def test_criterion_4_inference_cross_checks():
         den = d[z == 1].mean() - d[z == 0].mean()
         if abs(den) < 0.05:
             continue
-        close(iv_estimand(from_arrays(z, d, np.zeros(n, int), y), TreatmentDef.FIRST).value,
+        close(iv_estimand(from_arrays(z, d, np.zeros(n, int), y), "d1").value,
               num / den)
 
     # cluster sandwich with singleton clusters equals HC1 exactly: the
@@ -220,7 +220,7 @@ def test_criterion_5_width_identity():
     t = fix8_table()
     result = lafte_bounds_bounded_response(t, 0, 3)
     shares = complier_shares(t)
-    fs1 = first_stage(t, TreatmentDef.FIRST).value
+    fs1 = first_stage(t, "d1").value
     width = (3 - 0) * (shares.p_dropout.value + shares.p_late_adopter.value) / fs1
     close(result.upper.value - result.lower.value, width)
 

@@ -5,7 +5,6 @@ import pytest
 
 from lafte import (
     BoundsError,
-    TreatmentDef,
     complier_shares,
     double_exclusion_check,
     first_stage,
@@ -19,6 +18,7 @@ from lafte import (
     slopes,
     tau_bounds,
 )
+from lafte.estimands import REPORT_ORDER
 
 from conftest import random_table, single_full_complier_spec
 
@@ -38,7 +38,7 @@ def test_fix8_theorem1(fix8):
 
 def test_theorem1_lower_is_iv_estimand(fix8):
     result = lafte_bounds(fix8)
-    direct = iv_estimand(fix8, TreatmentDef.FIRST)
+    direct = iv_estimand(fix8, "d1")
     assert result.lower.value == direct.value  # same computation path
     assert result.lower.se == direct.se
 
@@ -88,7 +88,7 @@ def test_bounded_response_default_sample_range(fix8):
 def test_bounded_response_width_identity(fix8):
     result = lafte_bounds_bounded_response(fix8, 0, 3)
     shares = complier_shares(fix8)
-    fs = first_stage(fix8, TreatmentDef.FIRST).value
+    fs = first_stage(fix8, "d1").value
     width = (3 - 0) * (shares.p_dropout.value + shares.p_late_adopter.value) / fs
     assert result.upper.value - result.lower.value == pytest.approx(width, rel=1e-12)
     assert width == pytest.approx(2.0, rel=1e-12)
@@ -147,7 +147,7 @@ def test_degenerate_movers_collapse_to_point():
     y = 2.0 * d + rng.standard_normal(n)
     t = from_arrays(z, d, d, y)
     result = lafte_bounds_bounded_response(t)
-    beta = iv_estimand(t, TreatmentDef.FIRST).value
+    beta = iv_estimand(t, "d1").value
     assert result.lower.value == pytest.approx(beta, rel=1e-10)
     assert result.upper.value == pytest.approx(beta, rel=1e-10)
 
@@ -240,8 +240,8 @@ def _leaves(obj):
 
 
 def _every_clustered_result(t):
-    results = [first_stage(t, d) for d in TreatmentDef]
-    results += [iv_estimand(t, d) for d in TreatmentDef]
+    results = [first_stage(t, d) for d in REPORT_ORDER]
+    results += [iv_estimand(t, d) for d in REPORT_ORDER]
     results += [complier_shares(t), slopes(t, [("d2", None), ("g_or", None), ("g_and", None)]),
                 mover_test(t), slopes(t, [("gy_or", None), ("gy_and", None)]),
                 double_exclusion_check(t), lafte_bounds(t),
@@ -267,7 +267,7 @@ def test_cluster_codes_and_labels_give_identical_results():
 def test_tau_bounds_identical_after_reused_fits():
     fresh = list(_leaves(tau_bounds(_clustered_table_with_controls())))
     t = _clustered_table_with_controls()
-    for d in TreatmentDef:
+    for d in REPORT_ORDER:
         first_stage(t, d)
     lafte_bounds(t)
     assert list(_leaves(tau_bounds(t))) == fresh

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from lafte import (ConfigError, DataError, EstimationError, ObservationTable, RankDeficientError,
-                   RelevanceError, TreatmentDef, cli, data, estimands, iv_estimand, load_table)
+                   RelevanceError, cli, data, estimands, iv_estimand, load_table)
 
 from test_data import (
     _HH,
@@ -648,7 +648,7 @@ def test_a_relevance_failure_reads_the_same_from_a_kept_fit(tmp_path, cache):
     for load in (lambda: _parsed(path, _HOUSEHOLDS), lambda: load_table(path, _HOUSEHOLDS),
                  lambda: load_table(path, _HOUSEHOLDS)):
         with pytest.raises(RelevanceError) as raised:
-            iv_estimand(load(), TreatmentDef.FIRST)
+            iv_estimand(load(), "d1")
         errors.append(str(raised.value))
     assert errors[0] == errors[1] == errors[2]
     assert len(_fit_files(cache, path, _HOUSEHOLDS)) == 1

@@ -432,7 +432,33 @@ def test_an_out_that_names_the_input_exit_1(tmp_path, fix8_path, capsys, command
     assert source.read_bytes() == before and sorted(tmp_path.iterdir()) == files
 
 
-@pytest.mark.parametrize("argv", [["estimate"], ["estimate", "--format", "structured"],
+@pytest.mark.parametrize("command, sidecar", [
+    ("estimate", False), ("diagnose", False), ("bounds", False), ("verify", False),
+    ("simulate", False), ("simulate", True)])
+def test_an_out_that_names_the_config_file_exit_1(tmp_path, fix8_path, capsys, command,
+                                                  sidecar):
+    # An --out that is the --config file, or, for simulate, whose truth
+    # sidecar is, is refused before anything is read or written: the config
+    # keeps its bytes, and a second run with it still reads it.
+    data = fix8_path
+    if command in ("simulate", "verify"):
+        data = tmp_path / "s2.yaml"
+        save_spec(s2_spec(), data)
+    config = tmp_path / ("run.yaml.truth.json" if sidecar else "run.yaml")
+    config.write_text(f"input: {data}\n")
+    before, files = config.read_bytes(), sorted(tmp_path.iterdir())
+    out = f"{tmp_path}/./run.yaml"
+    written = out + ".truth.json" if sidecar else out
+    code, stdout, err = run([command, "--config", str(config), "--out", out], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: output {written} is the config file {config}; "
+                   "nothing is read or written\n")
+    assert config.read_bytes() == before and sorted(tmp_path.iterdir()) == files
+    assert run([command, "--config", str(config), "--out", str(tmp_path / "r.out")],
+               capsys)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["estimate"],["estimate", "--format", "structured"],
                                   ["verify"]], ids=["estimate", "structured", "verify"])
 def test_closed_stdout_exit_1(tmp_path, fix8_path, argv):
     # stdout is a pipe whose read end is closed before the run.

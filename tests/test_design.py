@@ -10,7 +10,6 @@ import pytest
 from lafte import (
     DerivedColumns,
     RankDeficientError,
-    TreatmentDef,
     complier_shares,
     data,
     estimands,
@@ -120,7 +119,7 @@ def test_iv_rank_errors_name_controls():
                         controls=np.column_stack([t.controls[:, 0], 2 * t.controls[:, 0]]),
                         control_names=("age", "age2"))
     with pytest.raises(RankDeficientError, match="design matrix .*'age2?'"):
-        iv_estimand(twice, TreatmentDef.FIRST)
+        iv_estimand(twice, "d1")
 
 
 def test_unnamed_controls_are_named_x0_x1_in_the_table_its_file_and_its_errors(tmp_path):
@@ -137,7 +136,7 @@ def test_unnamed_controls_are_named_x0_x1_in_the_table_its_file_and_its_errors(t
     assert back.control_names == ("x0", "x1")
     for table in (twice, back):
         with pytest.raises(RankDeficientError, match="collinear column 'x0'"):
-            iv_estimand(table, TreatmentDef.FIRST)
+            iv_estimand(table, "d1")
 
 
 def test_column_labels_are_written_only_in_the_catalogue():

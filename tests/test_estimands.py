@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lafte import (
     RelevanceError,
-    TreatmentDef,
     complier_shares,
     first_stage,
     from_arrays,
@@ -13,23 +12,25 @@ from lafte import (
     reduced_form,
     slopes,
 )
+from lafte.data import LABELS
+from lafte.estimands import REPORT_ORDER
 
 
 
 FIX8_FIRST_STAGES = {
-    TreatmentDef.FIRST: 0.75,
-    TreatmentDef.SECOND: 0.25,
-    TreatmentDef.BOTH: 0.5,
-    TreatmentDef.EITHER: 0.5,
-    TreatmentDef.SUM: 1.0,
+    "d1": 0.75,
+    "d2": 0.25,
+    "d_and": 0.5,
+    "d_or": 0.5,
+    "d_sum": 1.0,
 }
 
 FIX8_IV = {
-    TreatmentDef.FIRST: 4 / 3,
-    TreatmentDef.SECOND: 4.0,
-    TreatmentDef.BOTH: 2.0,
-    TreatmentDef.EITHER: 2.0,
-    TreatmentDef.SUM: 1.0,
+    "d1": 4 / 3,
+    "d2": 4.0,
+    "d_and": 2.0,
+    "d_or": 2.0,
+    "d_sum": 1.0,
 }
 
 
@@ -38,7 +39,7 @@ def test_fix8_first_stages(fix8):
         est = first_stage(fix8, definition)
         assert est.value == pytest.approx(expected, rel=1e-12)
         assert est.n == 8
-        assert est.definition == definition.label
+        assert est.definition == LABELS[definition]
 
 
 def test_fix8_reduced_form(fix8):
@@ -66,7 +67,7 @@ def test_constant_outcome_reduced_form():
 
 
 def test_ci_brackets_value(fix8):
-    for definition in TreatmentDef:
+    for definition in REPORT_ORDER:
         est = first_stage(fix8, definition)
         assert est.ci_low <= est.value <= est.ci_high
         assert est.ci_high - est.value == pytest.approx(1.96 * est.se, rel=1e-12)
@@ -87,10 +88,10 @@ def small_tables(draw):
 @settings(max_examples=50, deadline=None)
 def test_first_stage_additivity(table):
     # d_and + d_or = d1 + d2 row-wise, so the coefficients add up
-    lhs = (first_stage(table, TreatmentDef.EITHER).value
-           + first_stage(table, TreatmentDef.BOTH).value)
-    rhs = (first_stage(table, TreatmentDef.FIRST).value
-           + first_stage(table, TreatmentDef.SECOND).value)
+    lhs = (first_stage(table, "d_or").value
+           + first_stage(table, "d_and").value)
+    rhs = (first_stage(table, "d1").value
+           + first_stage(table, "d2").value)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -98,7 +99,7 @@ def test_first_stage_additivity(table):
 @settings(max_examples=50, deadline=None)
 def test_iv_times_first_stage_is_reduced_form(table):
     rf = reduced_form(table).value
-    for definition in TreatmentDef:
+    for definition in REPORT_ORDER:
         fs = first_stage(table, definition).value
         assume(abs(fs) > 1e-6)
         beta = iv_estimand(table, definition).value
@@ -110,7 +111,7 @@ def test_iv_times_first_stage_is_reduced_form(table):
 def test_shares_sum_to_d1_first_stage(table):
     shares = complier_shares(table)
     total = shares.p_full.value + shares.p_dropout.value + shares.p_late_adopter.value
-    fs = first_stage(table, TreatmentDef.FIRST).value
+    fs = first_stage(table, "d1").value
     assert total == pytest.approx(fs, rel=1e-10, abs=1e-10)
 
 
@@ -123,10 +124,10 @@ def test_first_stage_additivity_with_controls():
     d2 = (rng.random(n) < 0.2 + 0.4 * d1).astype(int)
     x = rng.standard_normal((n, 2))
     t = from_arrays(z, d1, d2, rng.standard_normal(n), controls=x)
-    lhs = (first_stage(t, TreatmentDef.EITHER).value
-           + first_stage(t, TreatmentDef.BOTH).value)
-    rhs = (first_stage(t, TreatmentDef.FIRST).value
-           + first_stage(t, TreatmentDef.SECOND).value)
+    lhs = (first_stage(t, "d_or").value
+           + first_stage(t, "d_and").value)
+    rhs = (first_stage(t, "d1").value
+           + first_stage(t, "d2").value)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -142,7 +143,7 @@ def test_shares_sum_identity_with_controls():
     t = from_arrays(z, d1, d2, y, controls=x)
     shares = complier_shares(t)
     total = shares.p_full.value + shares.p_dropout.value + shares.p_late_adopter.value
-    fs = first_stage(t, TreatmentDef.FIRST).value
+    fs = first_stage(t, "d1").value
     assert total == pytest.approx(fs, rel=1e-10)
 
 
@@ -179,7 +180,18 @@ def test_relevance_error_names_definition():
                     [0, 0, 0, 0, 0, 0],
                     [1.0, 2.0, 0.0, 3.0, 1.0, 0.0])
     with pytest.raises(RelevanceError, match="D2"):
-        iv_estimand(t, TreatmentDef.SECOND)
+        iv_estimand(t, "d2")
+
+
+@pytest.mark.parametrize("estimand, name", [(first_stage, "y"), (iv_estimand, "bogus"),
+                                            (first_stage, "g_or"), (iv_estimand, "D1")])
+def test_a_name_that_is_no_definition_raises_value_error(fix8, estimand, name):
+    # A definition is its column name: the outcome, a mover contrast or a
+    # label is none of the five, and the error lists them.
+    with pytest.raises(ValueError) as raised:
+        estimand(fix8, name)
+    assert str(raised.value) == (f"unknown treatment definition {name!r}; expected one of "
+                                 "d_sum, d1, d2, d_and, d_or")
 
 
 def test_use_controls_flag():
@@ -193,6 +205,6 @@ def test_use_controls_flag():
     y = d1 + x[:, 0] + rng.standard_normal(n)
     # The table decides the design: estimates without controls come from a
     # table built without them.
-    with_controls = first_stage(from_arrays(z, d1, d2, y, controls=x), TreatmentDef.FIRST)
-    without = first_stage(from_arrays(z, d1, d2, y), TreatmentDef.FIRST)
+    with_controls = first_stage(from_arrays(z, d1, d2, y, controls=x), "d1")
+    without = first_stage(from_arrays(z, d1, d2, y), "d1")
     assert with_controls.value != without.value

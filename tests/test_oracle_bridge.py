@@ -14,7 +14,6 @@ from lafte import (
     BINARY_DEFS,
     PopulationSpec,
     RelevanceError,
-    TreatmentDef,
     analytic_moments,
     complier_shares,
     first_stage,
@@ -28,7 +27,7 @@ from lafte import (
     tau_bounds,
 )
 from lafte.data import LABELS, RESPONSES
-from lafte.estimands import RELEVANCE_TOLERANCE, contrast
+from lafte.estimands import RELEVANCE_TOLERANCE, REPORT_ORDER, contrast
 
 DENOMINATOR = 1000
 TOLERANCE = 1e-10
@@ -98,9 +97,9 @@ def _check_spec(i, spec, counts):
         est = contrast(t, column)
         assert est.definition == LABELS[column]
         _assert_close(est.value, m[column], (i, column))
-    for d in TreatmentDef:
-        _assert_close(first_stage(t, d).value, m[d.value], (i, d))
-        expected = _ratio(m["y"], m[d.value])
+    for d in REPORT_ORDER:
+        _assert_close(first_stage(t, d).value, m[d], (i, d))
+        expected = _ratio(m["y"], m[d])
         relevance_failures += expected is None
         _check(lambda: iv_estimand(t, d).value, expected, (i, "iv", d))
 
@@ -131,7 +130,7 @@ def _check_spec(i, spec, counts):
     _check(bounded_pair, bounded, (i, "bounded-response"))
 
     by_sum = _ratio(m["y"], fs_sum)
-    by_max = _ratio(m["y"], max(m[d.value] for d in BINARY_DEFS))
+    by_max = _ratio(m["y"], max(m[d] for d in BINARY_DEFS))
     tau = None if by_sum is None or by_max is None else (
         tuple(sorted((by_sum, by_max))) if m["y"] < 0 else (by_sum, by_max))
     _check(lambda: (tau_bounds(t).lower.value, tau_bounds(t).upper.value),

@@ -7,7 +7,6 @@ from lafte import (
     EstimationError,
     RankDeficientError,
     RelevanceError,
-    TreatmentDef,
     first_stage,
     from_arrays,
     iv_estimand,
@@ -222,9 +221,9 @@ def test_one_column_response_equals_1d_ols():
 
 def test_iv_fix8_values():
     t = fix8_table()
-    assert iv_estimand(t, TreatmentDef.FIRST).value == pytest.approx(4 / 3, rel=1e-12)
-    assert iv_estimand(t, TreatmentDef.SUM).value == pytest.approx(1.0, rel=1e-12)
-    assert iv_estimand(t, TreatmentDef.SECOND).value == pytest.approx(4.0, rel=1e-12)
+    assert iv_estimand(t, "d1").value == pytest.approx(4 / 3, rel=1e-12)
+    assert iv_estimand(t, "d_sum").value == pytest.approx(1.0, rel=1e-12)
+    assert iv_estimand(t, "d2").value == pytest.approx(4.0, rel=1e-12)
 
 
 def test_iv_equals_wald_ratio():
@@ -233,7 +232,7 @@ def test_iv_equals_wald_ratio():
         t = random_table(rng, n=150)
         num = t.y[t.z == 1].mean() - t.y[t.z == 0].mean()
         den = t.d1[t.z == 1].mean() - t.d1[t.z == 0].mean()
-        assert iv_estimand(t, TreatmentDef.FIRST).value == pytest.approx(num / den, rel=1e-10)
+        assert iv_estimand(t, "d1").value == pytest.approx(num / den, rel=1e-10)
 
 
 def test_iv_with_controls_equals_oracle():
@@ -248,7 +247,7 @@ def test_iv_with_controls_equals_oracle():
     b, v = oracle_stacked_iv([(t.y, design, w)], np.arange(t.n))
     assert fit.coefficients[0] == pytest.approx(b[1], rel=1e-12)
     assert _se(fit, 0) == pytest.approx(np.sqrt(v[1, 1]), rel=1e-12)
-    assert fit.coefficients[0] != pytest.approx(iv_estimand(base, TreatmentDef.FIRST).value)
+    assert fit.coefficients[0] != pytest.approx(iv_estimand(base, "d1").value)
 
 
 def test_iv_relevance_error_names_the_definition():
@@ -259,8 +258,8 @@ def test_iv_relevance_error_names_the_definition():
     d = np.tile([0, 1], n // 2)
     t = from_arrays(z, d, np.zeros(n, int), rng.standard_normal(n))
     with pytest.raises(RelevanceError, match="relevance failure for D1: first stage"):
-        iv_estimand(t, TreatmentDef.FIRST)
-    assert abs(first_stage(t, TreatmentDef.FIRST).value) <= 1e-10
+        iv_estimand(t, "d1")
+    assert abs(first_stage(t, "d1").value) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

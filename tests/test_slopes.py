@@ -13,7 +13,6 @@ import lafte
 from lafte import (
     RankDeficientError,
     RelevanceError,
-    TreatmentDef,
     estimands,
     from_arrays,
     iv_estimand,
@@ -22,6 +21,7 @@ from lafte import (
     slopes,
 )
 from lafte.data import RESPONSES, DerivedColumns
+from lafte.estimands import REPORT_ORDER
 
 from conftest import random_table
 from test_regression import _se, oracle_stacked_iv
@@ -79,15 +79,15 @@ def test_single_equation_equals_ols_and_the_oracle(controls, cluster):
     t = _table(controls, cluster)
     w = np.column_stack([np.ones(t.n), t.z, t.controls])
     columns = DerivedColumns.of(t.d1, t.d2, t.y)
-    for d in TreatmentDef:
-        fs = slopes(t, [(d.value, None)])
-        ref = ols(columns.column(d.value), w, t.cluster_codes)
+    for d in REPORT_ORDER:
+        fs = slopes(t, [(d, None)])
+        ref = ols(columns.column(d), w, t.cluster_codes)
         np.testing.assert_allclose([fs.coefficients[0], _se(fs, 0)],
                                    [ref.coefficients[1], _se(ref, 1)], rtol=REL, atol=0)
         assert (fs.k, fs.cluster_count) == (1, ref.cluster_count)
 
-        iv = slopes(t, [("y", d.value)])
-        meta, coefficients, vcov = _stacked_reference(t, [("y", d.value)])
+        iv = slopes(t, [("y", d)])
+        meta, coefficients, vcov = _stacked_reference(t, [("y", d)])
         np.testing.assert_allclose([iv.coefficients[0], _se(iv, 0)],
                                    [coefficients[0], np.sqrt(vcov[0, 0])], rtol=REL, atol=0)
         assert (iv.k, iv.cluster_count) == (1, meta[3])
@@ -110,7 +110,7 @@ def test_multi_equation_equals_the_stacking_oracle(controls, cluster):
 # bounded-response triple, the delta-method four-tuple and the share triple.
 REQUESTS = (
     [[(c, None)] for c in RESPONSES]
-    + [[("y", d.value)] for d in TreatmentDef]
+    + [[("y", d)] for d in REPORT_ORDER]
     + [[("g_or", None), ("g_and", None)], [("gy_or", None), ("gy_and", None)],
        [("dand_y", "d_and"), ("untreated_y", "d1")],
        [(c, "d1") for c in ("kernel_y", "g_or", "g_and")],
@@ -339,7 +339,7 @@ def test_treatment_collinear_with_w_fails_relevance():
     with pytest.raises(RelevanceError, match="relevance failure for D1"):
         slopes(t, [("y", "d1")])
     with pytest.raises(RelevanceError, match="D1"):
-        iv_estimand(t, TreatmentDef.FIRST)
+        iv_estimand(t, "d1")
     assert abs(slopes(t, [("d1", None)]).coefficients[0]) <= 1e-10
 
 
@@ -402,8 +402,8 @@ PUBLIC_API = {
     # results and specs
     "AssumptionAudit", "BINARY_DEFS", "BoundsResult", "CheckResult", "ComplierShares",
     "DerivedColumns", "EstimateWithSE", "FitResult", "MoverTestReport", "ObservationTable",
-    "PopulationSpec", "SignCheckReport", "Stratum", "TestResult",
-    "TreatmentDef", "TrueParams", "VerificationReport",
+    "PopulationSpec", "SignCheckReport", "Stratum", "TestResult", "TrueParams",
+    "VerificationReport",
     # errors
     "BoundsError", "ColumnMissingError", "ConfigError", "DataError", "DegenerateTestError",
     "EstimationError", "LafteError", "RankDeficientError", "RelevanceError", "SpecError",

@@ -10,7 +10,6 @@ from lafte import (
     PopulationSpec,
     SpecError,
     Stratum,
-    TreatmentDef,
     analytic_moments,
     first_stage,
     group_probs,
@@ -27,6 +26,7 @@ from lafte import (
     validate_spec,
 )
 from lafte.data import _CHUNK_ROWS, RESPONSES
+from lafte.estimands import REPORT_ORDER
 from lafte.strata import ALL_GROUPS
 
 from conftest import s2_spec, single_full_complier_spec
@@ -150,9 +150,9 @@ def test_s2_moments(s2):
 
 def test_single_stratum_moments():
     m = analytic_moments(single_full_complier_spec(effect=2.0))
-    for d in TreatmentDef:
-        expected = 2.0 if d is TreatmentDef.SUM else 1.0
-        assert m[d.value] == pytest.approx(expected, abs=1e-15)
+    for d in REPORT_ORDER:
+        expected = 2.0 if d == "d_sum" else 1.0
+        assert m[d] == pytest.approx(expected, abs=1e-15)
     assert m["y"] == pytest.approx(2.0, abs=1e-15)
 
 
@@ -181,7 +181,7 @@ def test_single_group_tau_equals_lafte():
     assert params.tau == pytest.approx(2.0, abs=1e-15)
     assert params.lafte_over_c == pytest.approx(2.0, abs=1e-15)
     # the multivalued-treatment estimand halves it
-    terms = params.beta_decomposition[TreatmentDef.SUM]
+    terms = params.beta_decomposition["d_sum"]
     assert sum(t.contribution for t in terms) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -193,7 +193,7 @@ def test_decomposition_weights():
         moments = analytic_moments(spec)
         for d, terms in params.beta_decomposition.items():
             assert all(t.weight >= 0 for t in terms)
-            if moments[d.value] > 0:
+            if moments[d] > 0:
                 stage = sum(t.weight for t in terms if not t.bias)
                 assert stage == pytest.approx(1.0, rel=1e-10)
 
@@ -211,10 +211,10 @@ def _decomposition_digest(specs):
         m = analytic_moments(spec)
         for d, terms in true_parameters(spec).beta_decomposition.items():
             for t in terms:
-                digest.update(repr((d.value, t.group, t.cells, hexed(t.effect),
+                digest.update(repr((d, t.group, t.cells, hexed(t.effect),
                                     hexed(t.weight), t.bias)).encode())
-            value = m["y"] / m[d.value] if m[d.value] > 0 else None
-            digest.update(repr((hexed(value), hexed(m[d.value]))).encode())
+            value = m["y"] / m[d] if m[d] > 0 else None
+            digest.update(repr((hexed(value), hexed(m[d]))).encode())
     return digest.hexdigest()
 
 
@@ -346,7 +346,7 @@ def test_sample_perfect_compliance():
 
 def test_sample_estimates_match_moments(s2):
     t = sample(s2, 50_000, seed=11)
-    est = first_stage(t, TreatmentDef.SECOND)
+    est = first_stage(t, "d2")
     # binomial standard error at the analytic share
     se = np.sqrt(0.25 / (50_000 * 0.25))
     assert abs(est.value - 0.5) <= 3 * se

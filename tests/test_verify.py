@@ -118,20 +118,19 @@ def _spec_satisfying_homogeneity(definition, rng):
     return PopulationSpec(strata=tuple(strata))
 
 
-@pytest.mark.parametrize("def_value", ["d1", "d2", "d_and", "d_or"])
-def test_homogeneity_collapse_every_definition(def_value):
-    from lafte import TreatmentDef, validate_spec
+@pytest.mark.parametrize("definition", ["d1", "d2", "d_and", "d_or"])
+def test_homogeneity_collapse_every_definition(definition):
+    from lafte import validate_spec
 
-    definition = TreatmentDef(def_value)
-    rng = np.random.default_rng(hash(def_value) % 2 ** 31)
+    rng = np.random.default_rng(hash(definition) % 2 ** 31)
     for _ in range(10):
         spec = _spec_satisfying_homogeneity(definition, rng)
         audit = validate_spec(spec)
-        assert audit.homogeneity[definition.value]
+        assert audit.homogeneity[definition]
         report = verify_identities(spec)
         assert report.all_passed, report.failures
         check = next(c for c in report.checks
-                     if c.name == f"homogeneous-movers.{def_value}")
+                     if c.name == f"homogeneous-movers.{definition}")
         assert check.applicable and check.passed
 
 
